@@ -111,8 +111,14 @@ class Connection:
         return self.database.explain(sql)
 
     def explain_analyze(self, sql: str, params: Sequence[Any] = ()) -> str:
+        """``EXPLAIN ANALYZE`` as this connection sees it: inside its open
+        transaction, under its default guardrails."""
         self._check_open()
-        return self.database.explain_analyze(sql, params)
+        limits = self.guardrails
+        return self.database.explain_analyze(
+            sql, params, session=self.session, timeout=limits.timeout,
+            max_rows=limits.max_rows, max_bytes=limits.max_bytes,
+        )
 
     def __enter__(self) -> "Connection":
         return self

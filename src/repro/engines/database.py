@@ -18,6 +18,7 @@ no version arrays, no visibility checks, auto-commit semantics.
 from __future__ import annotations
 
 import threading
+import time
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -38,7 +39,7 @@ from repro.guard import CancelToken, ExecutionGuard, Guardrails
 from repro.index import make_index
 from repro.index.base import SpatialIndex
 from repro.obs import Observability, Trace
-from repro.obs.waits import WAITS, WaitAttribution, summary_delta
+from repro.obs.waits import WAITS, summary_delta
 from repro.sql import ast
 from repro.sql.executor import Compiler, ExecContext, Scope, SpanNode, Stats
 from repro.sql.functions import FunctionRegistry
@@ -117,7 +118,7 @@ class Database:
         #: last committed write), the service result cache's invalidation
         #: source. Plain dict assignment under the GIL — the embedded
         #: write path pays one dict store per committed write statement
-        #: (pinned by benchmarks/test_bench_service_overhead.py)
+        #: (pinned by benchmarks/test_bench_disabled_overhead.py)
         self.write_marks: Dict[str, int] = {}
         #: the running query service, set by repro.service.JackpineServer
         #: while serving and read by the jackpine_service system view
@@ -276,14 +277,46 @@ class Database:
         error propagates, so a failed statement never leaves a
         half-applied transaction behind.
         """
-        if session is None:
-            session = self._session
         guard = self.guardrails.start(
             timeout=timeout, max_rows=max_rows, max_bytes=max_bytes,
             cancel=cancel,
         )
+        return self._run(sql, params, guard, session)[0]
+
+    def _run(
+        self,
+        sql: str,
+        params: Sequence[Any],
+        guard: Optional[ExecutionGuard],
+        session: Optional[Session],
+        analyze: bool = False,
+    ) -> Tuple[ResultSet, Optional[Trace]]:
+        """The one statement path: every statement kind, observed or not,
+        and ``EXPLAIN ANALYZE`` (``analyze``) run through this body.
+
+        What varies is data: the latch mode (shared for SELECT, exclusive
+        otherwise), whether a SELECT's plan comes from the cache or is
+        planned afresh under a :class:`~repro.sql.executor.SpanNode` tree
+        (span wrapping grafts the plan's child pointers, so a cached plan
+        is never wrapped), and whether — under the single ``obs.active``
+        bool — one :class:`~repro.obs.Trace` event is built on the way
+        out, success or failure, and handed to ``obs.record``. With
+        observability off no clock is read and nothing is built.
+        """
+        if session is None:
+            session = self._session
         statement = self._parse_statement(sql)
+        is_select = isinstance(statement, ast.Select)
+        if analyze and not is_select:
+            raise SqlPlanError(
+                "EXPLAIN ANALYZE supports SELECT statements only"
+            )
+        params = tuple(params)
+        obs = self.obs
+        observed = obs.active or analyze
+        shard = Stats()
         waits_on = WAITS.enabled
+        waits_before = None
         if waits_on:
             txn = session.txn
             WAITS.begin_statement(
@@ -291,56 +324,95 @@ class Database:
                 txn.txid if txn is not None else None,
                 session.session_id,
             )
+            # the live shard is the ASH rows-processed progress counter
+            WAITS.attach_shard(shard)
+            if observed:
+                waits_before = WAITS.thread_summary()
+        if observed:
+            if obs.hooks.query_start:
+                obs.hooks.fire_query_start(sql, params)
+            started_at = time.time()
+            start = time.perf_counter()
+        plan = None
+        result: Optional[ResultSet] = None
+        trace: Optional[Trace] = None
+        outcome = "error"
         try:
-            if is_txn_control(statement):
-                with self._latch.exclusive():
-                    return self._run_txn_control(statement, session)
-            try:
-                if self.obs.active:
-                    return self._execute_observed(
-                        sql, statement, params, guard, session
-                    )
-                return self._execute_plain(
-                    sql, statement, params, guard, session
-                )
-            except ReproError:
-                self._abort_session(session)
-                raise
+            latch = self._latch
+            with latch.shared() if is_select else latch.exclusive():
+                if not is_select and is_txn_control(statement):
+                    # touches no counter and no plan: nothing to merge
+                    # or flush, so BEGIN/COMMIT cost a latch and a call
+                    result = self._run_txn_control(statement, session)
+                else:
+                    try:
+                        if is_select:
+                            if observed and (analyze or obs.capture_spans):
+                                plan, names = self._planner.plan_select(
+                                    statement
+                                )
+                                plan = SpanNode(
+                                    plan,
+                                    obs.hooks.fire_operator_close
+                                    if obs.hooks.operator_close else None,
+                                )
+                            else:
+                                plan, names = self._cached_plan(
+                                    sql, statement, shard
+                                )
+                            ctx = ExecContext(
+                                params, self.profile, self.registry,
+                                self.catalog, shard, guard,
+                                self._snapshot_for(session),
+                            )
+                            result = ResultSet(
+                                names, self._collect(plan, ctx)
+                            )
+                        else:
+                            # may change schema or data layout: flush plans
+                            with self._cache_lock:
+                                self._plan_cache.clear()
+                            result = self._dispatch_statement(
+                                statement, params, guard, session, shard
+                            )
+                    finally:
+                        self._merge_stats(shard)
+            outcome = "ok"
+        except ReproError as exc:
+            if isinstance(exc, SerializationError):
+                outcome = "abort"
+            elif isinstance(exc, QueryTimeoutError):
+                outcome = "timeout"
+            elif isinstance(exc, QueryCancelledError):
+                outcome = "cancelled"
+            self._abort_session(session)
+            raise
         finally:
             if waits_on:
                 WAITS.end_statement()
-
-    def _execute_plain(
-        self,
-        sql: str,
-        statement: ast.Statement,
-        params: Sequence[Any],
-        guard: Optional[ExecutionGuard],
-        session: Session,
-    ) -> ResultSet:
-        if isinstance(statement, ast.Select):
-            shard = Stats()
-            if WAITS.enabled:
-                # the live shard is the ASH rows-processed progress counter
-                WAITS.attach_shard(shard)
-            with self._latch.shared():
-                plan, names = self._cached_plan(sql, statement, shard)
-                ctx = ExecContext(
-                    tuple(params), self.profile, self.registry, self.catalog,
-                    shard, guard, self._snapshot_for(session),
+            if observed:
+                trace = Trace(
+                    sql=sql,
+                    engine=self.profile.name,
+                    statement=type(statement).__name__,
+                    seconds=time.perf_counter() - start,
+                    started_at=started_at,
+                    rows=result.rowcount if result is not None else 0,
+                    counters={
+                        key: value
+                        for key, value in shard.snapshot().items()
+                        if value
+                    },
+                    root=plan.span if isinstance(plan, SpanNode) else None,
+                    outcome=outcome,
+                    waits=(
+                        summary_delta(waits_before, WAITS.thread_summary())
+                        if waits_before is not None else None
+                    ),
+                    plan=plan,
                 )
-                try:
-                    rows = self._collect(plan, ctx)
-                finally:
-                    self._merge_stats(shard)
-            return ResultSet(names, rows)
-        # any non-SELECT may change schema or data layout: flush plans
-        with self._latch.exclusive():
-            with self._cache_lock:
-                self._plan_cache.clear()
-            return self.execute_statement(
-                statement, params, guard=guard, session=session
-            )
+                obs.record(trace)
+        return result, trace
 
     def _parse_statement(self, sql: str) -> ast.Statement:
         """LRU-cached parse of one SQL text."""
@@ -426,152 +498,6 @@ class Database:
                 "queries stopped by the row/byte memory budget",
             ).inc()
 
-    def _execute_observed(
-        self,
-        sql: str,
-        statement: ast.Statement,
-        params: Sequence[Any],
-        guard: Optional[ExecutionGuard],
-        session: Session,
-    ) -> ResultSet:
-        """The instrumented twin of :meth:`_execute_plain`.
-
-        Runs whenever any observability feature is on: fires hooks,
-        times the statement, reads per-statement engine-counter deltas
-        off the statement's private Stats shard, and — when span capture
-        is wanted — plans SELECTs afresh under a
-        :class:`~repro.sql.executor.SpanNode` tree (span wrapping mutates
-        the plan, so cached plans are never traced).
-        """
-        import time as _time
-
-        obs = self.obs
-        store = obs.statements
-        record_stmt = store.enabled
-        params_tuple = tuple(params)
-        if obs.hooks.query_start:
-            obs.hooks.fire_query_start(sql, params_tuple)
-        shard = Stats()
-        if WAITS.enabled:
-            WAITS.attach_shard(shard)
-        # per-thread wait totals before the statement: the after/before
-        # delta is this statement's per-wait-class time attribution
-        waits_before = (
-            {e: t[1] for e, t in WAITS.state().totals.items()}
-            if record_stmt and WAITS.enabled else None
-        )
-        started_at = _time.time()
-        start = _time.perf_counter()
-        root = None
-        result: Optional[ResultSet] = None
-        outcome = "ok"
-        try:
-            try:
-                if isinstance(statement, ast.Select) and obs.capture_spans:
-                    with self._latch.shared():
-                        plan, names = self._planner.plan_select(statement)
-                        if record_stmt:
-                            store.record_plan(sql, plan)
-                        on_close = (
-                            obs.hooks.fire_operator_close
-                            if obs.hooks.operator_close else None
-                        )
-                        wrapped = SpanNode(plan, on_close)
-                        ctx = ExecContext(
-                            params_tuple, self.profile, self.registry,
-                            self.catalog, shard, guard,
-                            self._snapshot_for(session),
-                        )
-                        result = ResultSet(names, self._collect(wrapped, ctx))
-                        root = wrapped.span
-                elif isinstance(statement, ast.Select):
-                    with self._latch.shared():
-                        plan, names = self._cached_plan(sql, statement, shard)
-                        if record_stmt:
-                            store.record_plan(sql, plan)
-                        ctx = ExecContext(
-                            params_tuple, self.profile, self.registry,
-                            self.catalog, shard, guard,
-                            self._snapshot_for(session),
-                        )
-                        result = ResultSet(names, self._collect(plan, ctx))
-                else:
-                    with self._latch.exclusive():
-                        with self._cache_lock:
-                            self._plan_cache.clear()
-                        result = self._dispatch_statement(
-                            statement, params_tuple, guard, session, shard
-                        )
-            finally:
-                self._merge_stats(shard)
-        except SerializationError:
-            outcome = "abort"
-            raise
-        except QueryTimeoutError:
-            outcome = "timeout"
-            raise
-        except ReproError:
-            outcome = "error"
-            raise
-        finally:
-            if record_stmt:
-                if result is None and outcome == "ok":
-                    outcome = "error"
-                wait_deltas = None
-                if waits_before is not None:
-                    wait_deltas = {}
-                    for event, totals in WAITS.state().totals.items():
-                        delta = totals[1] - waits_before.get(event, 0.0)
-                        if delta > 0.0:
-                            cls = event.split(":", 1)[0]
-                            wait_deltas[cls] = (
-                                wait_deltas.get(cls, 0.0) + delta
-                            )
-                store.record(
-                    sql,
-                    _time.perf_counter() - start,
-                    result.rowcount if result is not None else 0,
-                    counters={
-                        key: value
-                        for key, value in shard.snapshot().items()
-                        if value
-                    },
-                    outcome=outcome,
-                    wait_class_seconds=wait_deltas,
-                )
-        elapsed = _time.perf_counter() - start
-        trace = Trace(
-            sql=sql,
-            engine=self.profile.name,
-            statement=type(statement).__name__,
-            seconds=elapsed,
-            started_at=started_at,
-            rows=result.rowcount,
-            counters={
-                key: value
-                for key, value in shard.snapshot().items()
-                if value
-            },
-            root=root,
-        )
-        obs.record(trace)
-        return result
-
-    def execute_statement(
-        self, statement: ast.Statement, params: Sequence[Any] = (),
-        guard: Optional[ExecutionGuard] = None,
-        session: Optional[Session] = None,
-    ) -> ResultSet:
-        if session is None:
-            session = self._session
-        shard = Stats()
-        try:
-            return self._dispatch_statement(
-                statement, tuple(params), guard, session, shard
-            )
-        finally:
-            self._merge_stats(shard)
-
     def _dispatch_statement(
         self,
         statement: ast.Statement,
@@ -580,16 +506,8 @@ class Database:
         session: Session,
         shard: Stats,
     ) -> ResultSet:
-        if isinstance(statement, ast.Select):
-            ctx = ExecContext(
-                params, self.profile, self.registry, self.catalog,
-                shard, guard, self._snapshot_for(session),
-            )
-            return self._run_select(statement, ctx)
         if isinstance(statement, (ast.Insert, ast.Delete, ast.Update)):
             return self._run_dml(statement, params, guard, session, shard)
-        if isinstance(statement, (ast.Begin, ast.Commit, ast.Rollback)):
-            return self._run_txn_control(statement, session)
         if isinstance(statement, ast.CreateTable):
             return self._run_create_table(statement)
         if isinstance(statement, ast.CreateSpatialIndex):
@@ -777,67 +695,48 @@ class Database:
         plan, _names = self._planner.plan_select(statement)
         return "\n".join(plan.explain())
 
-    def explain_analyze(self, sql: str, params: Sequence[Any] = ()) -> str:
+    def explain_analyze(
+        self,
+        sql: str,
+        params: Sequence[Any] = (),
+        *,
+        session: Optional[Session] = None,
+        timeout: Optional[float] = None,
+        max_rows: Optional[int] = None,
+        max_bytes: Optional[int] = None,
+    ) -> str:
         """Execute a SELECT and report per-operator rows and times.
 
-        Plans afresh (never from the cache — instrumentation rewires the
+        Runs through the same body as :meth:`execute` — in ``session``'s
+        transaction, under the same guardrails — but always plans afresh
+        under spans (never from the cache — instrumentation rewires the
         tree) and drains the full result before rendering, like
         ``EXPLAIN ANALYZE`` in the DBMSes the paper benchmarks. Each
         operator line shows actual rows, wall time and its exclusive
         engine-counter deltas (``index_probes``, ``join_pairs_…``, …).
         """
-        statement = parse(sql)
-        if not isinstance(statement, ast.Select):
-            raise SqlPlanError("EXPLAIN ANALYZE supports SELECT statements only")
-        plan, _names = self._planner.plan_select(statement)
-        wrapped = SpanNode(plan)
-        shard = Stats()
-        waits_on = WAITS.enabled
-        waits_before = WAITS.summary() if waits_on else None
-        if waits_on:
-            WAITS.begin_statement(sql, self.profile.name, None,
-                                  self._session.session_id)
-            WAITS.attach_shard(shard)
-        import time as _time
-
-        started = _time.perf_counter()
-        try:
-            with self._latch.shared():
-                ctx = ExecContext(
-                    tuple(params), self.profile, self.registry, self.catalog,
-                    shard, None, self._snapshot_for(self._session),
-                )
-                try:
-                    emitted = sum(1 for _row in wrapped.rows(ctx))
-                finally:
-                    self._merge_stats(shard)
-        finally:
-            if waits_on:
-                WAITS.end_statement()
-        elapsed = _time.perf_counter() - started
-        lines = wrapped.explain()
-        lines.append(f"Total output rows: {emitted}")
-        if waits_on:
-            delta = summary_delta(waits_before, WAITS.summary())
+        guard = self.guardrails.start(
+            timeout=timeout, max_rows=max_rows, max_bytes=max_bytes,
+        )
+        _result, trace = self._run(sql, params, guard, session, analyze=True)
+        lines = trace.plan.explain()
+        lines.append(f"Total output rows: {trace.rows}")
+        if trace.waits is not None:
             lines.append("Waits (this statement):")
-            if delta:
-                for event, entry in sorted(delta.items()):
-                    share = (
-                        100.0 * entry["seconds"] / elapsed if elapsed else 0.0
-                    )
-                    lines.append(
-                        f"  {event:<26s} count={entry['count']:<7d} "
-                        f"seconds={entry['seconds']:.6f} ({share:.1f}%)"
-                    )
-            else:
+            for event, entry in sorted(trace.waits.items()):
+                share = (
+                    100.0 * entry["seconds"] / trace.seconds
+                    if trace.seconds else 0.0
+                )
+                lines.append(
+                    f"  {event:<26s} count={entry['count']:<7d} "
+                    f"seconds={entry['seconds']:.6f} ({share:.1f}%)"
+                )
+            if not trace.waits:
                 lines.append("  (none recorded)")
         return "\n".join(lines)
 
     # -- statement runners -----------------------------------------------------
-
-    def _run_select(self, stmt: ast.Select, ctx: ExecContext) -> ResultSet:
-        plan, names = self._planner.plan_select(stmt)
-        return ResultSet(names, self._collect(plan, ctx))
 
     def _run_insert(
         self, stmt: ast.Insert, ctx: ExecContext,

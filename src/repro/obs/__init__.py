@@ -12,9 +12,12 @@ One :class:`Observability` object hangs off every
 - **hooks** — ``on_query_start`` / ``on_query_end`` /
   ``on_operator_close`` callbacks.
 
-The whole subsystem is built to cost one attribute check per statement
-when nothing is enabled: :attr:`active` is a plain precomputed bool, and
-the engine's fast path is byte-for-byte the untraced one.
+The engine has one statement path. When :attr:`active` — a plain
+precomputed bool, the only thing that path reads while everything is
+off — is set, it builds one :class:`Trace` event per statement and
+hands it to :meth:`Observability.record`, the only fan-out: traces, the
+slow log, metrics, the statement store and the ``query_end`` hooks (the
+flight recorder is one) are all consumers of that event.
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ class Observability:
         self._metrics_enabled = False
         self._slow_query_threshold: Optional[float] = None
         #: per-fingerprint statement/plan aggregates (pg_stat_statements
-        #: style); enabling it routes statements through the observed path
+        #: style), fed by :meth:`record`
         self.statements = StatementStore()
         self.statements.on_flip = self._count_plan_flip
         #: the one flag the engine hot path reads; kept in sync by every
@@ -122,10 +125,6 @@ class Observability:
         self._metrics_enabled = False
         self._refresh()
         return self
-
-    @property
-    def statements_enabled(self) -> bool:
-        return self.statements.enabled
 
     def enable_statements(self) -> "Observability":
         self.statements.enable()
@@ -198,7 +197,8 @@ class Observability:
         )
 
     def record(self, trace: Trace) -> None:
-        """File one finished statement: traces, slow log, metrics, hooks."""
+        """Fan one statement event out to every enabled consumer: traces,
+        slow log, metrics, the statement store, ``query_end`` hooks."""
         if self._tracing:
             self.last_trace = trace
         threshold = self._slow_query_threshold
@@ -215,4 +215,18 @@ class Observability:
             metrics.histogram(
                 "query_seconds", "statement latency"
             ).observe(trace.seconds)
+            if trace.outcome != "ok":
+                metrics.counter(
+                    "query_errors_total",
+                    "statements that failed (any outcome but ok)",
+                ).inc()
+        store = self.statements
+        if store.enabled:
+            if trace.plan is not None:
+                store.record_plan(trace.sql, trace.plan)
+            store.record(
+                trace.sql, trace.seconds, trace.rows,
+                counters=trace.counters, outcome=trace.outcome,
+                wait_class_seconds=trace.wait_class_seconds,
+            )
         self.hooks.fire_query_end(trace)

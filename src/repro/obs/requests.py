@@ -37,7 +37,7 @@ clock and the skew is zero.
 Disabled-path discipline: when no server enables tracing, the recorder
 costs the service exactly one attribute check per request, the same
 contract as :data:`~repro.obs.waits.WAITS` and the observability
-switchboard — pinned by ``benchmarks/test_bench_tracing_overhead.py``.
+switchboard — pinned by ``benchmarks/test_bench_disabled_overhead.py``.
 """
 
 from __future__ import annotations

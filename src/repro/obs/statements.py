@@ -13,10 +13,11 @@ execution arrives with a different shape than the current one, a
 ``plan_flips_total`` counter bumps — the hook future executor changes
 are judged against.
 
-The store follows the engine's one-bool discipline: :attr:`StatementStore.
-enabled` is the only thing the hot path reads, and the store is only
-consulted from :meth:`Database._execute_observed` (enabling statements
-flips ``obs.active``), so the plain execution path never sees it.
+The store is a consumer of the engine's per-statement event: enabling
+it flips ``obs.active``, and :meth:`Observability.record
+<repro.obs.Observability.record>` folds each event's timing, outcome,
+counters, wait deltas and plan in. With it off the engine never gets
+here.
 
 Everything here is surfaced three ways: the ``jackpine_statements`` /
 ``jackpine_plans`` system views (:mod:`repro.engines.sysviews`),
@@ -253,7 +254,7 @@ class StatementStore:
     FLIP_HISTORY = 256
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
-        #: the one flag the instrumented path reads
+        #: whether :meth:`Observability.record` feeds this store
         self.enabled = False
         self.capacity = capacity
         self._lock = threading.Lock()
@@ -313,7 +314,7 @@ class StatementStore:
             self._entries.move_to_end(fp)
         return entry
 
-    # -- recording (engine-facing) -----------------------------------------
+    # -- recording (fed by Observability.record) ----------------------------
 
     def record(
         self,
@@ -327,7 +328,8 @@ class StatementStore:
         """Fold one finished execution into its fingerprint's entry.
 
         ``outcome`` is one of ``ok`` / ``abort`` / ``timeout`` /
-        ``error``; anything but ``ok`` also counts as an error.
+        ``cancelled`` / ``error``; anything but ``ok`` also counts as an
+        error.
         """
         fp, normalized = self._fingerprint(sql)
         with self._lock:

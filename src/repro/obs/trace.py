@@ -1,8 +1,10 @@
 """Statement traces and exporters.
 
-A :class:`Trace` ties one executed statement to its operator span tree
-(for SELECTs run under tracing) and to the statement-level counter
-deltas every statement gets. Two interchange formats are supported:
+A :class:`Trace` is the one per-statement event the engine emits: it
+ties one executed statement — SELECT, DML/DDL or transaction control,
+finished or failed — to its outcome, its statement-level counter and
+wait deltas, the plan it ran with and (for SELECTs run under tracing)
+its operator span tree. Two interchange formats are supported:
 
 - **JSON lines** — one header object plus one object per span, each
   span carrying an ``id``/``parent`` pair so the tree round-trips
@@ -18,6 +20,7 @@ import json
 from typing import Any, Dict, List, Optional
 
 from repro.obs.span import Span
+from repro.obs.waits import WaitAttribution
 
 
 class Trace:
@@ -32,6 +35,9 @@ class Trace:
         "rows",
         "counters",
         "root",
+        "outcome",
+        "waits",
+        "plan",
     )
 
     def __init__(
@@ -44,6 +50,9 @@ class Trace:
         rows: int,
         counters: Dict[str, int],
         root: Optional[Span] = None,
+        outcome: str = "ok",
+        waits: Optional[Dict[str, Dict[str, float]]] = None,
+        plan: Any = None,
     ):
         self.sql = sql
         self.engine = engine
@@ -57,8 +66,22 @@ class Trace:
         self.counters = counters
         #: operator span tree (``None`` for untraced / non-SELECT runs)
         self.root = root
+        #: ``ok``, or how the statement failed: ``abort`` (serialization
+        #: conflict), ``timeout``, ``cancelled`` or ``error``
+        self.outcome = outcome
+        #: this thread's wait-event deltas over the statement,
+        #: ``{event: {count, seconds}}``; ``None`` while ``WAITS`` is off
+        self.waits = waits
+        #: the plan tree a SELECT executed with (in-process only; ``None``
+        #: for other statements and for failures before planning)
+        self.plan = plan
 
     # -- convenience -------------------------------------------------------
+
+    @property
+    def wait_class_seconds(self) -> Dict[str, float]:
+        """Seconds per wait class (``IO``, ``Latch``, …) over the statement."""
+        return WaitAttribution(self.waits or {}, self.seconds).class_seconds()
 
     def spans(self) -> List[Span]:
         """All spans in pre-order (empty when the run was untraced)."""
@@ -95,6 +118,7 @@ class Trace:
             "seconds": self.seconds,
             "started_at": self.started_at,
             "rows": self.rows,
+            "outcome": self.outcome,
             "counters": dict(self.counters),
             "root": self.root.to_dict() if self.root is not None else None,
         }
@@ -111,6 +135,7 @@ class Trace:
             rows=data["rows"],
             counters=dict(data.get("counters", ())),
             root=Span.from_dict(root) if root is not None else None,
+            outcome=data.get("outcome", "ok"),
         )
 
     def to_json_lines(self) -> str:

@@ -11,7 +11,7 @@ on the record path beyond the histogram's) and bumps per-event
 aggregates; when it is disabled, every site costs exactly one attribute
 read and a branch — the same contract as :data:`~repro.faults.FAULTS`
 and the observability switchboard, pinned by
-``benchmarks/test_bench_waits_overhead.py``.
+``benchmarks/test_bench_disabled_overhead.py``.
 
 Three consumers sit on top:
 
@@ -363,9 +363,6 @@ class WaitMonitor:
         counter (read racily by the sampler; ints never tear)."""
         self.state().shard = shard
 
-    def set_txid(self, txid: Optional[int]) -> None:
-        self.state().txid = txid
-
     def end_statement(self) -> None:
         state = self.state()
         state.statement = None
@@ -403,6 +400,16 @@ class WaitMonitor:
         return out
 
     # -- aggregate views ---------------------------------------------------
+
+    def thread_summary(self) -> Dict[str, Dict[str, float]]:
+        """The calling thread's per-event totals, ``{event: {count,
+        seconds}}``. A statement runs on one thread, so the
+        :func:`summary_delta` of two of these taken around it is that
+        statement's own wait attribution."""
+        return {
+            event: {"count": int(count), "seconds": seconds}
+            for event, (count, seconds) in self.state().totals.items()
+        }
 
     def summary(self) -> Dict[str, Dict[str, float]]:
         """Per-event totals merged across threads:

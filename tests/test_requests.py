@@ -255,6 +255,34 @@ def test_one_request_yields_one_linked_tree(database, fresh_recorder):
             assert child.started >= root.started - 1e-6
 
 
+def test_errored_request_carries_its_executor_trace(database,
+                                                    fresh_recorder):
+    """The tail sampler keeps errored requests; the failed statement's
+    event must be in the kept tree, parented under ``execute``."""
+    from repro.errors import ReproError
+
+    sql = "SELECT no_such_column FROM counties"
+    with _traced_server(database) as server:
+        client = ServiceClient.from_address(server.address)
+        try:
+            with pytest.raises(ReproError):
+                client.execute(sql)
+            # the record is filed after the reply is on the wire
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline:
+                records = [r for r in RECORDER.records() if r.sql == sql]
+                if records:
+                    break
+                time.sleep(0.01)
+        finally:
+            client.close()
+    (record,) = records
+    assert record.outcome == "sql" and record.retained
+    execute = record.root.find("execute")
+    assert [child.op for child in execute.children] == ["statement"]
+    assert execute.children[0].detail == sql
+
+
 def test_trace_queryable_via_jackpine_requests_view(database,
                                                     fresh_recorder):
     with _traced_server(database) as server:
