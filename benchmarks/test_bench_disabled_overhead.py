@@ -13,10 +13,11 @@ dominate, amortising per-call jitter), within 5%.
 
 What each subsystem's own guard checked beyond that timing stays here as
 a case: answers equal the direct plan with a feature off, *and* with it
-on (live guard, statement store recording, versioned-but-quiescent
-heaps). The write-watermark, detached-insert and untraced-server guards
-time different paths and keep their own comparisons, on the shared
-helpers in ``_bench_utils``. Run standalone::
+on (live guard, statement store recording). Every loaded database is in
+the one heap state there is — written through transactions, all rows
+frozen — so ``_defaults`` covers it. The write-watermark, detached-insert
+and untraced-server guards time different paths and keep their own
+comparisons, on the shared helpers in ``_bench_utils``. Run standalone::
 
     pytest benchmarks/test_bench_disabled_overhead.py --benchmark-disable -q
 """
@@ -54,7 +55,13 @@ def direct_answers(matrix_db):
 # -- answers: each feature off, and each feature on --------------------------
 
 
+def _unversioned(db):
+    """What scans branch on: no table carries a live version stamp."""
+    return all(t.mvcc_versions == 0 for t in db.catalog.tables())
+
+
 def _defaults(db):
+    assert _unversioned(db) and db.txn.pending_garbage == 0
     return db.execute
 
 
@@ -68,21 +75,8 @@ def _statement_store_on(db):
     return db.execute
 
 
-def _versioned_quiescent(db):
-    """After txn traffic drains, version arrays exist but every row is
-    frozen: the all-frozen visibility check is one compare per row."""
-    gid = db.execute("SELECT gid FROM pointlm ORDER BY gid LIMIT 1").scalar()
-    db.execute("BEGIN")
-    db.execute("UPDATE pointlm SET name = ? WHERE gid = ?", ("touched", gid))
-    db.execute("COMMIT")
-    assert db.txn.pending_garbage == 0
-    assert db.catalog.table("pointlm")._xmin is not None
-    return db.execute
-
-
 @pytest.mark.parametrize(
-    "configure",
-    [_defaults, _live_guard, _statement_store_on, _versioned_quiescent],
+    "configure", [_defaults, _live_guard, _statement_store_on]
 )
 def test_execute_answers_match_the_direct_plan(configure, direct_answers):
     db = _fresh_db()
@@ -109,17 +103,13 @@ class TestEmbedded:
         assert db.durability is None
         assert db.service is None
         assert db.txn.active_count == 0
-
-        def unversioned():
-            return all(t._xmin is None for t in db.catalog.tables())
-
-        assert unversioned()
+        assert _unversioned(db)
         assert_within_budget(
             lambda: [db.execute(sql) for sql in MATRIX_SQL],
             lambda: [_run_plan_directly(db, sql) for sql in MATRIX_SQL],
             "execute with every feature off",
         )
-        assert unversioned(), "reads alone never version a heap"
+        assert _unversioned(db), "reads alone never version a heap"
 
     def test_reads_never_touch_write_marks(self, matrix_db):
         # loading stamps every table once (the cache must see table
@@ -176,10 +166,10 @@ class TestEmbedded:
         )
 
     def test_detached_insert_within_budget(self):
-        """Every durable hook in the DML path reads one attribute
-        (``db.durability``) when no storage is attached: bulk inserts
-        through ``insert_rows`` (latch + per-row durability branch)
-        against the seed-era direct heap+index path."""
+        """The transactional bulk path with no storage attached —
+        ``insert_rows``: latch, one transaction per batch (one undo run,
+        frozen by slice at commit), a per-row ``db.durability`` attribute
+        read — against the direct heap + index loop."""
         rows = [(i, f"POINT({i % 100} {i % 90})") for i in range(400)]
         db = Database("greenwood")
         db.execute("CREATE TABLE bench (id INTEGER, g GEOMETRY)")

@@ -184,12 +184,10 @@ class Cursor:
         self, sql: str, seq_of_params: Sequence[Sequence[Any]]
     ) -> "Cursor":
         self._check_open()
-        total = 0
-        for params in seq_of_params:
-            result = self.connection.database.execute(
-                sql, params, session=self.connection.session
-            )
-            total += result.rowcount
+        # through execute, so the connection's guardrails apply per call
+        total = sum(
+            self.execute(sql, params).rowcount for params in seq_of_params
+        )
         self._result = ResultSet([], [], total)
         self._position = 0
         return self

@@ -10,9 +10,10 @@ Concurrency model (see ``docs/CONCURRENCY.md``): physical access runs
 under a per-statement readers-writer latch (SELECTs shared, everything
 else exclusive), while *isolation* comes from the snapshot-isolation
 MVCC layer in :mod:`repro.txn` — row versions stamped with xmin/xmax,
-per-connection sessions, and first-updater-wins row write locks. With no
-transaction open anywhere the engine stays on the pre-MVCC fast path:
-no version arrays, no visibility checks, auto-commit semantics.
+per-connection sessions, and first-updater-wins row write locks. Every
+write is a transaction (an auto-commit statement runs in an implicit
+single-statement one); with none open every row is frozen and reads
+skip visibility checks.
 """
 
 from __future__ import annotations
@@ -576,27 +577,20 @@ class Database:
         session: Session,
         shard: Stats,
     ) -> ResultSet:
-        """INSERT/DELETE/UPDATE, transactional when it has to be.
-
-        Outside a transaction the statement runs on the legacy in-place
-        path *unless* other transactions are open somewhere — then it
-        wraps itself in an implicit single-statement transaction so open
-        snapshots keep the versions they are entitled to.
+        """INSERT/DELETE/UPDATE, always inside a transaction: the
+        session's open one, or an implicit single-statement one committed
+        before the statement returns — so open snapshots keep the versions
+        they are entitled to, a failed statement leaves nothing behind,
+        and the WAL's undo information and the MVCC rollback machinery
+        stay one mechanism.
         """
         txn = session.txn
-        implicit = False
-        if txn is None and (self.txn.active_count or
-                            self.durability is not None):
-            # durable databases run *every* write transactionally: the
-            # WAL's undo information and the MVCC rollback machinery are
-            # one mechanism, so an auto-commit statement is just a
-            # single-statement transaction with a group-commit fsync
+        implicit = txn is None
+        if implicit:
             txn = self.txn.begin()
-            implicit = True
-        snapshot = txn.snapshot if txn is not None else None
         ctx = ExecContext(
             params, self.profile, self.registry, self.catalog,
-            shard, guard, snapshot,
+            shard, guard, txn.snapshot,
         )
         try:
             if isinstance(statement, ast.Insert):
@@ -607,10 +601,6 @@ class Database:
                 result = self._run_update(statement, ctx, txn)
             if implicit:
                 self.txn.commit(txn)
-            elif txn is None and result.rowcount:
-                # legacy in-place path: visible immediately, no commit
-                # hook will fire — stamp the watermark here
-                self.bump_write_marks((statement.table,), self.txn.stamp())
             return result
         except BaseException:
             if implicit and txn.status is ACTIVE:
@@ -621,7 +611,7 @@ class Database:
         """Stamp the committed-write watermark for ``tables``.
 
         Called by :meth:`TxnManager.commit` after the rows are visible,
-        and directly by the fast paths that never open a transaction.
+        and by ``CREATE TABLE`` / ``DROP TABLE``, which auto-commit.
         Watermark comparison is by equality, so the only contract is
         that the stamp changes whenever committed contents may have.
         """
@@ -739,8 +729,7 @@ class Database:
     # -- statement runners -----------------------------------------------------
 
     def _run_insert(
-        self, stmt: ast.Insert, ctx: ExecContext,
-        txn: Optional[Transaction] = None,
+        self, stmt: ast.Insert, ctx: ExecContext, txn: Transaction
     ) -> ResultSet:
         table = self.catalog.table(stmt.table)
         if stmt.columns is None:
@@ -748,8 +737,6 @@ class Database:
         else:
             positions = [table.column_index(c) for c in stmt.columns]
         compiler = Compiler(Scope(), self.registry, self.profile)
-        # statement atomicity: evaluate and type-check every row before
-        # touching the heap, so a failure in row k leaves nothing behind
         pending: List[List[Any]] = []
         for row_exprs in stmt.rows:
             if len(row_exprs) != len(positions):
@@ -760,48 +747,47 @@ class Database:
             for position, expr in zip(positions, row_exprs):
                 values[position] = compiler.compile(expr)({}, ctx)
             pending.append(values)
-        from repro.storage.table import _coerce
-
-        coerced = [
-            tuple(_coerce(v, col) for v, col in zip(vals, table.columns))
-            for vals in pending
-        ]
-        xmin = txn.txid if txn is not None else 0
-        for values in coerced:
-            row_id = self._insert_one(table, values, xmin=xmin)
-            if txn is not None:
-                txn.record_insert(table, row_id)
-        return ResultSet([], [], len(coerced))
+        # a row that fails its type check rolls the statement back
+        return ResultSet([], [], self._insert_run(table, pending, txn))
 
     def insert_rows(self, table_name: str, rows: Sequence[Sequence[Any]]) -> int:
-        """Bulk insert of Python values (the fast path the loader uses).
+        """Bulk insert of Python values (what the loader uses).
 
-        On a durable database the whole batch is one transaction with a
-        single group-commit fsync at the end — the bulk-load analogue of
+        The whole batch is one transaction — all of it becomes visible at
+        once or none of it does, and on a durable database it costs a
+        single group-commit fsync at the end: the bulk-load analogue of
         COPY inside a transaction."""
         table = self.catalog.table(table_name)
-        count = 0
         with self._latch.exclusive():
-            txn = self.txn.begin() if self.durability is not None else None
+            txn = self.txn.begin()
             try:
-                xmin = txn.txid if txn is not None else 0
-                for values in rows:
-                    row_id = self._insert_one(table, values, xmin=xmin)
-                    if txn is not None:
-                        txn.record_insert(table, row_id)
-                    count += 1
-                if txn is not None:
-                    self.txn.commit(txn)
-                elif count:
-                    self.bump_write_marks((table.name,), self.txn.stamp())
+                count = self._insert_run(table, rows, txn)
+                self.txn.commit(txn)
             except BaseException:
-                if txn is not None and txn.status is ACTIVE:
+                if txn.status is ACTIVE:
                     self.txn.rollback(txn)
                 raise
         return count
 
+    def _insert_run(
+        self, table: Table, rows: Sequence[Sequence[Any]], txn: Transaction
+    ) -> int:
+        """Append ``rows`` as ``txn``'s versions. The exclusive latch makes
+        this writer the only one appending, so the rows land on consecutive
+        ids and the transaction's undo log gets one run for all of them —
+        also when row *k* fails, so rollback removes rows 1..k-1."""
+        first = len(table.rows)
+        xmin = txn.txid
+        try:
+            for values in rows:
+                self._insert_one(table, values, xmin)
+        finally:
+            count = len(table.rows) - first
+            txn.record("insert", table, first, count)
+        return count
+
     def _insert_one(
-        self, table: Table, values: Sequence[Any], xmin: int = 0
+        self, table: Table, values: Sequence[Any], xmin: int
     ) -> int:
         """Heap insert + index maintenance + WAL; the heap row (and its
         index entries) are rolled back if any later step fails, keeping
@@ -812,7 +798,7 @@ class Database:
         except Exception:
             table.rollback_insert(row_id)
             raise
-        if self.durability is not None and xmin:
+        if self.durability is not None:
             try:
                 self.durability.log_insert(
                     xmin, table.name, row_id, table.get_row(row_id)
@@ -850,8 +836,7 @@ class Database:
                 entry.index.remove(row_id, geom.envelope)
 
     def _run_delete(
-        self, stmt: ast.Delete, ctx: ExecContext,
-        txn: Optional[Transaction] = None,
+        self, stmt: ast.Delete, ctx: ExecContext, txn: Transaction
     ) -> ResultSet:
         table = self.catalog.table(stmt.table)
         scope = Scope()
@@ -862,20 +847,18 @@ class Database:
                 stmt.where
             )
         doomed: List[int] = []
+        guard = ctx.guard
         for row_id, row in table.scan(ctx.snapshot):
+            if guard is not None:
+                guard.tick()
             if predicate is None or predicate({table.name: row}, ctx) is True:
                 doomed.append(row_id)
-        if txn is None:
-            for row_id in doomed:
-                self._index_remove(table, row_id)
-                table.delete_row(row_id)
-            return ResultSet([], [], len(doomed))
         # MVCC delete: stamp xmax and keep the version (and its index
         # entries) readable for older snapshots until vacuum
         for row_id in doomed:
             self._lock_row_for_write(table, row_id, txn)
             table.mark_deleted(row_id, txn.txid)
-            txn.record_delete(table, row_id)
+            txn.record("delete", table, row_id)
             if self.durability is not None:
                 # the durable mirror tracks committed-state-to-be: the
                 # page row goes now (steal), the in-memory version stays
@@ -886,8 +869,7 @@ class Database:
         return ResultSet([], [], len(doomed))
 
     def _run_update(
-        self, stmt: ast.Update, ctx: ExecContext,
-        txn: Optional[Transaction] = None,
+        self, stmt: ast.Update, ctx: ExecContext, txn: Transaction
     ) -> ResultSet:
         table = self.catalog.table(stmt.table)
         scope = Scope()
@@ -900,51 +882,32 @@ class Database:
             (table.column_index(column), compiler.compile(expr))
             for column, expr in stmt.assignments
         ]
-        geom_positions = {
-            table.column_index(name) for name in table.geometry_columns()
-        }
         # two-phase for statement atomicity: evaluate first, apply after
         pending: List[Tuple[int, list]] = []
         alias = table.name
+        guard = ctx.guard
         for row_id, row in table.scan(ctx.snapshot):
+            if guard is not None:
+                guard.tick()
             if predicate is not None and predicate({alias: row}, ctx) is not True:
                 continue
             values = list(row)
             for position, value_fn in assignments:
                 values[position] = value_fn({alias: row}, ctx)
             pending.append((row_id, values))
-        if txn is not None:
-            # MVCC update = insert the new version + delete-stamp the old
-            # one; probes filter the superseded version by visibility
-            for row_id, values in pending:
-                self._lock_row_for_write(table, row_id, txn)
-                new_id = self._insert_one(table, values, xmin=txn.txid)
-                table.mark_deleted(row_id, txn.txid)
-                txn.record_update(table, row_id, new_id)
-                if self.durability is not None:
-                    # WAL mirrors the MVCC shape: insert new + delete old
-                    self.durability.log_delete(
-                        txn.txid, table.name, row_id, table.get_row(row_id)
-                    )
-            return ResultSet([], [], len(pending))
+        # MVCC update = insert the new version + delete-stamp the old
+        # one; probes filter the superseded version by visibility
         for row_id, values in pending:
-            old_row = table.get_row(row_id)
-            table.update_row(row_id, values)
-            new_row = table.get_row(row_id)
-            for entry in self.catalog.indexes():
-                if entry.table_name != table.name:
-                    continue
-                position = table.column_index(entry.column_name)
-                if position not in geom_positions:
-                    continue
-                old_geom = old_row[position]
-                new_geom = new_row[position]
-                if old_geom is new_geom:
-                    continue
-                if isinstance(old_geom, Geometry):
-                    entry.index.remove(row_id, old_geom.envelope)
-                if isinstance(new_geom, Geometry):
-                    entry.index.insert(row_id, new_geom.envelope)
+            self._lock_row_for_write(table, row_id, txn)
+            new_id = self._insert_one(table, values, txn.txid)
+            table.mark_deleted(row_id, txn.txid)
+            txn.record("delete", table, row_id)
+            txn.record("insert", table, new_id)
+            if self.durability is not None:
+                # WAL mirrors the MVCC shape: insert new + delete old
+                self.durability.log_delete(
+                    txn.txid, table.name, row_id, table.get_row(row_id)
+                )
         return ResultSet([], [], len(pending))
 
     def _run_create_table(self, stmt: ast.CreateTable) -> ResultSet:

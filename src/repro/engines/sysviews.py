@@ -161,13 +161,11 @@ class SystemView:
         )
 
     insert_row = _read_only
-    update_row = _read_only
     delete_row = _read_only
     mark_deleted = _read_only
     clear_deleted = _read_only
-    freeze_row = _read_only
+    freeze_rows = _read_only
     rollback_insert = _read_only
-    ensure_versioned = _read_only
 
 
 # -- producers ---------------------------------------------------------------

@@ -10,8 +10,9 @@ concern of :mod:`repro.obs.statements`.
 
 Invalidation is *precise*, not TTL-based. The engine stamps
 ``Database.write_marks[table]`` with the committing transaction's xid
-after its rows become visible (and with a fresh xid for the
-non-transactional fast paths and DDL). A cache entry stores the
+after its rows become visible — every write is a transaction, so that
+is the only DML stamp — and with a fresh xid for ``CREATE``/``DROP
+TABLE``. A cache entry stores the
 watermark of every table the SELECT reads, captured **before** the
 query executed; a lookup serves the entry only while every watermark is
 still identical. The ordering closes both races:

@@ -7,10 +7,11 @@ the committed-plus-in-flight state in slotted pages
 (:mod:`repro.storage.wal`), the way in-memory engines persist. The
 engine calls one hook per logical row operation:
 
-* ``log_insert`` / ``log_delete`` / ``log_update`` — append a WAL record
-  (with undo information: old values ride in delete/update records),
-  then apply the change to the heap pages (steal policy: uncommitted
-  rows do reach disk; recovery undoes them);
+* ``log_insert`` / ``log_delete`` — append a WAL record (with undo
+  information: old values ride in delete records; an UPDATE logs the
+  insert of its new version and the delete of its old one), then apply
+  the change to the heap pages (steal policy: uncommitted rows do reach
+  disk; recovery undoes them);
 * ``log_commit`` — append COMMIT and group-fsync: the transaction is
   durable exactly when this returns;
 * ``log_abort`` — append ABORT and reverse the transaction's page
@@ -73,7 +74,7 @@ PAGES_FILE = "pages.db"
 WAL_FILE = "wal.log"
 CATALOG_FILE = "catalog.json"
 
-_ROW_OPS = ("insert", "delete", "update")
+_ROW_OPS = ("insert", "delete")
 
 
 @dataclass
@@ -207,22 +208,6 @@ class DurabilityManager:
             self.crash()
             raise
 
-    def log_update(self, txid: int, table: str, rid: int,
-                   values: tuple, old_values: tuple) -> None:
-        self._check_live()
-        try:
-            encoded = [encode_value(v) for v in values]
-            lsn = self.wal.append({
-                "type": "wal", "op": "update", "txid": txid,
-                "table": table, "rid": rid, "values": encoded,
-                "old": [encode_value(v) for v in old_values],
-            })
-            self.heap.update(table, rid, encoded, lsn)
-            self._txn_ops[txid] = self._txn_ops.get(txid, 0) + 1
-        except SimulatedCrashError:
-            self.crash()
-            raise
-
     # -- transaction boundaries --------------------------------------------
 
     def log_commit(self, txid: int) -> None:
@@ -254,10 +239,11 @@ class DurabilityManager:
             # newest-first, mirroring TxnManager.rollback; the in-memory
             # rows still hold the values this reversal needs (the hook
             # runs before the memory-side rollback)
-            for op, table, rid in reversed(txn.undo):
-                if op == "insert":
-                    self.heap.delete(table.name, rid, lsn)
-                else:
+            for op, table, first, count in reversed(txn.undo):
+                for rid in reversed(range(first, first + count)):
+                    if op == "insert":
+                        self.heap.delete(table.name, rid, lsn)
+                        continue
                     row = table.rows[rid]
                     if row is not None:
                         self.heap.insert(

@@ -440,10 +440,6 @@ class HeapStore:
         self._by_table[key[0]].discard(key[1])
         self.insert(key[0], key[1], json.loads(payload)["v"], lsn)
 
-    def update(self, table: str, rid: int, values: list, lsn: int) -> None:
-        """Idempotent value rewrite (inserts when the row is absent)."""
-        self.insert(table, rid, values, lsn)
-
     def delete(self, table: str, rid: int, lsn: int) -> None:
         with self._lock:
             loc = self._loc.pop((table, rid), None)

@@ -3,7 +3,7 @@
 Every heap table keeps a :class:`TableStats` with one
 :class:`ColumnStats` per geometry column. The cheap summary part (row
 count, running envelope-extent sums, a union bounding box) is maintained
-incrementally by ``Table.insert_row``/``delete_row``/``update_row``; the
+incrementally by ``Table.insert_row``/``delete_row``; the
 ``ANALYZE`` statement additionally rebuilds an envelope *histogram* per
 column, which the planner uses to correct the uniform-distribution join
 selectivity estimate for spatially correlated (or anti-correlated)

@@ -113,13 +113,12 @@ class Table:
         }
         self.rows: List[Optional[tuple]] = []
         self.live_count = 0
-        # MVCC version stamps, parallel to ``rows`` and materialised
-        # lazily on the first versioned write: 0 (FROZEN_XID) means
+        # MVCC version stamps, parallel to ``rows``: 0 (FROZEN_XID) means
         # "committed long ago" / "not deleted". ``mvcc_versions`` counts
         # slots carrying a live stamp — when it is zero the table behaves
         # exactly like the pre-MVCC heap and scans skip visibility checks.
-        self._xmin: Optional[List[int]] = None
-        self._xmax: Optional[List[int]] = None
+        self._xmin: List[int] = []
+        self._xmax: List[int] = []
         self.mvcc_versions = 0
         # per-geometry-column envelope arrays, parallel to ``rows``, plus
         # incrementally maintained statistics for the cost-based planner
@@ -174,12 +173,10 @@ class Table:
         # parallel arrays are appended *before* the heap slot so a
         # concurrent snapshot scan never sees a row without its stamps
         # (writers are serialised by the database latch; readers are not)
-        if xmin or self._xmin is not None:
-            self.ensure_versioned()
-            self._xmin.append(xmin)
-            self._xmax.append(0)
-            if xmin:
-                self.mvcc_versions += 1
+        self._xmin.append(xmin)
+        self._xmax.append(0)
+        if xmin:
+            self.mvcc_versions += 1
         for position in self._geom_positions:
             geom = row[position]
             env = geom.envelope if isinstance(geom, Geometry) else None
@@ -188,26 +185,6 @@ class Table:
         self.rows.append(row)
         self.live_count += 1
         return len(self.rows) - 1
-
-    def update_row(self, row_id: int, values: Sequence[Any]) -> None:
-        if self.rows[row_id] is None:
-            raise EngineError(f"row {row_id} is deleted")
-        if len(values) != len(self.columns):
-            raise EngineError(
-                f"table {self.name}: expected {len(self.columns)} values, "
-                f"got {len(values)}"
-            )
-        self.rows[row_id] = tuple(
-            _coerce(value, col) for value, col in zip(values, self.columns)
-        )
-        new_row = self.rows[row_id]
-        for position in self._geom_positions:
-            stats = self.stats.geometry[self.columns[position].name]
-            stats.remove(self._envelopes[position][row_id])
-            geom = new_row[position]
-            env = geom.envelope if isinstance(geom, Geometry) else None
-            self._envelopes[position][row_id] = env
-            stats.add(env)
 
     def delete_row(self, row_id: int) -> None:
         if self.rows[row_id] is None:
@@ -218,30 +195,20 @@ class Table:
             stats = self.stats.geometry[self.columns[position].name]
             stats.remove(self._envelopes[position][row_id])
             self._envelopes[position][row_id] = None
-        if self._xmin is not None and (
-            self._xmin[row_id] or self._xmax[row_id]
-        ):
+        if self._xmin[row_id] or self._xmax[row_id]:
             self._xmin[row_id] = 0
             self._xmax[row_id] = 0
             self.mvcc_versions -= 1
 
     # -- MVCC version stamps ------------------------------------------------
 
-    def ensure_versioned(self) -> None:
-        """Materialise the xmin/xmax arrays (all frozen) on first use."""
-        if self._xmin is None:
-            self._xmin = [0] * len(self.rows)
-            self._xmax = [0] * len(self.rows)
-
     def version_arrays(self):
-        """The (xmin, xmax) arrays, parallel to ``rows``; call only when
-        :attr:`mvcc_versions` is non-zero (arrays exist by then)."""
+        """The (xmin, xmax) arrays, parallel to ``rows``."""
         return self._xmin, self._xmax
 
     def mark_deleted(self, row_id: int, xid: int) -> None:
         """MVCC delete: stamp ``xmax`` instead of removing the slot — the
         version stays readable by snapshots that predate ``xid``."""
-        self.ensure_versioned()
         if self.rows[row_id] is None:
             raise EngineError(f"row {row_id} already deleted")
         if not self._xmin[row_id] and not self._xmax[row_id]:
@@ -254,12 +221,19 @@ class Table:
         if not self._xmin[row_id]:
             self.mvcc_versions -= 1
 
-    def freeze_row(self, row_id: int) -> None:
-        """A committed insert no open snapshot could miss: drop the stamp."""
-        if self._xmin[row_id]:
-            self._xmin[row_id] = 0
-            if not self._xmax[row_id]:
-                self.mvcc_versions -= 1
+    def freeze_rows(self, first: int, count: int) -> None:
+        """Committed inserts no open snapshot could miss: drop the insert
+        stamps of the run ``[first, first + count)``, by slice."""
+        stop = first + count
+        xmin, xmax = self._xmin[first:stop], self._xmax[first:stop]
+        stamped = count - xmin.count(0)
+        self.frozen_rows += stamped
+        if any(xmax):
+            # a slot that also carries a delete stamp stays a version
+            # until vacuum removes it
+            stamped = sum(1 for a, b in zip(xmin, xmax) if a and not b)
+        self.mvcc_versions -= stamped
+        self._xmin[first:stop] = [0] * count
 
     def rollback_insert(self, row_id: int) -> None:
         """Physically remove a rolled-back insert.
@@ -275,24 +249,20 @@ class Table:
         for position in self._geom_positions:
             stats = self.stats.geometry[self.columns[position].name]
             stats.remove(self._envelopes[position][row_id])
-        if self._xmin is not None and (
-            self._xmin[row_id] or self._xmax[row_id]
-        ):
+        if self._xmin[row_id] or self._xmax[row_id]:
             self.mvcc_versions -= 1
         if row_id == len(self.rows) - 1:
             self.rows.pop()
             for position in self._geom_positions:
                 self._envelopes[position].pop()
-            if self._xmin is not None:
-                self._xmin.pop()
-                self._xmax.pop()
+            self._xmin.pop()
+            self._xmax.pop()
         else:
             self.rows[row_id] = None
             for position in self._geom_positions:
                 self._envelopes[position][row_id] = None
-            if self._xmin is not None:
-                self._xmin[row_id] = 0
-                self._xmax[row_id] = 0
+            self._xmin[row_id] = 0
+            self._xmax[row_id] = 0
 
     def restore_slots(self, slots: Dict[int, tuple]) -> None:
         """Rebuild an empty heap from ``{row_id: values}``, preserving row
@@ -304,6 +274,8 @@ class Table:
                 f"table {self.name}: restore_slots needs an empty heap"
             )
         size = max(slots) + 1 if slots else 0
+        self._xmin = [0] * size
+        self._xmax = [0] * size
         for row_id in range(size):
             values = slots.get(row_id)
             if values is None:

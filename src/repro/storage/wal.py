@@ -7,7 +7,6 @@ unchecksummed header line for trivial format detection. Record types:
 ========== ==========================================================
 ``insert``  row created: table, rid, new values (redo)
 ``delete``  row removed: table, rid, **old values** (redo + undo)
-``update``  in-place rewrite: table, rid, new + old values
 ``commit``  transaction durable once this record is fsynced
 ``abort``   transaction rolled back (its page effects were reversed)
 ``ddl``     schema change (create/drop table/index); always redone

@@ -5,8 +5,11 @@ carries the id of the transaction that created it (``xmin``) and, once
 deleted or superseded, the id of the transaction that removed it
 (``xmax``). The sentinel :data:`FROZEN_XID` (0) means "committed before
 any live snapshot cares" — frozen rows are visible to everyone, and a
-table whose every slot is frozen skips visibility checks entirely, so
-the pre-MVCC single-user fast path is untouched.
+table whose every slot is frozen skips visibility checks entirely. Every
+write runs in a transaction (an auto-commit statement in an implicit
+single-statement one); with nothing else open its commit freezes its own
+inserts and vacuums its own deletes before it returns, so a quiescent
+database is all-frozen and reads at pre-MVCC speed.
 
 Visibility for a snapshot ``S`` taken by transaction ``T``:
 
@@ -94,19 +97,17 @@ class Transaction:
         self.txid = txid
         self.snapshot = snapshot
         self.status = ACTIVE
-        #: ("insert" | "delete", table, row_id) in execution order;
-        #: an UPDATE contributes one of each (delete old, insert new)
-        self.undo: List[Tuple[str, "Table", int]] = []
+        #: ("insert" | "delete", table, first_row_id, count) runs in
+        #: execution order: the heap is append-only, so the rows one
+        #: statement (or one ``insert_rows`` batch) inserts are one run,
+        #: however many there are; an UPDATE contributes a delete of the
+        #: old version and an insert of the new one per row
+        self.undo: List[Tuple[str, "Table", int, int]] = []
 
-    def record_insert(self, table: "Table", row_id: int) -> None:
-        self.undo.append(("insert", table, row_id))
-
-    def record_delete(self, table: "Table", row_id: int) -> None:
-        self.undo.append(("delete", table, row_id))
-
-    def record_update(self, table: "Table", old_id: int, new_id: int) -> None:
-        self.undo.append(("delete", table, old_id))
-        self.undo.append(("insert", table, new_id))
+    def record(self, op: str, table: "Table", first: int,
+               count: int = 1) -> None:
+        if count:
+            self.undo.append((op, table, first, count))
 
 
 class Session:
@@ -142,10 +143,10 @@ class TxnManager:
         self._active: Dict[int, Transaction] = {}
         self.locks = RowLockTable(on_wait=self._on_row_lock_wait)
         self.lock_timeout = lock_timeout
-        # committed garbage, flushed when the active set drains: versions
-        # a still-open snapshot might need
-        self._pending_freeze: List[Tuple["Table", int]] = []
-        self._pending_vacuum: List[Tuple["Table", int]] = []
+        # committed transactions' undo runs, flushed when the active set
+        # drains: inserts to freeze, deleted versions a still-open
+        # snapshot might need to vacuum
+        self._pending: List[Tuple[str, "Table", int, int]] = []
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -184,11 +185,7 @@ class TxnManager:
             # log shows it as a loser
             durable.log_commit(txn.txid)
         with self._lock:
-            for op, table, row_id in txn.undo:
-                if op == "insert":
-                    self._pending_freeze.append((table, row_id))
-                else:
-                    self._pending_vacuum.append((table, row_id))
+            self._pending.extend(txn.undo)
             txn.status = COMMITTED
             del self._active[txn.txid]
             self.locks.release_all(txn.txid)
@@ -202,7 +199,8 @@ class TxnManager:
             # rows it vouches for, or a cache fill racing this commit
             # could tag a pre-commit result with the post-commit xid
             self._db.bump_write_marks(
-                {table.name for _op, table, _rid in txn.undo}, txn.txid
+                {table.name for _op, table, _first, _count in txn.undo},
+                txn.txid,
             )
 
     def rollback(self, txn: Transaction) -> None:
@@ -218,12 +216,13 @@ class TxnManager:
         with self._lock:
             # reverse order: an UPDATE's new version disappears before the
             # old version's delete stamp is cleared
-            for op, table, row_id in reversed(txn.undo):
-                if op == "insert":
-                    self._db._index_remove(table, row_id)
-                    table.rollback_insert(row_id)
-                else:
-                    table.clear_deleted(row_id)
+            for op, table, first, count in reversed(txn.undo):
+                for row_id in reversed(range(first, first + count)):
+                    if op == "insert":
+                        self._db._index_remove(table, row_id)
+                        table.rollback_insert(row_id)
+                    else:
+                        table.clear_deleted(row_id)
             txn.status = ABORTED
             del self._active[txn.txid]
             self.locks.release_all(txn.txid)
@@ -243,7 +242,7 @@ class TxnManager:
     @property
     def pending_garbage(self) -> int:
         with self._lock:
-            return len(self._pending_freeze) + len(self._pending_vacuum)
+            return sum(count for _op, _table, _first, count in self._pending)
 
     @property
     def next_txid(self) -> int:
@@ -252,7 +251,8 @@ class TxnManager:
 
     def stamp(self) -> int:
         """Allocate a fresh xid with no transaction attached — the
-        write watermark for a non-transactional fast-path write."""
+        write watermark for DDL, which auto-commits outside the
+        transaction machinery."""
         with self._lock:
             xid = self._next_txid
             self._next_txid += 1
@@ -277,17 +277,16 @@ class TxnManager:
         database's exclusive latch (COMMIT/ROLLBACK statements run
         exclusively), so heap and index mutation is safe.
         """
-        for table, row_id in self._pending_freeze:
-            if table.rows[row_id] is not None:
-                table.freeze_row(row_id)
-                table.frozen_rows += 1
-        for table, row_id in self._pending_vacuum:
-            if table.rows[row_id] is not None:
-                self._db._index_remove(table, row_id)
-                table.delete_row(row_id)
-                table.vacuumed_rows += 1
-        self._pending_freeze.clear()
-        self._pending_vacuum.clear()
+        for op, table, first, count in self._pending:
+            if op == "insert":
+                table.freeze_rows(first, count)
+                continue
+            for row_id in range(first, first + count):
+                if table.rows[row_id] is not None:
+                    self._db._index_remove(table, row_id)
+                    table.delete_row(row_id)
+                    table.vacuumed_rows += 1
+        self._pending.clear()
 
     def _metrics_counter(self, name: str, help_text: str):
         return self._db.obs.metrics.counter(name, help_text)

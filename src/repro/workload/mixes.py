@@ -4,8 +4,8 @@ A *mix* turns a per-client random stream into a sequence of
 :class:`Operation` values. Two mixes ship:
 
 - ``read_only`` — the map-search style mix behind J-X2: window counts
-  and point probes over the synthetic TIGER layers, no writes, so every
-  statement stays on the engine's auto-commit fast path.
+  and point probes over the synthetic TIGER layers, no writes, so no
+  transaction is ever open and every scan skips visibility checks.
 - ``mixed`` — the read/write mix behind J-X4: ~80% of operations come
   from the read mix, the rest are short explicit transactions against
   ``pointlm`` (single-row hot updates, fresh inserts, and occasional

@@ -217,6 +217,25 @@ class TestDbapiIntegration:
         finally:
             conn.close()
 
+    def test_executemany_honours_connection_guardrails(self):
+        conn = connect("greenwood", timeout=1e-9)
+        db = conn.database
+        db.execute("CREATE TABLE t (a INTEGER)")
+        db.insert_rows("t", [(i,) for i in range(5000)])
+        try:
+            cursor = conn.cursor()
+            with pytest.raises(QueryTimeoutError):
+                cursor.execute("SELECT a FROM t")
+            with pytest.raises(QueryTimeoutError):
+                cursor.executemany(
+                    "UPDATE t SET a = a + 1 WHERE a >= ?", [(0,)]
+                )
+            assert db.execute("SELECT SUM(a) FROM t").scalar() == sum(
+                range(5000)
+            )
+        finally:
+            conn.close()
+
     def test_database_default_guardrails(self, tiny_dataset):
         from repro.engines import Database
 

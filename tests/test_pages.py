@@ -217,7 +217,7 @@ class TestHeapStore:
         heap.insert("t", 2, [2, "two"], lsn=2)
         assert heap.read("t", 1) == [1, "one"]
         assert heap.row_count("t") == 2
-        heap.update("t", 1, [1, "uno"], lsn=3)
+        heap.insert("t", 1, [1, "uno"], lsn=3)
         assert heap.read("t", 1) == [1, "uno"]
         heap.delete("t", 2, lsn=4)
         assert heap.read("t", 2) is None
@@ -244,7 +244,7 @@ class TestHeapStore:
             heap.insert("t", rid, [big], lsn=rid)
         assert heap.read("t", 1) == ["small"]
         huge = "z" * (PAGE_SIZE // 2)
-        heap.update("t", 1, [huge], lsn=10)
+        heap.insert("t", 1, [huge], lsn=10)
         assert heap.read("t", 1) == [huge]
         assert heap.row_count("t") == 7
         disk.close()
