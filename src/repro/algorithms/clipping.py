@@ -25,7 +25,9 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.algorithms.location import Location, locate
+from repro.algorithms.location import (
+    Location, Segment, box_pairs, locate, locate_in_ring, prepare,
+)
 from repro.algorithms.measures import area as geom_area
 from repro.algorithms.predicates import segment_intersection
 from repro.errors import TopologyError
@@ -67,93 +69,44 @@ class _Piece:
         self.mid = ((start[0] + end[0]) / 2.0, (start[1] + end[1]) / 2.0)
 
 
-def _boundary_segments(geom: Geometry) -> List[Tuple[Coord, Coord]]:
-    if isinstance(geom, Polygon):
-        polys: Sequence[Polygon] = (geom,)
-    elif isinstance(geom, MultiPolygon):
-        polys = geom.polygons
-    else:
+def _boundary_segments(geom: Geometry) -> Sequence[Segment]:
+    if not isinstance(geom, (Polygon, MultiPolygon)):
         raise TypeError(
             f"areal overlay requires polygons, got {type(geom).__name__}"
         )
-    segments: List[Tuple[Coord, Coord]] = []
-    for poly in polys:
-        for ring in poly.rings():
-            for a, b in zip(ring, ring[1:]):
-                if a != b:
-                    segments.append((a, b))
-    return segments
+    return prepare(geom).segments
 
 
 def _split_segments(
-    segs_a: List[Tuple[Coord, Coord]], segs_b: List[Tuple[Coord, Coord]]
+    segs_a: Sequence[Segment], segs_b: Sequence[Segment]
 ) -> Tuple[List[_Piece], List[_Piece], List[Coord]]:
     """Split both segment sets at mutual intersections; also return the
     intersection points themselves (used for 0-dim intersection output)."""
-    splits_a: Dict[int, List[Coord]] = {}
-    splits_b: Dict[int, List[Coord]] = {}
+    splits_a: Dict[Segment, List[Coord]] = {}
+    splits_b: Dict[Segment, List[Coord]] = {}
     crossing_points: List[Coord] = []
-    index = _GridIndex(segs_b)
-    for i, (a, b) in enumerate(segs_a):
-        for j in index.candidates(a, b):
-            c, d = segs_b[j]
-            hit = segment_intersection(a, b, c, d)
-            if hit is None:
-                continue
-            if isinstance(hit, tuple) and hit and isinstance(hit[0], tuple):
-                points = list(hit)
-            else:
-                points = [hit]  # type: ignore[list-item]
-            for p in points:
-                splits_a.setdefault(i, []).append(p)
-                splits_b.setdefault(j, []).append(p)
-                crossing_points.append(p)
+    for s, t in box_pairs(segs_a, segs_b, 0.0):
+        hit = segment_intersection(s[0], s[1], t[0], t[1])
+        if hit is None:
+            continue
+        for p in hit if isinstance(hit[0], tuple) else (hit,):
+            splits_a.setdefault(s, []).append(p)
+            splits_b.setdefault(t, []).append(p)
+            crossing_points.append(p)
     pieces_a = _make_pieces(segs_a, splits_a, owner=0)
     pieces_b = _make_pieces(segs_b, splits_b, owner=1)
     return pieces_a, pieces_b, crossing_points
 
 
-class _GridIndex:
-    """Uniform-grid candidate filter over one segment set."""
-
-    __slots__ = ("cell", "grid", "count")
-
-    def __init__(self, segments: Sequence[Tuple[Coord, Coord]]):
-        self.count = len(segments)
-        spans = [
-            max(abs(b[0] - a[0]), abs(b[1] - a[1]), 1e-12) for a, b in segments
-        ]
-        self.cell = max(sum(spans) / max(len(spans), 1), 1e-9) * 2.0
-        self.grid: Dict[Tuple[int, int], List[int]] = {}
-        for idx, (a, b) in enumerate(segments):
-            for cell in self._cells(a, b):
-                self.grid.setdefault(cell, []).append(idx)
-
-    def _cells(self, a: Coord, b: Coord):
-        x0, x1 = sorted((a[0], b[0]))
-        y0, y1 = sorted((a[1], b[1]))
-        c = self.cell
-        for gx in range(int(math.floor(x0 / c)), int(math.floor(x1 / c)) + 1):
-            for gy in range(int(math.floor(y0 / c)), int(math.floor(y1 / c)) + 1):
-                yield (gx, gy)
-
-    def candidates(self, a: Coord, b: Coord):
-        seen = set()
-        for cell in self._cells(a, b):
-            for idx in self.grid.get(cell, ()):
-                if idx not in seen:
-                    seen.add(idx)
-                    yield idx
-
-
 def _make_pieces(
-    segments: List[Tuple[Coord, Coord]],
-    splits: Dict[int, List[Coord]],
+    segments: Sequence[Segment],
+    splits: Dict[Segment, List[Coord]],
     owner: int,
 ) -> List[_Piece]:
     pieces: List[_Piece] = []
-    for idx, (a, b) in enumerate(segments):
-        cuts = splits.get(idx)
+    for segment in segments:
+        a, b = segment[:2]
+        cuts = splits.get(segment)
         if not cuts:
             pieces.append(_Piece(a, b, owner))
             continue
@@ -374,8 +327,6 @@ def _stitch(
         probe = _ring_inner_probe(hole)
         placed = False
         for shell, shell_holes in result:  # smallest containing shell first
-            from repro.algorithms.location import locate_in_ring
-
             if locate_in_ring(probe, shell) is _INT:
                 shell_holes.append(hole)
                 placed = True
@@ -409,8 +360,6 @@ def _pick_clockwise(
 
 
 def _ring_inner_probe(ring: Sequence[Coord]) -> Coord:
-    from repro.algorithms.location import locate_in_ring
-
     for i in range(1, len(ring) - 1):
         mid = (
             (ring[i - 1][0] + ring[i + 1][0]) / 2.0,

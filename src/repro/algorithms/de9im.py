@@ -2,35 +2,44 @@
 
 This module is the heart of the reproduction — the paper's topological
 micro benchmark is defined directly over DE-9IM relations, so every query
-in experiment J-T1/J-F1 bottoms out in :func:`relate` (or its fast-path
-friends) below.
+in experiment J-T1/J-F1 bottoms out in the one kernel below, :func:`_relate`:
+:func:`relate` asks it for all nine cells, every named predicate for the
+cells its mask leaves open (:data:`PREDICATES`, :func:`evaluate`).
 
-The matrix is computed by *split-and-sample*: both operands are decomposed
-into tagged features (isolated points carrying their interior/boundary role,
-segments tagged as curve-interior or areal-boundary). Segments of each
-operand are split at every intersection with the other operand, after which
-each split piece lies entirely within a single interior/boundary/exterior
-class of the other geometry, so classifying one midpoint classifies the
-piece. Dimension-2 entries follow from an open-set limit argument: an
-areal boundary piece whose midpoint sits in the other operand's interior
-proves interior/interior AND exterior/interior intersections of dimension 2
-(the two open sides of the piece converge to it). The only place a numeric
-epsilon appears is the shared-boundary case (piece collinear with the other
-polygon's boundary), where a perpendicular side probe decides whether the
-interiors lie on the same side.
+The matrix is computed by *split-and-sample* over the operands' prepared
+forms (:class:`repro.algorithms.location.Prepared`: vertices tagged with
+their interior/boundary role, segments tagged as curve-interior or
+areal-boundary and carrying their bounds). Segments of each operand are
+split at every intersection with the other operand, after which each split
+piece lies entirely within a single interior/boundary/exterior class of the
+other geometry, so classifying one midpoint classifies the piece.
+Dimension-2 entries follow from an open-set limit argument: an areal
+boundary piece whose midpoint sits in the other operand's interior proves
+interior/interior AND exterior/interior intersections of dimension 2 (the
+two open sides of the piece converge to it); where the piece runs along the
+other polygon's boundary, the two ring directions say on which side each
+interior lies. No step probes at a numeric distance.
+
+It is a filter-then-verify kernel. Filter: nothing outside the overlap of
+the two (tolerance-widened) envelopes is tested, and an orientation is
+computed only for a segment pair, or a point and a segment, whose boxes
+meet. Verify only what was asked: evidence is gathered in order of cost
+(vertices, segment crossings, split pieces, interior points) and only while
+it can still change whether the requested mask matches.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.algorithms.location import Location, locate
-from repro.algorithms.predicates import segment_intersection
-from repro.geometry.base import Coord, Envelope, Geometry
+from repro.algorithms.location import (
+    Location, Prepared, Segment, box_pairs, prepare,
+)
+from repro.algorithms.measures import point_on_surface
+from repro.algorithms.predicates import on_segment, segment_intersection
+from repro.geometry.base import Coord, Geometry
 from repro.geometry.collection import GeometryCollection
-from repro.geometry.linestring import LineString, MultiLineString
-from repro.geometry.point import MultiPoint, Point
 from repro.geometry.polygon import MultiPolygon, Polygon
 
 _INT, _BND, _EXT = Location.INTERIOR, Location.BOUNDARY, Location.EXTERIOR
@@ -65,21 +74,7 @@ class DE9IM:
 
     def matches(self, pattern: str) -> bool:
         """Match against a nine-character pattern of ``T F * 0 1 2``."""
-        if len(pattern) != 9:
-            raise ValueError("DE-9IM pattern must have nine characters")
-        for value, want in zip(self._cells, pattern.upper()):
-            if want == "*":
-                continue
-            if want == "T":
-                if value < 0:
-                    return False
-            elif want == "F":
-                if value >= 0:
-                    return False
-            else:
-                if value != int(want):
-                    return False
-        return True
+        return _holds(_compile((pattern,)), self._cells)
 
     def __str__(self) -> str:
         return "".join(_DIM_CHARS[c] for c in self._cells)
@@ -98,167 +93,77 @@ class DE9IM:
         return hash(self._cells)
 
 
-class _Matrix:
-    """Mutable accumulator for intersection-dimension evidence."""
+#: bit ``3 * loc_a + loc_b`` stands for one matrix cell
+_ROWS = (0o007, 0o070, 0o700)  # all cells of A's interior / boundary / exterior
+_COLS = (0o111, 0o222, 0o444)  # the same for B
+_II, _IE, _EI = 0, 2, 6
+_AREA_CELLS = 1 << _II | 1 << _IE | 1 << _EI
+_MEET = 0o033  # II, IB, BI, BB: the cells that are empty iff A and B are disjoint
 
-    __slots__ = ("cells",)
-
-    def __init__(self) -> None:
-        self.cells = [-1] * 9
-
-    def bump(self, loc_a: Location, loc_b: Location, dim: int) -> None:
-        idx = int(loc_a) * 3 + int(loc_b)
-        if dim > self.cells[idx]:
-            self.cells[idx] = dim
-
-    def freeze(self) -> DE9IM:
-        return DE9IM(self.cells)
+#: one alternative of a relation: (cells that must stay empty, cells that
+#: must fill, ((cell, exact dimension), ...))
+_Alternative = Tuple[int, int, Tuple[Tuple[int, int], ...]]
 
 
-Segment = Tuple[Coord, Coord]
+@lru_cache(maxsize=256)
+def _compile(patterns: Tuple[str, ...]) -> Tuple[_Alternative, ...]:
+    """Nine-character patterns of ``T F * 0 1 2``, any of which may match."""
+    alternatives = []
+    for pattern in patterns:
+        if len(pattern) != 9:
+            raise ValueError("DE-9IM pattern must have nine characters")
+        forbid = need = 0
+        exact = []
+        for idx, want in enumerate(pattern.upper()):
+            if want == "T":
+                need |= 1 << idx
+            elif want == "F":
+                forbid |= 1 << idx
+            elif want != "*":
+                exact.append((idx, int(want)))
+        alternatives.append((forbid, need, tuple(exact)))
+    return tuple(alternatives)
 
 
-class _FeatureSet:
-    """Flattened, role-tagged features of one operand."""
+def _open_cells(
+    alternatives: Sequence[_Alternative], cells: Sequence[int], filled: int
+) -> int:
+    """The cells whose further evidence can still change the verdict.
 
-    __slots__ = (
-        "geom", "points", "segments", "max_dim", "has_area",
-        "areal_members", "interior_reps",
-    )
-
-    def __init__(self, geom: Geometry):
-        self.geom = geom
-        self.points: List[Tuple[Coord, Location]] = []
-        # (start, end, role, interior_is_left) — role is the class the
-        # segment's relative interior belongs to in its own geometry.
-        self.segments: List[Tuple[Coord, Coord, Location, bool]] = []
-        self.areal_members: List[Geometry] = []
-        self.interior_reps: List[Coord] = []
-        self._collect(geom)
-        self.max_dim = geom.dimension
-        self.has_area = bool(self.areal_members)
-
-    def _collect(self, geom: Geometry) -> None:
-        if isinstance(geom, Point):
-            self.points.append((geom.coord, _INT))
-        elif isinstance(geom, MultiPoint):
-            for p in geom.points:
-                self.points.append((p.coord, _INT))
-        elif isinstance(geom, LineString):
-            self._collect_line(geom, geom.boundary_points())
-        elif isinstance(geom, MultiLineString):
-            boundary = {p.coord for p in geom.boundary_points()}
-            for line in geom.lines:
-                self._collect_line(line, None, boundary)
-        elif isinstance(geom, Polygon):
-            self._collect_polygon(geom)
-        elif isinstance(geom, MultiPolygon):
-            for poly in geom.polygons:
-                self._collect_polygon(poly)
-        elif isinstance(geom, GeometryCollection):
-            for member in geom.geoms:
-                self._collect(member)
+    ``filled`` has the bit of every non-empty cell. Cells only ever grow, so
+    an alternative is refuted for good by a filled ``F`` cell or an exceeded
+    dimension, and one with nothing left open has matched for good: 0 means
+    the verdict is decided.
+    """
+    open_cells = 0
+    for forbid, need, exact in alternatives:
+        if forbid & filled:
+            continue
+        still = forbid | (need & ~filled)
+        for idx, dim in exact:
+            if cells[idx] > dim:
+                break
+            still |= 1 << idx
         else:
-            raise TypeError(f"cannot relate {type(geom).__name__}")
-
-    def _collect_line(self, line, boundary_pts, boundary_set=None) -> None:
-        if boundary_set is None:
-            boundary_set = {p.coord for p in boundary_pts}
-        for coord in (line.coords[0], line.coords[-1]):
-            role = _BND if coord in boundary_set else _INT
-            self.points.append((coord, role))
-        for coord in line.coords[1:-1]:
-            self.points.append((coord, _INT))
-        for a, b in line.segments():
-            self.segments.append((a, b, _INT, False))
-
-    def _collect_polygon(self, poly: Polygon) -> None:
-        self.areal_members.append(poly)
-        from repro.algorithms.measures import point_on_surface
-
-        self.interior_reps.append(point_on_surface(poly).coord)
-        for ring in poly.rings():
-            for coord in ring[:-1]:
-                self.points.append((coord, _BND))
-            for a, b in zip(ring, ring[1:]):
-                if a != b:
-                    # shells are CCW and holes CW, so the polygon interior is
-                    # always to the left of the directed ring segment
-                    self.segments.append((a, b, _BND, True))
-
-    def locate_areal(self, p: Coord) -> Location:
-        """Locate against the areal members only (used by rep-point evidence)."""
-        best = _EXT
-        for member in self.areal_members:
-            where = locate(p, member)
-            if where is _INT:
-                return _INT
-            if where is _BND:
-                best = _BND
-        return best
+            if not still:
+                return 0
+            open_cells |= still
+    return open_cells
 
 
-def _features_of(geom: Geometry) -> "_FeatureSet":
-    """Memoised feature decomposition (prepared-geometry optimisation)."""
-    cached = geom._features
-    if cached is None:
-        cached = _FeatureSet(geom)
-        geom._features = cached
-    return cached
-
-
-def _boundary_dim(feats: _FeatureSet) -> int:
-    """Dimension of the operand's boundary (-1 when empty)."""
-    if feats.has_area:
-        return 1
-    if any(role is _BND for _, role in feats.points):
-        return 0
-    return -1
-
-
-def _segment_grid(
-    segments: Sequence[Tuple[Coord, Coord, Location, bool]], cell: float
-) -> Dict[Tuple[int, int], List[int]]:
-    grid: Dict[Tuple[int, int], List[int]] = {}
-    for idx, (a, b, _role, _left) in enumerate(segments):
-        x0, x1 = sorted((a[0], b[0]))
-        y0, y1 = sorted((a[1], b[1]))
-        for gx in range(int(math.floor(x0 / cell)), int(math.floor(x1 / cell)) + 1):
-            for gy in range(
-                int(math.floor(y0 / cell)), int(math.floor(y1 / cell)) + 1
-            ):
-                grid.setdefault((gx, gy), []).append(idx)
-    return grid
-
-
-def _candidate_pairs(
-    segs_a: Sequence[Tuple[Coord, Coord, Location, bool]],
-    segs_b: Sequence[Tuple[Coord, Coord, Location, bool]],
-) -> Iterable[Tuple[int, int]]:
-    """Index-accelerated candidate segment pairs (envelope overlap)."""
-    if len(segs_a) * len(segs_b) <= 4096:
-        for i in range(len(segs_a)):
-            for j in range(len(segs_b)):
-                yield (i, j)
-        return
-    # bucket the larger side on a uniform grid sized by its average extent
-    spans = []
-    for a, b, _r, _l in segs_b:
-        spans.append(max(abs(b[0] - a[0]), abs(b[1] - a[1])))
-    cell = max(sum(spans) / len(spans), 1e-9) * 2.0
-    grid = _segment_grid(segs_b, cell)
-    seen_pair = set()
-    for i, (a, b, _r, _l) in enumerate(segs_a):
-        x0, x1 = sorted((a[0], b[0]))
-        y0, y1 = sorted((a[1], b[1]))
-        for gx in range(int(math.floor(x0 / cell)), int(math.floor(x1 / cell)) + 1):
-            for gy in range(
-                int(math.floor(y0 / cell)), int(math.floor(y1 / cell)) + 1
-            ):
-                for j in grid.get((gx, gy), ()):
-                    if (i, j) not in seen_pair:
-                        seen_pair.add((i, j))
-                        yield (i, j)
+def _holds(alternatives: Sequence[_Alternative], cells: Sequence[int]) -> bool:
+    filled = 0
+    for idx, dim in enumerate(cells):
+        if dim >= 0:
+            filled |= 1 << idx
+    for forbid, need, exact in alternatives:
+        if (
+            not forbid & filled
+            and not need & ~filled
+            and (not exact or all(cells[idx] == dim for idx, dim in exact))
+        ):
+            return True
+    return False
 
 
 def _seg_point_param(a: Coord, b: Coord, p: Coord) -> float:
@@ -269,347 +174,342 @@ def _seg_point_param(a: Coord, b: Coord, p: Coord) -> float:
     return (p[1] - a[1]) / dy if dy else 0.0
 
 
-def _side_points(a: Coord, b: Coord, mid: Coord, eps: float) -> Tuple[Coord, Coord]:
-    """Points offset perpendicular to ab at mid: (left, right)."""
-    dx, dy = b[0] - a[0], b[1] - a[1]
-    norm = math.hypot(dx, dy)
-    ux, uy = -dy / norm, dx / norm  # left normal
-    return (
-        (mid[0] + eps * ux, mid[1] + eps * uy),
-        (mid[0] - eps * ux, mid[1] - eps * uy),
-    )
+def _interior_reps(feats: Prepared, geom: Geometry) -> List[Coord]:
+    """One interior point per areal member (computed on first use)."""
+    if feats.interior_reps is None:
+        feats.interior_reps = []
+        members = [geom]
+        while members:
+            member = members.pop()
+            if isinstance(member, Polygon):
+                feats.interior_reps.append(point_on_surface(member).coord)
+            elif isinstance(member, MultiPolygon):
+                members.extend(member.polygons)
+            elif isinstance(member, GeometryCollection):
+                members.extend(member.geoms)
+    return feats.interior_reps
 
 
-def _open_class(where: Location, feats: _FeatureSet) -> bool:
-    """Is the located class an open 2-D set for this operand?"""
-    if where is _EXT:
-        return True
-    return where is _INT and feats.max_dim == 2 and not _is_mixed(feats)
+def _piece_evidence(
+    fy: Prepared,
+    inside: Sequence[Segment],
+    roles_outside: Iterable[Location],
+    splits: Dict[Segment, List[Coord]],
+    shared: Dict[Segment, List[Segment]],
+) -> Iterator[Tuple[Location, Location, int]]:
+    """Classify every split piece of X's segments against Y.
 
-
-def _is_mixed(feats: _FeatureSet) -> bool:
-    """Does the operand mix areal members with lower-dimensional ones?"""
-    if not feats.has_area:
-        return False
-    return bool(feats.points and any(r is _INT for _, r in feats.points)) or any(
-        role is _INT for _a, _b, role, _l in feats.segments
-    )
-
-
-def _disjoint_matrix(fa: _FeatureSet, fb: _FeatureSet) -> DE9IM:
-    m = _Matrix()
-    m.bump(_INT, _EXT, fa.max_dim)
-    m.bump(_BND, _EXT, _boundary_dim(fa))
-    m.bump(_EXT, _INT, fb.max_dim)
-    m.bump(_EXT, _BND, _boundary_dim(fb))
-    m.bump(_EXT, _EXT, 2)
-    return m.freeze()
-
-
-def relate(a: Geometry, b: Geometry) -> DE9IM:
-    """Compute the full DE-9IM matrix of ``a`` against ``b``."""
-    fa = _features_of(a)
-    fb = _features_of(b)
-    if a.is_empty or b.is_empty:
-        m = _Matrix()
-        m.bump(_EXT, _EXT, 2)
-        if not a.is_empty:
-            m.bump(_INT, _EXT, fa.max_dim)
-            m.bump(_BND, _EXT, _boundary_dim(fa))
-        if not b.is_empty:
-            m.bump(_EXT, _INT, fb.max_dim)
-            m.bump(_EXT, _BND, _boundary_dim(fb))
-        return m.freeze()
-    if not a.envelope.intersects(b.envelope):
-        return _disjoint_matrix(fa, fb)
-
-    m = _Matrix()
-    m.bump(_EXT, _EXT, 2)
-    # A 2-D interior can never be covered by a lower-dimensional operand.
-    if fa.max_dim == 2 and fb.max_dim < 2:
-        m.bump(_INT, _EXT, 2)
-    if fb.max_dim == 2 and fa.max_dim < 2:
-        m.bump(_EXT, _INT, 2)
-
-    # --- 0-dimensional evidence: vertices and isolated points -------------
-    for p, loc_a in fa.points:
-        m.bump(loc_a, locate(p, b), 0)
-    for p, loc_b in fb.points:
-        m.bump(locate(p, a), loc_b, 0)
-
-    # --- segment intersections: split points + 0-dim evidence -------------
-    # Intersection points are classified *structurally*: a point produced
-    # from segments i of A and j of B lies on both by construction, so its
-    # location in each operand is the segment's own role (curve interior /
-    # areal boundary) unless it coincides with a boundary vertex. Calling
-    # ``locate`` here would be both slower and fragile — the computed
-    # point carries eps*|coord| error that can defeat on-segment tests.
-    boundary_a = {p for p, role in fa.points if role is _BND}
-    boundary_b = {p for p, role in fb.points if role is _BND}
-    splits_a: Dict[int, List[Coord]] = {}
-    splits_b: Dict[int, List[Coord]] = {}
-    for i, j in _candidate_pairs(fa.segments, fb.segments):
-        sa = fa.segments[i]
-        sb = fb.segments[j]
-        hit = segment_intersection(sa[0], sa[1], sb[0], sb[1])
-        if hit is None:
-            continue
-        if isinstance(hit, tuple) and hit and isinstance(hit[0], tuple):
-            points = list(hit)
-        else:
-            points = [hit]  # type: ignore[list-item]
-        for p in points:
-            splits_a.setdefault(i, []).append(p)
-            splits_b.setdefault(j, []).append(p)
-            loc_a = _BND if p in boundary_a else sa[2]
-            loc_b = _BND if p in boundary_b else sb[2]
-            m.bump(loc_a, loc_b, 0)
-    # isolated points of one operand can split the other's segments too
-    for j, (c, d, _role, _left) in enumerate(fb.segments):
-        for p, _loc in fa.points:
-            if _between_env(p, c, d) and _on(p, c, d):
-                splits_b.setdefault(j, []).append(p)
-    for i, (c, d, _role, _left) in enumerate(fa.segments):
-        for p, _loc in fb.points:
-            if _between_env(p, c, d) and _on(p, c, d):
-                splits_a.setdefault(i, []).append(p)
-
-    # --- 1-dimensional evidence: classified split pieces -------------------
-    _sample_pieces(m, fa, fb, splits_a, transposed=False)
-    _sample_pieces(m, fb, fa, splits_b, transposed=True)
-
-    # --- representative interior points of areal members -------------------
-    for p in fa.interior_reps:
-        where = locate(p, b)
-        m.bump(_INT, where, 0)
-        if where is _EXT:
-            m.bump(_INT, _EXT, 2)
-        elif where is _INT and fb.has_area and fb.locate_areal(p) is _INT:
-            m.bump(_INT, _INT, 2)
-    for p in fb.interior_reps:
-        where = locate(p, a)
-        m.bump(where, _INT, 0)
-        if where is _EXT:
-            m.bump(_EXT, _INT, 2)
-        elif where is _INT and fa.has_area and fa.locate_areal(p) is _INT:
-            m.bump(_INT, _INT, 2)
-
-    return m.freeze()
-
-
-def _on(p: Coord, c: Coord, d: Coord) -> bool:
-    from repro.algorithms.predicates import on_segment
-
-    return on_segment(p, c, d)
-
-
-def _between_env(p: Coord, c: Coord, d: Coord) -> bool:
-    return (
-        min(c[0], d[0]) - 1e-9 <= p[0] <= max(c[0], d[0]) + 1e-9
-        and min(c[1], d[1]) - 1e-9 <= p[1] <= max(c[1], d[1]) + 1e-9
-    )
-
-
-def _sample_pieces(
-    m: _Matrix,
-    fa: _FeatureSet,
-    fb: _FeatureSet,
-    splits: Dict[int, List[Coord]],
-    transposed: bool,
-) -> None:
-    """Classify every split piece of ``fa``'s segments against ``fb``.
-
-    When ``transposed`` the evidence is recorded with the roles swapped so
-    the same routine serves both operands.
+    Yields ``(class in X, class in Y, dimension)``. A piece lies within one
+    class of Y, so its midpoint classifies it. An areal boundary piece also
+    proves 2-D entries by an open-set limit argument: X's interior and
+    exterior converge to it from its left and right.
     """
-
-    def bump(loc_a: Location, loc_b: Location, dim: int) -> None:
-        if transposed:
-            m.bump(loc_b, loc_a, dim)
-        else:
-            m.bump(loc_a, loc_b, dim)
-
-    for idx, (a, b, role, interior_left) in enumerate(fa.segments):
-        cut_params = [0.0, 1.0]
-        for p in splits.get(idx, ()):
+    for role in roles_outside:  # whole segments beyond Y's box
+        yield role, _EXT, 1
+        if role is _BND:
+            yield _INT, _EXT, 2
+    # is Y's interior an open 2-D set (areal members and nothing else)?
+    y_open = fy.areal and not (fy.puntal or fy.lineal)
+    locate_y = fy.locate
+    for seg in inside:
+        a, b, role, interior_left = seg[:4]
+        cuts = {0.0, 1.0}
+        for p in splits.get(seg, ()):
             t = _seg_point_param(a, b, p)
             if 0.0 < t < 1.0:
-                cut_params.append(t)
-        cut_params.sort()
-        for t0, t1 in zip(cut_params, cut_params[1:]):
+                cuts.add(t)
+        for p in fy.puntal:  # no segment of their own to have split this one
+            if on_segment(p, a, b):
+                cuts.add(_seg_point_param(a, b, p))
+        params = sorted(cuts)
+        for t0, t1 in zip(params, params[1:]):
             if t1 - t0 <= 1e-12:
                 continue
             tm = (t0 + t1) / 2.0
             mid = (a[0] + tm * (b[0] - a[0]), a[1] + tm * (b[1] - a[1]))
-            where = locate(mid, fb.geom)
-            bump(role, where, 1)
-            if role is not _BND or not fa.has_area:
+            where = locate_y(mid)
+            yield role, where, 1
+            if not interior_left:
+                continue  # not an areal boundary piece
+            if where is _EXT:
+                yield _INT, _EXT, 2
+            elif where is _INT:
+                if y_open:
+                    yield _INT, _INT, 2
+                    yield _EXT, _INT, 2
+            else:
+                # Shared boundary: both interiors lie left of their own
+                # directed ring segment, so the sign of the direction dot
+                # product says whether they lie on the same side.
+                sides = set()
+                for c, d, _r, _l, x0, y0, x1, y1 in shared.get(seg, ()):
+                    if (
+                        x0 - fy.pad <= mid[0] <= x1 + fy.pad
+                        and y0 - fy.pad <= mid[1] <= y1 + fy.pad
+                    ):
+                        sides.add(
+                            (b[0] - a[0]) * (d[0] - c[0])
+                            + (b[1] - a[1]) * (d[1] - c[1]) > 0.0
+                        )
+                if sides:
+                    yield _INT, (_INT if True in sides else _EXT), 2
+                    yield _EXT, (_INT if False in sides else _EXT), 2
+
+
+def _relate(
+    a: Geometry, b: Geometry, mask: Optional[Sequence[_Alternative]] = None
+) -> List[int]:
+    """The nine intersection dimensions of ``a`` against ``b``.
+
+    With a ``mask`` the evidence is gathered only while it can still change
+    whether the mask matches: steps that cannot touch an open cell are
+    skipped and the evaluation stops once the verdict is decided, so the
+    cells returned are exact only as far as ``_holds(mask, cells)`` needs.
+    """
+    fa = prepare(a)
+    fb = prepare(b)
+    cells = [-1] * 9
+    cells[8] = 2
+    filled = 1 << 8  # the bit of every non-empty cell
+    ea, eb = fa.env, fb.env
+    if ea is None or eb is None or not ea.intersects(eb):
+        if ea is not None:
+            cells[2], cells[5] = fa.max_dim, fa.boundary_dim
+        if eb is not None:
+            cells[6], cells[7] = fb.max_dim, fb.boundary_dim
+        return cells
+    # A 2-D interior can never be covered by a lower-dimensional operand.
+    if fa.max_dim == 2 and fb.max_dim < 2:
+        cells[_IE] = 2
+        filled |= 1 << _IE
+    if fb.max_dim == 2 and fa.max_dim < 2:
+        cells[_EI] = 2
+        filled |= 1 << _EI
+    open_cells = 0o777 if mask is None else _open_cells(mask, cells, filled)
+    if not open_cells:
+        return cells
+
+    def decided(idx: int, dim: int) -> bool:
+        """Record a cell that grew; is the verdict decided now?"""
+        nonlocal filled, open_cells
+        cells[idx] = dim
+        filled |= 1 << idx
+        if mask is None:
+            return False
+        open_cells = _open_cells(mask, cells, filled)
+        return not open_cells
+
+    # Each kind of evidence is gathered for A against B, then for B against
+    # A: (X, Y, the cell stride of X's class and of Y's, the cells of X's
+    # interior and boundary, the geometry X was prepared from).
+    sides = ((fa, fb, 3, 1, _ROWS, a), (fb, fa, 1, 3, _COLS, b))
+
+    # --- 0-dimensional evidence: vertices and isolated points -------------
+    # (boxes widened by their own tolerance: see ``Prepared.locate``)
+    pad = fa.pad
+    box_a = (ea.min_x - pad, ea.min_y - pad, ea.max_x + pad, ea.max_y + pad)
+    pad = fb.pad
+    box_b = (eb.min_x - pad, eb.min_y - pad, eb.max_x + pad, eb.max_y + pad)
+    every_vertex = True
+    for (fx, fy, own, other, lines, _geom), box_y in zip(sides, (box_b, box_a)):
+        x0, y0, x1, y1 = box_y
+        locate_y = fy.locate
+        for role, points in enumerate((fx.interior_points, fx.boundary_points)):
+            if not open_cells & lines[role]:
+                every_vertex = False
                 continue
-            # Areal boundary piece: its two open sides prove 2-D entries.
-            if where is _INT and _open_class(_INT, fb):
-                bump(_INT, _INT, 2)
-                bump(_EXT, _INT, 2)
-            elif where is _EXT:
-                bump(_INT, _EXT, 2)
-                bump(_EXT, _EXT, 2)
-            elif where is _BND and fb.has_area:
-                piece_len = math.hypot(b[0] - a[0], b[1] - a[1]) * (t1 - t0)
-                eps = piece_len * 1e-3
-                left, right = _side_points(a, b, mid, eps)
-                loc_a_left = _INT if interior_left else _EXT
-                loc_a_right = _EXT if interior_left else _INT
-                for side, loc_a_side in ((left, loc_a_left), (right, loc_a_right)):
-                    loc_b_side = fb.locate_areal(side)
-                    if loc_b_side is not _BND:
-                        bump(loc_a_side, loc_b_side, 2)
+            for p in points:
+                x, y = p
+                if x < x0 or x > x1 or y < y0 or y > y1:
+                    idx = role * own + 2 * other
+                else:
+                    idx = role * own + locate_y(p) * other
+                if cells[idx] < 0 and decided(idx, 0):
+                    return cells
+
+    # --- segment intersections: split points + 0-dim evidence -------------
+    # Intersection points are classified *structurally*: a point produced
+    # from segments s of A and t of B lies on both by construction, so its
+    # location in each operand is the segment's own role (curve interior /
+    # areal boundary) unless it coincides with a boundary vertex. Calling
+    # ``locate`` here would be both slower and fragile — the computed
+    # point carries eps*|coord| error that can defeat on-segment tests.
+    # per operand: segments meeting the window, roles of the others, split
+    # points per segment, the other's ring segments running along a segment
+    parts_a = _, _, splits_a, shared_a = fa.segments, (), {}, {}
+    parts_b = _, _, splits_b, shared_b = fb.segments, (), {}, {}
+    if fa.segments and fb.segments:
+        (ax0, ay0, ax1, ay1), (bx0, by0, bx1, by1) = box_a, box_b
+        window = (max(ax0, bx0), max(ay0, by0), min(ax1, bx1), min(ay1, by1))
+        parts_a = fa.segments_in(*window) + (splits_a, shared_a)
+        parts_b = fb.segments_in(*window) + (splits_b, shared_b)
+        for s, t in box_pairs(parts_a[0], parts_b[0], max(fa.pad, fb.pad)):
+            hit = segment_intersection(s[0], s[1], t[0], t[1])
+            if hit is None:
+                continue
+            if isinstance(hit[0], tuple):
+                points = hit
+                if s[3] and t[3]:  # two ring segments overlap collinearly
+                    shared_a.setdefault(s, []).append(t)
+                    shared_b.setdefault(t, []).append(s)
+            else:
+                points = (hit,)
+            for p in points:
+                splits_a.setdefault(s, []).append(p)
+                splits_b.setdefault(t, []).append(p)
+                idx = (1 if p in fa.boundary else s[2]) * 3 + (
+                    1 if p in fb.boundary else t[2]
+                )
+                if cells[idx] < 0 and decided(idx, 0):
+                    return cells
+    if every_vertex and not filled & _MEET:
+        # no vertex of either in or on the other, no segments meeting
+        cells[2], cells[5] = fa.max_dim, fa.boundary_dim
+        cells[6], cells[7] = fb.max_dim, fb.boundary_dim
+        return cells
+
+    # --- 1- and 2-dimensional evidence: classified split pieces ------------
+    for (fx, fy, own, other, lines, _geom), parts in zip(sides, (parts_a, parts_b)):
+        # a ring piece proves X's interior outside Y or, when Y has area
+        # too, any of the 2-D cells
+        area_cells = 0
+        if fx.areal:
+            area_cells = _AREA_CELLS if fy.areal else 1 << 2 * other
+        if fx.segments and open_cells & (lines[0] | lines[1] | area_cells):
+            for lx, ly, dim in _piece_evidence(fy, *parts):
+                idx = lx * own + ly * other
+                if dim > cells[idx] and decided(idx, dim):
+                    return cells
+
+    # --- representative interior points of areal members -------------------
+    for fx, fy, own, other, lines, geom in sides:
+        if fx.areal and open_cells & lines[0]:
+            for p in _interior_reps(fx, geom):
+                where = fy.locate(p)
+                dim = 0
+                if where is _EXT or (where is _INT and fy.locate_areal(p) is _INT):
+                    dim = 2
+                if dim > cells[where * other] and decided(where * other, dim):
+                    return cells
+    return cells
 
 
-# ---------------------------------------------------------------------------
-# named predicates
-# ---------------------------------------------------------------------------
+def relate(a: Geometry, b: Geometry) -> DE9IM:
+    """Compute the full DE-9IM matrix of ``a`` against ``b``."""
+    return DE9IM(_relate(a, b))
 
 
 def relate_pattern(a: Geometry, b: Geometry, pattern: str) -> bool:
     """``ST_Relate(a, b, pattern)``."""
-    return relate(a, b).matches(pattern)
+    mask = _compile((pattern,))
+    return _holds(mask, _relate(a, b, mask))
+
+
+# ---------------------------------------------------------------------------
+# named predicates: masks over the one kernel
+# ---------------------------------------------------------------------------
+
+
+def _equals_mask(da: int, db: int) -> Tuple[_Alternative, ...]:
+    if da != db:
+        return ()
+    return _EQUALS if da >= 0 else _BOTH_EMPTY
+
+
+def _touches_mask(da: int, db: int) -> Tuple[_Alternative, ...]:
+    # two points have empty boundaries: never touch
+    return () if da == 0 and db == 0 else _TOUCHES
+
+
+def _crosses_mask(da: int, db: int) -> Tuple[_Alternative, ...]:
+    if da == 1 and db == 1:
+        return _CROSSES_LINES
+    return _CROSSES_UP if da < db else _CROSSES_DOWN if da > db else ()
+
+
+def _overlaps_mask(da: int, db: int) -> Tuple[_Alternative, ...]:
+    if da != db:
+        return ()
+    return _OVERLAPS_LINES if da == 1 else _OVERLAPS
+
+
+_EQUALS, _BOTH_EMPTY = _compile(("T*F**FFF*",)), _compile(("**F**FFF*",))
+_TOUCHES = _compile(("FT*******", "F**T*****", "F***T****"))
+_CROSSES_LINES = _compile(("0********",))
+_CROSSES_UP, _CROSSES_DOWN = _compile(("T*T******",)), _compile(("T*****T**",))
+_OVERLAPS_LINES, _OVERLAPS = _compile(("1*T***T**",)), _compile(("T*T***T**",))
+_WITHIN = _compile(("T*F**F***",))
+_COVERS = _compile(("T*****FF*", "*T****FF*", "***T**FF*", "****T*FF*"))
+_DISJOINT = _compile(("FF*FF****",))
+
+#: predicate -> (its mask, or the rule giving it from the two dimensions;
+#: evaluate it on (b, a); answer with the complement)
+PREDICATES: Dict[str, Tuple[object, bool, bool]] = {
+    "equals": (_equals_mask, False, False),
+    "disjoint": (_DISJOINT, False, False),
+    "intersects": (_DISJOINT, False, True),
+    "touches": (_touches_mask, False, False),
+    "crosses": (_crosses_mask, False, False),
+    "within": (_WITHIN, False, False),
+    "contains": (_WITHIN, True, False),
+    "overlaps": (_overlaps_mask, False, False),
+    "covers": (_COVERS, False, False),
+    "coveredby": (_COVERS, True, False),
+}
+
+
+def evaluate(name: str, a: Geometry, b: Geometry, every_cell: bool = False) -> bool:
+    """Does the named predicate of :data:`PREDICATES` hold for ``(a, b)``?
+
+    ``every_cell`` computes the whole matrix before matching it (the
+    full-matrix refinement of the ``ironbark`` profile); by default only
+    the cells the predicate's mask leaves open are evaluated.
+    """
+    mask, swap, negate = PREDICATES[name]
+    if swap:
+        a, b = b, a
+    if callable(mask):
+        mask = mask(a.dimension, b.dimension)
+    return _holds(mask, _relate(a, b, None if every_cell else mask)) != negate
 
 
 def equals(a: Geometry, b: Geometry) -> bool:
     """Topological equality: same point set."""
-    if a.is_empty or b.is_empty:
-        return a.is_empty and b.is_empty
-    if a.dimension != b.dimension:
-        return False
-    if a.envelope != b.envelope:
-        return False
-    return relate(a, b).matches("T*F**FFF*")
+    return evaluate("equals", a, b)
 
 
 def disjoint(a: Geometry, b: Geometry) -> bool:
-    if a.is_empty or b.is_empty:
-        return True
-    if not a.envelope.intersects(b.envelope):
-        return True
-    return relate(a, b).matches("FF*FF****")
+    return evaluate("disjoint", a, b)
 
 
 def intersects(a: Geometry, b: Geometry) -> bool:
-    """Fast-path intersects: envelope filter, then direct crossing search.
-
-    This is by far the hottest predicate of the topological micro suite,
-    so it avoids building the full matrix: any vertex membership or any
-    segment intersection proves it; containment is checked by representative
-    points both ways.
-    """
-    if a.is_empty or b.is_empty:
-        return False
-    if not a.envelope.intersects(b.envelope):
-        return False
-    fa = _features_of(a)
-    fb = _features_of(b)
-    env_b = b.envelope
-    for p, _loc in fa.points:
-        if env_b.contains_point(*p) and locate(p, b) is not _EXT:
-            return True
-    env_a = a.envelope
-    for p, _loc in fb.points:
-        if env_a.contains_point(*p) and locate(p, a) is not _EXT:
-            return True
-    for i, j in _candidate_pairs(fa.segments, fb.segments):
-        sa = fa.segments[i]
-        sb = fb.segments[j]
-        if segment_intersection(sa[0], sa[1], sb[0], sb[1]) is not None:
-            return True
-    # no boundary contact: one operand may still contain the other
-    if fa.has_area:
-        p = next(fb.geom.coords_iter())
-        if fa.locate_areal(p) is not _EXT:
-            return True
-    if fb.has_area:
-        p = next(fa.geom.coords_iter())
-        if fb.locate_areal(p) is not _EXT:
-            return True
-    return False
+    return evaluate("intersects", a, b)
 
 
 def touches(a: Geometry, b: Geometry) -> bool:
     """Boundaries meet, interiors do not."""
-    if a.is_empty or b.is_empty:
-        return False
-    if a.dimension == 0 and b.dimension == 0:
-        return False  # two points have empty boundaries: never touch
-    if not a.envelope.intersects(b.envelope):
-        return False
-    matrix = relate(a, b)
-    return (
-        matrix.matches("FT*******")
-        or matrix.matches("F**T*****")
-        or matrix.matches("F***T****")
-    )
+    return evaluate("touches", a, b)
 
 
 def crosses(a: Geometry, b: Geometry) -> bool:
-    if a.is_empty or b.is_empty:
-        return False
-    if not a.envelope.intersects(b.envelope):
-        return False
-    da, db = a.dimension, b.dimension
-    if da == 1 and db == 1:
-        return relate(a, b).matches("0********")
-    if da < db:
-        return relate(a, b).matches("T*T******")
-    if da > db:
-        return relate(a, b).matches("T*****T**")
-    return False
+    return evaluate("crosses", a, b)
 
 
 def within(a: Geometry, b: Geometry) -> bool:
-    if a.is_empty or b.is_empty:
-        return False
-    if not b.envelope.padded().contains(a.envelope):
-        return False
-    # dedicated puntal path: point-in-polygon is the hottest containment
-    # query in the benchmark and needs no matrix machinery
-    if isinstance(a, Point):
-        return locate(a.coord, b) is _INT
-    if isinstance(a, MultiPoint):
-        wheres = [locate(p.coord, b) for p in a.points]
-        return all(w is not _EXT for w in wheres) and any(
-            w is _INT for w in wheres
-        )
-    return relate(a, b).matches("T*F**F***")
+    return evaluate("within", a, b)
 
 
 def contains(a: Geometry, b: Geometry) -> bool:
-    return within(b, a)
+    return evaluate("contains", a, b)
 
 
 def overlaps(a: Geometry, b: Geometry) -> bool:
-    if a.is_empty or b.is_empty:
-        return False
-    da, db = a.dimension, b.dimension
-    if da != db:
-        return False
-    if not a.envelope.intersects(b.envelope):
-        return False
-    if da == 1:
-        return relate(a, b).matches("1*T***T**")
-    return relate(a, b).matches("T*T***T**")
+    return evaluate("overlaps", a, b)
 
 
 def covers(a: Geometry, b: Geometry) -> bool:
-    if a.is_empty or b.is_empty:
-        return False
-    if not a.envelope.padded().contains(b.envelope):
-        return False
-    matrix = relate(a, b)
-    return (
-        matrix.matches("T*****FF*")
-        or matrix.matches("*T****FF*")
-        or matrix.matches("***T**FF*")
-        or matrix.matches("****T*FF*")
-    )
+    return evaluate("covers", a, b)
 
 
 def covered_by(a: Geometry, b: Geometry) -> bool:
-    return covers(b, a)
+    return evaluate("coveredby", a, b)

@@ -83,7 +83,7 @@ def _split_line_at(geom: Geometry, other: Geometry) -> List[Tuple[Coord, Coord]]
     """All segments of lineal ``geom`` split at intersections with the
     boundary segments (or segments) of ``other``."""
     if _is_areal(other):
-        other_segs = clipping._boundary_segments(other)
+        other_segs = [s[:2] for s in clipping._boundary_segments(other)]
     elif _is_lineal(other):
         other_segs = _line_segments(other)
     else:

@@ -50,17 +50,22 @@ def collinear(a: Coord, b: Coord, c: Coord) -> bool:
 
 def on_segment(p: Coord, a: Coord, b: Coord) -> bool:
     """True iff point ``p`` lies on the closed segment ``ab``."""
-    if orientation(a, b, p) != 0:
+    ax, ay = a
+    bx, by = b
+    eps = _REL_EPS * max(abs(ax), abs(ay), abs(bx), abs(by), 1.0)
+    px, py = p
+    # bounds first: four comparisons reject what an orientation would
+    if ax <= bx:
+        if px < ax - eps or px > bx + eps:
+            return False
+    elif px < bx - eps or px > ax + eps:
         return False
-    return (
-        min(a[0], b[0]) - _abs_eps(a, b) <= p[0] <= max(a[0], b[0]) + _abs_eps(a, b)
-        and min(a[1], b[1]) - _abs_eps(a, b) <= p[1] <= max(a[1], b[1]) + _abs_eps(a, b)
-    )
-
-
-def _abs_eps(a: Coord, b: Coord) -> float:
-    scale = max(abs(a[0]), abs(a[1]), abs(b[0]), abs(b[1]), 1.0)
-    return _REL_EPS * scale
+    if ay <= by:
+        if py < ay - eps or py > by + eps:
+            return False
+    elif py < by - eps or py > ay + eps:
+        return False
+    return orientation(a, b, p) == 0
 
 
 SegmentIntersection = Union[None, Coord, Tuple[Coord, Coord]]

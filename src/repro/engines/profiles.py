@@ -8,8 +8,9 @@ no artificial delays, every timing difference comes from doing different
 work:
 
 ``greenwood``
-    PostGIS-like: R-tree index, exact geometry refinement using the
-    specialised fast-path predicates, full function set.
+    PostGIS-like: R-tree index, exact geometry refinement that evaluates
+    only the DE-9IM cells the predicate's mask leaves open and stops once
+    the answer is decided, full function set.
 
 ``bluestem``
     MySQL-(5.x era)-like: R-tree index but **MBR-only** predicate
@@ -21,9 +22,9 @@ work:
 ``ironbark``
     Commercial-like: quadtree tessellation index and exact refinement
     implemented by computing the **full DE-9IM matrix** and matching the
-    predicate's pattern — correct but heavier per candidate pair than the
-    fast paths, mirroring the paper's "feature-rich but slower on
-    refinement" commercial profile.
+    predicate's pattern — the same kernel asked for every cell, so correct
+    but heavier per candidate pair, mirroring the paper's "feature-rich
+    but slower on refinement" commercial profile.
 """
 
 from __future__ import annotations
@@ -37,34 +38,6 @@ from repro.errors import TopologyError, UnsupportedFeatureError
 from repro.faults import FAULTS
 from repro.geometry.base import Envelope, Geometry
 from repro.obs.waits import CPU_REFINE, WAITS
-
-#: predicate name -> DE-9IM pattern(s) used by full-matrix refinement
-_PREDICATE_PATTERNS = {
-    "st_equals": ("T*F**FFF*",),
-    "st_disjoint": ("FF*FF****",),
-    "st_intersects": None,  # complement of disjoint
-    "st_touches": ("FT*******", "F**T*****", "F***T****"),
-    "st_within": ("T*F**F***",),
-    "st_contains": None,  # transpose of within
-    "st_covers": ("T*****FF*", "*T****FF*", "***T**FF*", "****T*FF*"),
-    "st_coveredby": None,  # transpose of covers
-    "st_overlaps": None,  # dimension-dependent
-    "st_crosses": None,  # dimension-dependent
-}
-
-_FAST_PREDICATES = {
-    "st_equals": de9im.equals,
-    "st_disjoint": de9im.disjoint,
-    "st_intersects": de9im.intersects,
-    "st_touches": de9im.touches,
-    "st_crosses": de9im.crosses,
-    "st_within": de9im.within,
-    "st_contains": de9im.contains,
-    "st_overlaps": de9im.overlaps,
-    "st_covers": de9im.covers,
-    "st_coveredby": de9im.covered_by,
-}
-
 
 def _mbr_touches(a: Envelope, b: Envelope) -> bool:
     """Envelope touch: boxes intersect but their interiors do not."""
@@ -98,41 +71,6 @@ def _mbr_predicate(name: str, ga: Geometry, gb: Geometry) -> bool:
     raise UnsupportedFeatureError(f"MBR semantics undefined for {name}")
 
 
-def _matrix_predicate(name: str, ga: Geometry, gb: Geometry) -> bool:
-    """Exact refinement via the full DE-9IM matrix (no fast paths)."""
-    if name == "st_intersects":
-        return not de9im.relate(ga, gb).matches("FF*FF****")
-    if name == "st_contains":
-        return de9im.relate(gb, ga).matches("T*F**F***")
-    if name == "st_coveredby":
-        return _matrix_predicate("st_covers", gb, ga)
-    if name == "st_crosses":
-        da, db = ga.dimension, gb.dimension
-        matrix = de9im.relate(ga, gb)
-        if da == 1 and db == 1:
-            return matrix.matches("0********")
-        if da < db:
-            return matrix.matches("T*T******")
-        if da > db:
-            return matrix.matches("T*****T**")
-        return False
-    if name == "st_overlaps":
-        if ga.dimension != gb.dimension:
-            return False
-        matrix = de9im.relate(ga, gb)
-        if ga.dimension == 1:
-            return matrix.matches("1*T***T**")
-        return matrix.matches("T*T***T**")
-    if name == "st_equals":
-        return ga.dimension == gb.dimension and de9im.relate(ga, gb).matches(
-            "T*F**FFF*"
-        )
-    patterns = _PREDICATE_PATTERNS[name]
-    assert patterns is not None
-    matrix = de9im.relate(ga, gb)
-    return any(matrix.matches(p) for p in patterns)
-
-
 @dataclass(frozen=True)
 class EngineProfile:
     """Immutable description of one benchmarked engine's spatial capability."""
@@ -164,9 +102,10 @@ class EngineProfile:
             FAULTS.hit("geometry.refine")
         if self.predicate_mode == "mbr":
             return _mbr_predicate(name, ga, gb)
-        if self.predicate_mode == "matrix":
-            return _matrix_predicate(name, ga, gb)
-        return _FAST_PREDICATES[name](ga, gb)
+        # ``st_touches`` -> ``touches``: the one table is de9im.PREDICATES
+        return de9im.evaluate(
+            name[3:], ga, gb, every_cell=self.predicate_mode == "matrix"
+        )
 
     def refine_predicate(
         self, name: str, ga: Geometry, gb: Geometry, stats=None
@@ -207,7 +146,7 @@ class EngineProfile:
 
 GREENWOOD = EngineProfile(
     name="greenwood",
-    description="open-source, PostGIS-like: R-tree + exact fast-path refinement",
+    description="open-source, PostGIS-like: R-tree + exact mask-directed refinement",
     index_kind="rtree",
     predicate_mode="fast",
     mbr_fallback=True,

@@ -3,13 +3,13 @@ full-matrix refinement path, unsupported feature sets, index defaults."""
 
 import pytest
 
+from repro.algorithms.de9im import evaluate
 from repro.engines import Database, get_profile
 from repro.engines.profiles import (
     BLUESTEM,
     GREENWOOD,
     IRONBARK,
     PROFILES,
-    _matrix_predicate,
     _mbr_predicate,
 )
 from repro.errors import UnsupportedFeatureError
@@ -84,9 +84,9 @@ class TestPredicateSemantics:
     def test_matrix_crosses_dimension_rules(self):
         line = LineString([(-5, 5), (15, 5)])
         square = Polygon([(0, 0), (10, 0), (10, 10), (0, 10)])
-        assert _matrix_predicate("st_crosses", line, square)
-        assert _matrix_predicate("st_crosses", square, line)
-        assert not _matrix_predicate("st_crosses", square, square)
+        assert evaluate("crosses", line, square, every_cell=True)
+        assert evaluate("crosses", square, line, every_cell=True)
+        assert not evaluate("crosses", square, square, every_cell=True)
 
 
 class TestUnsupportedFeatures:
