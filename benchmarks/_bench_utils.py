@@ -1,5 +1,6 @@
-"""Helpers shared by the benchmark modules (kept out of conftest so the
-name cannot collide with the test suite's conftest)."""
+"""Helpers for the disabled-path overhead harness
+(``test_bench_disabled_overhead.py``), kept out of a conftest so the name
+cannot collide with the test suite's conftest."""
 
 from __future__ import annotations
 
@@ -9,28 +10,8 @@ from repro.datagen import generate
 from repro.engines import Database
 from repro.sql.executor import ExecContext
 
-#: the scale every J-* experiment (except the scalability sweep) runs at
 BENCH_SCALE = 0.25
 BENCH_SEED = 42
-
-ENGINES = ("greenwood", "bluestem", "ironbark")
-
-
-def run_query(benchmark, cursor, sql, params=()):
-    """Standard measurement protocol for one SQL statement."""
-
-    def call():
-        cursor.execute(sql, params)
-        return cursor.fetchall()
-
-    rows = benchmark.pedantic(call, rounds=3, iterations=1, warmup_rounds=1)
-    if rows and len(rows[0]) == 1:
-        benchmark.extra_info["result"] = rows[0][0]
-    benchmark.extra_info["rows"] = len(rows)
-    return rows
-
-
-# -- the disabled-path overhead harness (test_bench_disabled_overhead.py) ----
 
 #: allowed slowdown of a pay-as-you-go path with its feature off
 OVERHEAD_BUDGET = 1.05

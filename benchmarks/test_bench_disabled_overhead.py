@@ -19,7 +19,7 @@ frozen — so ``_defaults`` covers it. The write-watermark, detached-insert
 and untraced-server guards time different paths and keep their own
 comparisons, on the shared helpers in ``_bench_utils``. Run standalone::
 
-    pytest benchmarks/test_bench_disabled_overhead.py --benchmark-disable -q
+    pytest benchmarks/test_bench_disabled_overhead.py -q
 """
 
 from __future__ import annotations

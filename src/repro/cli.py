@@ -15,6 +15,7 @@ import sys
 from typing import List, Optional
 
 from repro.core import BenchmarkConfig, Jackpine, render_full
+from repro.core.experiments import EXPERIMENTS, document, render
 from repro.core.report import (
     render_loading,
     render_macro,
@@ -23,6 +24,14 @@ from repro.core.report import (
 )
 from repro.datagen import generate
 from repro.engines import ENGINE_NAMES, Database
+from repro.obs.telemetry import write_document
+
+
+def _readers(option: str) -> str:
+    """The experiments that read ``option``, for its help text."""
+    return ", ".join(
+        key for key, entry in EXPERIMENTS.items() if option in entry.options
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -129,37 +138,31 @@ def build_parser() -> argparse.ArgumentParser:
         "experiment", help="run one of the standalone experiments"
     )
     experiment.add_argument(
-        "which",
-        choices=["jf5", "jf6", "ja1", "ja2", "jx1", "jx2", "jx3", "jx4",
-                 "jx5", "jx6"],
-        help="jf5=index effect, jf6=scalability, "
-             "ja1=refinement ablation, ja2=index-structure ablation, "
-             "jx1=selectivity sweep (extension), "
-             "jx2=concurrent clients (extension), "
-             "jx3=spatial join strategies (extension), "
-             "jx4=mixed read/write workload (extension), "
-             "jx5=crash recovery (extension), "
-             "jx6=query service saturation/overload/cache (extension)",
+        "which", choices=list(EXPERIMENTS),
+        help=", ".join(f"{key}={entry.title}"
+                       for key, entry in EXPERIMENTS.items()),
     )
     experiment.add_argument("--seed", type=int, default=42)
     experiment.add_argument("--scale", type=float, default=0.25)
     experiment.add_argument(
         "--telemetry", default=None, metavar="DIR",
-        help="jx5/jx6: write the telemetry JSON artifact into DIR",
+        help="write the experiment's telemetry JSON document into DIR",
     )
     experiment.add_argument(
         "--duration", type=float, default=None, metavar="SECONDS",
-        help="jx6: seconds per load phase (default 2.0; CI uses less)",
+        help=f"seconds per load phase ({_readers('duration')}; "
+             f"default 2.0, CI uses less)",
     )
     experiment.add_argument(
         "--distribution", choices=["uniform", "clustered"],
         default="uniform",
-        help="landmark placement for ja2 (clustered = urban skew)",
+        help=f"landmark placement ({_readers('distribution')}; "
+             f"clustered = urban skew)",
     )
     experiment.add_argument(
         "--waits", action="store_true",
-        help="jx2/jx4: record wait events and append the wall-time "
-             "decomposition per client count",
+        help=f"record wait events and append the wall-time "
+             f"decomposition per client count ({_readers('waits')})",
     )
 
     checkpoint = sub.add_parser(
@@ -382,59 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "experiment":
-        from repro.core import experiments as exp
-
-        if args.which == "jf5":
-            print(exp.render_index_effect(
-                exp.run_index_effect(seed=args.seed, scale=args.scale)
-            ))
-        elif args.which == "jf6":
-            print(exp.render_scalability(exp.run_scalability(seed=args.seed)))
-        elif args.which == "ja1":
-            print(exp.render_refinement(
-                exp.run_refinement_ablation(seed=args.seed, scale=args.scale)
-            ))
-        elif args.which == "ja2":
-            print(exp.render_index_ablation(
-                exp.run_index_ablation(
-                    seed=args.seed, scale=args.scale,
-                    distribution=args.distribution,
-                )
-            ))
-        elif args.which == "jx1":
-            print(exp.render_selectivity(
-                exp.run_selectivity_sweep(seed=args.seed, scale=args.scale)
-            ))
-        elif args.which == "jx2":
-            print(exp.render_concurrency(
-                exp.run_concurrency(seed=args.seed, scale=args.scale,
-                                    waits=args.waits)
-            ))
-        elif args.which == "jx4":
-            print(exp.render_mixed_workload(
-                exp.run_mixed_workload(seed=args.seed, scale=args.scale,
-                                       waits=args.waits)
-            ))
-        elif args.which == "jx5":
-            result = exp.run_recovery(seed=args.seed, scale=args.scale)
-            print(exp.render_recovery(result))
-            if args.telemetry:
-                path = exp.write_recovery_telemetry(result, args.telemetry)
-                print(f"wrote {path}")
-        elif args.which == "jx6":
-            kwargs = {"seed": args.seed, "scale": args.scale}
-            if args.duration is not None:
-                kwargs["duration"] = args.duration
-            result = exp.run_service(**kwargs)
-            print(exp.render_service(result))
-            if args.telemetry:
-                path = exp.write_service_telemetry(result, args.telemetry)
-                print(f"wrote {path}")
-        else:
-            print(exp.render_spatial_join(
-                exp.run_spatial_join(seed=args.seed, scale=args.scale)
-            ))
-        return 0
+        return _run_experiment(args)
     if args.command == "explain":
         db = Database(args.engine)
         generate(seed=args.seed, scale=args.scale).load_into(db)
@@ -489,6 +440,25 @@ _RESILIENCE_COUNTERS = (
     ("txn_conflicts_total",
      "write-write conflicts lost (first-updater-wins)"),
 )
+
+
+def _run_experiment(args) -> int:
+    """``jackpine experiment ID``: run one registry entry with the options
+    it reads, print its table, optionally write its telemetry."""
+    options = {
+        name: getattr(args, name)
+        for name in EXPERIMENTS[args.which].options
+        if getattr(args, name) is not None
+    }
+    result = EXPERIMENTS[args.which].run(**options)
+    print(render(args.which, result))
+    if args.telemetry:
+        path = write_document(
+            document(args.which, result, options), args.telemetry,
+            f"experiment_{args.which}.json",
+        )
+        print(f"wrote {path}")
+    return 0
 
 
 def _run_checkpoint(args) -> int:

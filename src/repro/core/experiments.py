@@ -1,51 +1,44 @@
-"""Self-contained experiment drivers for the non-suite artifacts:
+"""Every standalone experiment behind ``jackpine experiment``, in one
+registry.
 
-- :func:`run_index_effect`    — J-F5 (spatial index on vs. off)
-- :func:`run_scalability`     — J-F6 (dataset-size sweep)
-- :func:`run_refinement_ablation` — J-A1 (exact vs MBR refinement,
-  time *and* answer cardinality)
-- :func:`run_index_ablation`  — J-A2 (R-tree vs grid vs quadtree vs scan)
-- :func:`run_spatial_join`    — J-X3 (INLJ vs tree traversal vs PBSM joins)
+:data:`EXPERIMENTS` maps an experiment id (``jf5`` ... ``jx6``) to an
+:class:`Experiment`: a title, a runner, a renderer and the telemetry
+records of a result. :func:`render` and :func:`document` turn any
+result into the printed table and the telemetry document.
 
-Each returns a small result object and has a ``render_*`` companion that
-prints the paper-style series. The pytest-benchmark modules under
-``benchmarks/`` measure the same workloads with full statistical rigour;
-these drivers exist so ``jackpine experiment ...`` can regenerate the
-figures in one command and EXPERIMENTS.md can cite one source.
+Six of them — J-F5, J-F6, J-A1, J-A2, J-X1 and J-X3 — are the same
+experiment shape: a set of queries run on every variant of a setup
+(index on/off, dataset scale, engine profile, index structure, join
+strategy). They are six :class:`Matrix` values, measured by one
+:func:`run_matrix` under the suite protocol (:func:`repro.core.stats.
+run_timed`, the one ``jackpine run`` uses) and drawn by one
+:func:`render_matrix`. J-X2/J-X4/J-X5/J-X6 drive concurrent clients,
+crashes and a server, so they keep their own runners.
 """
 
 from __future__ import annotations
 
-import time
+import functools
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.report import _fmt_time, _table
+from repro.core.stats import QueryTiming, run_timed
 from repro.datagen import generate
+from repro.datagen.tiger import WORLD_SIZE
 from repro.dbapi import connect
 from repro.engines import Database
-from repro.errors import UnsupportedFeatureError
+from repro.errors import ReproError
+from repro.obs.telemetry import SCHEMA, timing_record
 
-
-def _timed(cursor, sql: str, repeats: int = 3) -> Tuple[float, Any]:
-    """(median seconds, scalar answer) over ``repeats`` runs + 1 warmup."""
-    cursor.execute(sql)
-    value = cursor.fetchall()
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        cursor.execute(sql)
-        rows = cursor.fetchall()
-        times.append(time.perf_counter() - start)
-    times.sort()
-    answer = rows[0][0] if rows and len(rows[0]) == 1 else len(rows)
-    del value
-    return times[len(times) // 2], answer
+ENGINES: Tuple[str, ...] = ("greenwood", "bluestem", "ironbark")
 
 
 # ---------------------------------------------------------------------------
-# J-F5: index effect
+# the query sets (EXPERIMENTS.md's tables come from these)
 # ---------------------------------------------------------------------------
 
+#: J-F5: selective queries with and without the spatial index
 INDEX_EFFECT_QUERIES: Dict[str, str] = {
     "window_small": (
         "SELECT COUNT(*) FROM edges "
@@ -65,50 +58,7 @@ INDEX_EFFECT_QUERIES: Dict[str, str] = {
     ),
 }
 
-
-@dataclass
-class IndexEffectResult:
-    rows: List[Tuple[str, float, float, Any]] = field(default_factory=list)
-    # (query, indexed_s, unindexed_s, answer)
-
-
-def run_index_effect(seed: int = 42, scale: float = 0.25,
-                     engine: str = "greenwood") -> IndexEffectResult:
-    dataset = generate(seed=seed, scale=scale)
-    indexed = Database(engine)
-    dataset.load_into(indexed, create_indexes=True)
-    unindexed = Database(engine)
-    dataset.load_into(unindexed, create_indexes=False)
-    cur_idx = connect(database=indexed).cursor()
-    cur_seq = connect(database=unindexed).cursor()
-    result = IndexEffectResult()
-    for name, sql in INDEX_EFFECT_QUERIES.items():
-        with_index, answer_idx = _timed(cur_idx, sql)
-        without, answer_seq = _timed(cur_seq, sql)
-        assert answer_idx == answer_seq, f"{name}: index changed the answer"
-        result.rows.append((name, with_index, without, answer_idx))
-    return result
-
-
-def render_index_effect(result: IndexEffectResult) -> str:
-    lines = [
-        "== J-F5: effect of the spatial index (greenwood) ==",
-        f"{'query':16s} {'indexed':>10s} {'no index':>10s} "
-        f"{'speedup':>8s} {'answer':>8s}",
-    ]
-    for name, w_idx, w_seq, answer in result.rows:
-        speedup = w_seq / w_idx if w_idx > 0 else float("inf")
-        lines.append(
-            f"{name:16s} {w_idx * 1e3:9.2f}m {w_seq * 1e3:9.2f}m "
-            f"{speedup:7.1f}x {answer!s:>8s}"
-        )
-    return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# J-F6: scalability
-# ---------------------------------------------------------------------------
-
+#: J-F6: a micro subset at growing dataset scale
 SCALABILITY_QUERIES: Dict[str, str] = {
     "window": (
         "SELECT COUNT(*) FROM edges "
@@ -124,47 +74,7 @@ SCALABILITY_QUERIES: Dict[str, str] = {
     ),
 }
 
-
-@dataclass
-class ScalabilityResult:
-    scales: Sequence[float]
-    series: Dict[str, List[Tuple[float, float, Any]]] = field(
-        default_factory=dict
-    )  # query -> [(scale, seconds, answer)]
-
-
-def run_scalability(
-    seed: int = 42,
-    scales: Sequence[float] = (0.1, 0.25, 0.5, 1.0),
-    engine: str = "greenwood",
-) -> ScalabilityResult:
-    result = ScalabilityResult(scales=tuple(scales))
-    for scale in scales:
-        db = Database(engine)
-        generate(seed=seed, scale=scale).load_into(db)
-        cursor = connect(database=db).cursor()
-        for name, sql in SCALABILITY_QUERIES.items():
-            seconds, answer = _timed(cursor, sql)
-            result.series.setdefault(name, []).append((scale, seconds, answer))
-    return result
-
-
-def render_scalability(result: ScalabilityResult) -> str:
-    lines = ["== J-F6: scalability with dataset size (greenwood) =="]
-    header = f"{'query':18s}" + "".join(
-        f"{f'{s}x':>12s}" for s in result.scales
-    )
-    lines.append(header)
-    for name, points in result.series.items():
-        cells = "".join(f"{sec * 1e3:10.1f}ms" for _s, sec, _a in points)
-        lines.append(f"{name:18s}{cells}")
-    return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# J-A1: refinement ablation (time and answer gap)
-# ---------------------------------------------------------------------------
-
+#: J-A1: the predicates where exact and MBR-only answers part ways
 REFINEMENT_QUERIES: Dict[str, str] = {
     "contains_points": (
         "SELECT COUNT(*) FROM counties c JOIN pointlm p "
@@ -180,52 +90,7 @@ REFINEMENT_QUERIES: Dict[str, str] = {
     ),
 }
 
-
-@dataclass
-class RefinementResult:
-    engines: Sequence[str]
-    rows: List[Tuple[str, Dict[str, Tuple[float, Any]]]] = field(
-        default_factory=list
-    )  # (query, engine -> (seconds, answer))
-
-
-def run_refinement_ablation(
-    seed: int = 42, scale: float = 0.25,
-    engines: Sequence[str] = ("greenwood", "bluestem", "ironbark"),
-) -> RefinementResult:
-    dataset = generate(seed=seed, scale=scale)
-    cursors = {}
-    for engine in engines:
-        db = Database(engine)
-        dataset.load_into(db)
-        cursors[engine] = connect(database=db).cursor()
-    result = RefinementResult(engines=tuple(engines))
-    for name, sql in REFINEMENT_QUERIES.items():
-        per_engine: Dict[str, Tuple[float, Any]] = {}
-        for engine in engines:
-            per_engine[engine] = _timed(cursors[engine], sql)
-        result.rows.append((name, per_engine))
-    return result
-
-
-def render_refinement(result: RefinementResult) -> str:
-    lines = [
-        "== J-A1: exact refinement vs MBR-only (time | answer) ==",
-        f"{'query':24s}" + "".join(f"{e:>24s}" for e in result.engines),
-    ]
-    for name, per_engine in result.rows:
-        cells = []
-        for engine in result.engines:
-            seconds, answer = per_engine[engine]
-            cells.append(f"{seconds * 1e3:9.1f}ms | {answer!s:>8s}")
-        lines.append(f"{name:24s}" + "".join(f"{c:>24s}" for c in cells))
-    return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# J-A2: index-structure ablation
-# ---------------------------------------------------------------------------
-
+#: J-A2: the regimes where the index structures differ
 INDEX_ABLATION_QUERIES: Dict[str, str] = {
     "window_selective": (
         "SELECT COUNT(*) FROM edges "
@@ -247,149 +112,274 @@ INDEX_ABLATION_QUERIES: Dict[str, str] = {
     ),
 }
 
-INDEX_ABLATION_KINDS = ("rtree", "grid", "quadtree", "scan")
+INDEX_ABLATION_KINDS: Tuple[str, ...] = ("rtree", "grid", "quadtree", "scan")
+
+#: J-X1: window side as a fraction of the state's extent, tiny to everything
+SELECTIVITY_FRACTIONS: Tuple[float, ...] = (0.01, 0.05, 0.1, 0.25, 0.5, 1.0)
 
 
-@dataclass
-class IndexAblationResult:
-    kinds: Sequence[str]
-    rows: List[Tuple[str, Dict[str, Tuple[float, Any]]]] = field(
-        default_factory=list
+def _centred_window(fraction: float) -> str:
+    half = fraction * WORLD_SIZE / 2.0
+    centre = WORLD_SIZE / 2.0
+    return (
+        f"SELECT COUNT(*) FROM edges WHERE ST_Intersects(geom, "
+        f"ST_MakeEnvelope({centre - half}, {centre - half}, "
+        f"{centre + half}, {centre + half}))"
     )
 
 
-def run_index_ablation(
-    seed: int = 42, scale: float = 0.25,
-    kinds: Sequence[str] = INDEX_ABLATION_KINDS,
+SELECTIVITY_QUERIES: Dict[str, str] = {
+    f"{fraction:.0%}": _centred_window(fraction)
+    for fraction in SELECTIVITY_FRACTIONS
+}
+
+#: J-X3: (label, SQL) — the topology joins that dominate the micro suite
+JOIN_MATRIX: Tuple[Tuple[str, str], ...] = (
+    (
+        "arealm x areawater (overlaps)",
+        "SELECT COUNT(*) FROM arealm a, areawater w "
+        "WHERE ST_Overlaps(a.geom, w.geom)",
+    ),
+    (
+        "arealm x counties (intersects)",
+        "SELECT COUNT(*) FROM arealm a, counties c "
+        "WHERE ST_Intersects(a.geom, c.geom)",
+    ),
+    (
+        "parcels x arealm (intersects)",
+        "SELECT COUNT(*) FROM parcels p, arealm a "
+        "WHERE ST_Intersects(p.geom, a.geom)",
+    ),
+    (
+        "edges x areawater (crosses)",
+        "SELECT COUNT(*) FROM edges e, areawater w "
+        "WHERE ST_Crosses(e.geom, w.geom)",
+    ),
+)
+
+JOIN_STRATEGY_SERIES: Tuple[str, ...] = ("inlj", "tree", "pbsm", "auto")
+
+
+# ---------------------------------------------------------------------------
+# query x variant matrices: J-F5, J-F6, J-A1, J-A2, J-X1, J-X3
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Matrix:
+    """Every query of ``queries`` timed on every variant of ``variants``."""
+
+    queries: Dict[str, str]
+    variants: Tuple[Any, ...]
+    #: ``database(variant, dataset)`` -> the loaded database answering
+    #: for ``variant``; ``dataset(scale=<run scale>)`` is the seeded
+    #: dataset, generated once per scale
+    database: Callable[[Any, Callable[..., Any]], Database]
+    #: the variants must return identical answers (else the run raises)
+    agree: bool = False
+    #: a ``db.stats`` counter reported per cell, per run
+    counter: Optional[str] = None
+    #: add a last-variant / first-variant time ratio column
+    speedup: bool = False
+
+
+@dataclass
+class MatrixResult:
+    matrix: Matrix
+    queries: Tuple[str, ...]
+    variants: Tuple[Any, ...]
+    #: (query, variant) -> the cell's measurement
+    cells: Dict[Tuple[str, Any], QueryTiming] = field(default_factory=dict)
+    #: (query, variant) -> ``matrix.counter`` per run, when it has one
+    counts: Dict[Tuple[str, Any], int] = field(default_factory=dict)
+    #: variant -> the engine profile that answered it
+    engines: Dict[Any, str] = field(default_factory=dict)
+
+    def answer(self, query: str, variant: Any) -> Any:
+        return self.cells[query, variant].result_value
+
+
+def _count_answer(cursor, sql: str) -> Callable[[], Any]:
+    """One timed call: the COUNT(*) answer, or the row count."""
+
+    def call() -> Any:
+        cursor.execute(sql)
+        rows = cursor.fetchall()
+        return rows[0][0] if rows and len(rows[0]) == 1 else len(rows)
+
+    return call
+
+
+def run_matrix(
+    matrix: Matrix,
+    seed: int = 42,
+    scale: float = 0.25,
     distribution: str = "uniform",
-) -> IndexAblationResult:
-    """``distribution="clustered"`` places landmarks in urban blobs —
-    the skew regime where the uniform grid's fixed cells pay for their
-    simplicity."""
-    dataset = generate(seed=seed, scale=scale, distribution=distribution)
-    cursors = {}
-    for kind in kinds:
-        db = Database("greenwood")
-        dataset.load_into(db, create_indexes=False)
-        if kind != "scan":
-            for layer in dataset.layers.values():
-                db.execute(
-                    f"CREATE SPATIAL INDEX xidx_{layer.name} "
-                    f"ON {layer.name} (geom) USING {kind}"
-                )
-        cursors[kind] = connect(database=db).cursor()
-    result = IndexAblationResult(kinds=tuple(kinds))
-    for name, sql in INDEX_ABLATION_QUERIES.items():
-        per_kind: Dict[str, Tuple[float, Any]] = {}
-        for kind in kinds:
-            per_kind[kind] = _timed(cursors[kind], sql)
-        answers = {a for _t, a in per_kind.values()}
-        assert len(answers) == 1, f"{name}: index structure changed the answer"
-        result.rows.append((name, per_kind))
-    return result
+    queries: Optional[Sequence[str]] = None,
+    variants: Optional[Sequence[Any]] = None,
+) -> MatrixResult:
+    """Measure every (query, variant) cell of ``matrix`` (or of the given
+    subsets) with :func:`run_timed`: one warmup, median of three runs.
 
-
-def render_index_ablation(result: IndexAblationResult) -> str:
-    lines = [
-        "== J-A2: index structures (greenwood, exact answers identical) ==",
-        f"{'query':18s}" + "".join(f"{k:>12s}" for k in result.kinds),
-    ]
-    for name, per_kind in result.rows:
-        cells = "".join(
-            f"{per_kind[k][0] * 1e3:10.1f}ms" for k in result.kinds
-        )
-        lines.append(f"{name:18s}{cells}")
-    return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# J-X1 (extension): selectivity sweep
-# ---------------------------------------------------------------------------
-
-#: window side as a fraction of the state's extent, tiny to everything
-SELECTIVITY_FRACTIONS = (0.01, 0.05, 0.1, 0.25, 0.5, 1.0)
-
-
-@dataclass
-class SelectivityResult:
-    engines: Sequence[str]
-    fractions: Sequence[float]
-    # engine -> [(fraction, seconds, result_count, index_candidates)]
-    series: Dict[str, List[Tuple[float, float, int, int]]] = field(
-        default_factory=dict
-    )
-
-
-def run_selectivity_sweep(
-    seed: int = 42, scale: float = 0.25,
-    engines: Sequence[str] = ("greenwood", "bluestem", "ironbark"),
-    fractions: Sequence[float] = SELECTIVITY_FRACTIONS,
-) -> SelectivityResult:
-    """Window queries over `edges` at increasing selectivity.
-
-    Extension beyond the paper's figures: shows how the filter-refine
-    split behaves as the answer grows from a handful of rows to the whole
-    table — exact engines pay refinement per candidate, the MBR engine's
-    cost tracks the candidate count alone.
+    One variant's database is alive at a time. A cell that ends in
+    ``error`` or ``timeout`` raises; ``not supported`` is a result.
     """
-    from repro.datagen.tiger import WORLD_SIZE
+    result = MatrixResult(
+        matrix=matrix,
+        queries=tuple(queries or matrix.queries),
+        variants=tuple(variants or matrix.variants),
+    )
+    generated: Dict[float, Any] = {}
 
-    dataset = generate(seed=seed, scale=scale)
-    result = SelectivityResult(engines=tuple(engines),
-                               fractions=tuple(fractions))
-    for engine in engines:
-        db = Database(engine)
-        dataset.load_into(db)
-        conn = connect(database=db)
-        cursor = conn.cursor()
-        points: List[Tuple[float, float, int, int]] = []
-        for fraction in fractions:
-            half = fraction * WORLD_SIZE / 2.0
-            cx = cy = WORLD_SIZE / 2.0
-            sql = (
-                f"SELECT COUNT(*) FROM edges WHERE ST_Intersects(geom, "
-                f"ST_MakeEnvelope({cx - half}, {cy - half}, "
-                f"{cx + half}, {cy + half}))"
+    def dataset(at: float = scale):
+        if at not in generated:
+            generated.clear()
+            generated[at] = generate(
+                seed=seed, scale=at, distribution=distribution
             )
+        return generated[at]
+
+    for variant in result.variants:
+        db = matrix.database(variant, dataset)
+        result.engines[variant] = db.profile.name
+        cursor = connect(database=db).cursor()
+        for query in result.queries:
             db.stats.reset()
-            seconds, answer = _timed(cursor, sql)
-            candidates = db.stats.index_candidates // 4  # warmup + 3 runs
-            points.append((fraction, seconds, int(answer), candidates))
-        result.series[engine] = points
+            timing = run_timed(
+                QueryTiming(query),
+                _count_answer(cursor, matrix.queries[query]),
+            )
+            if timing.outcome in ("error", "timeout"):
+                raise ReproError(
+                    f"{query} on {variant}: {timing.outcome}: {timing.error}"
+                )
+            result.cells[query, variant] = timing
+            if matrix.counter:
+                # per run: the warmup counts too
+                result.counts[query, variant] = (
+                    getattr(db.stats, matrix.counter) // (timing.runs + 1)
+                )
+    if matrix.agree:
+        for query in result.queries:
+            answers = {
+                result.answer(query, v): v for v in result.variants
+                if result.cells[query, v].supported
+            }
+            if len(answers) > 1:
+                raise AssertionError(
+                    f"variants disagree on {query!r}: {answers}"
+                )
     return result
 
 
-def render_selectivity(result: SelectivityResult) -> str:
-    lines = [
-        "== J-X1 (extension): window-selectivity sweep over edges ==",
-        f"{'window':>8s} " + "".join(
-            f"{e + ' (ms|rows)':>24s}" for e in result.engines
-        ),
-    ]
-    for i, fraction in enumerate(result.fractions):
-        cells = []
-        for engine in result.engines:
-            _f, seconds, answer, _cand = result.series[engine][i]
-            cells.append(f"{seconds * 1e3:12.2f} | {answer:>6d}")
-        lines.append(f"{fraction:>7.0%} " + "".join(
-            f"{c:>24s}" for c in cells
-        ))
-    return "\n".join(lines)
+def _cell(timing: QueryTiming, with_answer: bool) -> str:
+    if not timing.supported:
+        return "n/s"
+    text = _fmt_time(timing.median)
+    if timing.outcome == "degraded":
+        text += "*"
+    return f"{text} | {timing.result_value}" if with_answer else text
+
+
+def render_matrix(result: MatrixResult) -> str:
+    """Queries down the side, variants across the top, median times in
+    the cells; one answer column when the variants must agree, otherwise
+    ``time | answer`` per cell."""
+    matrix = result.matrix
+    headers = ["query"] + [str(v) for v in result.variants]
+    headers += ["speedup"] * matrix.speedup + ["answer"] * matrix.agree
+    rows = []
+    for query in result.queries:
+        timings = [result.cells[query, v] for v in result.variants]
+        row = [query] + [_cell(t, not matrix.agree) for t in timings]
+        if matrix.speedup:
+            first, last = timings[0].median, timings[-1].median
+            row.append(f"{last / first:.1f}x" if first > 0 else "inf")
+        if matrix.agree:
+            row.append(str(next(
+                (t.result_value for t in timings if t.supported), "n/s"
+            )))
+        rows.append(row)
+    return _table(headers, rows)
+
+
+def matrix_records(result: MatrixResult) -> List[Dict[str, Any]]:
+    records = []
+    for (query, variant), timing in result.cells.items():
+        record = timing_record(timing, result.engines[variant], "experiment")
+        record["variant"] = variant
+        if result.matrix.counter:
+            record[result.matrix.counter] = result.counts[query, variant]
+        records.append(record)
+    return records
+
+
+def _loaded(engine: str, data, **load) -> Database:
+    db = Database(engine)
+    data.load_into(db, **load)
+    return db
+
+
+def _indexed_with(kind: str, dataset) -> Database:
+    data = dataset()
+    db = _loaded("greenwood", data, create_indexes=False)
+    if kind != "scan":
+        for layer in data.layers.values():
+            db.execute(
+                f"CREATE SPATIAL INDEX xidx_{layer.name} "
+                f"ON {layer.name} (geom) USING {kind}"
+            )
+    return db
+
+
+def _join_forced(strategy: str, dataset) -> Database:
+    db = _loaded("greenwood", dataset())
+    db.execute("ANALYZE")
+    db.join_strategy = strategy
+    return db
+
+
+def _per_engine(engine: str, dataset) -> Database:
+    return _loaded(engine, dataset())
 
 
 # ---------------------------------------------------------------------------
-# J-X2 (extension): multi-client macro throughput
+# point sweeps: J-X2, J-X4, J-X5, J-X6
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class ConcurrencyResult:
-    scenario: str
+class Sweep:
+    """A J-X2, J-X4, J-X5 or J-X6 run: one dict per point of the sweep
+    (a client count, a checkpoint interval, or a load round)."""
+
     engine: str
-    # [(clients, wall_seconds, total_queries, aggregate_qpm)]
-    points: List[Tuple[int, float, int, float]] = field(default_factory=list)
+    #: what ran at every point: the scenario, the mix, the crash site, or
+    #: the service configuration
+    subject: str
+    points: List[Dict[str, Any]] = field(default_factory=list)
     #: one wall-time decomposition per point, when run with ``waits=True``
     attributions: List[Any] = field(default_factory=list)
+
+
+def sweep_records(result: Sweep) -> List[Dict[str, Any]]:
+    return [
+        dict(point, query_id=f"point_{i}", engine=result.engine)
+        for i, point in enumerate(result.points)
+    ]
+
+
+def _attributions(result: Sweep) -> List[str]:
+    lines = []
+    for point, attribution in zip(result.points, result.attributions):
+        lines.append("")
+        lines.append(attribution.render(
+            title=f"wall-time decomposition @ {point['clients']} client(s)"
+        ))
+    return lines
+
+
+# -- J-X2 (extension): multi-client macro throughput --------------------------
 
 
 def run_concurrency(
@@ -399,7 +389,7 @@ def run_concurrency(
     seed: int = 42,
     scale: float = 0.25,
     waits: bool = False,
-) -> ConcurrencyResult:
+) -> Sweep:
     """J-X2: read-only throughput with N concurrent clients (extension).
 
     Each client replays one deterministic macro scenario on its own
@@ -416,7 +406,7 @@ def run_concurrency(
     dataset = generate(seed=seed, scale=scale)
     db = Database(engine)
     dataset.load_into(db)
-    result = ConcurrencyResult(scenario=scenario_name, engine=engine)
+    result = Sweep(engine, scenario_name)
     for clients in clients_series:
 
         def body(conn, report) -> None:
@@ -445,51 +435,33 @@ def run_concurrency(
                 WAITS.disable()
         else:
             wall, reports = run_client_threads(db, clients, body)
-        total_queries = sum(report.ops for report in reports)
-        qpm = 60.0 * total_queries / wall if wall else 0.0
-        result.points.append((clients, wall, total_queries, qpm))
+        queries = sum(report.ops for report in reports)
+        result.points.append({
+            "clients": clients,
+            "wall_seconds": wall,
+            "queries": queries,
+            "queries_per_minute": 60.0 * queries / wall if wall else 0.0,
+        })
     return result
 
 
-def render_concurrency(result: ConcurrencyResult) -> str:
+def render_concurrency(result: Sweep) -> str:
     lines = [
-        f"== J-X2 (extension): concurrent clients, "
-        f"{result.scenario} on {result.engine} ==",
+        f"{result.subject} on {result.engine}",
         "(pure-Python engines: the GIL serialises CPU work, so this shows",
         " contention behaviour, not parallel speedup)",
         f"{'clients':>8s} {'wall':>10s} {'queries':>9s} {'agg q/min':>10s}",
     ]
-    for clients, wall, total, qpm in result.points:
+    for p in result.points:
         lines.append(
-            f"{clients:>8d} {wall:>9.2f}s {total:>9d} {qpm:>10.0f}"
+            f"{p['clients']:>8d} {p['wall_seconds']:>9.2f}s "
+            f"{p['queries']:>9d} {p['queries_per_minute']:>10.0f}"
         )
-    for (clients, _wall, _total, _qpm), attribution in zip(
-        result.points, result.attributions
-    ):
-        lines.append("")
-        lines.append(attribution.render(
-            title=f"wall-time decomposition @ {clients} client(s)"
-        ))
+    lines += _attributions(result)
     return "\n".join(lines)
 
 
-# ---------------------------------------------------------------------------
-# J-X4 (extension): mixed read/write throughput and abort rate
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class MixedThroughputResult:
-    engine: str
-    mix: str
-    # [(clients, wall_s, ops, qpm, commits, aborts, retries, abort_rate)]
-    points: List[Tuple[int, float, int, float, int, int, int, float]] = field(
-        default_factory=list
-    )
-    #: one wall-time decomposition per point, when run with ``waits=True``
-    attributions: List[Any] = field(default_factory=list)
-    #: per-lock-key hot-row tables matching ``attributions``
-    hottest: List[List[Dict[str, Any]]] = field(default_factory=list)
+# -- J-X4 (extension): mixed read/write throughput and abort rate -------------
 
 
 def run_mixed_workload(
@@ -500,7 +472,7 @@ def run_mixed_workload(
     duration: float = 2.0,
     mix: str = "mixed",
     waits: bool = False,
-) -> MixedThroughputResult:
+) -> Sweep:
     """J-X4: mixed read/write throughput and abort rate vs client count.
 
     The :mod:`repro.workload` driver replays the 80/20 read/write mix in
@@ -516,7 +488,7 @@ def run_mixed_workload(
     dataset = generate(seed=seed, scale=scale)
     db = Database(engine)
     dataset.load_into(db)
-    result = MixedThroughputResult(engine=engine, mix=mix)
+    result = Sweep(engine, mix)
     for clients in clients_series:
         config = WorkloadConfig(
             clients=clients, duration=duration, mix=mix, engine=engine,
@@ -525,141 +497,35 @@ def run_mixed_workload(
         report = run_workload(config, database=db)
         if report.attribution is not None:
             result.attributions.append(report.attribution)
-            result.hottest.append(report.hottest_rows)
-        result.points.append((
-            clients,
-            report.wall_seconds,
-            report.total_ops,
-            report.queries_per_minute,
-            report.total_commits,
-            report.total_aborts,
-            report.total_retries,
-            report.abort_rate,
+        # totals: ops, commits, aborts, retries, errors,
+        # queries_per_minute, abort_rate
+        result.points.append(dict(
+            report.telemetry_document()["totals"], clients=clients,
+            wall_seconds=report.wall_seconds,
         ))
     return result
 
 
-def render_mixed_workload(result: MixedThroughputResult) -> str:
+def render_mixed_workload(result: Sweep) -> str:
     lines = [
-        f"== J-X4 (extension): mixed read/write workload, "
-        f"{result.mix} mix on {result.engine} ==",
+        f"{result.subject} mix on {result.engine}",
         "(snapshot isolation, first-updater-wins: aborted writers retry",
         " with backoff; the GIL serialises CPU work, so read throughput",
         " measures contention behaviour, not parallel speedup)",
         f"{'clients':>8s} {'wall':>8s} {'ops':>7s} {'agg q/min':>10s} "
         f"{'commits':>8s} {'aborts':>7s} {'retries':>8s} {'abort %':>8s}",
     ]
-    for (clients, wall, ops, qpm, commits, aborts, retries,
-         abort_rate) in result.points:
+    for p in result.points:
         lines.append(
-            f"{clients:>8d} {wall:>7.2f}s {ops:>7d} {qpm:>10.0f} "
-            f"{commits:>8d} {aborts:>7d} {retries:>8d} "
-            f"{abort_rate:>7.1%}"
+            f"{p['clients']:>8d} {p['wall_seconds']:>7.2f}s {p['ops']:>7d} "
+            f"{p['queries_per_minute']:>10.0f} {p['commits']:>8d} "
+            f"{p['aborts']:>7d} {p['retries']:>8d} {p['abort_rate']:>7.1%}"
         )
-    for point, attribution in zip(result.points, result.attributions):
-        lines.append("")
-        lines.append(attribution.render(
-            title=f"wall-time decomposition @ {point[0]} client(s)"
-        ))
+    lines += _attributions(result)
     return "\n".join(lines)
 
 
-# ---------------------------------------------------------------------------
-# J-X3 (extension): spatial join strategy comparison
-# ---------------------------------------------------------------------------
-
-#: (label, SQL) — the topology joins that dominate the paper's micro suite
-JOIN_MATRIX: Tuple[Tuple[str, str], ...] = (
-    (
-        "arealm x areawater (overlaps)",
-        "SELECT COUNT(*) FROM arealm a, areawater w "
-        "WHERE ST_Overlaps(a.geom, w.geom)",
-    ),
-    (
-        "arealm x counties (intersects)",
-        "SELECT COUNT(*) FROM arealm a, counties c "
-        "WHERE ST_Intersects(a.geom, c.geom)",
-    ),
-    (
-        "parcels x arealm (intersects)",
-        "SELECT COUNT(*) FROM parcels p, arealm a "
-        "WHERE ST_Intersects(p.geom, a.geom)",
-    ),
-    (
-        "edges x areawater (crosses)",
-        "SELECT COUNT(*) FROM edges e, areawater w "
-        "WHERE ST_Crosses(e.geom, w.geom)",
-    ),
-)
-
-JOIN_STRATEGY_SERIES: Tuple[str, ...] = ("inlj", "tree", "pbsm", "auto")
-
-
-@dataclass
-class SpatialJoinResult:
-    engine: str
-    strategies: Sequence[str]
-    # label -> {strategy: (seconds, answer)}; every strategy must agree
-    rows: List[Tuple[str, Dict[str, Tuple[float, Any]]]] = field(
-        default_factory=list
-    )
-
-
-def run_spatial_join(
-    seed: int = 42, scale: float = 0.25, engine: str = "greenwood",
-    strategies: Sequence[str] = JOIN_STRATEGY_SERIES,
-) -> SpatialJoinResult:
-    """Full topology joins under each join algorithm (J-X3 extension).
-
-    The same indexed database answers every query with the spatial join
-    strategy forced to INLJ, synchronized tree traversal and PBSM, plus
-    the cost-based default. Answers are asserted identical across
-    strategies — only the candidate-generation machinery may differ.
-    """
-    dataset = generate(seed=seed, scale=scale)
-    db = Database(engine)
-    dataset.load_into(db)
-    db.execute("ANALYZE")
-    conn = connect(database=db)
-    cursor = conn.cursor()
-    result = SpatialJoinResult(engine=engine, strategies=tuple(strategies))
-    for label, sql in JOIN_MATRIX:
-        cells: Dict[str, Tuple[float, Any]] = {}
-        for strategy in strategies:
-            db.join_strategy = strategy
-            cells[strategy] = _timed(cursor, sql)
-        db.join_strategy = "auto"
-        answers = {answer for _s, answer in cells.values()}
-        if len(answers) != 1:
-            raise AssertionError(
-                f"join strategies disagree on {label!r}: {cells}"
-            )
-        result.rows.append((label, cells))
-    return result
-
-
-def render_spatial_join(result: SpatialJoinResult) -> str:
-    from repro.core.report import render_spatial_join_table
-
-    return render_spatial_join_table(result)
-
-
-# ---------------------------------------------------------------------------
-# J-X5 (extension): crash recovery
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class RecoveryResult:
-    """One J-X5 run: crash → recover → verify, per checkpoint interval."""
-
-    profile: str
-    seed: int
-    scale: float
-    site: str
-    #: per checkpoint interval: the crash outcome, the recovery timing
-    #: breakdown, the WAL length replayed, and the oracle verdict
-    points: List[Dict[str, Any]] = field(default_factory=list)
+# -- J-X5 (extension): crash recovery -----------------------------------------
 
 
 def run_recovery(
@@ -671,7 +537,7 @@ def run_recovery(
     crash_after: int = 2500,
     clients: int = 2,
     deadline: float = 8.0,
-) -> RecoveryResult:
+) -> Sweep:
     """J-X5: crash recovery time vs WAL length and checkpoint interval.
 
     For each checkpoint interval, concurrent clients commit single-row
@@ -683,7 +549,9 @@ def run_recovery(
     one absent. Frequent checkpoints keep the WAL short and recovery
     fast; interval 0 (never checkpoint) replays the whole history — the
     classic recovery-time/runtime-overhead trade the paper's
-    single-user, no-failure runs cannot see.
+    single-user, no-failure runs cannot see. Each point holds the crash
+    outcome, the recovery timing breakdown, the WAL length replayed and
+    the oracle verdict.
     """
     import shutil
     import tempfile
@@ -692,8 +560,7 @@ def run_recovery(
     from repro.storage.durability import recover
 
     seed_rows = max(10, int(100 * scale))
-    result = RecoveryResult(profile=engine, seed=seed, scale=scale,
-                            site=site)
+    result = Sweep(engine, site)
     for interval in intervals:
         directory = tempfile.mkdtemp(prefix="jackpine-jx5-")
         try:
@@ -739,10 +606,9 @@ def run_recovery(
     return result
 
 
-def render_recovery(result: RecoveryResult) -> str:
+def render_recovery(result: Sweep) -> str:
     lines = [
-        f"== J-X5 (extension): crash recovery on {result.profile}, "
-        f"kill at {result.site} ==",
+        f"{result.engine}, kill at {result.subject}",
         "(simulated kill -9 mid-workload: the WAL is truncated to its",
         " last fsynced byte, then ARIES-lite analysis/redo/undo rebuilds",
         " heap, catalog and spatial indexes; the oracle checks both",
@@ -769,62 +635,7 @@ def render_recovery(result: RecoveryResult) -> str:
     return "\n".join(lines)
 
 
-def write_recovery_telemetry(result: RecoveryResult, out_dir: str) -> str:
-    """Write the J-X5 telemetry artifact (same envelope family as
-    ``jackpine run --telemetry``); returns the path."""
-    import json
-    import os
-
-    from repro.obs.telemetry import SCHEMA
-
-    records = [
-        dict(point, query_id=f"jx5.interval_{i}", engine=result.profile,
-             suite="recovery", supported=True)
-        for i, point in enumerate(result.points)
-    ]
-    document = {
-        "schema": SCHEMA,
-        "engine": result.profile,
-        "config": {
-            "seed": result.seed,
-            "scale": result.scale,
-            "site": result.site,
-        },
-        "records": records,
-    }
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"recovery_{result.profile}.json")
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
-
-
-# ---------------------------------------------------------------------------
-# J-X6: query service saturation, overload shedding, and result cache
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ServiceResult:
-    """One J-X6 run: saturation sweep, overload round, cache comparison."""
-
-    profile: str
-    seed: int
-    scale: float
-    clients: int
-    pool_size: int
-    max_queue: int
-    deadline: float
-    #: phase A — per offered rate: achieved throughput + latency
-    saturation: List[Dict[str, Any]] = field(default_factory=list)
-    #: saturation throughput (max completed ops/sec across phase A)
-    saturation_ops: float = 0.0
-    #: phase B — overload at ~3x saturation: shedding + tail latency
-    overload: Dict[str, Any] = field(default_factory=dict)
-    #: phase C — browse mix with the cache on vs off
-    cache_on: Dict[str, Any] = field(default_factory=dict)
-    cache_off: Dict[str, Any] = field(default_factory=dict)
+# -- J-X6: query service saturation, overload shedding, and result cache ------
 
 
 def _merged_latency(reports):
@@ -846,7 +657,7 @@ def _merged_latency(reports):
 def _service_round(
     database, *, engine: str, seed: int, scale: float, clients: int,
     rate: float, duration: float, pool_size: int, max_queue: int,
-    deadline: float, cache_capacity: int, mix: str = "browse",
+    deadline: float, cache_capacity: int, phase: str, mix: str = "browse",
 ) -> Dict[str, Any]:
     """Start a fresh server over ``database`` (fresh counters), drive it
     with the open-loop fleet for one round, and distill the numbers."""
@@ -875,6 +686,9 @@ def _service_round(
     hits = cache.get("hits", 0)
     looked = hits + cache.get("misses", 0)
     return {
+        "phase": phase,
+        "clients": clients,
+        "rate_per_client": rate,
         "offered_rate": clients * rate,
         "wall_seconds": report.wall_seconds,
         "ops": report.total_ops,
@@ -911,7 +725,7 @@ def run_service(
     cache_capacity: int = 256,
     overload_factor: float = 3.0,
     overload_clients: int = 160,
-) -> ServiceResult:
+) -> Sweep:
     """J-X6: the query service under open-loop load.
 
     Three phases over one loaded datastore (a fresh server — hence fresh
@@ -930,6 +744,9 @@ def run_service(
        vs off, isolating what watermark-validated caching buys on a
        skewed read mix (and proving writes invalidate: the browse mix is
        read-only, so the ratio is the upper bound the mixed rounds erode).
+
+    Each point is one round; its ``phase`` is ``saturation``,
+    ``overload``, ``cache_on`` or ``cache_off``.
     """
     dataset = generate(seed=seed, scale=scale)
     database = Database(engine)
@@ -939,9 +756,9 @@ def run_service(
         duration=duration, pool_size=pool_size, max_queue=max_queue,
         deadline=deadline,
     )
-    result = ServiceResult(
-        profile=engine, seed=seed, scale=scale, clients=clients,
-        pool_size=pool_size, max_queue=max_queue, deadline=deadline,
+    result = Sweep(
+        engine, f"{clients} open-loop clients, pool {pool_size}, queue "
+        f"{max_queue}, deadline {deadline:.2f}s",
     )
     # phase A: adaptive saturation sweep — double the offered rate until
     # achieved throughput falls visibly short of offered (or requests
@@ -949,10 +766,10 @@ def run_service(
     rate = base_rate
     for _ in range(max_rounds):
         point = _service_round(
-            database, rate=rate, cache_capacity=cache_capacity, **shared
+            database, rate=rate, cache_capacity=cache_capacity,
+            phase="saturation", **shared
         )
-        point["rate_per_client"] = rate
-        result.saturation.append(point)
+        result.points.append(point)
         saturated = (
             point["completed_per_sec"] < 0.85 * point["offered_rate"]
             or point["shed"] > 0
@@ -960,41 +777,35 @@ def run_service(
         if saturated:
             break
         rate *= 2.0
-    result.saturation_ops = max(
-        point["completed_per_sec"] for point in result.saturation
-    )
+    saturation_ops = max(p["completed_per_sec"] for p in result.points)
     # phase B: overload at ~overload_factor x saturation. One TCP
     # connection carries one request at a time, so in-flight work is
     # bounded by the client count — shedding can only engage when there
     # are more clients than queue slots, hence the bigger fleet here
     # ("hundreds of clients" is also just what overload looks like).
     overload_fleet = max(overload_clients, 2 * max_queue)
-    overload_rate = (
-        overload_factor * result.saturation_ops / overload_fleet
-    )
-    result.overload = _service_round(
-        database, rate=overload_rate, cache_capacity=cache_capacity,
+    result.points.append(_service_round(
+        database, rate=overload_factor * saturation_ops / overload_fleet,
+        cache_capacity=cache_capacity, phase="overload",
         **dict(shared, clients=overload_fleet)
-    )
-    result.overload["rate_per_client"] = overload_rate
-    result.overload["clients"] = overload_fleet
+    ))
     # phase C: cache on vs off at roughly half the saturation rate (the
     # comparison should measure cache effect, not queueing noise)
-    probe_rate = max(result.saturation_ops / (2.0 * clients), base_rate)
-    result.cache_on = _service_round(
-        database, rate=probe_rate, cache_capacity=cache_capacity, **shared
-    )
-    result.cache_off = _service_round(
-        database, rate=probe_rate, cache_capacity=0, **shared
-    )
+    probe_rate = max(saturation_ops / (2.0 * clients), base_rate)
+    for phase, capacity in (("cache_on", cache_capacity), ("cache_off", 0)):
+        result.points.append(_service_round(
+            database, rate=probe_rate, cache_capacity=capacity, phase=phase,
+            **shared
+        ))
     return result
 
 
-def render_service(result: ServiceResult) -> str:
+def render_service(result: Sweep) -> str:
+    saturation = [p for p in result.points if p["phase"] == "saturation"]
+    saturation_ops = max(p["completed_per_sec"] for p in saturation)
+    o, on, off = result.points[len(saturation):]
     lines = [
-        f"== J-X6 (extension): query service on {result.profile} — "
-        f"{result.clients} open-loop clients, pool {result.pool_size}, "
-        f"queue {result.max_queue}, deadline {result.deadline:.2f}s ==",
+        f"{result.engine}: {result.subject}",
         "(asyncio TCP server over the embedded engine: session pooling,",
         " admission control with load shedding, and an MVCC-watermark",
         " result cache; latency is measured from the scheduled arrival,",
@@ -1005,95 +816,151 @@ def render_service(result: ServiceResult) -> str:
         f"{'offered/s':>10s} {'done/s':>8s} {'shed':>6s} {'p50':>9s} "
         f"{'p99':>9s} {'hit%':>6s}",
     ]
-    for p in result.saturation:
+    for p in saturation:
         lines.append(
             f"{p['offered_rate']:>10.0f} {p['completed_per_sec']:>8.1f} "
             f"{p['shed']:>6d} {p['p50'] * 1e3:>7.1f}ms "
             f"{p['p99'] * 1e3:>7.1f}ms {p['cache_hit_ratio']:>6.1%}"
         )
     lines.append(
-        f"saturation throughput: {result.saturation_ops:.1f} completed "
-        f"ops/sec"
+        f"saturation throughput: {saturation_ops:.1f} completed ops/sec"
     )
-    o = result.overload
-    if o:
-        lines.extend([
-            "",
-            f"-- phase B: overload at {o['offered_rate']:.0f} offered/s "
-            f"(~{o['offered_rate'] / result.saturation_ops:.1f}x "
-            f"saturation, {o.get('clients', result.clients)} clients)",
-            f"completed: {o['completed_per_sec']:.1f}/s   "
-            f"shed: {o['shed']} "
-            f"(queue_full {o['shed_queue_full']}, "
-            f"deadline {o['shed_deadline']})   timeouts: {o['timeouts']}",
-            f"peak queue: {o['peak_queue']}/{o['queue_limit']} "
-            f"(bounded: {'yes' if o['peak_queue'] <= o['queue_limit'] else 'NO'})   "
-            f"p99 of survivors: {o['p99'] * 1e3:.1f}ms",
-        ])
-    on, off = result.cache_on, result.cache_off
-    if on and off:
-        # below saturation both variants complete every offered op, so
-        # latency — not throughput — is where the cache shows up
-        speedup = on["p50"] and off["p50"] / on["p50"] or float("nan")
-        lines.extend([
-            "",
-            "-- phase C: result cache on vs off (browse mix, below "
-            "saturation)",
-            f"cache on : {on['completed_per_sec']:>8.1f}/s   "
-            f"p50 {on['p50'] * 1e3:>6.1f}ms   "
-            f"p99 {on['p99'] * 1e3:>6.1f}ms   "
-            f"hit ratio {on['cache_hit_ratio']:.1%} "
-            f"({on['cache_hits']} hits)",
-            f"cache off: {off['completed_per_sec']:>8.1f}/s   "
-            f"p50 {off['p50'] * 1e3:>6.1f}ms   "
-            f"p99 {off['p99'] * 1e3:>6.1f}ms",
-            f"p50 speedup from caching: {speedup:.2f}x",
-        ])
+    # below saturation both cache variants complete every offered op, so
+    # latency — not throughput — is where the cache shows up
+    speedup = on["p50"] and off["p50"] / on["p50"] or float("nan")
+    lines.extend([
+        "",
+        f"-- phase B: overload at {o['offered_rate']:.0f} offered/s "
+        f"(~{o['offered_rate'] / saturation_ops:.1f}x "
+        f"saturation, {o['clients']} clients)",
+        f"completed: {o['completed_per_sec']:.1f}/s   "
+        f"shed: {o['shed']} "
+        f"(queue_full {o['shed_queue_full']}, "
+        f"deadline {o['shed_deadline']})   timeouts: {o['timeouts']}",
+        f"peak queue: {o['peak_queue']}/{o['queue_limit']} "
+        f"(bounded: {'yes' if o['peak_queue'] <= o['queue_limit'] else 'NO'})   "
+        f"p99 of survivors: {o['p99'] * 1e3:.1f}ms",
+        "",
+        "-- phase C: result cache on vs off (browse mix, below "
+        "saturation)",
+        f"cache on : {on['completed_per_sec']:>8.1f}/s   "
+        f"p50 {on['p50'] * 1e3:>6.1f}ms   "
+        f"p99 {on['p99'] * 1e3:>6.1f}ms   "
+        f"hit ratio {on['cache_hit_ratio']:.1%} "
+        f"({on['cache_hits']} hits)",
+        f"cache off: {off['completed_per_sec']:>8.1f}/s   "
+        f"p50 {off['p50'] * 1e3:>6.1f}ms   "
+        f"p99 {off['p99'] * 1e3:>6.1f}ms",
+        f"p50 speedup from caching: {speedup:.2f}x",
+    ])
     return "\n".join(lines)
 
 
-def write_service_telemetry(result: ServiceResult, out_dir: str) -> str:
-    """Write the J-X6 telemetry artifact (same envelope family as
-    ``jackpine run --telemetry``); returns the path."""
-    import json
-    import os
+# ---------------------------------------------------------------------------
+# the registry
+# ---------------------------------------------------------------------------
 
-    from repro.obs.telemetry import SCHEMA
 
-    records = [
-        dict(point, query_id=f"jx6.saturation_{i}", engine=result.profile,
-             suite="service", supported=True)
-        for i, point in enumerate(result.saturation)
-    ]
-    for name, point in (("overload", result.overload),
-                        ("cache_on", result.cache_on),
-                        ("cache_off", result.cache_off)):
-        if point:
-            records.append(dict(
-                point, query_id=f"jx6.{name}", engine=result.profile,
-                suite="service", supported=True,
-            ))
-    document = {
+@dataclass(frozen=True)
+class Experiment:
+    title: str
+    #: ``run(**options)`` -> a result; see :attr:`options`
+    run: Callable[..., Any]
+    #: result -> the table, without the title line (see :func:`render`)
+    render: Callable[[Any], str]
+    #: result -> one telemetry record per cell or point
+    records: Callable[[Any], List[Dict[str, Any]]]
+    #: the ``jackpine experiment`` options ``run`` takes
+    options: Tuple[str, ...] = ("seed", "scale")
+
+
+def _matrix(title: str, matrix: Matrix,
+            options: Tuple[str, ...] = ("seed", "scale")) -> Experiment:
+    return Experiment(
+        title, functools.partial(run_matrix, matrix), render_matrix,
+        matrix_records, options,
+    )
+
+
+EXPERIMENTS: Dict[str, Experiment] = {
+    "jf5": _matrix(
+        "J-F5: effect of the spatial index (greenwood)",
+        Matrix(
+            INDEX_EFFECT_QUERIES, ("indexed", "no index"),
+            lambda v, dataset: _loaded(
+                "greenwood", dataset(), create_indexes=v == "indexed"
+            ),
+            agree=True, speedup=True,
+        ),
+    ),
+    "jf6": _matrix(
+        "J-F6: scalability with dataset size (greenwood, columns are "
+        "dataset scales)",
+        Matrix(
+            SCALABILITY_QUERIES, (0.1, 0.25, 0.5, 1.0),
+            lambda v, dataset: _loaded("greenwood", dataset(v)),
+        ),
+        options=("seed",),
+    ),
+    "ja1": _matrix(
+        "J-A1: exact refinement vs MBR-only (time | answer)",
+        Matrix(REFINEMENT_QUERIES, ENGINES, _per_engine),
+    ),
+    "ja2": _matrix(
+        "J-A2: index structures (greenwood, exact answers identical)",
+        Matrix(INDEX_ABLATION_QUERIES, INDEX_ABLATION_KINDS, _indexed_with,
+               agree=True),
+        options=("seed", "scale", "distribution"),
+    ),
+    "jx1": _matrix(
+        "J-X1 (extension): window-selectivity sweep over edges "
+        "(time | rows)",
+        Matrix(SELECTIVITY_QUERIES, ENGINES, _per_engine,
+               counter="index_candidates"),
+    ),
+    "jx2": Experiment(
+        "J-X2 (extension): concurrent clients", run_concurrency,
+        render_concurrency, sweep_records, ("seed", "scale", "waits"),
+    ),
+    "jx3": _matrix(
+        "J-X3 (extension): spatial join strategies on greenwood "
+        "(medians of 3 runs)",
+        Matrix(dict(JOIN_MATRIX), JOIN_STRATEGY_SERIES, _join_forced,
+               agree=True),
+    ),
+    "jx4": Experiment(
+        "J-X4 (extension): mixed read/write workload", run_mixed_workload,
+        render_mixed_workload, sweep_records,
+        ("seed", "scale", "duration", "waits"),
+    ),
+    "jx5": Experiment(
+        "J-X5 (extension): crash recovery", run_recovery, render_recovery,
+        sweep_records,
+    ),
+    "jx6": Experiment(
+        "J-X6 (extension): query service saturation, overload and cache",
+        run_service, render_service, sweep_records,
+        ("seed", "scale", "duration"),
+    ),
+}
+
+
+def render(key: str, result: Any) -> str:
+    """The printed form of one experiment's result: title line + table."""
+    entry = EXPERIMENTS[key]
+    return f"== {entry.title} [{key}] ==\n{entry.render(result)}"
+
+
+def document(key: str, result: Any, config: Dict[str, Any]) -> Dict[str, Any]:
+    """The telemetry document of one experiment run with ``config``."""
+    return {
         "schema": SCHEMA,
-        "engine": result.profile,
-        "config": {
-            "seed": result.seed,
-            "scale": result.scale,
-            "clients": result.clients,
-            "pool_size": result.pool_size,
-            "max_queue": result.max_queue,
-            "deadline": result.deadline,
-        },
-        "totals": {
-            "saturation_ops_per_sec": result.saturation_ops,
-            "overload_shed": result.overload.get("shed", 0),
-            "cache_hit_ratio": result.cache_on.get("cache_hit_ratio", 0.0),
-        },
-        "records": records,
+        "experiment": key,
+        "title": EXPERIMENTS[key].title,
+        "config": dict(config),
+        "records": [
+            {"supported": True, **record, "suite": "experiment",
+             "query_id": f"{key}.{record['query_id']}"}
+            for record in EXPERIMENTS[key].records(result)
+        ],
     }
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"service_{result.profile}.json")
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path

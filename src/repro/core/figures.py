@@ -125,71 +125,3 @@ def export_all(result: BenchmarkResult, out_dir: str) -> List[str]:
         written.append(loading_path)
     return written
 
-
-# -- experiment result exporters ------------------------------------------------
-
-
-def export_index_effect(result, out_dir: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "jf5_index_effect.csv")
-    _write(
-        path,
-        ["query", "indexed_s", "unindexed_s", "speedup", "answer"],
-        [
-            [name, f"{w:.9f}", f"{wo:.9f}",
-             f"{(wo / w) if w else float('inf'):.3f}", answer]
-            for name, w, wo, answer in result.rows
-        ],
-    )
-    return path
-
-
-def export_scalability(result, out_dir: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "jf6_scalability.csv")
-    rows = []
-    for name, points in result.series.items():
-        for scale, seconds, answer in points:
-            rows.append([name, scale, f"{seconds:.9f}", answer])
-    _write(path, ["query", "scale", "seconds", "answer"], rows)
-    return path
-
-
-def export_refinement(result, out_dir: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "ja1_refinement.csv")
-    rows = []
-    for name, per_engine in result.rows:
-        for engine, (seconds, answer) in per_engine.items():
-            rows.append([name, engine, f"{seconds:.9f}", answer])
-    _write(path, ["query", "engine", "seconds", "answer"], rows)
-    return path
-
-
-def export_index_ablation(result, out_dir: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "ja2_index_structures.csv")
-    rows = []
-    for name, per_kind in result.rows:
-        for kind, (seconds, answer) in per_kind.items():
-            rows.append([name, kind, f"{seconds:.9f}", answer])
-    _write(path, ["query", "index_kind", "seconds", "answer"], rows)
-    return path
-
-
-def export_selectivity(result, out_dir: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "jx1_selectivity.csv")
-    rows = []
-    for engine, points in result.series.items():
-        for fraction, seconds, answer, candidates in points:
-            rows.append(
-                [engine, fraction, f"{seconds:.9f}", answer, candidates]
-            )
-    _write(
-        path,
-        ["engine", "window_fraction", "seconds", "result_rows",
-         "index_candidates"],
-        rows,
-    )
-    return path

@@ -195,29 +195,6 @@ def render_macro_details(result: BenchmarkResult) -> str:
     return "\n\n".join(sections)
 
 
-def render_spatial_join_table(result) -> str:
-    """J-X3 extension table: topology joins × forced join strategies.
-
-    Takes a :class:`repro.core.experiments.SpatialJoinResult` (duck-typed
-    to keep this module free of experiment imports): joins down the side,
-    join algorithms across the top, identical answers in the last column.
-    """
-    headers = ["join"] + list(result.strategies) + ["rows"]
-    rows = []
-    for label, cells in result.rows:
-        answer = next(iter(cells.values()))[1]
-        rows.append(
-            [label]
-            + [_fmt_time(cells[s][0]) for s in result.strategies]
-            + [str(answer)]
-        )
-    return (
-        f"== J-X3 (extension): spatial join strategies on {result.engine} ==\n"
-        "(same answers by construction; times are medians of 3 runs)\n"
-        + _table(headers, rows)
-    )
-
-
 def render_full(result: BenchmarkResult) -> str:
     """The complete report, all artifacts concatenated."""
     sections = [

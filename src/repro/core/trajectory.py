@@ -84,8 +84,7 @@ def collect_record(
         scale=scale, duration=duration,
     )
     abort_rates = {
-        str(clients): abort_rate
-        for clients, _w, _o, _q, _c, _a, _r, abort_rate in mixed.points
+        str(point["clients"]): point["abort_rate"] for point in mixed.points
     }
     return {
         "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),

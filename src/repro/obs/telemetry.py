@@ -131,9 +131,20 @@ def run_document(result) -> Dict[str, Any]:
     }
 
 
+def write_document(document: Dict[str, Any], out_dir: str, name: str) -> str:
+    """Write one telemetry document as ``out_dir/name``; returns the path.
+    Every telemetry file (suites, workloads, experiments) goes through
+    here."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(document, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    return path
+
+
 def write_artifacts(result, out_dir: str) -> List[str]:
     """Write one ``telemetry_<engine>.json`` per engine; returns paths."""
-    os.makedirs(out_dir, exist_ok=True)
     document = run_document(result)
     paths: List[str] = []
     for engine in result.engines():
@@ -142,11 +153,9 @@ def write_artifacts(result, out_dir: str) -> List[str]:
         engine_doc["records"] = [
             r for r in document["records"] if r["engine"] == engine
         ]
-        path = os.path.join(out_dir, f"telemetry_{engine}.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(engine_doc, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        paths.append(path)
+        paths.append(
+            write_document(engine_doc, out_dir, f"telemetry_{engine}.json")
+        )
     return paths
 
 

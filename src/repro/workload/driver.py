@@ -39,7 +39,7 @@ from repro.engines import Database
 from repro.errors import ReproError, SerializationError
 from repro.obs.ash import AshSampler
 from repro.obs.metrics import Histogram
-from repro.obs.telemetry import SCHEMA
+from repro.obs.telemetry import SCHEMA, write_document
 from repro.obs.waits import (
     CLIENT_BACKOFF,
     CLIENT_RETRY,
@@ -696,15 +696,7 @@ def render_workload(report: WorkloadReport) -> str:
 def write_workload_telemetry(report: WorkloadReport, out_dir: str) -> str:
     """Write ``telemetry_<engine>.json`` (same schema family as
     ``jackpine run --telemetry``); returns the path."""
-    import json
-    import os
-
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(
-        out_dir, f"telemetry_{report.config.engine}.json"
+    return write_document(
+        report.telemetry_document(), out_dir,
+        f"telemetry_{report.config.engine}.json",
     )
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report.telemetry_document(), handle, indent=2,
-                  sort_keys=True)
-        handle.write("\n")
-    return path

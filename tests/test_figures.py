@@ -6,7 +6,6 @@ import os
 import pytest
 
 from repro.core import BenchmarkConfig, Jackpine
-from repro.core import experiments as exp
 from repro.core import figures
 
 
@@ -77,32 +76,6 @@ class TestBenchmarkExport:
         for r in rows:
             assert int(r["rows"]) >= 0
             assert float(r["insert_s"]) > 0
-
-
-class TestExperimentExport:
-    def test_index_effect_csv(self, tmp_path):
-        result = exp.run_index_effect(seed=42, scale=0.1)
-        path = figures.export_index_effect(result, str(tmp_path))
-        rows = _read(path)
-        assert {r["query"] for r in rows} == set(exp.INDEX_EFFECT_QUERIES)
-        for r in rows:
-            assert float(r["speedup"]) > 0
-
-    def test_selectivity_csv(self, tmp_path):
-        result = exp.run_selectivity_sweep(
-            seed=42, scale=0.1, fractions=(0.1, 1.0)
-        )
-        path = figures.export_selectivity(result, str(tmp_path))
-        rows = _read(path)
-        assert len(rows) == 2 * 3  # fractions x engines
-
-    def test_refinement_csv(self, tmp_path):
-        result = exp.run_refinement_ablation(seed=42, scale=0.1)
-        path = figures.export_refinement(result, str(tmp_path))
-        rows = _read(path)
-        assert {r["engine"] for r in rows} == {
-            "greenwood", "bluestem", "ironbark",
-        }
 
 
 class TestCliOut:

@@ -47,6 +47,18 @@ def fresh_recorder():
     RECORDER.disable()
 
 
+def _recorded(trace_id, timeout=2.0):
+    """The flight-recorder record for ``trace_id``. The server files it
+    after the reply is on the wire, so a client holding the reply may
+    look before it lands: poll until it does (None after ``timeout``)."""
+    deadline = time.monotonic() + timeout
+    while True:
+        record = RECORDER.lookup(trace_id)
+        if record is not None or time.monotonic() >= deadline:
+            return record
+        time.sleep(0.005)
+
+
 def _traced_server(database, **overrides):
     config = dict(pool_size=2, trace=True, trace_slow_ms=0.0)
     config.update(overrides)
@@ -227,7 +239,7 @@ def test_one_request_yields_one_linked_tree(database, fresh_recorder):
         finally:
             client.close()
         assert result.trace_id is not None
-        record = RECORDER.lookup(result.trace_id)
+        record = _recorded(result.trace_id)
         assert record is not None and record.retained
         # client span -> service.request -> lifecycle stages, in order
         root = record.root
@@ -312,7 +324,7 @@ def test_chrome_trace_merges_client_and_server_tracks(database,
             result = client.execute("SELECT COUNT(*) FROM counties")
         finally:
             client.close()
-    record = RECORDER.lookup(result.trace_id)
+    record = _recorded(result.trace_id)
     doc = chrome_trace(record)
     events = [e for e in doc["traceEvents"] if e["ph"] == "X"]
     pids = {e["pid"] for e in events}
@@ -343,6 +355,7 @@ def test_trace_cli_dumps_chrome_file(database, fresh_recorder, tmp_path,
         finally:
             client.close()
     out = str(tmp_path / "req.trace.json")
+    assert _recorded(result.trace_id) is not None
     assert main(["trace", result.trace_id, "-o", out]) == 0
     doc = json.loads(open(out).read())
     assert doc["otherData"]["trace_id"] == result.trace_id
@@ -373,11 +386,11 @@ def test_cache_hit_and_stale_statuses_reach_records(database,
             third = client.execute("SELECT COUNT(*) FROM trace_probe")
         finally:
             client.close()
-    assert RECORDER.lookup(first.trace_id).cache_status == "miss"
-    hit = RECORDER.lookup(second.trace_id)
+    assert _recorded(first.trace_id).cache_status == "miss"
+    hit = _recorded(second.trace_id)
     assert hit.cache_status == "hit"
     assert second.cached
-    stale = RECORDER.lookup(third.trace_id)
+    stale = _recorded(third.trace_id)
     assert stale.cache_status == "stale"
     assert stale.retained, "stale-adjacent requests are tail-sampled"
 
@@ -398,7 +411,7 @@ def test_contextless_old_client_still_works_and_is_traced(database,
         # the wire request carried no trace field; the server minted a
         # context so the request is still diagnosable server-side
         assert result.trace_id is not None
-        record = RECORDER.lookup(result.trace_id)
+        record = _recorded(result.trace_id)
         assert record is not None
         assert record.sent_at is None
         assert record.root.op == "service.request"  # no client span
@@ -471,7 +484,7 @@ def test_trace_trees_complete_under_16_concurrent_clients(database,
     assert len(results) == 16
     for slot, mine in results.items():
         for trace_id, sql in mine:
-            record = RECORDER.lookup(trace_id)
+            record = _recorded(trace_id)
             assert record is not None, f"client {slot} lost {trace_id}"
             # no cross-thread contamination: the record's sql is the one
             # this client sent under this trace id
@@ -556,7 +569,7 @@ def test_recorder_reset_and_stop_preserve_readability(database,
         client.close()
         server.stop()
     # records survive the server that produced them (post-mortem reads)
-    assert RECORDER.lookup(result.trace_id) is not None
+    assert _recorded(result.trace_id) is not None
     assert not RECORDER.enabled
 
 
