@@ -37,7 +37,10 @@ def _run_plan_directly(db, sql):
         db._plan_cache[sql] = cached
     plan, _names = cached
     ctx = ExecContext((), db.profile, db.registry, db.catalog, db.stats)
-    return [row["__out__"] for row in plan.rows(ctx)]
+    rows = []
+    for batch in plan.batches(ctx):
+        rows.extend(batch.columns["__out__"])
+    return rows
 
 
 def _median_seconds(calls, after=None):

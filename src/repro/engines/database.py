@@ -21,6 +21,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
+from itertools import compress
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.engines.profiles import EngineProfile, get_profile
@@ -42,7 +43,15 @@ from repro.index.base import SpatialIndex
 from repro.obs import Observability, Trace
 from repro.obs.waits import WAITS, summary_delta
 from repro.sql import ast
-from repro.sql.executor import Compiler, ExecContext, Scope, SpanNode, Stats
+from repro.sql.compiler import Compiler, Scope
+from repro.sql.executor import (
+    BATCH_SIZE,
+    Batch,
+    ExecContext,
+    SpanNode,
+    Stats,
+    scalar,
+)
 from repro.sql.functions import FunctionRegistry
 from repro.sql.parser import parse
 from repro.sql.planner import Planner, is_txn_control
@@ -50,6 +59,10 @@ from repro.storage.catalog import Catalog, IndexEntry
 from repro.storage.table import Column, ColumnType, Table
 from repro.txn import ACTIVE, Session, TxnManager, Transaction
 from repro.txn.locks import SharedExclusiveLock
+
+
+#: statements that change rows, never the schema or the statistics
+_DML = (ast.Insert, ast.Delete, ast.Update)
 
 
 class ResultSet:
@@ -370,9 +383,12 @@ class Database:
                                 names, self._collect(plan, ctx)
                             )
                         else:
-                            # may change schema or data layout: flush plans
-                            with self._cache_lock:
-                                self._plan_cache.clear()
+                            if not isinstance(statement, _DML):
+                                # DDL and ANALYZE change what a plan may
+                                # assume; a plan never caches data, so
+                                # it survives INSERT/UPDATE/DELETE
+                                with self._cache_lock:
+                                    self._plan_cache.clear()
                             result = self._dispatch_statement(
                                 statement, params, guard, session, shard
                             )
@@ -476,11 +492,14 @@ class Database:
 
     def _collect(self, plan, ctx: ExecContext) -> List[tuple]:
         """Drain a SELECT plan, counting guardrail trips on the way out."""
+        rows: List[tuple] = []
         try:
-            return [row["__out__"] for row in plan.rows(ctx)]
+            for batch in plan.batches(ctx):
+                rows.extend(batch.columns["__out__"])
         except GuardrailError as exc:
             self._record_guard_trip(exc)
             raise
+        return rows
 
     def _record_guard_trip(self, exc: GuardrailError) -> None:
         metrics = self.obs.metrics
@@ -507,7 +526,7 @@ class Database:
         session: Session,
         shard: Stats,
     ) -> ResultSet:
-        if isinstance(statement, (ast.Insert, ast.Delete, ast.Update)):
+        if isinstance(statement, _DML):
             return self._run_dml(statement, params, guard, session, shard)
         if isinstance(statement, ast.CreateTable):
             return self._run_create_table(statement)
@@ -745,7 +764,7 @@ class Database:
                 )
             values: List[Any] = [None] * len(table.columns)
             for position, expr in zip(positions, row_exprs):
-                values[position] = compiler.compile(expr)({}, ctx)
+                values[position] = scalar(compiler.compile(expr), ctx)
             pending.append(values)
         # a row that fails its type check rolls the statement back
         return ResultSet([], [], self._insert_run(table, pending, txn))
@@ -847,12 +866,13 @@ class Database:
                 stmt.where
             )
         doomed: List[int] = []
-        guard = ctx.guard
-        for row_id, row in table.scan(ctx.snapshot):
-            if guard is not None:
-                guard.tick()
-            if predicate is None or predicate({table.name: row}, ctx) is True:
-                doomed.append(row_id)
+        for row_ids, batch in _scan_batches(table, ctx):
+            if predicate is None:
+                doomed.extend(row_ids)
+            else:
+                doomed.extend(compress(row_ids, [
+                    verdict is True for verdict in predicate(batch, ctx)
+                ]))
         # MVCC delete: stamp xmax and keep the version (and its index
         # entries) readable for older snapshots until vacuum
         for row_id in doomed:
@@ -884,17 +904,18 @@ class Database:
         ]
         # two-phase for statement atomicity: evaluate first, apply after
         pending: List[Tuple[int, list]] = []
-        alias = table.name
-        guard = ctx.guard
-        for row_id, row in table.scan(ctx.snapshot):
-            if guard is not None:
-                guard.tick()
-            if predicate is not None and predicate({alias: row}, ctx) is not True:
+        for row_ids, batch in _scan_batches(table, ctx):
+            if predicate is not None:
+                keep = [verdict is True for verdict in predicate(batch, ctx)]
+                row_ids = list(compress(row_ids, keep))
+                batch = batch.select(keep)
+            if not row_ids:
                 continue
-            values = list(row)
+            updated = [list(row) for row in batch.columns[table.name]]
             for position, value_fn in assignments:
-                values[position] = value_fn({alias: row}, ctx)
-            pending.append((row_id, values))
+                for values, value in zip(updated, value_fn(batch, ctx)):
+                    values[position] = value
+            pending.extend(zip(row_ids, updated))
         # MVCC update = insert the new version + delete-stamp the old
         # one; probes filter the superseded version by visibility
         for row_id, values in pending:
@@ -962,3 +983,23 @@ class Database:
             raise SqlPlanError(f"unknown index kind {kind!r}")
         options = dict(self.profile.index_options)
         return cls.bulk_load(items, **options)
+
+
+def _scan_batches(table: Table, ctx: ExecContext):
+    """``(row ids, batch)`` over the rows of ``table`` visible to ``ctx``'s
+    snapshot, for DELETE and UPDATE; the batch's alias is the table name."""
+    guard = ctx.guard
+    row_ids: List[int] = []
+    rows: List[tuple] = []
+    for row_id, row in table.scan(ctx.snapshot):
+        row_ids.append(row_id)
+        rows.append(row)
+        if len(rows) == BATCH_SIZE:
+            if guard is not None:
+                guard.tick(len(rows))
+            yield row_ids, Batch({table.name: rows}, len(rows))
+            row_ids, rows = [], []
+    if rows:
+        if guard is not None:
+            guard.tick(len(rows))
+        yield row_ids, Batch({table.name: rows}, len(rows))

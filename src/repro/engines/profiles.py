@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Optional
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence
 
 from repro.algorithms import de9im
 from repro.errors import TopologyError, UnsupportedFeatureError
@@ -39,36 +39,73 @@ from repro.faults import FAULTS
 from repro.geometry.base import Envelope, Geometry
 from repro.obs.waits import CPU_REFINE, WAITS
 
+
 def _mbr_touches(a: Envelope, b: Envelope) -> bool:
-    """Envelope touch: boxes intersect but their interiors do not."""
-    if not a.intersects(b):
-        return False
-    interiors_overlap = (
-        a.min_x < b.max_x
-        and b.min_x < a.max_x
-        and a.min_y < b.max_y
-        and b.min_y < a.max_y
+    """Envelope touch: the boxes intersect but their interiors do not,
+    that is, they meet where an edge of one lies on an edge of the other."""
+    return (
+        a.min_x <= b.max_x and b.min_x <= a.max_x
+        and a.min_y <= b.max_y and b.min_y <= a.max_y
+        and (
+            a.min_x == b.max_x or b.min_x == a.max_x
+            or a.min_y == b.max_y or b.min_y == a.max_y
+        )
     )
-    return not interiors_overlap
+
+
+def _mbr_overlaps(a: Envelope, b: Envelope) -> bool:
+    """The boxes intersect and neither contains the other."""
+    return (
+        a.min_x <= b.max_x and b.min_x <= a.max_x
+        and a.min_y <= b.max_y and b.min_y <= a.max_y
+        and not (
+            a.min_x <= b.min_x and b.max_x <= a.max_x
+            and a.min_y <= b.min_y and b.max_y <= a.max_y
+        )
+        and not (
+            b.min_x <= a.min_x and a.max_x <= b.max_x
+            and b.min_y <= a.min_y and a.max_y <= b.max_y
+        )
+    )
+
+
+def _mbr_within(a: Envelope, b: Envelope) -> bool:
+    return b.contains(a)
+
+
+def _mbr_disjoint(a: Envelope, b: Envelope) -> bool:
+    return not a.intersects(b)
+
+
+#: The one MBR table: every topological predicate answered on bounding
+#: boxes alone. It is the whole verdict of the MBR-only profile, the
+#: degraded verdict of the exact profiles when refinement fails, and the
+#: test the spatial joins fuse into their candidate loops.
+MBR_TESTS: Dict[str, Callable[[Envelope, Envelope], bool]] = {
+    "st_equals": Envelope.__eq__,
+    "st_disjoint": _mbr_disjoint,
+    "st_intersects": Envelope.intersects,
+    "st_touches": _mbr_touches,
+    "st_within": _mbr_within,
+    "st_coveredby": _mbr_within,
+    "st_contains": Envelope.contains,
+    "st_covers": Envelope.contains,
+    "st_overlaps": _mbr_overlaps,
+    "st_crosses": _mbr_overlaps,
+}
+
+#: ``p(a, b) == p'(b, a)`` for ``p' = CONVERSE[p]``; the predicates not
+#: listed are symmetric
+CONVERSE = {
+    "st_within": "st_contains",
+    "st_contains": "st_within",
+    "st_coveredby": "st_covers",
+    "st_covers": "st_coveredby",
+}
 
 
 def _mbr_predicate(name: str, ga: Geometry, gb: Geometry) -> bool:
-    a, b = ga.envelope, gb.envelope
-    if name == "st_equals":
-        return a == b
-    if name == "st_disjoint":
-        return not a.intersects(b)
-    if name == "st_intersects":
-        return a.intersects(b)
-    if name == "st_touches":
-        return _mbr_touches(a, b)
-    if name in ("st_within", "st_coveredby"):
-        return b.contains(a)
-    if name in ("st_contains", "st_covers"):
-        return a.contains(b)
-    if name in ("st_overlaps", "st_crosses"):
-        return a.intersects(b) and not a.contains(b) and not b.contains(a)
-    raise UnsupportedFeatureError(f"MBR semantics undefined for {name}")
+    return EngineProfile.envelope_test(name)(ga.envelope, gb.envelope)
 
 
 @dataclass(frozen=True)
@@ -107,27 +144,68 @@ class EngineProfile:
             name[3:], ga, gb, every_cell=self.predicate_mode == "matrix"
         )
 
-    def refine_predicate(
-        self, name: str, ga: Geometry, gb: Geometry, stats=None
-    ) -> bool:
-        """:meth:`evaluate_predicate` with graceful degradation.
+    @staticmethod
+    def envelope_test(
+        name: str, swapped: bool = False
+    ) -> Callable[[Envelope, Envelope], bool]:
+        """``name``'s entry in the one MBR table (:data:`MBR_TESTS`);
+        ``swapped`` when the envelopes come in reverse argument order."""
+        if swapped:
+            name = CONVERSE.get(name, name)
+        try:
+            return MBR_TESTS[name]
+        except KeyError:
+            raise UnsupportedFeatureError(f"MBR semantics undefined for {name}")
+
+    def join_filter(
+        self, name: str, swapped: bool = False
+    ) -> Optional[Callable[[Envelope, Envelope], bool]]:
+        """The test a spatial join fuses into its candidate loop for
+        predicate ``name``: the whole verdict on the MBR-only profile, so a
+        rejected pair never becomes a row; ``None`` on exact profiles,
+        where only the traversal's own envelope intersection is fused and
+        :meth:`refine` decides the surviving pairs."""
+        if self.exact:
+            return None
+        test = self.envelope_test(name, swapped)
+        # every candidate pair already passed this one
+        return None if test is Envelope.intersects else test
+
+    def refine(
+        self,
+        name: str,
+        firsts: Sequence[Optional[Geometry]],
+        seconds: Sequence[Optional[Geometry]],
+        stats=None,
+    ) -> List[Optional[bool]]:
+        """``name(firsts[i], seconds[i])`` for each pair of the parallel
+        lists, NULL where either side is NULL: :meth:`evaluate_predicate`
+        with graceful degradation.
 
         When exact refinement raises :class:`TopologyError` and the
-        profile allows it, answer with the (superset) MBR verdict and
-        count a degraded result on ``stats`` — mirroring how the paper's
-        engines differ in what they do with numerically hostile input.
+        profile allows it, the pair is answered with the (superset) MBR
+        verdict and a degraded result is counted on ``stats`` — mirroring
+        how the paper's engines differ in what they do with numerically
+        hostile input.
         """
         if WAITS.enabled:
             # attribute refinement as on-CPU time (CPU:Refine); one bool
             # check when the monitor is off, matching the FAULTS contract
             started = time.perf_counter()
             try:
-                return self._refine_fallback(name, ga, gb, stats)
+                return self._refine_all(name, firsts, seconds, stats)
             finally:
                 WAITS.record(CPU_REFINE, time.perf_counter() - started)
-        return self._refine_fallback(name, ga, gb, stats)
+        return self._refine_all(name, firsts, seconds, stats)
 
-    def _refine_fallback(self, name, ga, gb, stats=None) -> bool:
+    def _refine_all(self, name, firsts, seconds, stats):
+        refine_one = self._refine_one
+        return [
+            None if a is None or b is None else refine_one(name, a, b, stats)
+            for a, b in zip(firsts, seconds)
+        ]
+
+    def _refine_one(self, name, ga, gb, stats) -> bool:
         try:
             return self.evaluate_predicate(name, ga, gb)
         except TopologyError:

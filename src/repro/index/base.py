@@ -9,9 +9,12 @@ profile system (R-tree for ``greenwood``/``bluestem``, quadtree for
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.geometry.base import Envelope
+
+#: candidate pairs a batched join examines between two yields
+JOIN_BATCH = 1024
 
 
 class SpatialIndex:
@@ -57,19 +60,48 @@ class SpatialIndex:
         raise NotImplementedError
 
     def join(self, other: "SpatialIndex") -> Iterator[Tuple[int, int]]:
-        """All ``(self_id, other_id)`` pairs with intersecting envelopes.
+        """All ``(self_id, other_id)`` pairs with intersecting envelopes
+        (a self-join yields both orientations of every pair plus each
+        ``(x, x)``, matching nested-loop join semantics)."""
+        for ids, other_ids, _candidates in self.join_batches(other):
+            yield from zip(ids, other_ids)
+
+    def join_batches(
+        self,
+        other: "SpatialIndex",
+        test: Optional[Callable[[Envelope, Envelope], bool]] = None,
+    ) -> Iterator[Tuple[List[int], List[int], int]]:
+        """The envelope join in batches: ``(ids, other_ids, candidates)``.
+
+        ``candidates`` counts the pairs with intersecting envelopes
+        examined since the previous batch; the two parallel id lists hold
+        those that ``test(own_env, other_env)`` also accepts (all of them
+        without a test). A batch is yielded every :data:`JOIN_BATCH`
+        candidates or so, accepted or not, so a consumer regains control
+        at a steady rate even when the test rejects nearly everything.
 
         The generic implementation probes ``other`` once per own entry;
         tree indexes override it with a synchronized traversal that
         descends both structures at once and prunes non-intersecting
-        node pairs. A self-join (``index.join(index)``) yields both
-        orientations of every pair plus each ``(x, x)``, matching
-        nested-loop join semantics.
+        node pairs.
         """
         search = other.search
+        envelope_of = dict(other.items()) if test is not None else None
+        ids: List[int] = []
+        other_ids: List[int] = []
+        candidates = 0
         for item_id, env in self.items():
-            for other_id in search(env):
-                yield item_id, other_id
+            hits = search(env)
+            candidates += len(hits)
+            if envelope_of is not None:
+                hits = [h for h in hits if test(env, envelope_of[h])]
+            ids.extend([item_id] * len(hits))
+            other_ids.extend(hits)
+            if candidates >= JOIN_BATCH:
+                yield ids, other_ids, candidates
+                ids, other_ids, candidates = [], [], 0
+        if candidates:
+            yield ids, other_ids, candidates
 
     def __len__(self) -> int:
         raise NotImplementedError

@@ -14,7 +14,7 @@ import heapq
 from typing import Iterable, List, Optional, Tuple
 
 from repro.geometry.base import Envelope
-from repro.index.base import SpatialIndex
+from repro.index.base import JOIN_BATCH, SpatialIndex
 
 
 class _QNode:
@@ -169,20 +169,46 @@ class QuadTree(SpatialIndex):
             if node.children is not None:
                 stack.extend(node.children)
 
-    def join(self, other):
+    def join_batches(self, other, test=None):
         """Synchronized quadtree traversal join.
 
         Walks both trees in lockstep over node *pairs* whose bounds
         intersect. Because quadtrees keep straddling items at inner
         nodes, each pair job also schedules "these local items against
         that whole subtree" sweeps so no item level is missed; every
-        candidate pair is produced exactly once.
+        candidate pair is examined exactly once, and ``test`` applied to
+        it where it is found.
         """
         if not isinstance(other, QuadTree):
-            yield from super().join(other)
+            yield from super().join_batches(other, test)
             return
         if self._root is None or other._root is None:
             return
+        ids: List[int] = []
+        other_ids: List[int] = []
+        candidates = 0
+
+        def examine(outer, inner, outer_is_other):
+            # scans outer x inner in that order; outer holds other's items
+            # when outer_is_other
+            nonlocal candidates
+            for io, eo in outer:
+                for ii, ei in inner:
+                    if (
+                        ei.min_x <= eo.max_x
+                        and eo.min_x <= ei.max_x
+                        and ei.min_y <= eo.max_y
+                        and eo.min_y <= ei.max_y
+                    ):
+                        candidates += 1
+                        if outer_is_other:
+                            own, env, theirs, their_env = ii, ei, io, eo
+                        else:
+                            own, env, theirs, their_env = io, eo, ii, ei
+                        if test is None or test(env, their_env):
+                            ids.append(own)
+                            other_ids.append(theirs)
+
         pair_jobs = [(self._root, other._root)]
         # (items, node, flipped): items from one tree vs a subtree of the
         # other; flipped=True when the items belong to ``other``
@@ -191,15 +217,10 @@ class QuadTree(SpatialIndex):
             na, nb = pair_jobs.pop()
             if not na.bounds.intersects(nb.bounds):
                 continue
-            for ia, ea in na.items:
-                for ib, eb in nb.items:
-                    if (
-                        eb.min_x <= ea.max_x
-                        and ea.min_x <= eb.max_x
-                        and eb.min_y <= ea.max_y
-                        and ea.min_y <= eb.max_y
-                    ):
-                        yield ia, ib
+            examine(na.items, nb.items, False)
+            if candidates >= JOIN_BATCH:
+                yield ids, other_ids, candidates
+                ids, other_ids, candidates = [], [], 0
             if nb.children is not None and na.items:
                 for child in nb.children:
                     sweep_jobs.append((na.items, child, False))
@@ -218,18 +239,15 @@ class QuadTree(SpatialIndex):
             ]
             if not live:
                 continue
-            for ib, eb in node.items:
-                for ia, ea in live:
-                    if (
-                        eb.min_x <= ea.max_x
-                        and ea.min_x <= eb.max_x
-                        and eb.min_y <= ea.max_y
-                        and ea.min_y <= eb.max_y
-                    ):
-                        yield (ib, ia) if flipped else (ia, ib)
+            examine(node.items, live, not flipped)
+            if candidates >= JOIN_BATCH:
+                yield ids, other_ids, candidates
+                ids, other_ids, candidates = [], [], 0
             if node.children is not None:
                 for child in node.children:
                     sweep_jobs.append((live, child, flipped))
+        if candidates:
+            yield ids, other_ids, candidates
 
     def nearest(self, x: float, y: float, k: int = 1) -> List[int]:
         result: List[int] = []

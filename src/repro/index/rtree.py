@@ -14,7 +14,7 @@ import math
 from typing import Iterable, List, Optional, Tuple
 
 from repro.geometry.base import Envelope
-from repro.index.base import SpatialIndex
+from repro.index.base import JOIN_BATCH, SpatialIndex
 
 
 class _Node:
@@ -223,61 +223,84 @@ class RTree(SpatialIndex):
             else:
                 stack.extend(child for child, _env in node.entries)
 
-    def join(self, other):
+    def join_batches(self, other, test=None):
         """Synchronized traversal join: descend both trees at once.
 
         Maintains a stack of node pairs whose envelopes intersect; a
-        leaf x leaf pair emits its intersecting entry pairs, an inner
-        node is expanded only against the entries of its partner that
-        its partner's envelope admits. This visits each candidate pair
-        once instead of re-descending the inner tree per outer row.
+        leaf x leaf pair examines its intersecting entry pairs — and
+        applies ``test`` to them right there, so a rejected pair costs one
+        call — while an inner node is expanded only against the entries of
+        its partner that its partner's envelope admits. This visits each
+        candidate pair once instead of re-descending the inner tree per
+        outer row.
         """
         if not isinstance(other, RTree):
-            yield from super().join(other)
+            yield from super().join_batches(other, test)
             return
         root_a, root_b = self.root, other.root
         if root_a.envelope is None or root_b.envelope is None:
             return
         if not root_a.envelope.intersects(root_b.envelope):
             return
+        ids: List[int] = []
+        other_ids: List[int] = []
+        candidates = 0
         stack = [(root_a, root_b)]
         while stack:
             na, nb = stack.pop()
             if na.leaf and nb.leaf:
-                for ia, ea in na.entries:
-                    ea_min_x = ea.min_x
-                    ea_min_y = ea.min_y
-                    ea_max_x = ea.max_x
-                    ea_max_y = ea.max_y
-                    for ib, eb in nb.entries:
+                # search-space restriction: only entries that reach into
+                # the partner node's box can pair
+                box = na.envelope
+                x0, y0, x1, y1 = box.min_x, box.min_y, box.max_x, box.max_y
+                entries_b = [
+                    entry for entry in nb.entries
+                    if (eb := entry[1]).min_x <= x1 and x0 <= eb.max_x
+                    and eb.min_y <= y1 and y0 <= eb.max_y
+                ]
+                if not entries_b:
+                    continue
+                box = nb.envelope
+                x0, y0, x1, y1 = box.min_x, box.min_y, box.max_x, box.max_y
+                entries_a = [
+                    entry for entry in na.entries
+                    if (ea := entry[1]).min_x <= x1 and x0 <= ea.max_x
+                    and ea.min_y <= y1 and y0 <= ea.max_y
+                ]
+                for ia, ea in entries_a:
+                    x0, y0, x1, y1 = ea.min_x, ea.min_y, ea.max_x, ea.max_y
+                    for ib, eb in entries_b:
                         if (
-                            eb.min_x <= ea_max_x
-                            and ea_min_x <= eb.max_x
-                            and eb.min_y <= ea_max_y
-                            and ea_min_y <= eb.max_y
+                            eb.min_x <= x1 and x0 <= eb.max_x
+                            and eb.min_y <= y1 and y0 <= eb.max_y
                         ):
-                            yield ia, ib
-            elif na.leaf:
-                env_a = na.envelope
-                stack.extend(
-                    (na, child)
-                    for child, env in nb.entries
-                    if env.intersects(env_a)
-                )
-            elif nb.leaf or na.envelope.area >= nb.envelope.area:
-                env_b = nb.envelope
-                stack.extend(
-                    (child, nb)
-                    for child, env in na.entries
-                    if env.intersects(env_b)
-                )
+                            candidates += 1
+                            if test is None or test(ea, eb):
+                                ids.append(ia)
+                                other_ids.append(ib)
+                if candidates >= JOIN_BATCH:
+                    yield ids, other_ids, candidates
+                    ids, other_ids, candidates = [], [], 0
+            elif na.leaf or not (
+                nb.leaf or na.envelope.area >= nb.envelope.area
+            ):
+                box = na.envelope
+                x0, y0, x1, y1 = box.min_x, box.min_y, box.max_x, box.max_y
+                stack.extend([
+                    (na, child) for child, env in nb.entries
+                    if env.min_x <= x1 and x0 <= env.max_x
+                    and env.min_y <= y1 and y0 <= env.max_y
+                ])
             else:
-                env_a = na.envelope
-                stack.extend(
-                    (na, child)
-                    for child, env in nb.entries
-                    if env.intersects(env_a)
-                )
+                box = nb.envelope
+                x0, y0, x1, y1 = box.min_x, box.min_y, box.max_x, box.max_y
+                stack.extend([
+                    (child, nb) for child, env in na.entries
+                    if env.min_x <= x1 and x0 <= env.max_x
+                    and env.min_y <= y1 and y0 <= env.max_y
+                ])
+        if candidates:
+            yield ids, other_ids, candidates
 
     def nearest(self, x: float, y: float, k: int = 1) -> List[int]:
         """Best-first search over node envelopes (exact for envelopes)."""

@@ -94,7 +94,7 @@ WAIT_EVENTS: Dict[str, str] = {
     IO_WAL_FSYNC: "WriteAheadLog.sync — fsync of the log file (group commit)",
     IO_PAGE_READ: "DiskManager.read_page — reading a heap page from disk",
     IO_PAGE_WRITE: "DiskManager.write_page — writing a dirty heap page",
-    CPU_REFINE: "EngineProfile.refine_predicate — exact geometry refinement",
+    CPU_REFINE: "EngineProfile.refine — exact geometry refinement",
     CPU_INDEX_PROBE: "IndexScan / IndexNestedLoopJoin — spatial index search",
     CPU_SORT: "Sort operator — materialise + multi-key sort",
     CLIENT_RETRY: "workload driver — rolling back an aborted transaction",

@@ -560,6 +560,15 @@ class Aggregate:
     def add(self, value: Any) -> None:
         raise NotImplementedError
 
+    def add_all(self, values: Sequence[Any]) -> None:
+        """One batch's argument values, in row order."""
+        for value in values:
+            self.add(value)
+
+    def add_rows(self, count: int) -> None:
+        """``AGG(*)`` over ``count`` rows: each row contributes a 1."""
+        self.add_all([1] * count)
+
     def result(self) -> Any:
         raise NotImplementedError
 
@@ -579,6 +588,12 @@ class CountAgg(Aggregate):
                 return
             self.seen.add(key)
         self.count += 1
+
+    def add_rows(self, count: int) -> None:
+        if self.seen is None:
+            self.count += count  # COUNT(*): a batch adds its length
+        else:
+            super().add_rows(count)
 
     def result(self) -> int:
         return self.count

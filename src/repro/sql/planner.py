@@ -13,35 +13,42 @@ nested loops.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SqlPlanError
 from repro.geometry.base import Envelope, Geometry
 from repro.sql import ast
+from repro.sql.compiler import (
+    Compiler,
+    Scope,
+    contains_aggregate,
+    is_aggregate_call,
+    referenced_aliases,
+)
 from repro.sql.executor import (
     Aggregate,
-    Compiler,
+    Batch,
     Distinct,
     Evaluator,
     ExecContext,
     Filter,
-    HashJoin,
-    IndexNestedLoopJoin,
     IndexScan,
+    KNNScan,
     Limit,
-    NestedLoopJoin,
     OneRow,
-    PBSMJoin,
     PlanNode,
     Project,
-    Row,
-    Scope,
     SeqScan,
     Sort,
+    scalar,
+)
+from repro.sql.joins import (
+    HashJoin,
+    IndexNestedLoopJoin,
+    NestedLoopJoin,
+    PBSMJoin,
+    SpatialJoinPredicate,
     SpatialTreeJoin,
-    contains_aggregate,
-    is_aggregate_call,
-    referenced_aliases,
 )
 from repro.sql.functions import SPATIAL_PREDICATES, FunctionRegistry
 from repro.storage.catalog import Catalog
@@ -205,8 +212,6 @@ class Planner:
         if any(contains_aggregate(i.expr) for i in items):
             return None
 
-        from repro.sql.executor import KNNScan, Limit, Project
-
         compiler = Compiler(scope, self.registry, self.profile)
         probe_fn = compiler.compile(probe_expr)
         limit_fn = compiler.compile(stmt.limit)
@@ -216,8 +221,8 @@ class Planner:
 
         def k_fn(ctx: ExecContext,
                  limit_fn=limit_fn, offset_fn=offset_fn) -> int:
-            limit = limit_fn({}, ctx)
-            offset = offset_fn({}, ctx) if offset_fn is not None else 0
+            limit = scalar(limit_fn, ctx)
+            offset = scalar(offset_fn, ctx) if offset_fn is not None else 0
             if not isinstance(limit, int) or limit < 0:
                 raise SqlPlanError(f"LIMIT must be a non-negative int, got {limit!r}")
             return limit + (offset or 0)
@@ -227,7 +232,7 @@ class Planner:
             alias,
             entry,
             table.column_index(column),
-            lambda ctx, probe_fn=probe_fn: probe_fn({}, ctx),
+            lambda ctx, probe_fn=probe_fn: scalar(probe_fn, ctx),
             k_fn,
         )
         outputs = [
@@ -331,8 +336,10 @@ class Planner:
 
             def probe(ctx: ExecContext,
                       other_fn=other_fn, radius_fn=radius_fn) -> Optional[Envelope]:
-                return _probe_envelope(other_fn({}, ctx),
-                                       radius_fn({}, ctx) if radius_fn else None)
+                return _probe_envelope(
+                    scalar(other_fn, ctx),
+                    scalar(radius_fn, ctx) if radius_fn else None,
+                )
 
             return IndexScan(table, alias, entry, probe, label="filter")
         return SeqScan(table, alias)
@@ -502,7 +509,7 @@ class Planner:
             plan.est_rows = est
             return plan
 
-        refine = self._make_refine(indexable)
+        condition = self._join_predicate(indexable)
         residual_list = [c for c in conjuncts if c is not indexable.conjunct]
         residual = conjoin(residual_list)
         residual_fn = (
@@ -514,7 +521,7 @@ class Planner:
             plan = SpatialTreeJoin(
                 outer_table, outer.alias, outer_entry,
                 table, alias, inner_entry,
-                refine, residual_fn, label=label,
+                condition, residual_fn, label=label,
             )
             plan.est_rows = est
             return plan
@@ -527,7 +534,7 @@ class Planner:
             SeqScan(table, alias),
             compiler.compile(indexable.other),
             inner_geom_fn,
-            refine,
+            condition,
             residual_fn,
             label=label,
         )
@@ -552,12 +559,13 @@ class Planner:
             else None
         )
 
-        def probe(row: Row, ctx: ExecContext,
-                  other_fn=other_fn, radius_fn=radius_fn) -> Optional[Envelope]:
-            return _probe_envelope(
-                other_fn(row, ctx),
-                radius_fn(row, ctx) if radius_fn else None,
-            )
+        def probe(batch: Batch, ctx: ExecContext, other_fn=other_fn,
+                  radius_fn=radius_fn) -> List[Optional[Envelope]]:
+            radii = radius_fn(batch, ctx) if radius_fn else [None] * batch.size
+            return [
+                _probe_envelope(value, radius)
+                for value, radius in zip(other_fn(batch, ctx), radii)
+            ]
 
         residual = conjoin(conjuncts)
         residual_fn = (
@@ -567,31 +575,21 @@ class Planner:
             outer, table, alias, entry, probe, residual_fn, label=label
         )
 
-    def _make_refine(
+    def _join_predicate(
         self, indexable: _IndexableConjunct
-    ) -> Callable:
-        """Direct profile refinement for ``(outer_geom, inner_geom, ctx)``.
+    ) -> SpatialJoinPredicate:
+        """What a tree or PBSM join answers of the conjunct itself.
 
-        Candidate pairs from tree/PBSM joins already have intersecting
-        envelopes, so an ``&&`` conjunct is trivially satisfied; named
-        predicates re-evaluate through the profile with the conjunct's
-        original argument order. The execution context rides along so
-        degraded refinements are counted on the *running* statement's
-        stats — plans (and these closures) are cached across executions.
+        Candidate pairs from those joins already have intersecting
+        envelopes, so an ``&&`` conjunct needs nothing more; a named
+        predicate keeps the conjunct's original argument order, which
+        matters for the asymmetric ones.
         """
         conjunct = indexable.conjunct
         if isinstance(conjunct, ast.BinaryOp):  # '&&'
-            return lambda outer_geom, inner_geom, ctx: True
-        name = conjunct.name
-        self.profile.check_supported(name)
-        profile = self.profile
-        if indexable.col_first:
-            return lambda outer_geom, inner_geom, ctx: profile.refine_predicate(
-                name, inner_geom, outer_geom, ctx.stats
-            )
-        return lambda outer_geom, inner_geom, ctx: profile.refine_predicate(
-            name, outer_geom, inner_geom, ctx.stats
-        )
+            return SpatialJoinPredicate(None, indexable.col_first)
+        self.profile.check_supported(conjunct.name)
+        return SpatialJoinPredicate(conjunct.name, indexable.col_first)
 
     def _estimate_rows(self, plan: PlanNode) -> float:
         """Rough output-cardinality estimate for a built subplan."""

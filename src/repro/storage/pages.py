@@ -34,7 +34,7 @@ import os
 import struct
 import threading
 from collections import OrderedDict
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from repro.errors import DumpCorruptionError, EngineError
 from repro.faults import FAULTS
@@ -382,9 +382,9 @@ class HeapStore:
 
     def __init__(self, buffer: BufferManager):
         self.buffer = buffer
-        #: (table, rid) -> (page_id, slot)
-        self._loc: Dict[Tuple[str, int], Tuple[int, int]] = {}
-        self._by_table: Dict[str, Set[int]] = {}
+        #: table -> {rid: page_id << 16 | slot}; one int per row, since
+        #: the map holds every row of the database
+        self._loc: Dict[str, Dict[int, int]] = {}
         self._fill_page: Optional[int] = None
         self._lock = threading.RLock()
 
@@ -396,10 +396,10 @@ class HeapStore:
 
     def insert(self, table: str, rid: int, values: list, lsn: int) -> None:
         with self._lock:
-            key = (table, rid)
+            rows = self._loc.setdefault(table, {})
             payload = self.encode_payload(table, rid, values)
-            if key in self._loc:
-                self._replace(key, payload, lsn)
+            if rid in rows:
+                self._replace(table, rid, payload, lsn)
                 return
             page = None
             if self._fill_page is not None:
@@ -420,12 +420,11 @@ class HeapStore:
                     )
             page.lsn = lsn
             self.buffer.unpin(page.page_id, dirty=True)
-            self._loc[key] = (page.page_id, slot)
-            self._by_table.setdefault(table, set()).add(rid)
+            rows[rid] = _location(page.page_id, slot)
 
-    def _replace(self, key: Tuple[str, int], payload: bytes,
+    def _replace(self, table: str, rid: int, payload: bytes,
                  lsn: int) -> None:
-        page_id, slot = self._loc[key]
+        page_id, slot = _page_slot(self._loc[table][rid])
         page = self.buffer.fetch(page_id)
         try:
             if page.replace(slot, payload):
@@ -436,55 +435,58 @@ class HeapStore:
             page.lsn = lsn
         finally:
             self.buffer.unpin(page_id, dirty=True)
-        del self._loc[key]
-        self._by_table[key[0]].discard(key[1])
-        self.insert(key[0], key[1], json.loads(payload)["v"], lsn)
+        del self._loc[table][rid]
+        self.insert(table, rid, json.loads(payload)["v"], lsn)
 
     def delete(self, table: str, rid: int, lsn: int) -> None:
         with self._lock:
-            loc = self._loc.pop((table, rid), None)
-            if loc is None:
+            location = self._loc.get(table, {}).pop(rid, None)
+            if location is None:
                 return
-            page = self.buffer.fetch(loc[0])
-            page.delete(loc[1])
+            page_id, slot = _page_slot(location)
+            page = self.buffer.fetch(page_id)
+            page.delete(slot)
             page.lsn = lsn
-            self.buffer.unpin(loc[0], dirty=True)
-            self._by_table[table].discard(rid)
+            self.buffer.unpin(page_id, dirty=True)
 
     def drop_table(self, table: str, lsn: int) -> None:
         with self._lock:
-            for rid in sorted(self._by_table.get(table, ())):
+            for rid in sorted(self._loc.get(table, ())):
                 self.delete(table, rid, lsn)
-            self._by_table.pop(table, None)
+            self._loc.pop(table, None)
 
     # -- readers -----------------------------------------------------------
 
     def has(self, table: str, rid: int) -> bool:
         with self._lock:
-            return (table, rid) in self._loc
+            return rid in self._loc.get(table, ())
 
     def row_count(self, table: Optional[str] = None) -> int:
         with self._lock:
             if table is not None:
-                return len(self._by_table.get(table, ()))
-            return len(self._loc)
+                return len(self._loc.get(table, ()))
+            return sum(len(rows) for rows in self._loc.values())
 
     def read(self, table: str, rid: int) -> Optional[list]:
         with self._lock:
-            loc = self._loc.get((table, rid))
-            if loc is None:
+            location = self._loc.get(table, {}).get(rid)
+            if location is None:
                 return None
-            page = self.buffer.fetch(loc[0])
+            page_id, slot = _page_slot(location)
+            page = self.buffer.fetch(page_id)
             try:
-                payload = page.read(loc[1])
+                payload = page.read(slot)
             finally:
-                self.buffer.unpin(loc[0])
+                self.buffer.unpin(page_id)
             return json.loads(payload.decode("utf-8"))["v"]
 
     def rows(self) -> Iterator[Tuple[str, int, list]]:
         """Every stored ``(table, rid, encoded values)``, via the map."""
         with self._lock:
-            keys = sorted(self._loc)
+            keys = sorted(
+                (table, rid) for table, rows in self._loc.items()
+                for rid in rows
+            )
         for table, rid in keys:
             values = self.read(table, rid)
             if values is not None:
@@ -502,7 +504,6 @@ class HeapStore:
         """
         with self._lock:
             self._loc.clear()
-            self._by_table.clear()
             image: Dict[str, Dict[int, list]] = {}
             for page_id in range(self.buffer.disk.page_count):
                 page = self.buffer.fetch(page_id)
@@ -514,14 +515,24 @@ class HeapStore:
                             values = record["v"]
                         except (ValueError, KeyError, UnicodeDecodeError):
                             continue  # torn slot: the WAL replay re-adds it
-                        stale = self._loc.get((table, rid))
+                        rows = self._loc.setdefault(table, {})
+                        stale = rows.get(rid)
                         if stale is not None:
-                            old = self.buffer.fetch(stale[0])
-                            old.delete(stale[1])
-                            self.buffer.unpin(stale[0], dirty=True)
-                        self._loc[(table, rid)] = (page_id, slot)
-                        self._by_table.setdefault(table, set()).add(rid)
+                            stale_page, stale_slot = _page_slot(stale)
+                            old = self.buffer.fetch(stale_page)
+                            old.delete(stale_slot)
+                            self.buffer.unpin(stale_page, dirty=True)
+                        rows[rid] = _location(page_id, slot)
                         image.setdefault(table, {})[rid] = values
                 finally:
                     self.buffer.unpin(page_id)
             return image
+
+
+def _location(page_id: int, slot: int) -> int:
+    """A row's place as one int: slot numbers are 16-bit (``_SLOT``)."""
+    return page_id << 16 | slot
+
+
+def _page_slot(location: int) -> Tuple[int, int]:
+    return location >> 16, location & 0xFFFF
