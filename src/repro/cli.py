@@ -173,7 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     checkpoint.add_argument(
         "directory", metavar="DIR",
-        help="storage directory (wal.log + pages.db + catalog.json)",
+        help="storage directory (wal.log + pages.db); reopened under the "
+             "profile its WAL header records",
     )
 
     serve = sub.add_parser(
@@ -469,7 +470,7 @@ def _run_checkpoint(args) -> int:
         recovery = getattr(db, "recovery_report", None)
         if recovery is not None:
             print(recovery.describe())
-        report = db.durability.checkpoint()
+        report = db.checkpoint()
         print(
             f"checkpoint at lsn {report.lsn}: "
             f"{report.pages_flushed} page(s) flushed, "

@@ -17,7 +17,8 @@ PEP 249 name              library errors caught
 ``DataError``             geometry parse/validity, topology failures
 ``OperationalError``      guardrail trips (timeout, cancel, memory
                           budget), transient/injected faults
-``IntegrityError``        dump corruption (bad checksum, torn record)
+``IntegrityError``        WAL/page corruption (bad checksum, torn
+                          record)
 ``ProgrammingError``      SQL syntax and planning errors
 ``NotSupportedError``     profile feature gaps
 ``DatabaseError``         any engine-side failure

@@ -147,7 +147,7 @@ class Database:
     def open(
         cls,
         directory: str,
-        profile: "EngineProfile | str" = "greenwood",
+        profile: "EngineProfile | str | None" = None,
         page_size: int = 4096,
         buffer_pages: int = 128,
     ) -> "Database":
@@ -156,7 +156,9 @@ class Database:
         A directory that already holds a WAL goes through crash recovery
         (:func:`repro.storage.durability.recover`) — committed work is
         rebuilt, in-flight work is undone. A fresh directory gets empty
-        storage attached.
+        storage attached. ``profile=None`` means the profile the WAL
+        header records (greenwood for a fresh directory); an explicit
+        profile overrides it.
         """
         import os
 
@@ -166,11 +168,11 @@ class Database:
             profile = get_profile(profile)
         if os.path.exists(os.path.join(directory, WAL_FILE)):
             db, _report = recover(
-                directory, profile=profile.name,
+                directory, profile=profile.name if profile else None,
                 page_size=page_size, buffer_pages=buffer_pages,
             )
             return db
-        db = cls(profile)
+        db = cls(profile or "greenwood")
         db.attach_storage(
             directory, page_size=page_size, buffer_pages=buffer_pages
         )
@@ -220,7 +222,7 @@ class Database:
         self.durability = manager
 
     def checkpoint(self):
-        """Flush dirty pages, snapshot the catalog, truncate the WAL."""
+        """Flush dirty pages and rewrite the WAL to a checkpoint record."""
         if self.durability is None:
             raise SqlProgrammingError("no durable storage attached")
         with self._latch.exclusive():

@@ -138,11 +138,13 @@ class ServiceOverloadedError(ServiceError):
 
 
 class DumpCorruptionError(EngineError):
-    """A dump or log file failed validation (bad checksum, torn record, ...)."""
+    """A WAL line or heap page header failed validation (bad checksum,
+    torn record, ...). The name is kept as the PEP 249
+    ``IntegrityError`` alias (:data:`repro.dbapi.ERROR_MAP`)."""
 
     def __init__(self, message: str, line_no: int = -1):
         if line_no >= 0:
-            message = f"dump line {line_no}: {message}"
+            message = f"line {line_no}: {message}"
         super().__init__(message)
         self.line_no = line_no
 

@@ -2,8 +2,8 @@
 
 Named failure points are compiled into the engine at the places a real
 spatial DBMS fails in practice — storage writes, index maintenance and
-probes, geometry refinement, dump I/O. Tests arm a point with either a
-seeded probability or a fire-on-Nth-call trigger, run a workload, and
+probes, geometry refinement, WAL and page I/O. Tests arm a point with
+either a seeded probability or a fire-on-Nth-call trigger, run a workload, and
 get *reproducible* chaos: the same seed always fails the same calls.
 
 The hot-path contract matches the observability switchboard: call sites
@@ -30,8 +30,6 @@ FAULT_POINTS: Dict[str, str] = {
     "index.insert": "Database._index_insert, before index maintenance",
     "index.probe": "index search in IndexScan / IndexNestedLoopJoin",
     "geometry.refine": "EngineProfile.evaluate_predicate refinement",
-    "dump.write": "per dump record written by dump_database",
-    "dump.read": "per dump record parsed by restore_database",
     "txn.commit": "TxnManager.commit, before any commit state changes",
     "wal.append": "WriteAheadLog.append, before the record is buffered",
     "wal.fsync": "WriteAheadLog.sync, after write() but before fsync()",

@@ -1,8 +1,8 @@
 """Wait-event instrumentation: where threads spend their time.
 
 Modeled on Postgres's ``pg_stat_activity`` wait-event taxonomy: every
-place the engine can block — row locks, the statement latch, dump I/O,
-client-side retry/backoff — plus the attributed on-CPU hot paths
+place the engine can block — row locks, the statement latch, WAL and
+page I/O, client-side retry/backoff — plus the attributed on-CPU hot paths
 (refinement, index probes, sorts) and the guardrail tick, is a *wait
 event* from a closed taxonomy (:data:`WAIT_EVENTS`). When the process-
 wide :data:`WAITS` monitor is enabled, each site records a timed
@@ -44,8 +44,6 @@ __all__ = [
     "LOCK_ROW",
     "LATCH_SHARED",
     "LATCH_EXCLUSIVE",
-    "IO_DUMP_READ",
-    "IO_DUMP_WRITE",
     "IO_WAL_WRITE",
     "IO_WAL_FSYNC",
     "IO_PAGE_READ",
@@ -66,8 +64,6 @@ __all__ = [
 LOCK_ROW = "LockManager:RowLock"
 LATCH_SHARED = "Latch:StatementShared"
 LATCH_EXCLUSIVE = "Latch:StatementExclusive"
-IO_DUMP_READ = "IO:DumpRead"
-IO_DUMP_WRITE = "IO:DumpWrite"
 IO_WAL_WRITE = "IO:WalWrite"
 IO_WAL_FSYNC = "IO:WalFsync"
 IO_PAGE_READ = "IO:PageRead"
@@ -88,8 +84,6 @@ WAIT_EVENTS: Dict[str, str] = {
     LOCK_ROW: "RowLockTable.acquire — blocked on a row write lock",
     LATCH_SHARED: "SharedExclusiveLock.acquire_shared — statement latch",
     LATCH_EXCLUSIVE: "SharedExclusiveLock.acquire_exclusive — statement latch",
-    IO_DUMP_READ: "restore/load_database — reading a dump stream",
-    IO_DUMP_WRITE: "dump/save_database — writing a dump stream",
     IO_WAL_WRITE: "WriteAheadLog.flush — writing buffered log records",
     IO_WAL_FSYNC: "WriteAheadLog.sync — fsync of the log file (group commit)",
     IO_PAGE_READ: "DiskManager.read_page — reading a heap page from disk",

@@ -18,16 +18,19 @@ engine calls one hook per logical row operation:
   effects from the in-memory undo log (never raises on the cleanup
   path);
 * ``log_ddl`` — schema changes, logged and fsynced immediately;
-* ``checkpoint`` — flush dirty pages, snapshot the catalog atomically,
-  and rewrite the WAL keeping only records of still-active transactions
-  (their undo information must survive).
+* ``checkpoint`` — flush dirty pages, then atomically rewrite the WAL
+  to the records of still-active transactions (their undo information
+  must survive) plus one ``checkpoint`` record carrying the table and
+  index definitions.
 
+A database directory is therefore two files: the page file and the WAL.
 :func:`recover` is the ARIES-lite restart path: scan the page file for
-the raw row image, then **analysis** (who committed?) → **redo** (replay
-every logged op in LSN order — idempotent, so effects already on disk
-are harmless) → **undo** (reverse losers' ops newest-first, guarded by a
-last-writer check so a recycled row id is never clobbered) → rebuild the
-in-memory heap, catalog and spatial indexes, and checkpoint.
+the raw row image, take the schema from the log's first checkpoint
+record, then **analysis** (who committed?) → **redo** (replay every
+logged op in LSN order, DDL included — idempotent, so effects already on
+disk are harmless) → **undo** (reverse losers' ops newest-first, guarded
+by a last-writer check so a recycled row id is never clobbered) →
+rebuild the in-memory heap, catalog and spatial indexes, and checkpoint.
 
 Crash simulation: when an armed WAL/page fault raises
 :class:`~repro.errors.SimulatedCrashError`, the layer *freezes first* —
@@ -38,25 +41,19 @@ the "dead" disk. See ``docs/DURABILITY.md``.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
 
-from repro.errors import DumpCorruptionError, EngineError, SimulatedCrashError
+from repro.errors import EngineError, SimulatedCrashError
 from repro.storage.pages import (
     PAGE_SIZE,
     BufferManager,
     DiskManager,
     HeapStore,
 )
-from repro.storage.records import (
-    decode_value,
-    encode_line,
-    encode_value,
-    parse_line,
-)
+from repro.storage.records import decode_value, encode_value
 from repro.storage.wal import WriteAheadLog
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -72,7 +69,6 @@ __all__ = [
 
 PAGES_FILE = "pages.db"
 WAL_FILE = "wal.log"
-CATALOG_FILE = "catalog.json"
 
 _ROW_OPS = ("insert", "delete")
 
@@ -117,7 +113,8 @@ class RecoveryReport:
     def describe(self) -> str:
         rows = sum(self.tables.values())
         return (
-            f"recovered {len(self.tables)} tables, {rows} rows, "
+            f"recovered {self.profile} database: "
+            f"{len(self.tables)} tables, {rows} rows, "
             f"{len(self.indexes)} indexes in {self.total_seconds:.3f}s "
             f"(scanned {self.wal_records} WAL records: "
             f"{self.winners} committed, {self.losers} undone losers; "
@@ -148,7 +145,6 @@ class DurabilityManager:
             wal_barrier=self.wal.sync_for,
         )
         self.heap = HeapStore(self.buffer)
-        self.catalog_path = os.path.join(directory, CATALOG_FILE)
         self._db: Optional["Database"] = None
         self.crashed = False
         self.checkpoints_total = 0
@@ -159,6 +155,8 @@ class DurabilityManager:
 
     def bind(self, db: "Database") -> None:
         self._db = db
+        # the next checkpoint's WAL header records the bound profile
+        self.wal.profile = db.profile.name
 
     # -- crash simulation --------------------------------------------------
 
@@ -273,22 +271,25 @@ class DurabilityManager:
     # -- checkpoint --------------------------------------------------------
 
     def checkpoint(self) -> CheckpointReport:
-        """Flush dirty pages, snapshot the catalog, truncate the WAL.
+        """Flush dirty pages, then replace the WAL with a checkpoint.
 
         Caller must hold the database's exclusive statement latch (no
-        statement is mid-flight). Records of still-active transactions
-        are carried into the rewritten log — their undo information must
-        survive until they resolve; redo idempotency makes the carried
-        copies harmless if they later commit.
+        statement is mid-flight). The rewritten log holds the records of
+        still-active transactions — their undo information must survive
+        until they resolve; redo idempotency makes the carried copies
+        harmless if they later commit — and one ``checkpoint`` record
+        carrying the table and index definitions, so the rewrite is the
+        checkpoint's one atomic step.
         """
         self._check_live()
-        if self._db is None:
+        db = self._db
+        if db is None:
             raise EngineError("durability manager is not bound to a database")
         try:
             self.wal.sync()
             flushed = self.buffer.flush_all()
             self.disk.sync()
-            active = set(self._db.txn.active_txids())
+            active = set(db.txn.active_txids())
             keep = [
                 r for r in self.wal.records()
                 if r.get("txid") in active and r.get("op") in _ROW_OPS
@@ -296,10 +297,21 @@ class DurabilityManager:
             ckpt = {
                 "type": "wal", "op": "checkpoint", "txid": 0,
                 "active": sorted(active),
-                "next_txid": self._db.txn.next_txid,
+                "next_txid": db.txn.next_txid,
+                "tables": [
+                    {"name": t.name,
+                     "columns": [[c.name, c.type.value] for c in t.columns]}
+                    for t in db.catalog.tables()
+                ],
+                "indexes": [
+                    {
+                        "name": e.name, "table": e.table_name,
+                        "column": e.column_name, "kind": e.index.kind,
+                    }
+                    for e in db.catalog.indexes()
+                ],
             }
             lsn = self.wal.append(ckpt)
-            self._write_snapshot(lsn)
             self.wal.rewrite(keep + [ckpt])
             self.last_checkpoint_lsn = lsn
             self.checkpoints_total += 1
@@ -309,54 +321,6 @@ class DurabilityManager:
         except SimulatedCrashError:
             self.crash()
             raise
-
-    def _write_snapshot(self, checkpoint_lsn: int) -> None:
-        """Atomic CRC'd catalog snapshot (temp + fsync + rename)."""
-        db = self._db
-        record = {
-            "type": "catalog",
-            "profile": db.profile.name,
-            "next_txid": db.txn.next_txid,
-            "checkpoint_lsn": checkpoint_lsn,
-            "tables": [
-                {
-                    "name": t.name,
-                    "columns": [[c.name, c.type.value] for c in t.columns],
-                }
-                for t in db.catalog.tables()
-            ],
-            "indexes": [
-                {
-                    "name": e.name, "table": e.table_name,
-                    "column": e.column_name, "kind": e.index.kind,
-                }
-                for e in db.catalog.indexes()
-            ],
-        }
-        tmp_path = f"{self.catalog_path}.tmp.{os.getpid()}"
-        try:
-            with open(tmp_path, "w", encoding="utf-8") as stream:
-                stream.write(encode_line(record))
-                stream.flush()
-                os.fsync(stream.fileno())
-            os.replace(tmp_path, self.catalog_path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
-
-    def load_snapshot(self) -> Optional[dict]:
-        """The last catalog snapshot, or None (corrupt snapshots are
-        treated as absent — they are written atomically, so this only
-        happens to a hand-damaged file)."""
-        try:
-            with open(self.catalog_path, "r", encoding="utf-8") as stream:
-                line = stream.readline().strip()
-            return parse_line(line) if line else None
-        except (OSError, DumpCorruptionError):
-            return None
 
     # -- attach-time mirroring ---------------------------------------------
 
@@ -417,7 +381,8 @@ def recover(
     Analysis → redo → undo over the durable WAL, starting from the raw
     page image; then the in-memory heap, catalog and spatial indexes are
     rebuilt, the recovered database gets the durability manager attached,
-    and a fresh checkpoint truncates the replayed log.
+    and a fresh checkpoint truncates the replayed log. ``profile``
+    overrides the one the WAL header records.
     """
     from repro.engines.database import Database
 
@@ -427,26 +392,29 @@ def recover(
         directory, page_size=page_size, buffer_pages=buffer_pages,
         profile=profile or "greenwood",
     )
-    snapshot = mgr.load_snapshot() or {}
-    report.profile = profile or snapshot.get("profile", mgr.wal.profile)
-    report.checkpoint_lsn = int(snapshot.get("checkpoint_lsn", 0))
-
-    # schema baseline from the snapshot; WAL DDL redo layers on top
-    tables: Dict[str, List[List[str]]] = {
-        t["name"]: t["columns"] for t in snapshot.get("tables", ())
-    }
-    indexes: Dict[str, dict] = {
-        e["name"]: e for e in snapshot.get("indexes", ())
-    }
+    report.profile = profile or mgr.wal.profile
 
     mgr.heap.adopt_from_disk()
     records = mgr.wal.records()
     report.wal_records = len(records)
 
+    # schema baseline from the first checkpoint record — the head the
+    # last completed rewrite left; WAL DDL redo layers on top
+    baseline = next(
+        (r for r in records if r.get("op") == "checkpoint"), {}
+    )
+    report.checkpoint_lsn = int(baseline.get("lsn", 0))
+    tables: Dict[str, List[List[str]]] = {
+        t["name"]: t["columns"] for t in baseline.get("tables", ())
+    }
+    indexes: Dict[str, dict] = {
+        e["name"]: e for e in baseline.get("indexes", ())
+    }
+
     # -- analysis: last disposition wins per transaction --------------------
     started = time.perf_counter()
     disposition: Dict[int, str] = {}
-    max_txid = int(snapshot.get("next_txid", 1)) - 1
+    max_txid = 0
     for record in records:
         txid = record.get("txid", 0)
         max_txid = max(max_txid, txid)

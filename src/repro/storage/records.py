@@ -1,12 +1,9 @@
-"""Checksummed JSON-line records, shared by dumps and the WAL.
+"""Checksummed JSON-line records: the write-ahead log's codec.
 
-Both durable formats in this engine — the logical dump (v2) and the
-write-ahead log — store one JSON record per line, prefixed with the
-CRC32 of the payload (``"%08x <json>\n"``). This module is the single
-implementation of that codec: encoding, strict parsing, and the
-torn-tail scan both readers use to decide where a crashed writer's last
-complete record ends. Keeping one copy means the dump's recover mode and
-WAL recovery can never drift on what counts as a valid record.
+The WAL stores one JSON record per line, prefixed with the CRC32 of the
+payload (``"%08x <json>\n"``). This module implements that codec:
+encoding, strict parsing, and the torn-tail scan that decides where a
+crashed writer's last complete record ends.
 
 Values destined for a record go through :func:`encode_value` /
 :func:`decode_value`, which round-trip geometries as hex-encoded WKB and

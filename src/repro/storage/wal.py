@@ -1,8 +1,9 @@
 """The write-ahead log: LSN-stamped redo/undo records, group fsync.
 
-An append-only text file of checksummed JSON-line records (the codec
-shared with dump v2 — :mod:`repro.storage.records`), preceded by one
-unchecksummed header line for trivial format detection. Record types:
+An append-only text file of checksummed JSON-line records
+(:mod:`repro.storage.records`), preceded by one unchecksummed header
+line naming the format, its version and the engine profile. Record
+types:
 
 ========== ==========================================================
 ``insert``  row created: table, rid, new values (redo)
@@ -10,7 +11,8 @@ unchecksummed header line for trivial format detection. Record types:
 ``commit``  transaction durable once this record is fsynced
 ``abort``   transaction rolled back (its page effects were reversed)
 ``ddl``     schema change (create/drop table/index); always redone
-``checkpoint`` dirty pages flushed; log rewritten behind this point
+``checkpoint`` dirty pages flushed; log rewritten behind this point;
+            carries the table and index definitions at that point
 ========== ==========================================================
 
 Durability protocol:
@@ -24,8 +26,10 @@ Durability protocol:
   successful fsync. :meth:`freeze` — the kill -9 simulation — truncates
   the file back to the durable offset, so everything an fsync never
   confirmed is lost exactly as it would be on a real crash;
-* on open, the tail is scanned with the shared torn-tail helper and the
-  file is truncated after the last valid record.
+* on open, the tail is scanned with the torn-tail helper and the file
+  is truncated after the last valid record. A header of another format
+  version is refused: version 1 logs kept their schema in a separate
+  snapshot file and would otherwise open as an empty database.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from repro.storage.records import encode_line, scan_tail
 __all__ = ["WAL_FORMAT", "WriteAheadLog"]
 
 WAL_FORMAT = "jackpine-wal"
-WAL_VERSION = 1
+WAL_VERSION = 2
 
 
 class WriteAheadLog:
@@ -96,6 +100,12 @@ class WriteAheadLog:
                 or header.get("format") != WAL_FORMAT
             ):
                 raise EngineError(f"{self.path}: not a jackpine WAL")
+            if header.get("version") != WAL_VERSION:
+                raise EngineError(
+                    f"{self.path}: unsupported WAL version "
+                    f"{header.get('version')!r} (this engine reads "
+                    f"version {WAL_VERSION})"
+                )
             self.profile = header.get("profile", self.profile)
             end = stream.tell()
             for record, _line_no, offset in scan_tail(stream):

@@ -1,7 +1,7 @@
 """Chaos suite: every fault point armed at low probability, fixed seed.
 
 This is the CI chaos job: run a representative workload (DDL, loads,
-index builds, probes, joins, dump/restore) with the whole fault registry
+index builds, probes, joins) with the whole fault registry
 armed and assert that *nothing escapes the error hierarchy* — every
 failure surfaces as a :class:`ReproError` (or a harness outcome), never
 a bare ``KeyError``/``AttributeError``/state corruption — and that the
@@ -16,7 +16,6 @@ CI failure replays locally with the same seed. Knobs::
 
 from __future__ import annotations
 
-import io
 import os
 
 import pytest
@@ -26,7 +25,6 @@ from repro.datagen import generate
 from repro.engines import Database
 from repro.errors import ReproError
 from repro.faults import FAULTS
-from repro.storage.dump import dump_database, restore_database
 
 CHAOS_PROBABILITY = float(os.environ.get("JACKPINE_CHAOS_PROBABILITY", "0.02"))
 CHAOS_SEED = int(os.environ.get("JACKPINE_CHAOS_SEED", "1729"))
@@ -68,14 +66,6 @@ def _chaos_workload(db: Database) -> int:
     attempt(lambda: db.execute(
         "SELECT COUNT(*) FROM pts a, pts b WHERE ST_Intersects(a.g, b.g)"
     ))
-    for _ in range(5):
-        buf = io.StringIO()
-        try:
-            dump_database(db, buf)
-        except ReproError:
-            caught += 1
-            continue
-        attempt(lambda b=buf: restore_database(io.StringIO(b.getvalue())))
     return caught
 
 

@@ -7,8 +7,6 @@ catalog answers ``COUNT(*)``, and index probes agree with the heap.
 
 from __future__ import annotations
 
-import io
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +14,6 @@ from hypothesis import strategies as st
 from repro.engines import Database
 from repro.errors import InjectedFaultError, ReproError, TransientError
 from repro.faults import FAULT_POINTS, FAULTS, FaultRegistry, injected
-from repro.storage.dump import dump_database, restore_database
 
 PROFILES = ("greenwood", "bluestem", "ironbark")
 
@@ -72,16 +69,6 @@ def _exercise_every_site(db: Database) -> int:
     except ReproError:
         db.execute("ROLLBACK")
         caught += 1
-    buf = io.StringIO()
-    try:
-        dump_database(db, buf)
-    except ReproError:
-        caught += 1
-    else:
-        try:
-            restore_database(io.StringIO(buf.getvalue()))
-        except ReproError:
-            caught += 1
     if db.durability is not None:
         # dirty-page write-back: the page.write site fires here
         try:

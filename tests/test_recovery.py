@@ -8,10 +8,18 @@ with the heap.
 
 from __future__ import annotations
 
+import json
+import os
+
 import pytest
 
 from repro.engines import Database
-from repro.errors import SimulatedCrashError, SqlProgrammingError
+from repro.errors import (
+    DumpCorruptionError,
+    EngineError,
+    SimulatedCrashError,
+    SqlProgrammingError,
+)
 from repro.faults import FAULTS
 from repro.storage.crash import (
     CRASH_SITES,
@@ -19,7 +27,8 @@ from repro.storage.crash import (
     run_crash_workload,
     verify_recovery,
 )
-from repro.storage.durability import recover
+from repro.storage.durability import PAGES_FILE, WAL_FILE, recover
+from repro.storage.records import parse_line
 
 
 @pytest.fixture(autouse=True)
@@ -82,6 +91,191 @@ class TestCleanReopen:
         with pytest.raises(SqlProgrammingError):
             db.attach_storage(str(tmp_path / "other"))
         db.close()
+
+
+def _saved(tmp_path, profile="greenwood", kind="rtree"):
+    """A small database with NULL, REAL, TEXT and geometry values and a
+    spatial index, saved the one way a database is saved: attach
+    storage, delete a row through the WAL, close."""
+    db = Database(profile)
+    db.execute(
+        "CREATE TABLE features (id INTEGER, name TEXT, score REAL, "
+        "geom GEOMETRY)"
+    )
+    db.execute(
+        "INSERT INTO features VALUES "
+        "(1, 'alpha', 0.5, ST_Point(1, 2)), "
+        "(2, NULL, NULL, ST_GeomFromText("
+        "'POLYGON((0 0, 4 0, 4 4, 0 4, 0 0))')), "
+        "(3, 'gamma', -1.25, NULL), "
+        "(4, 'doomed', 9.0, ST_Point(3, 3))"
+    )
+    db.execute(f"CREATE SPATIAL INDEX fidx ON features (geom) USING {kind}")
+    directory = str(tmp_path / "saved")
+    db.attach_storage(directory)
+    db.execute("DELETE FROM features WHERE id = 4")
+    db.close()
+    return db, directory
+
+
+class TestSaveAndReopen:
+    """A saved database is its WAL + pages: ``attach_storage`` + ``close``
+    saves it, ``Database.open(dir, profile=...)`` loads it into any
+    profile with its indexes rebuilt by kind."""
+
+    def test_rows_survive(self, tmp_path):
+        _db, directory = _saved(tmp_path)
+        again = Database.open(directory)
+        got = again.execute("SELECT id, name, score FROM features ORDER BY id")
+        assert got.rows == [(1, "alpha", 0.5), (2, None, None),
+                            (3, "gamma", -1.25)]
+        again.close()
+
+    def test_geometries_survive_exactly(self, tmp_path):
+        db, directory = _saved(tmp_path)
+        sql = "SELECT ST_AsText(geom) FROM features WHERE id < 3 ORDER BY id"
+        original = db.execute(sql).rows
+        again = Database.open(directory)
+        assert again.execute(sql).rows == original
+        again.close()
+
+    @pytest.mark.parametrize("kind", ["rtree", "quadtree", "grid"])
+    def test_indexes_rebuilt(self, tmp_path, kind):
+        _db, directory = _saved(tmp_path, kind=kind)
+        again = Database.open(directory)
+        entry = again.catalog.index_for("features", "geom")
+        assert entry is not None and entry.index.kind == kind
+        got = again.execute(
+            "SELECT id FROM features "
+            "WHERE ST_Intersects(geom, ST_MakeEnvelope(0.5, 1.5, 1.5, 2.5)) "
+            "ORDER BY id"
+        )
+        assert got.rows == [(1,), (2,)]  # the point and the 4x4 polygon
+        again.close()
+
+    @pytest.mark.parametrize("profile", ["greenwood", "bluestem", "ironbark"])
+    def test_profile_preserved_and_overridable(self, tmp_path, profile):
+        _db, directory = _saved(tmp_path, profile=profile)
+        for _ in range(2):  # a reopen's closing checkpoint keeps it too
+            again = Database.open(directory)
+            assert again.profile.name == profile
+            again.close()
+        assert f"recovered {profile} database" in (
+            again.recovery_report.describe()
+        )
+        other = "ironbark" if profile != "ironbark" else "greenwood"
+        overridden = Database.open(directory, profile=other)
+        assert overridden.profile.name == other
+        assert _count(overridden, "features") == 3
+        overridden.close()
+        # the WAL header records the profile of the last checkpoint
+        final = Database.open(directory)
+        assert final.profile.name == other
+        final.close()
+
+    def test_directory_roundtrip(self, tmp_path):
+        _db, directory = _saved(tmp_path)
+        assert sorted(os.listdir(directory)) == sorted([PAGES_FILE, WAL_FILE])
+        again = Database.open(directory)
+        assert _count(again, "features") == 3
+        again.close()
+
+    def test_deleted_rows_absent(self, tmp_path):
+        _db, directory = _saved(tmp_path)
+        again = Database.open(directory)
+        ids = {r[0] for r in again.execute("SELECT id FROM features").rows}
+        assert ids == {1, 2, 3}
+        again.close()
+
+    def test_dataset_roundtrip(self, tmp_path, tiny_dataset):
+        db = Database("greenwood")
+        tiny_dataset.load_into(db)
+        directory = str(tmp_path / "saved")
+        db.attach_storage(directory)
+        db.close()
+        again = Database.open(directory)
+        for name in tiny_dataset.layers:
+            assert _count(again, name) == _count(db, name)
+        again.close()
+
+    def test_version_1_wal_refused(self, tmp_path):
+        _db, directory = _saved(tmp_path)
+        path = os.path.join(directory, WAL_FILE)
+        with open(path, "rb") as stream:
+            header, rest = stream.readline(), stream.read()
+        old = json.loads(header)
+        old["version"] = 1
+        with open(path, "wb") as stream:
+            stream.write(json.dumps(old).encode("utf-8") + b"\n" + rest)
+        # a version-1 directory kept its schema beside the log; opening
+        # it as an empty database would silently drop every row
+        with pytest.raises(EngineError, match="unsupported WAL version 1"):
+            Database.open(directory)
+
+    def test_foreign_wal_header_refused(self, tmp_path):
+        _db, directory = _saved(tmp_path)
+        path = os.path.join(directory, WAL_FILE)
+        with open(path, "rb") as stream:
+            stream.readline()
+            rest = stream.read()
+        with open(path, "wb") as stream:
+            stream.write(b'{"type": "header", "format": "pg_dump"}\n' + rest)
+        with pytest.raises(EngineError, match="not a jackpine WAL"):
+            Database.open(directory)
+
+    def test_bitflipped_wal_record_detected_strictly(self, tmp_path):
+        db = _durable(tmp_path, rows=3)
+        db.execute("INSERT INTO pts VALUES (40, ST_Point(4, 0))")
+        db.durability.crash()
+        path = tmp_path / "storage" / WAL_FILE
+        lines = path.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if '"op": "insert"' in line)
+        prefix, _, payload = lines[at].partition(" ")
+        flipped = payload.replace('"values": [40', '"values": [41', 1)
+        assert flipped != payload
+        lines[at] = f"{prefix} {flipped}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DumpCorruptionError, match="checksum mismatch"):
+            parse_line(lines[at], at + 1)
+        # the flipped record and everything after it (its commit) are
+        # dropped: neither the original nor the corrupted row is replayed
+        again = Database.open(str(tmp_path / "storage"))
+        ids = {r[0] for r in again.execute("SELECT id FROM pts").rows}
+        assert ids == {0, 1, 2}
+        again.close()
+
+    def test_torn_wal_tail_keeps_preceding_commits(self, tmp_path):
+        db = _durable(tmp_path, rows=3)
+        db.execute("INSERT INTO pts VALUES (40, ST_Point(4, 0))")
+        db.durability.crash()
+        path = tmp_path / "storage" / WAL_FILE
+        with open(path, "ab") as stream:
+            stream.write(b'0badf00d {"type": "wal", "op": "ins')
+        again = Database.open(str(tmp_path / "storage"))
+        ids = {r[0] for r in again.execute("SELECT id FROM pts").rows}
+        assert ids == {0, 1, 2, 40}
+        again.close()
+
+    def test_ddl_survives_crash_in_next_checkpoint(self, tmp_path):
+        # the DDL lands after the last completed checkpoint; the next
+        # checkpoint dies writing pages, before its WAL rewrite
+        db = _durable(tmp_path)
+        db.execute("CREATE TABLE extra (id INTEGER, g GEOMETRY)")
+        db.execute("INSERT INTO extra VALUES (1, ST_Point(1, 1))")
+        db.execute("CREATE SPATIAL INDEX extra_g ON extra (g) USING grid")
+        with kill_at("page.write"):
+            with pytest.raises(SimulatedCrashError):
+                db.checkpoint()
+        recovered, report = recover(str(tmp_path / "storage"))
+        assert {t.name for t in recovered.catalog.tables()} == {"pts", "extra"}
+        assert {e.name: e.index.kind for e in recovered.catalog.indexes()} == {
+            "pts_g": "rtree", "extra_g": "grid",
+        }
+        assert _count(recovered) == _index_count(recovered) == 20
+        assert _count(recovered, "extra") == 1
+        assert _index_count(recovered, "extra") == 1
+        assert report.tables == {"pts": 20, "extra": 1}
+        recovered.close()
 
 
 class TestCrashAndRecover:
@@ -306,3 +500,15 @@ def test_checkpoint_cli_recovers_then_checkpoints(tmp_path, capsys):
     final = Database.open(str(tmp_path / "storage"))
     assert _count(final) == 9
     final.close()
+
+
+def test_checkpoint_cli_keeps_the_saved_profile(tmp_path, capsys):
+    from repro.cli import main
+
+    directory = str(tmp_path / "storage")
+    db = Database("bluestem")
+    db.attach_storage(directory)
+    db.close()
+    assert main(["checkpoint", directory]) == 0
+    assert "recovered bluestem database" in capsys.readouterr().out
+    assert Database.open(directory).profile.name == "bluestem"

@@ -455,45 +455,53 @@ def test_executor_shutdown_sheds_and_returns_admission_slot(database):
         srv.stop()
 
 
-def test_server_sheds_when_queue_overflows(database):
-    """Saturate a tiny server with slow queries from more connections
-    than it has queue slots; the excess must get typed overload
-    responses, not unbounded queueing."""
-    srv = JackpineServer(database, ServerConfig(
-        pool_size=1, max_queue=2, deadline=5.0,
+def test_server_sheds_when_queue_overflows():
+    """Saturate a tiny server from more connections than it has workers
+    and queue slots; the excess must get typed overload responses, not
+    unbounded queueing. The first statement blocks in a query_start hook
+    until a shed reply has arrived, so the server stays saturated however
+    fast or slow the host is."""
+    db = Database("greenwood")
+    db.execute("CREATE TABLE t (id INTEGER)")
+    db.execute("INSERT INTO t VALUES (1)")
+    shed_seen = threading.Event()
+    db.obs.on_query_start(lambda sql, params: shed_seen.wait(30))
+    srv = JackpineServer(db, ServerConfig(
+        pool_size=1, max_queue=2, deadline=30.0,
     ))
     srv.start()
-    slow_sql = (
-        "SELECT COUNT(*) FROM edges e JOIN arealm a "
-        "ON ST_Intersects(e.geom, a.geom)"
-    )
     results = []
 
     def hammer():
         client = ServiceClient(srv.host, srv.port)
         try:
-            client.execute(slow_sql)
+            client.execute("SELECT COUNT(*) FROM t")
             results.append("ok")
         except ServiceOverloadedError as exc:
             assert exc.retry_after > 0
             results.append("shed")
+            shed_seen.set()
         except ServiceError:
             results.append("error")
         finally:
             client.close()
 
-    threads = [threading.Thread(target=hammer) for _ in range(8)]
+    clients = 8
+    threads = [threading.Thread(target=hammer) for _ in range(clients)]
     try:
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join(timeout=30)
-        assert "shed" in results, f"no shedding in {results}"
+        # one statement runs and blocks; pool_size + 2 workers and the two
+        # queue slots hold at most five requests, so the sixth must shed
+        assert shed_seen.is_set(), f"no shedding in {results}"
+        assert len(results) == clients and "error" not in results
         stats = srv.admission.stats()
-        assert stats["shed_queue_full"] >= 1
+        assert stats["shed_queue_full"] == results.count("shed")
         assert stats["peak_queue"] <= stats["queue_limit"]
-        assert "error" not in results
     finally:
+        shed_seen.set()
         srv.stop()
 
 

@@ -5,7 +5,6 @@ the row-lock histogram is fed from the same measurement as the
 
 from __future__ import annotations
 
-import io
 import random
 import threading
 
@@ -22,8 +21,6 @@ from repro.obs.waits import (
     CPU_REFINE,
     CPU_SORT,
     GUARD_TICK,
-    IO_DUMP_READ,
-    IO_DUMP_WRITE,
     IO_PAGE_READ,
     IO_PAGE_WRITE,
     IO_WAL_FSYNC,
@@ -37,7 +34,6 @@ from repro.obs.waits import (
     WaitRecord,
     WaitRing,
 )
-from repro.storage.dump import dump_database, restore_database
 from repro.txn.locks import RowLockTable, SharedExclusiveLock
 from repro.workload.driver import ClientReport, WorkloadConfig, _run_operation
 from repro.workload.mixes import Operation
@@ -63,9 +59,9 @@ def test_taxonomy_is_closed_and_classful():
     from repro.obs.waits import NET_RECV, NET_SEND, SERVICE_QUEUE
 
     expected = {
-        LOCK_ROW, LATCH_SHARED, LATCH_EXCLUSIVE, IO_DUMP_READ,
-        IO_DUMP_WRITE, IO_WAL_WRITE, IO_WAL_FSYNC, IO_PAGE_READ,
-        IO_PAGE_WRITE, CPU_REFINE, CPU_INDEX_PROBE, CPU_SORT,
+        LOCK_ROW, LATCH_SHARED, LATCH_EXCLUSIVE, IO_WAL_WRITE,
+        IO_WAL_FSYNC, IO_PAGE_READ, IO_PAGE_WRITE, CPU_REFINE,
+        CPU_INDEX_PROBE, CPU_SORT,
         CLIENT_RETRY, CLIENT_BACKOFF, GUARD_TICK,
         NET_RECV, NET_SEND, SERVICE_QUEUE,
     }
@@ -258,15 +254,6 @@ def test_guard_tick_emitted(waits):
     guard = ExecutionGuard(timeout=10.0)
     guard.tick()  # the first tick always runs the full check
     assert GUARD_TICK in _events_recorded(waits)
-
-
-def test_dump_io_events(waits, waits_db):
-    buffer = io.StringIO()
-    dump_database(waits_db, buffer)
-    assert IO_DUMP_WRITE in _events_recorded(waits)
-    buffer.seek(0)
-    restore_database(buffer)
-    assert IO_DUMP_READ in _events_recorded(waits)
 
 
 # -- client-side sites ------------------------------------------------------
