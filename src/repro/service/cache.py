@@ -31,6 +31,14 @@ their snapshot may be older than the newest committed state the cache
 reflects, and their own uncommitted writes are visible to no cached
 entry. Statements that read a ``jackpine_*`` system view are never
 cached (the views are live windows, not MVCC tables).
+
+Each request is counted once, as a hit, a miss or a bypass. For an SQL
+text already classified as a cacheable SELECT the service's event loop
+makes the lookup (:meth:`CachedExecutor.probe`) and hands a miss, with
+the marks it captured, to the worker that fills it; any other request is
+looked up or bypassed on the worker (:meth:`CachedExecutor.resolve`).
+An entry keeps its encoded reply fragment beside the rows, so a hit
+re-encodes nothing.
 """
 
 from __future__ import annotations
@@ -41,9 +49,13 @@ from collections import OrderedDict
 from typing import Any, Dict, Optional, Tuple
 
 from repro.engines.sysviews import SYSTEM_VIEW_NAMES
+from repro.service.protocol import result_fragment
 from repro.sql import ast
 
 __all__ = ["ResultCache", "CachedExecutor", "select_tables"]
+
+#: memo sentinel: an SQL text this executor has never classified
+_UNSEEN = object()
 
 
 def select_tables(statement: Any) -> Optional[Tuple[str, ...]]:
@@ -64,13 +76,43 @@ def select_tables(statement: Any) -> Optional[Tuple[str, ...]]:
 
 
 class _Entry:
-    __slots__ = ("columns", "rows", "rowcount", "marks")
+    """One materialised result. A bypassed execution is an entry that is
+    never stored (``marks`` is ``None``)."""
+
+    __slots__ = ("columns", "rows", "rowcount", "marks", "_body")
 
     def __init__(self, columns, rows, rowcount, marks):
         self.columns = columns
         self.rows = rows
         self.rowcount = rowcount
         self.marks = marks
+        self._body: Optional[bytes] = None
+
+    def body(self) -> bytes:
+        """The encoded reply fragment (:func:`~repro.service.protocol.
+        result_fragment`), made on first use and kept: the worker that
+        filled the entry encodes it for its own reply, and every hit
+        reuses the bytes. Two threads racing the first use encode the
+        same bytes, so the race is harmless."""
+        body = self._body
+        if body is None:
+            body = self._body = result_fragment(
+                self.columns, self.rows, self.rowcount
+            )
+        return body
+
+
+class _Probe:
+    """One counted lookup: its key, the write marks captured before it,
+    and the entry it found (``None`` on a miss). A miss carries its marks
+    on to the fill, so the request is counted once, not once per site."""
+
+    __slots__ = ("key", "marks", "entry")
+
+    def __init__(self, key, marks, entry):
+        self.key = key
+        self.marks = marks
+        self.entry = entry
 
 
 class ResultCache:
@@ -117,13 +159,15 @@ class ResultCache:
                 info["status"] = "hit"
             return entry
 
-    def store(self, key: tuple, columns, rows, rowcount, marks) -> None:
+    def store(self, key: tuple, columns, rows, rowcount, marks) -> _Entry:
+        entry = _Entry(columns, rows, rowcount, marks)
         with self._lock:
             if key not in self._entries and \
                     len(self._entries) >= self.capacity:
                 self._entries.popitem(last=False)
-            self._entries[key] = _Entry(columns, rows, rowcount, marks)
+            self._entries[key] = entry
             self.fills += 1
+        return entry
 
     def note_bypass(self) -> None:
         """Count one uncacheable execution (under the lock, like every
@@ -161,8 +205,10 @@ class CachedExecutor:
     """Read-through execution over one shared database.
 
     ``execute(connection, sql, params)`` returns ``(columns, rows,
-    rowcount, cached)``. With ``cache=None`` it degrades to a plain
-    pass-through, which is what ``--no-cache`` servers run.
+    rowcount, cached)``; :meth:`resolve`, which the server calls, returns
+    the entry itself, so the reply is the entry's encoded body. With
+    ``cache=None`` it degrades to a plain pass-through, which is what
+    ``--no-cache`` servers run.
     """
 
     #: per-SQL-text cacheability memo bound (table set, or None)
@@ -174,13 +220,21 @@ class CachedExecutor:
         self._meta_lock = threading.Lock()
         self._meta: "OrderedDict[str, Optional[tuple]]" = OrderedDict()
 
+    def _known_tables(self, sql: str):
+        """The memoised table set for ``sql`` (``None`` when it is not
+        cacheable), or ``_UNSEEN``; never parses."""
+        with self._meta_lock:
+            tables = self._meta.get(sql, _UNSEEN)
+            if tables is not _UNSEEN:
+                self._meta.move_to_end(sql)
+        return tables
+
     def _cacheable_tables(self, sql: str) -> Optional[Tuple[str, ...]]:
         """The table set for a cacheable SELECT else ``None``; memoised
         per SQL text like the engine's parse cache."""
-        with self._meta_lock:
-            if sql in self._meta:
-                self._meta.move_to_end(sql)
-                return self._meta[sql]
+        tables = self._known_tables(sql)
+        if tables is not _UNSEEN:
+            return tables
         statement = self._db._parse_statement(sql)
         tables = select_tables(statement)
         with self._meta_lock:
@@ -208,6 +262,92 @@ class CachedExecutor:
         finally:
             stages.stage("execute", start, time.perf_counter() - start)
 
+    def _lookup(self, sql: str, params: tuple, tables: Tuple[str, ...],
+                stages: Any) -> Optional[_Probe]:
+        """The one counted cache lookup, or ``None`` (nothing counted)
+        when ``params`` are unhashable and the statement must bypass."""
+        # keyed on the raw text: statements differing only in literals
+        # must not collide (see module docstring)
+        key = (sql, params)
+        try:
+            hash(key)
+        except TypeError:
+            return None
+        marks = self._current_marks(tables)
+        if stages is None:
+            return _Probe(key, marks, self.cache.lookup(key, marks))
+        info: dict = {}
+        lookup_start = time.perf_counter()
+        entry = self.cache.lookup(key, marks, info)
+        status = info.get("status", "miss")
+        stages.stage(
+            "cache.lookup", lookup_start,
+            time.perf_counter() - lookup_start, status,
+        )
+        stages.cache_status = status
+        return _Probe(key, marks, entry)
+
+    def probe(self, sql: str, params: Any,
+              stages: Any = None) -> Optional[_Probe]:
+        """The lookup for a request that holds no transaction, made
+        before it is queued: ``None`` unless ``sql`` is already known to
+        be a cacheable SELECT, in which case the request's one counted
+        lookup happens here. Never parses and never executes, so the
+        service's event loop calls it; a miss is handed to
+        :meth:`resolve` as ``probe`` and filled without a second look."""
+        if self.cache is None:
+            return None
+        tables = self._known_tables(sql)
+        if tables is None or tables is _UNSEEN:
+            return None
+        return self._lookup(sql, tuple(params), tables, stages)
+
+    def resolve(
+        self,
+        connection: Any,
+        sql: str,
+        params: Any = (),
+        timeout: Optional[float] = None,
+        stages: Any = None,
+        probe: Optional[_Probe] = None,
+    ) -> Tuple[_Entry, bool]:
+        """``(entry, cached)`` for one statement: a hit, a fresh fill or
+        an uncacheable (bypassed) execution. ``stages`` is an optional
+        request-trace sink (duck-typed :class:`repro.obs.requests.
+        PendingRequest`): the cache lookup and the engine execution are
+        staged onto it, and ``cache_status`` records hit / miss / stale /
+        bypass for the tail sampler. ``probe`` is this request's lookup
+        already made by :meth:`probe`."""
+        cache = self.cache
+        params = tuple(params)
+        if probe is None:
+            tables = None
+            if cache is not None and not connection.in_transaction:
+                tables = self._cacheable_tables(sql)
+            if tables is not None:
+                probe = self._lookup(sql, params, tables, stages)
+            if probe is None:
+                if cache is not None:
+                    cache.note_bypass()
+                    if stages is not None:
+                        stages.cache_status = "bypass"
+                result = self._execute_engine(
+                    connection, sql, params, timeout, stages
+                )
+                return _Entry(
+                    result.columns, result.rows, result.rowcount, None
+                ), False
+        if probe.entry is not None:
+            return probe.entry, True
+        # marks were captured before execution: a commit racing this
+        # fill leaves the entry stale-marked and therefore dead on its
+        # next lookup (see module docstring)
+        result = self._execute_engine(connection, sql, params, timeout, stages)
+        return cache.store(
+            probe.key, result.columns, result.rows, result.rowcount,
+            probe.marks,
+        ), False
+
     def execute(
         self,
         connection: Any,
@@ -216,55 +356,6 @@ class CachedExecutor:
         timeout: Optional[float] = None,
         stages: Any = None,
     ) -> Tuple[list, list, int, bool]:
-        """``stages`` is an optional request-trace sink (duck-typed
-        :class:`repro.obs.requests.PendingRequest`): the cache lookup and
-        the engine execution are staged onto it, and ``cache_status``
-        records hit / miss / stale / bypass for the tail sampler."""
-        cache = self.cache
-        params = tuple(params)
-        tables = None
-        if cache is not None and not connection.in_transaction:
-            tables = self._cacheable_tables(sql)
-        if tables is None:
-            if cache is not None:
-                cache.note_bypass()
-                if stages is not None:
-                    stages.cache_status = "bypass"
-            result = self._execute_engine(
-                connection, sql, params, timeout, stages
-            )
-            return result.columns, result.rows, result.rowcount, False
-        try:
-            # keyed on the raw text: statements differing only in
-            # literals must not collide (see module docstring)
-            key = (sql, params)
-            hash(key)
-        except TypeError:
-            cache.note_bypass()
-            if stages is not None:
-                stages.cache_status = "bypass"
-            result = self._execute_engine(
-                connection, sql, params, timeout, stages
-            )
-            return result.columns, result.rows, result.rowcount, False
-        marks = self._current_marks(tables)
-        if stages is None:
-            entry = cache.lookup(key, marks)
-        else:
-            info: dict = {}
-            lookup_start = time.perf_counter()
-            entry = cache.lookup(key, marks, info)
-            status = info.get("status", "miss")
-            stages.stage(
-                "cache.lookup", lookup_start,
-                time.perf_counter() - lookup_start, status,
-            )
-            stages.cache_status = status
-        if entry is not None:
-            return entry.columns, entry.rows, entry.rowcount, True
-        # marks were captured before execution: a commit racing this
-        # fill leaves the entry stale-marked and therefore dead on its
-        # next lookup (see module docstring)
-        result = self._execute_engine(connection, sql, params, timeout, stages)
-        cache.store(key, result.columns, result.rows, result.rowcount, marks)
-        return result.columns, result.rows, result.rowcount, False
+        """:meth:`resolve` as ``(columns, rows, rowcount, cached)``."""
+        entry, cached = self.resolve(connection, sql, params, timeout, stages)
+        return entry.columns, entry.rows, entry.rowcount, cached

@@ -36,6 +36,8 @@ from repro.errors import ServiceProtocolError
 __all__ = [
     "MAX_FRAME",
     "encode_frame",
+    "result_fragment",
+    "result_frame",
     "decode_body",
     "read_frame",
     "write_frame",
@@ -57,13 +59,45 @@ ERROR_CODES = (
 )
 
 
-def encode_frame(message: Dict[str, Any]) -> bytes:
-    body = json.dumps(message, separators=(",", ":")).encode("utf-8")
+def _framed(body: bytes) -> bytes:
     if len(body) > MAX_FRAME:
         raise ServiceProtocolError(
             f"frame of {len(body)} bytes exceeds MAX_FRAME ({MAX_FRAME})"
         )
     return _HEADER.pack(len(body)) + body
+
+
+def encode_frame(message: Dict[str, Any]) -> bytes:
+    return _framed(json.dumps(message, separators=(",", ":")).encode("utf-8"))
+
+
+def result_fragment(columns: Sequence[str], rows: Sequence[Sequence[Any]],
+                    rowcount: int) -> bytes:
+    """The one encoder of a query result: the JSON members
+    ``"columns":…,"rows":…,"rowcount":…`` as bytes, without the braces.
+    The result cache keeps it beside the rows, so the reply that filled
+    an entry and every hit after it splice the same bytes into
+    :func:`result_frame` — a hit formats no WKT and encodes no JSON."""
+    text = json.dumps(
+        {"columns": list(columns), "rows": jsonable_rows(rows),
+         "rowcount": rowcount},
+        separators=(",", ":"),
+    )
+    return text[1:-1].encode("utf-8")
+
+
+def result_frame(rid: Any, fragment: bytes, cached: bool,
+                 trace_id: Optional[str] = None) -> bytes:
+    """A successful query reply around a :func:`result_fragment`: the
+    same JSON object :func:`encode_frame` makes of ``{"ok": true, "id":
+    rid, "columns": …, "rows": …, "rowcount": …, "cached": cached}`` (and
+    ``trace_id`` when given), so clients cannot tell the two apart."""
+    parts = [b'{"ok":true,"id":', json.dumps(rid).encode("utf-8")]
+    if trace_id is not None:
+        parts += (b',"trace_id":', json.dumps(trace_id).encode("utf-8"))
+    parts += (b",", fragment,
+              b',"cached":true}' if cached else b',"cached":false}')
+    return _framed(b"".join(parts))
 
 
 def decode_body(data: bytes) -> Dict[str, Any]:

@@ -3,15 +3,21 @@
 Layering, top to bottom:
 
 - **asyncio event loop** (dedicated thread) owns every socket. It
-  parses frames, answers ``ping``/``stats`` inline, and applies the
-  first admission gate (:meth:`AdmissionControl.try_admit`) *before*
-  dispatching a query, so a saturated server sheds with a typed
-  ``overloaded`` frame in microseconds instead of queueing the request
-  behind a blocked worker.
+  parses frames, answers ``ping``/``stats`` inline, and answers a
+  result-cache hit inline too: for a connection outside a transaction
+  and an SQL text already known to be a cacheable SELECT it makes the
+  request's one cache lookup (:meth:`CachedExecutor.probe`), and a hit
+  is sent as a frame around the bytes encoded when the entry was
+  filled. Everything else meets the first admission gate
+  (:meth:`AdmissionControl.try_admit`) *before* it is dispatched, so a
+  saturated server sheds with a typed ``overloaded`` frame in
+  microseconds instead of queueing the request behind a blocked worker.
+  The loop never parses SQL and never touches the engine.
 - **worker threads** (a small :class:`ThreadPoolExecutor`) run the
   blocking engine calls. A worker leases a session from the
   :class:`SessionPool`, executes through the :class:`CachedExecutor`
-  (watermark-validated result cache), and returns the response dict.
+  (watermark-validated result cache; a miss the loop already counted is
+  filled without a second lookup), and returns the response dict.
 - **one TCP connection is one session**: requests on a connection are
   handled strictly in order, and a connection whose client has an open
   transaction stays *pinned* to its engine session until COMMIT /
@@ -52,7 +58,7 @@ from repro.service.protocol import (
     decode_body,
     encode_frame,
     error_payload,
-    jsonable_rows,
+    result_frame,
     trace_context,
 )
 
@@ -352,7 +358,13 @@ class JackpineServer:
 
     async def _send(self, writer, response: Dict[str, Any]) -> float:
         response.pop("_close", None)
-        writer.write(encode_frame(response))
+        body = response.pop("_body", None)
+        writer.write(
+            encode_frame(response) if body is None else result_frame(
+                response["id"], body, response["cached"],
+                response.get("trace_id"),
+            )
+        )
         start = time.perf_counter()
         await writer.drain()
         seconds = time.perf_counter() - start
@@ -397,26 +409,36 @@ class JackpineServer:
             if isinstance(value, dict) and "$wkt" in value else value
             for value in (message.get("params") or [])
         ]
+        probe = None
+        if state.pinned is None:
+            # a known SELECT is looked up here, once; a hit is answered
+            # from the loop with the bytes its fill encoded — no
+            # admission slot, no worker, no session
+            probe = self._cached.probe(sql, params, pending)
+            if probe is not None and probe.entry is not None:
+                if pending is not None:
+                    pending.complete("ok", cached=True)
+                return self._traced({
+                    "ok": True, "id": rid, "_body": probe.entry.body(),
+                    "cached": True,
+                }, pending)
         ticket = self.admission.try_admit()
         if ticket is None:
-            response = {
+            if pending is not None:
+                pending.complete("shed_queue_full")
+            return self._traced({
                 "ok": False, "id": rid,
                 "error": error_payload(
                     "overloaded",
                     f"queue full ({self.admission.max_queue} waiting)",
                     retry_after=self.admission.deadline,
                 ),
-            }
-            if pending is not None:
-                pending.complete("shed_queue_full")
-                response["trace_id"] = pending.trace_id
-                response["_pending"] = pending
-            return response
+            }, pending)
         with state.lock:
             state.running = True
         try:
             future = self._workers.submit(
-                self._run_query, state, sql, params, ticket, pending
+                self._run_query, state, sql, params, ticket, pending, probe
             )
         except RuntimeError:  # executor already shut down during stop
             with state.lock:
@@ -442,6 +464,12 @@ class JackpineServer:
                 self.admission.cancel(ticket)
             raise
         response["id"] = rid
+        return self._traced(response, pending)
+
+    @staticmethod
+    def _traced(response: Dict[str, Any], pending) -> Dict[str, Any]:
+        """Echo the trace id and hand the request's record to the
+        handler, which files it once the reply is on the wire."""
         if pending is not None:
             response["trace_id"] = pending.trace_id
             response["_pending"] = pending
@@ -465,10 +493,12 @@ class JackpineServer:
     # -- worker-thread side --------------------------------------------------
 
     def _run_query(
-        self, state: _ClientState, sql: str, params, ticket, pending=None
+        self, state: _ClientState, sql: str, params, ticket, pending=None,
+        probe=None,
     ) -> Dict[str, Any]:
         """Runs on a worker thread; returns the response dict and never
-        raises (every failure becomes a typed error payload)."""
+        raises (every failure becomes a typed error payload). ``probe``
+        is the loop's cache miss for this request, if it looked."""
         connection = None
         began = False
         try:
@@ -494,29 +524,22 @@ class JackpineServer:
             # pool wait is behind us; the guardrail timeout enforces it
             budget = max(ticket.deadline - time.perf_counter(), 1e-3)
             if pending is None:
-                # untraced: byte-identical to the pre-tracing call
-                columns, rows, rowcount, cached = self._cached.execute(
-                    connection, sql, params, timeout=budget
+                entry, cached = self._cached.resolve(
+                    connection, sql, params, timeout=budget, probe=probe
                 )
             else:
                 # bound to this thread so the query_end hook files the
                 # executor trace with *this* request, not a neighbour's
                 RECORDER.bind(pending)
                 try:
-                    columns, rows, rowcount, cached = self._cached.execute(
+                    entry, cached = self._cached.resolve(
                         connection, sql, params, timeout=budget,
-                        stages=pending,
+                        stages=pending, probe=probe,
                     )
                 finally:
                     RECORDER.unbind()
                 pending.complete("ok", cached=cached)
-            return {
-                "ok": True,
-                "columns": list(columns),
-                "rows": jsonable_rows(rows),
-                "rowcount": rowcount,
-                "cached": cached,
-            }
+            return {"ok": True, "_body": entry.body(), "cached": cached}
         except ReproError as exc:
             if pending is not None:
                 pending.complete(self._outcome_of(exc))

@@ -229,13 +229,19 @@ def test_slow_log_only_gets_retained_records(tmp_path, fresh_recorder):
 # ---------------------------------------------------------------------------
 
 
+#: a traced miss on a known SQL text: the event loop looks it up before
+#: admission, a worker executes it
+MISS_STAGES = ["net.recv", "cache.lookup", "queue.wait", "session.acquire",
+               "execute", "net.send"]
+
+
 def test_one_request_yields_one_linked_tree(database, fresh_recorder):
+    sql = "SELECT COUNT(*) FROM counties WHERE gid < ?"
     with _traced_server(database) as server:
         client = ServiceClient.from_address(server.address)
         try:
-            result = client.execute(
-                "SELECT COUNT(*) FROM counties WHERE gid < ?", (50,)
-            )
+            client.execute(sql, (49,))  # the server now knows the text
+            result = client.execute(sql, (50,))
         finally:
             client.close()
         assert result.trace_id is not None
@@ -247,9 +253,8 @@ def test_one_request_yields_one_linked_tree(database, fresh_recorder):
         (request,) = root.children
         assert request.op == "service.request"
         ops = [child.op for child in request.children]
-        assert ops == ["net.recv", "queue.wait", "session.acquire",
-                       "cache.lookup", "execute", "net.send"]
-        # the cache missed (first execution) and the executor SpanNode
+        assert ops == MISS_STAGES
+        # the cache missed (new params) and the executor SpanNode
         # tree is parented under the execute stage
         assert record.cache_status == "miss"
         execute = request.children[ops.index("execute")]
@@ -258,13 +263,39 @@ def test_one_request_yields_one_linked_tree(database, fresh_recorder):
         assert operator_ops & {"SeqScan", "IndexScan", "Project",
                                "Aggregate", "Filter"}
         # stage timings are also on the compact record
-        for stage in ("net.recv", "queue.wait", "session.acquire",
-                      "cache.lookup", "execute", "net.send"):
-            assert stage in record.stage_seconds
+        assert sorted(record.stage_seconds) == sorted(MISS_STAGES)
         # timestamps are epoch-normalized and causally ordered
         assert root.started <= request.started
         for child in request.children:
             assert child.started >= root.started - 1e-6
+
+
+def test_traced_hit_is_answered_before_admission(database, fresh_recorder):
+    """A hit never reaches a worker: its record has the loop's stages
+    only, and is filed after the reply went out (``net.send``). A text
+    the server has never seen is looked up on the worker, as before."""
+    sql = "SELECT COUNT(*) FROM counties WHERE gid < ?"
+    with _traced_server(database) as server:
+        client = ServiceClient.from_address(server.address)
+        try:
+            first = client.execute(sql, (60,))
+            hit = client.execute(sql, (60,))
+        finally:
+            client.close()
+    assert hit.cached and hit.rows == first.rows
+    record = _recorded(hit.trace_id)
+    assert record.cache_status == "hit" and record.cached
+    assert record.outcome == "ok"
+    (request,) = record.root.children
+    assert [child.op for child in request.children] == [
+        "net.recv", "cache.lookup", "net.send"]
+    assert "queue.wait" not in record.stage_seconds
+    unseen = _recorded(first.trace_id)
+    assert unseen.cache_status == "miss"
+    (request,) = unseen.root.children
+    assert [child.op for child in request.children] == [
+        "net.recv", "queue.wait", "session.acquire", "cache.lookup",
+        "execute", "net.send"]
 
 
 def test_errored_request_carries_its_executor_trace(database,
@@ -452,6 +483,14 @@ def test_trace_trees_complete_under_16_concurrent_clients(database,
     results = {}
     failures = []
 
+    def statement(slot: int, i: int) -> str:
+        # distinct literal per (slot, i), so a record's sql names the
+        # client that sent it; the ? lets a warm-up teach the server the
+        # text without filling the entry the traced request then misses
+        table = tables[(slot + i) % len(tables)]
+        return (f"SELECT COUNT(*) FROM {table} "
+                f"WHERE gid > {slot * 1000 + i} AND gid > ?")
+
     def body(slot: int) -> None:
         try:
             client = ServiceClient.from_address(server.address,
@@ -459,12 +498,8 @@ def test_trace_trees_complete_under_16_concurrent_clients(database,
             try:
                 mine = []
                 for i in range(4):
-                    table = tables[(slot + i) % len(tables)]
-                    # distinct literal per (slot, i): every request is a
-                    # cache miss, so every trace has an executor tree
-                    sql = (f"SELECT COUNT(*) FROM {table} "
-                           f"WHERE gid > {slot * 1000 + i}")
-                    result = client.execute(sql)
+                    sql = statement(slot, i)
+                    result = client.execute(sql, (0,))
                     mine.append((result.trace_id, sql))
                 results[slot] = mine
             finally:
@@ -474,6 +509,10 @@ def test_trace_trees_complete_under_16_concurrent_clients(database,
 
     with _traced_server(database, pool_size=4, max_queue=128,
                         deadline=30.0, trace_capacity=256) as server:
+        with ServiceClient.from_address(server.address) as warm:
+            for slot in range(16):
+                for i in range(4):
+                    warm.execute(statement(slot, i), (-1,))
         threads = [threading.Thread(target=body, args=(slot,))
                    for slot in range(16)]
         for thread in threads:
@@ -495,10 +534,7 @@ def test_trace_trees_complete_under_16_concurrent_clients(database,
             assert root.op == "client.request"
             (request,) = root.children
             ops = [child.op for child in request.children]
-            assert ops == ["net.recv", "queue.wait", "session.acquire",
-                           "cache.lookup", "execute", "net.send"], (
-                f"client {slot} {trace_id}: {ops}"
-            )
+            assert ops == MISS_STAGES, f"client {slot} {trace_id}: {ops}"
             execute = request.children[ops.index("execute")]
             assert execute.children, (
                 f"client {slot} {trace_id}: executor trace missing"

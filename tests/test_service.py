@@ -31,6 +31,8 @@ from repro.service.protocol import (
     error_payload,
     jsonable_rows,
     decode_rows,
+    result_fragment,
+    result_frame,
 )
 
 
@@ -62,6 +64,27 @@ def test_geometry_crosses_the_wire_as_wkt():
     assert wire[0][1] == {"$wkt": point.wkt()}
     back = decode_rows(wire)
     assert back == [(1, point.wkt(), "name")]
+
+
+@pytest.mark.parametrize("rid, trace_id", [
+    (3, None), ("req-9", "4f1a0001"), (None, None),
+])
+def test_result_frame_is_the_encoded_reply_dict(rid, trace_id):
+    from repro.geometry.wkt import loads
+
+    columns, rows = ["gid", "geom", "name", "score"], [
+        (1, loads("POINT(3 4)"), "é", 0.5), (2, None, None, None),
+    ]
+    fragment = result_fragment(columns, rows, 2)
+    for cached in (False, True):
+        reply = {"ok": True, "id": rid, "columns": columns,
+                 "rows": jsonable_rows(rows), "rowcount": 2,
+                 "cached": cached}
+        if trace_id is not None:
+            reply["trace_id"] = trace_id
+        frame = result_frame(rid, fragment, cached, trace_id)
+        assert int.from_bytes(frame[:4], "big") == len(frame) - 4
+        assert decode_body(frame[4:]) == decode_body(encode_frame(reply)[4:])
 
 
 def test_error_payload_rejects_unknown_codes():
@@ -389,15 +412,15 @@ def test_stop_mid_query_releases_pinned_session_exactly_once(database):
     srv.start()
     started = threading.Event()
     unblock = threading.Event()
-    real_execute = srv._cached.execute
+    real_resolve = srv._cached.resolve
 
-    def blocking_execute(connection, sql, params=(), timeout=None):
+    def blocking_resolve(connection, sql, params=(), **kwargs):
         if "pointlm" in sql:
             started.set()
             assert unblock.wait(10), "test never unblocked the worker"
-        return real_execute(connection, sql, params, timeout=timeout)
+        return real_resolve(connection, sql, params, **kwargs)
 
-    srv._cached.execute = blocking_execute
+    srv._cached.resolve = blocking_resolve
     releases = []
     real_release = srv.pool.release
 
@@ -533,7 +556,9 @@ def test_jackpine_service_view_reflects_server(server, database):
     assert pool_size == 2
     assert queue_limit == 4
     assert cache_hits >= 1
-    assert admitted >= 2
+    # the repeat is a hit, answered before admission: only the fill
+    # took a queue slot
+    assert admitted == 1
 
 
 def test_jackpine_service_view_empty_without_server(database):

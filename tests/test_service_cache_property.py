@@ -5,7 +5,9 @@ a plain uncached connection would not return at that moment**. The
 property test below throws randomized DML interleavings (auto-commit
 writes, multi-statement transactions, rollbacks, DDL-free churn) at a
 shared database and, after *every* cached read, replays the same SELECT
-on a plain connection — the two must agree, always. The threaded test
+on a plain connection — the two must agree, always; a second property
+test does the same through a running server and checks that each query
+request is counted once in its cache statistics. The threaded test
 checks the same contract against a genuinely concurrent writer: reads
 served through the cache must never travel back in time.
 """
@@ -20,7 +22,13 @@ from hypothesis import strategies as st
 
 from repro.dbapi import connect
 from repro.engines import Database
-from repro.service import CachedExecutor, ResultCache
+from repro.service import (
+    CachedExecutor,
+    JackpineServer,
+    ResultCache,
+    ServerConfig,
+    ServiceClient,
+)
 
 KEYS = list(range(1, 7))
 
@@ -101,6 +109,67 @@ def test_cached_reads_always_match_uncached(database, ops):
         reader.close()
         writer.close()
         plain.close()
+
+
+@pytest.fixture(scope="module")
+def server(database):
+    srv = JackpineServer(database, ServerConfig(
+        pool_size=2, cache_capacity=8, deadline=30.0,
+    ))
+    srv.start()
+    yield srv
+    srv.stop()
+
+
+@given(ops=_ops)
+@settings(max_examples=30, deadline=None)
+def test_served_reads_match_uncached_and_count_once(database, server, ops):
+    """The same contract through the server, where known SELECTs are
+    looked up on the event loop and hits answered there; and every
+    query request is counted exactly once, as a hit, a miss or a
+    bypass."""
+    before = server.stats()["cache"]
+    sent = 0
+    plain = connect(database=database)
+    reader = ServiceClient(server.host, server.port)
+    writer = ServiceClient(server.host, server.port)
+
+    def send(client, sql, params=()):
+        nonlocal sent
+        sent += 1
+        return client.execute(sql, params)
+
+    try:
+        for kind, key, value in ops:
+            if kind.startswith("read"):
+                sql = _READS[int(kind[-1])]
+                params = () if "?" not in sql else (key,)
+                served = send(reader, sql, params).rows
+                plain_rows = plain.cursor().execute(sql, params).fetchall()
+                assert sorted(served) == sorted(plain_rows), (
+                    f"served read diverged on {sql!r} {params} after {kind}"
+                )
+            elif kind == "write":
+                send(writer, "UPDATE cachetest SET name = ? WHERE k = ?",
+                     (f"s{value}", key))
+            elif kind in ("txn_write", "txn_rollback"):
+                send(writer, "BEGIN")
+                send(writer, "UPDATE cachetest SET name = ? WHERE k = ?",
+                     (f"st{value}", key))
+                send(writer,
+                     "COMMIT" if kind == "txn_write" else "ROLLBACK")
+            else:
+                gid = 2000 + value
+                send(writer, "INSERT INTO cachetest VALUES (?, ?)",
+                     (gid, f"stmp{value}"))
+                send(writer, "DELETE FROM cachetest WHERE k = ?", (gid,))
+    finally:
+        reader.close()
+        writer.close()
+        plain.close()
+    after = server.stats()["cache"]
+    assert sum(after[c] - before[c] for c in ("hits", "misses", "bypass")) \
+        == sent
 
 
 @given(ops=_ops)
