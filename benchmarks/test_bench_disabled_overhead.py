@@ -168,8 +168,8 @@ class TestEmbedded:
     def test_detached_insert_within_budget(self):
         """The transactional bulk path with no storage attached —
         ``insert_rows``: latch, one transaction per batch (one undo run,
-        frozen by slice at commit), a per-row ``db.durability`` attribute
-        read — against the direct heap + index loop."""
+        frozen by slice at commit), one ``db.durability`` attribute read
+        at its commit — against the direct heap + index loop."""
         rows = [(i, f"POINT({i % 100} {i % 90})") for i in range(400)]
         db = Database("greenwood")
         db.execute("CREATE TABLE bench (id INTEGER, g GEOMETRY)")

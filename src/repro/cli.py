@@ -470,13 +470,7 @@ def _run_checkpoint(args) -> int:
         recovery = getattr(db, "recovery_report", None)
         if recovery is not None:
             print(recovery.describe())
-        report = db.checkpoint()
-        print(
-            f"checkpoint at lsn {report.lsn}: "
-            f"{report.pages_flushed} page(s) flushed, "
-            f"wal truncated to {report.wal_records_kept} record(s) "
-            f"({report.wal_bytes} bytes)"
-        )
+        print(db.checkpoint().describe())
     finally:
         db.close()
     return 0

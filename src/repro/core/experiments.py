@@ -543,7 +543,7 @@ def run_recovery(
     For each checkpoint interval, concurrent clients commit single-row
     transactions against a fresh durable directory until a seeded crash
     fires (the ``crash_after``-th visit to ``site``, simulating
-    ``kill -9`` at that exact storage instruction). ARIES-lite recovery
+    ``kill -9`` at that exact storage instruction). Redo-only recovery
     then rebuilds the database, and the oracle asserts both durability
     directions: every committed transaction visible, every uncommitted
     one absent. Frequent checkpoints keep the WAL short and recovery
@@ -591,11 +591,9 @@ def run_recovery(
                 "winners": report.winners,
                 "losers": report.losers,
                 "redone": report.redone,
-                "undone": report.undone,
                 "recovered_rows": sum(report.tables.values()),
                 "analysis_seconds": report.analysis_seconds,
                 "redo_seconds": report.redo_seconds,
-                "undo_seconds": report.undo_seconds,
                 "rebuild_seconds": report.rebuild_seconds,
                 "recovery_seconds": report.total_seconds,
                 "verified": not violations,
@@ -610,7 +608,7 @@ def render_recovery(result: Sweep) -> str:
     lines = [
         f"{result.engine}, kill at {result.subject}",
         "(simulated kill -9 mid-workload: the WAL is truncated to its",
-        " last fsynced byte, then ARIES-lite analysis/redo/undo rebuilds",
+        " last fsynced byte, then redo-only analysis + replay rebuilds",
         " heap, catalog and spatial indexes; the oracle checks both",
         " durability directions)",
         f"{'ckpt ivl':>9s} {'ckpts':>6s} {'wal recs':>9s} "

@@ -114,8 +114,8 @@ class Database:
         #: the MVCC transaction manager (txn ids, snapshots, row locks)
         self.txn = TxnManager(self)
         #: durable page/WAL storage, attached via :meth:`attach_storage` /
-        #: :meth:`open`; ``None`` keeps the engine purely in-memory and
-        #: every durability hook at one attribute read
+        #: :meth:`open`; ``None`` keeps the engine purely in-memory. Only
+        #: COMMIT (row records) and DDL reach it
         self.durability = None
         # per-statement physical latch: SELECT shared, mutation exclusive;
         # never held across statements (isolation is the txn layer's job)
@@ -155,10 +155,10 @@ class Database:
 
         A directory that already holds a WAL goes through crash recovery
         (:func:`repro.storage.durability.recover`) — committed work is
-        rebuilt, in-flight work is undone. A fresh directory gets empty
-        storage attached. ``profile=None`` means the profile the WAL
-        header records (greenwood for a fresh directory); an explicit
-        profile overrides it.
+        rebuilt; uncommitted work was never logged. A fresh directory
+        gets empty storage attached. ``profile=None`` means the profile
+        the WAL header records (greenwood for a fresh directory); an
+        explicit profile overrides it.
         """
         import os
 
@@ -215,14 +215,9 @@ class Database:
             manager.mirror_existing_rows()
             manager.checkpoint()
 
-    def attach_durability(self, manager) -> None:
-        """Adopt an already-populated durability manager (the recovery
-        path — no mirroring, the pages are the source of truth)."""
-        manager.bind(self)
-        self.durability = manager
-
     def checkpoint(self):
-        """Flush dirty pages and rewrite the WAL to a checkpoint record."""
+        """Replay the WAL onto the pages, flush them, and rewrite the WAL
+        to a checkpoint record."""
         if self.durability is None:
             raise SqlProgrammingError("no durable storage attached")
         with self._latch.exclusive():
@@ -602,8 +597,8 @@ class Database:
         session's open one, or an implicit single-statement one committed
         before the statement returns — so open snapshots keep the versions
         they are entitled to, a failed statement leaves nothing behind,
-        and the WAL's undo information and the MVCC rollback machinery
-        stay one mechanism.
+        and the transaction's undo log is both the MVCC rollback list and
+        what its COMMIT writes to the WAL.
         """
         txn = session.txn
         implicit = txn is None
@@ -810,24 +805,14 @@ class Database:
     def _insert_one(
         self, table: Table, values: Sequence[Any], xmin: int
     ) -> int:
-        """Heap insert + index maintenance + WAL; the heap row (and its
-        index entries) are rolled back if any later step fails, keeping
-        heap, indexes and the durable mirror consistent."""
+        """Heap insert + index maintenance; the heap row is rolled back
+        if the index insert fails, keeping heap and indexes consistent."""
         row_id = table.insert_row(values, xmin=xmin)
         try:
             self._index_insert(table, row_id)
         except Exception:
             table.rollback_insert(row_id)
             raise
-        if self.durability is not None:
-            try:
-                self.durability.log_insert(
-                    xmin, table.name, row_id, table.get_row(row_id)
-                )
-            except Exception:
-                self._index_remove(table, row_id)
-                table.rollback_insert(row_id)
-                raise
         return row_id
 
     def _index_insert(self, table: Table, row_id: int) -> None:
@@ -881,13 +866,6 @@ class Database:
             self._lock_row_for_write(table, row_id, txn)
             table.mark_deleted(row_id, txn.txid)
             txn.record("delete", table, row_id)
-            if self.durability is not None:
-                # the durable mirror tracks committed-state-to-be: the
-                # page row goes now (steal), the in-memory version stays
-                # for older snapshots until vacuum
-                self.durability.log_delete(
-                    txn.txid, table.name, row_id, table.get_row(row_id)
-                )
         return ResultSet([], [], len(doomed))
 
     def _run_update(
@@ -926,11 +904,6 @@ class Database:
             table.mark_deleted(row_id, txn.txid)
             txn.record("delete", table, row_id)
             txn.record("insert", table, new_id)
-            if self.durability is not None:
-                # WAL mirrors the MVCC shape: insert new + delete old
-                self.durability.log_delete(
-                    txn.txid, table.name, row_id, table.get_row(row_id)
-                )
         return ResultSet([], [], len(pending))
 
     def _run_create_table(self, stmt: ast.CreateTable) -> ResultSet:

@@ -29,7 +29,6 @@ work:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence
 
@@ -188,15 +187,10 @@ class EngineProfile:
         how the paper's engines differ in what they do with numerically
         hostile input.
         """
-        if WAITS.enabled:
-            # attribute refinement as on-CPU time (CPU:Refine); one bool
-            # check when the monitor is off, matching the FAULTS contract
-            started = time.perf_counter()
-            try:
-                return self._refine_all(name, firsts, seconds, stats)
-            finally:
-                WAITS.record(CPU_REFINE, time.perf_counter() - started)
-        return self._refine_all(name, firsts, seconds, stats)
+        # refinement is attributed on-CPU time (CPU:Refine)
+        return WAITS.timed(CPU_REFINE, self._refine_all)(
+            name, firsts, seconds, stats
+        )
 
     def _refine_all(self, name, firsts, seconds, stats):
         refine_one = self._refine_one

@@ -96,18 +96,9 @@ class ExecutionGuard:
         self._countdown -= n
         if self._countdown <= 0:
             self._countdown = CHECK_EVERY
-            if WAITS.enabled:
-                # the full check is already amortised to every CHECK_EVERY
-                # rows, so timing it here costs nothing on the row path
-                started = time.perf_counter()
-                try:
-                    self.check()
-                finally:
-                    WAITS.record(
-                        GUARD_TICK, time.perf_counter() - started
-                    )
-            else:
-                self.check()
+            # the full check is already amortised to every CHECK_EVERY
+            # rows, so timing it here costs nothing on the row path
+            WAITS.timed(GUARD_TICK, self.check)()
 
     def check(self) -> None:
         """The unamortised check: cancellation first, then the deadline."""

@@ -8,10 +8,11 @@ event* from a closed taxonomy (:data:`WAIT_EVENTS`). When the process-
 wide :data:`WAITS` monitor is enabled, each site records a timed
 :class:`WaitRecord` into a per-thread ring buffer (no cross-thread locks
 on the record path beyond the histogram's) and bumps per-event
-aggregates; when it is disabled, every site costs exactly one attribute
-read and a branch — the same contract as :data:`~repro.faults.FAULTS`
-and the observability switchboard, pinned by
-``benchmarks/test_bench_disabled_overhead.py``.
+aggregates; when it is disabled, every site costs one attribute read
+and a branch — :meth:`WaitMonitor.timed`, the helper timed sites call,
+hands back the untimed callable — the same contract as
+:data:`~repro.faults.FAULTS` and the observability switchboard, pinned
+by ``benchmarks/test_bench_disabled_overhead.py``.
 
 Three consumers sit on top:
 
@@ -28,9 +29,11 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 
 from repro.obs.metrics import Histogram
+
+T = TypeVar("T")
 
 __all__ = [
     "WAIT_EVENTS",
@@ -299,6 +302,38 @@ class WaitMonitor:
     def record(self, event: str, seconds: float, detail: Any = None) -> None:
         """Record an already-measured wait on the calling thread."""
         self._record(self.state(), event, seconds, detail)
+
+    def timed(self, event: str, fn: Callable[..., T],
+              detail: Any = None) -> Callable[..., T]:
+        """``fn`` timed as one ``event`` per call.
+
+        While the monitor is off this returns ``fn`` itself, so a call
+        site hoisted out of a loop pays nothing per call; otherwise a
+        wrapper that records the call's duration, also when it raises.
+        An off-CPU event is also the thread's current wait while the
+        call runs (what ASH samples); an on-CPU bucket is not.
+        """
+        if not self.enabled:
+            return fn
+        if event.startswith(CPU_CLASS):
+
+            def timed_call(*args: Any, **kwargs: Any) -> T:
+                started = time.perf_counter()
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    self.record(event, time.perf_counter() - started, detail)
+
+            return timed_call
+
+        def waited_call(*args: Any, **kwargs: Any) -> T:
+            token = self.begin_wait(event, detail)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self.end_wait(token)
+
+        return waited_call
 
     def _record(self, state: _ThreadState, event: str, seconds: float,
                 detail: Any) -> None:

@@ -370,12 +370,9 @@ class IndexScan(PlanNode):
         stats = ctx.stats
         stats.index_probes += 1
         self.entry.probes += 1
-        if WAITS.enabled:
-            _started = time.perf_counter()
-            row_ids = self.entry.index.search(envelope)
-            WAITS.record(CPU_INDEX_PROBE, time.perf_counter() - _started)
-        else:
-            row_ids = self.entry.index.search(envelope)
+        row_ids = WAITS.timed(CPU_INDEX_PROBE, self.entry.index.search)(
+            envelope
+        )
         stats.index_candidates += len(row_ids)
         per_page = self.table.ROWS_PER_PAGE
         stats.pages_read += len({rid // per_page for rid in row_ids})
@@ -666,14 +663,7 @@ class Sort(PlanNode):
         del parts
         if not materialised.size:
             return
-        if WAITS.enabled:
-            _started = time.perf_counter()
-            try:
-                order = self._order(materialised, ctx)
-            finally:
-                WAITS.record(CPU_SORT, time.perf_counter() - _started)
-        else:
-            order = self._order(materialised, ctx)
+        order = WAITS.timed(CPU_SORT, self._order)(materialised, ctx)
         for start in range(0, len(order), BATCH_SIZE):
             yield materialised.take(order[start:start + BATCH_SIZE])
 

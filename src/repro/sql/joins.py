@@ -10,7 +10,6 @@ is one position in both, never a merged row.
 from __future__ import annotations
 
 import math
-import time
 from itertools import islice
 from operator import itemgetter
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -179,7 +178,9 @@ class IndexNestedLoopJoin(PlanNode):
         alias = self.alias
         residual = self.residual
         probe = self.probe
-        search = self.entry.index.search
+        # per-probe timing only when the wait monitor was on as the
+        # loop started: the wrapper is taken once per execution
+        search = WAITS.timed(CPU_INDEX_PROBE, self.entry.index.search)
         heap = self.table.rows
         stats = ctx.stats
         guard = ctx.guard
@@ -188,9 +189,6 @@ class IndexNestedLoopJoin(PlanNode):
             self.table.row_visible
             if snapshot is not None and self.table.mvcc_versions else None
         )
-        # read once per execution: per-probe timing only when the wait
-        # monitor was on as the loop started
-        waits_on = WAITS.enabled
         probes = 0
         candidates = 0
         emitted = 0
@@ -205,14 +203,7 @@ class IndexNestedLoopJoin(PlanNode):
                     if FAULTS.active:
                         FAULTS.hit("index.probe")
                     probes += 1
-                    if waits_on:
-                        _started = time.perf_counter()
-                        row_ids = search(envelope)
-                        WAITS.record(
-                            CPU_INDEX_PROBE, time.perf_counter() - _started
-                        )
-                    else:
-                        row_ids = search(envelope)
+                    row_ids = search(envelope)
                     candidates += len(row_ids)
                     if row_visible is None:
                         rows = list(map(heap.__getitem__, row_ids))

@@ -1,36 +1,31 @@
-"""The durability layer: WAL + heap pages wired under the MVCC engine.
+"""The durability layer: a redo-only WAL + heap pages under the MVCC engine.
 
 The in-memory :class:`~repro.storage.table.Table` heap stays the
-execution data structure; this module maintains a *durable mirror* of
-the committed-plus-in-flight state in slotted pages
-(:mod:`repro.storage.pages`) guarded by a write-ahead log
-(:mod:`repro.storage.wal`), the way in-memory engines persist. The
-engine calls one hook per logical row operation:
+execution data structure. The slotted pages (:mod:`repro.storage.pages`)
+hold the committed state as of the last checkpoint, and the write-ahead
+log (:mod:`repro.storage.wal`) holds every committed change since — the
+shape of SQLite's WAL mode. The policy is *no-steal, redo-only*: nothing
+uncommitted ever reaches the log or the pages, so nothing ever has to be
+undone, and a rollback writes nothing. The engine calls three hooks:
 
-* ``log_insert`` / ``log_delete`` — append a WAL record (with undo
-  information: old values ride in delete records; an UPDATE logs the
-  insert of its new version and the delete of its old one), then apply
-  the change to the heap pages (steal policy: uncommitted rows do reach
-  disk; recovery undoes them);
-* ``log_commit`` — append COMMIT and group-fsync: the transaction is
-  durable exactly when this returns;
-* ``log_abort`` — append ABORT and reverse the transaction's page
-  effects from the in-memory undo log (never raises on the cleanup
-  path);
+* ``log_commit`` — at COMMIT, append the transaction's row records (an
+  insert carries its row, a delete only its row id; an UPDATE is the
+  insert of the new version and the delete of the old one), then the
+  COMMIT record, then group-fsync: the transaction is durable exactly
+  when this returns;
 * ``log_ddl`` — schema changes, logged and fsynced immediately;
-* ``checkpoint`` — flush dirty pages, then atomically rewrite the WAL
-  to the records of still-active transactions (their undo information
-  must survive) plus one ``checkpoint`` record carrying the table and
-  index definitions.
+* ``checkpoint`` — replay the log's committed records onto the heap
+  pages, flush and fsync them, then atomically rewrite the WAL to one
+  ``checkpoint`` record carrying the table and index definitions.
 
 A database directory is therefore two files: the page file and the WAL.
-:func:`recover` is the ARIES-lite restart path: scan the page file for
-the raw row image, take the schema from the log's first checkpoint
-record, then **analysis** (who committed?) → **redo** (replay every
-logged op in LSN order, DDL included — idempotent, so effects already on
-disk are harmless) → **undo** (reverse losers' ops newest-first, guarded
-by a last-writer check so a recycled row id is never clobbered) →
-rebuild the in-memory heap, catalog and spatial indexes, and checkpoint.
+:func:`recover` is the restart path: scan the page file for the raw row
+image, take the schema from the log's first checkpoint record, then
+**analysis** (which transactions have a commit record?) → **replay**
+(the checkpoint's own :func:`_replay`: committed row records and DDL in
+LSN order, idempotent, so effects already on disk are harmless) →
+rebuild the in-memory heap, catalog and spatial indexes, and write a
+checkpoint.
 
 Crash simulation: when an armed WAL/page fault raises
 :class:`~repro.errors.SimulatedCrashError`, the layer *freezes first* —
@@ -79,20 +74,25 @@ class CheckpointReport:
 
     lsn: int
     pages_flushed: int
-    wal_records_kept: int
+    records_replayed: int
     wal_bytes: int
 
     def describe(self) -> str:
         return (
-            f"checkpoint lsn={self.lsn}: flushed {self.pages_flushed} "
-            f"pages, kept {self.wal_records_kept} WAL records "
-            f"({self.wal_bytes} bytes)"
+            f"checkpoint at lsn {self.lsn}: {self.records_replayed} WAL "
+            f"record(s) replayed, {self.pages_flushed} page(s) written, "
+            f"wal truncated to {self.wal_bytes} bytes"
         )
 
 
 @dataclass
 class RecoveryReport:
-    """What :func:`recover` found and rebuilt."""
+    """What :func:`recover` found and rebuilt.
+
+    ``losers`` counts transactions whose row records have no commit
+    record (they are discarded); ``undo_seconds`` is always 0.0 — there
+    is no undo pass — and stays for readers of the per-pass timings.
+    """
 
     profile: str = "greenwood"
     tables: Dict[str, int] = field(default_factory=dict)
@@ -101,7 +101,6 @@ class RecoveryReport:
     winners: int = 0
     losers: int = 0
     redone: int = 0
-    undone: int = 0
     checkpoint_lsn: int = 0
     next_txid: int = 1
     analysis_seconds: float = 0.0
@@ -117,8 +116,8 @@ class RecoveryReport:
             f"{len(self.tables)} tables, {rows} rows, "
             f"{len(self.indexes)} indexes in {self.total_seconds:.3f}s "
             f"(scanned {self.wal_records} WAL records: "
-            f"{self.winners} committed, {self.losers} undone losers; "
-            f"redo {self.redone} ops, undo {self.undone} ops)"
+            f"{self.winners} committed, {self.losers} discarded; "
+            f"replayed {self.redone} records)"
         )
 
 
@@ -149,9 +148,6 @@ class DurabilityManager:
         self.crashed = False
         self.checkpoints_total = 0
         self.last_checkpoint_lsn = 0
-        #: logged row-op counts per open transaction: read-only commits
-        #: skip the COMMIT record (and its fsync) entirely
-        self._txn_ops: Dict[int, int] = {}
 
     def bind(self, db: "Database") -> None:
         self._db = db
@@ -174,96 +170,62 @@ class DurabilityManager:
                 "recover the database directory to continue"
             )
 
-    # -- row-operation hooks -----------------------------------------------
+    # -- commit ------------------------------------------------------------
 
-    def log_insert(self, txid: int, table: str, rid: int,
-                   values: tuple) -> None:
+    def log_commit(self, txn: "Transaction") -> None:
+        """Log ``txn``'s row records and COMMIT, then fsync; the
+        transaction is durable on return.
+
+        Called before any in-memory commit state changes, so every row
+        the transaction wrote is still in its heap slot. A read-only
+        transaction logs nothing. Undo entries of a table that has since
+        been dropped (and perhaps re-created under the same name) are
+        skipped: replaying them would put the old table's rows into the
+        new one.
+        """
         self._check_live()
+        append = self.wal.append
+        catalog = self._db.catalog
+        txid = txn.txid
+        lsn = 0
         try:
-            encoded = [encode_value(v) for v in values]
-            lsn = self.wal.append({
-                "type": "wal", "op": "insert", "txid": txid,
-                "table": table, "rid": rid, "values": encoded,
-            })
-            self.heap.insert(table, rid, encoded, lsn)
-            self._txn_ops[txid] = self._txn_ops.get(txid, 0) + 1
-        except SimulatedCrashError:
-            self.crash()
-            raise
-
-    def log_delete(self, txid: int, table: str, rid: int,
-                   old_values: tuple) -> None:
-        self._check_live()
-        try:
-            lsn = self.wal.append({
-                "type": "wal", "op": "delete", "txid": txid,
-                "table": table, "rid": rid,
-                "old": [encode_value(v) for v in old_values],
-            })
-            self.heap.delete(table, rid, lsn)
-            self._txn_ops[txid] = self._txn_ops.get(txid, 0) + 1
-        except SimulatedCrashError:
-            self.crash()
-            raise
-
-    # -- transaction boundaries --------------------------------------------
-
-    def log_commit(self, txid: int) -> None:
-        """Append COMMIT and fsync; the transaction is durable on return."""
-        self._check_live()
-        if not self._txn_ops.pop(txid, 0):
-            return  # read-only transaction: nothing to make durable
-        try:
-            lsn = self.wal.append({"type": "wal", "op": "commit",
-                                   "txid": txid})
+            for op, table, first, count in txn.undo:
+                name = table.name
+                if not (catalog.has_table(name)
+                        and catalog.table(name) is table):
+                    continue  # dropped since this transaction wrote it
+                rows = table.rows
+                for rid in range(first, first + count):
+                    if op == "insert":
+                        lsn = append({
+                            "type": "wal", "op": "insert", "txid": txid,
+                            "table": name, "rid": rid,
+                            "values": [encode_value(v) for v in rows[rid]],
+                        })
+                    else:
+                        lsn = append({
+                            "type": "wal", "op": "delete", "txid": txid,
+                            "table": name, "rid": rid,
+                        })
+            if not lsn:
+                return  # nothing to make durable
+            lsn = append({"type": "wal", "op": "commit", "txid": txid})
             self.wal.sync_for(lsn)
         except SimulatedCrashError:
             self.crash()
             raise
-
-    def log_abort(self, txn: "Transaction") -> None:
-        """Append ABORT and reverse the transaction's page effects.
-
-        Runs on the error-cleanup path, so it must not raise: after a
-        simulated crash the disk is frozen and the reversal is skipped —
-        recovery will undo the loser from the WAL instead.
-        """
-        ops = self._txn_ops.pop(txn.txid, 0)
-        if self.crashed or not ops:
-            return
-        try:
-            lsn = self.wal.append({"type": "wal", "op": "abort",
-                                   "txid": txn.txid})
-            # newest-first, mirroring TxnManager.rollback; the in-memory
-            # rows still hold the values this reversal needs (the hook
-            # runs before the memory-side rollback)
-            for op, table, first, count in reversed(txn.undo):
-                for rid in reversed(range(first, first + count)):
-                    if op == "insert":
-                        self.heap.delete(table.name, rid, lsn)
-                        continue
-                    row = table.rows[rid]
-                    if row is not None:
-                        self.heap.insert(
-                            table.name, rid,
-                            [encode_value(v) for v in row], lsn,
-                        )
-        except SimulatedCrashError:
-            self.crash()
 
     # -- DDL ---------------------------------------------------------------
 
     def log_ddl(self, ddl: str, **fields: Any) -> None:
         """Log a schema change and fsync immediately (DDL is rare and
-        auto-commits in this engine)."""
+        auto-commits in this engine). Its page effects — a dropped
+        table's rows — reach the pages through the checkpoint's replay."""
         self._check_live()
         try:
             record = {"type": "wal", "op": "ddl", "ddl": ddl, "txid": 0}
             record.update(fields)
-            lsn = self.wal.append(record)
-            if ddl == "drop_table":
-                self.heap.drop_table(fields["name"], lsn)
-            self.wal.sync_for(lsn)
+            self.wal.sync_for(self.wal.append(record))
         except SimulatedCrashError:
             self.crash()
             raise
@@ -271,69 +233,77 @@ class DurabilityManager:
     # -- checkpoint --------------------------------------------------------
 
     def checkpoint(self) -> CheckpointReport:
-        """Flush dirty pages, then replace the WAL with a checkpoint.
+        """Replay the WAL onto the pages, flush them, then replace the
+        WAL with a checkpoint record.
 
         Caller must hold the database's exclusive statement latch (no
-        statement is mid-flight). The rewritten log holds the records of
-        still-active transactions — their undo information must survive
-        until they resolve; redo idempotency makes the carried copies
-        harmless if they later commit — and one ``checkpoint`` record
-        carrying the table and index definitions, so the rewrite is the
-        checkpoint's one atomic step.
+        statement is mid-flight). A crash before the WAL rewrite leaves
+        the old log in place, and replaying it again is harmless.
         """
         self._check_live()
-        db = self._db
-        if db is None:
-            raise EngineError("durability manager is not bound to a database")
+        written = self.disk.pages_written
         try:
             self.wal.sync()
-            flushed = self.buffer.flush_all()
-            self.disk.sync()
-            active = set(db.txn.active_txids())
-            keep = [
-                r for r in self.wal.records()
-                if r.get("txid") in active and r.get("op") in _ROW_OPS
-            ]
-            ckpt = {
-                "type": "wal", "op": "checkpoint", "txid": 0,
-                "active": sorted(active),
-                "next_txid": db.txn.next_txid,
-                "tables": [
-                    {"name": t.name,
-                     "columns": [[c.name, c.type.value] for c in t.columns]}
-                    for t in db.catalog.tables()
-                ],
-                "indexes": [
-                    {
-                        "name": e.name, "table": e.table_name,
-                        "column": e.column_name, "kind": e.index.kind,
-                    }
-                    for e in db.catalog.indexes()
-                ],
-            }
-            lsn = self.wal.append(ckpt)
-            self.wal.rewrite(keep + [ckpt])
-            self.last_checkpoint_lsn = lsn
-            self.checkpoints_total += 1
-            return CheckpointReport(
-                lsn, flushed, len(keep), self.wal.size_bytes()
-            )
+            records = self.wal.records()
+            replayed = _replay(self.heap, records, _committed(records))
         except SimulatedCrashError:
             self.crash()
             raise
+        return self._write_checkpoint(replayed, written)
+
+    def _write_checkpoint(self, replayed: int,
+                          written: int) -> CheckpointReport:
+        """Flush and fsync the (already replayed) pages, then rewrite the
+        WAL to one ``checkpoint`` record — the checkpoint's one atomic
+        step. ``written`` is the page-write count before the replay."""
+        db = self._db
+        if db is None:
+            raise EngineError("durability manager is not bound to a database")
+        ckpt = {
+            "type": "wal", "op": "checkpoint", "txid": 0,
+            "next_txid": db.txn.next_txid,
+            "tables": [
+                {"name": t.name,
+                 "columns": [[c.name, c.type.value] for c in t.columns]}
+                for t in db.catalog.tables()
+            ],
+            "indexes": [
+                {
+                    "name": e.name, "table": e.table_name,
+                    "column": e.column_name, "kind": e.index.kind,
+                }
+                for e in db.catalog.indexes()
+            ],
+        }
+        try:
+            self.buffer.flush_all()
+            self.disk.sync()
+            lsn = self.wal.append(ckpt)
+            self.wal.rewrite([ckpt])
+        except SimulatedCrashError:
+            self.crash()
+            raise
+        self.last_checkpoint_lsn = lsn
+        self.checkpoints_total += 1
+        return CheckpointReport(
+            lsn, self.disk.pages_written - written, replayed,
+            self.wal.size_bytes(),
+        )
 
     # -- attach-time mirroring ---------------------------------------------
 
     def mirror_existing_rows(self) -> int:
-        """Write every current in-memory row to the heap pages (used when
-        storage is attached to a database that already holds data, e.g.
-        a loaded benchmark dataset); returns the row count."""
+        """Write every committed in-memory row to the heap pages (used
+        when storage is attached to a database that already holds data,
+        e.g. a loaded benchmark dataset); returns the row count. The
+        rows of a transaction still open are left to its commit."""
         self._check_live()
         if self._db is None:
             raise EngineError("durability manager is not bound to a database")
+        snapshot = self._db.txn.read_snapshot()
         count = 0
         for table in self._db.catalog.tables():
-            for rid, row in table.scan():
+            for rid, row in table.scan(snapshot):
                 self.heap.insert(
                     table.name, rid, [encode_value(v) for v in row], 0
                 )
@@ -367,7 +337,40 @@ class DurabilityManager:
         self.disk.close()
 
 
-# -- recovery ---------------------------------------------------------------
+# -- replay (checkpoint and recovery) -----------------------------------------
+
+
+def _committed(records: List[Dict[str, Any]]) -> Set[int]:
+    """The transactions with a commit record."""
+    return {r["txid"] for r in records if r.get("op") == "commit"}
+
+
+def _replay(heap: HeapStore, records: List[Dict[str, Any]],
+            committed: Set[int]) -> int:
+    """Apply ``records`` to the heap pages in LSN order: the row records
+    of ``committed`` transactions, and ``drop_table`` DDL. Returns how
+    many records were applied (DDL counted).
+
+    Idempotent — an insert replaces, a delete of an absent row is a
+    no-op, and each record fully determines its row's state — so pages
+    that already hold some of these effects (a checkpoint that died
+    writing them) converge to the same image.
+    """
+    applied = 0
+    for record in records:
+        op = record.get("op")
+        if op == "ddl":
+            if record["ddl"] == "drop_table":
+                heap.drop_table(record["name"], record["lsn"])
+        elif op == "insert" and record["txid"] in committed:
+            heap.insert(record["table"], record["rid"], record["values"],
+                        record["lsn"])
+        elif op == "delete" and record["txid"] in committed:
+            heap.delete(record["table"], record["rid"], record["lsn"])
+        else:
+            continue
+        applied += 1
+    return applied
 
 
 def recover(
@@ -376,12 +379,12 @@ def recover(
     page_size: int = PAGE_SIZE,
     buffer_pages: int = 128,
 ) -> Tuple["Database", RecoveryReport]:
-    """ARIES-lite restart: rebuild a :class:`Database` from a directory.
+    """Restart: rebuild a :class:`Database` from a directory.
 
-    Analysis → redo → undo over the durable WAL, starting from the raw
-    page image; then the in-memory heap, catalog and spatial indexes are
-    rebuilt, the recovered database gets the durability manager attached,
-    and a fresh checkpoint truncates the replayed log. ``profile``
+    Analysis → replay over the durable WAL, starting from the raw page
+    image; then the in-memory heap, catalog and spatial indexes are
+    rebuilt, the recovered database gets the durability manager bound,
+    and a checkpoint (no second replay) truncates the log. ``profile``
     overrides the one the WAL header records.
     """
     from repro.engines.database import Database
@@ -399,7 +402,7 @@ def recover(
     report.wal_records = len(records)
 
     # schema baseline from the first checkpoint record — the head the
-    # last completed rewrite left; WAL DDL redo layers on top
+    # last completed rewrite left; the log's DDL layers on top
     baseline = next(
         (r for r in records if r.get("op") == "checkpoint"), {}
     )
@@ -411,84 +414,41 @@ def recover(
         e["name"]: e for e in baseline.get("indexes", ())
     }
 
-    # -- analysis: last disposition wins per transaction --------------------
+    # -- analysis: who committed? -------------------------------------------
     started = time.perf_counter()
-    disposition: Dict[int, str] = {}
+    committed = _committed(records)
+    writers: Set[int] = set()
     max_txid = 0
     for record in records:
         txid = record.get("txid", 0)
-        max_txid = max(max_txid, txid)
-        op = record.get("op")
-        if op in _ROW_OPS:
-            disposition.setdefault(txid, "in-flight")
-        elif op == "commit":
-            disposition[txid] = "committed"
-        elif op == "abort":
-            disposition[txid] = "aborted"
-        elif op == "checkpoint":
-            max_txid = max(max_txid, int(record.get("next_txid", 1)) - 1)
-    losers: Set[int] = {
-        txid for txid, state in disposition.items() if state != "committed"
-    }
-    report.winners = len(disposition) - len(losers)
-    report.losers = len(losers)
+        if record.get("op") in _ROW_OPS:
+            writers.add(txid)
+        max_txid = max(max_txid, txid, int(record.get("next_txid", 1)) - 1)
+    report.winners = len(committed)
+    report.losers = len(writers - committed)
     report.analysis_seconds = time.perf_counter() - started
 
-    # -- redo: replay everything in LSN order (idempotent) ------------------
+    # -- replay: the checkpoint's function, then the schema's DDL ------------
     started = time.perf_counter()
-    last_writer: Dict[Tuple[str, int], int] = {}
+    report.redone = _replay(mgr.heap, records, committed)
     for record in records:
-        op = record.get("op")
-        lsn = record.get("lsn", 0)
-        if op == "ddl":
-            ddl = record.get("ddl")
-            if ddl == "create_table":
-                tables.setdefault(record["name"], record["columns"])
-            elif ddl == "drop_table":
-                tables.pop(record["name"], None)
-                mgr.heap.drop_table(record["name"], lsn)
-                for name in [
-                    n for n, e in indexes.items()
-                    if e["table"] == record["name"]
-                ]:
-                    del indexes[name]
-            elif ddl == "create_index":
-                indexes[record["name"]] = {
-                    "name": record["name"], "table": record["table"],
-                    "column": record["column"], "kind": record["kind"],
-                }
-            elif ddl == "drop_index":
-                indexes.pop(record["name"], None)
-            report.redone += 1
+        if record.get("op") != "ddl":
             continue
-        if op not in _ROW_OPS:
-            continue
-        key = (record["table"], record["rid"])
-        if op == "delete":
-            mgr.heap.delete(key[0], key[1], lsn)
-        else:
-            mgr.heap.insert(key[0], key[1], record["values"], lsn)
-        last_writer[key] = record.get("txid", 0)
-        report.redone += 1
+        ddl, name = record["ddl"], record["name"]
+        if ddl == "create_table":
+            tables.setdefault(name, record["columns"])
+        elif ddl == "drop_table":
+            tables.pop(name, None)
+            for index in [n for n, e in indexes.items() if e["table"] == name]:
+                del indexes[index]
+        elif ddl == "create_index":
+            indexes[name] = {
+                "name": name, "table": record["table"],
+                "column": record["column"], "kind": record["kind"],
+            }
+        elif ddl == "drop_index":
+            indexes.pop(name, None)
     report.redo_seconds = time.perf_counter() - started
-
-    # -- undo: reverse losers newest-first ----------------------------------
-    started = time.perf_counter()
-    for record in reversed(records):
-        op = record.get("op")
-        txid = record.get("txid", 0)
-        if op not in _ROW_OPS or txid not in losers:
-            continue
-        key = (record["table"], record["rid"])
-        if last_writer.get(key) != txid:
-            continue  # a later transaction recycled this row id
-        lsn = record.get("lsn", 0)
-        if op == "insert":
-            mgr.heap.delete(key[0], key[1], lsn)
-        else:
-            mgr.heap.insert(key[0], key[1], record["old"], lsn)
-        report.undone += 1
-    report.undo_seconds = time.perf_counter() - started
 
     # -- rebuild the in-memory engine ---------------------------------------
     started = time.perf_counter()
@@ -501,7 +461,7 @@ def recover(
     slots: Dict[str, Dict[int, tuple]] = {name: {} for name in tables}
     for table_name, rid, values in mgr.heap.rows():
         if table_name not in slots:
-            continue  # rows of a table dropped after its last page write
+            continue  # a page image that outlived its table's schema
         slots[table_name][rid] = tuple(decode_value(v) for v in values)
     for name, rows in slots.items():
         db.catalog.table(name).restore_slots(rows)
@@ -514,8 +474,9 @@ def recover(
             f"({entry['column']}) USING {entry['kind']}"
         )
         report.indexes.append(entry["name"])
-    db.attach_durability(mgr)
-    mgr.checkpoint()
+    mgr.bind(db)
+    db.durability = mgr
+    mgr._write_checkpoint(report.redone, mgr.disk.pages_written)
     report.rebuild_seconds = time.perf_counter() - started
     report.total_seconds = time.perf_counter() - total_started
     db.recovery_report = report

@@ -1,7 +1,10 @@
 """Slotted heap pages, the disk manager, and the LRU buffer pool.
 
-The durable mirror of the in-memory heap (see ``docs/DURABILITY.md``).
-Rows live in fixed-size slotted pages inside one page file per database
+The checkpointed image of the in-memory heap (see
+``docs/DURABILITY.md``): pages change only when a checkpoint or
+recovery replays committed WAL records onto them (or when storage is
+attached to a populated database). Rows live in fixed-size slotted
+pages inside one page file per database
 directory; a :class:`DiskManager` owns the file, a :class:`BufferManager`
 caches frames with LRU eviction / pin counts / dirty tracking, and a
 :class:`HeapStore` maps ``(table, row_id)`` to a page slot so the
@@ -202,16 +205,7 @@ class DiskManager:
             return page_id
 
     def read_page(self, page_id: int) -> bytes:
-        if WAITS.enabled:
-            import time as _time
-
-            started = _time.perf_counter()
-            try:
-                return self._read(page_id)
-            finally:
-                WAITS.record(IO_PAGE_READ, _time.perf_counter() - started,
-                             detail=page_id)
-        return self._read(page_id)
+        return WAITS.timed(IO_PAGE_READ, self._read, page_id)(page_id)
 
     def _read(self, page_id: int) -> bytes:
         if not 0 <= page_id < self._page_count:
@@ -227,17 +221,7 @@ class DiskManager:
             # fires before any byte reaches the file: a fired fault
             # leaves the on-disk page exactly as it was
             FAULTS.hit("page.write")
-        if WAITS.enabled:
-            import time as _time
-
-            started = _time.perf_counter()
-            try:
-                self._write(page_id, data)
-            finally:
-                WAITS.record(IO_PAGE_WRITE, _time.perf_counter() - started,
-                             detail=page_id)
-            return
-        self._write(page_id, data)
+        WAITS.timed(IO_PAGE_WRITE, self._write, page_id)(page_id, data)
 
     def _write(self, page_id: int, data: bytes) -> None:
         with self._lock:
@@ -269,8 +253,9 @@ class BufferManager:
 
     ``wal_barrier(lsn)`` is invoked before any dirty page is written —
     the WAL-before-data rule: the log must be durable up to the page's
-    LSN before the page may reach disk, or a crash could leave effects
-    on disk that the (lost) log can neither redo nor undo.
+    LSN before the page may reach disk. Pages only receive records
+    replayed from the durable log, so the barrier never has to wait; it
+    keeps the rule checked where pages are written.
     """
 
     def __init__(self, disk: DiskManager, capacity: int = 128,
@@ -376,8 +361,8 @@ class HeapStore:
     Addresses rows as ``(table, row_id)`` — the same ids the in-memory
     heap and the WAL use — and keeps the page location map. Every
     mutator is *idempotent* (insert replaces, delete of an absent row is
-    a no-op), which is what lets ARIES-lite recovery replay the log
-    without tracking which effects already reached disk.
+    a no-op), which is what lets checkpoints and recovery replay the
+    log without tracking which effects already reached disk.
     """
 
     def __init__(self, buffer: BufferManager):

@@ -1,4 +1,4 @@
-"""The write-ahead log: LSN-stamped redo/undo records, group fsync.
+"""The write-ahead log: LSN-stamped redo records, group fsync.
 
 An append-only text file of checksummed JSON-line records
 (:mod:`repro.storage.records`), preceded by one unchecksummed header
@@ -6,14 +6,19 @@ line naming the format, its version and the engine profile. Record
 types:
 
 ========== ==========================================================
-``insert``  row created: table, rid, new values (redo)
-``delete``  row removed: table, rid, **old values** (redo + undo)
-``commit``  transaction durable once this record is fsynced
-``abort``   transaction rolled back (its page effects were reversed)
-``ddl``     schema change (create/drop table/index); always redone
-``checkpoint`` dirty pages flushed; log rewritten behind this point;
-            carries the table and index definitions at that point
+``insert``  row created: table, rid, values
+``delete``  row removed: table, rid
+``commit``  transaction durable once this record is fsynced; its row
+            records precede it, all appended at COMMIT
+``ddl``     schema change (create/drop table/index); always replayed
+``checkpoint`` pages hold every effect before this point; the log was
+            rewritten to this record, which carries the table and
+            index definitions at that point
 ========== ==========================================================
+
+The log is redo-only: a transaction's records are written only when it
+commits, so a rolled-back one leaves no trace, and row records without
+a commit record (a crash between the append and the fsync) are ignored.
 
 Durability protocol:
 
@@ -21,7 +26,9 @@ Durability protocol:
   I/O, so ordinary row logging costs a dict dump and a list append;
 * :meth:`sync` drains the buffer to the file and fsyncs it — COMMIT
   calls :meth:`sync_for`, which piggybacks on any in-flight fsync
-  (group commit: one fsync can make many committers durable);
+  (group commit: one fsync can make many committers durable). A sync
+  that fails truncates the file back to the durable offset, so a
+  commit record whose fsync raised can never become durable later;
 * :attr:`durable_lsn` / the durable byte offset advance only after a
   successful fsync. :meth:`freeze` — the kill -9 simulation — truncates
   the file back to the durable offset, so everything an fsync never
@@ -29,7 +36,8 @@ Durability protocol:
 * on open, the tail is scanned with the torn-tail helper and the file
   is truncated after the last valid record. A header of another format
   version is refused: version 1 logs kept their schema in a separate
-  snapshot file and would otherwise open as an empty database.
+  snapshot file, and version 2 page files may hold uncommitted rows
+  that only the undo pass of that format could remove.
 """
 
 from __future__ import annotations
@@ -37,8 +45,7 @@ from __future__ import annotations
 import json
 import os
 import threading
-import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.errors import EngineError, SimulatedCrashError
 from repro.faults import FAULTS
@@ -48,7 +55,7 @@ from repro.storage.records import encode_line, scan_tail
 __all__ = ["WAL_FORMAT", "WriteAheadLog"]
 
 WAL_FORMAT = "jackpine-wal"
-WAL_VERSION = 2
+WAL_VERSION = 3
 
 
 class WriteAheadLog:
@@ -148,17 +155,9 @@ class WriteAheadLog:
             lines, self._buffer = self._buffer, []
             lsns, self._buffered_lsns = self._buffered_lsns, []
         if lines:
-            if WAITS.enabled:
-                started = time.perf_counter()
-                try:
-                    self._file.write("".join(lines).encode("utf-8"))
-                finally:
-                    WAITS.record(
-                        IO_WAL_WRITE, time.perf_counter() - started,
-                        detail=len(lines),
-                    )
-            else:
-                self._file.write("".join(lines).encode("utf-8"))
+            WAITS.timed(IO_WAL_WRITE, self._file.write, len(lines))(
+                "".join(lines).encode("utf-8")
+            )
             self._written_lsn = max(self._written_lsn, lsns[-1])
         return self._written_lsn
 
@@ -166,7 +165,9 @@ class WriteAheadLog:
         """Drain the buffer and fsync the file; advances the durable
         horizon. The ``wal.fsync`` fault fires after the write but
         before the fsync, so a simulated crash there loses exactly the
-        records an interrupted fsync would lose."""
+        records an interrupted fsync would lose — and so does any other
+        failure there: the file is truncated back to the durable
+        offset."""
         with self._io_lock:
             if self.frozen:
                 raise SimulatedCrashError(
@@ -175,29 +176,32 @@ class WriteAheadLog:
             written = self._drain()
             if written <= self.durable_lsn:
                 return
-            self._file.flush()
-            if FAULTS.active:
-                FAULTS.hit("wal.fsync")
-            if WAITS.enabled:
-                started = time.perf_counter()
-                try:
-                    os.fsync(self._file.fileno())
-                finally:
-                    WAITS.record(
-                        IO_WAL_FSYNC, time.perf_counter() - started
-                    )
-            else:
-                os.fsync(self._file.fileno())
+            try:
+                self._file.flush()
+                if FAULTS.active:
+                    FAULTS.hit("wal.fsync")
+                WAITS.timed(IO_WAL_FSYNC, os.fsync)(self._file.fileno())
+            except BaseException:
+                self._truncate_to_durable()
+                raise
             self.syncs_total += 1
             self.durable_lsn = written
             self._durable_offset = self._file.tell()
 
     def sync_for(self, lsn: int) -> None:
         """Group commit: return as soon as ``lsn`` is durable — an fsync
-        issued by a concurrent committer counts."""
+        issued by a concurrent committer counts, one that failed after
+        draining ``lsn`` does not."""
         if self.durable_lsn >= lsn:
             return
         self.sync()
+        if self.durable_lsn < lsn:
+            raise EngineError(f"WAL record {lsn} was lost by a failed fsync")
+
+    def _truncate_to_durable(self) -> None:
+        self._file.truncate(self._durable_offset)
+        self._file.seek(self._durable_offset)
+        self._written_lsn = self.durable_lsn
 
     # -- crash simulation --------------------------------------------------
 
@@ -210,8 +214,7 @@ class WriteAheadLog:
             self._buffer.clear()
             self._buffered_lsns.clear()
         try:
-            self._file.truncate(self._durable_offset)
-            self._file.seek(self._durable_offset)
+            self._truncate_to_durable()
         except ValueError:  # file already closed
             pass
 
@@ -232,8 +235,8 @@ class WriteAheadLog:
 
     def rewrite(self, keep: List[Dict[str, Any]]) -> None:
         """Checkpoint truncation: atomically replace the log with only
-        ``keep`` (records of still-active transactions plus the new
-        checkpoint record), preserving the LSN counter."""
+        ``keep`` (the new checkpoint record), preserving the LSN
+        counter."""
         with self._io_lock:
             if self.frozen:
                 raise SimulatedCrashError(

@@ -179,11 +179,12 @@ class TxnManager:
             FAULTS.hit("txn.commit")
         durable = self._db.durability
         if durable is not None:
-            # WAL flush point: the COMMIT record is fsynced before any
+            # the only durability call a transaction makes: its row
+            # records and COMMIT are logged and fsynced before any
             # in-memory commit state changes, so a failure here leaves
-            # the transaction active for the caller's rollback and the
-            # log shows it as a loser
-            durable.log_commit(txn.txid)
+            # the transaction active for the caller's rollback, and a
+            # log without its commit record discards it
+            durable.log_commit(txn)
         with self._lock:
             self._pending.extend(txn.undo)
             txn.status = COMMITTED
@@ -208,11 +209,6 @@ class TxnManager:
             raise EngineError(
                 f"cannot roll back transaction {txn.txid}: {txn.status}"
             )
-        durable = self._db.durability
-        if durable is not None:
-            # before the in-memory reversal: the page-effect undo reads
-            # old values from heap rows that rollback is about to remove
-            durable.log_abort(txn)
         with self._lock:
             # reverse order: an UPDATE's new version disappears before the
             # old version's delete stamp is cleared

@@ -387,14 +387,7 @@ def _run_operation(
                     # recorded by their own sites), Client:Backoff the
                     # sleep — the two are disjoint, so attribution never
                     # double-counts this path.
-                    if WAITS.enabled:
-                        token = WAITS.begin_wait(CLIENT_RETRY)
-                        try:
-                            connection.rollback()
-                        finally:
-                            WAITS.end_wait(token)
-                    else:
-                        connection.rollback()
+                    WAITS.timed(CLIENT_RETRY, connection.rollback)()
                     report.aborts += 1
                     if attempt >= config.max_retries:
                         break  # give up on this operation
@@ -408,14 +401,7 @@ def _run_operation(
                             # known by
                             store.record_retry(op.statements[0][0])
                     delay = backoff_delay(attempt, rng=rng)
-                    if WAITS.enabled:
-                        token = WAITS.begin_wait(CLIENT_BACKOFF)
-                        try:
-                            time.sleep(delay)
-                        finally:
-                            WAITS.end_wait(token)
-                    else:
-                        time.sleep(delay)
+                    WAITS.timed(CLIENT_BACKOFF, time.sleep)(delay)
                     attempt += 1
             report.writes += 1
     except ReproError:

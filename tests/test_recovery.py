@@ -1,4 +1,4 @@
-"""Crash recovery: ARIES-lite analysis/redo/undo over the WAL + pages.
+"""Crash recovery: redo-only analysis + replay over the WAL + pages.
 
 The acceptance property: a kill-9-style crash injected mid-workload at
 every armed WAL/page fault site recovers with zero committed-transaction
@@ -14,13 +14,15 @@ import os
 import pytest
 
 from repro.engines import Database
+from repro.geometry import Point
 from repro.errors import (
     DumpCorruptionError,
     EngineError,
+    InjectedFaultError,
     SimulatedCrashError,
     SqlProgrammingError,
 )
-from repro.faults import FAULTS
+from repro.faults import FAULTS, injected
 from repro.storage.crash import (
     CRASH_SITES,
     kill_at,
@@ -28,7 +30,8 @@ from repro.storage.crash import (
     verify_recovery,
 )
 from repro.storage.durability import PAGES_FILE, WAL_FILE, recover
-from repro.storage.records import parse_line
+from repro.storage.records import encode_value, parse_line
+from repro.txn import Session
 
 
 @pytest.fixture(autouse=True)
@@ -212,6 +215,20 @@ class TestSaveAndReopen:
         with pytest.raises(EngineError, match="unsupported WAL version 1"):
             Database.open(directory)
 
+    def test_version_2_wal_refused(self, tmp_path):
+        _db, directory = _saved(tmp_path)
+        path = os.path.join(directory, WAL_FILE)
+        with open(path, "rb") as stream:
+            header, rest = stream.readline(), stream.read()
+        old = json.loads(header)
+        old["version"] = 2
+        with open(path, "wb") as stream:
+            stream.write(json.dumps(old).encode("utf-8") + b"\n" + rest)
+        # a version-2 page file may hold stolen uncommitted rows that
+        # only that format's undo pass could remove
+        with pytest.raises(EngineError, match="unsupported WAL version 2"):
+            Database.open(directory)
+
     def test_foreign_wal_header_refused(self, tmp_path):
         _db, directory = _saved(tmp_path)
         path = os.path.join(directory, WAL_FILE)
@@ -283,12 +300,14 @@ class TestCrashAndRecover:
         db = _durable(tmp_path)
         db.execute("INSERT INTO pts VALUES (500, ST_GeomFromText("
                    "'POINT(5 5)'))")  # auto-commit: durable
+        logged = db.durability.wal.records_total
         db.execute("BEGIN")
         db.execute("INSERT INTO pts VALUES (600, ST_GeomFromText("
                    "'POINT(6 6)'))")
-        # force the row op to the durable WAL (as a concurrent commit's
-        # group fsync would) so recovery sees a genuine loser to undo
+        # redo-only: an open transaction has written nothing durable,
+        # so even a sync cannot put a loser in the log
         db.durability.wal.sync()
+        assert db.durability.wal.records_total == logged
         db.durability.crash()  # kill -9 with the transaction open
         with pytest.raises(SimulatedCrashError):
             db.execute("COMMIT")
@@ -298,7 +317,7 @@ class TestCrashAndRecover:
         assert 500 in ids
         assert 600 not in ids
         assert _count(recovered) == _index_count(recovered) == 21
-        assert report.losers >= 1
+        assert report.losers == 0 and report.undo_seconds == 0.0
         recovered.close()
 
     def test_update_and_delete_replay(self, tmp_path):
@@ -375,9 +394,11 @@ class TestCheckpoint:
                 "INSERT INTO pts VALUES (?, ?)",
                 (1000 + i, f"POINT({i} {i})"),
             )
-        before = db.durability.wal.records_total
+        assert db.durability.wal.records_total == 61  # ckpt + 30 x 2
         report = db.checkpoint()
-        assert report.wal_records_kept < before
+        assert report.records_replayed == 30
+        assert report.pages_flushed >= 1
+        assert db.durability.wal.records_total == 1  # the new checkpoint
         # post-checkpoint writes land in the (short) WAL
         db.execute("INSERT INTO pts VALUES (2000, ST_GeomFromText("
                    "'POINT(2 2)'))")
@@ -392,16 +413,22 @@ class TestCheckpoint:
 
     def test_checkpoint_with_open_transaction_keeps_its_records(
             self, tmp_path):
+        # the open transaction's records live in its undo log until
+        # COMMIT: a checkpoint neither writes its row to the pages nor
+        # needs to carry anything of it over
         db = _durable(tmp_path)
         db.execute("BEGIN")
         db.execute("INSERT INTO pts VALUES (3000, ST_GeomFromText("
                    "'POINT(3 3)'))")
-        db.checkpoint()  # must keep the active transaction's row ops
-        db.durability.crash()  # dies before COMMIT
+        report = db.checkpoint()
+        assert report.records_replayed == 0
+        assert db.durability.heap.row_count("pts") == 20
+        db.execute("COMMIT")  # logged now, after the checkpoint
+        db.durability.crash()
         recovered, _rec = recover(str(tmp_path / "storage"))
         ids = {r[0] for r in recovered.execute("SELECT id FROM pts").rows}
-        assert 3000 not in ids  # undone as a loser, not resurrected
-        assert _count(recovered) == _index_count(recovered) == 20
+        assert 3000 in ids
+        assert _count(recovered) == _index_count(recovered) == 21
         recovered.close()
 
 
@@ -424,6 +451,9 @@ class TestCrashMatrix:
             checkpoint_interval=0.02,
         )
         assert outcome.fired, f"site {site} never fired"
+        # a site that silently stops being reachable (page.write now
+        # fires only inside checkpoints) must fail, not be forced
+        assert not outcome.forced, f"site {site} had to be forced"
         recovered, report = recover(str(tmp_path / "storage"))
         violations = verify_recovery(outcome, recovered)
         assert not violations, violations
@@ -438,7 +468,7 @@ class TestCrashMatrix:
             on_call=60,
             deadline=5.0,
         )
-        assert outcome.fired
+        assert outcome.fired and not outcome.forced
         recovered, _report = recover(str(tmp_path / "storage"))
         assert not verify_recovery(outcome, recovered)
         recovered.close()
@@ -512,3 +542,120 @@ def test_checkpoint_cli_keeps_the_saved_profile(tmp_path, capsys):
     assert main(["checkpoint", directory]) == 0
     assert "recovered bluestem database" in capsys.readouterr().out
     assert Database.open(directory).profile.name == "bluestem"
+
+
+class TestRedoOnly:
+    """No-steal, redo-only: a transaction touches the WAL once, at
+    COMMIT, and the pages only at checkpoint."""
+
+    def test_commits_leave_the_pages_alone_until_checkpoint(self, tmp_path):
+        db = Database("greenwood")
+        db.execute("CREATE TABLE pts (id INTEGER, g GEOMETRY)")
+        db.insert_rows(
+            "pts", [(i, f"POINT({i} {i % 7})") for i in range(200)]
+        )
+        directory = str(tmp_path / "storage")
+        db.attach_storage(directory, buffer_pages=4)
+        buffer, disk = db.durability.buffer, db.durability.disk
+        touched = buffer.hits + buffer.misses
+        written = disk.pages_written
+        for i in range(50):
+            db.execute("UPDATE pts SET id = ? WHERE id = ?", (1000 + i, i))
+        assert buffer.hits + buffer.misses == touched
+        assert disk.pages_written == written
+        db.checkpoint()
+        assert disk.pages_written > written
+        db.durability.crash()
+        again = Database.open(directory)
+        ids = {r[0] for r in again.execute("SELECT id FROM pts").rows}
+        assert ids == set(range(1000, 1050)) | set(range(50, 200))
+        again.close()
+
+    def test_rollback_and_open_transactions_log_nothing(self, tmp_path):
+        db = _durable(tmp_path)
+        wal = db.durability.wal
+        logged = wal.records_total
+        db.execute("BEGIN")
+        db.execute("INSERT INTO pts VALUES (5, ST_Point(5, 5))")
+        db.execute("ROLLBACK")
+        assert wal.records_total == logged
+        db.execute("BEGIN")
+        db.execute("DELETE FROM pts WHERE id = 3")
+        db.durability.crash()
+        assert wal.records_total == logged
+
+    def test_delete_records_carry_only_the_row_id(self, tmp_path):
+        db = _durable(tmp_path)
+        db.execute("DELETE FROM pts WHERE id = 3")
+        db.execute("UPDATE pts SET id = 77 WHERE id = 4")
+        deletes = [
+            r for r in db.durability.wal.records() if r["op"] == "delete"
+        ]
+        assert len(deletes) == 2
+        for record in deletes:
+            assert set(record) == {"type", "op", "txid", "table", "rid",
+                                   "lsn"}
+        db.close()
+
+    def test_row_records_without_commit_are_discarded(self, tmp_path):
+        db = _durable(tmp_path)
+        wal = db.durability.wal
+        wal.append({
+            "type": "wal", "op": "insert", "txid": 999, "table": "pts",
+            "rid": 500, "values": [4242, encode_value(Point(1, 1))],
+        })
+        wal.sync()
+        db.durability.crash()
+        recovered, report = recover(str(tmp_path / "storage"))
+        assert report.losers == 1
+        ids = {r[0] for r in recovered.execute("SELECT id FROM pts").rows}
+        assert 4242 not in ids and len(ids) == 20
+        recovered.close()
+
+    def test_drop_and_recreate_under_an_open_transaction(self, tmp_path):
+        db = Database("greenwood")
+        db.execute("CREATE TABLE t (id INTEGER)")
+        db.attach_storage(str(tmp_path / "storage"))
+        writer = Session()
+        db.execute("BEGIN", session=writer)
+        db.execute("INSERT INTO t VALUES (1)", session=writer)
+        db.execute("DROP TABLE t")
+        db.execute("CREATE TABLE t (id INTEGER)")
+        db.execute("INSERT INTO t VALUES (2)")
+        # the writer's undo log names the dropped table: its COMMIT must
+        # not replay row 1 into the new t
+        db.execute("COMMIT", session=writer)
+        db.durability.crash()
+        recovered, _report = recover(str(tmp_path / "storage"))
+        assert recovered.execute("SELECT id FROM t").rows == [(2,)]
+        recovered.close()
+
+    def test_commit_whose_fsync_failed_stays_rolled_back(self, tmp_path):
+        db = _durable(tmp_path)
+        with injected("wal.fsync", on_call=1):
+            with pytest.raises(InjectedFaultError):
+                db.execute("INSERT INTO pts VALUES (600, ST_Point(6, 6))")
+        db.execute("INSERT INTO pts VALUES (700, ST_Point(7, 7))")
+        db.durability.crash()
+        recovered, _report = recover(str(tmp_path / "storage"))
+        ids = {r[0] for r in recovered.execute("SELECT id FROM pts").rows}
+        assert 600 not in ids and 700 in ids
+        recovered.close()
+
+    @pytest.mark.parametrize("finish", ["COMMIT", "ROLLBACK"])
+    def test_attach_beside_an_open_transaction(self, tmp_path, finish):
+        db = Database("greenwood")
+        db.execute("CREATE TABLE t (id INTEGER)")
+        db.execute("INSERT INTO t VALUES (1)")
+        writer = Session()
+        db.execute("BEGIN", session=writer)
+        db.execute("INSERT INTO t VALUES (2)", session=writer)
+        db.execute("DELETE FROM t WHERE id = 1", session=writer)
+        directory = str(tmp_path / "storage")
+        db.attach_storage(directory)  # mirrors committed rows only
+        db.execute(finish, session=writer)
+        db.close()
+        again = Database.open(directory)
+        want = [(2,)] if finish == "COMMIT" else [(1,)]
+        assert again.execute("SELECT id FROM t").rows == want
+        again.close()

@@ -120,6 +120,28 @@ def test_disabled_sites_record_nothing():
     assert WAITS.records() == []
 
 
+def test_timed_is_the_callable_itself_while_disabled():
+    WAITS.disable()
+    assert WAITS.timed(CPU_SORT, sorted) is sorted
+
+
+def test_timed_records_also_when_the_call_raises(waits):
+    seen = []
+
+    def fsync(fd):
+        seen.append(waits.state().current_wait)
+        raise OSError(fd)
+
+    with pytest.raises(OSError):
+        waits.timed(IO_WAL_FSYNC, fsync)(3)
+    assert waits.timed(CPU_SORT, sorted)([2, 1]) == [1, 2]
+    assert seen == [IO_WAL_FSYNC]  # an off-CPU wait is visible to ASH
+    assert waits.state().current_wait is None
+    summary = waits.summary()
+    assert summary[IO_WAL_FSYNC]["count"] == 1
+    assert summary[CPU_SORT]["count"] == 1
+
+
 # -- lock and latch sites ---------------------------------------------------
 
 

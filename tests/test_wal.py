@@ -6,7 +6,8 @@ import os
 
 import pytest
 
-from repro.errors import EngineError, SimulatedCrashError
+from repro.errors import EngineError, InjectedFaultError, SimulatedCrashError
+from repro.faults import injected
 from repro.obs.waits import IO_WAL_FSYNC, IO_WAL_WRITE, WAITS
 from repro.storage.wal import WriteAheadLog
 
@@ -116,6 +117,24 @@ def test_freeze_loses_exactly_the_unsynced_suffix(tmp_path):
     recovered.close()
 
 
+def test_failed_fsync_discards_what_it_drained(tmp_path):
+    wal = _wal(tmp_path)
+    wal.append({"type": "wal", "op": "insert", "n": 1})
+    wal.sync()
+    lsn = wal.append({"type": "wal", "op": "commit", "n": 2})
+    with injected("wal.fsync", on_call=1):
+        with pytest.raises(InjectedFaultError):
+            wal.sync_for(lsn)
+    assert wal.durable_lsn == 1
+    with pytest.raises(EngineError, match="lost by a failed fsync"):
+        wal.sync_for(lsn)
+    # a commit record whose fsync raised must not ride the next fsync
+    wal.append({"type": "wal", "op": "insert", "n": 3})
+    wal.sync()
+    assert [r["n"] for r in wal.records()] == [1, 3]
+    wal.close()
+
+
 def test_rewrite_truncates_but_preserves_lsn_counter(tmp_path):
     wal = _wal(tmp_path)
     for i in range(10):
@@ -149,8 +168,8 @@ def test_wal_wait_events_recorded(tmp_path):
 
 def test_records_survive_value_roundtrip(tmp_path):
     wal = _wal(tmp_path)
-    record = {"type": "wal", "op": "update", "table": "t", "rid": 3,
-              "values": [1, "text", None, 2.5], "old": [0, "", None, 0.0]}
+    record = {"type": "wal", "op": "insert", "txid": 4, "table": "t",
+              "rid": 3, "values": [1, "text", None, 2.5]}
     wal.append(dict(record))
     wal.sync()
     stored = wal.records()[0]
