@@ -577,7 +577,7 @@ def _run_stats(args) -> int:
         storage_stats = db.durability.stats()
         if not as_json:
             print()
-            print("-- durable storage (buffer pool + write-ahead log)")
+            print("-- durable storage (heap pages + write-ahead log)")
             for name, value in sorted(storage_stats.items()):
                 if isinstance(value, float):
                     print(f"jackpine_storage_{name} {value:.4f}")

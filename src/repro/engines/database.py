@@ -148,7 +148,6 @@ class Database:
         cls,
         directory: str,
         profile: "EngineProfile | str | None" = None,
-        page_size: int = 4096,
         buffer_pages: int = 128,
     ) -> "Database":
         """Open (or create) a durable database directory.
@@ -169,27 +168,21 @@ class Database:
         if os.path.exists(os.path.join(directory, WAL_FILE)):
             db, _report = recover(
                 directory, profile=profile.name if profile else None,
-                page_size=page_size, buffer_pages=buffer_pages,
+                buffer_pages=buffer_pages,
             )
             return db
         db = cls(profile or "greenwood")
-        db.attach_storage(
-            directory, page_size=page_size, buffer_pages=buffer_pages
-        )
+        db.attach_storage(directory, buffer_pages=buffer_pages)
         return db
 
-    def attach_storage(
-        self,
-        directory: str,
-        page_size: int = 4096,
-        buffer_pages: int = 128,
-    ) -> None:
+    def attach_storage(self, directory: str, buffer_pages: int = 128) -> None:
         """Attach durable page/WAL storage to this database.
 
         Any rows already in memory (a loaded benchmark dataset) are
         mirrored to the heap pages and checkpointed, so the attach point
-        itself is durable. Use :meth:`open` for a directory that already
-        contains storage.
+        itself is durable. ``buffer_pages`` bounds how many heap pages
+        are held in memory. Use :meth:`open` for a directory that
+        already contains storage.
         """
         import os
 
@@ -206,8 +199,7 @@ class Database:
                 f"use Database.open() to recover it"
             )
         manager = DurabilityManager(
-            directory, page_size=page_size, buffer_pages=buffer_pages,
-            profile=self.profile.name,
+            directory, buffer_pages=buffer_pages, profile=self.profile.name
         )
         manager.bind(self)
         with self._latch.exclusive():

@@ -8,13 +8,7 @@ from repro.storage.durability import (
     RecoveryReport,
     recover,
 )
-from repro.storage.pages import (
-    PAGE_SIZE,
-    BufferManager,
-    DiskManager,
-    HeapStore,
-    Page,
-)
+from repro.storage.pages import PAGE_SIZE, DiskManager, HeapStore, Page
 from repro.storage.statistics import (
     ColumnStats,
     EnvelopeHistogram,
@@ -25,7 +19,6 @@ from repro.storage.table import Column, ColumnType, Table
 from repro.storage.wal import WriteAheadLog
 
 __all__ = [
-    "BufferManager",
     "Catalog",
     "CheckpointReport",
     "Column",

@@ -42,12 +42,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
 
 from repro.errors import EngineError, SimulatedCrashError
-from repro.storage.pages import (
-    PAGE_SIZE,
-    BufferManager,
-    DiskManager,
-    HeapStore,
-)
+from repro.storage.pages import DiskManager, HeapStore
 from repro.storage.records import decode_value, encode_value
 from repro.storage.wal import WriteAheadLog
 
@@ -122,12 +117,12 @@ class RecoveryReport:
 
 
 class DurabilityManager:
-    """Owns one database directory's page file, WAL, and buffer pool."""
+    """Owns one database directory's page file and WAL; ``buffer_pages``
+    bounds how many pages the heap keeps in memory."""
 
     def __init__(
         self,
         directory: str,
-        page_size: int = PAGE_SIZE,
         buffer_pages: int = 128,
         profile: str = "greenwood",
     ):
@@ -136,14 +131,8 @@ class DurabilityManager:
         self.wal = WriteAheadLog(
             os.path.join(directory, WAL_FILE), profile=profile
         )
-        self.disk = DiskManager(
-            os.path.join(directory, PAGES_FILE), page_size=page_size
-        )
-        self.buffer = BufferManager(
-            self.disk, capacity=buffer_pages,
-            wal_barrier=self.wal.sync_for,
-        )
-        self.heap = HeapStore(self.buffer)
+        self.disk = DiskManager(os.path.join(directory, PAGES_FILE))
+        self.heap = HeapStore(self.disk, capacity=buffer_pages)
         self._db: Optional["Database"] = None
         self.crashed = False
         self.checkpoints_total = 0
@@ -276,7 +265,7 @@ class DurabilityManager:
             ],
         }
         try:
-            self.buffer.flush_all()
+            self.heap.flush()
             self.disk.sync()
             lsn = self.wal.append(ckpt)
             self.wal.rewrite([ckpt])
@@ -305,7 +294,7 @@ class DurabilityManager:
         for table in self._db.catalog.tables():
             for rid, row in table.scan(snapshot):
                 self.heap.insert(
-                    table.name, rid, [encode_value(v) for v in row], 0
+                    table.name, rid, [encode_value(v) for v in row]
                 )
                 count += 1
         return count
@@ -313,6 +302,8 @@ class DurabilityManager:
     # -- introspection -----------------------------------------------------
 
     def stats(self) -> Dict[str, Any]:
+        heap = self.heap
+        touched = heap.hits + heap.misses
         return {
             "wal_records": self.wal.records_total,
             "wal_bytes": self.wal.size_bytes(),
@@ -321,12 +312,10 @@ class DurabilityManager:
             "pages_on_disk": self.disk.page_count,
             "pages_read": self.disk.pages_read,
             "pages_written": self.disk.pages_written,
-            "buffer_capacity": self.buffer.capacity,
-            "buffer_hits": self.buffer.hits,
-            "buffer_misses": self.buffer.misses,
-            "buffer_evictions": self.buffer.evictions,
-            "buffer_hit_ratio": self.buffer.hit_ratio,
-            "buffer_dirty": self.buffer.dirty_count,
+            "buffer_hits": heap.hits,
+            "buffer_misses": heap.misses,
+            "buffer_evictions": heap.evictions,
+            "buffer_hit_ratio": heap.hits / touched if touched else 1.0,
             "checkpoints": self.checkpoints_total,
             "checkpoint_lsn": self.last_checkpoint_lsn,
             "crashed": self.crashed,
@@ -361,12 +350,11 @@ def _replay(heap: HeapStore, records: List[Dict[str, Any]],
         op = record.get("op")
         if op == "ddl":
             if record["ddl"] == "drop_table":
-                heap.drop_table(record["name"], record["lsn"])
+                heap.drop_table(record["name"])
         elif op == "insert" and record["txid"] in committed:
-            heap.insert(record["table"], record["rid"], record["values"],
-                        record["lsn"])
+            heap.insert(record["table"], record["rid"], record["values"])
         elif op == "delete" and record["txid"] in committed:
-            heap.delete(record["table"], record["rid"], record["lsn"])
+            heap.delete(record["table"], record["rid"])
         else:
             continue
         applied += 1
@@ -376,7 +364,6 @@ def _replay(heap: HeapStore, records: List[Dict[str, Any]],
 def recover(
     directory: str,
     profile: Optional[str] = None,
-    page_size: int = PAGE_SIZE,
     buffer_pages: int = 128,
 ) -> Tuple["Database", RecoveryReport]:
     """Restart: rebuild a :class:`Database` from a directory.
@@ -392,8 +379,7 @@ def recover(
     total_started = time.perf_counter()
     report = RecoveryReport()
     mgr = DurabilityManager(
-        directory, page_size=page_size, buffer_pages=buffer_pages,
-        profile=profile or "greenwood",
+        directory, buffer_pages=buffer_pages, profile=profile or "greenwood"
     )
     report.profile = profile or mgr.wal.profile
 

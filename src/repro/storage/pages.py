@@ -1,29 +1,28 @@
-"""Slotted heap pages, the disk manager, and the LRU buffer pool.
+"""Slotted heap pages, the disk manager, and the heap's page cache.
 
 The checkpointed image of the in-memory heap (see
 ``docs/DURABILITY.md``): pages change only when a checkpoint or
 recovery replays committed WAL records onto them (or when storage is
 attached to a populated database). Rows live in fixed-size slotted
-pages inside one page file per database
-directory; a :class:`DiskManager` owns the file, a :class:`BufferManager`
-caches frames with LRU eviction / pin counts / dirty tracking, and a
-:class:`HeapStore` maps ``(table, row_id)`` to a page slot so the
-write-ahead log can address rows logically.
+pages inside one page file per database directory; a
+:class:`DiskManager` owns the file, and a :class:`HeapStore` maps
+``(table, row_id)`` to a page slot, so the write-ahead log can address
+rows logically, and keeps a bounded cache of the pages it works on.
 
 Page layout (``PAGE_SIZE`` bytes)::
 
     +--------------------+------------------------+-----+-------------+
-    | header (12 bytes)  | record payloads  --->  | ... | <--- slots  |
+    | header (4 bytes)   | record payloads  --->  | ... | <--- slots  |
     +--------------------+------------------------+-----+-------------+
-    header = <u64 page LSN> <u16 slot count> <u16 free-space offset>
+    header = <u16 slot count> <u16 free-space offset>
     slot   = <u16 payload offset> <u16 payload length>, offset 0 = dead
 
 Payloads are self-describing UTF-8 JSON (``{"t": table, "r": rid,
 "v": [values]}`` with geometries as WKB hex), so crash recovery can
 rebuild every table by scanning the page file without consulting any
-other structure. The page LSN enforces the WAL-before-data rule: the
-buffer pool refuses to write a dirty page until the log is durable up to
-that LSN (the ``wal_barrier`` callback).
+other structure. Every page image holds committed rows only, so a page
+may be written back at any time: there is no write ordering to keep
+between the pages and the log.
 
 Faults and waits follow the engine-wide hot-path contract: the
 ``page.write`` fault site and the ``IO:PageRead`` / ``IO:PageWrite``
@@ -36,47 +35,44 @@ import json
 import os
 import struct
 import threading
-from collections import OrderedDict
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Set, Tuple
 
 from repro.errors import DumpCorruptionError, EngineError
 from repro.faults import FAULTS
 from repro.obs.waits import IO_PAGE_READ, IO_PAGE_WRITE, WAITS
 
-__all__ = ["PAGE_SIZE", "Page", "DiskManager", "BufferManager", "HeapStore"]
+__all__ = ["PAGE_SIZE", "Page", "DiskManager", "HeapStore"]
 
-#: default page size, bytes
+#: page size, bytes
 PAGE_SIZE = 4096
 
-_HEADER = struct.Struct("<QHH")  # page LSN, slot count, free-space offset
+_HEADER = struct.Struct("<HH")  # slot count, free-space offset
 _SLOT = struct.Struct("<HH")  # payload offset, payload length
 
 
 class Page:
     """One slotted page over a mutable bytearray."""
 
-    __slots__ = ("page_id", "data", "page_size")
+    __slots__ = ("page_id", "data")
 
-    def __init__(self, page_id: int, data: Optional[bytes] = None,
-                 page_size: int = PAGE_SIZE):
+    def __init__(self, page_id: int, data: Optional[bytes] = None):
         self.page_id = page_id
-        self.page_size = page_size
         if data is None:
-            self.data = bytearray(page_size)
-            self._write_header(0, 0, _HEADER.size)
+            self.data = bytearray(PAGE_SIZE)
+            self._write_header(0, _HEADER.size)
         else:
-            if len(data) != page_size:
+            if len(data) != PAGE_SIZE:
                 raise EngineError(
-                    f"page {page_id}: expected {page_size} bytes, "
+                    f"page {page_id}: expected {PAGE_SIZE} bytes, "
                     f"got {len(data)}"
                 )
             self.data = bytearray(data)
-            lsn, count, free_end = self._read_header()
-            if lsn == 0 and count == 0 and free_end == 0:
+            count, free_end = self._read_header()
+            if count == 0 and free_end == 0:
                 # allocated but never written back (e.g. a crash before
                 # the first flush): an empty page, not a corrupt one
-                self._write_header(0, 0, _HEADER.size)
-            elif free_end < _HEADER.size or free_end > page_size:
+                self._write_header(0, _HEADER.size)
+            elif free_end < _HEADER.size or free_end > PAGE_SIZE:
                 raise DumpCorruptionError(
                     f"page {page_id}: corrupt header "
                     f"(free_end={free_end})"
@@ -84,55 +80,45 @@ class Page:
 
     # -- header ------------------------------------------------------------
 
-    def _read_header(self) -> Tuple[int, int, int]:
+    def _read_header(self) -> Tuple[int, int]:
         return _HEADER.unpack_from(self.data, 0)
 
-    def _write_header(self, lsn: int, count: int, free_end: int) -> None:
-        _HEADER.pack_into(self.data, 0, lsn, count, free_end)
-
-    @property
-    def lsn(self) -> int:
-        return self._read_header()[0]
-
-    @lsn.setter
-    def lsn(self, value: int) -> None:
-        _lsn, count, free_end = self._read_header()
-        self._write_header(max(_lsn, value), count, free_end)
+    def _write_header(self, count: int, free_end: int) -> None:
+        _HEADER.pack_into(self.data, 0, count, free_end)
 
     @property
     def slot_count(self) -> int:
-        return self._read_header()[1]
+        return self._read_header()[0]
 
     @property
     def free_space(self) -> int:
         """Bytes available for one more payload *plus* its slot entry."""
-        _lsn, count, free_end = self._read_header()
-        return (self.page_size - count * _SLOT.size) - free_end
+        count, free_end = self._read_header()
+        return (PAGE_SIZE - count * _SLOT.size) - free_end
 
     # -- slots -------------------------------------------------------------
 
     def _slot_at(self, slot: int) -> Tuple[int, int]:
         return _SLOT.unpack_from(
-            self.data, self.page_size - (slot + 1) * _SLOT.size
+            self.data, PAGE_SIZE - (slot + 1) * _SLOT.size
         )
 
     def _set_slot(self, slot: int, offset: int, length: int) -> None:
         _SLOT.pack_into(
-            self.data, self.page_size - (slot + 1) * _SLOT.size,
-            offset, length,
+            self.data, PAGE_SIZE - (slot + 1) * _SLOT.size, offset, length
         )
 
     def insert(self, payload: bytes) -> Optional[int]:
         """Store one payload; returns its slot, or ``None`` if it cannot
         fit (the caller moves on to a fresher page)."""
-        lsn, count, free_end = self._read_header()
+        count, free_end = self._read_header()
         if len(payload) + _SLOT.size > (
-            (self.page_size - count * _SLOT.size) - free_end
+            (PAGE_SIZE - count * _SLOT.size) - free_end
         ):
             return None
         self.data[free_end:free_end + len(payload)] = payload
         self._set_slot(count, free_end, len(payload))
-        self._write_header(lsn, count + 1, free_end + len(payload))
+        self._write_header(count + 1, free_end + len(payload))
         return count
 
     def delete(self, slot: int) -> None:
@@ -154,12 +140,12 @@ class Page:
             self.data[offset:offset + len(payload)] = payload
             self._set_slot(slot, offset, len(payload))
             return True
-        lsn, count, free_end = self._read_header()
-        if len(payload) > (self.page_size - count * _SLOT.size) - free_end:
+        count, free_end = self._read_header()
+        if len(payload) > (PAGE_SIZE - count * _SLOT.size) - free_end:
             return False
         self.data[free_end:free_end + len(payload)] = payload
         self._set_slot(slot, free_end, len(payload))
-        self._write_header(lsn, count, free_end + len(payload))
+        self._write_header(count, free_end + len(payload))
         return True
 
     def records(self) -> Iterator[Tuple[int, bytes]]:
@@ -173,19 +159,18 @@ class Page:
 class DiskManager:
     """Page-granular file I/O with read/write counters."""
 
-    def __init__(self, path: str, page_size: int = PAGE_SIZE):
+    def __init__(self, path: str):
         self.path = path
-        self.page_size = page_size
         mode = "r+b" if os.path.exists(path) else "w+b"
         self._file = open(path, mode)
         self._file.seek(0, os.SEEK_END)
         size = self._file.tell()
-        if size % page_size:
+        if size % PAGE_SIZE:
             # a torn final page write: drop the partial page (its rows,
             # if any were committed, are replayed from the WAL)
-            size -= size % page_size
+            size -= size % PAGE_SIZE
             self._file.truncate(size)
-        self._page_count = size // page_size
+        self._page_count = size // PAGE_SIZE
         self._lock = threading.Lock()
         self.pages_read = 0
         self.pages_written = 0
@@ -200,8 +185,8 @@ class DiskManager:
         with self._lock:
             page_id = self._page_count
             self._page_count += 1
-            self._file.seek(page_id * self.page_size)
-            self._file.write(bytes(self.page_size))
+            self._file.seek(page_id * PAGE_SIZE)
+            self._file.write(bytes(PAGE_SIZE))
             return page_id
 
     def read_page(self, page_id: int) -> bytes:
@@ -211,8 +196,8 @@ class DiskManager:
         if not 0 <= page_id < self._page_count:
             raise EngineError(f"page {page_id} out of range")
         with self._lock:
-            self._file.seek(page_id * self.page_size)
-            data = self._file.read(self.page_size)
+            self._file.seek(page_id * PAGE_SIZE)
+            data = self._file.read(PAGE_SIZE)
             self.pages_read += 1
         return data
 
@@ -225,7 +210,7 @@ class DiskManager:
 
     def _write(self, page_id: int, data: bytes) -> None:
         with self._lock:
-            self._file.seek(page_id * self.page_size)
+            self._file.seek(page_id * PAGE_SIZE)
             self._file.write(data)
             self.pages_written += 1
 
@@ -239,134 +224,33 @@ class DiskManager:
         self._file.close()
 
 
-class _Frame:
-    __slots__ = ("page", "dirty", "pins")
-
-    def __init__(self, page: Page):
-        self.page = page
-        self.dirty = False
-        self.pins = 0
-
-
-class BufferManager:
-    """A fixed-capacity LRU pool of page frames.
-
-    ``wal_barrier(lsn)`` is invoked before any dirty page is written —
-    the WAL-before-data rule: the log must be durable up to the page's
-    LSN before the page may reach disk. Pages only receive records
-    replayed from the durable log, so the barrier never has to wait; it
-    keeps the rule checked where pages are written.
-    """
-
-    def __init__(self, disk: DiskManager, capacity: int = 128,
-                 wal_barrier: Optional[Callable[[int], None]] = None):
-        if capacity < 1:
-            raise EngineError("buffer pool needs at least one frame")
-        self.disk = disk
-        self.capacity = capacity
-        self._wal_barrier = wal_barrier
-        self._frames: "OrderedDict[int, _Frame]" = OrderedDict()
-        self._lock = threading.RLock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    # -- fetch/pin ---------------------------------------------------------
-
-    def fetch(self, page_id: int) -> Page:
-        """Pin a page into the pool (reading it if absent)."""
-        with self._lock:
-            frame = self._frames.get(page_id)
-            if frame is not None:
-                self.hits += 1
-                self._frames.move_to_end(page_id)
-                frame.pins += 1
-                return frame.page
-            self.misses += 1
-            self._make_room()
-            page = Page(page_id, self.disk.read_page(page_id),
-                        self.disk.page_size)
-            frame = _Frame(page)
-            frame.pins = 1
-            self._frames[page_id] = frame
-            return page
-
-    def new_page(self) -> Page:
-        """Allocate a fresh page, pinned and dirty."""
-        with self._lock:
-            self._make_room()
-            page = Page(self.disk.allocate(), page_size=self.disk.page_size)
-            frame = _Frame(page)
-            frame.pins = 1
-            frame.dirty = True
-            self._frames[page.page_id] = frame
-            return page
-
-    def unpin(self, page_id: int, dirty: bool = False) -> None:
-        with self._lock:
-            frame = self._frames[page_id]
-            if frame.pins <= 0:
-                raise EngineError(f"page {page_id} is not pinned")
-            frame.pins -= 1
-            if dirty:
-                frame.dirty = True
-
-    # -- write-back --------------------------------------------------------
-
-    def _write_frame(self, frame: _Frame) -> None:
-        if self._wal_barrier is not None:
-            self._wal_barrier(frame.page.lsn)
-        self.disk.write_page(frame.page.page_id, bytes(frame.page.data))
-        frame.dirty = False
-
-    def _make_room(self) -> None:
-        """Evict the least-recently-used unpinned frame if at capacity."""
-        if len(self._frames) < self.capacity:
-            return
-        for page_id, frame in self._frames.items():
-            if frame.pins == 0:
-                if frame.dirty:
-                    self._write_frame(frame)
-                del self._frames[page_id]
-                self.evictions += 1
-                return
-        raise EngineError(
-            f"buffer pool exhausted: all {self.capacity} frames pinned"
-        )
-
-    def flush_all(self) -> int:
-        """Write every dirty frame; returns how many were written."""
-        with self._lock:
-            written = 0
-            for frame in self._frames.values():
-                if frame.dirty:
-                    self._write_frame(frame)
-                    written += 1
-            return written
-
-    @property
-    def dirty_count(self) -> int:
-        with self._lock:
-            return sum(1 for f in self._frames.values() if f.dirty)
-
-    @property
-    def hit_ratio(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 1.0
-
-
 class HeapStore:
-    """Logical row storage over the buffer pool.
+    """Logical row storage over the page file.
 
     Addresses rows as ``(table, row_id)`` — the same ids the in-memory
     heap and the WAL use — and keeps the page location map. Every
     mutator is *idempotent* (insert replaces, delete of an absent row is
     a no-op), which is what lets checkpoints and recovery replay the
     log without tracking which effects already reached disk.
+
+    Pages are worked on in a cache of at most ``capacity`` pages plus
+    the set of those it has modified: a page is read on a miss, and a
+    modified one is written back when it leaves the cache (least
+    recently used first) or at :meth:`flush`. Pages leave only between
+    row operations, never while one is in use, so nothing is pinned.
     """
 
-    def __init__(self, buffer: BufferManager):
-        self.buffer = buffer
+    def __init__(self, disk: DiskManager, capacity: int = 128):
+        if capacity < 1:
+            raise EngineError("the page cache needs at least one page")
+        self.disk = disk
+        self.capacity = capacity
+        #: page id -> page, least recently used first
+        self._pages: Dict[int, Page] = {}
+        self._modified: Set[int] = set()
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
         #: table -> {rid: page_id << 16 | slot}; one int per row, since
         #: the map holds every row of the database
         self._loc: Dict[str, Dict[int, int]] = {}
@@ -377,74 +261,90 @@ class HeapStore:
     def encode_payload(table: str, rid: int, values: list) -> bytes:
         return json.dumps({"t": table, "r": rid, "v": values}).encode("utf-8")
 
+    # -- the page cache ----------------------------------------------------
+
+    def _page(self, page_id: int) -> Page:
+        """The page, read from disk on a miss; now the most recent."""
+        page = self._pages.pop(page_id, None)
+        if page is None:
+            self.misses += 1
+            page = Page(page_id, self.disk.read_page(page_id))
+        else:
+            self.hits += 1
+        self._pages[page_id] = page
+        return page
+
+    def _trim(self) -> None:
+        """Evict down to the capacity, writing modified pages back. A
+        write that fails leaves its page cached and modified."""
+        pages = self._pages
+        while len(pages) > self.capacity:
+            page_id = next(iter(pages))
+            if page_id in self._modified:
+                self.disk.write_page(page_id, bytes(pages[page_id].data))
+                self._modified.discard(page_id)
+            del pages[page_id]
+            self.evictions += 1
+
+    def flush(self) -> None:
+        """Write every modified cached page back."""
+        with self._lock:
+            for page_id in sorted(self._modified):
+                page = self._pages[page_id]
+                self.disk.write_page(page_id, bytes(page.data))
+                self._modified.discard(page_id)
+
     # -- mutators (values arrive JSON-encoded, see records.encode_value) ---
 
-    def insert(self, table: str, rid: int, values: list, lsn: int) -> None:
+    def insert(self, table: str, rid: int, values: list) -> None:
+        payload = self.encode_payload(table, rid, values)
         with self._lock:
             rows = self._loc.setdefault(table, {})
-            payload = self.encode_payload(table, rid, values)
-            if rid in rows:
-                self._replace(table, rid, payload, lsn)
-                return
-            page = None
+            location = rows.pop(rid, None)
+            if location is not None:
+                page_id, slot = _page_slot(location)
+                page = self._page(page_id)
+                self._modified.add(page_id)
+                if page.replace(slot, payload):
+                    rows[rid] = location
+                    self._trim()
+                    return
+                page.delete(slot)  # no room in place: relocate
+            slot = None
             if self._fill_page is not None:
-                page = self.buffer.fetch(self._fill_page)
+                page = self._page(self._fill_page)
                 slot = page.insert(payload)
-                if slot is None:
-                    self.buffer.unpin(page.page_id)
-                    page = None
-            if page is None:
-                page = self.buffer.new_page()
+            if slot is None:
+                page = Page(self.disk.allocate())
+                self._pages[page.page_id] = page
                 self._fill_page = page.page_id
                 slot = page.insert(payload)
                 if slot is None:
-                    self.buffer.unpin(page.page_id)
                     raise EngineError(
                         f"row {table}:{rid} larger than a page "
                         f"({len(payload)} bytes)"
                     )
-            page.lsn = lsn
-            self.buffer.unpin(page.page_id, dirty=True)
+            self._modified.add(page.page_id)
             rows[rid] = _location(page.page_id, slot)
+            self._trim()
 
-    def _replace(self, table: str, rid: int, payload: bytes,
-                 lsn: int) -> None:
-        page_id, slot = _page_slot(self._loc[table][rid])
-        page = self.buffer.fetch(page_id)
-        try:
-            if page.replace(slot, payload):
-                page.lsn = lsn
-                return
-            # no room in place: relocate to a fresh page
-            page.delete(slot)
-            page.lsn = lsn
-        finally:
-            self.buffer.unpin(page_id, dirty=True)
-        del self._loc[table][rid]
-        self.insert(table, rid, json.loads(payload)["v"], lsn)
-
-    def delete(self, table: str, rid: int, lsn: int) -> None:
+    def delete(self, table: str, rid: int) -> None:
         with self._lock:
             location = self._loc.get(table, {}).pop(rid, None)
             if location is None:
                 return
             page_id, slot = _page_slot(location)
-            page = self.buffer.fetch(page_id)
-            page.delete(slot)
-            page.lsn = lsn
-            self.buffer.unpin(page_id, dirty=True)
+            self._page(page_id).delete(slot)
+            self._modified.add(page_id)
+            self._trim()
 
-    def drop_table(self, table: str, lsn: int) -> None:
+    def drop_table(self, table: str) -> None:
         with self._lock:
             for rid in sorted(self._loc.get(table, ())):
-                self.delete(table, rid, lsn)
+                self.delete(table, rid)
             self._loc.pop(table, None)
 
     # -- readers -----------------------------------------------------------
-
-    def has(self, table: str, rid: int) -> bool:
-        with self._lock:
-            return rid in self._loc.get(table, ())
 
     def row_count(self, table: Optional[str] = None) -> int:
         with self._lock:
@@ -458,12 +358,9 @@ class HeapStore:
             if location is None:
                 return None
             page_id, slot = _page_slot(location)
-            page = self.buffer.fetch(page_id)
-            try:
-                payload = page.read(slot)
-            finally:
-                self.buffer.unpin(page_id)
-            return json.loads(payload.decode("utf-8"))["v"]
+            payload = self._page(page_id).read(slot)
+            self._trim()
+        return json.loads(payload.decode("utf-8"))["v"]
 
     def rows(self) -> Iterator[Tuple[str, int, list]]:
         """Every stored ``(table, rid, encoded values)``, via the map."""
@@ -479,39 +376,29 @@ class HeapStore:
 
     # -- recovery ----------------------------------------------------------
 
-    def adopt_from_disk(self) -> Dict[str, Dict[int, list]]:
+    def adopt_from_disk(self) -> None:
         """Rebuild the location map by scanning every page on disk.
 
-        Returns ``{table: {rid: encoded values}}`` — the raw page image
-        recovery starts from before replaying the WAL. Duplicate rids
-        (possible only if a crash interrupted a relocation) keep the
-        later page's copy.
+        Duplicate rids (possible only if a crash interrupted a
+        relocation) keep the later page's copy.
         """
         with self._lock:
             self._loc.clear()
-            image: Dict[str, Dict[int, list]] = {}
-            for page_id in range(self.buffer.disk.page_count):
-                page = self.buffer.fetch(page_id)
-                try:
-                    for slot, payload in page.records():
-                        try:
-                            record = json.loads(payload.decode("utf-8"))
-                            table, rid = record["t"], record["r"]
-                            values = record["v"]
-                        except (ValueError, KeyError, UnicodeDecodeError):
-                            continue  # torn slot: the WAL replay re-adds it
-                        rows = self._loc.setdefault(table, {})
-                        stale = rows.get(rid)
-                        if stale is not None:
-                            stale_page, stale_slot = _page_slot(stale)
-                            old = self.buffer.fetch(stale_page)
-                            old.delete(stale_slot)
-                            self.buffer.unpin(stale_page, dirty=True)
-                        rows[rid] = _location(page_id, slot)
-                        image.setdefault(table, {})[rid] = values
-                finally:
-                    self.buffer.unpin(page_id)
-            return image
+            for page_id in range(self.disk.page_count):
+                for slot, payload in self._page(page_id).records():
+                    try:
+                        record = json.loads(payload.decode("utf-8"))
+                        table, rid, _ = record["t"], record["r"], record["v"]
+                    except (ValueError, KeyError, UnicodeDecodeError):
+                        continue  # torn slot: the WAL replay re-adds it
+                    rows = self._loc.setdefault(table, {})
+                    stale = rows.get(rid)
+                    if stale is not None:
+                        stale_page, stale_slot = _page_slot(stale)
+                        self._page(stale_page).delete(stale_slot)
+                        self._modified.add(stale_page)
+                    rows[rid] = _location(page_id, slot)
+                self._trim()
 
 
 def _location(page_id: int, slot: int) -> int:

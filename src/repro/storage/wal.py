@@ -36,8 +36,9 @@ Durability protocol:
 * on open, the tail is scanned with the torn-tail helper and the file
   is truncated after the last valid record. A header of another format
   version is refused: version 1 logs kept their schema in a separate
-  snapshot file, and version 2 page files may hold uncommitted rows
-  that only the undo pass of that format could remove.
+  snapshot file, version 2 page files may hold uncommitted rows that
+  only the undo pass of that format could remove, and version 3 pages
+  start with a page LSN that the version 4 page header dropped.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from repro.storage.records import encode_line, scan_tail
 __all__ = ["WAL_FORMAT", "WriteAheadLog"]
 
 WAL_FORMAT = "jackpine-wal"
-WAL_VERSION = 3
+WAL_VERSION = 4
 
 
 class WriteAheadLog:

@@ -1,20 +1,16 @@
-"""Slotted pages, the disk manager, and the LRU buffer pool."""
+"""Slotted pages, the disk manager, and the heap store's page cache."""
 
 from __future__ import annotations
 
-import os
+import json
 
 import pytest
 
-from repro.errors import DumpCorruptionError, EngineError
+from repro.engines import Database
+from repro.errors import DumpCorruptionError, EngineError, SimulatedCrashError
 from repro.obs.waits import IO_PAGE_READ, IO_PAGE_WRITE, WAITS
-from repro.storage.pages import (
-    PAGE_SIZE,
-    BufferManager,
-    DiskManager,
-    HeapStore,
-    Page,
-)
+from repro.storage.crash import kill_at
+from repro.storage.pages import PAGE_SIZE, DiskManager, HeapStore, Page
 
 
 class TestPage:
@@ -36,11 +32,11 @@ class TestPage:
         assert [(s, p) for s, p in page.records()] == [(b, b"beta")]
 
     def test_insert_returns_none_when_full(self):
-        page = Page(0, page_size=256)
+        page = Page(0)
         inserted = 0
         while page.insert(b"x" * 40) is not None:
             inserted += 1
-        assert inserted > 0
+        assert inserted == (PAGE_SIZE - 4) // 44  # header 4, slot 4
         assert page.insert(b"x" * 40) is None
         # existing payloads are untouched
         assert page.read(0) == b"x" * 40
@@ -54,18 +50,11 @@ class TestPage:
         assert page.read(slot) == b"c" * 64
 
     def test_replace_reports_no_room(self):
-        page = Page(0, page_size=128)
-        slot = page.insert(b"tiny")
-        assert page.replace(slot, b"z" * 200) is False
-        assert page.read(slot) == b"tiny"
-
-    def test_lsn_setter_is_monotonic(self):
         page = Page(0)
-        page.lsn = 10
-        page.lsn = 3
-        assert page.lsn == 10
-        page.lsn = 42
-        assert page.lsn == 42
+        slot = page.insert(b"tiny")
+        page.insert(b"f" * (page.free_space - 8))  # leaves 4 bytes free
+        assert page.replace(slot, b"z" * 5) is False
+        assert page.read(slot) == b"tiny"
 
     def test_all_zero_bytes_is_an_empty_page(self):
         # allocated (zero-filled) but never flushed: not corruption
@@ -78,7 +67,7 @@ class TestPage:
         # plausible-looking header with free_end pointing into the header
         import struct
 
-        struct.pack_into("<QHH", data, 0, 5, 1, 4)
+        struct.pack_into("<HH", data, 0, 1, 2)
         with pytest.raises(DumpCorruptionError, match="corrupt header"):
             Page(0, bytes(data))
 
@@ -122,84 +111,60 @@ class TestDiskManager:
         disk.close()
 
 
-def _pool(tmp_path, capacity=3):
+def _heap(tmp_path, capacity=3):
     disk = DiskManager(str(tmp_path / "pages.db"))
-    return disk, BufferManager(disk, capacity=capacity)
+    return HeapStore(disk, capacity=capacity), disk
 
 
-class TestBufferManager:
-    def test_hits_misses_and_ratio(self, tmp_path):
-        disk, pool = _pool(tmp_path)
-        page = pool.new_page()
-        pool.unpin(page.page_id, dirty=True)
-        pool.fetch(page.page_id)
-        pool.unpin(page.page_id)
-        assert pool.hits == 1
-        assert pool.misses == 0
-        assert pool.hit_ratio == 1.0
+def _on_disk(disk, page_id, slot=0):
+    """The values a page slot holds in the file, bypassing any cache."""
+    payload = Page(page_id, disk.read_page(page_id)).read(slot)
+    return json.loads(payload)["v"]
+
+
+#: a value so large that a page holds one row of it
+HALF_PAGE = "x" * (PAGE_SIZE // 2)
+
+
+class TestPageCache:
+    """``HeapStore`` keeps at most ``capacity`` pages between row
+    operations; a modified page is written back when it leaves."""
+
+    def test_hits_misses_and_evictions(self, tmp_path):
+        heap, disk = _heap(tmp_path, capacity=1)
+        heap.insert("t", 1, [HALF_PAGE])  # a fresh page: no hit, no miss
+        heap.read("t", 1)
+        assert (heap.hits, heap.misses, heap.evictions) == (1, 0, 0)
+        heap.insert("t", 2, [HALF_PAGE])  # a second page pushes page 0 out
+        assert heap.evictions == 1 and disk.pages_written == 1
+        heap.read("t", 1)
+        assert (heap.hits, heap.misses, heap.evictions) == (2, 1, 2)
         disk.close()
 
-    def test_lru_eviction_writes_dirty_pages_back(self, tmp_path):
-        disk, pool = _pool(tmp_path, capacity=2)
-        first = pool.new_page()
-        first.insert(b"persisted-by-eviction")
-        pool.unpin(first.page_id, dirty=True)
-        for _ in range(2):  # force first out of the 2-frame pool
-            page = pool.new_page()
-            pool.unpin(page.page_id, dirty=True)
-        assert pool.evictions >= 1
-        # the evicted dirty frame reached disk and reads back
-        refetched = pool.fetch(first.page_id)
-        assert refetched.read(0) == b"persisted-by-eviction"
-        pool.unpin(first.page_id)
-        assert pool.misses >= 1
-        disk.close()
-
-    def test_all_pinned_pool_is_an_error(self, tmp_path):
-        disk, pool = _pool(tmp_path, capacity=2)
-        pool.new_page()
-        pool.new_page()  # both stay pinned
-        with pytest.raises(EngineError, match="exhausted"):
-            pool.new_page()
-        disk.close()
-
-    def test_unpin_of_unpinned_frame_rejected(self, tmp_path):
-        disk, pool = _pool(tmp_path)
-        page = pool.new_page()
-        pool.unpin(page.page_id)
-        with pytest.raises(EngineError, match="not pinned"):
-            pool.unpin(page.page_id)
-        disk.close()
-
-    def test_wal_barrier_runs_before_every_dirty_write(self, tmp_path):
-        barrier_lsns = []
-        disk = DiskManager(str(tmp_path / "pages.db"))
-        pool = BufferManager(disk, capacity=4,
-                             wal_barrier=barrier_lsns.append)
-        page = pool.new_page()
-        page.insert(b"row")
-        page.lsn = 17
-        pool.unpin(page.page_id, dirty=True)
-        assert pool.flush_all() == 1
-        assert barrier_lsns == [17]
-        assert pool.dirty_count == 0
+    def test_modified_page_reads_back_after_eviction(self, tmp_path):
+        heap, disk = _heap(tmp_path, capacity=2)
+        for rid in range(3):  # three pages through a two-page cache
+            heap.insert("t", rid, [rid, HALF_PAGE])
+        assert heap.evictions == 1
+        assert _on_disk(disk, 0) == [0, HALF_PAGE]
+        heap.insert("t", 0, [0, "changed"])  # page 0 read back, modified
+        heap.read("t", 1)
+        heap.read("t", 2)  # page 0 leaves again, written back
+        assert 0 not in heap._pages
+        assert _on_disk(disk, 0) == [0, "changed"]
+        misses = heap.misses
+        assert heap.read("t", 0) == [0, "changed"]
+        assert heap.misses == misses + 1
         disk.close()
 
     def test_page_io_wait_events_recorded(self, tmp_path):
-        disk, pool = _pool(tmp_path, capacity=2)
-        page = pool.new_page()
-        page.insert(b"x")
-        pool.unpin(page.page_id, dirty=True)
+        heap, disk = _heap(tmp_path, capacity=1)
         WAITS.enable()
         WAITS.reset()
         try:
-            pool.flush_all()
-            # evict so the next fetch is a real disk read
-            for _ in range(2):
-                extra = pool.new_page()
-                pool.unpin(extra.page_id, dirty=True)
-            pool.fetch(page.page_id)
-            pool.unpin(page.page_id)
+            heap.insert("t", 1, [HALF_PAGE])
+            heap.insert("t", 2, [HALF_PAGE])  # evicts page 0: a write
+            heap.read("t", 1)  # a real disk read
             summary = WAITS.summary()
         finally:
             WAITS.disable()
@@ -208,82 +173,133 @@ class TestBufferManager:
         assert IO_PAGE_READ in summary
         disk.close()
 
+    def test_buffer_pages_bounds_residency(self, tmp_path, monkeypatch):
+        """Through attach (which writes every row), its checkpoint, and
+        a reopen: no more than ``buffer_pages`` pages after any heap
+        call, nor before any page fetch (recovery's page scan is a
+        single call)."""
+        peak = [0]
+
+        def watch(method, before):
+            def watched(self, *args):
+                if before:
+                    peak[0] = max(peak[0], len(self._pages))
+                result = method(self, *args)
+                if not before:
+                    peak[0] = max(peak[0], len(self._pages))
+                return result
+            return watched
+
+        for name in ("_page", "insert", "delete", "drop_table", "read",
+                     "flush", "adopt_from_disk"):
+            method = getattr(HeapStore, name)
+            monkeypatch.setattr(HeapStore, name,
+                                watch(method, before=name == "_page"))
+        db = Database("greenwood")
+        db.execute("CREATE TABLE t (id INTEGER, name TEXT)")
+        db.insert_rows("t", [(i, "n" * 200) for i in range(500)])
+        directory = str(tmp_path / "storage")
+        db.attach_storage(directory, buffer_pages=4)
+        stats = db.durability.stats()
+        assert stats["pages_on_disk"] >= 20
+        assert stats["buffer_evictions"] > 0
+        db.close()
+        again = Database.open(directory, buffer_pages=4)
+        assert again.execute("SELECT COUNT(*) FROM t").scalar() == 500
+        again.close()
+        assert 0 < peak[0] <= 4
+
+    def test_crash_in_an_eviction_mid_checkpoint_recovers(self, tmp_path):
+        db = Database("greenwood")
+        db.execute("CREATE TABLE pts (id INTEGER, name TEXT, g GEOMETRY)")
+        db.execute("CREATE SPATIAL INDEX pts_g ON pts (g)")
+        directory = str(tmp_path / "storage")
+        db.attach_storage(directory, buffer_pages=2)
+        db.insert_rows("pts", [
+            (i, "n" * 300, f"POINT({i} {i % 7})") for i in range(80)
+        ])
+        heap = db.durability.heap
+        with kill_at("page.write"):
+            with pytest.raises(SimulatedCrashError):
+                db.checkpoint()
+        # the write that died was an eviction: the replay had not finished
+        assert heap.row_count("pts") < 80
+        recovered = Database.open(directory)
+        assert recovered.durability.stats()["pages_on_disk"] >= 6
+        ids = {r[0] for r in recovered.execute("SELECT id FROM pts").rows}
+        assert ids == set(range(80))
+        assert recovered.execute(
+            "SELECT COUNT(*) FROM pts WHERE ST_Intersects(g, "
+            "ST_MakeEnvelope(-1000, -1000, 1000, 1000))"
+        ).scalar() == 80
+        recovered.close()
+
 
 class TestHeapStore:
     def test_roundtrip_update_delete(self, tmp_path):
-        disk, pool = _pool(tmp_path, capacity=8)
-        heap = HeapStore(pool)
-        heap.insert("t", 1, [1, "one"], lsn=1)
-        heap.insert("t", 2, [2, "two"], lsn=2)
+        heap, disk = _heap(tmp_path, capacity=8)
+        heap.insert("t", 1, [1, "one"])
+        heap.insert("t", 2, [2, "two"])
         assert heap.read("t", 1) == [1, "one"]
         assert heap.row_count("t") == 2
-        heap.insert("t", 1, [1, "uno"], lsn=3)
+        heap.insert("t", 1, [1, "uno"])
         assert heap.read("t", 1) == [1, "uno"]
-        heap.delete("t", 2, lsn=4)
+        heap.delete("t", 2)
         assert heap.read("t", 2) is None
-        assert not heap.has("t", 2)
         assert heap.row_count() == 1
         disk.close()
 
     def test_insert_is_idempotent_replace(self, tmp_path):
-        disk, pool = _pool(tmp_path, capacity=8)
-        heap = HeapStore(pool)
-        heap.insert("t", 5, ["old"], lsn=1)
-        heap.insert("t", 5, ["new"], lsn=2)  # replay of the same rid
+        heap, disk = _heap(tmp_path, capacity=8)
+        heap.insert("t", 5, ["old"])
+        heap.insert("t", 5, ["new"])  # replay of the same rid
         assert heap.read("t", 5) == ["new"]
         assert heap.row_count("t") == 1
         disk.close()
 
     def test_grown_row_relocates_across_pages(self, tmp_path):
-        disk, pool = _pool(tmp_path, capacity=8)
-        heap = HeapStore(pool)
-        heap.insert("t", 1, ["small"], lsn=1)
+        heap, disk = _heap(tmp_path, capacity=8)
+        heap.insert("t", 1, ["small"])
         # rewrite larger than a whole page's free space minus the rest
         big = "y" * (PAGE_SIZE // 2)
         for rid in range(2, 8):
-            heap.insert("t", rid, [big], lsn=rid)
+            heap.insert("t", rid, [big])
         assert heap.read("t", 1) == ["small"]
         huge = "z" * (PAGE_SIZE // 2)
-        heap.insert("t", 1, [huge], lsn=10)
+        heap.insert("t", 1, [huge])
         assert heap.read("t", 1) == [huge]
         assert heap.row_count("t") == 7
         disk.close()
 
     def test_drop_table_removes_only_that_table(self, tmp_path):
-        disk, pool = _pool(tmp_path, capacity=8)
-        heap = HeapStore(pool)
-        heap.insert("a", 1, ["a1"], lsn=1)
-        heap.insert("b", 1, ["b1"], lsn=2)
-        heap.drop_table("a", lsn=3)
+        heap, disk = _heap(tmp_path, capacity=8)
+        heap.insert("a", 1, ["a1"])
+        heap.insert("b", 1, ["b1"])
+        heap.drop_table("a")
         assert heap.row_count("a") == 0
         assert heap.read("b", 1) == ["b1"]
         disk.close()
 
     def test_adopt_from_disk_rebuilds_location_map(self, tmp_path):
-        path = tmp_path / "pages.db"
-        disk = DiskManager(str(path))
-        pool = BufferManager(disk, capacity=8)
-        heap = HeapStore(pool)
+        heap, disk = _heap(tmp_path, capacity=8)
         for rid in range(20):
-            heap.insert("t", rid, [rid, f"row-{rid}"], lsn=rid + 1)
-        heap.delete("t", 3, lsn=30)
-        pool.flush_all()
+            heap.insert("t", rid, [rid, f"row-{rid}"])
+        heap.delete("t", 3)
+        heap.flush()
         disk.sync()
         disk.close()
 
-        disk = DiskManager(str(path))
-        pool = BufferManager(disk, capacity=8)
-        fresh = HeapStore(pool)
-        image = fresh.adopt_from_disk()
-        assert set(image) == {"t"}
-        assert set(image["t"]) == set(range(20)) - {3}
-        assert image["t"][7] == [7, "row-7"]
+        fresh, disk = _heap(tmp_path, capacity=8)
+        fresh.adopt_from_disk()
+        assert fresh.row_count() == 19
+        assert [rid for _t, rid, _v in fresh.rows()] == (
+            [rid for rid in range(20) if rid != 3]
+        )
         assert fresh.read("t", 7) == [7, "row-7"]
         disk.close()
 
     def test_oversized_row_rejected(self, tmp_path):
-        disk, pool = _pool(tmp_path, capacity=4)
-        heap = HeapStore(pool)
+        heap, disk = _heap(tmp_path, capacity=4)
         with pytest.raises(EngineError, match="larger than a page"):
-            heap.insert("t", 1, ["x" * (2 * PAGE_SIZE)], lsn=1)
+            heap.insert("t", 1, ["x" * (2 * PAGE_SIZE)])
         disk.close()
