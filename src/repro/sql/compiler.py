@@ -325,19 +325,17 @@ class Compiler:
             return zip(left(batch, ctx), right(batch, ctx))
 
         if op == "and":
-            return lambda batch, ctx: [
-                False if a is False or b is False
+            return _short_circuit(left, right, False, lambda a, b: (
+                False if b is False
                 else None if a is None or b is None
                 else bool(a) and bool(b)
-                for a, b in pairs(batch, ctx)
-            ]
+            ))
         if op == "or":
-            return lambda batch, ctx: [
-                True if a is True or b is True
+            return _short_circuit(left, right, True, lambda a, b: (
+                True if b is True
                 else None if a is None or b is None
                 else bool(a) or bool(b)
-                for a, b in pairs(batch, ctx)
-            ]
+            ))
         if op == "like":
             return lambda batch, ctx: [
                 None if text is None or pattern is None
@@ -389,6 +387,26 @@ class Compiler:
             None if a is None or b is None else fn(a, b)
             for a, b in pairs(batch, ctx)
         ]
+
+
+def _short_circuit(left: Evaluator, right: Evaluator, decided: bool,
+                   combine: Callable[[Any, Any], Any]) -> Evaluator:
+    """Three-valued ``AND`` (``decided=False``) or ``OR`` (``True``): the
+    right side runs only on the rows whose left value is not ``decided``
+    already; ``combine(a, b)`` answers the others."""
+
+    def evaluate(batch: Batch, ctx: ExecContext) -> List[Any]:
+        lefts = left(batch, ctx)
+        open_rows = [a is not decided for a in lefts]
+        if not any(open_rows):
+            return lefts
+        rights = iter(right(batch.select(open_rows), ctx))
+        return [
+            decided if a is decided else combine(a, next(rights))
+            for a in lefts
+        ]
+
+    return evaluate
 
 
 def _as_envelope(value: Any) -> Envelope:

@@ -10,7 +10,7 @@ is one position in both, never a merged row.
 from __future__ import annotations
 
 import math
-from itertools import islice
+from itertools import compress, islice
 from operator import itemgetter
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -127,24 +127,36 @@ class HashJoin(PlanNode):
         inner = Batch.concat(parts)
         del parts
         residual = self.residual
-        for outer in self.outer.batches(ctx):
-            outer_pos: List[int] = []
-            inner_pos: List[int] = []
-            for i, key in enumerate(self.outer_key(outer, ctx)):
-                matches = buckets.get(key) if key is not None else None
-                if matches:
-                    outer_pos.extend([i] * len(matches))
-                    inner_pos.extend(matches)
-            for start in range(0, len(outer_pos), BATCH_SIZE):
-                stop = start + BATCH_SIZE
-                batch = _beside(
-                    outer.take(outer_pos[start:stop]),
-                    inner.take(inner_pos[start:stop]),
-                )
-                if residual is not None:
-                    batch = batch.select(residual(batch, ctx))
-                if batch.size:
-                    yield batch
+        stats = ctx.stats
+        considered = 0
+        emitted = 0
+        try:
+            for outer in self.outer.batches(ctx):
+                outer_pos: List[int] = []
+                inner_pos: List[int] = []
+                for i, key in enumerate(self.outer_key(outer, ctx)):
+                    matches = buckets.get(key) if key is not None else None
+                    if matches:
+                        outer_pos.extend([i] * len(matches))
+                        inner_pos.extend(matches)
+                considered += len(outer_pos)
+                if guard is not None:
+                    guard.tick(len(outer_pos))
+                for start in range(0, len(outer_pos), BATCH_SIZE):
+                    stop = start + BATCH_SIZE
+                    batch = _beside(
+                        outer.take(outer_pos[start:stop]),
+                        inner.take(inner_pos[start:stop]),
+                    )
+                    if residual is not None:
+                        batch = batch.select(residual(batch, ctx))
+                    if batch.size:
+                        emitted += batch.size
+                        yield batch
+        finally:
+            stats.join_pairs_considered += considered
+            stats.join_pairs_emitted += emitted
+            stats.rows_scanned += considered
 
     def describe(self) -> str:
         return f"HashJoin {self.label}".rstrip()
@@ -366,15 +378,15 @@ class SpatialTreeJoin(PlanNode):
                 batch = Batch(
                     {outer_alias: outer_rows, inner_alias: inner_rows}, len(ids)
                 )
-                if refines:
+                if residual is not None:
+                    batch = batch.select(residual(batch, ctx))
+                if refines and batch.size:
                     batch = batch.select(condition.refine(
                         profile,
-                        list(map(outer_geom, outer_rows)),
-                        list(map(inner_geom, inner_rows)),
+                        list(map(outer_geom, batch.columns[outer_alias])),
+                        list(map(inner_geom, batch.columns[inner_alias])),
                         stats,
                     ))
-                if residual is not None and batch.size:
-                    batch = batch.select(residual(batch, ctx))
                 if batch.size:
                     emitted += batch.size
                     yield batch
@@ -475,15 +487,18 @@ class PBSMJoin(PlanNode):
                 if not outer_pos:
                     continue
                 batch = _beside(outer.take(outer_pos), inner.take(inner_pos))
-                if refines:
+                if residual is not None:
+                    keep = [value is True for value in residual(batch, ctx)]
+                    batch = batch.select(keep)
+                    outer_pos = list(compress(outer_pos, keep))
+                    inner_pos = list(compress(inner_pos, keep))
+                if refines and batch.size:
                     batch = batch.select(condition.refine(
                         profile,
                         list(map(outer_geoms.__getitem__, outer_pos)),
                         list(map(inner_geoms.__getitem__, inner_pos)),
                         stats,
                     ))
-                if residual is not None and batch.size:
-                    batch = batch.select(residual(batch, ctx))
                 if batch.size:
                     emitted += batch.size
                     yield batch

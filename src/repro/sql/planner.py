@@ -84,6 +84,13 @@ _COST_TREE = 0.4
 _COST_PBSM = 1.6
 # per pair evaluated by a plain nested loop
 _COST_NLJ = 2.2
+# per row hashed (inner side) or probed (outer side) by a hash join, and
+# per key-matching pair taken and run through its residual. Measured on
+# the bluestem edges self-join at scale 8 (8 477 rows a side), in units of
+# one tree-join candidate (0.32-0.44 us there): 0.14 us a row, 0.12 us to
+# take a pair and 0.48 us for the residual `gid <` + MBR touches
+_COST_HASH_ROW = 0.35
+_COST_HASH_PAIR = 1.5
 
 
 def split_conjuncts(expr: Optional[ast.Expr]) -> List[ast.Expr]:
@@ -95,10 +102,40 @@ def split_conjuncts(expr: Optional[ast.Expr]) -> List[ast.Expr]:
 
 
 def conjoin(conjuncts: Sequence[ast.Expr]) -> Optional[ast.Expr]:
+    """The conjuncts as one left-deep ``AND``, cheapest first (by
+    :func:`_rank`, ties in the given order): the compiled ``AND`` runs
+    its right side only where the left is not ``False``, so an expensive
+    conjunct sees just the rows the cheap ones let through."""
     result: Optional[ast.Expr] = None
-    for c in conjuncts:
+    for c in sorted(conjuncts, key=_rank):
         result = c if result is None else ast.BinaryOp("and", result, c)
     return result
+
+
+def _rank(expr: ast.Expr) -> int:
+    """0 for plain comparisons and column tests, 1 when a non-spatial
+    function is called, 2 with a spatial operator or ``st_*`` call."""
+    if isinstance(expr, ast.FuncCall):
+        return max(
+            [2 if expr.name.startswith("st_") else 1]
+            + [_rank(arg) for arg in expr.args]
+        )
+    if isinstance(expr, ast.BinaryOp):
+        own = 2 if expr.op in ("&&", "<->") else 0
+        return max(own, _rank(expr.left), _rank(expr.right))
+    if isinstance(expr, ast.UnaryOp):
+        return _rank(expr.operand)
+    if isinstance(expr, ast.Between):
+        return max(_rank(expr.value), _rank(expr.low), _rank(expr.high))
+    if isinstance(expr, ast.InList):
+        return max([_rank(expr.value)] + [_rank(o) for o in expr.options])
+    if isinstance(expr, ast.IsNull):
+        return _rank(expr.value)
+    return 0
+
+
+#: an equality join conjunct with its outer-side and inner-side operands
+_EquiKey = Tuple[ast.Expr, ast.Expr, ast.Expr]
 
 
 class _IndexableConjunct:
@@ -355,8 +392,14 @@ class Planner:
     ) -> PlanNode:
         table = self.catalog.table(ref.name)
         alias = ref.alias.lower()
+        equi = [
+            keys for keys in (
+                self._match_equi(c, scope, alias, bound) for c in conjuncts
+            ) if keys is not None
+        ]
 
-        # cost-based spatial join on an indexable spatial conjunct
+        # cost-based spatial join on an indexable spatial conjunct, with
+        # the equality keys (if any) costed as a hash join beside it
         for conjunct in conjuncts:
             indexable = self._match_indexable(conjunct, scope, alias)
             if indexable is None:
@@ -368,27 +411,16 @@ class Planner:
             ) <= bound:
                 continue
             plan = self._plan_spatial_join(
-                outer, table, alias, scope, compiler, conjuncts, indexable
+                outer, table, alias, scope, compiler, conjuncts, indexable,
+                equi,
             )
             if plan is not None:
                 return plan
 
-        # try a hash join on an equality conjunct
-        for conjunct in conjuncts:
-            keys = self._match_equi(conjunct, scope, alias, bound)
-            if keys is None:
-                continue
-            outer_key, inner_key = keys
-            residual_list = [c for c in conjuncts if c is not conjunct]
-            residual = conjoin(residual_list)
-            plan = HashJoin(
-                outer,
-                SeqScan(table, alias),
-                compiler.compile(outer_key),
-                compiler.compile(inner_key),
-                compiler.compile(residual) if residual is not None else None,
-                label=f"{outer_key} = {inner_key}",
-            )
+        # hash join on every equality conjunct as one composite key
+        if equi:
+            plan = self._build_hash(outer, table, alias, compiler, conjuncts,
+                                    equi, label="")
             plan.est_rows = max(self._estimate_rows(outer), float(len(table)))
             return plan
 
@@ -413,9 +445,12 @@ class Planner:
         compiler: Compiler,
         conjuncts: List[ast.Expr],
         indexable: _IndexableConjunct,
+        equi: List[_EquiKey],
     ) -> Optional[PlanNode]:
         """Choose INLJ vs synchronized tree join vs PBSM for one spatial
-        conjunct, by estimated cost (or the forced ``join_strategy``).
+        conjunct — or a hash join on the ``equi`` keys, when ``ANALYZE``
+        has counted their distinct values — by estimated cost (or the
+        forced ``join_strategy``, which never picks the hash join).
 
         Returns ``None`` when a plain nested loop is the best (or only)
         option, letting ``_plan_join`` fall through to its generic paths.
@@ -483,6 +518,13 @@ class Planner:
         costs["pbsm"] = _COST_PBSM * (n_out + n_in) + pairs * _COST_CAND
         if inner_entry is None and not tree_ok:
             costs["nlj"] = _COST_NLJ * n_out * n_in
+        key_values = self._key_values(equi, scope)
+        if key_values is not None:
+            # independence estimate, clamped so every row finds a partner
+            hash_pairs = n_out * n_in / min(key_values, max(n_out, n_in))
+            costs["hash"] = (
+                _COST_HASH_ROW * (n_out + n_in) + _COST_HASH_PAIR * hash_pairs
+            )
 
         forced = self.join_strategy
         if forced == "nlj":
@@ -490,7 +532,10 @@ class Planner:
         if forced != "auto" and forced in costs:
             choice = forced
         else:
-            choice = min(costs, key=costs.__getitem__)
+            choice = min(
+                (k for k in costs if forced == "auto" or k != "hash"),
+                key=costs.__getitem__,
+            )
         if choice == "nlj":
             return None
         label = (
@@ -500,6 +545,11 @@ class Planner:
         )
 
         est = max(1.0, pairs * 0.5)
+        if choice == "hash":
+            plan = self._build_hash(outer, table, alias, compiler, conjuncts,
+                                    equi, label=label)
+            plan.est_rows = est
+            return plan
         if choice == "inlj":
             assert inner_entry is not None
             plan = self._build_inlj(
@@ -574,6 +624,60 @@ class Planner:
         return IndexNestedLoopJoin(
             outer, table, alias, entry, probe, residual_fn, label=label
         )
+
+    def _build_hash(
+        self,
+        outer: PlanNode,
+        table: Table,
+        alias: str,
+        compiler: Compiler,
+        conjuncts: List[ast.Expr],
+        equi: List[_EquiKey],
+        label: str,
+    ) -> HashJoin:
+        """A hash join keyed on every ``equi`` conjunct at once (a tuple
+        when there are several, NULL when any part is); the other
+        conjuncts run as its residual."""
+        keyed = {id(conjunct) for conjunct, _outer, _inner in equi}
+        residual = conjoin([c for c in conjuncts if id(c) not in keyed])
+        keys = " AND ".join(f"{o} = {i}" for _c, o, i in equi)
+        return HashJoin(
+            outer,
+            SeqScan(table, alias),
+            _composite_key([compiler.compile(o) for _c, o, _i in equi]),
+            _composite_key([compiler.compile(i) for _c, _o, i in equi]),
+            compiler.compile(residual) if residual is not None else None,
+            label=f"{keys} {label}".rstrip(),
+        )
+
+    def _key_values(self, equi: List[_EquiKey], scope: Scope
+                    ) -> Optional[float]:
+        """Distinct values of the composite key, assuming independent
+        parts: the product over the keys of the larger side's distinct
+        count. ``None`` without keys or when a key has no count (a side
+        that is not a bare column, or a table never ``ANALYZE``d)."""
+        if not equi:
+            return None
+        product = 1.0
+        for _conjunct, outer_key, inner_key in equi:
+            counts = [
+                count for count in (
+                    self._distinct_count(outer_key, scope),
+                    self._distinct_count(inner_key, scope),
+                ) if count is not None
+            ]
+            if not counts:
+                return None
+            product *= max(1, max(counts))
+        return product
+
+    @staticmethod
+    def _distinct_count(expr: ast.Expr, scope: Scope) -> Optional[int]:
+        if not isinstance(expr, ast.ColumnRef):
+            return None
+        alias, idx = scope.resolve(expr)
+        table = scope.table(alias)
+        return table.stats.distinct.get(table.columns[idx].name)
 
     def _join_predicate(
         self, indexable: _IndexableConjunct
@@ -696,15 +800,16 @@ class Planner:
 
     def _match_equi(
         self, conjunct: ast.Expr, scope: Scope, alias: str, bound: Set[str]
-    ) -> Optional[Tuple[ast.Expr, ast.Expr]]:
+    ) -> Optional[_EquiKey]:
+        """``(conjunct, outer key, inner key)`` for ``outer = inner``."""
         if not (isinstance(conjunct, ast.BinaryOp) and conjunct.op == "="):
             return None
         left_refs = referenced_aliases(conjunct.left, scope)
         right_refs = referenced_aliases(conjunct.right, scope)
         if left_refs <= bound and right_refs == {alias}:
-            return conjunct.left, conjunct.right
+            return conjunct, conjunct.left, conjunct.right
         if right_refs <= bound and left_refs == {alias}:
-            return conjunct.right, conjunct.left
+            return conjunct, conjunct.right, conjunct.left
         return None
 
     # -- output: aggregation, projection, ordering --------------------------------
@@ -870,6 +975,21 @@ class Planner:
         if isinstance(expr, ast.FuncCall):
             return expr.name
         return f"column{index + 1}"
+
+
+def _composite_key(parts: List[Evaluator]) -> Evaluator:
+    """One hash key per row: the single part's value, or the parts as a
+    tuple, NULL when any part is NULL."""
+    if len(parts) == 1:
+        return parts[0]
+
+    def key(batch: Batch, ctx: ExecContext) -> List[Optional[tuple]]:
+        return [
+            None if None in values else values
+            for values in zip(*[part(batch, ctx) for part in parts])
+        ]
+
+    return key
 
 
 def _probe_envelope(value, radius) -> Optional[Envelope]:

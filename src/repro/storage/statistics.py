@@ -7,7 +7,9 @@ incrementally by ``Table.insert_row``/``delete_row``; the
 ``ANALYZE`` statement additionally rebuilds an envelope *histogram* per
 column, which the planner uses to correct the uniform-distribution join
 selectivity estimate for spatially correlated (or anti-correlated)
-inputs.
+inputs, and an exact distinct count per non-geometry column, which sizes
+an equality join against the spatial one. Distinct counts are not
+maintained incrementally: a table never ``ANALYZE``d has none.
 
 The join cardinality model is the classic MBR-intersection estimate:
 two envelopes drawn independently inside a universe of width ``W`` and
@@ -147,22 +149,27 @@ class ColumnStats:
 
 
 class TableStats:
-    """Per-table statistics: one :class:`ColumnStats` per geometry column."""
+    """Per-table statistics: one :class:`ColumnStats` per geometry column,
+    and after ``ANALYZE`` the distinct count of every other column."""
 
-    __slots__ = ("geometry", "analyzed")
+    __slots__ = ("geometry", "distinct", "analyzed")
 
     def __init__(self, column_names: Sequence[str]) -> None:
         self.geometry: Dict[str, ColumnStats] = {
             name: ColumnStats() for name in column_names
         }
+        #: column name -> distinct non-NULL values over live rows, as of
+        #: the last ``ANALYZE`` (empty before it)
+        self.distinct: Dict[str, int] = {}
         self.analyzed = False
 
     def column(self, name: str) -> Optional[ColumnStats]:
         return self.geometry.get(name.lower())
 
-    def rebuild(self, envelopes_by_column: Dict[str, List[Optional[Envelope]]]
-                ) -> None:
-        """Exact recomputation + histogram build (the ANALYZE path)."""
+    def rebuild(self, envelopes_by_column: Dict[str, List[Optional[Envelope]]],
+                distinct: Dict[str, int]) -> None:
+        """Exact recomputation + histogram build (the ANALYZE path);
+        ``distinct`` replaces the per-column distinct counts."""
         for name, stats in self.geometry.items():
             live = [e for e in envelopes_by_column.get(name, ()) if e is not None]
             stats.count = len(live)
@@ -174,6 +181,7 @@ class TableStats:
                 if stats.bounds is not None
                 else None
             )
+        self.distinct = distinct
         self.analyzed = True
 
 

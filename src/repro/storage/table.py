@@ -10,6 +10,7 @@ helps in experiment J-F5 even though everything here is in memory.
 from __future__ import annotations
 
 import enum
+from operator import itemgetter
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import EngineError, SqlPlanError
@@ -333,12 +334,23 @@ class Table:
             )
 
     def analyze(self) -> None:
-        """Rebuild exact statistics + envelope histograms (the ANALYZE path)."""
+        """Rebuild exact statistics, envelope histograms and the distinct
+        count of every non-geometry column (the ANALYZE path)."""
+        live = [row for row in self.rows if row is not None]
+        distinct: Dict[str, int] = {}
+        for position, column in enumerate(self.columns):
+            if column.type is not ColumnType.GEOMETRY:
+                # a set per column from a C-level map measured faster
+                # than transposing the rows once (zip(*live)) at scale 8
+                values = set(map(itemgetter(position), live))
+                values.discard(None)
+                distinct[column.name] = len(values)
         self.stats.rebuild(
             {
                 self.columns[position].name: self._envelopes[position]
                 for position in self._geom_positions
-            }
+            },
+            distinct,
         )
 
     def page_of(self, row_id: int) -> int:

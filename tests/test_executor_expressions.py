@@ -62,6 +62,116 @@ class TestNullSemantics:
         assert scalar(db, "'a' || NULL") is None
 
 
+#: SQL three-valued logic, None standing for NULL
+_TRUTH = (True, False, None)
+
+
+def _sql_and(a, b):
+    if a is False or b is False:
+        return False
+    return None if a is None or b is None else True
+
+
+def _sql_or(a, b):
+    if a is True or b is True:
+        return True
+    return None if a is None or b is None else False
+
+
+@pytest.fixture
+def truth_db():
+    """One row per (l, r) pair of truth values, as 1 / 0 / NULL."""
+    database = Database("greenwood")
+    database.execute("CREATE TABLE tv (id INTEGER, l INTEGER, r INTEGER)")
+    as_int = {True: 1, False: 0, None: None}
+    database.insert_rows("tv", [
+        (n, as_int[a], as_int[b])
+        for n, (a, b) in enumerate((a, b) for a in _TRUTH for b in _TRUTH)
+    ])
+    return database
+
+
+class TestShortCircuit:
+    """The compiled AND/OR evaluate their right side only where the left
+    side has not decided the row, without changing any result."""
+
+    def test_truth_table_in_one_batch(self, truth_db):
+        got = truth_db.execute(
+            "SELECT l = 1 AND r = 1, l = 1 OR r = 1, "
+            "r = 1 AND l = 1, r = 1 OR l = 1 FROM tv ORDER BY id"
+        ).rows
+        pairs = [(a, b) for a in _TRUTH for b in _TRUTH]
+        assert got == [
+            (_sql_and(a, b), _sql_or(a, b), _sql_and(b, a), _sql_or(b, a))
+            for a, b in pairs
+        ]
+
+    @pytest.mark.parametrize("a", _TRUTH)
+    @pytest.mark.parametrize("b", _TRUTH)
+    def test_truth_table_of_literals(self, db, a, b):
+        text = {True: "TRUE", False: "FALSE", None: "NULL"}
+        assert scalar(db, f"{text[a]} AND {text[b]}") is _sql_and(a, b)
+        assert scalar(db, f"{text[a]} OR {text[b]}") is _sql_or(a, b)
+
+    def _spy(self, database):
+        seen = []
+
+        def spy(value):
+            seen.append(value)
+            return True
+
+        database.registry.register("spy", spy)
+        return seen
+
+    def test_and_skips_rows_the_left_side_rejected(self, truth_db):
+        seen = self._spy(truth_db)
+        got = truth_db.execute(
+            "SELECT id, (l = 1) AND spy(id) FROM tv ORDER BY id"
+        ).rows
+        # l = 1 is False on ids 3-5 (l = 0): spy never sees them
+        assert sorted(seen) == [0, 1, 2, 6, 7, 8]
+        assert [v for _id, v in got] == [
+            True, True, True, False, False, False, None, None, None
+        ]
+
+    def test_or_skips_rows_the_left_side_accepted(self, truth_db):
+        seen = self._spy(truth_db)
+        truth_db.execute("SELECT (l = 1) OR spy(id) FROM tv")
+        assert sorted(seen) == [3, 4, 5, 6, 7, 8]
+
+    def test_where_runs_cheap_conjuncts_before_a_function(self, truth_db):
+        seen = self._spy(truth_db)
+        got = truth_db.execute(
+            "SELECT COUNT(*) FROM tv WHERE spy(id) AND l = 1 AND r = 0"
+        )
+        assert got.scalar() == 1
+        # the planner ranks both comparisons before the call, which then
+        # sees only the rows they left undecided: True (1) or NULL
+        assert seen == [1, 2, 7, 8]
+
+    def test_spatial_conjunct_first_or_last_same_rows(self):
+        database = Database("greenwood")
+        database.execute("CREATE TABLE p (id INTEGER, k INTEGER, g GEOMETRY)")
+        database.insert_rows("p", [
+            (i, None if i % 5 == 0 else i % 3, f"POINT({i} {i % 7})")
+            for i in range(40)
+        ])
+        window = "ST_MakeEnvelope(5, 0, 30, 4)"
+        first = database.execute(
+            f"SELECT id FROM p WHERE ST_Intersects(g, {window}) "
+            "AND k = 1 AND id > 3 ORDER BY id"
+        ).rows
+        last = database.execute(
+            f"SELECT id FROM p WHERE k = 1 AND id > 3 "
+            f"AND ST_Intersects(g, {window}) ORDER BY id"
+        ).rows
+        assert first == last
+        assert first == [
+            (i,) for i in range(5, 31)
+            if i % 5 and i % 3 == 1 and i % 7 <= 4
+        ]
+
+
 class TestLike:
     def test_percent(self, db):
         assert scalar(db, "'hello' LIKE 'he%'") is True

@@ -9,14 +9,21 @@ factories the TIGER generator uses.
 """
 
 import random
+import re
 
 import pytest
 
-from repro.datagen import shapes
+from repro.algorithms import de9im
+from repro.core.micro.topology import topology_queries
+from repro.datagen import generate, shapes
 from repro.engines import Database
-from repro.errors import SqlPlanError
+from repro.errors import QueryCancelledError, SqlPlanError
+from repro.guard import CancelToken, ExecutionGuard
 from repro.index import INDEX_KINDS, LinearScanIndex
 from repro.geometry import Envelope
+from repro.sql import parse
+from repro.sql.executor import ExecContext, Stats
+from repro.sql.planner import _COST_HASH_PAIR, _COST_HASH_ROW
 
 PROFILES = ("greenwood", "bluestem", "ironbark")
 STRATEGIES = ("inlj", "tree", "pbsm")
@@ -325,3 +332,261 @@ class TestAnalyzeAndCounters:
         )
         assert "SpatialTreeJoin" in text
         assert "rows=" in text
+
+
+# -- equality keys costed against the spatial join ----------------------------
+
+
+def _keyed_db(profile: str, seed: int, analyzed: bool) -> Database:
+    """Two indexed layers carrying equality keys: ``k`` is INTEGER on one
+    side and REAL on the other (1 must meet 1.0, 2.5 meets nothing),
+    ``name`` is TEXT, and both keys are NULL on some rows."""
+    rng = random.Random(seed)
+    db = Database(profile)
+    db.execute(
+        "CREATE TABLE a (id INTEGER, k INTEGER, name TEXT, geom GEOMETRY)"
+    )
+    db.execute("CREATE TABLE b (id INTEGER, k REAL, name TEXT, geom GEOMETRY)")
+    db.insert_rows("a", [
+        (i, None if i % 7 == 0 else i % 5,
+         None if i % 11 == 0 else f"n{i % 3}", g)
+        for i, g in enumerate(_random_layer(rng, 160, 100.0))
+    ])
+    db.insert_rows("b", [
+        (i, None if i % 6 == 0 else float(i % 5) if i % 4 else i % 5 + 0.5,
+         None if i % 9 == 0 else f"n{i % 4}", g)
+        for i, g in enumerate(_random_layer(rng, 180, 100.0))
+    ])
+    db.execute("CREATE SPATIAL INDEX ia ON a (geom)")
+    db.execute("CREATE SPATIAL INDEX ib ON b (geom)")
+    if analyzed:
+        db.execute("ANALYZE")
+    return db
+
+
+KEYED_JOINS = (
+    "SELECT a.id, b.id FROM a JOIN b "
+    "ON ST_Intersects(a.geom, b.geom) AND a.k = b.k",
+    "SELECT a.id, b.id FROM a JOIN b ON a.name = b.name "
+    "WHERE ST_Intersects(b.geom, a.geom) AND b.k = a.k",
+    "SELECT a.id, b.id FROM a JOIN b "
+    "ON a.geom && b.geom AND a.k = b.k AND a.id < b.id",
+    "SELECT a.id, b.id FROM a JOIN b "
+    "ON ST_Contains(a.geom, b.geom) AND a.name = b.name",
+    "SELECT a.id, b.id FROM a JOIN b "
+    "ON ST_Touches(a.geom, b.geom) AND a.id = b.id",
+    "SELECT a.id, b.id FROM a JOIN b "
+    "ON ST_Intersects(a.geom, b.geom) AND a.id = b.id",
+    # a filtered outer rules the tree join out: forcing it falls back to
+    # the cheapest spatial strategy, never to the (cheaper) hash join
+    "SELECT a.id, b.id FROM a JOIN b "
+    "ON ST_Intersects(a.geom, b.geom) AND a.id = b.id WHERE a.k >= 0",
+)
+
+
+class TestEquiKeysBesideSpatial:
+    """A join with equality and spatial conjuncts answers the same rows
+    whichever strategy runs it, ``ANALYZE``d (the hash join is costed)
+    or not (it is not)."""
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    @pytest.mark.parametrize("analyzed", (False, True))
+    def test_auto_equals_every_forced_strategy(self, profile, analyzed):
+        db = _keyed_db(profile, seed=11, analyzed=analyzed)
+        hashed = 0
+        for sql in KEYED_JOINS:
+            auto = sorted(db.execute(sql).rows)
+            plan = db.explain(sql)
+            hashed += "-> hash" in plan
+            assert ("hash=" in plan) is analyzed
+            for strategy in ("nlj",) + STRATEGIES:
+                db.join_strategy = strategy
+                try:
+                    assert "-> hash" not in db.explain(sql)
+                    assert sorted(db.execute(sql).rows) == auto, (
+                        strategy, sql
+                    )
+                finally:
+                    db.join_strategy = "auto"
+        # the analyzed run covers the costed hash join, the other never
+        assert (hashed > 0) is analyzed
+
+    def test_auto_matches_a_brute_force_oracle(self):
+        db = _keyed_db("greenwood", seed=11, analyzed=True)
+        sql = KEYED_JOINS[-1]
+        assert "-> hash" in db.explain(sql)
+        a_rows = db.execute("SELECT id, geom FROM a").rows
+        b_rows = db.execute("SELECT id, geom FROM b").rows
+        expected = sorted(
+            (ia, ib)
+            for ia, ga in a_rows
+            for ib, gb in b_rows
+            if ia == ib and de9im.evaluate("intersects", ga, gb)
+        )
+        assert expected
+        assert sorted(db.execute(sql).rows) == expected
+
+    def test_distinct_counts_come_from_analyze_only(self):
+        db = _keyed_db("greenwood", seed=11, analyzed=False)
+        stats = db.catalog.table("a").stats
+        assert stats.distinct == {}
+        db.execute("ANALYZE a")
+        # NULL is not a value; the geometry column has no count
+        assert stats.distinct == {"id": 160, "k": 5, "name": 3}
+        db.execute("INSERT INTO a VALUES (99, 99, 'new', NULL)")
+        assert stats.distinct["k"] == 5  # not maintained incrementally
+
+    def test_composite_key_is_one_hash_join(self):
+        db = _keyed_db("bluestem", seed=11, analyzed=True)
+        sql = "SELECT a.id, b.id FROM a JOIN b ON a.name = b.name AND b.k = a.k"
+        plan = db.explain(sql)
+        assert plan.count("Join") == 1
+        assert "HashJoin a.name = b.name AND a.k = b.k" in plan
+        a_rows = db.execute("SELECT id, name, k FROM a").rows
+        b_rows = db.execute("SELECT id, name, k FROM b").rows
+        # a NULL in either part of the key matches nothing
+        expected = sorted(
+            (ia, ib)
+            for ia, na, ka in a_rows
+            for ib, nb, kb in b_rows
+            if None not in (na, ka, nb, kb) and (na, ka) == (nb, kb)
+        )
+        assert expected
+        assert sorted(db.execute(sql).rows) == expected
+
+
+class TestResidualBeforeRefine:
+    @pytest.mark.parametrize("strategy", ("tree", "pbsm"))
+    def test_rejected_pairs_are_never_refined(self, monkeypatch, strategy):
+        db = _keyed_db("greenwood", seed=11, analyzed=True)
+        refined = []
+        exact = de9im.evaluate
+
+        def counting(name, a, b, **options):
+            refined.append(name)
+            return exact(name, a, b, **options)
+
+        monkeypatch.setattr(de9im, "evaluate", counting)
+        db.join_strategy = strategy
+        base = "SELECT COUNT(*) FROM a JOIN b ON ST_Intersects(a.geom, b.geom)"
+        assert f"-> {strategy}" in db.explain(base)
+        everything = db.execute(base).scalar()
+        assert everything and len(refined) >= everything
+        refined.clear()
+        # a residual over both sides that no pair passes
+        assert db.execute(base + " WHERE a.id > b.id + 1000").scalar() == 0
+        assert refined == []
+
+
+class TestHashJoinBookkeeping:
+    def test_counts_and_ticks_every_probed_pair(self):
+        db = Database("greenwood")
+        db.execute("CREATE TABLE l (id INTEGER, k INTEGER)")
+        db.execute("CREATE TABLE r (id INTEGER, k INTEGER)")
+        db.insert_rows("l", [(i, i % 3) for i in range(30)])
+        db.insert_rows("r", [(i, i % 2) for i in range(20)])
+        # keys 0 and 1 each meet 10 rows a side: 2 * 10 * 10 pairs probed
+        probed = 200
+        plan, _names = db._planner.plan_select(parse(
+            "SELECT l.id, r.id FROM l JOIN r ON l.k = r.k WHERE l.id < r.id"
+        ))
+        assert "HashJoin" in "\n".join(plan.explain())
+        stats = Stats()
+        guard = ExecutionGuard()
+        ctx = ExecContext((), db.profile, db.registry, db.catalog, stats,
+                          guard)
+        emitted = sum(batch.size for batch in plan.batches(ctx))
+        assert stats.join_pairs_considered >= probed
+        assert stats.join_pairs_emitted == emitted > 0
+        # 50 rows scanned by the two inputs, the probed pairs by the join
+        assert stats.rows_scanned >= 50 + probed
+        assert guard.rows_processed >= 50 + probed
+
+    def test_cancel_fires_inside_a_wide_probe(self):
+        class CancelledAfterFirstCheck(CancelToken):
+            checks = 0
+
+            @property
+            def cancelled(self):
+                self.checks += 1
+                return self.checks > 1
+
+        db = Database("greenwood")
+        db.execute("CREATE TABLE l (id INTEGER, k INTEGER)")
+        db.insert_rows("l", [(i, 0) for i in range(100)])
+        plan, _names = db._planner.plan_select(parse(
+            "SELECT COUNT(*) FROM l a JOIN l b ON a.k = b.k"
+        ))
+        # the two scans tick 200 rows, under one check interval; only the
+        # 10 000 pairs probed from the one key reach the second check
+        guard = ExecutionGuard(cancel=CancelledAfterFirstCheck())
+        ctx = ExecContext((), db.profile, db.registry, db.catalog, Stats(),
+                          guard)
+        with pytest.raises(QueryCancelledError):
+            for _batch in plan.batches(ctx):
+                pass
+
+
+# -- the frozen J-T1 matrix --------------------------------------------------
+
+#: the J-T1 cells' join strategy after ``ANALYZE`` on bluestem at scale
+#: 0.25 and greenwood at scale 0.5, the same before distinct counts
+#: existed except ``line_touches_line`` (``tree`` then): its equality keys
+#: on street name and county now win the cost comparison
+JT1_STRATEGIES = {
+    "polygon_equals_polygon": "tree",
+    "polygon_disjoint_polygon": "NestedLoopJoin",
+    "polygon_intersects_polygon": "tree",
+    "polygon_touches_polygon": "tree",
+    "polygon_within_polygon": "tree",
+    "polygon_contains_polygon": "tree",
+    "polygon_overlaps_polygon": "tree",
+    "line_intersects_polygon": "tree",
+    "line_crosses_polygon": "tree",
+    "line_within_polygon": "pbsm",
+    "polygon_contains_line": "tree",
+    "line_touches_polygon": "tree",
+    "line_intersects_line": "tree",
+    "line_crosses_line": "tree",
+    "line_overlaps_line": "pbsm",
+    "line_touches_line": "hash",
+    "point_within_polygon": "tree",
+    "polygon_contains_point": "tree",
+    "point_intersects_polygon": "tree",
+    "point_intersects_line": "tree",
+    "point_equals_point": "tree",
+    "region_intersects_polygon": "Filter",
+    "region_intersects_line": "Filter",
+    "region_contains_point": "Filter",
+}
+
+
+@pytest.mark.parametrize("profile, scale", [("bluestem", 0.25),
+                                            ("greenwood", 0.5)])
+def test_jt1_strategies_after_analyze(profile, scale):
+    db = Database(profile)
+    generate(seed=42, scale=scale).load_into(db)
+    db.execute("ANALYZE")
+    got = {}
+    for query in topology_queries():
+        plan = db.explain(query.sql)
+        choice = re.search(r"-> (\w+)", plan)
+        got[query.query_id[len("topo."):]] = (
+            choice.group(1) if choice else plan.splitlines()[2].split()[0]
+        )
+    assert got == JT1_STRATEGIES
+    line_touches_line = next(
+        q.sql for q in topology_queries()
+        if q.query_id == "topo.line_touches_line"
+    )
+    plan = db.explain(line_touches_line)
+    assert "HashJoin a.fullname = b.fullname AND a.county_fips = " \
+        "b.county_fips spatial cost(hash=" in plan
+    # street names x counties outnumber the edges, so the key-matching
+    # pairs estimate clamps at one partner per row
+    edges = db.catalog.table("edges")
+    stats = edges.stats.distinct
+    n = len(edges)
+    assert stats["fullname"] * stats["county_fips"] > n
+    hash_cost = float(re.search(r"hash=(\d+)", plan).group(1))
+    assert hash_cost == round(_COST_HASH_ROW * 2 * n + _COST_HASH_PAIR * n)
