@@ -15,9 +15,11 @@ What each subsystem's own guard checked beyond that timing stays here as
 a case: answers equal the direct plan with a feature off, *and* with it
 on (live guard, statement store recording). Every loaded database is in
 the one heap state there is — written through transactions, all rows
-frozen — so ``_defaults`` covers it. The write-watermark, detached-insert
-and untraced-server guards time different paths and keep their own
-comparisons, on the shared helpers in ``_bench_utils``. Run standalone::
+frozen — so ``_defaults`` covers it. The write-watermark and
+detached-insert guards time different paths and keep their own
+comparisons, on the shared helpers in ``_bench_utils``; the untraced
+service path is pinned by counts (frame bytes, recorder calls), not by
+time. Run standalone::
 
     pytest benchmarks/test_bench_disabled_overhead.py -q
 """
@@ -31,6 +33,8 @@ from repro.engines import Database
 from repro.obs.requests import RECORDER
 from repro.obs.waits import WAITS
 from repro.service import JackpineServer, ServerConfig, ServiceClient
+from repro.service import client as client_module
+from repro.service.protocol import encode_frame
 
 from _bench_utils import (
     _fresh_db,
@@ -95,7 +99,6 @@ class TestEmbedded:
         db = matrix_db
         assert db.obs.active is False
         assert db.obs.tracing is False
-        assert db.obs.metrics_enabled is False
         assert db.obs.statements.enabled is False
         assert WAITS.enabled is False
         assert db.guardrails.enabled is False
@@ -208,29 +211,51 @@ class TestEmbedded:
 ROUND_TRIP_SQL = "SELECT COUNT(*) FROM pointlm WHERE gid < ?"
 
 
+#: the most a trace context may add to a query frame: the ``trace`` key
+#: holding a trace id, a span id and a float timestamp (94 bytes today)
+TRACE_FIELD_BYTES = 128
+
+
 class TestServiceTier:
-    def test_untraced_round_trip_overhead_within_budget(self, matrix_db):
+    def test_traced_frame_differs_only_by_the_trace_field(
+        self, matrix_db, monkeypatch
+    ):
         """A ``trace=True`` client against a tracing-disabled server (the
-        server reads one absent dict key) vs the PR 8 wire image."""
+        server reads one absent dict key) sends the ``trace=False`` wire
+        image plus the ``trace`` field and nothing else, within a fixed
+        byte bound, and gets the same answers — a count of the extra
+        work, not a wall-clock ratio."""
+        sent = []
+        write_frame = client_module.write_frame
+
+        def capture(sock, message):
+            sent.append((dict(message), len(encode_frame(message))))
+            write_frame(sock, message)
+
+        monkeypatch.setattr(client_module, "write_frame", capture)
         config = ServerConfig(pool_size=2, cache_capacity=0)
         with JackpineServer(matrix_db, config) as server:
-            plain = ServiceClient.from_address(server.address, trace=False)
-            traced = ServiceClient.from_address(server.address, trace=True)
-
-            def round_of(client):
-                def run():
-                    for index in range(150):
-                        client.execute(ROUND_TRIP_SQL, (index % 50,))
-                return run
-
-            try:
-                assert_within_budget(
-                    round_of(traced), round_of(plain),
-                    "trace-context frames on the untraced server",
-                )
-            finally:
-                plain.close()
-                traced.close()
+            answers = {}
+            frames = {}
+            for trace in (False, True):
+                sent.clear()
+                with ServiceClient.from_address(
+                    server.address, trace=trace
+                ) as client:
+                    answers[trace] = [
+                        client.execute(ROUND_TRIP_SQL, (index,)).rows
+                        for index in range(20)
+                    ]
+                frames[trace] = list(sent)
+        assert answers[True] == answers[False]
+        assert len(frames[True]) == len(frames[False]) == 20
+        for (plain, plain_bytes), (traced, traced_bytes) in zip(
+            frames[False], frames[True]
+        ):
+            context = traced.pop("trace")
+            assert set(context) == {"trace_id", "span_id", "sent_at"}
+            assert traced == plain
+            assert 0 < traced_bytes - plain_bytes <= TRACE_FIELD_BYTES
 
     def test_untraced_server_is_one_bool_check(self, matrix_db, monkeypatch):
         """The disabled path must never reach the recorder — enforced by

@@ -360,13 +360,17 @@ def _pick_clockwise(
 
 
 def _ring_inner_probe(ring: Sequence[Coord]) -> Coord:
+    """A point strictly inside ``ring``: the centroid of the first corner
+    triangle that holds one. (The midpoint of a corner's two neighbours
+    lies *on* a triangular ring, so it cannot place a triangle hole that
+    touches its shell at a vertex.)"""
     for i in range(1, len(ring) - 1):
-        mid = (
-            (ring[i - 1][0] + ring[i + 1][0]) / 2.0,
-            (ring[i - 1][1] + ring[i + 1][1]) / 2.0,
+        centroid = (
+            (ring[i - 1][0] + ring[i][0] + ring[i + 1][0]) / 3.0,
+            (ring[i - 1][1] + ring[i][1] + ring[i + 1][1]) / 3.0,
         )
-        if locate_in_ring(mid, ring) is _INT:
-            return mid
+        if locate_in_ring(centroid, ring) is _INT:
+            return centroid
     return ring[0]
 
 

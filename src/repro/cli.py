@@ -491,7 +491,6 @@ def _run_stats(args) -> int:
         db.stats.reset()
         WAITS.reset()
         print("-- counters reset (metrics, waits, statements, engine) --")
-    db.obs.enable_metrics()
     db.obs.enable_tracing()
     if args.statements:
         db.obs.enable_statements()

@@ -332,8 +332,8 @@ class Database:
             if observed:
                 waits_before = WAITS.thread_summary()
         if observed:
-            if obs.hooks.query_start:
-                obs.hooks.fire_query_start(sql, params)
+            for callback in obs.query_start:
+                callback(sql, params)
             started_at = time.time()
             start = time.perf_counter()
         plan = None
@@ -350,15 +350,11 @@ class Database:
                 else:
                     try:
                         if is_select:
-                            if observed and (analyze or obs.capture_spans):
+                            if observed and (analyze or obs.tracing):
                                 plan, names = self._planner.plan_select(
                                     statement
                                 )
-                                plan = SpanNode(
-                                    plan,
-                                    obs.hooks.fire_operator_close
-                                    if obs.hooks.operator_close else None,
-                                )
+                                plan = SpanNode(plan)
                             else:
                                 plan, names = self._cached_plan(
                                     sql, statement, shard

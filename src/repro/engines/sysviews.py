@@ -39,8 +39,11 @@ Views installed on every :class:`~repro.engines.Database`:
 
 from __future__ import annotations
 
+import functools
 import time
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Sequence, Tuple,
+)
 
 from repro.errors import SqlPlanError, SqlProgrammingError
 from repro.storage.statistics import TableStats
@@ -48,42 +51,49 @@ from repro.storage.table import Column, ColumnType
 
 __all__ = ["SystemView", "SYSTEM_VIEW_NAMES", "install_system_views"]
 
-#: every reserved view name, rejected by CREATE TABLE / DROP TABLE
-SYSTEM_VIEW_NAMES: Tuple[str, ...] = (
-    "jackpine_statements",
-    "jackpine_plans",
-    "jackpine_waits",
-    "jackpine_ash",
-    "jackpine_tables",
-    "jackpine_progress",
-    "jackpine_service",
-    "jackpine_requests",
-)
+#: one view column: ``(name, SQL type, key)``. ``key`` names the
+#: attribute (or dict key) of a producer record, or is a callable taking
+#: the record; a dict record reads a missing key as NULL.
+ColumnSpec = Tuple[str, str, Any]
 
 
-def _col(name: str, type_name: str) -> Column:
-    return Column(name, ColumnType.parse(type_name))
+def _getter(key: Any) -> Callable[[Any], Any]:
+    if callable(key):
+        return key
+
+    def get(record: Any) -> Any:
+        if isinstance(record, dict):
+            return record.get(key)
+        return getattr(record, key)
+
+    return get
 
 
 class SystemView:
     """A read-only virtual table over a row producer.
 
     Duck-types the Table surface the planner and the non-spatial scan
-    pipeline touch; the producer is a zero-argument callable returning a
-    list of tuples matching ``columns``. MVCC and page accounting are
-    inert: a view has no heap, no versions and a nominal single page.
+    pipeline touch. The view is declared once, as a ``schema`` of
+    :data:`ColumnSpec` entries over a zero-argument ``producer`` of
+    records (objects or dicts); each read builds one tuple per record in
+    schema order. MVCC and page accounting are inert: a view has no
+    heap, no versions and a nominal single page.
     """
 
     ROWS_PER_PAGE = 64
 
-    def __init__(self, name: str, columns: List[Column],
-                 producer: Callable[[], List[tuple]]):
+    def __init__(self, name: str, schema: Sequence[ColumnSpec],
+                 producer: Callable[[], Iterable[Any]]):
         self.name = name.lower()
-        self.columns: Tuple[Column, ...] = tuple(columns)
+        self.columns: Tuple[Column, ...] = tuple(
+            Column(column, ColumnType.parse(type_name))
+            for column, type_name, _key in schema
+        )
         self._by_name: Dict[str, int] = {
             c.name: i for i, c in enumerate(self.columns)
         }
-        self._producer = producer
+        self._getters = [_getter(key) for _column, _type, key in schema]
+        self._records = producer
         self.mvcc_versions = 0
         self.stats = TableStats([])
         #: usage counter, bumped by SeqScan like any table's
@@ -110,23 +120,29 @@ class SystemView:
 
     # -- data (produced fresh per read) ------------------------------------
 
+    def _produce(self) -> List[tuple]:
+        getters = self._getters
+        return [
+            tuple(get(record) for get in getters)
+            for record in self._records()
+        ]
+
     @property
     def rows(self) -> List[tuple]:
-        return self._producer()
+        return self._produce()
 
     @property
     def live_count(self) -> int:
-        return len(self._producer())
+        return len(self._produce())
 
     def __len__(self) -> int:
         return self.live_count
 
     def scan(self, snapshot: Any = None) -> Iterator[Tuple[int, tuple]]:
-        for row_id, row in enumerate(self._producer()):
-            yield row_id, row
+        return enumerate(self._produce())
 
     def get_row(self, row_id: int) -> tuple:
-        return self._producer()[row_id]
+        return self._produce()[row_id]
 
     def row_visible(self, row_id: int, snapshot: Any) -> bool:
         return True
@@ -168,441 +184,337 @@ class SystemView:
     rollback_insert = _read_only
 
 
-# -- producers ---------------------------------------------------------------
+# -- the eight views ---------------------------------------------------------
 
 
-def _statements_view(db: Any) -> SystemView:
-    columns = [
-        _col("fingerprint", "TEXT"),
-        _col("statement", "TEXT"),
-        _col("calls", "INTEGER"),
-        _col("errors", "INTEGER"),
-        _col("total_time", "REAL"),
-        _col("mean_time", "REAL"),
-        _col("p50", "REAL"),
-        _col("p95", "REAL"),
-        _col("p99", "REAL"),
-        _col("rows", "INTEGER"),
-        _col("rows_scanned", "INTEGER"),
-        _col("index_probes", "INTEGER"),
-        _col("pages_read", "INTEGER"),
-        _col("pairs_considered", "INTEGER"),
-        _col("pairs_emitted", "INTEGER"),
-        _col("degraded", "INTEGER"),
-        _col("retries", "INTEGER"),
-        _col("aborts", "INTEGER"),
-        _col("timeouts", "INTEGER"),
-        _col("wait_lock_seconds", "REAL"),
-        _col("wait_latch_seconds", "REAL"),
-        _col("wait_io_seconds", "REAL"),
-        _col("wait_net_seconds", "REAL"),
-        _col("wait_service_seconds", "REAL"),
-        _col("wait_client_seconds", "REAL"),
-        _col("wait_guard_seconds", "REAL"),
-        _col("cpu_seconds", "REAL"),
-    ]
-
-    def produce() -> List[tuple]:
-        out: List[tuple] = []
-        for entry in db.obs.statements.statements():
-            hist = entry.histogram
-            counters = entry.counters
-            waits = entry.wait_class_seconds
-            out.append((
-                entry.fingerprint,
-                entry.statement,
-                entry.calls,
-                entry.errors,
-                entry.total_seconds,
-                entry.mean_seconds,
-                hist.p50 if hist.count else None,
-                hist.p95 if hist.count else None,
-                hist.p99 if hist.count else None,
-                entry.rows_returned,
-                counters["rows_scanned"],
-                counters["index_probes"],
-                counters["pages_read"],
-                counters["join_pairs_considered"],
-                counters["join_pairs_emitted"],
-                counters["degraded_results"],
-                entry.retries,
-                entry.aborts,
-                entry.timeouts,
-                waits.get("LockManager", 0.0),
-                waits.get("Latch", 0.0),
-                waits.get("IO", 0.0),
-                waits.get("Net", 0.0),
-                waits.get("Service", 0.0),
-                waits.get("Client", 0.0),
-                waits.get("Guard", 0.0),
-                waits.get("CPU", 0.0),
-            ))
-        return out
-
-    return SystemView("jackpine_statements", columns, produce)
+def _counter(name: str) -> Callable[[Any], Any]:
+    return lambda entry: entry.counters[name]
 
 
-def _plans_view(db: Any) -> SystemView:
-    columns = [
-        _col("statement_fingerprint", "TEXT"),
-        _col("statement", "TEXT"),
-        _col("plan_fingerprint", "TEXT"),
-        _col("plan_shape", "TEXT"),
-        _col("executions", "INTEGER"),
-        _col("first_seen", "REAL"),
-        _col("last_seen", "REAL"),
-        _col("is_current", "INTEGER"),
-        _col("flipped_from", "TEXT"),
-    ]
-
-    def produce() -> List[tuple]:
-        return [
-            (
-                plan.statement_fingerprint,
-                plan.statement,
-                plan.plan_fingerprint,
-                plan.shape,
-                plan.executions,
-                plan.first_seen,
-                plan.last_seen,
-                1 if plan.current else 0,
-                plan.flipped_from,
-            )
-            for plan in db.obs.statements.plans()
-        ]
-
-    return SystemView("jackpine_plans", columns, produce)
+def _wait_class(name: str) -> Callable[[Any], Any]:
+    return lambda entry: entry.wait_class_seconds.get(name, 0.0)
 
 
-def _waits_view() -> SystemView:
+def _percentile(name: str) -> Callable[[Any], Any]:
+    return lambda entry: (
+        getattr(entry.histogram, name) if entry.histogram.count else None
+    )
+
+
+def _flag(name: str) -> Callable[[Any], Any]:
+    return lambda record: 1 if getattr(record, name) else 0
+
+
+def _stage(name: str) -> Callable[[Any], Any]:
+    return lambda record: record.stage_seconds.get(name)
+
+
+_STATEMENTS: Tuple[ColumnSpec, ...] = (
+    ("fingerprint", "TEXT", "fingerprint"),
+    ("statement", "TEXT", "statement"),
+    ("calls", "INTEGER", "calls"),
+    ("errors", "INTEGER", "errors"),
+    ("total_time", "REAL", "total_seconds"),
+    ("mean_time", "REAL", "mean_seconds"),
+    ("p50", "REAL", _percentile("p50")),
+    ("p95", "REAL", _percentile("p95")),
+    ("p99", "REAL", _percentile("p99")),
+    ("rows", "INTEGER", "rows_returned"),
+    ("rows_scanned", "INTEGER", _counter("rows_scanned")),
+    ("index_probes", "INTEGER", _counter("index_probes")),
+    ("pages_read", "INTEGER", _counter("pages_read")),
+    ("pairs_considered", "INTEGER", _counter("join_pairs_considered")),
+    ("pairs_emitted", "INTEGER", _counter("join_pairs_emitted")),
+    ("degraded", "INTEGER", _counter("degraded_results")),
+    ("retries", "INTEGER", "retries"),
+    ("aborts", "INTEGER", "aborts"),
+    ("timeouts", "INTEGER", "timeouts"),
+    ("wait_lock_seconds", "REAL", _wait_class("LockManager")),
+    ("wait_latch_seconds", "REAL", _wait_class("Latch")),
+    ("wait_io_seconds", "REAL", _wait_class("IO")),
+    ("wait_net_seconds", "REAL", _wait_class("Net")),
+    ("wait_service_seconds", "REAL", _wait_class("Service")),
+    ("wait_client_seconds", "REAL", _wait_class("Client")),
+    ("wait_guard_seconds", "REAL", _wait_class("Guard")),
+    ("cpu_seconds", "REAL", _wait_class("CPU")),
+)
+
+_PLANS: Tuple[ColumnSpec, ...] = (
+    ("statement_fingerprint", "TEXT", "statement_fingerprint"),
+    ("statement", "TEXT", "statement"),
+    ("plan_fingerprint", "TEXT", "plan_fingerprint"),
+    ("plan_shape", "TEXT", "shape"),
+    ("executions", "INTEGER", "executions"),
+    ("first_seen", "REAL", "first_seen"),
+    ("last_seen", "REAL", "last_seen"),
+    ("is_current", "INTEGER", _flag("current")),
+    ("flipped_from", "TEXT", "flipped_from"),
+)
+
+#: records: ``WAITS.summary()`` entries plus their ``event``
+_WAITS: Tuple[ColumnSpec, ...] = (
+    ("wait_event", "TEXT", "event"),
+    ("wait_class", "TEXT", lambda entry: entry["event"].split(":", 1)[0]),
+    ("site", "TEXT", "site"),
+    ("count", "INTEGER", lambda entry: int(entry["count"])),
+    ("total_seconds", "REAL", "seconds"),
+    ("p50", "REAL", "p50"),
+    ("p95", "REAL", "p95"),
+    ("p99", "REAL", "p99"),
+)
+
+_ASH: Tuple[ColumnSpec, ...] = tuple(
+    (column, type_name, column) for column, type_name in (
+        ("sampled_at", "REAL"),
+        ("thread_id", "INTEGER"),
+        ("session_id", "INTEGER"),
+        ("engine", "TEXT"),
+        ("sql", "TEXT"),
+        ("txid", "INTEGER"),
+        ("wait_event", "TEXT"),
+        ("wait_seconds", "REAL"),
+        ("statement_seconds", "REAL"),
+        ("rows_processed", "INTEGER"),
+    )
+)
+
+#: records: one dict per table, per index and (attached storage) one
+#: ``bufferpool`` row; a key a record lacks reads as NULL
+_TABLES: Tuple[ColumnSpec, ...] = (
+    ("name", "TEXT", "name"),
+    ("kind", "TEXT", "kind"),
+    ("table_name", "TEXT", "table_name"),
+    ("column_name", "TEXT", "column_name"),
+    ("live_rows", "INTEGER", "live_rows"),
+    ("pages", "INTEGER", "pages"),
+    ("seq_scans", "INTEGER", "seq_scans"),
+    ("index_probes", "INTEGER", "index_probes"),
+    ("mvcc_versions", "INTEGER", "mvcc_versions"),
+    ("vacuumed_rows", "INTEGER", "vacuumed_rows"),
+    ("frozen_rows", "INTEGER", "frozen_rows"),
+    ("pages_read", "INTEGER", "pages_read"),
+    ("pages_written", "INTEGER", "pages_written"),
+    ("buffer_hit_ratio", "REAL", "buffer_hit_ratio"),
+)
+
+#: records: one dict per thread with a statement in flight
+_PROGRESS: Tuple[ColumnSpec, ...] = (
+    ("session_id", "INTEGER", "session_id"),
+    ("thread_id", "INTEGER", "thread_id"),
+    ("engine", "TEXT", "engine"),
+    ("txid", "INTEGER", "txid"),
+    ("sql", "TEXT", "sql"),
+    ("phase", "TEXT", "phase"),
+    ("wait_event", "TEXT", "wait_event"),
+    ("seconds", "REAL", "seconds"),
+    ("rows_processed", "INTEGER", "rows_scanned"),
+    ("index_probes", "INTEGER", "index_probes"),
+    ("pairs_considered", "INTEGER", "join_pairs_considered"),
+    ("pairs_emitted", "INTEGER", "join_pairs_emitted"),
+    ("checkpoint_lsn", "INTEGER", "checkpoint_lsn"),
+)
+
+#: records: the server's ``stats()``, flattened to ``section.field``
+_SERVICE: Tuple[ColumnSpec, ...] = (
+    ("pool_size", "INTEGER", "pool.size"),
+    ("sessions_in_use", "INTEGER", "pool.in_use"),
+    ("sessions_idle", "INTEGER", "pool.idle"),
+    ("sessions_created", "INTEGER", "pool.created"),
+    ("sessions_reaped", "INTEGER", "pool.reaped"),
+    ("queue_depth", "INTEGER", "admission.queue_depth"),
+    ("queue_limit", "INTEGER", "admission.queue_limit"),
+    ("executing", "INTEGER", "admission.executing"),
+    ("admitted", "INTEGER", "admission.admitted"),
+    ("shed_queue_full", "INTEGER", "admission.shed_queue_full"),
+    ("shed_deadline", "INTEGER", "admission.shed_deadline"),
+    ("cache_entries", "INTEGER", "cache.entries"),
+    ("cache_hits", "INTEGER", "cache.hits"),
+    ("cache_misses", "INTEGER", "cache.misses"),
+    ("cache_invalidations", "INTEGER", "cache.invalidations"),
+    ("cache_bypass", "INTEGER", "cache.bypass"),
+)
+
+_REQUESTS: Tuple[ColumnSpec, ...] = (
+    ("trace_id", "TEXT", "trace_id"),
+    ("started_at", "REAL", "started_at"),
+    ("sql", "TEXT", "sql"),
+    ("fingerprint", "TEXT", "fingerprint"),
+    ("outcome", "TEXT", "outcome"),
+    ("shed", "INTEGER", _flag("shed")),
+    ("cached", "INTEGER", _flag("cached")),
+    ("cache_status", "TEXT", "cache_status"),
+    ("recv_seconds", "REAL", _stage("net.recv")),
+    ("queue_seconds", "REAL", _stage("queue.wait")),
+    ("session_seconds", "REAL", _stage("session.acquire")),
+    ("cache_seconds", "REAL", _stage("cache.lookup")),
+    ("exec_seconds", "REAL", _stage("execute")),
+    ("send_seconds", "REAL", _stage("net.send")),
+    ("total_seconds", "REAL", "total_seconds"),
+    ("retained", "INTEGER", _flag("retained")),
+    ("spans", "INTEGER", lambda record: record.span_count()),
+    ("clock_skew_seconds", "REAL", "clock_skew_seconds"),
+)
+
+
+def _statement_records(db: Any) -> List[Any]:
+    return db.obs.statements.statements()
+
+
+def _plan_records(db: Any) -> List[Any]:
+    return db.obs.statements.plans()
+
+
+def _wait_records(_db: Any) -> List[Dict[str, Any]]:
     from repro.obs.waits import WAIT_EVENTS, WAITS
 
-    columns = [
-        _col("wait_event", "TEXT"),
-        _col("wait_class", "TEXT"),
-        _col("site", "TEXT"),
-        _col("count", "INTEGER"),
-        _col("total_seconds", "REAL"),
-        _col("p50", "REAL"),
-        _col("p95", "REAL"),
-        _col("p99", "REAL"),
+    return [
+        dict(entry, event=event, site=WAIT_EVENTS.get(event, ""))
+        for event, entry in sorted(WAITS.summary().items())
     ]
 
-    def produce() -> List[tuple]:
-        out: List[tuple] = []
-        for event, entry in sorted(WAITS.summary().items()):
-            out.append((
-                event,
-                event.split(":", 1)[0],
-                WAIT_EVENTS.get(event, ""),
-                int(entry["count"]),
-                entry["seconds"],
-                entry.get("p50"),
-                entry.get("p95"),
-                entry.get("p99"),
-            ))
-        return out
 
-    return SystemView("jackpine_waits", columns, produce)
+def _ash_records(_db: Any) -> List[Any]:
+    from repro.obs.ash import registered_samples
+
+    return registered_samples()
 
 
-def _ash_view() -> SystemView:
-    columns = [
-        _col("sampled_at", "REAL"),
-        _col("thread_id", "INTEGER"),
-        _col("session_id", "INTEGER"),
-        _col("engine", "TEXT"),
-        _col("sql", "TEXT"),
-        _col("txid", "INTEGER"),
-        _col("wait_event", "TEXT"),
-        _col("wait_seconds", "REAL"),
-        _col("statement_seconds", "REAL"),
-        _col("rows_processed", "INTEGER"),
+def _table_records(db: Any) -> List[Dict[str, Any]]:
+    out: List[Dict[str, Any]] = [
+        {
+            "name": table.name,
+            "kind": "table",
+            "table_name": table.name,
+            "live_rows": table.live_count,
+            "pages": table.page_count,
+            "seq_scans": table.seq_scans,
+            "index_probes": 0,
+            "mvcc_versions": table.mvcc_versions,
+            "vacuumed_rows": table.vacuumed_rows,
+            "frozen_rows": table.frozen_rows,
+        }
+        for table in db.catalog.tables()
     ]
-
-    def produce() -> List[tuple]:
-        from repro.obs.ash import registered_samples
-
-        return [
-            (
-                sample.sampled_at,
-                sample.thread_id,
-                sample.session_id,
-                sample.engine,
-                sample.sql,
-                sample.txid,
-                sample.wait_event,
-                sample.wait_seconds,
-                sample.statement_seconds,
-                sample.rows_processed,
-            )
-            for sample in registered_samples()
-        ]
-
-    return SystemView("jackpine_ash", columns, produce)
-
-
-def _tables_view(db: Any) -> SystemView:
-    columns = [
-        _col("name", "TEXT"),
-        _col("kind", "TEXT"),
-        _col("table_name", "TEXT"),
-        _col("column_name", "TEXT"),
-        _col("live_rows", "INTEGER"),
-        _col("pages", "INTEGER"),
-        _col("seq_scans", "INTEGER"),
-        _col("index_probes", "INTEGER"),
-        _col("mvcc_versions", "INTEGER"),
-        _col("vacuumed_rows", "INTEGER"),
-        _col("frozen_rows", "INTEGER"),
-        _col("pages_read", "INTEGER"),
-        _col("pages_written", "INTEGER"),
-        _col("buffer_hit_ratio", "REAL"),
-    ]
-
-    def produce() -> List[tuple]:
-        out: List[tuple] = []
-        for table in db.catalog.tables():
-            out.append((
-                table.name,
-                "table",
-                table.name,
-                None,
-                table.live_count,
-                table.page_count,
-                table.seq_scans,
-                0,
-                table.mvcc_versions,
-                table.vacuumed_rows,
-                table.frozen_rows,
-                None,
-                None,
-                None,
-            ))
-        for entry in db.catalog.indexes():
-            out.append((
-                entry.name,
-                "index",
-                entry.table_name,
-                entry.column_name,
-                len(entry.index),
-                0,
-                0,
-                entry.probes,
-                0,
-                0,
-                0,
-                None,
-                None,
-                None,
-            ))
-        durable = db.durability
-        if durable is not None:
-            stats = durable.stats()
-            out.append((
-                "buffer_pool",
-                "bufferpool",
-                None,
-                None,
-                None,
-                stats["pages_on_disk"],
-                None,
-                None,
-                None,
-                None,
-                None,
-                stats["pages_read"],
-                stats["pages_written"],
-                stats["buffer_hit_ratio"],
-            ))
-        return out
-
-    return SystemView("jackpine_tables", columns, produce)
+    out.extend(
+        {
+            "name": entry.name,
+            "kind": "index",
+            "table_name": entry.table_name,
+            "column_name": entry.column_name,
+            "live_rows": len(entry.index),
+            "pages": 0,
+            "seq_scans": 0,
+            "index_probes": entry.probes,
+            "mvcc_versions": 0,
+            "vacuumed_rows": 0,
+            "frozen_rows": 0,
+        }
+        for entry in db.catalog.indexes()
+    )
+    durable = db.durability
+    if durable is not None:
+        stats = durable.stats()
+        out.append({
+            "name": "buffer_pool",
+            "kind": "bufferpool",
+            "pages": stats["pages_on_disk"],
+            "pages_read": stats["pages_read"],
+            "pages_written": stats["pages_written"],
+            "buffer_hit_ratio": stats["buffer_hit_ratio"],
+        })
+    return out
 
 
-def _progress_view(db: Any) -> SystemView:
+def _phase(wait: Any, considered: int, probes: int, scanned: int) -> str:
+    if wait is not None:
+        return "waiting"
+    if considered:
+        return "joining"
+    if probes:
+        return "probing"
+    if scanned:
+        return "scanning"
+    return "planning"
+
+
+def _progress_records(db: Any) -> List[Dict[str, Any]]:
     from repro.obs.waits import WAITS
 
-    columns = [
-        _col("session_id", "INTEGER"),
-        _col("thread_id", "INTEGER"),
-        _col("engine", "TEXT"),
-        _col("txid", "INTEGER"),
-        _col("sql", "TEXT"),
-        _col("phase", "TEXT"),
-        _col("wait_event", "TEXT"),
-        _col("seconds", "REAL"),
-        _col("rows_processed", "INTEGER"),
-        _col("index_probes", "INTEGER"),
-        _col("pairs_considered", "INTEGER"),
-        _col("pairs_emitted", "INTEGER"),
-        _col("checkpoint_lsn", "INTEGER"),
-    ]
-
-    def produce() -> List[tuple]:
-        now = time.perf_counter()
-        durable = db.durability
-        checkpoint_lsn = (
-            durable.last_checkpoint_lsn if durable is not None else None
-        )
-        out: List[tuple] = []
-        for state in WAITS.thread_states():
-            sql = state.statement
-            if sql is None:
-                continue
-            shard = state.shard
-            rows_scanned = shard.rows_scanned if shard is not None else 0
-            probes = shard.index_probes if shard is not None else 0
-            considered = (
-                shard.join_pairs_considered if shard is not None else 0
+    now = time.perf_counter()
+    durable = db.durability
+    checkpoint_lsn = (
+        durable.last_checkpoint_lsn if durable is not None else None
+    )
+    out: List[Dict[str, Any]] = []
+    for state in WAITS.thread_states():
+        if state.statement is None:
+            continue
+        shard = state.shard
+        counts = {
+            name: getattr(shard, name) if shard is not None else 0
+            for name in (
+                "rows_scanned", "index_probes",
+                "join_pairs_considered", "join_pairs_emitted",
             )
-            emitted = shard.join_pairs_emitted if shard is not None else 0
-            wait = state.current_wait
-            if wait is not None:
-                phase = "waiting"
-            elif considered:
-                phase = "joining"
-            elif probes:
-                phase = "probing"
-            elif rows_scanned:
-                phase = "scanning"
-            else:
-                phase = "planning"
-            out.append((
-                state.session_id,
-                state.thread_id,
-                state.engine,
-                state.txid,
-                sql,
-                phase,
-                wait,
-                now - state.statement_since,
-                rows_scanned,
-                probes,
-                considered,
-                emitted,
-                checkpoint_lsn,
-            ))
-        return out
-
-    return SystemView("jackpine_progress", columns, produce)
+        }
+        wait = state.current_wait
+        out.append(dict(
+            counts,
+            session_id=state.session_id,
+            thread_id=state.thread_id,
+            engine=state.engine,
+            txid=state.txid,
+            sql=state.statement,
+            phase=_phase(
+                wait, counts["join_pairs_considered"],
+                counts["index_probes"], counts["rows_scanned"],
+            ),
+            wait_event=wait,
+            seconds=now - state.statement_since,
+            checkpoint_lsn=checkpoint_lsn,
+        ))
+    return out
 
 
-def _service_view(db: Any) -> SystemView:
-    columns = [
-        _col("pool_size", "INTEGER"),
-        _col("sessions_in_use", "INTEGER"),
-        _col("sessions_idle", "INTEGER"),
-        _col("sessions_created", "INTEGER"),
-        _col("sessions_reaped", "INTEGER"),
-        _col("queue_depth", "INTEGER"),
-        _col("queue_limit", "INTEGER"),
-        _col("executing", "INTEGER"),
-        _col("admitted", "INTEGER"),
-        _col("shed_queue_full", "INTEGER"),
-        _col("shed_deadline", "INTEGER"),
-        _col("cache_entries", "INTEGER"),
-        _col("cache_hits", "INTEGER"),
-        _col("cache_misses", "INTEGER"),
-        _col("cache_invalidations", "INTEGER"),
-        _col("cache_bypass", "INTEGER"),
-    ]
-
-    def produce() -> List[tuple]:
-        service = db.service
-        if service is None:
-            return []
-        stats = service.stats()
-        pool = stats["pool"]
-        admission = stats["admission"]
-        cache = stats["cache"]
-        return [(
-            pool["size"],
-            pool["in_use"],
-            pool["idle"],
-            pool["created"],
-            pool["reaped"],
-            admission["queue_depth"],
-            admission["queue_limit"],
-            admission["executing"],
-            admission["admitted"],
-            admission["shed_queue_full"],
-            admission["shed_deadline"],
-            cache["entries"],
-            cache["hits"],
-            cache["misses"],
-            cache["invalidations"],
-            cache["bypass"],
-        )]
-
-    return SystemView("jackpine_service", columns, produce)
+def _service_records(db: Any) -> List[Dict[str, Any]]:
+    service = db.service
+    if service is None:
+        return []
+    stats = service.stats()
+    return [{
+        f"{section}.{field}": value
+        for section in ("pool", "admission", "cache")
+        for field, value in stats[section].items()
+    }]
 
 
-def _requests_view() -> SystemView:
-    columns = [
-        _col("trace_id", "TEXT"),
-        _col("started_at", "REAL"),
-        _col("sql", "TEXT"),
-        _col("fingerprint", "TEXT"),
-        _col("outcome", "TEXT"),
-        _col("shed", "INTEGER"),
-        _col("cached", "INTEGER"),
-        _col("cache_status", "TEXT"),
-        _col("recv_seconds", "REAL"),
-        _col("queue_seconds", "REAL"),
-        _col("session_seconds", "REAL"),
-        _col("cache_seconds", "REAL"),
-        _col("exec_seconds", "REAL"),
-        _col("send_seconds", "REAL"),
-        _col("total_seconds", "REAL"),
-        _col("retained", "INTEGER"),
-        _col("spans", "INTEGER"),
-        _col("clock_skew_seconds", "REAL"),
-    ]
+def _request_records(_db: Any) -> List[Any]:
+    # reads the process-wide recorder, like jackpine_waits reads
+    # WAITS — a query *through* the server sees its own history
+    from repro.obs.requests import RECORDER
 
-    def produce() -> List[tuple]:
-        # reads the process-wide recorder, like jackpine_waits reads
-        # WAITS — a query *through* the server sees its own history
-        from repro.obs.requests import RECORDER
+    return RECORDER.records()
 
-        out: List[tuple] = []
-        for record in RECORDER.records():
-            stages = record.stage_seconds
-            out.append((
-                record.trace_id,
-                record.started_at,
-                record.sql,
-                record.fingerprint,
-                record.outcome,
-                1 if record.shed else 0,
-                1 if record.cached else 0,
-                record.cache_status,
-                stages.get("net.recv"),
-                stages.get("queue.wait"),
-                stages.get("session.acquire"),
-                stages.get("cache.lookup"),
-                stages.get("execute"),
-                stages.get("net.send"),
-                record.total_seconds,
-                1 if record.retained else 0,
-                record.span_count(),
-                record.clock_skew_seconds,
-            ))
-        return out
 
-    return SystemView("jackpine_requests", columns, produce)
+#: every view, declared once: name, schema, producer of records from a db
+_VIEWS = (
+    ("jackpine_statements", _STATEMENTS, _statement_records),
+    ("jackpine_plans", _PLANS, _plan_records),
+    ("jackpine_waits", _WAITS, _wait_records),
+    ("jackpine_ash", _ASH, _ash_records),
+    ("jackpine_tables", _TABLES, _table_records),
+    ("jackpine_progress", _PROGRESS, _progress_records),
+    ("jackpine_service", _SERVICE, _service_records),
+    ("jackpine_requests", _REQUESTS, _request_records),
+)
+
+#: every reserved view name, rejected by CREATE TABLE / DROP TABLE
+SYSTEM_VIEW_NAMES: Tuple[str, ...] = tuple(name for name, _s, _p in _VIEWS)
 
 
 def install_system_views(db: Any) -> None:
     """Register the full ``jackpine_*`` catalog on one database."""
-    for view in (
-        _statements_view(db),
-        _plans_view(db),
-        _waits_view(),
-        _ash_view(),
-        _tables_view(db),
-        _progress_view(db),
-        _service_view(db),
-        _requests_view(),
-    ):
-        db.catalog.register_system_view(view)
+    for name, schema, records in _VIEWS:
+        db.catalog.register_system_view(
+            SystemView(name, schema, functools.partial(records, db))
+        )

@@ -6,13 +6,13 @@ active session — current statement, transaction id, wait state,
 rows-processed progress — at a fixed interval into a bounded history.
 Aggregating the samples approximates where wall time went without
 per-event overhead; the exact per-event numbers come from the wait
-records themselves (:class:`~repro.obs.waits.WaitAttribution`).
+totals themselves (:class:`~repro.obs.waits.WaitAttribution`).
 
 The sampler only sees threads that report through
 :data:`~repro.obs.waits.WAITS` (statements via ``begin_statement``,
-waits via ``begin_wait``), so it is useful exactly when the monitor is
-enabled. ``start``/``stop`` are idempotent; the thread is a daemon and
-never outlives :meth:`AshSampler.stop`.
+off-CPU waits via ``WAITS.timed``), so it is useful exactly when the
+monitor is enabled. ``start``/``stop`` are idempotent; the thread is a
+daemon and never outlives :meth:`AshSampler.stop`.
 """
 
 from __future__ import annotations

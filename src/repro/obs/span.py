@@ -6,7 +6,7 @@ counters (``rows_scanned``, ``index_probes``, ``join_pairs_considered``,
 …) over the operator's lifetime; exclusive figures — what the operator
 itself cost, minus its children — are derived on demand. Spans form a
 tree congruent with the plan tree and serialise to plain dicts, which is
-what the trace exporters and the benchmark telemetry consume.
+what the flight recorder's request records carry.
 """
 
 from __future__ import annotations

@@ -5,14 +5,16 @@ place the engine can block — row locks, the statement latch, WAL and
 page I/O, client-side retry/backoff — plus the attributed on-CPU hot paths
 (refinement, index probes, sorts) and the guardrail tick, is a *wait
 event* from a closed taxonomy (:data:`WAIT_EVENTS`). When the process-
-wide :data:`WAITS` monitor is enabled, each site records a timed
-:class:`WaitRecord` into a per-thread ring buffer (no cross-thread locks
-on the record path beyond the histogram's) and bumps per-event
-aggregates; when it is disabled, every site costs one attribute read
-and a branch — :meth:`WaitMonitor.timed`, the helper timed sites call,
-hands back the untimed callable — the same contract as
-:data:`~repro.faults.FAULTS` and the observability switchboard, pinned
-by ``benchmarks/test_bench_disabled_overhead.py``.
+wide :data:`WAITS` monitor is enabled, each finished wait bumps its
+thread's per-event totals and the event's latency histogram (no
+cross-thread locks on the record path beyond the histogram's); when it
+is disabled, every site costs one attribute read and a branch. There
+is one recording path: a site that blocks or computes goes through
+:meth:`WaitMonitor.timed`, which hands back the untimed callable while
+the monitor is off, and a site that measured its own wait calls
+:meth:`WaitMonitor.record`, which returns at once while it is off —
+the same contract as :data:`~repro.faults.FAULTS` and the observability
+switchboard, pinned by ``benchmarks/test_bench_disabled_overhead.py``.
 
 Three consumers sit on top:
 
@@ -41,8 +43,6 @@ __all__ = [
     "CPU_CLASS",
     "WAITS",
     "WaitMonitor",
-    "WaitRecord",
-    "WaitRing",
     "WaitAttribution",
     "LOCK_ROW",
     "LATCH_SHARED",
@@ -112,94 +112,18 @@ WAIT_CLASSES: Tuple[str, ...] = (
 )
 
 
-class WaitRecord:
-    """One finished timed wait (or attributed on-CPU stretch)."""
-
-    __slots__ = ("event", "seconds", "detail", "thread_id", "ended_at")
-
-    def __init__(self, event: str, seconds: float, detail: Any,
-                 thread_id: int, ended_at: float):
-        self.event = event
-        self.seconds = seconds
-        self.detail = detail
-        self.thread_id = thread_id
-        self.ended_at = ended_at
-
-    def as_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
-            "event": self.event,
-            "seconds": self.seconds,
-            "thread_id": self.thread_id,
-            "ended_at": self.ended_at,
-        }
-        if self.detail is not None:
-            out["detail"] = (
-                list(self.detail) if isinstance(self.detail, tuple)
-                else self.detail
-            )
-        return out
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"WaitRecord({self.event}, {self.seconds * 1e3:.3f}ms, "
-            f"detail={self.detail!r})"
-        )
-
-
-class WaitRing:
-    """Fixed-capacity overwrite-oldest ring of :class:`WaitRecord`.
-
-    Owned by exactly one thread; appends are plain index arithmetic (no
-    locks). Readers from other threads (the ASH sampler, reports) get a
-    best-effort snapshot — records are immutable once appended, so the
-    worst race is seeing a slot mid-overwrite, never a torn record.
-    """
-
-    __slots__ = ("capacity", "_slots", "_next", "appended")
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("ring capacity must be >= 1")
-        self.capacity = capacity
-        self._slots: List[Optional[WaitRecord]] = [None] * capacity
-        self._next = 0
-        self.appended = 0
-
-    def append(self, record: WaitRecord) -> None:
-        self._slots[self._next] = record
-        self._next = (self._next + 1) % self.capacity
-        self.appended += 1
-
-    def __len__(self) -> int:
-        return min(self.appended, self.capacity)
-
-    @property
-    def dropped(self) -> int:
-        """Records overwritten before anyone could read them."""
-        return max(0, self.appended - self.capacity)
-
-    def snapshot(self) -> List[WaitRecord]:
-        """Records oldest -> newest (at most ``capacity`` of them)."""
-        if self.appended <= self.capacity:
-            return [r for r in self._slots[: self._next] if r is not None]
-        head = self._next
-        out = self._slots[head:] + self._slots[:head]
-        return [r for r in out if r is not None]
-
-
 class _ThreadState:
     """Everything the monitor tracks for one thread."""
 
     __slots__ = (
-        "thread_id", "ring", "totals",
+        "thread_id", "totals",
         "current_wait", "current_wait_detail", "current_wait_since",
         "statement", "engine", "txid", "session_id", "statement_since",
         "shard",
     )
 
-    def __init__(self, thread_id: int, ring_capacity: int):
+    def __init__(self, thread_id: int):
         self.thread_id = thread_id
-        self.ring = WaitRing(ring_capacity)
         #: event -> [count, total_seconds]
         self.totals: Dict[str, List[float]] = {}
         self.current_wait: Optional[str] = None
@@ -214,29 +138,12 @@ class _ThreadState:
         self.shard: Any = None
 
 
-class _WaitToken:
-    """In-flight wait handed out by :meth:`WaitMonitor.begin_wait`."""
-
-    __slots__ = ("event", "detail", "state", "started")
-
-    def __init__(self, event: str, detail: Any, state: _ThreadState,
-                 started: float):
-        self.event = event
-        self.detail = detail
-        self.state = state
-        self.started = started
-
-
 class WaitMonitor:
     """Process-wide wait-event switchboard (see module docstring)."""
-
-    #: per-thread ring capacity when :meth:`enable` is given none
-    DEFAULT_RING_CAPACITY = 4096
 
     def __init__(self) -> None:
         #: the one flag every instrumented site reads on its hot path
         self.enabled = False
-        self._ring_capacity = self.DEFAULT_RING_CAPACITY
         self._mutex = threading.Lock()
         self._states: Dict[int, _ThreadState] = {}
         self._histograms: Dict[str, Histogram] = {}
@@ -245,9 +152,7 @@ class WaitMonitor:
 
     # -- switches ----------------------------------------------------------
 
-    def enable(self, ring_capacity: Optional[int] = None) -> "WaitMonitor":
-        if ring_capacity is not None:
-            self._ring_capacity = int(ring_capacity)
+    def enable(self) -> "WaitMonitor":
         self.enabled = True
         return self
 
@@ -256,7 +161,7 @@ class WaitMonitor:
         return self
 
     def reset(self) -> None:
-        """Forget every record, aggregate and thread state."""
+        """Forget every aggregate and thread state."""
         with self._mutex:
             self._states.clear()
             self._histograms.clear()
@@ -271,7 +176,7 @@ class WaitMonitor:
             with self._mutex:
                 state = self._states.get(tid)
                 if state is None:
-                    state = _ThreadState(tid, self._ring_capacity)
+                    state = _ThreadState(tid)
                     self._states[tid] = state
         return state
 
@@ -281,27 +186,11 @@ class WaitMonitor:
 
     # -- recording ---------------------------------------------------------
 
-    def begin_wait(self, event: str, detail: Any = None) -> _WaitToken:
-        """Mark this thread as waiting on ``event`` (visible to ASH)."""
-        state = self.state()
-        started = time.perf_counter()
-        state.current_wait = event
-        state.current_wait_detail = detail
-        state.current_wait_since = started
-        return _WaitToken(event, detail, state, started)
-
-    def end_wait(self, token: _WaitToken) -> float:
-        """Finish an in-flight wait; records it and returns its seconds."""
-        seconds = time.perf_counter() - token.started
-        state = token.state
-        state.current_wait = None
-        state.current_wait_detail = None
-        self._record(state, token.event, seconds, token.detail)
-        return seconds
-
     def record(self, event: str, seconds: float, detail: Any = None) -> None:
-        """Record an already-measured wait on the calling thread."""
-        self._record(self.state(), event, seconds, detail)
+        """Record an already-measured wait on the calling thread (nothing
+        while the monitor is off)."""
+        if self.enabled:
+            self._record(self.state(), event, seconds, detail)
 
     def timed(self, event: str, fn: Callable[..., T],
               detail: Any = None) -> Callable[..., T]:
@@ -315,25 +204,26 @@ class WaitMonitor:
         """
         if not self.enabled:
             return fn
-        if event.startswith(CPU_CLASS):
+        waiting = not event.startswith(CPU_CLASS)
 
-            def timed_call(*args: Any, **kwargs: Any) -> T:
-                started = time.perf_counter()
-                try:
-                    return fn(*args, **kwargs)
-                finally:
-                    self.record(event, time.perf_counter() - started, detail)
-
-            return timed_call
-
-        def waited_call(*args: Any, **kwargs: Any) -> T:
-            token = self.begin_wait(event, detail)
+        def timed_call(*args: Any, **kwargs: Any) -> T:
+            state = self.state()
+            started = time.perf_counter()
+            if waiting:
+                state.current_wait = event
+                state.current_wait_detail = detail
+                state.current_wait_since = started
             try:
                 return fn(*args, **kwargs)
             finally:
-                self.end_wait(token)
+                if waiting:
+                    state.current_wait = None
+                    state.current_wait_detail = None
+                self._record(
+                    state, event, time.perf_counter() - started, detail
+                )
 
-        return waited_call
+        return timed_call
 
     def _record(self, state: _ThreadState, event: str, seconds: float,
                 detail: Any) -> None:
@@ -342,9 +232,6 @@ class WaitMonitor:
                 f"unknown wait event {event!r}; the taxonomy is closed "
                 f"(see repro.obs.waits.WAIT_EVENTS)"
             )
-        state.ring.append(WaitRecord(
-            event, seconds, detail, state.thread_id, time.time()
-        ))
         totals = state.totals.get(event)
         if totals is None:
             totals = state.totals[event] = [0, 0.0]
@@ -369,10 +256,6 @@ class WaitMonitor:
                         f"wait_{event}", WAIT_EVENTS[event]
                     )
         return hist
-
-    def histogram(self, event: str) -> Histogram:
-        """The per-event latency histogram (existing metrics type)."""
-        return self._histogram(event)
 
     # -- statement tracking (feeds the ASH sampler) ------------------------
 
@@ -459,16 +342,6 @@ class WaitMonitor:
                 entry.update(p50=hist.p50, p95=hist.p95, p99=hist.p99)
             out[event] = entry
         return out
-
-    def records(self) -> List[WaitRecord]:
-        """Every buffered record across threads, oldest first per thread."""
-        out: List[WaitRecord] = []
-        for state in self.thread_states():
-            out.extend(state.ring.snapshot())
-        return out
-
-    def dropped(self) -> int:
-        return sum(state.ring.dropped for state in self.thread_states())
 
     def hottest_rows(self, limit: int = 10) -> List[Dict[str, Any]]:
         """The lock keys threads waited on most (by total wait seconds)."""

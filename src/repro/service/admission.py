@@ -78,8 +78,7 @@ class AdmissionControl:
         the deadline, move queued -> executing. Returns the remaining
         deadline budget in seconds."""
         now = time.perf_counter()
-        if WAITS.enabled:
-            WAITS.record(SERVICE_QUEUE, now - ticket.arrival)
+        WAITS.record(SERVICE_QUEUE, now - ticket.arrival)
         remaining = ticket.deadline - now
         with self._lock:
             self._queued -= 1

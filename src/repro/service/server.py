@@ -352,8 +352,7 @@ class JackpineServer:
         start = time.perf_counter()
         body = await reader.readexactly(length)
         seconds = time.perf_counter() - start
-        if WAITS.enabled:
-            WAITS.record(NET_RECV, seconds)
+        WAITS.record(NET_RECV, seconds)
         return decode_body(body), seconds
 
     async def _send(self, writer, response: Dict[str, Any]) -> float:
@@ -368,8 +367,7 @@ class JackpineServer:
         start = time.perf_counter()
         await writer.drain()
         seconds = time.perf_counter() - start
-        if WAITS.enabled:
-            WAITS.record(NET_SEND, seconds)
+        WAITS.record(NET_SEND, seconds)
         return seconds
 
     async def _dispatch(

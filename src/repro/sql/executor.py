@@ -209,19 +209,18 @@ class SpanNode(PlanNode):
     cumulative wall time and the *inclusive* delta of the engine counters
     over the operator's lifetime (children included; exclusive figures
     are derived from the span tree). This is the machinery behind
-    ``EXPLAIN ANALYZE``, ``Database.last_trace()`` and the trace
-    exporters. Wrapping mutates the inner tree's child pointers, so traced
-    executions always plan afresh rather than reusing a cached plan.
+    ``EXPLAIN ANALYZE`` and ``Database.last_trace()``. Wrapping mutates
+    the inner tree's child pointers, so traced executions always plan
+    afresh rather than reusing a cached plan.
     """
 
-    __slots__ = ("inner", "span", "_children", "_on_close")
+    __slots__ = ("inner", "span", "_children")
 
-    def __init__(self, inner: PlanNode, on_close=None):
+    def __init__(self, inner: PlanNode):
         from repro.obs.span import Span
 
         self.inner = inner
-        self._on_close = on_close
-        self._children = [SpanNode(c, on_close) for c in inner.children()]
+        self._children = [SpanNode(c) for c in inner.children()]
         _graft_children(self.inner, self._children)
         self.span = Span(
             type(inner).__name__,
@@ -250,8 +249,6 @@ class SpanNode(PlanNode):
             # its buffered counters before this span snapshots them
             inner.close()
             span.finish(emitted, elapsed, stats.snapshot())
-            if self._on_close is not None:
-                self._on_close(span)
 
     def describe(self) -> str:
         span = self.span

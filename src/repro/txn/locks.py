@@ -70,39 +70,47 @@ class RowLockTable:
         the deadlock-detection-by-timeout contract: any wait-for cycle
         eventually trips one waiter's budget and aborts it.
         """
-        deadline = time.monotonic() + timeout
         started = time.monotonic()
-        token = WAITS.begin_wait(LOCK_ROW, key) if WAITS.enabled else None
         timed_out = False
         try:
-            with self._mutex:
-                while True:
-                    owner = self._owners.get(key)
-                    if owner is None or owner == txid:
-                        self._owners[key] = txid
-                        self._held.setdefault(txid, set()).add(key)
-                        return time.monotonic() - started
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        timed_out = True
-                        raise SerializationError(
-                            f"transaction {txid} timed out after "
-                            f"{timeout:.3g}s waiting for row lock {key} "
-                            f"held by transaction {owner} "
-                            f"(possible deadlock)"
-                        )
-                    cond = self._conds.get(key)
-                    if cond is None:
-                        cond = self._conds[key] = threading.Condition(
-                            self._mutex
-                        )
-                    cond.wait(remaining)
+            return WAITS.timed(LOCK_ROW, self._wait_for, key)(
+                key, txid, started, timeout
+            )
+        except SerializationError:
+            timed_out = True
+            raise
         finally:
-            waited = time.monotonic() - started
-            if token is not None:
-                WAITS.end_wait(token)
             if self.on_wait is not None:
-                self.on_wait(key, txid, waited, timed_out)
+                self.on_wait(
+                    key, txid, time.monotonic() - started, timed_out
+                )
+
+    def _wait_for(self, key: LockKey, txid: int, started: float,
+                  timeout: float) -> float:
+        """The blocking loop of :meth:`acquire`, timed as one
+        ``LockManager:RowLock`` wait event when the monitor is on."""
+        deadline = started + timeout
+        with self._mutex:
+            while True:
+                owner = self._owners.get(key)
+                if owner is None or owner == txid:
+                    self._owners[key] = txid
+                    self._held.setdefault(txid, set()).add(key)
+                    return time.monotonic() - started
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise SerializationError(
+                        f"transaction {txid} timed out after "
+                        f"{timeout:.3g}s waiting for row lock {key} "
+                        f"held by transaction {owner} "
+                        f"(possible deadlock)"
+                    )
+                cond = self._conds.get(key)
+                if cond is None:
+                    cond = self._conds[key] = threading.Condition(
+                        self._mutex
+                    )
+                cond.wait(remaining)
 
     def release_all(self, txid: int) -> None:
         """Drop every lock the transaction holds and wake its waiters."""
@@ -150,19 +158,14 @@ class SharedExclusiveLock:
                 self._writer_depth += 1
                 return
             if self._writer is not None or self._waiting_writers:
-                self._wait_shared()
+                WAITS.timed(LATCH_SHARED, self._wait_shared)()
             self._readers += 1
 
     def _wait_shared(self) -> None:
         """Blocked-path wait loop (caller holds ``self._cond``); timed as
         a ``Latch:StatementShared`` wait event when the monitor is on."""
-        token = WAITS.begin_wait(LATCH_SHARED) if WAITS.enabled else None
-        try:
-            while self._writer is not None or self._waiting_writers:
-                self._cond.wait()
-        finally:
-            if token is not None:
-                WAITS.end_wait(token)
+        while self._writer is not None or self._waiting_writers:
+            self._cond.wait()
 
     def release_shared(self) -> None:
         me = threading.get_ident()
@@ -183,7 +186,7 @@ class SharedExclusiveLock:
             self._waiting_writers += 1
             try:
                 if self._writer is not None or self._readers:
-                    self._wait_exclusive()
+                    WAITS.timed(LATCH_EXCLUSIVE, self._wait_exclusive)()
             finally:
                 self._waiting_writers -= 1
             self._writer = me
@@ -192,13 +195,8 @@ class SharedExclusiveLock:
     def _wait_exclusive(self) -> None:
         """Blocked-path wait loop (caller holds ``self._cond``); timed as
         a ``Latch:StatementExclusive`` wait event when the monitor is on."""
-        token = WAITS.begin_wait(LATCH_EXCLUSIVE) if WAITS.enabled else None
-        try:
-            while self._writer is not None or self._readers:
-                self._cond.wait()
-        finally:
-            if token is not None:
-                WAITS.end_wait(token)
+        while self._writer is not None or self._readers:
+            self._cond.wait()
 
     def release_exclusive(self) -> None:
         with self._cond:

@@ -67,12 +67,10 @@ def test_samples_active_statement(monitor):
 
 def test_samples_wait_state(monitor):
     monitor.begin_statement("UPDATE t SET x = 1", engine="greenwood")
-    token = monitor.begin_wait(LOCK_ROW, ("t", 5))
     sampler = AshSampler(monitor=monitor)
-    batch = sampler.sample_once()
+    batch = monitor.timed(LOCK_ROW, sampler.sample_once, ("t", 5))()
     assert batch[0].wait_event == LOCK_ROW
     assert batch[0].wait_seconds >= 0.0
-    monitor.end_wait(token)
     monitor.end_statement()
     counts = sampler.wait_state_counts()
     assert counts == {LOCK_ROW: 1}

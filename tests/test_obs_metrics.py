@@ -92,7 +92,7 @@ class TestScoping:
         before = m.GLOBAL.counter("queries_total").value
         db = Database("greenwood")
         db.execute("CREATE TABLE t (id INTEGER)")
-        db.obs.enable_metrics()
+        db.obs.enable_tracing()
         db.execute("SELECT COUNT(*) FROM t")
         assert db.obs.metrics.counter("queries_total").value == 1
         assert m.GLOBAL.counter("queries_total").value == before + 1

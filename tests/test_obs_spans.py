@@ -1,9 +1,7 @@
 """Trace-span tests: span-tree shape, row counts and monotonic timings
-for every spatial join strategy under every engine profile, exporter
-round trips, hook firing, slow-query capture and one macro scenario
-end-to-end."""
+for every spatial join strategy under every engine profile, hook firing,
+the plan cache under observation and one macro scenario end-to-end."""
 
-import json
 import random
 
 import pytest
@@ -13,7 +11,6 @@ from repro.datagen import generate, shapes
 from repro.dbapi import connect
 from repro.engines import Database
 from repro.geometry import Point
-from repro.obs import Trace
 
 PROFILES = ("greenwood", "bluestem", "ironbark")
 STRATEGIES = ("inlj", "tree", "pbsm", "nlj")
@@ -79,7 +76,7 @@ class TestJoinStrategySpans:
     def test_span_tree_shape(self, profile, strategy):
         _db, result, trace = _trace_join(profile, strategy)
         assert trace is not None and trace.root is not None
-        ops = [span.op for span in trace.spans()]
+        ops = [span.op for _depth, span in trace.root.walk()]
         assert ops[0] == "Project"
         assert "Aggregate" in ops
         assert STRATEGY_OPERATOR[strategy] in ops
@@ -119,44 +116,6 @@ class TestJoinStrategySpans:
         assert trace.seconds >= trace.root.seconds - 1e-9
 
 
-class TestExporters:
-    def test_json_lines_round_trip(self):
-        _db, _result, trace = _trace_join("greenwood", "tree")
-        text = trace.to_json_lines()
-        parsed = Trace.from_json_lines(text)
-        assert parsed.sql == trace.sql
-        assert parsed.engine == "greenwood"
-        assert parsed.counters == trace.counters
-        assert [s.op for s in parsed.spans()] == [
-            s.op for s in trace.spans()
-        ]
-        assert [s.rows for s in parsed.spans()] == [
-            s.rows for s in trace.spans()
-        ]
-        # every line is standalone JSON
-        for line in text.strip().splitlines():
-            json.loads(line)
-
-    def test_chrome_trace_events(self):
-        _db, _result, trace = _trace_join("greenwood", "pbsm")
-        doc = trace.to_chrome_trace()
-        events = doc["traceEvents"]
-        assert len(events) == trace.root.total_spans()
-        for event in events:
-            assert event["ph"] == "X"
-            assert event["dur"] >= 0.0
-            assert event["ts"] >= 0.0
-            assert "rows" in event["args"]
-        assert doc["otherData"]["sql"] == JOIN_SQL
-
-    def test_render_contains_operators_and_counters(self):
-        _db, _result, trace = _trace_join("greenwood", "inlj")
-        text = trace.render()
-        assert "IndexNestedLoopJoin" in text
-        assert "rows=" in text
-        assert "index_probes=" in text
-
-
 class TestHooksAndSlowQueries:
     def test_query_hooks_fire(self):
         db = _build_db("greenwood")
@@ -168,31 +127,6 @@ class TestHooksAndSlowQueries:
             ("start", "SELECT COUNT(*) FROM a"),
             ("end", "SELECT COUNT(*) FROM a"),
         ]
-
-    def test_operator_close_hook(self):
-        db = _build_db("greenwood")
-        closed = []
-        db.obs.on_operator_close(lambda span: closed.append(span.op))
-        db.execute(JOIN_SQL)
-        assert "Project" in closed
-        assert "Aggregate" in closed
-        # children close before parents (Volcano teardown order)
-        assert closed.index("Aggregate") < closed.index("Project")
-
-    def test_slow_query_auto_capture(self):
-        db = _build_db("greenwood")
-        db.obs.slow_query_threshold = 0.0  # everything is "slow"
-        db.execute(JOIN_SQL)
-        assert len(db.obs.slow_traces) == 1
-        trace = db.obs.slow_traces[0]
-        assert trace.root is not None
-        assert trace.sql == JOIN_SQL
-
-    def test_fast_queries_not_captured(self):
-        db = _build_db("greenwood")
-        db.obs.slow_query_threshold = 3600.0
-        db.execute(JOIN_SQL)
-        assert len(db.obs.slow_traces) == 0
 
     def test_disabled_by_default_and_fast_path(self):
         db = _build_db("greenwood")
@@ -229,9 +163,9 @@ class TestMacroScenarioTracing:
 
 
 class TestObservedPlanCache:
-    def test_metrics_only_path_still_uses_plan_cache(self):
+    def test_statements_only_path_still_uses_plan_cache(self):
         db = _build_db("greenwood")
-        db.obs.enable_metrics()
+        db.obs.enable_statements()
         before = db.stats.plan_cache_hits
         db.execute("SELECT COUNT(*) FROM a")
         db.execute("SELECT COUNT(*) FROM a")

@@ -7,7 +7,7 @@ every failure is a genuine library bug rather than degenerate input.
 
 import math
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import (
@@ -180,6 +180,12 @@ def test_buffer_covers_original(poly):
 
 @given(convex_polygons(), convex_polygons())
 @settings(max_examples=40, deadline=None)
+# a lies inside b and touches b's edge at (1 -1): b - a has a triangle
+# hole meeting its shell at one vertex (once an "orphan hole ring")
+@example(
+    a=wkt_loads("POLYGON((0 0,1 -1,1 2,0 0))"),
+    b=wkt_loads("POLYGON((-1 0,0 -2,2 0,0 5,-1 0))"),
+)
 def test_overlay_area_conservation(a, b):
     inter = intersection(a, b)
     inter_area = area(inter) if not inter.is_empty else 0.0

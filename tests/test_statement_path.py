@@ -99,7 +99,7 @@ def _count_records(db, monkeypatch):
 class TestOneEvent:
     def test_every_statement_kind_records_exactly_once(self, db,
                                                        monkeypatch):
-        db.obs.enable_metrics()
+        db.obs.enable_statements()
         events = _count_records(db, monkeypatch)
         statements = [
             ("SELECT COUNT(*) FROM t", "Select"),
@@ -162,7 +162,6 @@ class TestEveryStartedStatementEnds:
         started, ended = [], []
         db.obs.on_query_start(lambda sql, params: started.append(sql))
         db.obs.on_query_end(ended.append)
-        db.obs.enable_metrics()
         metrics = db.obs.metrics
         with pytest.raises(error):
             fail(db)

@@ -7,9 +7,86 @@ from repro.engines import Database
 from repro.engines.sysviews import SYSTEM_VIEW_NAMES
 from repro.errors import SqlPlanError, SqlProgrammingError
 from repro.obs.ash import AshSampler
+from repro.obs.requests import RECORDER
 from repro.obs.waits import GUARD_TICK, WAITS
+from repro.service import JackpineServer, ServerConfig, ServiceClient
 
 PROFILES = ("greenwood", "bluestem", "ironbark")
+
+#: every view's columns and types, in order — the catalog's public schema
+VIEW_SCHEMAS = {
+    "jackpine_statements": [
+        ("fingerprint", "TEXT"), ("statement", "TEXT"),
+        ("calls", "INTEGER"), ("errors", "INTEGER"),
+        ("total_time", "REAL"), ("mean_time", "REAL"), ("p50", "REAL"),
+        ("p95", "REAL"), ("p99", "REAL"), ("rows", "INTEGER"),
+        ("rows_scanned", "INTEGER"), ("index_probes", "INTEGER"),
+        ("pages_read", "INTEGER"), ("pairs_considered", "INTEGER"),
+        ("pairs_emitted", "INTEGER"), ("degraded", "INTEGER"),
+        ("retries", "INTEGER"), ("aborts", "INTEGER"),
+        ("timeouts", "INTEGER"), ("wait_lock_seconds", "REAL"),
+        ("wait_latch_seconds", "REAL"), ("wait_io_seconds", "REAL"),
+        ("wait_net_seconds", "REAL"), ("wait_service_seconds", "REAL"),
+        ("wait_client_seconds", "REAL"), ("wait_guard_seconds", "REAL"),
+        ("cpu_seconds", "REAL"),
+    ],
+    "jackpine_plans": [
+        ("statement_fingerprint", "TEXT"), ("statement", "TEXT"),
+        ("plan_fingerprint", "TEXT"), ("plan_shape", "TEXT"),
+        ("executions", "INTEGER"), ("first_seen", "REAL"),
+        ("last_seen", "REAL"), ("is_current", "INTEGER"),
+        ("flipped_from", "TEXT"),
+    ],
+    "jackpine_waits": [
+        ("wait_event", "TEXT"), ("wait_class", "TEXT"), ("site", "TEXT"),
+        ("count", "INTEGER"), ("total_seconds", "REAL"), ("p50", "REAL"),
+        ("p95", "REAL"), ("p99", "REAL"),
+    ],
+    "jackpine_ash": [
+        ("sampled_at", "REAL"), ("thread_id", "INTEGER"),
+        ("session_id", "INTEGER"), ("engine", "TEXT"), ("sql", "TEXT"),
+        ("txid", "INTEGER"), ("wait_event", "TEXT"),
+        ("wait_seconds", "REAL"), ("statement_seconds", "REAL"),
+        ("rows_processed", "INTEGER"),
+    ],
+    "jackpine_tables": [
+        ("name", "TEXT"), ("kind", "TEXT"), ("table_name", "TEXT"),
+        ("column_name", "TEXT"), ("live_rows", "INTEGER"),
+        ("pages", "INTEGER"), ("seq_scans", "INTEGER"),
+        ("index_probes", "INTEGER"), ("mvcc_versions", "INTEGER"),
+        ("vacuumed_rows", "INTEGER"), ("frozen_rows", "INTEGER"),
+        ("pages_read", "INTEGER"), ("pages_written", "INTEGER"),
+        ("buffer_hit_ratio", "REAL"),
+    ],
+    "jackpine_progress": [
+        ("session_id", "INTEGER"), ("thread_id", "INTEGER"),
+        ("engine", "TEXT"), ("txid", "INTEGER"), ("sql", "TEXT"),
+        ("phase", "TEXT"), ("wait_event", "TEXT"), ("seconds", "REAL"),
+        ("rows_processed", "INTEGER"), ("index_probes", "INTEGER"),
+        ("pairs_considered", "INTEGER"), ("pairs_emitted", "INTEGER"),
+        ("checkpoint_lsn", "INTEGER"),
+    ],
+    "jackpine_service": [
+        ("pool_size", "INTEGER"), ("sessions_in_use", "INTEGER"),
+        ("sessions_idle", "INTEGER"), ("sessions_created", "INTEGER"),
+        ("sessions_reaped", "INTEGER"), ("queue_depth", "INTEGER"),
+        ("queue_limit", "INTEGER"), ("executing", "INTEGER"),
+        ("admitted", "INTEGER"), ("shed_queue_full", "INTEGER"),
+        ("shed_deadline", "INTEGER"), ("cache_entries", "INTEGER"),
+        ("cache_hits", "INTEGER"), ("cache_misses", "INTEGER"),
+        ("cache_invalidations", "INTEGER"), ("cache_bypass", "INTEGER"),
+    ],
+    "jackpine_requests": [
+        ("trace_id", "TEXT"), ("started_at", "REAL"), ("sql", "TEXT"),
+        ("fingerprint", "TEXT"), ("outcome", "TEXT"), ("shed", "INTEGER"),
+        ("cached", "INTEGER"), ("cache_status", "TEXT"),
+        ("recv_seconds", "REAL"), ("queue_seconds", "REAL"),
+        ("session_seconds", "REAL"), ("cache_seconds", "REAL"),
+        ("exec_seconds", "REAL"), ("send_seconds", "REAL"),
+        ("total_seconds", "REAL"), ("retained", "INTEGER"),
+        ("spans", "INTEGER"), ("clock_skew_seconds", "REAL"),
+    ],
+}
 
 
 def _seed(cur) -> None:
@@ -86,6 +163,44 @@ def test_all_views_return_live_data_over_dbapi(profile, monitored):
     progress = cur.fetchall()
     assert any("jackpine_progress" in (row[1] or "") for row in progress)
     conn.close()
+
+
+def test_view_schemas_are_pinned():
+    db = Database("greenwood")
+    assert list(SYSTEM_VIEW_NAMES) == list(VIEW_SCHEMAS)
+    for name, expected in VIEW_SCHEMAS.items():
+        columns = db.catalog.table(name).columns
+        assert [(c.name, c.type.name) for c in columns] == expected, name
+
+
+def test_every_view_yields_full_width_rows_with_every_source_live(
+    tmp_path, monitored
+):
+    """Statements, waits, a running sampler, a traced server request and
+    attached storage all live: every view has rows, each as wide as its
+    pinned schema."""
+    db = Database("greenwood")
+    db.obs.enable_statements()
+    _seed(db)
+    db.attach_storage(str(tmp_path / "storage"))
+    db.execute("SELECT COUNT(*) FROM pts")
+    WAITS.record(GUARD_TICK, 0.001)
+    WAITS.begin_statement("SELECT 1", "greenwood", None, 99)
+    monitored.sample_once()
+    WAITS.end_statement()
+    RECORDER.reset()
+    config = ServerConfig(pool_size=2, trace=True)
+    try:
+        with JackpineServer(db, config) as server:
+            with ServiceClient.from_address(server.address) as client:
+                client.execute("SELECT COUNT(*) FROM pts")
+            for name, expected in VIEW_SCHEMAS.items():
+                rows = db.execute(f"SELECT * FROM {name}").rows
+                assert rows, name
+                assert {len(row) for row in rows} == {len(expected)}, name
+    finally:
+        RECORDER.reset()
+        db.close()
 
 
 def test_statements_view_reflects_aggregation():

@@ -1,7 +1,7 @@
-"""Wait-event taxonomy: every member is emitted by its site, the ring
-buffer overwrites oldest-first, the disabled path records nothing, and
-the row-lock histogram is fed from the same measurement as the
-``LockManager:RowLock`` records (single recording point)."""
+"""Wait-event taxonomy: every member is emitted by its site, the disabled
+path records nothing, and the row-lock histogram is fed from the same
+measurement as the ``LockManager:RowLock`` totals (single recording
+point)."""
 
 from __future__ import annotations
 
@@ -31,8 +31,6 @@ from repro.obs.waits import (
     WAIT_CLASSES,
     WAIT_EVENTS,
     WAITS,
-    WaitRecord,
-    WaitRing,
 )
 from repro.txn.locks import RowLockTable, SharedExclusiveLock
 from repro.workload.driver import ClientReport, WorkloadConfig, _run_operation
@@ -75,33 +73,6 @@ def test_unknown_event_rejected(waits):
         waits.record("Bogus:Event", 0.001)
 
 
-# -- ring buffer ------------------------------------------------------------
-
-
-def test_ring_overflow_keeps_newest():
-    ring = WaitRing(capacity=4)
-    for i in range(10):
-        ring.append(WaitRecord(GUARD_TICK, float(i), None, 0, 0.0))
-    assert len(ring) == 4
-    assert ring.appended == 10
-    assert ring.dropped == 6
-    assert [r.seconds for r in ring.snapshot()] == [6.0, 7.0, 8.0, 9.0]
-
-
-def test_ring_partial_fill_in_order():
-    ring = WaitRing(capacity=8)
-    for i in range(3):
-        ring.append(WaitRecord(GUARD_TICK, float(i), None, 0, 0.0))
-    assert len(ring) == 3
-    assert ring.dropped == 0
-    assert [r.seconds for r in ring.snapshot()] == [0.0, 1.0, 2.0]
-
-
-def test_ring_rejects_zero_capacity():
-    with pytest.raises(ValueError):
-        WaitRing(capacity=0)
-
-
 # -- disabled path ----------------------------------------------------------
 
 
@@ -116,8 +87,8 @@ def test_disabled_sites_record_nothing():
     latch.release_shared()
     guard = ExecutionGuard(timeout=10.0)
     guard.tick()
+    WAITS.record(GUARD_TICK, 0.001)
     assert WAITS.summary() == {}
-    assert WAITS.records() == []
 
 
 def test_timed_is_the_callable_itself_while_disabled():
@@ -229,7 +200,7 @@ def test_latch_shared_and_exclusive_waits(waits):
 def test_histogram_fed_from_wait_records(waits):
     """Single recording point: every blocking ``acquire`` feeds both the
     transaction manager's lock-wait histogram and the
-    ``LockManager:RowLock`` records — the counts cannot drift.
+    ``LockManager:RowLock`` totals — the counts cannot drift.
     (Uncontended writes go through ``try_acquire`` and touch neither.)"""
     db = Database("greenwood")
     hist = db.txn.lock_wait_histogram()
