@@ -430,15 +430,6 @@ class StatementStore:
         with self._lock:
             return list(self._flips)
 
-    def current_plan(self, sql: str) -> Optional[PlanEntry]:
-        """The plan the statement currently executes with, if recorded."""
-        stmt_fp, _ = self._fingerprint(sql)
-        with self._lock:
-            for plan in self._plans.get(stmt_fp, ()):
-                if plan.current:
-                    return plan
-        return None
-
     def export(self, limit: Optional[int] = None) -> Dict[str, Any]:
         """The ``statements`` telemetry section (JSON-able)."""
         entries = self.statements()

@@ -3,9 +3,8 @@
 Every benchmark run can be reduced to a list of per-query records —
 query id, engine profile, latency percentiles (p50/p95/p99), the
 reference answer, and (when the harness captured an exemplar trace) the
-per-operator breakdown. The J-report tables and the ``BENCH_*.json``
-trajectory artifacts are both views over this stream:
-:func:`run_records` builds it from a
+per-operator breakdown. The J-report tables and the JSON artifacts
+are both views over this stream: :func:`run_records` builds it from a
 :class:`~repro.core.benchmark.BenchmarkResult`, and
 :func:`write_artifacts` serialises it to one JSON file per engine.
 """

@@ -62,8 +62,6 @@ class WorkloadConfig:
     max_retries: int = 5           # per operation, on SerializationError
     lock_timeout: float = 0.25     # row-lock wait budget (deadlock bound)
     waits: bool = False            # record wait events + ASH samples
-    ash_interval: float = 0.01     # ASH sampling period (seconds)
-    ash_capacity: int = 4096       # bounded ASH history (samples kept)
     statements: bool = False       # record per-fingerprint statement stats
     storage_dir: Optional[str] = None  # attach durable storage (WAL+pages)
     checkpoint_interval: float = 0.0   # seconds between background
@@ -87,11 +85,6 @@ class WorkloadConfig:
             raise ValueError("open-loop mode needs a positive rate")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.waits:
-            if self.ash_interval <= 0:
-                raise ValueError("ash_interval must be positive")
-            if self.ash_capacity < 1:
-                raise ValueError("ash_capacity must be >= 1")
         if self.checkpoint_interval < 0:
             raise ValueError("checkpoint_interval must be >= 0")
         if self.checkpoint_interval and not self.storage_dir:
@@ -521,11 +514,7 @@ def run_workload(
         if config.waits:
             WAITS.enable()
             WAITS.reset()
-            sampler = AshSampler(
-                monitor=WAITS,
-                interval=config.ash_interval,
-                capacity=config.ash_capacity,
-            )
+            sampler = AshSampler(monitor=WAITS)
             sampler.start()
             try:
                 wall, reports = run_client_threads(
