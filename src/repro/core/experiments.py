@@ -155,9 +155,16 @@ JOIN_MATRIX: Tuple[Tuple[str, str], ...] = (
         "SELECT COUNT(*) FROM edges e, areawater w "
         "WHERE ST_Crosses(e.geom, w.geom)",
     ),
+    # a filtered outer: the tree join packs it into a transient R-tree
+    (
+        "edges(highway) x edges (overlaps)",
+        "SELECT COUNT(*) FROM edges a JOIN edges b "
+        "ON ST_Overlaps(a.geom, b.geom) "
+        "WHERE a.gid < b.gid AND a.road_class = 'highway'",
+    ),
 )
 
-JOIN_STRATEGY_SERIES: Tuple[str, ...] = ("inlj", "tree", "pbsm", "auto")
+JOIN_STRATEGY_SERIES: Tuple[str, ...] = ("inlj", "tree", "auto")
 
 
 # ---------------------------------------------------------------------------

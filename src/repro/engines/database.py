@@ -230,7 +230,7 @@ class Database:
     @property
     def join_strategy(self) -> str:
         """Spatial join algorithm: "auto" (cost-based) or a forced one of
-        "inlj" / "tree" / "pbsm" / "nlj"."""
+        "inlj" / "tree" / "nlj"; anything else raises ``SqlPlanError``."""
         return self._planner.join_strategy
 
     @join_strategy.setter

@@ -9,8 +9,8 @@ real check (clock read, cancellation flag, budget comparison) is
 amortised to every :data:`CHECK_EVERY` ticks so the guarded hot path
 stays within a few percent of the unguarded one — and
 :meth:`ExecutionGuard.reserve` whenever they buffer rows (nested-loop
-inner sides, hash buckets, sorts, PBSM partitions), which is where the
-row/byte *memory* budget is enforced.
+inner sides, hash buckets, sorts, packed tree-join sides), which is
+where the row/byte *memory* budget is enforced.
 
 Timeouts follow the per-query-deadline methodology Geographica added on
 top of Jackpine: a runaway predicate is a *result* (recorded as

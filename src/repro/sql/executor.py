@@ -113,7 +113,6 @@ class Stats:
         "pages_read",
         "join_pairs_considered",
         "join_pairs_emitted",
-        "partitions_built",
         "plan_cache_hits",
         "plan_cache_misses",
         "degraded_results",
@@ -129,7 +128,6 @@ class Stats:
         self.pages_read = 0
         self.join_pairs_considered = 0
         self.join_pairs_emitted = 0
-        self.partitions_built = 0
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
         self.degraded_results = 0
@@ -142,7 +140,6 @@ class Stats:
             "pages_read": self.pages_read,
             "join_pairs_considered": self.join_pairs_considered,
             "join_pairs_emitted": self.join_pairs_emitted,
-            "partitions_built": self.partitions_built,
             "plan_cache_hits": self.plan_cache_hits,
             "plan_cache_misses": self.plan_cache_misses,
             "degraded_results": self.degraded_results,

@@ -1,6 +1,7 @@
-"""Join operators: nested loop, hash, index nested loop, and the two
-spatial joins that answer their predicate inside the candidate loop
-(synchronized tree traversal and PBSM).
+"""Join operators: nested loop, hash, index nested loop, and the
+synchronized tree join, which answers its spatial predicate inside the
+candidate loop over two indexes (a side without one is packed into a
+transient R-tree per execution).
 
 Every join emits :class:`~repro.sql.executor.Batch` values whose columns
 are the outer and inner sides' row lists side by side — a pair of rows
@@ -9,14 +10,12 @@ is one position in both, never a merged row.
 
 from __future__ import annotations
 
-import math
-from itertools import compress, islice
-from operator import itemgetter
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import SqlPlanError
 from repro.faults import FAULTS
 from repro.geometry.base import Envelope, Geometry
+from repro.index import RTree, SpatialIndex
 from repro.obs.waits import CPU_INDEX_PROBE, WAITS
 from repro.sql.executor import (
     BATCH_SIZE,
@@ -24,6 +23,7 @@ from repro.sql.executor import (
     Evaluator,
     ExecContext,
     PlanNode,
+    SeqScan,
 )
 from repro.storage.catalog import IndexEntry
 from repro.storage.table import Table
@@ -260,8 +260,10 @@ class IndexNestedLoopJoin(PlanNode):
         return (self.outer,)
 
 
+
+
 class SpatialJoinPredicate:
-    """The spatial conjunct a tree or PBSM join answers itself.
+    """The spatial conjunct a :class:`SpatialTreeJoin` answers itself.
 
     ``name`` is the predicate (``None`` for ``&&``, which candidate
     generation alone decides) and ``inner_first`` says the inner side is
@@ -293,72 +295,73 @@ class SpatialJoinPredicate:
 
 
 class SpatialTreeJoin(PlanNode):
-    """Synchronized index-traversal join of two indexed tables.
+    """Synchronized tree-traversal join, answering its spatial conjunct
+    inside the candidate loop.
 
-    Both sides must be bare table scans with spatial indexes on the
-    joined geometry columns; candidate pairs come from
-    ``SpatialIndex.join_batches`` (a lockstep descent of both trees, with
-    the predicate's fused envelope test), so neither side is re-probed
-    per row. Exact profiles refine each candidate batch through the
-    engine profile, and any remaining join conjuncts run as a compiled
-    residual.
+    Each side is one of two kinds. With an index ``entry``, the side is a
+    bare :class:`SeqScan` whose table is read through that spatial index
+    on the joined geometry column. Without one, the side is any plan (a
+    filter, a prior join, an unindexed table): its rows are gathered once
+    per execution and their envelopes STR-packed into a transient
+    :class:`RTree`, and that plan is a child of the join. Candidate pairs
+    come from ``SpatialIndex.join_batches`` (a lockstep descent of both
+    trees, with the predicate's fused envelope test), so neither side is
+    re-probed per row. The remaining join conjuncts run as a compiled
+    residual before exact profiles refine the surviving pairs through the
+    engine profile.
     """
 
     def __init__(
         self,
-        outer_table: Table,
-        outer_alias: str,
-        outer_entry: IndexEntry,
-        inner_table: Table,
-        inner_alias: str,
-        inner_entry: IndexEntry,
+        outer: PlanNode,
+        outer_geom: Evaluator,
+        outer_entry: Optional[IndexEntry],
+        inner: PlanNode,
+        inner_geom: Evaluator,
+        inner_entry: Optional[IndexEntry],
         condition: SpatialJoinPredicate,
         residual: Optional[Evaluator],
         label: str = "",
     ):
-        self.outer_table = outer_table
-        self.outer_alias = outer_alias
+        self.outer = outer
+        self.outer_geom = outer_geom
         self.outer_entry = outer_entry
-        self.inner_table = inner_table
-        self.inner_alias = inner_alias
+        self.inner = inner
+        self.inner_geom = inner_geom
         self.inner_entry = inner_entry
         self.condition = condition
         self.residual = residual
         self.label = label
-        self._outer_geom = outer_table.column_index(outer_entry.column_name)
-        self._inner_geom = inner_table.column_index(inner_entry.column_name)
+        # named now: tracing later wraps the packed sides in spans
+        self._names = " x ".join(
+            f"{plan.table.name} AS {plan.alias}" if isinstance(plan, SeqScan)
+            else type(plan).__name__
+            for plan in (outer, inner)
+        )
 
     def batches(self, ctx: ExecContext) -> Iterator[Batch]:
+        outer_index, outer_rows, outer_visible = _open(
+            self.outer, self.outer_geom, self.outer_entry, ctx
+        )
+        inner_index, inner_rows, inner_visible = _open(
+            self.inner, self.inner_geom, self.inner_entry, ctx
+        )
+        if not len(outer_index) or not len(inner_index):
+            return
         stats = ctx.stats
         profile = ctx.profile
-        self.outer_entry.probes += 1
-        self.inner_entry.probes += 1
-        outer_heap = self.outer_table.rows
-        inner_heap = self.inner_table.rows
-        outer_alias = self.outer_alias
-        inner_alias = self.inner_alias
-        outer_geom = itemgetter(self._outer_geom)
-        inner_geom = itemgetter(self._inner_geom)
+        outer_geom = self.outer_geom
+        inner_geom = self.inner_geom
         condition = self.condition
         refines = condition.refines(profile)
         residual = self.residual
         guard = ctx.guard
         snapshot = ctx.snapshot
-        outer_visible = (
-            self.outer_table.row_visible
-            if snapshot is not None and self.outer_table.mvcc_versions
-            else None
-        )
-        inner_visible = (
-            self.inner_table.row_visible
-            if snapshot is not None and self.inner_table.mvcc_versions
-            else None
-        )
         considered = 0
         emitted = 0
         try:
-            for ids, other_ids, candidates in self.outer_entry.index.join_batches(
-                self.inner_entry.index, condition.envelope_test(profile)
+            for ids, other_ids, candidates in outer_index.join_batches(
+                inner_index, condition.envelope_test(profile)
             ):
                 considered += candidates
                 if guard is not None:
@@ -373,18 +376,14 @@ class SpatialTreeJoin(PlanNode):
                     other_ids = [b for _a, b in visible]
                 if not ids:
                     continue
-                outer_rows = list(map(outer_heap.__getitem__, ids))
-                inner_rows = list(map(inner_heap.__getitem__, other_ids))
-                batch = Batch(
-                    {outer_alias: outer_rows, inner_alias: inner_rows}, len(ids)
-                )
+                batch = _beside(outer_rows(ids), inner_rows(other_ids))
                 if residual is not None:
                     batch = batch.select(residual(batch, ctx))
                 if refines and batch.size:
                     batch = batch.select(condition.refine(
                         profile,
-                        list(map(outer_geom, batch.columns[outer_alias])),
-                        list(map(inner_geom, batch.columns[inner_alias])),
+                        outer_geom(batch, ctx),
+                        inner_geom(batch, ctx),
                         stats,
                     ))
                 if batch.size:
@@ -396,233 +395,55 @@ class SpatialTreeJoin(PlanNode):
             stats.rows_scanned += considered
 
     def describe(self) -> str:
+        indexes = ", ".join(
+            "transient" if entry is None else entry.name
+            for entry in (self.outer_entry, self.inner_entry)
+        )
         return (
-            f"SpatialTreeJoin {self.outer_table.name} AS {self.outer_alias} "
-            f"x {self.inner_table.name} AS {self.inner_alias} "
-            f"USING ({self.outer_entry.name}, {self.inner_entry.name}) "
-            f"{self.label}"
+            f"SpatialTreeJoin {self._names} USING ({indexes}) {self.label}"
         ).rstrip()
 
-
-class PBSMJoin(PlanNode):
-    """Partition-based spatial-merge join (Patel & DeWitt).
-
-    Materialises both inputs, grid-partitions their envelopes over the
-    joint extent, plane-sweeps within each cell, and deduplicates pairs
-    replicated into several cells with the reference-point test (a pair
-    counts only in the cell owning the lower-left corner of its envelope
-    intersection). The predicate's fused envelope test runs in the sweep.
-    Needs no index on either side.
-    """
-
-    #: aim for roughly this many items per grid cell
-    TARGET_PER_CELL = 32
-    MAX_CELLS_PER_AXIS = 64
-
-    def __init__(
-        self,
-        outer: PlanNode,
-        inner: PlanNode,
-        outer_geom: Evaluator,
-        inner_geom: Evaluator,
-        condition: SpatialJoinPredicate,
-        residual: Optional[Evaluator],
-        label: str = "",
-    ):
-        self.outer = outer
-        self.inner = inner
-        self.outer_geom = outer_geom
-        self.inner_geom = inner_geom
-        self.condition = condition
-        self.residual = residual
-        self.label = label
-
-    def _materialise(
-        self, plan: PlanNode, geom_fn: Evaluator, ctx: ExecContext
-    ) -> Tuple[Batch, List[Geometry]]:
-        """The input as one batch without its NULL-geometry rows, and
-        those rows' geometries."""
-        parts: List[Batch] = []
-        geoms: List[Geometry] = []
-        guard = ctx.guard
-        for batch in plan.batches(ctx):
-            values = geom_fn(batch, ctx)
-            for geom in values:
-                if geom is not None and not isinstance(geom, Geometry):
-                    raise SqlPlanError(
-                        f"spatial join expects geometry operands, got {geom!r}"
-                    )
-            batch = batch.select([geom is not None for geom in values])
-            if not batch.size:
-                continue
-            if guard is not None:
-                guard.reserve(batch.size, batch.row(0))
-            parts.append(batch)
-            geoms.extend(geom for geom in values if geom is not None)
-        return Batch.concat(parts), geoms
-
-    def batches(self, ctx: ExecContext) -> Iterator[Batch]:
-        outer, outer_geoms = self._materialise(self.outer, self.outer_geom, ctx)
-        inner, inner_geoms = self._materialise(self.inner, self.inner_geom, ctx)
-        if not outer.size or not inner.size:
-            return
-        stats = ctx.stats
-        profile = ctx.profile
-        condition = self.condition
-        refines = condition.refines(profile)
-        residual = self.residual
-        guard = ctx.guard
-        considered = 0
-        emitted = 0
-        try:
-            for outer_pos, inner_pos, candidates in self._candidates(
-                [g.envelope for g in outer_geoms],
-                [g.envelope for g in inner_geoms],
-                condition.envelope_test(profile),
-                stats,
-            ):
-                considered += candidates
-                if guard is not None:
-                    guard.tick(candidates)
-                if not outer_pos:
-                    continue
-                batch = _beside(outer.take(outer_pos), inner.take(inner_pos))
-                if residual is not None:
-                    keep = [value is True for value in residual(batch, ctx)]
-                    batch = batch.select(keep)
-                    outer_pos = list(compress(outer_pos, keep))
-                    inner_pos = list(compress(inner_pos, keep))
-                if refines and batch.size:
-                    batch = batch.select(condition.refine(
-                        profile,
-                        list(map(outer_geoms.__getitem__, outer_pos)),
-                        list(map(inner_geoms.__getitem__, inner_pos)),
-                        stats,
-                    ))
-                if batch.size:
-                    emitted += batch.size
-                    yield batch
-        finally:
-            stats.join_pairs_considered += considered
-            stats.join_pairs_emitted += emitted
-
-    def _candidates(self, outer_envs, inner_envs, test, stats):
-        """``(outer positions, inner positions, candidates)`` per group of
-        cells holding about :data:`BATCH_SIZE` candidates."""
-        universe = Envelope.union_all(outer_envs + inner_envs)
-        total = len(outer_envs) + len(inner_envs)
-        per_axis = max(
-            1,
-            min(
-                self.MAX_CELLS_PER_AXIS,
-                int(math.sqrt(total / self.TARGET_PER_CELL)) + 1,
-            ),
-        )
-        min_x, min_y = universe.min_x, universe.min_y
-        cell_w = (universe.width / per_axis) or 1.0
-        cell_h = (universe.height / per_axis) or 1.0
-        last = per_axis - 1
-
-        # record = (min_x, max_x, min_y, max_y, cell_x, cell_y, position),
-        # (cell_x, cell_y) being the cell of the envelope's lower-left corner
-        cells: Dict[Tuple[int, int], Tuple[list, list]] = {}
-        for side, envs in ((0, outer_envs), (1, inner_envs)):
-            for position, env in enumerate(envs):
-                x0 = min(int((env.min_x - min_x) / cell_w), last)
-                x1 = min(int((env.max_x - min_x) / cell_w), last)
-                y0 = min(int((env.min_y - min_y) / cell_h), last)
-                y1 = min(int((env.max_y - min_y) / cell_h), last)
-                record = (
-                    env.min_x, env.max_x, env.min_y, env.max_y, x0, y0, position
-                )
-                for gx in range(x0, x1 + 1):
-                    for gy in range(y0, y1 + 1):
-                        bucket = cells.get((gx, gy))
-                        if bucket is None:
-                            bucket = ([], [])
-                            cells[(gx, gy)] = bucket
-                        bucket[side].append(record)
-        stats.partitions_built += len(cells)
-
-        outer_pos: List[int] = []
-        inner_pos: List[int] = []
-        candidates = 0
-        for (gx, gy), (cell_outer, cell_inner) in cells.items():
-            if not cell_outer or not cell_inner:
-                continue
-            cell_outer.sort(key=_min_x)
-            cell_inner.sort(key=_min_x)
-            candidates += _sweep(
-                cell_outer, cell_inner, gx, gy, test,
-                outer_envs, inner_envs, outer_pos, inner_pos,
-            )
-            if candidates >= BATCH_SIZE:
-                yield outer_pos, inner_pos, candidates
-                outer_pos, inner_pos, candidates = [], [], 0
-        if candidates:
-            yield outer_pos, inner_pos, candidates
-
-    def describe(self) -> str:
-        return f"PBSMJoin {self.label}".rstrip()
-
     def children(self) -> Sequence[PlanNode]:
-        return (self.outer, self.inner)
+        sides = ((self.outer, self.outer_entry), (self.inner, self.inner_entry))
+        return tuple(plan for plan, entry in sides if entry is None)
 
 
-_min_x = itemgetter(0)
-
-
-def _sweep(side_a, side_b, gx, gy, test, envs_a, envs_b, out_a, out_b) -> int:
-    """Forward plane sweep of one PBSM cell over two min_x-sorted record
-    lists; returns the number of candidates found.
-
-    Each x/y-overlapping pair is met once — the record with the smaller
-    ``min_x`` scans forward through the other list while the x ranges
-    overlap — and is a candidate only in the cell owning its reference
-    point. That point's cell is the larger of the two lower-left corner
-    cells, and both are at most ``(gx, gy)`` here, so the test is whether
-    either record's corner lies in this cell's column (and row).
-    Candidates ``test(env_a, env_b)`` accepts (all without a test) are
-    appended to ``out_a`` / ``out_b`` as positions.
-    """
-    found = 0
-    i = 0
-    j = 0
-    len_a = len(side_a)
-    len_b = len(side_b)
-    while i < len_a and j < len_b:
-        a = side_a[i]
-        b = side_b[j]
-        if a[0] <= b[0]:
-            _x0, max_x, min_y, max_y, cx, cy, pos = a
-            owns_x, owns_y = cx == gx, cy == gy
-            for x0, _x1, y0, y1, ox, oy, other in islice(side_b, j, None):
-                if x0 > max_x:
-                    break
-                if (
-                    y0 <= max_y and min_y <= y1
-                    and (owns_x or ox == gx) and (owns_y or oy == gy)
-                ):
-                    found += 1
-                    if test is None or test(envs_a[pos], envs_b[other]):
-                        out_a.append(pos)
-                        out_b.append(other)
-            i += 1
-        else:
-            _x0, max_x, min_y, max_y, cx, cy, pos = b
-            owns_x, owns_y = cx == gx, cy == gy
-            for x0, _x1, y0, y1, ox, oy, other in islice(side_a, i, None):
-                if x0 > max_x:
-                    break
-                if (
-                    y0 <= max_y and min_y <= y1
-                    and (owns_x or ox == gx) and (owns_y or oy == gy)
-                ):
-                    found += 1
-                    if test is None or test(envs_a[other], envs_b[pos]):
-                        out_a.append(other)
-                        out_b.append(pos)
-            j += 1
-    return found
-
-
+def _open(
+    plan: PlanNode, geom: Evaluator, entry: Optional[IndexEntry],
+    ctx: ExecContext,
+) -> Tuple[SpatialIndex, Callable[[List[int]], Batch], Optional[Callable]]:
+    """One tree-join side as ``(index, rows, visible)``: ``rows(ids)`` is
+    the batch of the rows the index ids name, and ``visible`` the MVCC
+    check those ids still need (``None`` when they need none)."""
+    if entry is not None:
+        table = plan.table
+        heap = table.rows
+        alias = plan.alias
+        entry.probes += 1
+        visible = (
+            table.row_visible
+            if ctx.snapshot is not None and table.mvcc_versions else None
+        )
+        return entry.index, lambda ids: Batch(
+            {alias: list(map(heap.__getitem__, ids))}, len(ids)
+        ), visible
+    # packed: the rows with a geometry, keyed by position in one batch
+    parts: List[Batch] = []
+    envelopes: List[Envelope] = []
+    guard = ctx.guard
+    for batch in plan.batches(ctx):
+        values = geom(batch, ctx)
+        for value in values:
+            if value is not None and not isinstance(value, Geometry):
+                raise SqlPlanError(
+                    f"spatial join expects geometry operands, got {value!r}"
+                )
+        batch = batch.select([value is not None for value in values])
+        if not batch.size:
+            continue
+        if guard is not None:
+            guard.reserve(batch.size, batch.row(0))
+        parts.append(batch)
+        envelopes.extend(value.envelope for value in values if value is not None)
+    packed = Batch.concat(parts)
+    return RTree.bulk_load(enumerate(envelopes)), packed.take, None

@@ -46,7 +46,6 @@ from repro.sql.joins import (
     HashJoin,
     IndexNestedLoopJoin,
     NestedLoopJoin,
-    PBSMJoin,
     SpatialJoinPredicate,
     SpatialTreeJoin,
 )
@@ -60,7 +59,7 @@ from repro.storage.table import ColumnType, Table
 _INDEXABLE_PREDICATES = SPATIAL_PREDICATES - {"st_disjoint"}
 
 #: spatial join strategies the planner can be forced into
-JOIN_STRATEGIES = ("auto", "inlj", "tree", "pbsm", "nlj")
+JOIN_STRATEGIES = ("auto", "inlj", "tree", "nlj")
 
 #: transaction-control statements: no plan tree — the database routes
 #: them straight to the transaction manager (they still flow through the
@@ -76,12 +75,12 @@ def is_txn_control(stmt: ast.Statement) -> bool:
 _COST_PROBE = 1.5
 # per candidate pair refined through the compiled-expression INLJ residual
 _COST_CAND_INLJ = 1.4
-# per candidate pair refined directly via the profile (tree / PBSM joins)
+# per candidate pair refined directly via the profile (tree join)
 _COST_CAND = 1.0
 # per index entry touched by the synchronized tree traversal
 _COST_TREE = 0.4
-# per input row materialised, partitioned and sorted by PBSM
-_COST_PBSM = 1.6
+# per input row gathered and STR-packed when a tree-join side has no index
+_COST_PACK = 1.6
 # per pair evaluated by a plain nested loop
 _COST_NLJ = 2.2
 # per row hashed (inner side) or probed (outer side) by a hash join, and
@@ -163,8 +162,8 @@ class Planner:
         self.catalog = catalog
         self.registry = registry
         self.profile = profile
-        #: "auto" = cost-based; "inlj"/"tree"/"pbsm"/"nlj" force a spatial
-        #: join algorithm (falling back to auto when inapplicable)
+        #: "auto" = cost-based; "inlj"/"tree"/"nlj" force a spatial join
+        #: algorithm (falling back to auto when inapplicable)
         self.join_strategy = "auto"
 
     # -- entry point ------------------------------------------------------
@@ -447,10 +446,10 @@ class Planner:
         indexable: _IndexableConjunct,
         equi: List[_EquiKey],
     ) -> Optional[PlanNode]:
-        """Choose INLJ vs synchronized tree join vs PBSM for one spatial
-        conjunct — or a hash join on the ``equi`` keys, when ``ANALYZE``
-        has counted their distinct values — by estimated cost (or the
-        forced ``join_strategy``, which never picks the hash join).
+        """Choose INLJ vs synchronized tree join for one spatial conjunct
+        — or a hash join on the ``equi`` keys, when ``ANALYZE`` has
+        counted their distinct values — by estimated cost (or the forced
+        ``join_strategy``, which never picks the hash join).
 
         Returns ``None`` when a plain nested loop is the best (or only)
         option, letting ``_plan_join`` fall through to its generic paths.
@@ -467,7 +466,8 @@ class Planner:
             )
 
         # outer side of the conjunct: a bare indexed geometry column over
-        # an unfiltered scan makes the synchronized tree join applicable
+        # an unfiltered scan lets the tree join read the outer through its
+        # index; any other outer is packed into a transient R-tree
         outer_table: Optional[Table] = None
         outer_column: Optional[str] = None
         outer_alias: Optional[str] = None
@@ -486,13 +486,8 @@ class Planner:
                     outer_entry = self.catalog.index_for(
                         candidate.name, outer_column
                     )
-        tree_ok = (
-            inner_entry is not None
-            and outer_entry is not None
-            and isinstance(outer, SeqScan)
-            and outer_table is not None
-            and outer.alias == outer_alias
-        )
+        if not (isinstance(outer, SeqScan) and outer.alias == outer_alias):
+            outer_entry = None
 
         n_out = self._estimate_rows(outer)
         n_in = float(max(len(table), 1))
@@ -511,13 +506,14 @@ class Planner:
                 n_out * _COST_PROBE * math.log2(n_in + 2.0)
                 + pairs * _COST_CAND_INLJ
             )
-        if tree_ok:
+        if outer_entry is not None and inner_entry is not None:
             costs["tree"] = (
                 _COST_TREE * (len(outer_table) + n_in) + pairs * _COST_CAND
             )
-        costs["pbsm"] = _COST_PBSM * (n_out + n_in) + pairs * _COST_CAND
-        if inner_entry is None and not tree_ok:
-            costs["nlj"] = _COST_NLJ * n_out * n_in
+        else:
+            costs["tree"] = _COST_PACK * (n_out + n_in) + pairs * _COST_CAND
+            if inner_entry is None:
+                costs["nlj"] = _COST_NLJ * n_out * n_in
         key_values = self._key_values(equi, scope)
         if key_values is not None:
             # independence estimate, clamped so every row finds a partner
@@ -559,33 +555,16 @@ class Planner:
             plan.est_rows = est
             return plan
 
-        condition = self._join_predicate(indexable)
-        residual_list = [c for c in conjuncts if c is not indexable.conjunct]
-        residual = conjoin(residual_list)
-        residual_fn = (
-            compiler.compile(residual) if residual is not None else None
+        residual = conjoin(
+            [c for c in conjuncts if c is not indexable.conjunct]
         )
-        if choice == "tree":
-            assert outer_entry is not None and inner_entry is not None
-            assert outer_table is not None
-            plan = SpatialTreeJoin(
-                outer_table, outer.alias, outer_entry,
-                table, alias, inner_entry,
-                condition, residual_fn, label=label,
-            )
-            plan.est_rows = est
-            return plan
-
-        inner_geom_fn = compiler.compile(
-            ast.ColumnRef(indexable.column, table=alias)
-        )
-        plan = PBSMJoin(
-            outer,
+        plan = SpatialTreeJoin(
+            outer, compiler.compile(indexable.other), outer_entry,
             SeqScan(table, alias),
-            compiler.compile(indexable.other),
-            inner_geom_fn,
-            condition,
-            residual_fn,
+            compiler.compile(ast.ColumnRef(indexable.column, table=alias)),
+            inner_entry,
+            self._join_predicate(indexable),
+            compiler.compile(residual) if residual is not None else None,
             label=label,
         )
         plan.est_rows = est
@@ -682,9 +661,9 @@ class Planner:
     def _join_predicate(
         self, indexable: _IndexableConjunct
     ) -> SpatialJoinPredicate:
-        """What a tree or PBSM join answers of the conjunct itself.
+        """What a tree join answers of the conjunct itself.
 
-        Candidate pairs from those joins already have intersecting
+        Candidate pairs from that join already have intersecting
         envelopes, so an ``&&`` conjunct needs nothing more; a named
         predicate keeps the conjunct's original argument order, which
         matters for the asymmetric ones.

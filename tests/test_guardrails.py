@@ -26,7 +26,15 @@ JOIN_SQL = (
     "SELECT COUNT(*) FROM arealm a, counties c "
     "WHERE ST_Intersects(a.geom, c.geom)"
 )
-STRATEGIES = ("inlj", "tree", "pbsm", "nlj")
+#: the same join with its outer side filtered: the tree join packs it
+PACKED_JOIN_SQL = JOIN_SQL + " AND a.gid >= 0"
+#: each deadline-matrix variant as (forced strategy, statement)
+VARIANTS = {
+    "inlj": ("inlj", JOIN_SQL),
+    "tree": ("tree", JOIN_SQL),
+    "packed": ("tree", PACKED_JOIN_SQL),
+    "nlj": ("nlj", JOIN_SQL),
+}
 #: a tripped deadline must surface well before a full join would finish
 WALL_BOUND_SECONDS = 10.0
 
@@ -114,21 +122,22 @@ class TestGuardrailsConfig:
 
 
 class TestDeadlineMatrix:
-    """~0 deadline x 4 join strategies x 3 engine profiles."""
+    """~0 deadline x 4 join variants x 3 engine profiles."""
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_deadline_trips_promptly_and_cleanly(self, any_db, strategy):
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_deadline_trips_promptly_and_cleanly(self, any_db, variant):
         db = any_db
+        strategy, sql = VARIANTS[variant]
         baseline = db.execute(JOIN_SQL).scalar()
         db.join_strategy = strategy
         try:
             start = time.perf_counter()
             with pytest.raises(QueryTimeoutError):
-                db.execute(JOIN_SQL, timeout=1e-9)
+                db.execute(sql, timeout=1e-9)
             assert time.perf_counter() - start < WALL_BOUND_SECONDS
             # the plan cache must not be poisoned by the aborted run:
             # the same (cached) plan answers correctly immediately after
-            assert db.execute(JOIN_SQL).scalar() == baseline
+            assert db.execute(sql).scalar() == baseline
         finally:
             db.join_strategy = "auto"
 
@@ -162,10 +171,11 @@ class TestCancellation:
 class TestMemoryBudget:
     def test_materialising_join_trips_row_budget(self, greenwood_db):
         db = greenwood_db
-        db.join_strategy = "pbsm"
+        db.join_strategy = "tree"
         try:
+            assert "USING (transient, " in db.explain(PACKED_JOIN_SQL)
             with pytest.raises(MemoryBudgetError):
-                db.execute(JOIN_SQL, max_rows=8)
+                db.execute(PACKED_JOIN_SQL, max_rows=8)
         finally:
             db.join_strategy = "auto"
 
@@ -182,10 +192,10 @@ class TestMemoryBudget:
         db = greenwood_db
         counter = db.obs.metrics.counter("memory_budget_trips_total")
         before = counter.value
-        db.join_strategy = "pbsm"
+        db.join_strategy = "tree"
         try:
             with pytest.raises(MemoryBudgetError):
-                db.execute(JOIN_SQL, max_rows=1)
+                db.execute(PACKED_JOIN_SQL, max_rows=1)
         finally:
             db.join_strategy = "auto"
         assert counter.value == before + 1

@@ -25,15 +25,26 @@ from repro.geometry.base import Envelope
 from repro.sql.executor import Stats
 from repro.sql.functions import SPATIAL_PREDICATES
 
-STRATEGIES = ("inlj", "tree", "pbsm", "nlj")
+#: forced join strategies; "packed" is the tree join with its outer
+#: side filtered, which it packs into a transient R-tree
+STRATEGIES = ("inlj", "tree", "packed", "nlj")
 #: every predicate bluestem answers, plus the '&&' operator
 BLUESTEM_PREDICATES = sorted(SPATIAL_PREDICATES - BLUESTEM.unsupported) + ["&&"]
 OPERATORS = {
     "inlj": "IndexNestedLoopJoin",
-    "tree": "SpatialTreeJoin",
-    "pbsm": "PBSMJoin",
+    "tree": "SpatialTreeJoin a AS a x b AS b",
+    "packed": "SpatialTreeJoin Filter x b AS b USING (transient, b_g)",
     "nlj": "NestedLoopJoin",
 }
+
+
+def _forced(db: Database, strategy: str, sql: str) -> str:
+    """Force ``strategy`` on ``db``; ``sql`` in the form it runs."""
+    if strategy == "packed":
+        db.join_strategy = "tree"
+        return sql + " WHERE a.id >= 0"
+    db.join_strategy = strategy
+    return sql
 
 
 def _shape(box) -> str:
@@ -137,8 +148,9 @@ def _condition(name: str, first: str, second: str) -> str:
 def test_fused_joins_answer_the_per_pair_verdict(kind, left, right):
     """Every join strategy, in both argument orders and over every index
     kind's batched join (synchronized R-tree and quadtree traversals,
-    the generic probe loop), returns exactly the pairs the scalar
-    per-pair verdict (``evaluate_predicate``) accepts."""
+    the generic probe loop, a packed R-tree meeting each kind), returns
+    exactly the pairs the scalar per-pair verdict (``evaluate_predicate``)
+    accepts."""
     db = _load("bluestem", left, right, kind)
     geoms_a = [wkt.loads(_shape(box)) for box in left]
     geoms_b = [wkt.loads(_shape(box)) for box in right]
@@ -161,10 +173,10 @@ def test_fused_joins_answer_the_per_pair_verdict(kind, left, right):
                          else _condition(name, "b", "a"))
             sql = f"SELECT a.id, b.id FROM a JOIN b ON {condition}"
             for strategy in STRATEGIES:
-                db.join_strategy = strategy
+                forced = _forced(db, strategy, sql)
                 if name != "st_disjoint":  # never indexable
-                    assert OPERATORS[strategy] in db.explain(sql)
-                got = sorted(db.execute(sql).rows)
+                    assert OPERATORS[strategy] in db.explain(forced)
+                got = sorted(db.execute(forced).rows)
                 assert got == want, (name, a_first, strategy)
 
 
@@ -226,8 +238,9 @@ def test_degraded_exact_answers_come_from_the_same_table(left, right):
     }
     want = {}
     for (name, strategy), sql in queries.items():
-        mbr.join_strategy = strategy
-        want[name, strategy] = sorted(mbr.execute(sql).rows)
+        want[name, strategy] = sorted(
+            mbr.execute(_forced(mbr, strategy, sql)).rows
+        )
     with injected("geometry.refine", probability=1.0, error=TopologyError):
         for name in sorted(MBR_TESTS):
             stats = Stats()
@@ -239,7 +252,7 @@ def test_degraded_exact_answers_come_from_the_same_table(left, right):
             ]
             assert stats.degraded_results == len(firsts)
         for (name, strategy), sql in queries.items():
-            exact.join_strategy = strategy
-            assert sorted(exact.execute(sql).rows) == want[name, strategy], (
+            forced = _forced(exact, strategy, sql)
+            assert sorted(exact.execute(forced).rows) == want[name, strategy], (
                 name, strategy,
             )

@@ -13,13 +13,14 @@ from repro.engines import Database
 from repro.geometry import Point
 
 PROFILES = ("greenwood", "bluestem", "ironbark")
-STRATEGIES = ("inlj", "tree", "pbsm", "nlj")
+#: "packed" is the tree join over a filtered outer, which it packs
+STRATEGIES = ("inlj", "tree", "packed", "nlj")
 
 #: the operator each forced strategy must plan
 STRATEGY_OPERATOR = {
     "inlj": "IndexNestedLoopJoin",
     "tree": "SpatialTreeJoin",
-    "pbsm": "PBSMJoin",
+    "packed": "SpatialTreeJoin",
     "nlj": "NestedLoopJoin",
 }
 
@@ -64,9 +65,10 @@ def _build_db(profile, seed=11, n_a=30, n_b=40):
 
 def _trace_join(profile, strategy):
     db = _build_db(profile)
-    db.join_strategy = strategy
+    packed = strategy == "packed"
+    db.join_strategy = "tree" if packed else strategy
     db.obs.enable_tracing()
-    result = db.execute(JOIN_SQL)
+    result = db.execute(JOIN_SQL + (" WHERE a.id >= 0" if packed else ""))
     return db, result, db.last_trace()
 
 
@@ -80,6 +82,10 @@ class TestJoinStrategySpans:
         assert ops[0] == "Project"
         assert "Aggregate" in ops
         assert STRATEGY_OPERATOR[strategy] in ops
+        if strategy == "packed":
+            # the packed side's plan is the join's child span
+            join = trace.root.find("SpatialTreeJoin")
+            assert [child.op for child in join.children] == ["Filter"]
         # the COUNT(*) query emits exactly one output row from the root
         assert trace.root.rows == 1
         assert trace.rows == 1

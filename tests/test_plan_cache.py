@@ -49,7 +49,7 @@ class TestPlanCache:
         db.execute("ANALYZE")
         assert not db._plan_cache
         db.execute(QUERY)
-        db.join_strategy = "pbsm"
+        db.join_strategy = "tree"
         assert not db._plan_cache
 
     def test_cached_plan_survives_insert(self, db):

@@ -1,9 +1,10 @@
 """Spatial join engine tests.
 
-Every join algorithm (INLJ, synchronized tree traversal, PBSM) must
-return exactly the rows a plain nested loop produces, under every engine
-profile — including ``bluestem``, whose MBR-only refinement makes the
-"right answer" different from the exact profiles but still
+Every join algorithm (INLJ, and the synchronized tree join over indexes
+or over a side packed into a transient R-tree) must return exactly the
+rows a plain nested loop produces, under every engine profile —
+including ``bluestem``, whose MBR-only refinement makes the "right
+answer" different from the exact profiles but still
 algorithm-independent. Inputs are randomized through the same shape
 factories the TIGER generator uses.
 """
@@ -26,7 +27,10 @@ from repro.sql.executor import ExecContext, Stats
 from repro.sql.planner import _COST_HASH_PAIR, _COST_HASH_ROW
 
 PROFILES = ("greenwood", "bluestem", "ironbark")
-STRATEGIES = ("inlj", "tree", "pbsm")
+STRATEGIES = ("inlj", "tree")
+#: a conjunct every row passes that filters the outer side, so a tree
+#: join packs that side instead of reading it through its index
+PACK_OUTER = " AND a.id >= 0"
 
 
 def _random_layer(rng: random.Random, count: int, world: float):
@@ -84,7 +88,7 @@ PREDICATES = (
 
 
 class TestOperatorsMatchNestedLoop:
-    """Forced tree / PBSM / INLJ joins reproduce the NLJ row set."""
+    """Forced tree / INLJ joins reproduce the NLJ row set."""
 
     @pytest.mark.parametrize("profile", PROFILES)
     @pytest.mark.parametrize("seed", (3, 11))
@@ -98,17 +102,23 @@ class TestOperatorsMatchNestedLoop:
                 db.join_strategy = strategy
                 got = sorted(db.execute(sql).rows)
                 assert got == truth, (profile, predicate, strategy)
+            db.join_strategy = "tree"
+            assert "USING (transient, ib)" in db.explain(sql + PACK_OUTER)
+            got = sorted(db.execute(sql + PACK_OUTER).rows)
+            assert got == truth, (profile, predicate, "packed")
             db.join_strategy = "auto"
             assert sorted(db.execute(sql).rows) == truth
 
     @pytest.mark.parametrize("profile", PROFILES)
-    def test_unindexed_pbsm_agrees(self, profile):
+    def test_unindexed_tree_agrees(self, profile):
         db = _build_db(profile, seed=5, indexed=False)
         sql = "SELECT a.id, b.id FROM a, b WHERE ST_Intersects(a.geom, b.geom)"
         db.join_strategy = "nlj"
         truth = sorted(db.execute(sql).rows)
-        db.join_strategy = "pbsm"
-        assert "PBSMJoin" in db.explain(sql)
+        db.join_strategy = "tree"
+        plan = db.explain(sql)
+        assert "SpatialTreeJoin" in plan
+        assert "USING (transient, transient)" in plan
         assert sorted(db.execute(sql).rows) == truth
 
     def test_self_join(self):
@@ -214,36 +224,46 @@ class TestPlannerChoice:
         assert "-> tree" in plan
         assert "cost(" in plan
 
-    def test_unindexed_prefers_pbsm(self):
+    def test_unindexed_packs_transient_trees(self):
         db = _build_db("greenwood", seed=2, n_a=120, n_b=150, indexed=False)
         plan = db.explain(
             "SELECT a.id, b.id FROM a, b WHERE ST_Intersects(a.geom, b.geom)"
         )
-        assert "PBSMJoin" in plan
-        assert "-> pbsm" in plan
+        assert "SpatialTreeJoin a AS a x b AS b USING (transient, transient)" \
+            in plan
+        assert "-> tree" in plan
+        # both packed sides are the join's children
+        assert plan.count("SeqScan") == 2
 
     def test_forced_strategy_overrides_cost(self):
         db = _build_db("greenwood", seed=2, n_a=120, n_b=150)
-        db.join_strategy = "pbsm"
-        plan = db.explain(
-            "SELECT a.id, b.id FROM a, b WHERE ST_Intersects(a.geom, b.geom)"
-        )
-        assert "PBSMJoin" in plan
+        sql = "SELECT a.id, b.id FROM a, b WHERE ST_Intersects(a.geom, b.geom)"
+        assert "-> tree" in db.explain(sql)
+        db.join_strategy = "inlj"
+        plan = db.explain(sql)
+        assert "IndexNestedLoopJoin" in plan
+        assert "-> inlj" in plan
 
     def test_forced_unavailable_falls_back(self):
-        # tree needs both sides indexed; forcing it on bare tables must
-        # still produce a working plan rather than an error
+        # INLJ needs an index on the inner side; forcing it on bare tables
+        # must still produce a working plan rather than an error
         db = _build_db("greenwood", seed=2, indexed=False)
-        db.join_strategy = "tree"
+        db.join_strategy = "inlj"
         sql = "SELECT a.id, b.id FROM a, b WHERE ST_Intersects(a.geom, b.geom)"
         plan = db.explain(sql)
-        assert "SpatialTreeJoin" not in plan
-        db.execute(sql)
+        assert "IndexNestedLoopJoin" not in plan
+        db.join_strategy = "nlj"
+        truth = sorted(db.execute(sql).rows)
+        db.join_strategy = "inlj"
+        assert sorted(db.execute(sql).rows) == truth
 
     def test_unknown_strategy_rejected(self):
         db = Database("greenwood")
-        with pytest.raises(SqlPlanError):
-            db.join_strategy = "zigzag"
+        # "pbsm" names the removed partition-based spatial-merge join
+        for strategy in ("zigzag", "pbsm"):
+            with pytest.raises(SqlPlanError):
+                db.join_strategy = strategy
+        assert db.join_strategy == "auto"
 
     def test_dwithin_stays_inlj(self):
         db = _build_db("greenwood", seed=4)
@@ -290,17 +310,8 @@ class TestAnalyzeAndCounters:
         snap = db.stats.snapshot()
         assert snap["join_pairs_considered"] >= snap["join_pairs_emitted"]
         assert snap["join_pairs_emitted"] > 0
-        for key in ("partitions_built", "plan_cache_hits", "plan_cache_misses"):
+        for key in ("plan_cache_hits", "plan_cache_misses"):
             assert key in snap
-
-    def test_pbsm_counts_partitions(self):
-        db = _build_db("greenwood", seed=8, indexed=False)
-        db.stats.reset()
-        db.join_strategy = "pbsm"
-        db.execute(
-            "SELECT a.id, b.id FROM a, b WHERE ST_Intersects(a.geom, b.geom)"
-        )
-        assert db.stats.partitions_built > 0
 
     def test_plan_cache_hit_miss_counters(self):
         db = _build_db("greenwood", seed=8)
@@ -377,8 +388,8 @@ KEYED_JOINS = (
     "ON ST_Touches(a.geom, b.geom) AND a.id = b.id",
     "SELECT a.id, b.id FROM a JOIN b "
     "ON ST_Intersects(a.geom, b.geom) AND a.id = b.id",
-    # a filtered outer rules the tree join out: forcing it falls back to
-    # the cheapest spatial strategy, never to the (cheaper) hash join
+    # a filtered outer is packed by the tree join; forcing a spatial
+    # strategy never picks the (cheaper) hash join
     "SELECT a.id, b.id FROM a JOIN b "
     "ON ST_Intersects(a.geom, b.geom) AND a.id = b.id WHERE a.k >= 0",
 )
@@ -456,8 +467,10 @@ class TestEquiKeysBesideSpatial:
 
 
 class TestResidualBeforeRefine:
-    @pytest.mark.parametrize("strategy", ("tree", "pbsm"))
-    def test_rejected_pairs_are_never_refined(self, monkeypatch, strategy):
+    #: the outer side read through its index, or packed behind a filter
+    @pytest.mark.parametrize("outer", ("", " WHERE a.id >= 0"),
+                             ids=("tree", "packed"))
+    def test_rejected_pairs_are_never_refined(self, monkeypatch, outer):
         db = _keyed_db("greenwood", seed=11, analyzed=True)
         refined = []
         exact = de9im.evaluate
@@ -467,14 +480,20 @@ class TestResidualBeforeRefine:
             return exact(name, a, b, **options)
 
         monkeypatch.setattr(de9im, "evaluate", counting)
-        db.join_strategy = strategy
-        base = "SELECT COUNT(*) FROM a JOIN b ON ST_Intersects(a.geom, b.geom)"
-        assert f"-> {strategy}" in db.explain(base)
+        db.join_strategy = "tree"
+        base = (
+            "SELECT COUNT(*) FROM a JOIN b ON ST_Intersects(a.geom, b.geom)"
+            + outer
+        )
+        plan = db.explain(base)
+        assert "-> tree" in plan
+        assert ("USING (transient, ib)" in plan) is bool(outer)
         everything = db.execute(base).scalar()
         assert everything and len(refined) >= everything
         refined.clear()
         # a residual over both sides that no pair passes
-        assert db.execute(base + " WHERE a.id > b.id + 1000").scalar() == 0
+        residual = " AND " if outer else " WHERE "
+        assert db.execute(base + residual + "a.id > b.id + 1000").scalar() == 0
         assert refined == []
 
 
@@ -532,7 +551,9 @@ class TestHashJoinBookkeeping:
 #: the J-T1 cells' join strategy after ``ANALYZE`` on bluestem at scale
 #: 0.25 and greenwood at scale 0.5, the same before distinct counts
 #: existed except ``line_touches_line`` (``tree`` then): its equality keys
-#: on street name and county now win the cost comparison
+#: on street name and county now win the cost comparison. The tree join
+#: packs the filtered outer of ``line_within_polygon`` and
+#: ``line_overlaps_line``
 JT1_STRATEGIES = {
     "polygon_equals_polygon": "tree",
     "polygon_disjoint_polygon": "NestedLoopJoin",
@@ -543,12 +564,12 @@ JT1_STRATEGIES = {
     "polygon_overlaps_polygon": "tree",
     "line_intersects_polygon": "tree",
     "line_crosses_polygon": "tree",
-    "line_within_polygon": "pbsm",
+    "line_within_polygon": "tree",
     "polygon_contains_line": "tree",
     "line_touches_polygon": "tree",
     "line_intersects_line": "tree",
     "line_crosses_line": "tree",
-    "line_overlaps_line": "pbsm",
+    "line_overlaps_line": "tree",
     "line_touches_line": "hash",
     "point_within_polygon": "tree",
     "polygon_contains_point": "tree",

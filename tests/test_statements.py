@@ -168,14 +168,15 @@ class TestPlanFlips:
         db.obs.enable_statements()
         db.join_strategy = "nlj"
         db.execute(self.JOIN)
-        db.join_strategy = "pbsm"
+        db.join_strategy = "tree"
         db.execute(self.JOIN)
         store = db.obs.statements
         assert store.plan_flips_total == 1
         (flip,) = store.flips()
         assert flip["from_plan"] != flip["to_plan"]
         assert "NestedLoopJoin" in flip["from_shape"]
-        assert "PBSMJoin" in flip["to_shape"]
+        # both tables are unindexed: the tree join packs both scans
+        assert "SpatialTreeJoin[SeqScan(a),SeqScan(b)]" in flip["to_shape"]
         # repeat executions with the new plan do not flip again
         db.execute(self.JOIN)
         assert store.plan_flips_total == 1
@@ -185,7 +186,7 @@ class TestPlanFlips:
         db.obs.enable_statements()
         db.join_strategy = "nlj"
         db.execute(self.JOIN)
-        db.join_strategy = "pbsm"
+        db.join_strategy = "tree"
         db.execute(self.JOIN)
         counter = db.obs.metrics.counter(
             "plan_flips_total", "statements whose captured plan shape changed"
@@ -197,13 +198,13 @@ class TestPlanFlips:
         db.obs.enable_statements()
         db.join_strategy = "nlj"
         db.execute(self.JOIN)
-        db.join_strategy = "pbsm"
+        db.join_strategy = "tree"
         db.execute(self.JOIN)
         plans = db.obs.statements.plans()
         assert len(plans) == 2
         current = [p for p in plans if p.current]
         assert len(current) == 1
-        assert "PBSMJoin" in current[0].shape
+        assert "SpatialTreeJoin" in current[0].shape
 
     def test_plan_shape_ignores_span_wrapping(self):
         db = _tiny_db()
