@@ -8,9 +8,7 @@ and quadtree.
 
 from __future__ import annotations
 
-import heapq
 import math
-from itertools import islice
 from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.geometry.base import Envelope
@@ -103,76 +101,6 @@ class GridIndex(SpatialIndex):
                 if item_id not in seen:
                     seen.add(item_id)
                     yield item_id, env
-
-    def _ring_cells(self, cx: int, cy: int, radius: int):
-        """Cell coordinates on the Chebyshev ring of ``radius``."""
-        if radius == 0:
-            yield (cx, cy)
-            return
-        for gx in range(cx - radius, cx + radius + 1):
-            yield (gx, cy - radius)
-            yield (gx, cy + radius)
-        for gy in range(cy - radius + 1, cy + radius):
-            yield (cx - radius, gy)
-            yield (cx + radius, gy)
-
-    def nearest(self, x: float, y: float, k: int = 1) -> List[int]:
-        """Expanding ring search over grid cells.
-
-        Rings are scanned outward until the k-th best candidate distance
-        is certified (no unscanned cell can be closer) or the occupied
-        grid extent is exhausted. The enumerated area is capped at a
-        small multiple of the occupied cell count: with a tiny cell size
-        or a faraway query point the certification radius can dwarf the
-        occupied extent by many orders of magnitude, and enumerating
-        empty coordinates up to it would never finish. Past the cap the
-        search falls back to the materialised full ranking — same
-        answers, work bounded by the table size.
-        """
-        if self._size == 0 or k <= 0 or not self._cells:
-            return []
-        c = self.cell_size
-        cx, cy = math.floor(x / c), math.floor(y / c)
-        gxs = [g for g, _ in self._cells]
-        gys = [g for _, g in self._cells]
-        max_radius = max(
-            abs(cx - min(gxs)), abs(cx - max(gxs)),
-            abs(cy - min(gys)), abs(cy - max(gys)),
-        )
-        # (2r+1)^2 cells lie within radius r; invert the cell budget to
-        # a radius cap
-        budget = 4 * len(self._cells) + 64
-        capped = min(max_radius, (math.isqrt(budget) - 1) // 2)
-        best: Dict[int, float] = {}
-        certified = False
-        for radius in range(capped + 1):
-            for cell in self._ring_cells(cx, cy, radius):
-                for item_id, env in self._cells.get(cell, ()):
-                    d = env.distance_to_point(x, y)
-                    if item_id not in best or d < best[item_id]:
-                        best[item_id] = d
-            if len(best) >= k:
-                # every unscanned cell is at least radius*c away
-                kth = heapq.nsmallest(k, best.values())[-1]
-                if radius * c >= kth:
-                    certified = True
-                    break
-        if not certified and capped < max_radius:
-            ranked_iter = self.nearest_iter(x, y)
-            return [item_id for item_id, _d in islice(ranked_iter, k)]
-        ranked = sorted(best.items(), key=lambda kv: kv[1])
-        return [item_id for item_id, _d in ranked[:k]]
-
-    def nearest_iter(self, x: float, y: float):
-        """Full materialised ranking (grids have no cheap best-first walk)."""
-        best: Dict[int, float] = {}
-        for bucket in self._cells.values():
-            for item_id, env in bucket:
-                d = env.distance_to_point(x, y)
-                if item_id not in best or d < best[item_id]:
-                    best[item_id] = d
-        for item_id, dist in sorted(best.items(), key=lambda kv: kv[1]):
-            yield item_id, dist
 
     def __len__(self) -> int:
         return self._size

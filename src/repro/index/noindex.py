@@ -7,7 +7,6 @@ scan without changing any other code.
 
 from __future__ import annotations
 
-import heapq
 from typing import Iterable, List, Tuple
 
 from repro.geometry.base import Envelope
@@ -37,20 +36,6 @@ class LinearScanIndex(SpatialIndex):
 
     def items(self):
         yield from self._items
-
-    def nearest(self, x: float, y: float, k: int = 1) -> List[int]:
-        ranked = heapq.nsmallest(
-            k, self._items, key=lambda item: item[1].distance_to_point(x, y)
-        )
-        return [item_id for item_id, _env in ranked]
-
-    def nearest_iter(self, x: float, y: float):
-        ranked = sorted(
-            ((env.distance_to_point(x, y), item_id)
-             for item_id, env in self._items),
-        )
-        for dist, item_id in ranked:
-            yield item_id, dist
 
     def __len__(self) -> int:
         return len(self._items)

@@ -1,12 +1,14 @@
 """Property-based tests: every index implementation must agree with the
 linear-scan oracle on arbitrary envelope sets and query rectangles."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Envelope
-from repro.index import INDEX_KINDS, LinearScanIndex
+from repro.index import INDEX_KINDS, GridIndex, LinearScanIndex, RTree
 
 ordinate = st.integers(min_value=-100, max_value=100).map(float)
 
@@ -59,6 +61,13 @@ class TestAgainstOracle:
         assert [round(dist[i], 9) for i in got] == [
             round(dist[i], 9) for i in want
         ]
+        # the full stream: nondecreasing true envelope distances, each id
+        # once, and nearest(k) is its head
+        stream = list(index.nearest_iter(x, y))
+        assert [d for i, d in stream] == [dist[i] for i, _d in stream]
+        assert [d for _i, d in stream] == sorted(d for _i, d in stream)
+        assert sorted(i for i, _d in stream) == [i for i, _e in enumerated]
+        assert [i for i, _d in stream[: len(got)]] == got
 
     @given(items=st.lists(envelopes(), min_size=2, max_size=40),
            data=st.data())
@@ -72,3 +81,70 @@ class TestAgainstOracle:
         query = data.draw(envelopes())
         expected = sorted(i for i, e in survivors if e.intersects(query))
         assert sorted(index.search(query)) == expected
+
+
+JOIN_SIDES = ("rtree", "quadtree", "grid", "scan", "packed")
+
+
+def _join_side(side, items, insert, decoys):
+    """One join side. ``packed`` is an STR-packed R-tree; any other kind
+    is bulk-loaded, or built by inserts (R-tree splits, quadtree root
+    growth) with the decoys inserted among the items and then removed."""
+    if side == "packed" or not insert:
+        return (RTree if side == "packed" else INDEX_KINDS[side]).bulk_load(items)
+    index = GridIndex(cell_size=10.0) if side == "grid" else INDEX_KINDS[side]()
+    for i, env in decoys[::2] + items + decoys[1::2]:
+        index.insert(i, env)
+    for i, env in decoys:
+        assert index.remove(i, env)
+    return index
+
+
+def _coords(env):
+    return env.min_x, env.min_y, env.max_x, env.max_y
+
+
+@pytest.mark.parametrize("own", JOIN_SIDES)
+@pytest.mark.parametrize("other", JOIN_SIDES)
+@given(left=envelope_sets, right=envelope_sets,
+       inserts=st.tuples(st.booleans(), st.booleans()),
+       decoys=st.lists(envelopes(), max_size=20))
+@settings(max_examples=20, deadline=None)
+def test_join_matches_brute_force(own, other, left, right, inserts, decoys):
+    decoys = [(1000 + k, env) for k, env in enumerate(decoys)]
+    a_items, b_items = list(enumerate(left)), list(enumerate(right))
+    a = _join_side(own, a_items, inserts[0], decoys)
+    b = _join_side(other, b_items, inserts[1], decoys)
+    want = Counter(
+        (i, j) for i, ei in a_items for j, ej in b_items if ei.intersects(ej)
+    )
+    pairs, candidates = [], 0
+    for ids, other_ids, n in a.join_batches(b):
+        pairs.extend(zip(ids, other_ids))
+        candidates += n
+    assert Counter(pairs) == want
+    assert len(set(pairs)) == len(pairs)
+    assert candidates == len(want)
+
+    # an asymmetric test is called as test(own, other), once per candidate
+    calls = []
+
+    def contains(own_env, other_env):
+        calls.append((_coords(own_env), _coords(other_env)))
+        return own_env.contains(other_env)
+
+    accepted = [
+        pair for ids, other_ids, _n in a.join_batches(b, contains)
+        for pair in zip(ids, other_ids)
+    ]
+    assert Counter(accepted) == Counter(
+        (i, j) for i, j in want if left[i].contains(right[j])
+    )
+    assert Counter(calls) == Counter(
+        (_coords(left[i]), _coords(right[j])) for i, j in want
+    )
+
+    # a self-join yields both orientations of every pair and each (x, x)
+    assert Counter(a.join(a)) == Counter(
+        (i, j) for i, ei in a_items for j, ej in a_items if ei.intersects(ej)
+    )

@@ -133,21 +133,30 @@ class TestNearest:
         assert len(index.nearest(0, 0, 50)) == 5
 
 
+def _check_boxes(tree):
+    """Every node's box covers its entries' envelopes and its children's
+    boxes: the precondition every tree walk prunes on."""
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        for _item_id, env in node.entries:
+            assert node.box.contains(env)
+        for child in node.children or ():
+            assert node.box.contains(child.box)
+            stack.append(child)
+
+
 class TestRTreeSpecifics:
     def test_split_keeps_invariants(self):
         tree = RTree(max_entries=4)
         items = _random_items(200, seed=8)
         for i, env in items:
             tree.insert(i, env)
-        self._check_node(tree.root)
-
-    def _check_node(self, node):
-        if node.envelope is None:
-            return
-        for child, env in node.entries:
-            assert node.envelope.contains(env)
-            if not node.leaf:
-                self._check_node(child)
+        assert tree.height > 2  # splits grew the root
+        _check_boxes(tree)
+        for i, env in items[::3]:
+            assert tree.remove(i, env)
+        _check_boxes(tree)
 
     def test_bulk_load_height_is_logarithmic(self):
         tree = RTree.bulk_load(_random_items(1000), max_entries=16)
@@ -199,6 +208,13 @@ class TestQuadTreeSpecifics:
         tree.insert(1, Envelope(0, 0, 1, 1))
         tree.insert(2, Envelope(1e6, 1e6, 1e6 + 1, 1e6 + 1))
         assert sorted(tree.search(Envelope(-1, -1, 2e6, 2e6))) == [1, 2]
+        items = _random_items(300, seed=4)
+        for i, env in items:
+            tree.insert(i + 3, env)
+        _check_boxes(tree)
+        for i, env in items[::2]:
+            assert tree.remove(i + 3, env)
+        _check_boxes(tree)
 
     def test_straddlers_stay_at_inner_nodes(self):
         items = [(i, Envelope(499, 499, 501, 501)) for i in range(40)]
