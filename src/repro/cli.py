@@ -429,14 +429,14 @@ def _checkpoint(args) -> int:
 @command(
     "serve",
     "run the query service: a TCP server over one embedded engine "
-    "(session pool, admission control, result cache)",
+    "(one session per connection, admission control, result cache)",
     *_dataset(0.25),
     _arg("--host", default="127.0.0.1"),
     _arg("--port", type=int, default=0,
          help="TCP port (0 = let the kernel pick; the bound port is "
               "printed on startup)"),
     _arg("--pool", dest="pool_size", type=int, default=4, metavar="N",
-         help="engine sessions in the pool (bounds concurrent execution)"),
+         help="worker threads (bounds concurrent execution)"),
     _arg("--queue", dest="max_queue", type=int, default=32, metavar="N",
          help="admission queue limit; requests beyond it are shed with a "
               "typed 'overloaded' response"),
@@ -444,8 +444,6 @@ def _checkpoint(args) -> int:
          help="per-request deadline (queue wait + execution)"),
     _arg("--cache-capacity", type=int, default=256, metavar="N",
          help="result-cache entries (0 disables the cache)"),
-    _arg("--idle-timeout", type=float, default=30.0, metavar="SECONDS",
-         help="idle pooled sessions older than this are reaped"),
     _arg("--waits", action="store_true",
          help="record wait events (Net:Recv/Net:Send/Service:QueueWait) "
               "while serving"),

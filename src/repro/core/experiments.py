@@ -811,9 +811,9 @@ def render_service(result: Sweep) -> str:
     o, on, off = result.points[len(saturation):]
     lines = [
         f"{result.engine}: {result.subject}",
-        "(asyncio TCP server over the embedded engine: session pooling,",
-        " admission control with load shedding, and an MVCC-watermark",
-        " result cache; latency is measured from the scheduled arrival,",
+        "(asyncio TCP server over the embedded engine: one session per",
+        " connection, admission control with load shedding, and an",
+        " MVCC-watermark result cache; latency is measured from the scheduled arrival,",
         " so overload shows up in p99 instead of vanishing into",
         " coordinated omission)",
         "",

@@ -317,10 +317,6 @@ _PROGRESS: Tuple[ColumnSpec, ...] = (
 #: records: the server's ``stats()``, flattened to ``section.field``
 _SERVICE: Tuple[ColumnSpec, ...] = (
     ("pool_size", "INTEGER", "pool.size"),
-    ("sessions_in_use", "INTEGER", "pool.in_use"),
-    ("sessions_idle", "INTEGER", "pool.idle"),
-    ("sessions_created", "INTEGER", "pool.created"),
-    ("sessions_reaped", "INTEGER", "pool.reaped"),
     ("queue_depth", "INTEGER", "admission.queue_depth"),
     ("queue_limit", "INTEGER", "admission.queue_limit"),
     ("executing", "INTEGER", "admission.executing"),
@@ -345,7 +341,6 @@ _REQUESTS: Tuple[ColumnSpec, ...] = (
     ("cache_status", "TEXT", "cache_status"),
     ("recv_seconds", "REAL", _stage("net.recv")),
     ("queue_seconds", "REAL", _stage("queue.wait")),
-    ("session_seconds", "REAL", _stage("session.acquire")),
     ("cache_seconds", "REAL", _stage("cache.lookup")),
     ("exec_seconds", "REAL", _stage("execute")),
     ("send_seconds", "REAL", _stage("net.send")),

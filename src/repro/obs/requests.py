@@ -3,16 +3,16 @@
 The statement-level observability stack (spans, waits, statements)
 stops at the engine boundary; since the query service went in, a slow
 request's time is spent in places no statement trace can see — the
-socket read, the admission queue, the session-pool wait, the cache
-lookup. This module ties those together:
+socket read, the admission queue, the cache lookup. This module ties
+those together:
 
 - a **trace context** (``trace_id`` / ``span_id`` / ``sent_at``) is
   generated client-side and propagated over the wire as the optional
   ``trace`` request field (additive — servers ignore what clients don't
   send, and old clients never send it);
 - the server opens one :class:`~repro.obs.span.Span` per lifecycle
-  stage (``net.recv`` / ``queue.wait`` / ``session.acquire`` /
-  ``cache.lookup`` / ``execute`` / ``net.send``) and parents the
+  stage (``net.recv`` / ``queue.wait`` / ``cache.lookup`` /
+  ``execute`` / ``net.send``) and parents the
   executor's own ``SpanNode`` trace under the ``execute`` stage, so one
   request yields **one linked tree** from the client's send to the
   server's last byte;

@@ -2,10 +2,10 @@
 
 ``repro.service`` turns the in-process benchmark engine into a small
 client/server system — an asyncio TCP server speaking length-prefixed
-JSON frames (:mod:`~repro.service.protocol`), a bounded session pool
-(:mod:`~repro.service.pool`), admission control with deadlines and load
-shedding (:mod:`~repro.service.admission`), and a read-through result
-cache invalidated by MVCC write watermarks
+JSON frames (:mod:`~repro.service.protocol`) that gives each client
+connection its own engine session, admission control with deadlines and
+load shedding (:mod:`~repro.service.admission`), and a read-through
+result cache invalidated by MVCC write watermarks
 (:mod:`~repro.service.cache`). :mod:`~repro.service.client` is the
 blocking client library; :mod:`~repro.service.loadgen` the open-loop
 fleet that J-X6 uses to measure saturation and overload behaviour.
@@ -18,7 +18,6 @@ from repro.service.admission import AdmissionControl, AdmissionTicket
 from repro.service.cache import CachedExecutor, ResultCache
 from repro.service.client import RemoteResult, ServiceClient
 from repro.service.loadgen import run_server_workload
-from repro.service.pool import SessionPool
 from repro.service.protocol import (
     MAX_FRAME,
     decode_rows,
@@ -39,7 +38,6 @@ __all__ = [
     "ResultCache",
     "ServerConfig",
     "ServiceClient",
-    "SessionPool",
     "decode_rows",
     "encode_frame",
     "jsonable_rows",

@@ -67,8 +67,8 @@ def _raise_typed(error: Dict[str, Any]) -> None:
 
 
 class ServiceClient:
-    """One TCP connection = one server session (ordered requests,
-    transaction state lives server-side, pinned across BEGIN..COMMIT)."""
+    """One TCP connection = one server session (ordered requests; the
+    transaction state lives in that session, on the server)."""
 
     def __init__(self, host: str, port: int, timeout: float = 30.0,
                  trace: bool = True):

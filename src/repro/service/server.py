@@ -13,15 +13,17 @@ Layering, top to bottom:
   saturated server sheds with a typed ``overloaded`` frame in
   microseconds instead of queueing the request behind a blocked worker.
   The loop never parses SQL and never touches the engine.
-- **worker threads** (a small :class:`ThreadPoolExecutor`) run the
-  blocking engine calls. A worker leases a session from the
-  :class:`SessionPool`, executes through the :class:`CachedExecutor`
-  (watermark-validated result cache; a miss the loop already counted is
-  filled without a second lookup), and returns the response dict.
-- **one TCP connection is one session**: requests on a connection are
-  handled strictly in order, and a connection whose client has an open
-  transaction stays *pinned* to its engine session until COMMIT /
-  ROLLBACK / disconnect — the pgbouncer transaction-pooling contract.
+- **worker threads** (``pool_size`` of them) run the blocking engine
+  calls: a worker executes on the connection's own session through the
+  :class:`CachedExecutor` (watermark-validated result cache; a miss the
+  loop already counted is filled without a second lookup) and returns
+  the response dict. ``pool_size`` therefore bounds how many statements
+  execute at once.
+- **one TCP connection is one session**: each accepted connection gets
+  its own DB-API connection for its whole life, the way a JDBC client
+  holds one. Requests on it are handled strictly in order, a
+  transaction spans requests for free, and a disconnect closes the
+  session, which rolls back whatever transaction was open.
 
 Overload therefore has two shedding surfaces — queue-full at admit
 time and deadline-expired at pickup time — and the remaining deadline
@@ -38,6 +40,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
+from repro.dbapi import connect
 from repro.errors import (
     GuardrailError,
     ReproError,
@@ -51,7 +54,6 @@ from repro.obs.requests import RECORDER, SlowLog
 from repro.obs.waits import NET_RECV, NET_SEND, WAITS
 from repro.service.admission import AdmissionControl
 from repro.service.cache import CachedExecutor, ResultCache
-from repro.service.pool import SessionPool
 from repro.service.protocol import (
     _HEADER,
     MAX_FRAME,
@@ -76,14 +78,13 @@ class ServerConfig:
     #: 0 asks the kernel for an ephemeral port; read it back from
     #: :attr:`JackpineServer.port` after :meth:`~JackpineServer.start`
     port: int = 0
+    #: worker threads: how many statements execute at once
     pool_size: int = 4
     max_queue: int = 32
     #: per-request deadline in seconds (queue wait + execution)
     deadline: float = 1.0
     #: result-cache entries; 0 disables the cache entirely
     cache_capacity: int = 256
-    idle_timeout: float = 30.0
-    reap_interval: float = 1.0
     #: request tracing + flight recorder (repro.obs.requests); off by
     #: default — the disabled path is one bool check per request
     trace: bool = False
@@ -102,16 +103,16 @@ class _ClientState:
     sequentially, but shutdown cancellation can land while a worker
     thread is still executing the connection's current request — the
     handler's cleanup then races the worker over the engine session, so
-    ``lock`` decides exactly one owner for the release."""
+    ``lock`` decides exactly one owner for the close."""
 
-    __slots__ = ("pinned", "running", "closed", "lock")
+    __slots__ = ("connection", "running", "closed", "lock")
 
-    def __init__(self):
-        #: engine connection held across requests while a txn is open
-        self.pinned: Optional[Any] = None
+    def __init__(self, connection: Any):
+        #: this client's engine session, for the life of the socket
+        self.connection = connection
         #: a worker thread is executing this connection's request
         self.running = False
-        #: the handler is gone; the worker must release, never re-pin
+        #: the handler is gone; the worker closes the session
         self.closed = False
         self.lock = threading.Lock()
 
@@ -122,11 +123,6 @@ class JackpineServer:
         self.config = config or ServerConfig()
         self.host = self.config.host
         self.port = self.config.port
-        self.pool = SessionPool(
-            database,
-            size=self.config.pool_size,
-            idle_timeout=self.config.idle_timeout,
-        )
         self.admission = AdmissionControl(
             max_queue=self.config.max_queue,
             deadline=self.config.deadline,
@@ -137,10 +133,8 @@ class JackpineServer:
         )
         self.cache = cache
         self._cached = CachedExecutor(database, cache)
-        # +2 over the pool keeps COMMIT/ROLLBACK on pinned sessions from
-        # starving behind workers that are blocked waiting for the pool
         self._workers = ThreadPoolExecutor(
-            max_workers=self.config.pool_size + 2,
+            max_workers=self.config.pool_size,
             thread_name_prefix="jackpine-svc",
         )
         #: the one per-request tracing check (disabled-path discipline)
@@ -195,7 +189,6 @@ class JackpineServer:
         if getattr(self._db, "service", None) is self:
             self._db.service = None
         self._workers.shutdown(wait=True)
-        self.pool.close()
         if self._tracing:
             # stop recording but keep the buffered records readable —
             # post-mortems outlive the server that produced them
@@ -218,7 +211,7 @@ class JackpineServer:
             "address": self.address,
             "connections_open": self.connections_open,
             "connections_total": self.connections_total,
-            "pool": self.pool.stats(),
+            "pool": {"size": self.config.pool_size},
             "admission": self.admission.stats(),
             "cache": (
                 self.cache.stats() if self.cache is not None
@@ -257,12 +250,10 @@ class JackpineServer:
         sockname = server.sockets[0].getsockname()
         self.host, self.port = sockname[0], sockname[1]
         self._started.set()
-        reaper = asyncio.ensure_future(self._housekeeping())
         try:
             async with server:
                 await self._stop_event.wait()
         finally:
-            reaper.cancel()
             for task in list(self._client_tasks):
                 task.cancel()
             if self._client_tasks:
@@ -270,14 +261,8 @@ class JackpineServer:
                     *self._client_tasks, return_exceptions=True
                 )
 
-    async def _housekeeping(self) -> None:
-        loop = asyncio.get_event_loop()
-        while True:
-            await asyncio.sleep(self.config.reap_interval)
-            await loop.run_in_executor(self._workers, self.pool.reap)
-
     async def _handle_client(self, reader, writer) -> None:
-        state = _ClientState()
+        state = _ClientState(connect(database=self._db))
         self._client_tasks.add(asyncio.current_task())
         self.connections_open += 1
         self.connections_total += 1
@@ -297,36 +282,32 @@ class JackpineServer:
                 # the request's record is filed only after its last byte
                 # is on the wire, so net.send is part of the trace
                 pending = response.pop("_pending", None)
+                close = response.pop("_close", False)
                 send_seconds = await self._send(writer, response)
                 if pending is not None:
                     RECORDER.finish(pending, send_seconds)
-                if response.get("_close"):
+                if close:
                     break
         except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # client went away mid-frame; pinned cleanup below
+            pass  # client went away mid-frame; session closed below
         except asyncio.CancelledError:
-            pass  # server shutting down; pinned cleanup below
+            pass  # server shutting down; session closed below
         finally:
             self._client_tasks.discard(asyncio.current_task())
-            self.connections_open -= 1
             with state.lock:
                 state.closed = True
-                pinned = None
-                if not state.running:
-                    # no worker owns the session; reclaim it here. When
-                    # a worker IS still executing (shutdown cancelled
-                    # this handler mid-request), leave the session to
-                    # the worker's _finish_request — it sees ``closed``
-                    # and releases on the worker thread, so the session
-                    # is never freed while a statement runs on it.
-                    pinned, state.pinned = state.pinned, None
-            if pinned is not None:
-                # disconnect with an open transaction: roll it back and
-                # return the session (pool.release rolls back). Called
-                # inline, not via the executor — this path also runs
-                # during shutdown cancellation, where awaits would be
-                # cancelled before the rollback happened.
-                self.pool.release(pinned)
+                owner = not state.running
+            if owner:
+                # no worker holds the session, so close it here: that
+                # rolls back an open transaction. Called inline, not via
+                # the executor — this path also runs during shutdown
+                # cancellation, where awaits would be cancelled before
+                # the rollback happened. When a worker IS still executing
+                # (shutdown cancelled this handler mid-request), the
+                # worker's _finish_request closes it instead, so the
+                # session is never closed while a statement runs on it.
+                state.connection.close()
+            self.connections_open -= 1
             writer.close()
             try:
                 await writer.wait_closed()
@@ -356,7 +337,6 @@ class JackpineServer:
         return decode_body(body), seconds
 
     async def _send(self, writer, response: Dict[str, Any]) -> float:
-        response.pop("_close", None)
         body = response.pop("_body", None)
         writer.write(
             encode_frame(response) if body is None else result_frame(
@@ -408,10 +388,10 @@ class JackpineServer:
             for value in (message.get("params") or [])
         ]
         probe = None
-        if state.pinned is None:
+        if not state.connection.in_transaction:
             # a known SELECT is looked up here, once; a hit is answered
             # from the loop with the bytes its fill encoded — no
-            # admission slot, no worker, no session
+            # admission slot, no worker, no engine call
             probe = self._cached.probe(sql, params, pending)
             if probe is not None and probe.entry is not None:
                 if pending is not None:
@@ -442,13 +422,15 @@ class JackpineServer:
             with state.lock:
                 state.running = False
             self.admission.cancel(ticket)
-            return {
+            if pending is not None:
+                pending.complete("overloaded")
+            return self._traced({
                 "ok": False, "id": rid, "_close": True,
                 "error": error_payload(
                     "overloaded", "server shutting down",
                     retry_after=self.admission.deadline,
                 ),
-            }
+            }, pending)
         try:
             response = await asyncio.wrap_future(future)
         except asyncio.CancelledError:
@@ -497,116 +479,74 @@ class JackpineServer:
         """Runs on a worker thread; returns the response dict and never
         raises (every failure becomes a typed error payload). ``probe``
         is the loop's cache miss for this request, if it looked."""
-        connection = None
         began = False
         try:
-            remaining = self.admission.begin(ticket)
+            budget = self.admission.begin(ticket)
             began = True
-            if pending is not None:
+            if pending is None:
+                entry, cached = self._cached.resolve(
+                    state.connection, sql, params, timeout=budget,
+                    probe=probe,
+                )
+            else:
                 pending.stage(
                     "queue.wait", ticket.arrival,
                     time.perf_counter() - ticket.arrival,
                 )
-            connection = state.pinned
-            pinned = connection is not None
-            acquire_start = time.perf_counter()
-            if connection is None:
-                connection = self.pool.acquire(timeout=remaining)
-            if pending is not None:
-                pending.stage(
-                    "session.acquire", acquire_start,
-                    time.perf_counter() - acquire_start,
-                    "pinned" if pinned else "pool",
-                )
-            # re-clamp to what is left of the deadline now that the
-            # pool wait is behind us; the guardrail timeout enforces it
-            budget = max(ticket.deadline - time.perf_counter(), 1e-3)
-            if pending is None:
-                entry, cached = self._cached.resolve(
-                    connection, sql, params, timeout=budget, probe=probe
-                )
-            else:
                 # bound to this thread so the query_end hook files the
                 # executor trace with *this* request, not a neighbour's
                 RECORDER.bind(pending)
                 try:
                     entry, cached = self._cached.resolve(
-                        connection, sql, params, timeout=budget,
+                        state.connection, sql, params, timeout=budget,
                         stages=pending, probe=probe,
                     )
                 finally:
                     RECORDER.unbind()
                 pending.complete("ok", cached=cached)
             return {"ok": True, "_body": entry.body(), "cached": cached}
-        except ReproError as exc:
+        except Exception as exc:
+            code = _error_code(exc)
             if pending is not None:
-                pending.complete(self._outcome_of(exc))
-            return self._error_response(exc)
-        except Exception as exc:  # engine invariant broken; don't hide it
-            if pending is not None:
-                pending.complete("internal")
+                pending.complete(code)
+            # a non-ReproError is a broken engine invariant: name it
+            message = (
+                str(exc) if isinstance(exc, ReproError)
+                else f"{type(exc).__name__}: {exc}"
+            )
+            extra = (
+                {"retry_after": exc.retry_after} if code == "overloaded"
+                else {}
+            )
             return {
-                "ok": False,
-                "error": error_payload(
-                    "internal", f"{type(exc).__name__}: {exc}"
-                ),
+                "ok": False, "error": error_payload(code, message, **extra)
             }
         finally:
-            self._finish_request(state, connection)
+            self._finish_request(state)
             if began:
                 self.admission.done()
 
-    def _finish_request(
-        self, state: _ClientState, connection: Optional[Any]
-    ) -> None:
-        """The worker's last act for a request: under the state lock,
-        decide whether the session stays pinned, then release outside
-        the lock. ``connection`` is ``None`` when the request never got
-        a session. If ``state.closed`` is set the handler skipped its
-        pinned cleanup because this worker was still running — releasing
-        here is what keeps the session single-owned during shutdown."""
+    @staticmethod
+    def _finish_request(state: _ClientState) -> None:
+        """The worker's last act for a request. If the handler went away
+        while this worker ran (shutdown cancelled it mid-request), the
+        handler left the session to us: close it here, on the worker,
+        once the statement is done with it."""
         with state.lock:
             state.running = False
-            if connection is not None:
-                if connection.in_transaction and not state.closed:
-                    state.pinned = connection
-                    connection = None  # stays leased across requests
-                else:
-                    state.pinned = None
-            elif state.closed:
-                # early shed (deadline / pool timeout) after the handler
-                # went away: the previously pinned session is ours to free
-                connection, state.pinned = state.pinned, None
-        if connection is not None:
-            self.pool.release(connection)
+            closing = state.closed
+        if closing:
+            state.connection.close()
 
-    @staticmethod
-    def _outcome_of(exc: ReproError) -> str:
-        if isinstance(exc, ServiceOverloadedError):
-            return "overloaded"
-        if isinstance(exc, SerializationError):
-            return "serialization"
-        if isinstance(exc, GuardrailError):
-            return "timeout"
-        if isinstance(exc, SqlError):
-            return "sql"
-        return "internal"
 
-    @staticmethod
-    def _error_response(exc: ReproError) -> Dict[str, Any]:
-        if isinstance(exc, ServiceOverloadedError):
-            return {
-                "ok": False,
-                "error": error_payload(
-                    "overloaded", str(exc), retry_after=exc.retry_after
-                ),
-            }
-        if isinstance(exc, SerializationError):
-            code = "serialization"
-        elif isinstance(exc, GuardrailError):
-            code = "timeout"
-        elif isinstance(exc, SqlError):
-            code = "sql"
-        else:
-            code = "internal"
-        return {"ok": False, "error": error_payload(code, str(exc))}
+def _error_code(exc: BaseException) -> str:
+    """The wire error code (and traced outcome) of a failed request."""
+    if isinstance(exc, ServiceOverloadedError):
+        return "overloaded"
+    if isinstance(exc, SerializationError):
+        return "serialization"
+    if isinstance(exc, GuardrailError):
+        return "timeout"
+    if isinstance(exc, SqlError):
+        return "sql"
+    return "internal"

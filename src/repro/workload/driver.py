@@ -635,9 +635,7 @@ def render_workload(report: WorkloadReport) -> str:
             f"timeouts: {report.total_timeouts}   "
             f"peak queue: {admission.get('peak_queue', 0)}/"
             f"{admission.get('queue_limit', 0)}   "
-            f"pool: {pool.get('size', 0)} sessions, "
-            f"{pool.get('created', 0)} created, "
-            f"{pool.get('reaped', 0)} reaped"
+            f"workers: {pool.get('size', 0)}"
         )
     if report.cache is not None:
         hits = report.cache.get("hits", 0)

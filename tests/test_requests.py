@@ -231,8 +231,8 @@ def test_slow_log_only_gets_retained_records(tmp_path, fresh_recorder):
 
 #: a traced miss on a known SQL text: the event loop looks it up before
 #: admission, a worker executes it
-MISS_STAGES = ["net.recv", "cache.lookup", "queue.wait", "session.acquire",
-               "execute", "net.send"]
+MISS_STAGES = ["net.recv", "cache.lookup", "queue.wait", "execute",
+               "net.send"]
 
 
 def test_one_request_yields_one_linked_tree(database, fresh_recorder):
@@ -294,8 +294,7 @@ def test_traced_hit_is_answered_before_admission(database, fresh_recorder):
     assert unseen.cache_status == "miss"
     (request,) = unseen.root.children
     assert [child.op for child in request.children] == [
-        "net.recv", "queue.wait", "session.acquire", "cache.lookup",
-        "execute", "net.send"]
+        "net.recv", "queue.wait", "cache.lookup", "execute", "net.send"]
 
 
 def test_errored_request_carries_its_executor_trace(database,

@@ -1,5 +1,5 @@
-"""The query service tier: protocol framing, session pooling, admission
-control, the watermark result cache, and the server over a real socket."""
+"""The query service tier: protocol framing, admission control, the
+watermark result cache, and the server over a real socket."""
 
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ from repro.service import (
     ResultCache,
     ServerConfig,
     ServiceClient,
-    SessionPool,
 )
 from repro.service.admission import AdmissionControl
 from repro.service.cache import CachedExecutor
@@ -94,65 +93,11 @@ def test_error_payload_rejects_unknown_codes():
         error_payload("made_up", "nope")
 
 
-# ---------------------------------------------------------------------------
-# session pool
-# ---------------------------------------------------------------------------
-
-
 @pytest.fixture(scope="module")
 def database():
     db = Database("greenwood")
     generate(scale=0.05, seed=7).load_into(db)
     return db
-
-
-def test_pool_bounds_sessions_and_reuses(database):
-    pool = SessionPool(database, size=2)
-    a = pool.acquire()
-    b = pool.acquire()
-    with pytest.raises(ServiceOverloadedError):
-        pool.acquire(timeout=0.02)
-    pool.release(a)
-    c = pool.acquire(timeout=0.1)  # the released one, reused
-    stats = pool.stats()
-    assert stats["created"] == 2
-    assert stats["reused"] == 1
-    assert stats["in_use"] == 2
-    pool.release(b)
-    pool.release(c)
-    pool.close()
-
-
-def test_pool_release_rolls_back_open_transactions(database):
-    pool = SessionPool(database, size=1)
-    conn = pool.acquire()
-    cursor = conn.cursor()
-    cursor.execute("BEGIN")
-    cursor.execute("UPDATE pointlm SET name = ? WHERE gid = ?",
-                   ("leaky", 1))
-    assert conn.in_transaction
-    pool.release(conn)
-    clean = pool.acquire()
-    assert not clean.in_transaction
-    rows = clean.cursor().execute(
-        "SELECT name FROM pointlm WHERE gid = ?", (1,)
-    ).fetchall()
-    assert rows[0][0] != "leaky"
-    pool.release(clean)
-    pool.close()
-
-
-def test_pool_reaps_idle_sessions(database):
-    pool = SessionPool(database, size=2, idle_timeout=0.0)
-    conn = pool.acquire()
-    pool.release(conn)
-    assert pool.stats()["idle"] == 1
-    time.sleep(0.01)
-    assert pool.reap() == 1
-    stats = pool.stats()
-    assert stats["idle"] == 0
-    assert stats["reaped"] == 1
-    pool.close()
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +274,7 @@ def test_cached_executor_fill_racing_commit_is_born_stale(database):
 @pytest.fixture()
 def server(database):
     srv = JackpineServer(database, ServerConfig(
-        pool_size=2, max_queue=4, deadline=2.0, idle_timeout=30.0,
+        pool_size=2, max_queue=4, deadline=2.0,
     ))
     srv.start()
     yield srv
@@ -345,7 +290,7 @@ def test_server_smoke_query_ping_stats(server):
         again = client.execute("SELECT COUNT(*) FROM pointlm")
         assert again.cached and again.rows == result.rows
         stats = client.server_stats()
-        assert stats["pool"]["size"] == 2
+        assert stats["pool"] == {"size": 2}
         assert stats["admission"]["queue_limit"] == 4
         assert stats["cache"]["hits"] >= 1
 
@@ -391,7 +336,7 @@ def test_server_disconnect_rolls_back_pinned_transaction(server, database):
     client.close()  # vanish mid-transaction
     deadline = time.perf_counter() + 5.0
     while time.perf_counter() < deadline:
-        if server.pool.stats()["in_use"] == 0:
+        if server.connections_open == 0:
             break
         time.sleep(0.01)
     after = database.execute(
@@ -400,12 +345,14 @@ def test_server_disconnect_rolls_back_pinned_transaction(server, database):
     assert after == before
 
 
-def test_stop_mid_query_releases_pinned_session_exactly_once(database):
+def test_stop_mid_query_releases_pinned_session_exactly_once(
+        database, monkeypatch):
     """Shutdown cancels the handler while a worker is still executing on
-    the connection's pinned session: the release must wait for the
-    worker (never free a session a statement is running on) and happen
-    exactly once (a double release would let two future leases share
-    one session)."""
+    the connection's session, inside a transaction: the close must wait
+    for the worker (never close a session a statement is running on)
+    and happen exactly once."""
+    from repro.dbapi.connection import Connection
+
     srv = JackpineServer(database, ServerConfig(
         pool_size=2, max_queue=4, deadline=30.0,
     ))
@@ -421,16 +368,16 @@ def test_stop_mid_query_releases_pinned_session_exactly_once(database):
         return real_resolve(connection, sql, params, **kwargs)
 
     srv._cached.resolve = blocking_resolve
-    releases = []
-    real_release = srv.pool.release
+    closes = []
+    real_close = Connection.close
 
-    def counting_release(connection):
-        releases.append(connection)
-        real_release(connection)
+    def counting_close(connection):
+        closes.append((connection, connection.in_transaction))
+        real_close(connection)
 
-    srv.pool.release = counting_release
+    monkeypatch.setattr(Connection, "close", counting_close)
     client = ServiceClient(srv.host, srv.port)
-    client.execute("BEGIN")  # pins the session to this connection
+    client.execute("BEGIN")  # the session now holds a transaction
     query_errors = []
 
     def send_query():
@@ -446,16 +393,19 @@ def test_stop_mid_query_releases_pinned_session_exactly_once(database):
         assert started.wait(5), "worker never picked the query up"
         stopper.start()
         # give shutdown time to cancel the handler; the worker is still
-        # blocked inside execute, so the session must not be freed yet
+        # blocked inside execute, so the session must not be closed yet
         time.sleep(0.3)
-        assert not releases, "session released while its query was running"
+        assert not closes, "session closed while its query was running"
     finally:
         unblock.set()
     stopper.join(10)
     query_thread.join(10)
     assert not stopper.is_alive(), "stop() never finished"
-    assert len(releases) == 1, "pinned session must be released exactly once"
-    assert srv.pool.stats()["in_use"] == 0
+    assert len(closes) == 1, "the session must be closed exactly once"
+    (session, in_transaction), = closes
+    assert in_transaction, "the open transaction is the close's to end"
+    assert not session.in_transaction, "close rolled the transaction back"
+    assert database.txn.active_count == 0
 
 
 def test_executor_shutdown_sheds_and_returns_admission_slot(database):
@@ -463,7 +413,7 @@ def test_executor_shutdown_sheds_and_returns_admission_slot(database):
     shut down) must give its admission slot back — a leaked slot would
     permanently shrink the queue."""
     srv = JackpineServer(database, ServerConfig(
-        pool_size=1, max_queue=2, reap_interval=60.0,
+        pool_size=1, max_queue=2,
     ))
     srv.start()
     try:
@@ -474,6 +424,59 @@ def test_executor_shutdown_sheds_and_returns_admission_slot(database):
                 client.execute("SELECT 1")
             assert srv.admission.stats()["queue_depth"] == 0, \
                 "undispatchable request leaked its admission slot"
+    finally:
+        srv.stop()
+
+
+def test_executor_shutdown_shed_is_traced(database):
+    """The shutdown shed files a flight-recorder record like every other
+    shed: outcome ``overloaded``, counted as shed, trace id echoed."""
+    from repro.obs.requests import RECORDER
+
+    RECORDER.reset()
+    srv = JackpineServer(database, ServerConfig(
+        pool_size=1, max_queue=2, trace=True,
+    ))
+    srv.start()
+    try:
+        with ServiceClient(srv.host, srv.port) as client:
+            srv._workers.shutdown(wait=False)
+            with pytest.raises(ServiceOverloadedError):
+                client.execute("SELECT 2")
+        deadline = time.monotonic() + 5.0
+        records = []
+        while not records and time.monotonic() < deadline:
+            records = [r for r in RECORDER.records() if r.sql == "SELECT 2"]
+            time.sleep(0.005)
+        (record,) = records
+        assert record.outcome == "overloaded" and record.shed
+        assert srv.admission.stats()["queue_depth"] == 0
+    finally:
+        srv.stop()
+        RECORDER.reset()
+
+
+def test_idle_transaction_does_not_starve_other_clients(database):
+    """A client idle inside a transaction holds its own session, not a
+    shared one: with a single worker, another client's cache miss still
+    answers within the deadline, and the idle client's COMMIT still
+    lands and becomes visible."""
+    srv = JackpineServer(database, ServerConfig(pool_size=1, deadline=0.5))
+    srv.start()
+    sql = "SELECT name FROM pointlm WHERE gid = ?"
+    try:
+        with ServiceClient(srv.host, srv.port) as a, \
+                ServiceClient(srv.host, srv.port) as b:
+            before = database.execute(sql, (6,)).rows
+            a.execute("BEGIN")
+            a.execute("UPDATE pointlm SET name = ? WHERE gid = ?",
+                      ("idle-txn", 6))
+            time.sleep(0.6)  # A sits idle past the deadline
+            seen = b.execute(sql, (6,))
+            assert not seen.cached and seen.rows == before
+            a.execute("COMMIT")
+            after = b.execute(sql, (6,))
+            assert not after.cached and after.rows == [("idle-txn",)]
     finally:
         srv.stop()
 
@@ -516,8 +519,8 @@ def test_server_sheds_when_queue_overflows():
             thread.start()
         for thread in threads:
             thread.join(timeout=30)
-        # one statement runs and blocks; pool_size + 2 workers and the two
-        # queue slots hold at most five requests, so the sixth must shed
+        # one statement runs and blocks on the only worker; the two queue
+        # slots hold two more requests, so the fourth must shed
         assert shed_seen.is_set(), f"no shedding in {results}"
         assert len(results) == clients and "error" not in results
         stats = srv.admission.stats()
@@ -539,6 +542,22 @@ def test_server_protocol_error_gets_typed_response(server):
         assert response is not None
         assert not response["ok"]
         assert response["error"]["code"] == "protocol"
+    finally:
+        sock.close()
+
+
+def test_unknown_op_gets_typed_error_and_closes(server):
+    """A frame the server cannot serve is answered with a typed
+    ``protocol`` error, then the server hangs up."""
+    from repro.service.protocol import read_frame
+
+    sock = socket.create_connection((server.host, server.port), timeout=5)
+    try:
+        sock.sendall(encode_frame({"op": "teleport", "id": 7}))
+        response = read_frame(sock)
+        assert response["id"] == 7
+        assert response["error"]["code"] == "protocol"
+        assert sock.recv(1) == b"", "server must close after the error"
     finally:
         sock.close()
 

@@ -64,7 +64,7 @@ def test_hit_answers_while_every_worker_is_blocked(database):
     with _server(database, pool_size=1) as server:
         with ServiceClient(server.host, server.port) as client:
             expected = client.execute(COUNT).rows
-        workers = server.config.pool_size + 2
+        workers = server.config.pool_size
         fresh = []
 
         def hold(n):
@@ -81,8 +81,7 @@ def test_hit_answers_while_every_worker_is_blocked(database):
         try:
             for thread in threads:
                 thread.start()
-            # every worker has begun a request: one waits in the hook
-            # holding the only session, the others wait for the pool
+            # every worker has begun a request and waits in the hook
             _wait_for(lambda: server.admission.stats()["executing"]
                       == workers)
             with ServiceClient(server.host, server.port,

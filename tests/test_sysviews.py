@@ -67,9 +67,7 @@ VIEW_SCHEMAS = {
         ("checkpoint_lsn", "INTEGER"),
     ],
     "jackpine_service": [
-        ("pool_size", "INTEGER"), ("sessions_in_use", "INTEGER"),
-        ("sessions_idle", "INTEGER"), ("sessions_created", "INTEGER"),
-        ("sessions_reaped", "INTEGER"), ("queue_depth", "INTEGER"),
+        ("pool_size", "INTEGER"), ("queue_depth", "INTEGER"),
         ("queue_limit", "INTEGER"), ("executing", "INTEGER"),
         ("admitted", "INTEGER"), ("shed_queue_full", "INTEGER"),
         ("shed_deadline", "INTEGER"), ("cache_entries", "INTEGER"),
@@ -81,7 +79,7 @@ VIEW_SCHEMAS = {
         ("fingerprint", "TEXT"), ("outcome", "TEXT"), ("shed", "INTEGER"),
         ("cached", "INTEGER"), ("cache_status", "TEXT"),
         ("recv_seconds", "REAL"), ("queue_seconds", "REAL"),
-        ("session_seconds", "REAL"), ("cache_seconds", "REAL"),
+        ("cache_seconds", "REAL"),
         ("exec_seconds", "REAL"), ("send_seconds", "REAL"),
         ("total_seconds", "REAL"), ("retained", "INTEGER"),
         ("spans", "INTEGER"), ("clock_skew_seconds", "REAL"),
