@@ -95,7 +95,10 @@ class TigerDataset:
 
     def load_into(self, db, create_indexes: bool = True,
                   index_kind: Optional[str] = None) -> None:
-        """Create tables, bulk-insert rows and (optionally) build indexes."""
+        """Create tables, bulk-insert rows and (optionally) build indexes:
+        a spatial index on every layer's geometry (``idx_<layer>_geom``,
+        of ``index_kind`` or the profile's kind) and a key index on its
+        ``gid`` (``idx_<layer>_gid``)."""
         for layer in self.layers.values():
             db.execute(layer.create_sql)
             db.insert_rows(layer.name, layer.rows)
@@ -105,6 +108,9 @@ class TigerDataset:
                 db.execute(
                     f"CREATE SPATIAL INDEX idx_{layer.name}_geom "
                     f"ON {layer.name} ({layer.geometry_column}){using}"
+                )
+                db.execute(
+                    f"CREATE INDEX idx_{layer.name}_gid ON {layer.name} (gid)"
                 )
 
 

@@ -40,12 +40,12 @@ from repro.geometry.base import Geometry
 from repro.guard import CancelToken, ExecutionGuard, Guardrails
 from repro.index import make_index
 from repro.index.base import SpatialIndex
+from repro.index.key import KeyIndex
 from repro.obs import Observability, Trace
 from repro.obs.waits import WAITS, summary_delta
 from repro.sql import ast
 from repro.sql.compiler import Compiler, Scope
 from repro.sql.executor import (
-    BATCH_SIZE,
     Batch,
     ExecContext,
     SpanNode,
@@ -56,6 +56,7 @@ from repro.sql.functions import FunctionRegistry
 from repro.sql.parser import parse
 from repro.sql.planner import Planner, is_txn_control
 from repro.storage.catalog import Catalog, IndexEntry
+from repro.storage.durability import index_record
 from repro.storage.table import Column, ColumnType, Table
 from repro.txn import ACTIVE, Session, TxnManager, Transaction
 from repro.txn.locks import SharedExclusiveLock
@@ -515,7 +516,7 @@ class Database:
             return self._run_dml(statement, params, guard, session, shard)
         if isinstance(statement, ast.CreateTable):
             return self._run_create_table(statement)
-        if isinstance(statement, ast.CreateSpatialIndex):
+        if isinstance(statement, (ast.CreateSpatialIndex, ast.CreateIndex)):
             return self._run_create_index(statement)
         if isinstance(statement, ast.DropTable):
             existed = self.catalog.has_table(statement.name)
@@ -808,11 +809,12 @@ class Database:
             # fires before any index is touched, so the caller's heap
             # rollback restores a fully consistent catalog
             FAULTS.hit("index.insert")
-        for entry in self.catalog.indexes():
-            if entry.table_name != table.name:
+        row = table.rows[row_id]
+        for entry in self.catalog.indexes_on(table.name):
+            if entry.is_key:
+                entry.index.insert(row_id, row)
                 continue
-            idx = table.column_index(entry.column_name)
-            geom = table.get_row(row_id)[idx]
+            geom = row[table.column_index(entry.column_name)]
             if isinstance(geom, Geometry):
                 entry.index.insert(row_id, geom.envelope)
 
@@ -821,33 +823,37 @@ class Database:
         row = table.rows[row_id]
         if row is None:
             return
-        for entry in self.catalog.indexes():
-            if entry.table_name != table.name:
+        for entry in self.catalog.indexes_on(table.name):
+            if entry.is_key:
+                entry.index.remove(row_id, row)
                 continue
-            idx = table.column_index(entry.column_name)
-            geom = row[idx]
+            geom = row[table.column_index(entry.column_name)]
             if isinstance(geom, Geometry):
                 entry.index.remove(row_id, geom.envelope)
+
+    def _chosen_rows(self, stmt, ctx: ExecContext):
+        """``(row ids, batch)`` of the rows a DELETE or UPDATE targets:
+        the planner's access path for its WHERE (the scan or index a
+        SELECT would read), then the whole WHERE on what it fetched. The
+        batch's alias is the table name."""
+        access, predicate = self._planner.plan_rows(stmt.table, stmt.where)
+        alias = access.alias
+        for row_ids, rows in access.row_batches(ctx, with_ids=True):
+            batch = Batch({alias: rows}, len(rows))
+            if predicate is not None:
+                keep = [verdict is True for verdict in predicate(batch, ctx)]
+                row_ids = list(compress(row_ids, keep))
+                batch = batch.select(keep)
+            if row_ids:
+                yield row_ids, batch
 
     def _run_delete(
         self, stmt: ast.Delete, ctx: ExecContext, txn: Transaction
     ) -> ResultSet:
         table = self.catalog.table(stmt.table)
-        scope = Scope()
-        scope.add(stmt.table, table)
-        predicate = None
-        if stmt.where is not None:
-            predicate = Compiler(scope, self.registry, self.profile).compile(
-                stmt.where
-            )
         doomed: List[int] = []
-        for row_ids, batch in _scan_batches(table, ctx):
-            if predicate is None:
-                doomed.extend(row_ids)
-            else:
-                doomed.extend(compress(row_ids, [
-                    verdict is True for verdict in predicate(batch, ctx)
-                ]))
+        for row_ids, _batch in self._chosen_rows(stmt, ctx):
+            doomed.extend(row_ids)
         # MVCC delete: stamp xmax and keep the version (and its index
         # entries) readable for older snapshots until vacuum
         for row_id in doomed:
@@ -863,22 +869,13 @@ class Database:
         scope = Scope()
         scope.add(stmt.table, table)
         compiler = Compiler(scope, self.registry, self.profile)
-        predicate = (
-            compiler.compile(stmt.where) if stmt.where is not None else None
-        )
         assignments = [
             (table.column_index(column), compiler.compile(expr))
             for column, expr in stmt.assignments
         ]
         # two-phase for statement atomicity: evaluate first, apply after
         pending: List[Tuple[int, list]] = []
-        for row_ids, batch in _scan_batches(table, ctx):
-            if predicate is not None:
-                keep = [verdict is True for verdict in predicate(batch, ctx)]
-                row_ids = list(compress(row_ids, keep))
-                batch = batch.select(keep)
-            if not row_ids:
-                continue
+        for row_ids, batch in self._chosen_rows(stmt, ctx):
             updated = [list(row) for row in batch.columns[table.name]]
             for position, value_fn in assignments:
                 for values, value in zip(updated, value_fn(batch, ctx)):
@@ -910,24 +907,43 @@ class Database:
             )
         return ResultSet([], [], 0)
 
-    def _run_create_index(self, stmt: ast.CreateSpatialIndex) -> ResultSet:
+    def _run_create_index(self, stmt) -> ResultSet:
+        """``CREATE SPATIAL INDEX`` over one geometry column, or
+        ``CREATE INDEX``: a key index over other columns, built in one
+        pass over the heap."""
         table = self.catalog.table(stmt.table)
-        column = table.column(stmt.column)
-        if column.type is not ColumnType.GEOMETRY:
-            raise SqlPlanError(
-                f"CREATE SPATIAL INDEX requires a GEOMETRY column, "
-                f"{stmt.column!r} is {column.type.value}"
+        if not isinstance(table, Table):
+            raise SqlPlanError(f"cannot index system view {table.name!r}")
+        if isinstance(stmt, ast.CreateIndex):
+            columns = [table.column(name) for name in stmt.columns]
+            for column in columns:
+                if column.type is ColumnType.GEOMETRY:
+                    raise SqlPlanError(
+                        f"CREATE INDEX needs non-geometry columns, "
+                        f"{column.name!r} is GEOMETRY (use CREATE SPATIAL "
+                        f"INDEX)"
+                    )
+            if len({c.name for c in columns}) != len(columns):
+                raise SqlPlanError("CREATE INDEX names a column twice")
+            index = KeyIndex.bulk_load(
+                [table.column_index(c.name) for c in columns], table.rows
             )
-        kind = stmt.using or self.profile.index_kind
-        index = self._build_index(table, column.name, kind)
-        self.catalog.register_index(
-            IndexEntry(stmt.name, table.name, column.name, index)
-        )
+            entry = IndexEntry(
+                stmt.name, table.name, [c.name for c in columns], index
+            )
+        else:
+            column = table.column(stmt.column)
+            if column.type is not ColumnType.GEOMETRY:
+                raise SqlPlanError(
+                    f"CREATE SPATIAL INDEX requires a GEOMETRY column, "
+                    f"{stmt.column!r} is {column.type.value}"
+                )
+            kind = stmt.using or self.profile.index_kind
+            index = self._build_index(table, column.name, kind)
+            entry = IndexEntry(stmt.name, table.name, column.name, index)
+        self.catalog.register_index(entry)
         if self.durability is not None:
-            self.durability.log_ddl(
-                "create_index", name=stmt.name.lower(), table=table.name,
-                column=column.name, kind=index.kind,
-            )
+            self.durability.log_ddl("create_index", **index_record(entry))
         return ResultSet([], [], len(index))
 
     def _build_index(
@@ -946,23 +962,3 @@ class Database:
             raise SqlPlanError(f"unknown index kind {kind!r}")
         options = dict(self.profile.index_options)
         return cls.bulk_load(items, **options)
-
-
-def _scan_batches(table: Table, ctx: ExecContext):
-    """``(row ids, batch)`` over the rows of ``table`` visible to ``ctx``'s
-    snapshot, for DELETE and UPDATE; the batch's alias is the table name."""
-    guard = ctx.guard
-    row_ids: List[int] = []
-    rows: List[tuple] = []
-    for row_id, row in table.scan(ctx.snapshot):
-        row_ids.append(row_id)
-        rows.append(row)
-        if len(rows) == BATCH_SIZE:
-            if guard is not None:
-                guard.tick(len(rows))
-            yield row_ids, Batch({table.name: rows}, len(rows))
-            row_ids, rows = [], []
-    if rows:
-        if guard is not None:
-            guard.tick(len(rows))
-        yield row_ids, Batch({table.name: rows}, len(rows))

@@ -395,7 +395,7 @@ def _table_records(db: Any) -> List[Dict[str, Any]]:
             "name": entry.name,
             "kind": "index",
             "table_name": entry.table_name,
-            "column_name": entry.column_name,
+            "column_name": ", ".join(entry.columns),
             "live_rows": len(entry.index),
             "pages": 0,
             "seq_scans": 0,

@@ -108,6 +108,15 @@ class CreateSpatialIndex(Statement):
 
 
 @dataclass
+class CreateIndex(Statement):
+    """A key (hash) index over one or more non-geometry columns."""
+
+    name: str
+    table: str
+    columns: List[str]
+
+
+@dataclass
 class DropTable(Statement):
     name: str
     if_exists: bool = False

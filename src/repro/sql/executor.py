@@ -290,16 +290,26 @@ class OneRow(PlanNode):
 
 
 class SeqScan(PlanNode):
+    """Every row of the table visible to the snapshot."""
+
     def __init__(self, table: Table, alias: str):
         self.table = table
         self.alias = alias
 
     def batches(self, ctx: ExecContext) -> Iterator[Batch]:
+        alias = self.alias
+        for _row_ids, rows in self.row_batches(ctx):
+            yield Batch({alias: rows}, len(rows))
+
+    def row_batches(
+        self, ctx: ExecContext, with_ids: bool = False
+    ) -> Iterator[Tuple[Optional[List[int]], List[tuple]]]:
+        """``(row ids, rows)`` per batch — the ids only ``with_ids``
+        (DELETE and UPDATE read them), else ``None``."""
         table = self.table
         stats = ctx.stats
         stats.pages_read += table.page_count
         table.seq_scans += 1
-        alias = self.alias
         guard = ctx.guard
         snapshot = ctx.snapshot
         # read once: a system view produces its rows afresh per access
@@ -308,11 +318,21 @@ class SeqScan(PlanNode):
         if versioned:
             xmin, xmax = table.version_arrays()
             row_visible = snapshot.row_visible
+        row_ids = None
         scanned = 0
         try:
             for start in range(0, len(heap), BATCH_SIZE):
                 stop = start + BATCH_SIZE
-                if versioned:
+                if with_ids:
+                    row_ids = [
+                        rid for rid in range(start, min(stop, len(heap)))
+                        if heap[rid] is not None and (
+                            not versioned
+                            or row_visible(xmin[rid], xmax[rid])
+                        )
+                    ]
+                    rows = list(map(heap.__getitem__, row_ids))
+                elif versioned:
                     rows = [
                         row for row, born, died in zip(
                             heap[start:stop], xmin[start:stop], xmax[start:stop]
@@ -326,7 +346,7 @@ class SeqScan(PlanNode):
                 scanned += len(rows)
                 if guard is not None:
                     guard.tick(len(rows))
-                yield Batch({alias: rows}, len(rows))
+                yield row_ids, rows
         finally:
             stats.rows_scanned += scanned
 
@@ -334,7 +354,65 @@ class SeqScan(PlanNode):
         return f"SeqScan {self.table.name} AS {self.alias}"
 
 
-class IndexScan(PlanNode):
+class _RowIdScan(PlanNode):
+    """An access path that finds row ids in an index, then fetches the
+    versions of them the snapshot may see: the index keeps superseded
+    versions until vacuum, and may hold uncommitted inserts from open
+    transactions, so fetches apply the same visibility rule as scans."""
+
+    table: Table
+    alias: str
+    entry: IndexEntry
+
+    def row_ids(self, ctx: ExecContext) -> Optional[List[int]]:
+        """The candidate ids, ``None`` when the probe value is NULL."""
+        raise NotImplementedError
+
+    def batches(self, ctx: ExecContext) -> Iterator[Batch]:
+        alias = self.alias
+        for _row_ids, rows in self.row_batches(ctx):
+            yield Batch({alias: rows}, len(rows))
+
+    def row_batches(
+        self, ctx: ExecContext, with_ids: bool = False
+    ) -> Iterator[Tuple[Optional[List[int]], List[tuple]]]:
+        """``(row ids, rows)`` per batch, as :meth:`SeqScan.row_batches`."""
+        candidates = self.row_ids(ctx)
+        if candidates is None:
+            return
+        stats = ctx.stats
+        stats.index_candidates += len(candidates)
+        per_page = self.table.ROWS_PER_PAGE
+        stats.pages_read += len({rid // per_page for rid in candidates})
+        heap = self.table.rows
+        guard = ctx.guard
+        snapshot = ctx.snapshot
+        row_visible = (
+            self.table.row_visible
+            if snapshot is not None and self.table.mvcc_versions else None
+        )
+        ids = None
+        scanned = 0
+        try:
+            for start in range(0, len(candidates), BATCH_SIZE):
+                ids = candidates[start:start + BATCH_SIZE]
+                if row_visible is not None:
+                    ids = [
+                        rid for rid in ids
+                        if heap[rid] is not None and row_visible(rid, snapshot)
+                    ]
+                rows = list(map(heap.__getitem__, ids))
+                if not rows:
+                    continue
+                scanned += len(rows)
+                if guard is not None:
+                    guard.tick(len(rows))
+                yield (ids if with_ids else None), rows
+        finally:
+            stats.rows_scanned += scanned
+
+
+class IndexScan(_RowIdScan):
     """Envelope probe of a spatial index, yielding candidate rows.
 
     The probe envelope comes from a compiled expression evaluated once per
@@ -355,57 +433,58 @@ class IndexScan(PlanNode):
         self.probe = probe
         self.label = label
 
-    def batches(self, ctx: ExecContext) -> Iterator[Batch]:
+    def row_ids(self, ctx: ExecContext) -> Optional[List[int]]:
         envelope = self.probe(ctx)
         if envelope is None:
-            return
+            return None
         if FAULTS.active:
             FAULTS.hit("index.probe")
-        stats = ctx.stats
-        stats.index_probes += 1
+        ctx.stats.index_probes += 1
         self.entry.probes += 1
-        row_ids = WAITS.timed(CPU_INDEX_PROBE, self.entry.index.search)(
-            envelope
-        )
-        stats.index_candidates += len(row_ids)
-        per_page = self.table.ROWS_PER_PAGE
-        stats.pages_read += len({rid // per_page for rid in row_ids})
-        alias = self.alias
-        heap = self.table.rows
-        guard = ctx.guard
-        snapshot = ctx.snapshot
-        # probes apply the same visibility rule as scans: the index keeps
-        # superseded versions until vacuum, and may hold uncommitted
-        # inserts from open transactions
-        row_visible = (
-            self.table.row_visible
-            if snapshot is not None and self.table.mvcc_versions else None
-        )
-        scanned = 0
-        try:
-            for start in range(0, len(row_ids), BATCH_SIZE):
-                ids = row_ids[start:start + BATCH_SIZE]
-                if row_visible is None:
-                    rows = list(map(heap.__getitem__, ids))
-                else:
-                    rows = [
-                        heap[rid] for rid in ids
-                        if heap[rid] is not None and row_visible(rid, snapshot)
-                    ]
-                if not rows:
-                    continue
-                scanned += len(rows)
-                if guard is not None:
-                    guard.tick(len(rows))
-                yield Batch({alias: rows}, len(rows))
-        finally:
-            stats.rows_scanned += scanned
+        return WAITS.timed(CPU_INDEX_PROBE, self.entry.index.search)(envelope)
 
     def describe(self) -> str:
         return (
             f"IndexScan {self.table.name} AS {self.alias} "
             f"USING {self.entry.name} ({self.entry.index.kind}) {self.label}"
         )
+
+
+class IndexLookup(_RowIdScan):
+    """Equality lookup in a key index (:class:`~repro.index.key.KeyIndex`).
+
+    ``keys(ctx)`` evaluates, once per execution, every key the WHERE
+    clause allows: one for ``col = ?``, one per option of ``col IN
+    (…)``, the combinations for a key of several columns.
+    """
+
+    def __init__(
+        self,
+        table: Table,
+        alias: str,
+        entry: IndexEntry,
+        keys: Callable[[ExecContext], List[Any]],
+        label: str = "",
+    ):
+        self.table = table
+        self.alias = alias
+        self.entry = entry
+        self.keys = keys
+        self.label = label
+
+    def row_ids(self, ctx: ExecContext) -> Optional[List[int]]:
+        keys = self.keys(ctx)
+        if FAULTS.active:
+            FAULTS.hit("index.probe")
+        ctx.stats.index_probes += 1
+        self.entry.probes += 1
+        return self.entry.index.lookup(keys)
+
+    def describe(self) -> str:
+        return (
+            f"IndexLookup {self.table.name} AS {self.alias} "
+            f"USING {self.entry.name} ({self.entry.index.kind}) {self.label}"
+        ).rstrip()
 
 
 class KNNScan(PlanNode):

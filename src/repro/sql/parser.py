@@ -3,7 +3,9 @@
 Grammar (simplified)::
 
     statement   := select | insert | delete | create_table
-                 | create_index | drop_table | drop_index | analyze
+                 | create_index | create_spatial_index | drop_table
+                 | drop_index | analyze
+    create_index := CREATE INDEX name ON table ( column [, column]* )
     select      := SELECT [DISTINCT] items [FROM table_ref join*]
                    [WHERE expr] [GROUP BY expr_list] [HAVING expr]
                    [ORDER BY order_list] [LIMIT expr [OFFSET expr]]
@@ -163,7 +165,19 @@ class Parser:
             if self.accept_ident("using"):
                 using = self.identifier("index kind")
             return ast.CreateSpatialIndex(name, table, column, using)
-        raise SqlSyntaxError("expected TABLE or SPATIAL INDEX after CREATE")
+        if self.accept_ident("index"):
+            name = self.identifier("index name")
+            self.expect_ident("on")
+            table = self.identifier("table name")
+            self.expect_punct("(")
+            columns = [self.identifier("column name")]
+            while self.accept_punct(","):
+                columns.append(self.identifier("column name"))
+            self.expect_punct(")")
+            return ast.CreateIndex(name, table, columns)
+        raise SqlSyntaxError(
+            "expected TABLE, INDEX or SPATIAL INDEX after CREATE"
+        )
 
     def parse_analyze(self) -> ast.Statement:
         self.expect_ident("analyze")

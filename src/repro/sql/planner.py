@@ -5,15 +5,19 @@ in the paper uses: a WHERE or JOIN conjunct of the shape
 ``ST_Predicate(geom_column, <expr>)`` is answered by probing the column's
 spatial index with the expression's envelope (filter step) and
 re-evaluating the original predicate on each candidate row (refinement
-step — whose cost and exactness differ per engine profile). Everything
-else runs as sequential scans, hash joins on equality conjuncts, or
-nested loops.
+step — whose cost and exactness differ per engine profile). Equality
+conjuncts on the columns of a key index (``CREATE INDEX``) are answered
+by a lookup in it when that costs less. Everything else runs as
+sequential scans, hash joins on equality conjuncts, or nested loops.
+UPDATE and DELETE find their rows through the same access-path choice
+(:meth:`Planner.plan_rows`).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SqlPlanError
 from repro.geometry.base import Envelope, Geometry
@@ -32,6 +36,7 @@ from repro.sql.executor import (
     Evaluator,
     ExecContext,
     Filter,
+    IndexLookup,
     IndexScan,
     KNNScan,
     Limit,
@@ -52,7 +57,7 @@ from repro.sql.joins import (
 from repro.sql.functions import SPATIAL_PREDICATES, FunctionRegistry
 from repro.storage.catalog import Catalog
 from repro.storage.statistics import ColumnStats, estimate_join_pairs
-from repro.storage.table import ColumnType, Table
+from repro.storage.table import Column, ColumnType, Table
 
 #: predicates whose candidates can be produced by an envelope-intersects
 #: index probe (the probe envelope may be expanded, e.g. for ST_DWithin)
@@ -83,6 +88,10 @@ _COST_TREE = 0.4
 _COST_PACK = 1.6
 # per pair evaluated by a plain nested loop
 _COST_NLJ = 2.2
+# per row a sequential scan reads, and per row a lookup fetches; and
+# per key a key-index lookup probes
+_COST_SCAN_ROW = 1.0
+_COST_KEY_PROBE = 2.0
 # per row hashed (inner side) or probed (outer side) by a hash join, and
 # per key-matching pair taken and run through its residual. Measured on
 # the bluestem edges self-join at scale 8 (8 477 rows a side), in units of
@@ -339,6 +348,26 @@ class Planner:
             plan = Filter(plan, compiler.compile(combined))
         return plan
 
+    def plan_rows(
+        self, table_name: str, where: Optional[ast.Expr]
+    ) -> Tuple[PlanNode, Optional[Evaluator]]:
+        """The rows a DELETE or UPDATE targets: the access path a SELECT
+        of the same WHERE would read (whose ``row_batches(ctx,
+        with_ids=True)`` yields row ids), and the whole WHERE compiled,
+        to run on what the access path fetched. The alias is the
+        table's name."""
+        table = self.catalog.table(table_name)
+        scope = Scope()
+        scope.add(table.name, table)
+        compiler = Compiler(scope, self.registry, self.profile)
+        conjuncts = split_conjuncts(where)
+        access = self._plan_base_table(
+            ast.TableRef(table.name, table.name), scope, compiler,
+            conjuncts, set(),
+        )
+        predicate = compiler.compile(where) if where is not None else None
+        return access, predicate
+
     def _plan_base_table(
         self,
         ref: ast.TableRef,
@@ -347,8 +376,48 @@ class Planner:
         remaining: List[ast.Expr],
         bound: Set[str],
     ) -> PlanNode:
+        """The access path for one table: a spatial ``IndexScan`` when a
+        conjunct can probe a spatial index, else a ``SeqScan`` — and in
+        either case an ``IndexLookup`` instead when key conjuncts bind
+        every column of a key index and its estimated cost is lower. The
+        conjuncts stay in ``remaining``: the caller filters on them."""
         table = self.catalog.table(ref.name)
         alias = ref.alias.lower()
+        spatial = self._spatial_scan(table, alias, scope, compiler, remaining)
+        plan: PlanNode = spatial or SeqScan(table, alias)
+        key_indexes = self.catalog.key_indexes(table.name)
+        options = (
+            self._key_options(remaining, scope, alias) if key_indexes else {}
+        )
+        entries = [e for e in key_indexes if options.keys() >= set(e.columns)]
+        if not entries:
+            return plan
+        n_rows = float(max(len(table), 1))
+        cost = (
+            self._estimate_rows(spatial) if spatial is not None
+            else n_rows * _COST_SCAN_ROW
+        )
+        for entry in entries:
+            n_keys = math.prod(len(options[c]) for c in entry.columns)
+            est = max(1.0, n_keys * n_rows / self._key_distinct(table, entry))
+            lookup_cost = n_keys * _COST_KEY_PROBE + est * _COST_SCAN_ROW
+            if lookup_cost < cost:
+                plan = self._build_lookup(table, alias, compiler, entry,
+                                          options)
+                plan.est_rows = est
+                cost = lookup_cost
+        return plan
+
+    def _spatial_scan(
+        self,
+        table: Table,
+        alias: str,
+        scope: Scope,
+        compiler: Compiler,
+        remaining: List[ast.Expr],
+    ) -> Optional[IndexScan]:
+        """An ``IndexScan`` on the first conjunct that can probe a
+        spatial index of ``table`` with a row-independent envelope."""
         for conjunct in remaining:
             indexable = self._match_indexable(conjunct, scope, alias)
             if indexable is None:
@@ -360,7 +429,7 @@ class Planner:
                 indexable.radius_expr, scope
             ):
                 continue
-            entry = self.catalog.index_for(ref.name, indexable.column)
+            entry = self.catalog.index_for(table.name, indexable.column)
             if entry is None:
                 continue
             other_fn = compiler.compile(indexable.other)
@@ -378,7 +447,70 @@ class Planner:
                 )
 
             return IndexScan(table, alias, entry, probe, label="filter")
-        return SeqScan(table, alias)
+        return None
+
+    def _key_options(
+        self, conjuncts: List[ast.Expr], scope: Scope, alias: str
+    ) -> Dict[str, List[ast.Expr]]:
+        """Column -> the row-independent values a conjunct pins it to:
+        ``col = expr`` gives one, ``col IN (…)`` one per option (the
+        first conjunct on a column wins)."""
+        options: Dict[str, List[ast.Expr]] = {}
+        for conjunct in conjuncts:
+            if isinstance(conjunct, ast.BinaryOp) and conjunct.op == "=":
+                sides = ((conjunct.left, [conjunct.right]),
+                         (conjunct.right, [conjunct.left]))
+            elif isinstance(conjunct, ast.InList) and not conjunct.negated:
+                sides = ((conjunct.value, list(conjunct.options)),)
+            else:
+                continue
+            for column_side, values in sides:
+                column = self._own_column(column_side, scope, alias)
+                if (column is None or column.type is ColumnType.GEOMETRY
+                        or column.name in options):
+                    continue
+                if any(referenced_aliases(v, scope) for v in values):
+                    continue
+                options[column.name] = values
+                break
+        return options
+
+    @staticmethod
+    def _key_distinct(table: Table, entry) -> float:
+        """Distinct keys of a key index: the product of its columns'
+        ``ANALYZE`` distinct counts, at most one per row — or, for a
+        table never analyzed, the keys the index holds."""
+        counts = [table.stats.distinct.get(c) for c in entry.columns]
+        if None in counts:
+            return float(max(entry.index.key_count, 1))
+        return float(max(1, min(math.prod(counts), len(table))))
+
+    def _build_lookup(
+        self,
+        table: Table,
+        alias: str,
+        compiler: Compiler,
+        entry,
+        options: Dict[str, List[ast.Expr]],
+    ) -> IndexLookup:
+        per_column = [
+            [compiler.compile(value) for value in options[column]]
+            for column in entry.columns
+        ]
+        label = " AND ".join(
+            f"{column} = {_show(options[column][0])}"
+            if len(options[column]) == 1
+            else f"{column} IN ({', '.join(map(_show, options[column]))})"
+            for column in entry.columns
+        )
+
+        def keys(ctx: ExecContext, per_column=per_column) -> List[Any]:
+            values = [[scalar(fn, ctx) for fn in fns] for fns in per_column]
+            if len(values) == 1:
+                return values[0]
+            return list(itertools.product(*values))
+
+        return IndexLookup(table, alias, entry, keys, label=label)
 
     def _plan_join(
         self,
@@ -764,6 +896,16 @@ class Planner:
     def _geometry_column(
         self, expr: ast.Expr, scope: Scope, alias: str
     ) -> Optional[str]:
+        column = self._own_column(expr, scope, alias)
+        if column is None or column.type is not ColumnType.GEOMETRY:
+            return None
+        return column.name
+
+    @staticmethod
+    def _own_column(
+        expr: ast.Expr, scope: Scope, alias: str
+    ) -> Optional[Column]:
+        """The column of ``alias`` that ``expr`` names, if it is one."""
         if not isinstance(expr, ast.ColumnRef):
             return None
         try:
@@ -772,10 +914,7 @@ class Planner:
             return None
         if resolved_alias != alias:
             return None
-        table = scope.table(resolved_alias)
-        if table.columns[idx].type is not ColumnType.GEOMETRY:
-            return None
-        return table.columns[idx].name
+        return scope.table(resolved_alias).columns[idx]
 
     def _match_equi(
         self, conjunct: ast.Expr, scope: Scope, alias: str, bound: Set[str]
@@ -969,6 +1108,15 @@ def _composite_key(parts: List[Evaluator]) -> Evaluator:
         ]
 
     return key
+
+
+def _show(expr: ast.Expr) -> str:
+    """A lookup key as ``EXPLAIN`` prints it."""
+    if isinstance(expr, ast.Param):
+        return "?"
+    if isinstance(expr, ast.Literal):
+        return repr(expr.value)
+    return "expr"
 
 
 def _probe_envelope(value, radius) -> Optional[Envelope]:

@@ -1,28 +1,42 @@
-"""System catalog: tables and their spatial indexes."""
+"""System catalog: tables, their spatial indexes and their key indexes."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.errors import SqlPlanError
 from repro.index.base import SpatialIndex
+from repro.index.key import KeyIndex
 from repro.storage.table import Column, Table
 
 
 class IndexEntry:
-    """A spatial index over one geometry column of one table."""
+    """An index of one table: a spatial index over one geometry column,
+    or a key index (:class:`~repro.index.key.KeyIndex`) over one or more
+    other columns."""
 
-    __slots__ = ("name", "table_name", "column_name", "index", "probes")
+    __slots__ = ("name", "table_name", "columns", "column_name", "index",
+                 "probes")
 
     def __init__(
-        self, name: str, table_name: str, column_name: str, index: SpatialIndex
+        self, name: str, table_name: str,
+        columns: Union[str, Sequence[str]],
+        index: Union[SpatialIndex, KeyIndex],
     ):
         self.name = name.lower()
         self.table_name = table_name.lower()
-        self.column_name = column_name.lower()
+        if isinstance(columns, str):
+            columns = (columns,)
+        self.columns = tuple(c.lower() for c in columns)
+        #: the first (for a spatial index, the only) indexed column
+        self.column_name = self.columns[0]
         self.index = index
         #: usage counter surfaced by the ``jackpine_tables`` system view
         self.probes = 0
+
+    @property
+    def is_key(self) -> bool:
+        return isinstance(self.index, KeyIndex)
 
 
 class Catalog:
@@ -31,6 +45,8 @@ class Catalog:
     def __init__(self) -> None:
         self._tables: Dict[str, Table] = {}
         self._indexes: Dict[str, IndexEntry] = {}
+        #: table name -> its indexes, for the per-row maintenance hooks
+        self._by_table: Dict[str, List[IndexEntry]] = {}
         #: read-only virtual tables (``jackpine_*``), resolved by
         #: :meth:`table` after real tables; never listed by :meth:`tables`
         #: so ANALYZE-all, dumps and loaders keep seeing the heap only
@@ -59,10 +75,8 @@ class Catalog:
                 return
             raise SqlPlanError(f"no table {name!r}")
         del self._tables[key]
-        for idx_name in [
-            n for n, e in self._indexes.items() if e.table_name == key
-        ]:
-            del self._indexes[idx_name]
+        for entry in self._by_table.pop(key, ()):
+            del self._indexes[entry.name]
 
     def table(self, name: str) -> Table:
         key = name.lower()
@@ -96,25 +110,33 @@ class Catalog:
         if entry.name in self._indexes:
             raise SqlPlanError(f"index {entry.name!r} already exists")
         self._indexes[entry.name] = entry
+        self._by_table.setdefault(entry.table_name, []).append(entry)
 
     def drop_index(self, name: str, if_exists: bool = False) -> None:
         key = name.lower()
-        if key not in self._indexes:
+        entry = self._indexes.pop(key, None)
+        if entry is None:
             if if_exists:
                 return
             raise SqlPlanError(f"no index {name!r}")
-        del self._indexes[key]
+        self._by_table[entry.table_name].remove(entry)
+
+    def indexes_on(self, table_name: str) -> List[IndexEntry]:
+        """Every index of one table (the live list: do not mutate)."""
+        return self._by_table.get(table_name.lower(), [])
 
     def index_for(
         self, table_name: str, column_name: str
     ) -> Optional[IndexEntry]:
-        for entry in self._indexes.values():
-            if (
-                entry.table_name == table_name.lower()
-                and entry.column_name == column_name.lower()
-            ):
+        """The spatial index on one geometry column, if any."""
+        column = column_name.lower()
+        for entry in self.indexes_on(table_name):
+            if not entry.is_key and entry.column_name == column:
                 return entry
         return None
+
+    def key_indexes(self, table_name: str) -> List[IndexEntry]:
+        return [e for e in self.indexes_on(table_name) if e.is_key]
 
     def indexes(self) -> List[IndexEntry]:
         return list(self._indexes.values())

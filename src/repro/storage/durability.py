@@ -24,8 +24,8 @@ image, take the schema from the log's first checkpoint record, then
 **analysis** (which transactions have a commit record?) → **replay**
 (the checkpoint's own :func:`_replay`: committed row records and DDL in
 LSN order, idempotent, so effects already on disk are harmless) →
-rebuild the in-memory heap, catalog and spatial indexes, and write a
-checkpoint.
+rebuild the in-memory heap, catalog, spatial and key indexes, and write
+a checkpoint.
 
 Crash simulation: when an armed WAL/page fault raises
 :class:`~repro.errors.SimulatedCrashError`, the layer *freezes first* —
@@ -256,13 +256,7 @@ class DurabilityManager:
                  "columns": [[c.name, c.type.value] for c in t.columns]}
                 for t in db.catalog.tables()
             ],
-            "indexes": [
-                {
-                    "name": e.name, "table": e.table_name,
-                    "column": e.column_name, "kind": e.index.kind,
-                }
-                for e in db.catalog.indexes()
-            ],
+            "indexes": [index_record(e) for e in db.catalog.indexes()],
         }
         try:
             self.heap.flush()
@@ -326,6 +320,21 @@ class DurabilityManager:
         self.disk.close()
 
 
+def index_record(entry) -> Dict[str, Any]:
+    """One index definition as the checkpoint record and the
+    ``create_index`` DDL record carry it: a key index names its columns,
+    a spatial index its column."""
+    record: Dict[str, Any] = {
+        "name": entry.name, "table": entry.table_name,
+        "kind": entry.index.kind,
+    }
+    if entry.is_key:
+        record["columns"] = list(entry.columns)
+    else:
+        record["column"] = entry.column_name
+    return record
+
+
 # -- replay (checkpoint and recovery) -----------------------------------------
 
 
@@ -369,8 +378,8 @@ def recover(
     """Restart: rebuild a :class:`Database` from a directory.
 
     Analysis → replay over the durable WAL, starting from the raw page
-    image; then the in-memory heap, catalog and spatial indexes are
-    rebuilt, the recovered database gets the durability manager bound,
+    image; then the in-memory heap, catalog, spatial and key indexes
+    are rebuilt, the recovered database gets the durability manager bound,
     and a checkpoint (no second replay) truncates the log. ``profile``
     overrides the one the WAL header records.
     """
@@ -429,8 +438,8 @@ def recover(
                 del indexes[index]
         elif ddl == "create_index":
             indexes[name] = {
-                "name": name, "table": record["table"],
-                "column": record["column"], "kind": record["kind"],
+                key: value for key, value in record.items()
+                if key in ("name", "table", "column", "columns", "kind")
             }
         elif ddl == "drop_index":
             indexes.pop(name, None)
@@ -455,10 +464,16 @@ def recover(
     db.txn.set_next_txid(max_txid + 1)
     report.next_txid = max_txid + 1
     for entry in indexes.values():
-        db.execute(
-            f"CREATE SPATIAL INDEX {entry['name']} ON {entry['table']} "
-            f"({entry['column']}) USING {entry['kind']}"
-        )
+        if "columns" in entry:  # a key index
+            db.execute(
+                f"CREATE INDEX {entry['name']} ON {entry['table']} "
+                f"({', '.join(entry['columns'])})"
+            )
+        else:
+            db.execute(
+                f"CREATE SPATIAL INDEX {entry['name']} ON {entry['table']} "
+                f"({entry['column']}) USING {entry['kind']}"
+            )
         report.indexes.append(entry["name"])
     mgr.bind(db)
     db.durability = mgr

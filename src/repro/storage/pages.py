@@ -35,7 +35,8 @@ import json
 import os
 import struct
 import threading
-from typing import Dict, Iterator, Optional, Set, Tuple
+from array import array
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import DumpCorruptionError, EngineError
 from repro.faults import FAULTS
@@ -251,9 +252,9 @@ class HeapStore:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        #: table -> {rid: page_id << 16 | slot}; one int per row, since
-        #: the map holds every row of the database
-        self._loc: Dict[str, Dict[int, int]] = {}
+        #: table -> its rows' locations, one machine int per row id,
+        #: since the map holds every row of the database
+        self._loc: Dict[str, _RowMap] = {}
         self._fill_page: Optional[int] = None
         self._lock = threading.RLock()
 
@@ -299,14 +300,16 @@ class HeapStore:
     def insert(self, table: str, rid: int, values: list) -> None:
         payload = self.encode_payload(table, rid, values)
         with self._lock:
-            rows = self._loc.setdefault(table, {})
-            location = rows.pop(rid, None)
-            if location is not None:
+            rows = self._loc.get(table)
+            if rows is None:
+                rows = self._loc[table] = _RowMap()
+            location = rows.pop(rid)
+            if location >= 0:
                 page_id, slot = _page_slot(location)
                 page = self._page(page_id)
                 self._modified.add(page_id)
                 if page.replace(slot, payload):
-                    rows[rid] = location
+                    rows.put(rid, location)
                     self._trim()
                     return
                 page.delete(slot)  # no room in place: relocate
@@ -325,13 +328,14 @@ class HeapStore:
                         f"({len(payload)} bytes)"
                     )
             self._modified.add(page.page_id)
-            rows[rid] = _location(page.page_id, slot)
+            rows.put(rid, _location(page.page_id, slot))
             self._trim()
 
     def delete(self, table: str, rid: int) -> None:
         with self._lock:
-            location = self._loc.get(table, {}).pop(rid, None)
-            if location is None:
+            rows = self._loc.get(table)
+            location = rows.pop(rid) if rows is not None else -1
+            if location < 0:
                 return
             page_id, slot = _page_slot(location)
             self._page(page_id).delete(slot)
@@ -340,7 +344,8 @@ class HeapStore:
 
     def drop_table(self, table: str) -> None:
         with self._lock:
-            for rid in sorted(self._loc.get(table, ())):
+            rows = self._loc.get(table)
+            for rid in rows.rids() if rows is not None else ():
                 self.delete(table, rid)
             self._loc.pop(table, None)
 
@@ -349,13 +354,15 @@ class HeapStore:
     def row_count(self, table: Optional[str] = None) -> int:
         with self._lock:
             if table is not None:
-                return len(self._loc.get(table, ()))
-            return sum(len(rows) for rows in self._loc.values())
+                rows = self._loc.get(table)
+                return rows.live if rows is not None else 0
+            return sum(rows.live for rows in self._loc.values())
 
     def read(self, table: str, rid: int) -> Optional[list]:
         with self._lock:
-            location = self._loc.get(table, {}).get(rid)
-            if location is None:
+            rows = self._loc.get(table)
+            location = rows.get(rid) if rows is not None else -1
+            if location < 0:
                 return None
             page_id, slot = _page_slot(location)
             payload = self._page(page_id).read(slot)
@@ -365,10 +372,10 @@ class HeapStore:
     def rows(self) -> Iterator[Tuple[str, int, list]]:
         """Every stored ``(table, rid, encoded values)``, via the map."""
         with self._lock:
-            keys = sorted(
-                (table, rid) for table, rows in self._loc.items()
-                for rid in rows
-            )
+            keys = [
+                (table, rid) for table in sorted(self._loc)
+                for rid in self._loc[table].rids()
+            ]
         for table, rid in keys:
             values = self.read(table, rid)
             if values is not None:
@@ -391,14 +398,53 @@ class HeapStore:
                         table, rid, _ = record["t"], record["r"], record["v"]
                     except (ValueError, KeyError, UnicodeDecodeError):
                         continue  # torn slot: the WAL replay re-adds it
-                    rows = self._loc.setdefault(table, {})
-                    stale = rows.get(rid)
-                    if stale is not None:
+                    rows = self._loc.get(table)
+                    if rows is None:
+                        rows = self._loc[table] = _RowMap()
+                    stale = rows.pop(rid)
+                    if stale >= 0:
                         stale_page, stale_slot = _page_slot(stale)
                         self._page(stale_page).delete(stale_slot)
                         self._modified.add(stale_page)
-                    rows[rid] = _location(page_id, slot)
+                    rows.put(rid, _location(page_id, slot))
                 self._trim()
+
+
+class _RowMap:
+    """One table's row locations: an ``array('q')`` indexed by row id
+    (the heap's dense positional ids), -1 where no row is stored, and
+    the count of stored rows."""
+
+    __slots__ = ("slots", "live")
+
+    def __init__(self) -> None:
+        self.slots = array("q")
+        self.live = 0
+
+    def get(self, rid: int) -> int:
+        slots = self.slots
+        return slots[rid] if rid < len(slots) else -1
+
+    def put(self, rid: int, location: int) -> None:
+        slots = self.slots
+        missing = rid + 1 - len(slots)
+        if missing > 0:
+            slots.extend(array("q", (-1,)) * missing)
+        if slots[rid] < 0:
+            self.live += 1
+        slots[rid] = location
+
+    def pop(self, rid: int) -> int:
+        """The row's location (-1 if absent), now absent."""
+        location = self.get(rid)
+        if location >= 0:
+            self.slots[rid] = -1
+            self.live -= 1
+        return location
+
+    def rids(self) -> List[int]:
+        return [rid for rid, location in enumerate(self.slots)
+                if location >= 0]
 
 
 def _location(page_id: int, slot: int) -> int:
