@@ -1,14 +1,15 @@
-"""Open-loop client fleet for the query service (the J-X6 harness).
+"""Served workload rounds: the client loop pumped by asyncio tasks.
 
-The thread-per-client driver in :mod:`repro.workload.driver` cannot
-overload a server honestly: a blocked thread stops *sending*, so the
-offered load collapses to whatever the server completes (the classic
-closed-loop coordinated-omission trap). Here every simulated client is
-an asyncio task holding one TCP connection, arrivals follow a fixed
-per-client schedule regardless of completions, and latency is measured
-from the *scheduled* arrival — when the server falls behind, the
-schedule keeps firing and the backlog shows up in p99, exactly like
-production traffic.
+The client loop itself — schedule, operation mix, write transaction
+with serialization retry, failure classification, latency — is
+:func:`repro.workload.driver.client_steps`, the same generator the
+embedded driver's threads pump. Here every simulated client is an
+asyncio task holding one TCP connection and carrying out that
+generator's requests over the wire. In open mode arrivals follow a
+fixed per-client schedule regardless of completions and latency is
+measured from the *scheduled* arrival, so when the server falls behind
+the backlog shows up in p99 instead of being omitted (coordinated
+omission), exactly like production traffic.
 
 Hundreds of clients are cheap (tasks, not threads), which is what lets
 J-X6 push the server past saturation and watch admission control shed
@@ -19,31 +20,18 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import random
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
-from repro.core.stats import backoff_delay
 from repro.obs.requests import TraceContext
 from repro.obs.waits import WaitAttribution, summary_delta
 from repro.service.client import ServiceClient
 from repro.service.protocol import _HEADER, MAX_FRAME, decode_body, \
     encode_frame
 from repro.errors import ServiceProtocolError
-from repro.workload.mixes import Operation, get_mix
+from repro.workload.mixes import get_mix
 
 __all__ = ["run_server_workload"]
-
-
-class _RemoteDatabase:
-    """Just enough of the Database surface for ``get_mix`` to sample its
-    hot-row pool over the wire (``.execute(sql).rows``)."""
-
-    def __init__(self, client: ServiceClient):
-        self._client = client
-
-    def execute(self, sql: str, params: Tuple[Any, ...] = ()):
-        return self._client.execute(sql, params)
 
 
 class _AsyncChannel:
@@ -54,23 +42,19 @@ class _AsyncChannel:
         self._writer = writer
         self._ids = itertools.count(1)
 
-    async def request(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        message["id"] = next(self._ids)
-        self._writer.write(encode_frame(message))
+    async def query(self, sql: str, params=()) -> Dict[str, Any]:
+        # the fleet propagates trace context like the blocking client:
+        # a traced server links each request end to end
+        self._writer.write(encode_frame({
+            "op": "query", "id": next(self._ids), "sql": sql,
+            "params": list(params), "trace": TraceContext.fresh().to_wire(),
+        }))
         await self._writer.drain()
         header = await self._reader.readexactly(_HEADER.size)
         (length,) = _HEADER.unpack(header)
         if length > MAX_FRAME:
             raise ServiceProtocolError(f"oversized response frame {length}")
         return decode_body(await self._reader.readexactly(length))
-
-    async def query(self, sql: str, params=()) -> Dict[str, Any]:
-        # the fleet propagates trace context like the blocking client:
-        # a traced server links each open-loop request end to end
-        return await self.request({
-            "op": "query", "sql": sql, "params": list(params),
-            "trace": TraceContext.fresh().to_wire(),
-        })
 
     async def close(self) -> None:
         self._writer.close()
@@ -80,125 +64,45 @@ class _AsyncChannel:
             pass
 
 
-def _classify_failure(report, error: Dict[str, Any]) -> str:
-    code = error.get("code", "internal")
-    if code == "overloaded":
-        report.shed += 1
-    elif code == "timeout":
-        report.timeouts += 1
-    elif code != "serialization":
-        report.errors += 1
-    return code
+async def _client(host: str, port: int, steps: Any) -> None:
+    """The asyncio pump: carry out a client loop's requests on its own
+    connection (see :func:`repro.workload.driver.drive_connection`)."""
+    from repro.workload.driver import EXECUTE, ROLLBACK
 
-
-async def _run_read(channel, op: Operation, report) -> None:
-    for sql, params in op.statements:
-        response = await channel.query(sql, params)
-        if not response.get("ok"):
-            _classify_failure(report, response.get("error") or {})
-            return
-        if response.get("cached"):
-            report.cache_hits += 1
-    report.reads += 1
-
-
-async def _run_write(channel, op: Operation, report, config, rng) -> None:
-    attempt = 0
-    while True:
-        response = await channel.query("BEGIN")
-        if not response.get("ok"):
-            _classify_failure(report, response.get("error") or {})
-            break
-        failure: Optional[Dict[str, Any]] = None
-        for sql, params in op.statements:
-            response = await channel.query(sql, params)
-            if not response.get("ok"):
-                failure = response.get("error") or {}
-                break
-        if failure is None:
-            response = await channel.query("COMMIT")
-            if response.get("ok"):
-                report.commits += 1
-                break
-            failure = response.get("error") or {}
-        code = _classify_failure(report, failure)
-        await channel.query("ROLLBACK")  # best-effort; server also unpins
-        if code != "serialization":
-            break
-        report.aborts += 1
-        if attempt >= config.max_retries:
-            break
-        report.retries += 1
-        await asyncio.sleep(backoff_delay(attempt, rng=rng))
-        attempt += 1
-    report.writes += 1
-
-
-async def _client_body(
-    host: str, port: int, mix, config, report, stop_at: float
-) -> None:
-    reader, writer = await asyncio.open_connection(host, port)
-    channel = _AsyncChannel(reader, writer)
-    rng = random.Random(
-        (config.seed << 16) ^ (0x9E3779B1 * (report.client_id + 1))
-    )
-    interval = (
-        1.0 / config.rate
-        if config.mode == "open" and config.rate > 0 else 0.0
-    )
-    next_arrival = time.perf_counter()
+    channel = _AsyncChannel(*await asyncio.open_connection(host, port))
     try:
+        outcome = None
         while True:
-            now = time.perf_counter()
-            if now >= stop_at:
-                break
-            if interval:
-                if now < next_arrival:
-                    await asyncio.sleep(
-                        min(next_arrival - now, stop_at - now)
-                    )
-                    if time.perf_counter() >= stop_at:
-                        break
-                # latency clock starts at the *scheduled* arrival: time
-                # the connection spent busy with the previous request is
-                # server-induced delay, not omitted load
-                started = next_arrival
-                next_arrival += interval
-            else:
-                started = time.perf_counter()
-            op = mix.next_operation(rng, report.client_id)
             try:
-                if op.kind == "read":
-                    await _run_read(channel, op, report)
-                else:
-                    await _run_write(channel, op, report, config, rng)
-            finally:
-                report.ops += 1
-                report.latency.observe(time.perf_counter() - started)
+                request = steps.send(outcome)
+            except StopIteration:
+                return
+            outcome = None
+            if request[0] == EXECUTE:
+                response = await channel.query(request[1], request[2])
+                error = None if response.get("ok") else (
+                    (response.get("error") or {}).get("code", "internal")
+                )
+                outcome = (error, bool(response.get("cached")))
+            elif request[0] == ROLLBACK:
+                await channel.query("ROLLBACK")  # best-effort
+            else:  # BACKOFF or SLEEP
+                await asyncio.sleep(request[1])
     finally:
         await channel.close()
 
 
-async def _run_fleet(host, port, mix, config, reports) -> None:
-    stop_at = time.perf_counter() + config.duration
-    tasks = [
-        asyncio.ensure_future(
-            _client_body(host, port, mix, config, report, stop_at)
-        )
-        for report in reports
-    ]
-    failures = await asyncio.gather(*tasks, return_exceptions=True)
-    for failure in failures:
-        if isinstance(failure, BaseException):
-            raise failure
+async def _run_fleet(host: str, port: int, streams: List[Any]) -> None:
+    await asyncio.gather(*(_client(host, port, steps) for steps in streams))
 
 
 def run_server_workload(config, address: Optional[str] = None):
-    """Drive a running query service with ``config.clients`` open-loop
+    """Drive a running query service with ``config.clients`` asyncio
     clients; returns the same :class:`WorkloadReport` the embedded driver
     produces, with the ``service``/``cache`` sections filled from the
     server's own counters."""
-    from repro.workload.driver import ClientReport, WorkloadReport
+    from repro.workload.driver import ClientReport, WorkloadReport, \
+        client_steps
 
     config.validate()
     address = address or config.server
@@ -207,14 +111,14 @@ def run_server_workload(config, address: Optional[str] = None):
     control = ServiceClient.from_address(address)
     try:
         control.ping()
-        mix = get_mix(config.mix, _RemoteDatabase(control), seed=config.seed)
-        host, port = control.host, control.port
-        reports: List[Any] = [
+        mix = get_mix(config.mix, control, seed=config.seed)
+        reports = [
             ClientReport(client_id=slot) for slot in range(config.clients)
         ]
+        streams = [client_steps(mix, config, report) for report in reports]
         before = control.server_stats() if config.waits else None
         start = time.perf_counter()
-        asyncio.run(_run_fleet(host, port, mix, config, reports))
+        asyncio.run(_run_fleet(control.host, control.port, streams))
         wall = time.perf_counter() - start
         stats = control.server_stats()
     finally:

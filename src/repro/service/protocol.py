@@ -31,7 +31,13 @@ import socket
 import struct
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.errors import ServiceProtocolError
+from repro.errors import (
+    GuardrailError,
+    SerializationError,
+    ServiceOverloadedError,
+    ServiceProtocolError,
+    SqlError,
+)
 
 __all__ = [
     "MAX_FRAME",
@@ -43,6 +49,7 @@ __all__ = [
     "write_frame",
     "jsonable_rows",
     "decode_rows",
+    "error_code",
     "error_payload",
     "trace_context",
 ]
@@ -191,6 +198,20 @@ def trace_context(message: Dict[str, Any]):
     from repro.obs.requests import TraceContext
 
     return TraceContext.from_wire(payload)
+
+
+def error_code(exc: BaseException) -> str:
+    """The wire error code of a failed statement (also the traced
+    outcome on the server, and the workload client's classification)."""
+    if isinstance(exc, ServiceOverloadedError):
+        return "overloaded"
+    if isinstance(exc, SerializationError):
+        return "serialization"
+    if isinstance(exc, GuardrailError):
+        return "timeout"
+    if isinstance(exc, SqlError):
+        return "sql"
+    return "internal"
 
 
 def error_payload(code: str, message: str, **extra: Any) -> Dict[str, Any]:

@@ -41,15 +41,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from repro.dbapi import connect
-from repro.errors import (
-    GuardrailError,
-    ReproError,
-    SerializationError,
-    ServiceError,
-    ServiceOverloadedError,
-    ServiceProtocolError,
-    SqlError,
-)
+from repro.errors import ReproError, ServiceError, ServiceProtocolError
 from repro.obs.requests import RECORDER, SlowLog
 from repro.obs.waits import NET_RECV, NET_SEND, WAITS
 from repro.service.admission import AdmissionControl
@@ -59,6 +51,7 @@ from repro.service.protocol import (
     MAX_FRAME,
     decode_body,
     encode_frame,
+    error_code,
     error_payload,
     result_frame,
     trace_context,
@@ -506,7 +499,7 @@ class JackpineServer:
                 pending.complete("ok", cached=cached)
             return {"ok": True, "_body": entry.body(), "cached": cached}
         except Exception as exc:
-            code = _error_code(exc)
+            code = error_code(exc)
             if pending is not None:
                 pending.complete(code)
             # a non-ReproError is a broken engine invariant: name it
@@ -538,15 +531,3 @@ class JackpineServer:
         if closing:
             state.connection.close()
 
-
-def _error_code(exc: BaseException) -> str:
-    """The wire error code (and traced outcome) of a failed request."""
-    if isinstance(exc, ServiceOverloadedError):
-        return "overloaded"
-    if isinstance(exc, SerializationError):
-        return "serialization"
-    if isinstance(exc, GuardrailError):
-        return "timeout"
-    if isinstance(exc, SqlError):
-        return "sql"
-    return "internal"

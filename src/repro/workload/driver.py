@@ -1,23 +1,26 @@
-"""Concurrent workload driver: N client threads over DB-API connections.
+"""The workload client loop, and its thread pump over DB-API connections.
 
-This is the throughput harness the transaction subsystem exists for.
-Each client gets its own :class:`~repro.dbapi.connection.Connection`
-(hence its own session/transaction) against one shared
-:class:`~repro.engines.Database`, replays operations from a
-:mod:`~repro.workload.mixes` mix for a fixed duration, and records
-per-client latency histograms plus commit/abort/retry counts. Lost
-write-write conflicts surface as
-:class:`~repro.errors.SerializationError`; the driver rolls back and
-retries with the same full-jitter backoff the benchmark harness uses for
-every other transient error.
+One generator, :func:`client_steps`, is the whole client: it replays
+operations from a :mod:`~repro.workload.mixes` mix for a fixed
+duration, wraps writes in ``BEGIN … COMMIT``, rolls back and retries a
+lost write-write conflict (``serialization``) with the same full-jitter
+backoff the benchmark harness uses for every other transient error,
+classifies every other failure, and records per-client latency
+histograms plus commit/abort/retry counts. It does no I/O: it yields
+requests to a pump. :func:`drive_connection` is the pump for embedded
+rounds — N client threads, each with its own
+:class:`~repro.dbapi.connection.Connection` against one shared
+:class:`~repro.engines.Database`; :mod:`repro.service.loadgen` pumps the
+same generator over the wire with asyncio tasks.
 
 Two loop disciplines:
 
 - **closed** (default): each client issues its next operation as soon as
   the previous one finishes — classic saturation throughput.
 - **open**: operations arrive on a fixed schedule (``rate`` per second
-  per client) regardless of completions, the way real load does; when
-  the engine falls behind, latency — not throughput — absorbs it.
+  per client) regardless of completions, the way real load does. The
+  latency clock starts at the *scheduled* arrival, so when the engine
+  falls behind, latency — not throughput — absorbs it.
 
 The engines are pure Python, so the GIL serialises CPU work: aggregate
 numbers measure contention behaviour and abort dynamics, not parallel
@@ -26,17 +29,18 @@ speedup (the J-X2/J-X4 reports say so).
 
 from __future__ import annotations
 
+import itertools
 import random
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.stats import backoff_delay
 from repro.datagen import generate
 from repro.dbapi import connect
 from repro.engines import Database
-from repro.errors import ReproError, SerializationError
+from repro.errors import ReproError
 from repro.obs.ash import AshSampler
 from repro.obs.metrics import Histogram
 from repro.obs.telemetry import SCHEMA, write_document
@@ -46,6 +50,7 @@ from repro.obs.waits import (
     WAITS,
     WaitAttribution,
 )
+from repro.service.protocol import error_code
 from repro.workload.mixes import MIXES, Operation, get_mix
 
 
@@ -67,7 +72,7 @@ class WorkloadConfig:
     checkpoint_interval: float = 0.0   # seconds between background
                                        # checkpoints (0 = none)
     #: drive a running query service at ``host:port`` instead of the
-    #: embedded engine (open-loop asyncio fleet, see repro.service.loadgen)
+    #: embedded engine (asyncio client tasks, see repro.service.loadgen)
     server: Optional[str] = None
 
     def validate(self) -> None:
@@ -108,22 +113,42 @@ class WorkloadConfig:
 
 @dataclass
 class ClientReport:
-    """What one client thread did, with its own latency histogram."""
+    """What one client did, with its own latency histogram.
+
+    Every finished operation counts once in ``ops`` and once in ``reads``
+    or ``writes`` by its kind, whatever its outcome, so ``reads + writes
+    == ops`` on both transports. A failure other than a serialization
+    abort ends its operation and counts once in ``shed``, ``timeouts``
+    or ``errors``; a serialization abort counts in ``aborts``.
+    """
 
     client_id: int
-    ops: int = 0          # operations finished (committed or given up)
-    reads: int = 0
-    writes: int = 0
+    ops: int = 0          # operations finished (committed, given up, failed)
+    reads: int = 0        # read operations, failed ones included
+    writes: int = 0       # write operations, failed ones included
     commits: int = 0      # committed write transactions
     aborts: int = 0       # serialization aborts (each one rolled back)
     retries: int = 0      # aborts that were retried (rest were given up)
-    errors: int = 0       # non-transient ReproErrors (should stay 0)
-    shed: int = 0         # server mode: requests shed by admission control
-    timeouts: int = 0     # server mode: requests killed at the deadline
-    cache_hits: int = 0   # server mode: responses served from the cache
+    errors: int = 0       # failures coded sql / internal (should stay 0)
+    shed: int = 0         # requests shed by admission control (served)
+    timeouts: int = 0     # statements stopped by a deadline or guardrail
+    cache_hits: int = 0   # served: responses from the result cache
     latency: Histogram = field(default_factory=lambda: Histogram(
         "workload_op_seconds", "per-operation latency for one client"
     ))
+
+
+class _Total:
+    """``WorkloadReport.total_<counter>``: one counter summed over the
+    clients' reports."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.counter = name[len("total_"):]
+
+    def __get__(self, report: Any, owner: type = None) -> Any:
+        if report is None:
+            return self
+        return sum(getattr(client, self.counter) for client in report.clients)
 
 
 @dataclass
@@ -154,48 +179,16 @@ class WorkloadReport:
     #: after the round
     requests: Optional[Dict[str, Any]] = None
 
-    def _total(self, name: str) -> int:
-        return sum(getattr(report, name) for report in self.clients)
-
-    @property
-    def total_ops(self) -> int:
-        return self._total("ops")
-
-    @property
-    def total_reads(self) -> int:
-        return self._total("reads")
-
-    @property
-    def total_writes(self) -> int:
-        return self._total("writes")
-
-    @property
-    def total_commits(self) -> int:
-        return self._total("commits")
-
-    @property
-    def total_aborts(self) -> int:
-        return self._total("aborts")
-
-    @property
-    def total_retries(self) -> int:
-        return self._total("retries")
-
-    @property
-    def total_errors(self) -> int:
-        return self._total("errors")
-
-    @property
-    def total_shed(self) -> int:
-        return self._total("shed")
-
-    @property
-    def total_timeouts(self) -> int:
-        return self._total("timeouts")
-
-    @property
-    def total_cache_hits(self) -> int:
-        return self._total("cache_hits")
+    total_ops = _Total()
+    total_reads = _Total()
+    total_writes = _Total()
+    total_commits = _Total()
+    total_aborts = _Total()
+    total_retries = _Total()
+    total_errors = _Total()
+    total_shed = _Total()
+    total_timeouts = _Total()
+    total_cache_hits = _Total()
 
     @property
     def queries_per_minute(self) -> float:
@@ -212,6 +205,10 @@ class WorkloadReport:
     def telemetry_document(self) -> Dict[str, Any]:
         """Same envelope schema as ``jackpine run --telemetry``."""
         config = self.config
+        counters = ("ops", "reads", "writes", "commits", "aborts",
+                    "retries", "errors")
+        if self.service is not None:
+            counters += ("shed", "timeouts", "cache_hits")
         records: List[Dict[str, Any]] = []
         for report in self.clients:
             record: Dict[str, Any] = {
@@ -219,44 +216,22 @@ class WorkloadReport:
                 "engine": config.engine,
                 "suite": "workload",
                 "supported": True,
-                "ops": report.ops,
-                "reads": report.reads,
-                "writes": report.writes,
-                "commits": report.commits,
-                "aborts": report.aborts,
-                "retries": report.retries,
-                "errors": report.errors,
             }
-            if self.service is not None:
-                record["shed"] = report.shed
-                record["timeouts"] = report.timeouts
-                record["cache_hits"] = report.cache_hits
+            record.update((name, getattr(report, name)) for name in counters)
             if report.latency.count:
                 record.update(
-                    p50=report.latency.p50,
-                    p95=report.latency.p95,
-                    p99=report.latency.p99,
-                    mean=report.latency.mean,
-                    min=report.latency.min,
-                    max=report.latency.max,
+                    (name, getattr(report.latency, name))
+                    for name in ("p50", "p95", "p99", "mean", "min", "max")
                 )
             records.append(record)
         document: Dict[str, Any] = {
             "schema": SCHEMA,
             "engine": config.engine,
+            # every config field but the engine (top level) and the
+            # recording switches (their sections say whether they ran)
             "config": {
-                "clients": config.clients,
-                "duration": config.duration,
-                "mix": config.mix,
-                "mode": config.mode,
-                "rate": config.rate,
-                "seed": config.seed,
-                "scale": config.scale,
-                "max_retries": config.max_retries,
-                "lock_timeout": config.lock_timeout,
-                "storage_dir": config.storage_dir,
-                "checkpoint_interval": config.checkpoint_interval,
-                "server": config.server,
+                name: value for name, value in asdict(config).items()
+                if name not in ("engine", "waits", "statements")
             },
             "wall_seconds": self.wall_seconds,
             "totals": {
@@ -346,63 +321,141 @@ def run_client_threads(
     return wall, reports
 
 
-def _run_operation(
-    cursor: Any,
-    connection: Any,
-    op: Operation,
-    report: ClientReport,
-    config: WorkloadConfig,
-    rng: random.Random,
-) -> None:
-    """Execute one operation, retrying serialization aborts with backoff."""
-    start = time.perf_counter()
-    try:
-        if op.kind == "read":
-            for sql, params in op.statements:
-                cursor.execute(sql, params)
-                cursor.fetchall()
-            report.reads += 1
-        else:
-            attempt = 0
-            while True:
-                try:
-                    cursor.execute("BEGIN")
-                    for sql, params in op.statements:
-                        cursor.execute(sql, params)
-                    connection.commit()
-                    report.commits += 1
-                    break
-                except SerializationError:
-                    # the engine already rolled the transaction back;
-                    # rollback() here just clears any session residue.
-                    # Client:Retry covers only the rollback itself (the
-                    # failed attempt's lock/latch waits were already
-                    # recorded by their own sites), Client:Backoff the
-                    # sleep — the two are disjoint, so attribution never
-                    # double-counts this path.
-                    WAITS.timed(CLIENT_RETRY, connection.rollback)()
-                    report.aborts += 1
-                    if attempt >= config.max_retries:
-                        break  # give up on this operation
-                    report.retries += 1
-                    database = getattr(connection, "database", None)
-                    if database is not None and op.statements:
-                        store = database.obs.statements
-                        if store.enabled:
-                            # charge the retry to the transaction's first
-                            # statement: the fingerprint the flow is
-                            # known by
-                            store.record_retry(op.statements[0][0])
-                    delay = backoff_delay(attempt, rng=rng)
-                    WAITS.timed(CLIENT_BACKOFF, time.sleep)(delay)
-                    attempt += 1
-            report.writes += 1
-    except ReproError:
-        connection.rollback()
+# -- the client loop ----------------------------------------------------------
+#
+# One generator per client holds every decision: the schedule, the
+# operation stream, the write transaction with its serialization retry,
+# failure classification and the latency observation. It does no I/O:
+# it yields requests and a pump (threads over a DB-API connection here,
+# asyncio tasks over a wire channel in repro.service.loadgen) carries
+# them out.
+
+#: ``(EXECUTE, sql, params)`` -> ``(error_code | None, cached)``
+EXECUTE = "execute"
+#: ``(ROLLBACK, error_code)`` after a failed write attempt -> ``None``
+ROLLBACK = "rollback"
+#: ``(BACKOFF, seconds, sql)`` before retrying the write whose first
+#: statement is ``sql`` -> ``None``
+BACKOFF = "backoff"
+#: ``(SLEEP, seconds)`` until the next scheduled arrival -> ``None``
+SLEEP = "sleep"
+
+
+def _execute(sql: str, params: tuple, report: ClientReport):
+    code, cached = yield (EXECUTE, sql, params)
+    if cached:
+        report.cache_hits += 1
+    if code == "overloaded":
+        report.shed += 1
+    elif code == "timeout":
+        report.timeouts += 1
+    elif code not in (None, "serialization"):
         report.errors += 1
-    finally:
+    return code
+
+
+def operation_steps(
+    op: Operation, config: WorkloadConfig, report: ClientReport,
+    rng: random.Random,
+):
+    """One operation's requests. A read stops at its first failure; a
+    write runs ``BEGIN … COMMIT``, rolls back any failure and retries a
+    serialization abort up to ``config.max_retries`` times."""
+    if op.kind == "read":
+        report.reads += 1
+        for sql, params in op.statements:
+            if (yield from _execute(sql, params, report)) is not None:
+                return
+        return
+    report.writes += 1
+    statements = (("BEGIN", ()),) + op.statements + (("COMMIT", ()),)
+    for attempt in itertools.count():
+        for sql, params in statements:
+            code = yield from _execute(sql, params, report)
+            if code is not None:
+                break
+        else:
+            report.commits += 1
+            return
+        yield (ROLLBACK, code)
+        if code != "serialization":
+            return
+        report.aborts += 1
+        if attempt >= config.max_retries:
+            return  # give up on this operation
+        report.retries += 1
+        yield (BACKOFF, backoff_delay(attempt, rng=rng), op.statements[0][0])
+
+
+def client_steps(mix: Any, config: WorkloadConfig, report: ClientReport):
+    """One client's whole round: ``config.duration`` seconds of
+    operations from ``mix``, closed loop or on the open-loop schedule."""
+    rng = random.Random(
+        (config.seed << 16) ^ (0x9E3779B1 * (report.client_id + 1))
+    )
+    interval = 1.0 / config.rate if config.mode == "open" else 0.0
+    now = arrival = time.perf_counter()
+    deadline = now + config.duration
+    while now < deadline:
+        if interval:
+            if now < arrival:
+                yield (SLEEP, min(arrival, deadline) - now)
+                if time.perf_counter() >= deadline:
+                    break
+            # the latency clock starts at the *scheduled* arrival: time
+            # spent behind the schedule is delay the client saw, not
+            # load it may omit (coordinated omission)
+            started = arrival
+            arrival += interval
+        else:
+            started = now
+        op = mix.next_operation(rng, report.client_id)
+        yield from operation_steps(op, config, report, rng)
+        now = time.perf_counter()
         report.ops += 1
-        report.latency.observe(time.perf_counter() - start)
+        report.latency.observe(now - started)
+
+
+def drive_connection(steps: Any, connection: Any) -> None:
+    """The thread pump: carry out a client loop's requests on one DB-API
+    connection, mapping a :class:`ReproError` to its wire error code."""
+    cursor = connection.cursor()
+    outcome = None
+    while True:
+        try:
+            request = steps.send(outcome)
+        except StopIteration:
+            return
+        outcome = None
+        kind = request[0]
+        if kind == EXECUTE:
+            try:
+                cursor.execute(request[1], request[2])
+                cursor.fetchall()
+                outcome = (None, False)
+            except ReproError as exc:
+                outcome = (error_code(exc), False)
+        elif kind == ROLLBACK:
+            if request[1] == "serialization":
+                # the engine already rolled the transaction back;
+                # rollback() here just clears any session residue.
+                # Client:Retry covers only the rollback itself (the
+                # failed attempt's lock/latch waits were already
+                # recorded by their own sites), Client:Backoff the
+                # sleep — the two are disjoint, so attribution never
+                # double-counts this path.
+                WAITS.timed(CLIENT_RETRY, connection.rollback)()
+            else:
+                connection.rollback()
+        elif kind == BACKOFF:
+            database = getattr(connection, "database", None)
+            if database is not None and database.obs.statements.enabled:
+                # charge the retry to the transaction's first statement:
+                # the fingerprint the flow is known by
+                database.obs.statements.record_retry(request[2])
+            WAITS.timed(CLIENT_BACKOFF, time.sleep)(request[1])
+        else:
+            time.sleep(request[1])
 
 
 class _Checkpointer:
@@ -476,66 +529,38 @@ def run_workload(
         database.attach_storage(config.storage_dir)
     database.txn.lock_timeout = config.lock_timeout
     mix = get_mix(config.mix, database, seed=config.seed)
-    interval = (
-        1.0 / config.rate if config.mode == "open" and config.rate > 0
-        else 0.0
-    )
 
     def body(connection: Any, report: ClientReport) -> None:
-        rng = random.Random(
-            (config.seed << 16) ^ (0x9E3779B1 * (report.client_id + 1))
-        )
-        cursor = connection.cursor()
-        deadline = time.perf_counter() + config.duration
-        next_arrival = time.perf_counter()
-        while True:
-            now = time.perf_counter()
-            if now >= deadline:
-                break
-            if interval:
-                if now < next_arrival:
-                    time.sleep(min(next_arrival - now, deadline - now))
-                    if time.perf_counter() >= deadline:
-                        break
-                next_arrival += interval
-            op = mix.next_operation(rng, report.client_id)
-            _run_operation(cursor, connection, op, report, config, rng)
+        drive_connection(client_steps(mix, config, report), connection)
 
     attribution: Optional[WaitAttribution] = None
     hottest: List[Dict[str, Any]] = []
     ash_export: Optional[Dict[str, Any]] = None
     statements_export: Optional[Dict[str, Any]] = None
     checkpointer = _Checkpointer(database, config.checkpoint_interval)
+    sampler = AshSampler(monitor=WAITS) if config.waits else None
     if config.statements:
         database.obs.statements.reset()
         database.obs.enable_statements()
     checkpointer.start()
+    if sampler is not None:
+        WAITS.enable()
+        WAITS.reset()
+        sampler.start()
     try:
-        if config.waits:
-            WAITS.enable()
-            WAITS.reset()
-            sampler = AshSampler(monitor=WAITS)
-            sampler.start()
-            try:
-                wall, reports = run_client_threads(
-                    database, config.clients, body
-                )
-                # busy time is wall * clients: each client thread was
-                # either on-CPU or in one of the wait classes for the
-                # whole round
-                attribution = WaitAttribution.capture(
-                    WAITS, busy_seconds=wall * config.clients
-                )
-                hottest = WAITS.hottest_rows()
-                ash_export = sampler.export()
-            finally:
-                sampler.stop()
-                WAITS.disable()
-        else:
-            wall, reports = run_client_threads(
-                database, config.clients, body
+        wall, reports = run_client_threads(database, config.clients, body)
+        if sampler is not None:
+            # busy time is wall * clients: each client thread was either
+            # on-CPU or in one of the wait classes for the whole round
+            attribution = WaitAttribution.capture(
+                WAITS, busy_seconds=wall * config.clients
             )
+            hottest = WAITS.hottest_rows()
+            ash_export = sampler.export()
     finally:
+        if sampler is not None:
+            sampler.stop()
+            WAITS.disable()
         checkpointer.stop()
         if config.statements:
             database.obs.disable_statements()
@@ -579,12 +604,13 @@ def render_workload(report: WorkloadReport) -> str:
     ]
     for client in report.clients:
         hist = client.latency
-        p50 = f"{hist.p50 * 1e3:8.2f}m" if hist.count else "      --"
-        p95 = f"{hist.p95 * 1e3:8.2f}m" if hist.count else "      --"
-        p99 = f"{hist.p99 * 1e3:8.2f}m" if hist.count else "      --"
+        cells = " ".join(
+            f"{q * 1e3:8.2f}m" if hist.count else f"{'--':>9s}"
+            for q in (hist.p50, hist.p95, hist.p99)
+        )
         lines.append(
             f"{client.client_id:>7d} {client.ops:>6d} {client.reads:>6d} "
-            f"{client.writes:>7d} {p50:>9s} {p95:>9s} {p99:>9s}"
+            f"{client.writes:>7d} {cells}"
         )
     if report.attribution is not None:
         lines.append("")

@@ -33,7 +33,12 @@ from repro.obs.waits import (
     WAITS,
 )
 from repro.txn.locks import RowLockTable, SharedExclusiveLock
-from repro.workload.driver import ClientReport, WorkloadConfig, _run_operation
+from repro.workload.driver import (
+    ClientReport,
+    WorkloadConfig,
+    drive_connection,
+    operation_steps,
+)
 from repro.workload.mixes import Operation
 
 
@@ -268,8 +273,12 @@ class _AbortingCursor:
 
 
 class _StubConnection:
-    def __init__(self):
+    def __init__(self, cursor):
         self.rollbacks = 0
+        self._cursor = cursor
+
+    def cursor(self):
+        return self._cursor
 
     def commit(self):
         pass
@@ -284,10 +293,9 @@ def test_client_retry_and_backoff_events(waits):
     )
     config = WorkloadConfig(max_retries=2)
     report = ClientReport(client_id=0)
-    connection = _StubConnection()
-    _run_operation(
-        _AbortingCursor(failures=1), connection, op, report, config,
-        random.Random(1),
+    connection = _StubConnection(_AbortingCursor(failures=1))
+    drive_connection(
+        operation_steps(op, config, report, random.Random(1)), connection
     )
     events = _events_recorded(waits)
     assert CLIENT_RETRY in events
@@ -305,9 +313,10 @@ def test_client_sites_silent_when_disabled():
         kind="write", label="stub", statements=(("UPDATE t", ()),)
     )
     report = ClientReport(client_id=0)
-    _run_operation(
-        _AbortingCursor(failures=1), _StubConnection(), op, report,
-        WorkloadConfig(max_retries=2), random.Random(1),
+    drive_connection(
+        operation_steps(op, WorkloadConfig(max_retries=2), report,
+                        random.Random(1)),
+        _StubConnection(_AbortingCursor(failures=1)),
     )
     assert WAITS.summary() == {}
     assert report.commits == 1

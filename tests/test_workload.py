@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 
 import pytest
 
@@ -18,9 +19,17 @@ from repro.workload import (
     run_workload,
     write_workload_telemetry,
 )
+from repro.workload.driver import (
+    BACKOFF,
+    EXECUTE,
+    ROLLBACK,
+    ClientReport,
+    operation_steps,
+)
 from repro.workload.mixes import (
     INSERT_GID_BASE,
     MixedMix,
+    Operation,
     ReadOnlyMix,
 )
 
@@ -130,6 +139,26 @@ class TestRunWorkload:
         # ~rate*duration arrivals; allow wide slack for scheduling jitter
         assert 1 <= report.total_ops <= 20
 
+    def test_open_loop_latency_includes_lag_behind_schedule(self, dataset):
+        # each op takes ~40 ms against a 10 ms slot: the client falls
+        # further behind every op, and its latency must include the lag
+        database = Database("greenwood")
+        dataset.load_into(database)
+        database.obs.on_query_start(lambda sql, params: time.sleep(0.04))
+        rate = 100.0
+        config = WorkloadConfig(
+            clients=1, duration=0.8, mix="read_only", mode="open",
+            rate=rate, seed=5,
+        )
+        report = run_workload(config, database=database)
+        ops = report.total_ops
+        assert ops < rate * config.duration / 2  # really overloaded
+        # op k is due at k / rate and the ops run back to back, so the
+        # lag grows linearly to (wall - ops / rate) at the last op
+        mean_lag = (report.wall_seconds - ops / rate) / 2
+        assert mean_lag > 0.1
+        assert report.clients[0].latency.p50 >= mean_lag
+
     def test_render_and_telemetry(self, database, dataset, tmp_path):
         config = WorkloadConfig(
             clients=2, duration=0.3, mix="mixed", seed=11
@@ -146,3 +175,97 @@ class TestRunWorkload:
         assert all(r["suite"] == "workload" for r in doc["records"])
         assert sum(r["ops"] for r in doc["records"]) == report.total_ops
         assert doc["totals"]["ops"] == report.total_ops
+
+
+# -- the shared client loop against a scripted transport --------------------
+
+_WRITE = Operation("write", "stub", (("UPDATE t SET a = 1", ()),))
+_READ = Operation("read", "stub", (("SELECT 1", ()),))
+
+
+def _run_scripted(op, codes, max_retries=5):
+    """Pump one operation, answering its statements with ``codes`` in
+    order (``None`` = ok once the script runs out); returns the report
+    and the kinds of every request the loop made."""
+    report = ClientReport(client_id=0)
+    steps = operation_steps(
+        op, WorkloadConfig(max_retries=max_retries), report, random.Random(1)
+    )
+    script = iter(codes)
+    kinds, outcome = [], None
+    while True:
+        try:
+            request = steps.send(outcome)
+        except StopIteration:
+            return report, kinds
+        kinds.append(request[0])
+        outcome = (
+            (next(script, None), False) if request[0] == EXECUTE else None
+        )
+
+
+class TestClientLoop:
+    def test_serialization_retried_until_commit(self):
+        # BEGIN ok, UPDATE aborts; BEGIN ok, UPDATE ok, COMMIT aborts;
+        # then the whole transaction goes through
+        report, kinds = _run_scripted(
+            _WRITE, [None, "serialization", None, None, "serialization"]
+        )
+        assert (report.aborts, report.retries) == (2, 2)
+        assert (report.commits, report.writes, report.errors) == (1, 1, 0)
+        assert kinds.count(ROLLBACK) == 2
+        assert kinds.count(BACKOFF) == 2
+
+    def test_max_retries_honoured(self):
+        always = [None, "serialization"] * 10
+        report, kinds = _run_scripted(_WRITE, always, max_retries=1)
+        assert (report.aborts, report.retries) == (2, 1)
+        assert (report.commits, report.writes) == (0, 1)
+        assert kinds.count(BACKOFF) == 1
+
+    @pytest.mark.parametrize("code, counter", [
+        ("overloaded", "shed"), ("timeout", "timeouts"), ("sql", "errors"),
+    ])
+    @pytest.mark.parametrize("op", [_READ, _WRITE], ids=["read", "write"])
+    def test_failures_classified_once_without_retry(self, op, code, counter):
+        report, kinds = _run_scripted(op, [code])
+        assert getattr(report, counter) == 1
+        assert report.shed + report.timeouts + report.errors == 1
+        assert (report.aborts, report.retries, report.commits) == (0, 0, 0)
+        assert report.reads + report.writes == 1
+        assert BACKOFF not in kinds
+        assert kinds.count(ROLLBACK) == (op.kind == "write")
+
+
+def _ops_by_kind(report):
+    return report.total_reads + report.total_writes
+
+
+def test_served_mixed_round_writes_over_the_wire(dataset):
+    from repro.service import JackpineServer, ServerConfig
+
+    database = Database("greenwood")
+    dataset.load_into(database)
+    database.txn.lock_timeout = 0.05
+    server = JackpineServer(database, ServerConfig(pool_size=4))
+    server.start()
+    try:
+        config = WorkloadConfig(
+            clients=4, duration=0.6, mix="mixed", seed=11,
+            server=server.address,
+        )
+        served = run_workload(config)
+    finally:
+        server.stop()
+    assert served.total_commits > 0
+    assert served.total_errors == 0
+    assert served.total_shed == 0
+    assert database.txn.active_count == 0
+    # the same accounting rule on both transports
+    assert _ops_by_kind(served) == served.total_ops
+    embedded = run_workload(
+        WorkloadConfig(clients=4, duration=0.3, mix="mixed", seed=11,
+                       lock_timeout=0.05),
+        database=database,
+    )
+    assert _ops_by_kind(embedded) == embedded.total_ops
