@@ -13,17 +13,19 @@ ICDE 2011) as a self-contained pure-Python stack:
 - :mod:`repro.dbapi` — the PEP 249 portability layer (the paper's JDBC);
 - :mod:`repro.datagen` — a deterministic TIGER-like dataset;
 - :mod:`repro.core` — the Jackpine benchmark itself: DE-9IM and
-  spatial-analysis micro suites, a loading suite, and six macro scenarios.
+  spatial-analysis micro suites, a loading suite, six macro scenarios,
+  and the experiment registry that turns them into the paper's tables.
 
-Quickstart::
+Quickstart: the paper's topology table (J-T1) on all three engines::
 
-    from repro import Jackpine, BenchmarkConfig, render_full
+    from repro.core.experiments import EXPERIMENTS, render
 
-    bench = Jackpine(BenchmarkConfig(engines=["greenwood"], scale=0.5))
-    print(render_full(bench.run()))
+    print(render("jt1", EXPERIMENTS["jt1"].run(scale=0.5)))
+
+``import repro`` loads the engine, not the benchmark: :mod:`repro.core`
+is imported only when asked for.
 """
 
-from repro.core import BenchmarkConfig, BenchmarkResult, Jackpine, render_full
 from repro.datagen import generate
 from repro.dbapi import connect
 from repro.engines import Database
@@ -31,12 +33,8 @@ from repro.engines import Database
 __version__ = "1.0.0"
 
 __all__ = [
-    "BenchmarkConfig",
-    "BenchmarkResult",
     "Database",
-    "Jackpine",
     "connect",
     "generate",
-    "render_full",
     "__version__",
 ]

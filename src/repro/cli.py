@@ -1,9 +1,9 @@
-"""Command-line interface: ``jackpine run`` / ``jackpine explain`` / ...
+"""Command-line interface: ``jackpine experiment`` / ``jackpine explain`` / ...
 
 Examples::
 
-    jackpine run --engines greenwood bluestem --scale 0.5 --suite micro
-    jackpine run --suite macro --scenarios geocoding toxic_spill
+    jackpine experiment jt1 --scale 0.5
+    jackpine experiment jt4 --timeout 2.5 --retries 2
     jackpine explain --engine greenwood \
         "SELECT COUNT(*) FROM edges WHERE ST_Intersects(geom, ST_MakeEnvelope(0,0,1000,1000))"
 
@@ -22,14 +22,7 @@ import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core import BenchmarkConfig, Jackpine, render_full
 from repro.core.experiments import EXPERIMENTS, document, render
-from repro.core.report import (
-    render_loading,
-    render_macro,
-    render_micro_analysis,
-    render_micro_topology,
-)
 from repro.datagen import generate
 from repro.engines import ENGINE_NAMES, Database
 from repro.obs.metrics import GLOBAL
@@ -106,85 +99,6 @@ def _readers(option: str) -> str:
     return ", ".join(
         key for key, entry in EXPERIMENTS.items() if option in entry.options
     )
-
-
-@command(
-    "run", "run benchmark suites",
-    _arg("--engines", nargs="+", default=list(ENGINE_NAMES),
-         choices=list(ENGINE_NAMES)),
-    *_dataset(1.0, engine=False),
-    _arg("--repeats", type=int, default=3),
-    _arg("--warmups", type=int, default=1),
-    _arg("--suite", choices=["all", "micro", "macro", "loading"],
-         default="all"),
-    _arg("--scenarios", nargs="*", default=None),
-    _arg("--no-index", action="store_true",
-         help="skip CREATE SPATIAL INDEX (index-effect experiments)"),
-    _arg("--out", default=None, metavar="DIR",
-         help="also export every figure's data series as CSV into DIR"),
-    _arg("--telemetry", default=None, metavar="DIR",
-         help="write structured per-query JSON telemetry artifacts "
-              "(percentiles + operator breakdowns) into DIR"),
-    _arg("--details", action="store_true",
-         help="with --suite macro: print per-step timings"),
-    _arg("--timeout", type=float, default=None, metavar="SECONDS",
-         help="per-query deadline; a query that trips it is reported "
-              "with outcome 'timeout' instead of failing the run"),
-    _arg("--retries", type=int, default=0, metavar="N",
-         help="retries per query for transient faults "
-              "(exponential backoff with full jitter)"),
-)
-def _run_suites(args) -> int:
-    config = _config(BenchmarkConfig, args, with_indexes=not args.no_index)
-    bench = Jackpine(config)
-    if args.suite == "all":
-        result = bench.run()
-        print(render_full(result))
-        if args.out:
-            from repro.core.figures import export_all
-
-            for path in export_all(result, args.out):
-                print(f"wrote {path}")
-        _write_telemetry(result, args.telemetry)
-        return 0
-
-    from repro.core.benchmark import BenchmarkResult, EngineRun
-
-    result = BenchmarkResult(config=config,
-                             dataset_rows=bench.dataset.total_rows())
-    for engine in config.engines:
-        run = EngineRun(engine=engine)
-        if args.suite == "loading":
-            run.loading = bench.run_loading(engine)
-        elif args.suite == "micro":
-            run.micro = bench.run_micro(engine)
-        elif args.suite == "macro":
-            run.macro = bench.run_macro(engine)
-        result.runs[engine] = run
-    if args.suite == "loading":
-        print(render_loading(result))
-    elif args.suite == "micro":
-        print(render_micro_topology(result))
-        print()
-        print(render_micro_analysis(result))
-    else:
-        print(render_macro(result))
-        if args.details:
-            from repro.core.report import render_macro_details
-
-            print()
-            print(render_macro_details(result))
-    _write_telemetry(result, args.telemetry)
-    return 0
-
-
-def _write_telemetry(result, out_dir) -> None:
-    if not out_dir:
-        return
-    from repro.obs import telemetry
-
-    for path in telemetry.write_artifacts(result, out_dir):
-        print(f"wrote {path}")
 
 
 @command(
@@ -368,7 +282,8 @@ def _print_values(prefix: str, values: Dict[str, Any],
 
 
 @command(
-    "experiment", "run one of the standalone experiments",
+    "experiment", "run one experiment: a paper table (jt1-jt4), a figure, "
+    "an ablation or an extension",
     _arg("which", choices=list(EXPERIMENTS),
          help=", ".join(f"{key}={entry.title}"
                         for key, entry in EXPERIMENTS.items())),
@@ -385,16 +300,24 @@ def _print_values(prefix: str, values: Dict[str, Any],
     _arg("--waits", action="store_true",
          help=f"record wait events and append the wall-time "
               f"decomposition per client count ({_readers('waits')})"),
+    _arg("--timeout", type=float, default=None, metavar="SECONDS",
+         help=f"per-query deadline ({_readers('timeout')}); a query "
+              f"that trips it is reported as 'timeout' in its cell"),
+    _arg("--retries", type=int, default=None, metavar="N",
+         help=f"retries per query for transient faults, with "
+              f"full-jitter exponential backoff ({_readers('retries')})"),
 )
 def _experiment(args) -> int:
     """Run one registry entry with the options it reads, print its
-    table, optionally write its telemetry."""
+    table, optionally write its telemetry. Exits 1, naming them, when
+    any cell ended in ``error``."""
+    entry = EXPERIMENTS[args.which]
     options = {
         name: getattr(args, name)
-        for name in EXPERIMENTS[args.which].options
+        for name in entry.options
         if getattr(args, name) is not None
     }
-    result = EXPERIMENTS[args.which].run(**options)
+    result = entry.run(**options)
     print(render(args.which, result))
     if args.telemetry:
         path = write_document(
@@ -402,7 +325,12 @@ def _experiment(args) -> int:
             f"experiment_{args.which}.json",
         )
         print(f"wrote {path}")
-    return 0
+    errors = [record for record in entry.records(result)
+              if record.get("outcome") == "error"]
+    for record in errors:
+        print(f"{record['query_id']} on {record['variant']}: error: "
+              f"{record['error']}", file=sys.stderr)
+    return 1 if errors else 0
 
 
 @command(
@@ -612,7 +540,7 @@ def _print_trace_briefs(briefs) -> None:
          help="open loop: operation arrivals per second per client"),
     _arg("--telemetry", default=None, metavar="DIR",
          help="write the workload telemetry JSON artifact into DIR "
-              "(same schema family as 'jackpine run --telemetry')"),
+              "(same schema family as 'jackpine experiment --telemetry')"),
     _arg("--waits", action="store_true",
          help="record wait events + ASH samples; print the wall-time "
               "decomposition and hottest rows, and export both in the "

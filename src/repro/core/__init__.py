@@ -1,31 +1,2 @@
-"""The Jackpine benchmark: micro suites, macro scenarios, orchestration."""
-
-from repro.core.benchmark import (
-    BenchmarkConfig,
-    BenchmarkResult,
-    EngineRun,
-    Jackpine,
-)
-from repro.core.query import BenchmarkQuery
-from repro.core.report import (
-    render_full,
-    render_loading,
-    render_macro,
-    render_micro_analysis,
-    render_micro_topology,
-)
-from repro.core.stats import QueryTiming
-
-__all__ = [
-    "BenchmarkConfig",
-    "BenchmarkQuery",
-    "BenchmarkResult",
-    "EngineRun",
-    "Jackpine",
-    "QueryTiming",
-    "render_full",
-    "render_loading",
-    "render_macro",
-    "render_micro_analysis",
-    "render_micro_topology",
-]
+"""The Jackpine benchmark: micro suites, macro scenarios, and the
+experiment registry (:mod:`repro.core.experiments`) that runs them."""

@@ -1,35 +1,43 @@
-"""Every standalone experiment behind ``jackpine experiment``, in one
-registry.
+"""Every experiment behind ``jackpine experiment``, in one registry.
 
-:data:`EXPERIMENTS` maps an experiment id (``jf5`` ... ``jx6``) to an
+:data:`EXPERIMENTS` maps an experiment id (``jt1`` ... ``jx6``) to an
 :class:`Experiment`: a title, a runner, a renderer and the telemetry
 records of a result. :func:`render` and :func:`document` turn any
 result into the printed table and the telemetry document.
 
-Six of them — J-F5, J-F6, J-A1, J-A2, J-X1 and J-X3 — are the same
-experiment shape: a set of queries run on every variant of a setup
-(index on/off, dataset scale, engine profile, index structure, join
-strategy). They are six :class:`Matrix` values, measured by one
-:func:`run_matrix` under the suite protocol (:func:`repro.core.stats.
-run_timed`, the one ``jackpine run`` uses) and drawn by one
-:func:`render_matrix`. J-X2/J-X4/J-X5/J-X6 drive concurrent clients,
-crashes and a server, so they keep their own runners.
+Eight of them — the paper's J-T1 and J-T2, and J-F5, J-F6, J-A1, J-A2,
+J-X1 and J-X3 — are the same experiment shape: a set of queries run on
+every variant of a setup (engine profile, index on/off, dataset scale,
+index structure, join strategy). They are eight :class:`Matrix` values,
+measured by one :func:`run_matrix` under one protocol
+(:func:`repro.core.stats.run_timed`: one warmup, median of three) and
+drawn by one :func:`render_matrix`. J-T3 (loading) and J-T4 (macro
+scenarios) time a load and a statement stream instead; J-X2/J-X4/J-X5/
+J-X6 drive concurrent clients, crashes and a server. They keep their
+own runners.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.report import _fmt_time, _table
+from repro.core.macro import ALL_SCENARIOS, ScenarioResult
+from repro.core.micro import (
+    LoadResult,
+    analysis_queries,
+    bind_dataset,
+    run_loading,
+    topology_queries,
+)
 from repro.core.stats import QueryTiming, run_timed
 from repro.datagen import generate
 from repro.datagen.tiger import WORLD_SIZE
 from repro.dbapi import connect
 from repro.engines import Database
-from repro.errors import ReproError
-from repro.obs.telemetry import SCHEMA, timing_record
+from repro.obs.telemetry import SCHEMA, scenario_record, timing_record
 
 ENGINES: Tuple[str, ...] = ("greenwood", "bluestem", "ironbark")
 
@@ -37,6 +45,10 @@ ENGINES: Tuple[str, ...] = ("greenwood", "bluestem", "ironbark")
 # ---------------------------------------------------------------------------
 # the query sets (EXPERIMENTS.md's tables come from these)
 # ---------------------------------------------------------------------------
+
+#: J-T1 and J-T2: the paper's micro suites, rows keyed by their titles
+TOPOLOGY_QUERIES: Dict[str, str] = {q.title: q.sql for q in topology_queries()}
+ANALYSIS_QUERIES: Dict[str, str] = {q.title: q.sql for q in analysis_queries()}
 
 #: J-F5: selective queries with and without the spatial index
 INDEX_EFFECT_QUERIES: Dict[str, str] = {
@@ -206,15 +218,59 @@ class MatrixResult:
         return self.cells[query, variant].result_value
 
 
-def _count_answer(cursor, sql: str) -> Callable[[], Any]:
+def _fmt_time(seconds: float) -> str:
+    if math.isnan(seconds):
+        return "-"
+    if seconds < 1e-3:
+        return f"{seconds * 1e6:.0f}us"
+    if seconds < 1.0:
+        return f"{seconds * 1e3:.1f}ms"
+    return f"{seconds:.2f}s"
+
+
+def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    widths = [len(h) for h in headers]
+    for row in rows:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
+
+    def line(cells: Sequence[str]) -> str:
+        return "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(cells))
+
+    sep = "  ".join("-" * w for w in widths)
+    return "\n".join([line(headers), sep] + [line(r) for r in rows])
+
+
+def _count_answer(cursor, sql: str,
+                  timeout: Optional[float]) -> Callable[[], Any]:
     """One timed call: the COUNT(*) answer, or the row count."""
 
     def call() -> Any:
-        cursor.execute(sql)
+        cursor.execute(sql, timeout=timeout)
         rows = cursor.fetchall()
         return rows[0][0] if rows and len(rows[0]) == 1 else len(rows)
 
     return call
+
+
+def _traced_once(db: Database, call: Callable[[], Any],
+                 timing: QueryTiming) -> Callable[[], Any]:
+    """``call``, tracing its first successful run into ``timing.trace``.
+    That run is the untimed warmup, so the exemplar costs no extra
+    execution and no tracing overhead lands in a timed run."""
+
+    def traced() -> Any:
+        if timing.trace is not None:
+            return call()
+        db.obs.enable_tracing()
+        try:
+            value = call()
+        finally:
+            db.obs.disable_tracing()
+        timing.trace = db.last_trace()
+        return value
+
+    return traced
 
 
 def run_matrix(
@@ -224,42 +280,46 @@ def run_matrix(
     distribution: str = "uniform",
     queries: Optional[Sequence[str]] = None,
     variants: Optional[Sequence[Any]] = None,
+    timeout: Optional[float] = None,
+    retries: int = 0,
 ) -> MatrixResult:
     """Measure every (query, variant) cell of ``matrix`` (or of the given
-    subsets) with :func:`run_timed`: one warmup, median of three runs.
+    subsets) with :func:`run_timed`: one warmup, median of three runs,
+    ``timeout`` seconds per execution and ``retries`` per transient fault.
 
-    One variant's database is alive at a time. A cell that ends in
-    ``error`` or ``timeout`` raises; ``not supported`` is a result.
+    One variant's database is alive at a time. Every outcome stays in its
+    cell: ``ok``, ``degraded`` (exact refinement fell back to MBR
+    verdicts during the cell), ``not supported``, ``timeout`` and
+    ``error``. Only variants of an ``agree`` matrix that answer
+    differently raise.
     """
     result = MatrixResult(
         matrix=matrix,
         queries=tuple(queries or matrix.queries),
         variants=tuple(variants or matrix.variants),
     )
-    generated: Dict[float, Any] = {}
+    generated: Dict[str, Any] = {}
 
     def dataset(at: float = scale):
-        if at not in generated:
-            generated.clear()
-            generated[at] = generate(
+        if generated.get("scale") != at:
+            generated.update(scale=at, data=generate(
                 seed=seed, scale=at, distribution=distribution
-            )
-        return generated[at]
+            ))
+        return generated["data"]
 
     for variant in result.variants:
         db = matrix.database(variant, dataset)
         result.engines[variant] = db.profile.name
         cursor = connect(database=db).cursor()
         for query in result.queries:
+            sql = bind_dataset(matrix.queries[query], generated["data"])
+            timing = QueryTiming(query)
             db.stats.reset()
-            timing = run_timed(
-                QueryTiming(query),
-                _count_answer(cursor, matrix.queries[query]),
-            )
-            if timing.outcome in ("error", "timeout"):
-                raise ReproError(
-                    f"{query} on {variant}: {timing.outcome}: {timing.error}"
-                )
+            run_timed(timing, _traced_once(
+                db, _count_answer(cursor, sql, timeout), timing
+            ), retries=retries)
+            if timing.outcome == "ok" and db.stats.degraded_results:
+                timing.outcome = "degraded"
             result.cells[query, variant] = timing
             if matrix.counter:
                 # per run: the warmup counts too
@@ -270,7 +330,7 @@ def run_matrix(
         for query in result.queries:
             answers = {
                 result.answer(query, v): v for v in result.variants
-                if result.cells[query, v].supported
+                if result.cells[query, v].ok
             }
             if len(answers) > 1:
                 raise AssertionError(
@@ -282,9 +342,11 @@ def run_matrix(
 def _cell(timing: QueryTiming, with_answer: bool) -> str:
     if not timing.supported:
         return "n/s"
+    if not timing.ok:
+        return timing.outcome
     text = _fmt_time(timing.median)
     if timing.outcome == "degraded":
-        text += "*"
+        text += "*"  # MBR verdicts, see docs/RESILIENCE.md
     return f"{text} | {timing.result_value}" if with_answer else text
 
 
@@ -304,7 +366,7 @@ def render_matrix(result: MatrixResult) -> str:
             row.append(f"{last / first:.1f}x" if first > 0 else "inf")
         if matrix.agree:
             row.append(str(next(
-                (t.result_value for t in timings if t.supported), "n/s"
+                (t.result_value for t in timings if t.ok), "n/s"
             )))
         rows.append(row)
     return _table(headers, rows)
@@ -313,7 +375,7 @@ def render_matrix(result: MatrixResult) -> str:
 def matrix_records(result: MatrixResult) -> List[Dict[str, Any]]:
     records = []
     for (query, variant), timing in result.cells.items():
-        record = timing_record(timing, result.engines[variant], "experiment")
+        record = timing_record(timing, result.engines[variant])
         record["variant"] = variant
         if result.matrix.counter:
             record[result.matrix.counter] = result.counts[query, variant]
@@ -348,6 +410,87 @@ def _join_forced(strategy: str, dataset) -> Database:
 
 def _per_engine(engine: str, dataset) -> Database:
     return _loaded(engine, dataset())
+
+
+# ---------------------------------------------------------------------------
+# the paper's loading and macro tables: J-T3, J-T4
+# ---------------------------------------------------------------------------
+
+
+def run_loading_table(seed: int = 42, scale: float = 0.25) -> List[LoadResult]:
+    """J-T3: every layer loaded into a fresh database per engine, its
+    inserts and its spatial index build timed apart."""
+    dataset = generate(seed=seed, scale=scale)
+    return [run_loading(engine, dataset) for engine in ENGINES]
+
+
+def render_loading(results: List[LoadResult]) -> str:
+    """Layers down the side, each engine's load and index-build time
+    across."""
+    headers = ["layer"] + [
+        f"{result.engine} {part}" for result in results
+        for part in ("load", "idx")
+    ]
+    rows = [
+        [timings[0].layer] + [
+            _fmt_time(seconds) for timing in timings
+            for seconds in (timing.insert_seconds, timing.index_seconds)
+        ]
+        for timings in zip(*(result.layers for result in results))
+    ]
+    return _table(headers, rows)
+
+
+def loading_records(results: List[LoadResult]) -> List[Dict[str, Any]]:
+    return [
+        {"query_id": timing.layer, "engine": result.engine,
+         "rows": timing.rows, "insert_seconds": timing.insert_seconds,
+         "index_seconds": timing.index_seconds}
+        for result in results for timing in result.layers
+    ]
+
+
+def run_macro_table(
+    seed: int = 42,
+    scale: float = 0.25,
+    timeout: Optional[float] = None,
+    retries: int = 0,
+    engines: Sequence[str] = ENGINES,
+    scenarios: Optional[Sequence[str]] = None,
+) -> List[ScenarioResult]:
+    """J-T4: the six macro scenarios (or the named ones), in order, on
+    one loaded database per engine. Unsupported, timed-out and failed
+    steps stay in each scenario's result."""
+    dataset = generate(seed=seed, scale=scale)
+    results = []
+    for engine in engines:
+        conn = connect(database=_loaded(engine, dataset))
+        for cls in ALL_SCENARIOS:
+            if scenarios is None or cls.name in scenarios:
+                results.append(cls().run(
+                    conn, dataset, seed=seed, engine_name=engine,
+                    timeout=timeout, retries=retries,
+                ))
+        conn.close()
+    return results
+
+
+def render_macro(results: List[ScenarioResult]) -> str:
+    """Scenarios down the side, each engine's queries per minute across,
+    and the steps each engine skipped as unsupported."""
+    engines = list(dict.fromkeys(result.engine for result in results))
+    cells = {(result.scenario, result.engine): result for result in results}
+    headers = ["scenario"] + [f"{engine} (q/min)" for engine in engines]
+    rows = []
+    for name in dict.fromkeys(result.scenario for result in results):
+        row = [cells[name, engine] for engine in engines]
+        rows.append(
+            [name] + [f"{cell.queries_per_minute:.0f}" for cell in row] + [
+                ",".join(f"{cell.engine}:{cell.skipped}"
+                         for cell in row if cell.skipped) or "-"
+            ]
+        )
+    return _table(headers + ["skipped"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -887,7 +1030,29 @@ def _matrix(title: str, matrix: Matrix,
     )
 
 
+#: what the paper tables read: the dataset, and the deadline and
+#: transient-fault retries of every execution
+_TABLE_OPTIONS = ("seed", "scale", "timeout", "retries")
+
 EXPERIMENTS: Dict[str, Experiment] = {
+    "jt1": _matrix(
+        "J-T1: topological relations (time | answer)",
+        Matrix(TOPOLOGY_QUERIES, ENGINES, _per_engine), _TABLE_OPTIONS,
+    ),
+    "jt2": _matrix(
+        "J-T2: spatial analysis (time | answer)",
+        Matrix(ANALYSIS_QUERIES, ENGINES, _per_engine), _TABLE_OPTIONS,
+    ),
+    "jt3": Experiment(
+        "J-T3: data loading, per-layer load and index-build time",
+        run_loading_table, render_loading, loading_records,
+    ),
+    "jt4": Experiment(
+        "J-T4: macro scenarios, queries per minute and skipped steps",
+        run_macro_table, render_macro,
+        lambda results: [scenario_record(result) for result in results],
+        _TABLE_OPTIONS,
+    ),
     "jf5": _matrix(
         "J-F5: effect of the spatial index (greenwood)",
         Matrix(

@@ -143,18 +143,10 @@ def analysis_queries() -> List[BenchmarkQuery]:
     return q
 
 
-def bind_dataset(queries: List[BenchmarkQuery], dataset) -> List[BenchmarkQuery]:
-    """Substitute dataset-dependent placeholders (e.g. a real FIPS code)."""
+def bind_dataset(sql: str, dataset) -> str:
+    """``sql`` with its dataset-dependent placeholders (a real FIPS code)
+    substituted."""
     parcels = dataset.layer("parcels")
     fips_idx = parcels.columns.index("county_fips")
     fips = parcels.rows[0][fips_idx] if parcels.rows else "48001"
-    bound = []
-    for query in queries:
-        sql = query.sql.replace("(SELECT_FIPS)", f"'{fips}'")
-        bound.append(
-            BenchmarkQuery(
-                query.query_id, query.title, query.category, sql,
-                query.params, query.description,
-            )
-        )
-    return bound
+    return sql.replace("(SELECT_FIPS)", f"'{fips}'")

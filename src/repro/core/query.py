@@ -22,8 +22,8 @@ class BenchmarkQuery:
     params: Tuple[Any, ...] = ()
     description: str = ""
 
-    def run(self, cursor, timeout: Any = None) -> Any:
-        cursor.execute(self.sql, self.params, timeout=timeout)
+    def run(self, cursor) -> Any:
+        cursor.execute(self.sql, self.params)
         row = cursor.fetchone()
         rest = cursor.fetchall()
         if row is None:

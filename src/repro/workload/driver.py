@@ -203,7 +203,7 @@ class WorkloadReport:
         return self.total_aborts / attempts if attempts else 0.0
 
     def telemetry_document(self) -> Dict[str, Any]:
-        """Same envelope schema as ``jackpine run --telemetry``."""
+        """Same envelope schema as ``jackpine experiment --telemetry``."""
         config = self.config
         counters = ("ops", "reads", "writes", "commits", "aborts",
                     "retries", "errors")
@@ -694,7 +694,7 @@ def render_workload(report: WorkloadReport) -> str:
 
 def write_workload_telemetry(report: WorkloadReport, out_dir: str) -> str:
     """Write ``telemetry_<engine>.json`` (same schema family as
-    ``jackpine run --telemetry``); returns the path."""
+    ``jackpine experiment --telemetry``); returns the path."""
     return write_document(
         report.telemetry_document(), out_dir,
         f"telemetry_{report.config.engine}.json",

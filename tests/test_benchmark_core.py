@@ -1,20 +1,18 @@
 """Integration tests for the Jackpine benchmark core: micro suites, macro
-scenarios, the orchestrator and report rendering."""
+scenarios, and the paper tables J-T1–J-T4 run through the experiment
+registry."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
-from repro.core import BenchmarkConfig, Jackpine, render_full
+from repro.core import experiments as exp
 from repro.core.macro import ALL_SCENARIOS, SCENARIOS_BY_NAME
 from repro.core.micro import analysis_queries, bind_dataset, topology_queries
 from repro.core.micro.loading import run_loading
-from repro.core.report import (
-    render_loading,
-    render_macro,
-    render_micro_analysis,
-    render_micro_topology,
-)
 from repro.core.stats import QueryTiming, run_timed
 from repro.dbapi import connect
 
@@ -39,9 +37,11 @@ class TestQueryCatalogues:
             assert any(fn in q.query_id for q in queries), fn
 
     def test_bind_dataset_substitutes_fips(self, tiny_dataset):
-        bound = bind_dataset(analysis_queries(), tiny_dataset)
-        union_agg = next(q for q in bound if q.query_id.endswith("union_aggregate"))
-        assert "(SELECT_FIPS)" not in union_agg.sql
+        union_agg = next(q for q in analysis_queries()
+                         if q.query_id.endswith("union_aggregate"))
+        assert "(SELECT_FIPS)" in union_agg.sql
+        assert "(SELECT_FIPS)" not in bind_dataset(union_agg.sql,
+                                                   tiny_dataset)
 
 
 class TestQueryTiming:
@@ -160,39 +160,56 @@ class TestLoadingSuite:
 
 
 class TestOrchestrator:
+    ENGINES = ("greenwood", "bluestem")
+
     @pytest.fixture(scope="class")
-    def result(self, tiny_dataset):
-        config = BenchmarkConfig(
-            engines=["greenwood", "bluestem"],
-            scale=0.1,
-            repeats=1,
-            warmups=0,
-            scenarios=["geocoding", "toxic_spill"],
-        )
-        return Jackpine(config, dataset=tiny_dataset).run()
+    def result(self):
+        def run(key, **options):
+            return exp.EXPERIMENTS[key].run(seed=7, scale=0.1, **options)
+
+        return {
+            "jt1": run("jt1", variants=self.ENGINES),
+            "jt2": run("jt2", variants=self.ENGINES),
+            "jt3": run("jt3"),
+            "jt4": run("jt4", engines=self.ENGINES,
+                       scenarios=("geocoding", "toxic_spill")),
+        }
 
     def test_runs_all_engines(self, result):
-        assert result.engines() == ["greenwood", "bluestem"]
+        assert result["jt1"].variants == self.ENGINES
+        assert [r.engine for r in result["jt3"]] == list(exp.ENGINES)
+        assert {r.engine for r in result["jt4"]} == set(self.ENGINES)
 
     def test_micro_results_present(self, result):
-        run = result.runs["greenwood"]
-        assert len(run.micro) == len(topology_queries()) + len(analysis_queries())
+        cells = [key for name in ("jt1", "jt2")
+                 for key in result[name].cells if key[1] == "greenwood"]
+        assert len(cells) == len(topology_queries()) + len(analysis_queries())
 
     def test_unsupported_marked(self, result):
-        run = result.runs["bluestem"]
-        hull = run.micro["analysis.convex_hull"]
+        hull = result["jt2"].cells["ConvexHull", "bluestem"]
         assert not hull.supported
 
     def test_macro_limited_to_requested(self, result):
-        assert set(result.runs["greenwood"].macro) == {
-            "geocoding", "toxic_spill",
-        }
+        assert {r.scenario for r in result["jt4"]
+                if r.engine == "greenwood"} == {"geocoding", "toxic_spill"}
 
     def test_report_renders(self, result):
-        text = render_full(result)
-        assert "J-T1" in text
-        assert "J-F3" in text
-        assert "n/s" in text  # bluestem's gaps visible
-        for section in (render_micro_topology, render_micro_analysis,
-                        render_macro, render_loading):
-            assert section(result)
+        text = {key: exp.render(key, value) for key, value in result.items()}
+        assert "J-T1" in text["jt1"]
+        assert "Polygon Touches Polygon" in text["jt1"]
+        assert "n/s" in text["jt2"]  # bluestem's gaps visible
+        assert "J-T3" in text["jt3"]
+        assert "q/min" in text["jt4"]
+
+
+def test_import_repro_leaves_the_benchmark_core_unloaded():
+    """``import repro`` loads the engine; the benchmark (``repro.core``)
+    is imported only when asked for."""
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro; print(sorted(m for m in sys.modules "
+         "if m.startswith('repro.core')))"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    ).stdout.strip()
+    assert loaded == "[]"

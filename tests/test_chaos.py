@@ -20,8 +20,8 @@ import os
 
 import pytest
 
-from repro.core.benchmark import BenchmarkConfig, Jackpine
-from repro.datagen import generate
+from repro.core import experiments as exp
+from repro.core.stats import OUTCOMES
 from repro.engines import Database
 from repro.errors import ReproError
 from repro.faults import FAULTS
@@ -111,27 +111,24 @@ def test_chaos_is_reproducible():
     assert run_once() == run_once()
 
 
-def test_chaos_through_the_full_harness():
+def test_chaos_through_the_full_harness(monkeypatch):
     """The benchmark harness absorbs chaos into outcomes, never raises."""
-    dataset = generate(seed=7, scale=0.05)
-    config = BenchmarkConfig(
-        engines=["greenwood"], repeats=1, warmups=0, retries=2,
-        scenarios=["geocoding"], collect_traces=False,
-    )
-    bench = Jackpine(config, dataset=dataset)
-    bench.database("greenwood")  # load BEFORE arming: loads aren't the target
-    FAULTS.arm_all(probability=CHAOS_PROBABILITY, seed=CHAOS_SEED)
+    load = exp._loaded
+
+    def load_then_arm(engine, data, **options):
+        FAULTS.disarm_all()  # loads are not the target
+        db = load(engine, data, **options)
+        FAULTS.arm_all(probability=CHAOS_PROBABILITY, seed=CHAOS_SEED)
+        return db
+
+    monkeypatch.setattr(exp, "_loaded", load_then_arm)
     try:
-        micro = bench.run_micro("greenwood")
-        macro = bench.run_macro("greenwood")
+        topology = exp.EXPERIMENTS["jt1"].run(seed=7, scale=0.05, retries=2)
+        macro = exp.EXPERIMENTS["jt4"].run(seed=7, scale=0.05, retries=2)
     finally:
         FAULTS.disarm_all()
-    for timing in micro.values():
-        assert timing.outcome in (
-            "ok", "degraded", "not supported", "timeout", "error"
-        )
-    for scenario in macro.values():
+    for timing in topology.cells.values():
+        assert timing.outcome in OUTCOMES
+    for scenario in macro:
         for step in scenario.steps:
-            assert step.outcome in (
-                "ok", "degraded", "not supported", "timeout", "error"
-            )
+            assert step.outcome in OUTCOMES

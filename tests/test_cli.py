@@ -10,24 +10,18 @@ from repro.cli import build_parser, main
 
 
 class TestParser:
-    def test_run_defaults(self):
-        args = build_parser().parse_args(["run"])
-        assert args.suite == "all"
-        assert set(args.engines) == {"greenwood", "bluestem", "ironbark"}
-
-    def test_run_options(self):
-        args = build_parser().parse_args(
-            ["run", "--engines", "greenwood", "--scale", "0.5",
-             "--suite", "macro", "--scenarios", "geocoding", "--no-index"]
-        )
-        assert args.engines == ["greenwood"]
-        assert args.scale == 0.5
-        assert args.scenarios == ["geocoding"]
-        assert args.no_index
+    def test_experiment_help_lists_the_paper_tables(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["experiment", "--help"])
+        out = capsys.readouterr().out
+        for key in ("jt1", "jt2", "jt3", "jt4"):
+            assert f"{key}=J-T{key[-1]}" in out
 
     def test_bad_engine_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "--engines", "postgres"])
+            build_parser().parse_args(
+                ["explain", "--engine", "postgres", "SELECT 1"]
+            )
 
     def test_explain_requires_sql(self):
         with pytest.raises(SystemExit):
@@ -46,39 +40,30 @@ class TestMain:
         assert "IndexScan" in out
 
     def test_run_loading_suite(self, capsys):
-        code = main([
-            "run", "--engines", "greenwood", "--scale", "0.1",
-            "--suite", "loading",
-        ])
+        code = main(["experiment", "jt3", "--scale", "0.1"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "J-F4" in out
+        assert "J-T3" in out
         assert "edges" in out
 
     def test_run_macro_suite(self, capsys):
-        code = main([
-            "run", "--engines", "greenwood", "--scale", "0.1",
-            "--suite", "macro", "--scenarios", "geocoding",
-        ])
+        code = main(["experiment", "jt4", "--scale", "0.1"])
         assert code == 0
         out = capsys.readouterr().out
         assert "geocoding" in out
         assert "q/min" in out
 
     def test_run_micro_suite(self, capsys):
-        code = main([
-            "run", "--engines", "greenwood", "--scale", "0.1",
-            "--suite", "micro", "--repeats", "1", "--warmups", "0",
-        ])
-        assert code == 0
+        assert main(["experiment", "jt1", "--scale", "0.1"]) == 0
+        assert main(["experiment", "jt2", "--scale", "0.1"]) == 0
         out = capsys.readouterr().out
         assert "Polygon Touches Polygon" in out
         assert "ConvexHull" in out
 
 
 #: every subcommand the CLI offers
-SUBCOMMANDS = ("run", "explain", "stats", "experiment", "checkpoint",
-               "serve", "trace", "workload", "top")
+SUBCOMMANDS = ("explain", "stats", "experiment", "checkpoint", "serve",
+               "trace", "workload", "top")
 
 #: the ``stats --json`` document's sections, always present
 STATS_KEYS = {"engine", "seed", "scale", "probes", "metrics",

@@ -1,9 +1,12 @@
 """Tests for the experiment registry behind ``jackpine experiment``."""
 
+import re
+
 import pytest
 
 from repro.core import experiments as exp
-from repro.errors import ReproError
+from repro.errors import TopologyError
+from repro.faults import FAULTS
 from repro.obs.telemetry import SCHEMA
 
 
@@ -166,8 +169,8 @@ class TestSpatialJoin:
 
 
 class TestMatrixOutcomes:
-    """Disagreeing variants and an errored cell stop a run; a feature
-    gap is a result."""
+    """Disagreeing variants stop a run; every other outcome stays in its
+    cell, and ``jackpine experiment`` exits 1 on an errored one."""
 
     def test_disagreeing_variants_raise(self):
         matrix = exp.Matrix(exp.REFINEMENT_QUERIES, ("greenwood", "bluestem"),
@@ -175,11 +178,31 @@ class TestMatrixOutcomes:
         with pytest.raises(AssertionError, match="touches_counties"):
             exp.run_matrix(matrix, scale=0.05, queries=("touches_counties",))
 
-    def test_error_cell_raises(self):
+    def test_error_cell_raises(self, monkeypatch, capsys):
+        from repro.cli import main
+
         matrix = exp.Matrix({"bad": "SELECT nope FROM counties"},
                             ("greenwood",), exp._per_engine)
-        with pytest.raises(ReproError, match="bad on greenwood: error"):
-            exp.run_matrix(matrix, scale=0.05)
+        # the parser's choices are fixed at import: stand in for jx3
+        monkeypatch.setitem(exp.EXPERIMENTS, "jx3", exp._matrix("Bad", matrix))
+        assert main(["experiment", "jx3", "--scale", "0.05"]) == 1
+        out, err = capsys.readouterr()
+        assert "error" in out  # the table prints first, the cell in place
+        assert re.search("^bad on greenwood: error: ", err, re.M)
+
+    def test_mbr_fallback_cell_is_degraded(self):
+        matrix = exp.Matrix(exp.REFINEMENT_QUERIES, ("greenwood",),
+                            exp._per_engine)
+        FAULTS.arm("geometry.refine", probability=1.0, error=TopologyError)
+        try:
+            result = exp.run_matrix(matrix, scale=0.05,
+                                    queries=("touches_counties",))
+        finally:
+            FAULTS.disarm_all()
+        assert result.cells["touches_counties", "greenwood"].outcome == (
+            "degraded"
+        )
+        assert "*" in exp.render_matrix(result)
 
     def test_unsupported_cell_renders_ns(self):
         hull = ("SELECT COUNT(*) FROM counties "
@@ -235,6 +258,10 @@ class TestCliIntegration:
 
 #: per-experiment settings small enough for tier-1 (scale 0.05 for all)
 TINY = {
+    "jt1": {},
+    "jt2": {},
+    "jt3": {},
+    "jt4": {},
     "jf5": {},
     "jf6": {"variants": (0.05,)},
     "ja1": {},
@@ -252,6 +279,8 @@ TINY = {
 def _cells_or_points(result):
     if isinstance(result, exp.MatrixResult):
         return len(result.queries) * len(result.variants)
+    if isinstance(result, list):  # J-T4 scenarios, J-T3 loads by layer
+        return sum(len(getattr(r, "layers", [r])) for r in result)
     return len(result.points)
 
 

@@ -1,6 +1,6 @@
 """Harness resilience: per-query failure isolation, retries, outcomes.
 
-The acceptance shape from the robustness work: a micro suite containing
+The acceptance shape from the robustness work: a query matrix containing
 a query that times out and a query that hits an injected fault still
 completes end-to-end, reporting ``timeout`` / ``error`` outcomes beside
 the normal measurements instead of crashing the run.
@@ -12,9 +12,8 @@ import random
 
 import pytest
 
-from repro.core.benchmark import BenchmarkConfig, Jackpine
+from repro.core import experiments as exp
 from repro.core.macro.scenario import Scenario, ScenarioResult, WorkItem
-from repro.core.query import BenchmarkQuery
 from repro.core.stats import QueryTiming, backoff_delay, run_timed
 from repro.dbapi import connect
 from repro.engines import Database
@@ -34,19 +33,26 @@ def clean_faults():
     FAULTS.disarm_all()
 
 
-def _query(query_id: str, sql: str) -> BenchmarkQuery:
-    return BenchmarkQuery(query_id, query_id, "topology", sql)
+#: an index-probing window query: the target of the armed faults
+PROBE = ("SELECT COUNT(*) FROM edges WHERE ST_Intersects("
+         "geom, ST_MakeEnvelope(0, 0, 30000, 30000))")
 
 
-class MiniBench(Jackpine):
-    """A Jackpine with a custom, tiny micro suite."""
+def _run_armed(queries, retries=0, **arm):
+    """``queries`` as a greenwood matrix, with ``FAULTS.arm(**arm)``
+    applied once the database is loaded: loads are not the target."""
 
-    def __init__(self, config, dataset, queries):
-        super().__init__(config, dataset=dataset)
-        self._queries = queries
+    def armed_after_load(engine, dataset):
+        db = exp._per_engine(engine, dataset)
+        FAULTS.arm(**arm)
+        return db
 
-    def micro_queries(self):
-        return list(self._queries)
+    matrix = exp.Matrix(queries, ("greenwood",), armed_after_load)
+    try:
+        result = exp.run_matrix(matrix, seed=7, scale=0.1, retries=retries)
+    finally:
+        FAULTS.disarm_all()
+    return {query: result.cells[query, "greenwood"] for query in queries}
 
 
 class TestRunTimed:
@@ -123,79 +129,35 @@ class TestRunTimed:
 
 
 class TestMicroSuiteEndToEnd:
-    def test_timeout_and_fault_outcomes_beside_normal_results(
-        self, tiny_dataset
-    ):
-        config = BenchmarkConfig(
-            engines=["greenwood"], repeats=2, warmups=0,
-            collect_traces=False,
-        )
-        queries = [
-            _query("q.ok", "SELECT COUNT(*) FROM counties"),
-            _query(
-                "q.probe",
-                "SELECT COUNT(*) FROM edges WHERE ST_Intersects("
-                "geom, ST_MakeEnvelope(0, 0, 30000, 30000))",
-            ),
-        ]
-        bench = MiniBench(config, tiny_dataset, queries)
+    def test_timeout_and_fault_outcomes_beside_normal_results(self):
         # one forced timeout: every index probe raises the deadline error
-        FAULTS.arm("index.probe", probability=1.0,
-                   error=QueryTimeoutError, seed=3)
-        try:
-            micro = bench.run_micro("greenwood")
-        finally:
-            FAULTS.disarm_all()
-        assert micro["q.ok"].outcome == "ok"
-        assert micro["q.ok"].runs == 2
-        assert micro["q.probe"].outcome == "timeout"
-        assert micro["q.probe"].error
-
-    def test_injected_fault_retried_to_success(self, tiny_dataset):
-        config = BenchmarkConfig(
-            engines=["greenwood"], repeats=2, warmups=0, retries=3,
-            collect_traces=False,
+        cells = _run_armed(
+            {"q.ok": "SELECT COUNT(*) FROM counties", "q.probe": PROBE},
+            site="index.probe", probability=1.0, error=QueryTimeoutError,
+            seed=3,
         )
-        queries = [
-            _query(
-                "q.flaky",
-                "SELECT COUNT(*) FROM edges WHERE ST_Intersects("
-                "geom, ST_MakeEnvelope(0, 0, 30000, 30000))",
-            ),
-        ]
-        bench = MiniBench(config, tiny_dataset, queries)
-        FAULTS.arm("index.probe", on_call=2, max_fires=1)
-        try:
-            micro = bench.run_micro("greenwood")
-        finally:
-            FAULTS.disarm_all()
-        timing = micro["q.flaky"]
+        assert cells["q.ok"].outcome == "ok"
+        assert cells["q.ok"].runs == 3
+        assert cells["q.probe"].outcome == "timeout"
+        assert cells["q.probe"].error
+
+    def test_injected_fault_retried_to_success(self):
+        # the second probe is the first timed run's, after the warmup's
+        cells = _run_armed({"q.flaky": PROBE}, retries=3,
+                           site="index.probe", on_call=2, max_fires=1)
+        timing = cells["q.flaky"]
         assert timing.outcome == "ok"
         assert timing.retries == 1
-        assert timing.runs == 2
+        assert timing.runs == 3
 
-    def test_fault_without_retries_is_error_outcome(self, tiny_dataset):
-        config = BenchmarkConfig(
-            engines=["greenwood"], repeats=2, warmups=0,
-            collect_traces=False,
+    def test_fault_without_retries_is_error_outcome(self):
+        cells = _run_armed(
+            {"q.ok": "SELECT COUNT(*) FROM counties", "q.doomed": PROBE},
+            site="index.probe", probability=1.0, seed=5,
         )
-        queries = [
-            _query("q.ok", "SELECT COUNT(*) FROM counties"),
-            _query(
-                "q.doomed",
-                "SELECT COUNT(*) FROM edges WHERE ST_Intersects("
-                "geom, ST_MakeEnvelope(0, 0, 30000, 30000))",
-            ),
-        ]
-        bench = MiniBench(config, tiny_dataset, queries)
-        FAULTS.arm("index.probe", probability=1.0, seed=5)
-        try:
-            micro = bench.run_micro("greenwood")
-        finally:
-            FAULTS.disarm_all()
-        assert micro["q.ok"].outcome == "ok"
-        assert micro["q.doomed"].outcome == "error"
-        assert "injected fault" in micro["q.doomed"].error
+        assert cells["q.ok"].outcome == "ok"
+        assert cells["q.doomed"].outcome == "error"
+        assert "injected fault" in cells["q.doomed"].error
 
 
 class _ThreeStepScenario(Scenario):
@@ -272,14 +234,14 @@ class TestReportingSurfaces:
         timing = QueryTiming("q.t")
         timing.outcome = "timeout"
         timing.error = "query exceeded its 0.1s deadline"
-        record = timing_record(timing, "greenwood", "micro.topology")
+        record = timing_record(timing, "greenwood")
         assert record["outcome"] == "timeout"
         assert record["error"] == timing.error
         assert "p50" not in record
 
         ok = QueryTiming("q.ok", times=[0.01, 0.02])
         ok.retries = 2
-        record = timing_record(ok, "greenwood", "micro.topology")
+        record = timing_record(ok, "greenwood")
         assert record["outcome"] == "ok"
         assert record["retries"] == 2
         assert "p50" in record
@@ -293,36 +255,32 @@ class TestReportingSurfaces:
         scenario.steps.append(
             StepResult("b", 0.1, 0, error="boom", outcome="error")
         )
-        record = scenario_record(scenario, "greenwood")
+        record = scenario_record(scenario)
         assert record["failed"] == 1
         assert record["steps"][1]["outcome"] == "error"
         assert record["steps"][1]["error"] == "boom"
 
     def test_report_renders_outcome_cells(self):
-        from repro.core.benchmark import BenchmarkResult, EngineRun
-        from repro.core.micro import topology_queries
-        from repro.core.report import render_micro_topology
-
-        config = BenchmarkConfig(engines=["greenwood"])
-        result = BenchmarkResult(config=config, dataset_rows=0)
-        run = EngineRun(engine="greenwood")
-        for i, query in enumerate(topology_queries()):
-            timing = QueryTiming(query.query_id)
+        matrix = exp.Matrix(exp.TOPOLOGY_QUERIES, ("greenwood",),
+                            exp._per_engine)
+        result = exp.MatrixResult(matrix, tuple(exp.TOPOLOGY_QUERIES),
+                                  ("greenwood",))
+        for i, query in enumerate(result.queries):
+            timing = QueryTiming(query)
             if i == 0:
                 timing.outcome = "timeout"
                 timing.error = "deadline"
             else:
                 timing.record(0.001)
-            run.micro[query.query_id] = timing
-        result.runs["greenwood"] = run
-        text = render_micro_topology(result)
+            result.cells[query, "greenwood"] = timing
+        text = exp.render_matrix(result)
         assert "timeout" in text
 
     def test_cli_accepts_timeout_and_retries_flags(self):
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
-            ["run", "--timeout", "2.5", "--retries", "3", "--suite", "micro"]
+            ["experiment", "jt1", "--timeout", "2.5", "--retries", "3"]
         )
         assert args.timeout == 2.5
         assert args.retries == 3

@@ -1,112 +1,81 @@
-"""Benchmark telemetry tests: the record stream, JSON artifacts with
-percentiles and operator breakdowns, and the report's tail columns."""
+"""Benchmark telemetry tests: the paper tables' records, with percentiles
+and operator breakdowns, and the telemetry documents they are written
+as."""
 
 import json
 
 import pytest
 
-from repro.core import BenchmarkConfig, Jackpine
-from repro.core.report import render_micro_topology
+from repro.core import experiments as exp
 from repro.obs import telemetry
 
 
+def _document(key, **options):
+    config = dict(seed=42, scale=0.05)
+    return exp.document(key, exp.EXPERIMENTS[key].run(**config, **options),
+                        config)
+
+
 @pytest.fixture(scope="module")
-def bench_result(tmp_path_factory):
-    config = BenchmarkConfig(
-        engines=["greenwood"],
-        scale=0.05,
-        repeats=2,
-        warmups=0,
-        scenarios=["geocoding"],
-    )
-    bench = Jackpine(config)
-    return bench.run()
+def topology():
+    return _document("jt1", variants=("greenwood",))
 
 
 class TestRecordStream:
-    def test_micro_records_have_percentiles(self, bench_result):
-        records = telemetry.run_records(bench_result)
-        micro = [r for r in records if r["suite"].startswith("micro")]
-        assert micro
-        supported = [r for r in micro if r["supported"]]
+    def test_micro_records_have_percentiles(self, topology):
+        supported = [r for r in topology["records"] if r["supported"]]
+        assert supported
         for record in supported:
             assert record["engine"] == "greenwood"
-            assert record["runs"] == 2
+            assert record["runs"] == 3
             for key in ("p50", "p95", "p99", "mean", "min", "max"):
                 assert key in record
             assert record["p50"] <= record["p95"] <= record["p99"]
 
-    def test_operator_breakdowns_present(self, bench_result):
-        records = telemetry.run_records(bench_result)
-        with_ops = [r for r in records if r.get("operators")]
+    def test_operator_breakdowns_present(self, topology):
+        with_ops = [r for r in topology["records"] if r.get("operators")]
         assert with_ops, "exemplar traces should produce operator breakdowns"
         breakdown = with_ops[0]["operators"]
         assert breakdown[0]["depth"] == 0
         for op in breakdown:
             assert {"op", "rows", "seconds", "counters"} <= set(op)
 
-    def test_macro_and_loading_records(self, bench_result):
-        records = telemetry.run_records(bench_result)
-        suites = {r["suite"] for r in records}
-        assert "macro" in suites
-        assert "loading" in suites
-        macro = next(r for r in records if r["suite"] == "macro")
-        assert macro["query_id"] == "macro.geocoding"
-        assert macro["steps"]
-        assert "queries_per_minute" in macro
+    def test_macro_and_loading_records(self):
+        macro = _document("jt4", engines=("greenwood",),
+                          scenarios=("geocoding",))
+        (record,) = macro["records"]
+        assert record["query_id"] == "jt4.geocoding"
+        assert record["steps"]
+        assert "queries_per_minute" in record
+        loading = _document("jt3")
+        assert {r["query_id"] for r in loading["records"]} >= {
+            "jt3.edges", "jt3.counties",
+        }
+        for record in loading["records"]:
+            assert record["rows"] > 0
+            assert record["insert_seconds"] > 0
 
 
 class TestArtifacts:
-    def test_write_artifacts_round_trip(self, bench_result, tmp_path):
-        paths = telemetry.write_artifacts(bench_result, str(tmp_path))
-        assert len(paths) == 1
-        with open(paths[0], encoding="utf-8") as handle:
+    def test_document_round_trip(self, topology, tmp_path):
+        path = telemetry.write_document(topology, str(tmp_path), "jt1.json")
+        with open(path, encoding="utf-8") as handle:
             document = json.load(handle)
         assert document["schema"] == telemetry.SCHEMA
-        assert document["engine"] == "greenwood"
+        assert document["experiment"] == "jt1"
         assert document["config"]["scale"] == 0.05
-        assert document["records"]
-        supported = [
-            r for r in document["records"]
-            if r["suite"].startswith("micro") and r["supported"]
-        ]
+        supported = [r for r in document["records"] if r["supported"]]
         assert supported
         assert all("p99" in r for r in supported)
         assert any(r.get("operators") for r in supported)
 
-    def test_unsupported_queries_carry_error(self, tmp_path):
-        config = BenchmarkConfig(
-            engines=["bluestem"], scale=0.05, repeats=1, warmups=0,
-            scenarios=[],
-        )
-        bench = Jackpine(config)
-        run = bench.run_micro("bluestem")
-        from repro.core.benchmark import BenchmarkResult, EngineRun
-
-        result = BenchmarkResult(config=config, dataset_rows=0)
-        result.runs["bluestem"] = EngineRun(engine="bluestem", micro=run)
-        records = telemetry.run_records(result)
-        unsupported = [r for r in records if not r["supported"]]
+    def test_unsupported_queries_carry_error(self):
+        document = _document("jt2", variants=("bluestem",))
+        unsupported = [r for r in document["records"] if not r["supported"]]
         assert unsupported  # bluestem lacks several analysis functions
         for record in unsupported:
             assert "error" in record
             assert "p50" not in record
-
-
-class TestReportTails:
-    def test_micro_table_shows_p95_p99(self, bench_result):
-        text = render_micro_topology(bench_result)
-        assert "greenwood p95/p99" in text
-        assert "/" in text
-
-    def test_collect_traces_off_skips_exemplars(self):
-        config = BenchmarkConfig(
-            engines=["greenwood"], scale=0.05, repeats=1, warmups=0,
-            scenarios=[], collect_traces=False,
-        )
-        bench = Jackpine(config)
-        micro = bench.run_micro("greenwood")
-        assert all(t.trace is None for t in micro.values())
 
 
 class TestCliTelemetry:
@@ -114,14 +83,13 @@ class TestCliTelemetry:
         from repro.cli import main
 
         code = main([
-            "run", "--engines", "greenwood", "--scale", "0.05",
-            "--repeats", "1", "--warmups", "0", "--suite", "micro",
+            "experiment", "jt1", "--scale", "0.05",
             "--telemetry", str(tmp_path),
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert "telemetry_greenwood.json" in out
-        artifact = tmp_path / "telemetry_greenwood.json"
+        assert "experiment_jt1.json" in out
+        artifact = tmp_path / "experiment_jt1.json"
         assert artifact.exists()
         document = json.loads(artifact.read_text())
         assert document["schema"] == telemetry.SCHEMA

@@ -1,17 +1,16 @@
-"""Unit tests for report rendering edge cases."""
+"""Unit tests for the paper tables' rendering edge cases."""
 
 import pytest
 
-from repro.core.benchmark import BenchmarkConfig, BenchmarkResult, EngineRun
-from repro.core.micro import topology_queries
-from repro.core.micro.loading import LayerLoadTiming, LoadResult
-from repro.core.macro.scenario import ScenarioResult, StepResult
-from repro.core.report import (
+from repro.core import experiments as exp
+from repro.core.experiments import (
     _fmt_time,
     render_loading,
     render_macro,
-    render_micro_topology,
+    render_matrix,
 )
+from repro.core.micro.loading import LayerLoadTiming, LoadResult
+from repro.core.macro.scenario import ScenarioResult, StepResult
 from repro.core.stats import QueryTiming
 
 
@@ -25,53 +24,41 @@ class TestFormatting:
         assert _fmt_time(float("nan")) == "-"
 
 
-def _result_with(engines):
-    config = BenchmarkConfig(engines=engines, repeats=1)
-    result = BenchmarkResult(config=config, dataset_rows=100)
-    for engine in engines:
-        result.runs[engine] = EngineRun(engine=engine)
+def _one_cell(engine, timing):
+    """A J-T1-shaped result holding one cell: ``timing`` on ``engine``."""
+    query = timing.query_id
+    matrix = exp.Matrix({query: exp.TOPOLOGY_QUERIES[query]}, (engine,),
+                        exp._per_engine)
+    result = exp.MatrixResult(matrix, (query,), (engine,))
+    result.cells[query, engine] = timing
     return result
 
 
 class TestMicroRendering:
-    def test_missing_timings_render_dashes(self):
-        result = _result_with(["greenwood"])
-        text = render_micro_topology(result)
-        assert "-" in text
-        assert "Polygon Touches Polygon" in text
-
     def test_unsupported_rendered_as_ns(self):
-        result = _result_with(["bluestem"])
-        qid = topology_queries()[0].query_id
-        timing = QueryTiming(qid)
+        timing = QueryTiming("Polygon Touches Polygon")
         timing.supported = False
-        result.runs["bluestem"].micro[qid] = timing
-        assert "n/s" in render_micro_topology(result)
+        timing.outcome = "not supported"
+        assert "n/s" in render_matrix(_one_cell("bluestem", timing))
 
     def test_supported_timing_rendered(self):
-        result = _result_with(["greenwood"])
-        qid = topology_queries()[0].query_id
-        timing = QueryTiming(qid)
+        timing = QueryTiming("Polygon Touches Polygon")
         timing.record(0.0123)
         timing.result_value = 7
-        result.runs["greenwood"].micro[qid] = timing
-        text = render_micro_topology(result)
-        assert "12.3ms" in text
-        assert "7" in text
+        text = render_matrix(_one_cell("greenwood", timing))
+        assert "Polygon Touches Polygon" in text
+        assert "12.3ms | 7" in text
 
 
 class TestMacroRendering:
     def test_throughput_and_skips(self):
-        result = _result_with(["greenwood", "bluestem"])
         ok = ScenarioResult("geocoding", "greenwood")
         ok.steps.append(StepResult("q0", 0.5, 1))
         ok.steps.append(StepResult("q1", 0.5, 1))
-        result.runs["greenwood"].macro["geocoding"] = ok
         gappy = ScenarioResult("geocoding", "bluestem")
         gappy.steps.append(StepResult("q0", 0.25, 1))
         gappy.steps.append(StepResult("q1", 0.0, 0, skipped=True, error="n/s"))
-        result.runs["bluestem"].macro["geocoding"] = gappy
-        text = render_macro(result)
+        text = render_macro([ok, gappy])
         assert "geocoding" in text
         assert "120" in text  # 2 queries in 1s = 120/min
         assert "bluestem:1" in text
@@ -91,12 +78,12 @@ class TestMacroRendering:
 
 class TestLoadingRendering:
     def test_layers_across_engines(self):
-        result = _result_with(["greenwood", "ironbark"])
+        results = []
         for engine in ("greenwood", "ironbark"):
             loading = LoadResult(engine=engine)
             loading.layers.append(LayerLoadTiming("edges", 100, 0.5, 0.1))
-            result.runs[engine].loading = loading
-        text = render_loading(result)
+            results.append(loading)
+        text = render_loading(results)
         assert "edges" in text
         assert text.count("500.0ms") == 2
 
