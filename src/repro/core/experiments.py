@@ -9,12 +9,12 @@ Eight of them — the paper's J-T1 and J-T2, and J-F5, J-F6, J-A1, J-A2,
 J-X1 and J-X3 — are the same experiment shape: a set of queries run on
 every variant of a setup (engine profile, index on/off, dataset scale,
 index structure, join strategy). They are eight :class:`Matrix` values,
-measured by one :func:`run_matrix` under one protocol
-(:func:`repro.core.stats.run_timed`: one warmup, median of three) and
-drawn by one :func:`render_matrix`. J-T3 (loading) and J-T4 (macro
-scenarios) time a load and a statement stream instead; J-X2/J-X4/J-X5/
-J-X6 drive concurrent clients, crashes and a server. They keep their
-own runners.
+measured by one :func:`run_matrix` and drawn by one
+:func:`render_matrix`. J-T3 (loading) times a load. J-T4 (macro
+scenarios) runs statement streams whose every step is measured by the
+same protocol as a matrix cell (:func:`repro.core.stats.measure`, one
+run per step). J-X2/J-X4/J-X5/J-X6 drive concurrent clients, crashes
+and a server. They keep their own runners.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from repro.core.micro import (
     run_loading,
     topology_queries,
 )
-from repro.core.stats import QueryTiming, run_timed
+from repro.core.stats import QueryTiming, measure
 from repro.datagen import generate
 from repro.datagen.tiger import WORLD_SIZE
 from repro.dbapi import connect
@@ -253,26 +253,6 @@ def _count_answer(cursor, sql: str,
     return call
 
 
-def _traced_once(db: Database, call: Callable[[], Any],
-                 timing: QueryTiming) -> Callable[[], Any]:
-    """``call``, tracing its first successful run into ``timing.trace``.
-    That run is the untimed warmup, so the exemplar costs no extra
-    execution and no tracing overhead lands in a timed run."""
-
-    def traced() -> Any:
-        if timing.trace is not None:
-            return call()
-        db.obs.enable_tracing()
-        try:
-            value = call()
-        finally:
-            db.obs.disable_tracing()
-        timing.trace = db.last_trace()
-        return value
-
-    return traced
-
-
 def run_matrix(
     matrix: Matrix,
     seed: int = 42,
@@ -284,8 +264,9 @@ def run_matrix(
     retries: int = 0,
 ) -> MatrixResult:
     """Measure every (query, variant) cell of ``matrix`` (or of the given
-    subsets) with :func:`run_timed`: one warmup, median of three runs,
-    ``timeout`` seconds per execution and ``retries`` per transient fault.
+    subsets) with :func:`~repro.core.stats.measure`: one traced warmup,
+    median of three runs, ``timeout`` seconds per execution and
+    ``retries`` per transient fault.
 
     One variant's database is alive at a time. Every outcome stays in its
     cell: ``ok``, ``degraded`` (exact refinement fell back to MBR
@@ -313,14 +294,11 @@ def run_matrix(
         cursor = connect(database=db).cursor()
         for query in result.queries:
             sql = bind_dataset(matrix.queries[query], generated["data"])
-            timing = QueryTiming(query)
             db.stats.reset()
-            run_timed(timing, _traced_once(
-                db, _count_answer(cursor, sql, timeout), timing
-            ), retries=retries)
-            if timing.outcome == "ok" and db.stats.degraded_results:
-                timing.outcome = "degraded"
-            result.cells[query, variant] = timing
+            timing = result.cells[query, variant] = measure(
+                db, query, _count_answer(cursor, sql, timeout),
+                retries=retries,
+            )
             if matrix.counter:
                 # per run: the warmup counts too
                 result.counts[query, variant] = (
@@ -543,12 +521,15 @@ def run_concurrency(
     """J-X2: read-only throughput with N concurrent clients (extension).
 
     Each client replays one deterministic macro scenario on its own
-    DB-API connection via the :mod:`repro.workload` client harness, which
-    also collects per-client latency histograms from the scenario step
-    timings. The embedded engines are pure Python, so the GIL serialises
-    CPU work — the experiment therefore measures *contention behaviour*
-    (fairness and aggregate throughput stability), not parallel speedup,
-    and the report says so.
+    DB-API connection, on :func:`repro.workload.run_client_threads`. A
+    replay is a fixed statement list measured by the one statement
+    protocol (:meth:`Scenario.run`), not a :mod:`repro.workload`
+    operation stream: it has no writes, no schedule, and one pass per
+    client. A client's queries are the scenario's executed steps, and
+    its latency histogram holds their step times. The embedded engines
+    are pure Python, so the GIL serialises CPU work — the experiment
+    therefore measures *contention behaviour* (fairness and aggregate
+    throughput stability), not parallel speedup, and the report says so.
     """
     from repro.core.macro import SCENARIOS_BY_NAME
     from repro.workload import run_client_threads
@@ -568,8 +549,8 @@ def run_concurrency(
             report.ops += outcome.executed
             report.reads += outcome.executed
             for step in outcome.steps:
-                if not step.skipped:
-                    report.latency.observe(step.seconds)
+                for seconds in step.times:
+                    report.latency.observe(seconds)
 
         if waits:
             from repro.obs.waits import WAITS, WaitAttribution

@@ -6,12 +6,7 @@ from repro.core.macro.flood_risk import FloodRiskAnalysis
 from repro.core.macro.geocoding import Geocoding, ReverseGeocoding
 from repro.core.macro.land_information import LandInformationManagement
 from repro.core.macro.map_search import MapSearchBrowsing
-from repro.core.macro.scenario import (
-    Scenario,
-    ScenarioResult,
-    StepResult,
-    WorkItem,
-)
+from repro.core.macro.scenario import Scenario, ScenarioResult, WorkItem
 from repro.core.macro.toxic_spill import ToxicSpillAnalysis
 
 ALL_SCENARIOS: List[Type[Scenario]] = [
@@ -37,7 +32,6 @@ __all__ = [
     "ReverseGeocoding",
     "Scenario",
     "ScenarioResult",
-    "StepResult",
     "ToxicSpillAnalysis",
     "WorkItem",
 ]

@@ -3,25 +3,20 @@
 A scenario is a deterministic sequence of SQL statements modelling one
 real spatial application (the paper's map browsing, geocoding, reverse
 geocoding, flood risk, land management and toxic spill workloads). The
-runner executes the sequence through the DB-API, timing every statement;
-statements an engine cannot run (missing function) are recorded as
-skipped rather than failing the scenario — feature gaps are a result the
-paper reports, not an error.
+runner executes the sequence through the DB-API, measuring every
+statement once with the micro suites' protocol; statements an engine
+cannot run (missing function) are recorded as skipped rather than
+failing the scenario — feature gaps are a result the paper reports, not
+an error.
 """
 
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Optional, Tuple
 
-from repro.errors import (
-    QueryTimeoutError,
-    ReproError,
-    TransientError,
-    UnsupportedFeatureError,
-)
+from repro.core.stats import QueryTiming, measure
 
 
 @dataclass(frozen=True)
@@ -34,37 +29,20 @@ class WorkItem:
 
 
 @dataclass
-class StepResult:
-    label: str
-    seconds: float
-    rows: int
-    skipped: bool = False
-    error: Optional[str] = None
-    #: statement trace (a :class:`repro.obs.Trace`) when the engine had
-    #: tracing enabled while the scenario ran
-    trace: Optional[Any] = None
-    #: "ok" | "degraded" | "not supported" | "timeout" | "error"
-    outcome: str = "ok"
-    #: transient-fault retries spent before this step settled
-    retries: int = 0
-
-
-@dataclass
 class ScenarioResult:
     scenario: str
     engine: str
-    steps: List[StepResult] = field(default_factory=list)
+    #: one measurement per step: ``query_id`` is the step's label,
+    #: ``result_value`` its row count
+    steps: List[QueryTiming] = field(default_factory=list)
 
     @property
     def executed(self) -> int:
-        return sum(
-            1 for s in self.steps
-            if not s.skipped and s.outcome in ("ok", "degraded")
-        )
+        return sum(1 for s in self.steps if s.ok)
 
     @property
     def skipped(self) -> int:
-        return sum(1 for s in self.steps if s.skipped)
+        return sum(1 for s in self.steps if not s.supported)
 
     @property
     def failed(self) -> int:
@@ -73,7 +51,8 @@ class ScenarioResult:
 
     @property
     def total_seconds(self) -> float:
-        return sum(s.seconds for s in self.steps)
+        """Time of the successful steps; a failed step adds none."""
+        return sum(s.total for s in self.steps)
 
     @property
     def queries_per_minute(self) -> float:
@@ -97,68 +76,23 @@ class Scenario:
     def run(self, connection, dataset, seed: int = 7,
             engine_name: str = "?", timeout: Optional[float] = None,
             retries: int = 0) -> ScenarioResult:
-        from repro.core.stats import backoff_delay
-
-        rng = random.Random(seed)
-        result = ScenarioResult(scenario=self.name, engine=engine_name)
+        """Every step measured once, without warmup, by
+        :func:`~repro.core.stats.measure` — the protocol of a matrix
+        cell."""
         cursor = connection.cursor()
-        database = getattr(connection, "database", None)
-        tracing = database is not None and database.obs.tracing
-        for item in self.build_workload(dataset, rng):
-            tries = 0
-            while True:
-                degraded_before = (
-                    database.stats.degraded_results
-                    if database is not None else 0
-                )
-                start = time.perf_counter()
-                try:
-                    cursor.execute(item.sql, item.params, timeout=timeout)
-                    rows = len(cursor.fetchall())
-                    elapsed = time.perf_counter() - start
-                    step = StepResult(item.label, elapsed, rows, retries=tries)
-                    if database is not None and (
-                        database.stats.degraded_results > degraded_before
-                    ):
-                        step.outcome = "degraded"
-                    if tracing:
-                        step.trace = database.last_trace()
-                except UnsupportedFeatureError as exc:
-                    # a feature gap is a *result* the paper reports
-                    step = StepResult(
-                        item.label, 0.0, 0, skipped=True, error=str(exc),
-                        outcome="not supported", retries=tries,
-                    )
-                except QueryTimeoutError as exc:
-                    step = StepResult(
-                        item.label, time.perf_counter() - start, 0,
-                        error=str(exc), outcome="timeout", retries=tries,
-                    )
-                except TransientError as exc:
-                    if tries < retries:
-                        time.sleep(backoff_delay(tries, rng=rng))
-                        tries += 1
-                        from repro.obs.metrics import GLOBAL
 
-                        GLOBAL.counter(
-                            "harness_retries_total",
-                            "transient-fault retries spent by the "
-                            "benchmark harness",
-                        ).inc()
-                        continue
-                    step = StepResult(
-                        item.label, time.perf_counter() - start, 0,
-                        error=str(exc), outcome="error", retries=tries,
-                    )
-                except ReproError as exc:
-                    # isolate the failure to this step; the scenario goes on
-                    step = StepResult(
-                        item.label, time.perf_counter() - start, 0,
-                        error=str(exc), outcome="error", retries=tries,
-                    )
-                result.steps.append(step)
-                break
-        return result
+        def row_count(item: WorkItem):
+            def call() -> int:
+                cursor.execute(item.sql, item.params, timeout=timeout)
+                return len(cursor.fetchall())
+
+            return call
+
+        return ScenarioResult(self.name, engine_name, [
+            measure(connection.database, item.label, row_count(item),
+                    repeats=1, warmups=0, retries=retries)
+            for item in self.build_workload(dataset, random.Random(seed))
+        ])
 
 
 def sample_rows(layer, rng: random.Random, count: int) -> List[tuple]:

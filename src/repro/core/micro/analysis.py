@@ -18,15 +18,7 @@ def analysis_queries() -> List[BenchmarkQuery]:
     q: List[BenchmarkQuery] = []
 
     def add(query_id: str, title: str, sql: str, description: str = "") -> None:
-        q.append(
-            BenchmarkQuery(
-                query_id=f"analysis.{query_id}",
-                title=title,
-                category="analysis",
-                sql=sql,
-                description=description,
-            )
-        )
+        q.append(BenchmarkQuery(f"analysis.{query_id}", title, sql, description))
 
     add(
         "dimension",

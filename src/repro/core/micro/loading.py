@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List
 
 from repro.dbapi import connect
 from repro.engines import Database
@@ -44,8 +44,7 @@ class LoadResult:
         return sum(t.index_seconds for t in self.layers)
 
 
-def run_loading(engine: str, dataset, index_kind: Optional[str] = None,
-                batch_size: int = 128) -> LoadResult:
+def run_loading(engine: str, dataset) -> LoadResult:
     """Load the dataset into a fresh engine instance, timing each layer."""
     db = Database(engine)
     conn = connect(database=db)
@@ -66,15 +65,14 @@ def run_loading(engine: str, dataset, index_kind: Optional[str] = None,
 
         encoded = [encode(row) for row in layer.rows]
         start = time.perf_counter()
-        for base in range(0, len(encoded), batch_size):
-            cur.executemany(insert_sql, encoded[base : base + batch_size])
+        for base in range(0, len(encoded), 128):
+            cur.executemany(insert_sql, encoded[base : base + 128])
         insert_seconds = time.perf_counter() - start
 
         start = time.perf_counter()
-        using = f" USING {index_kind}" if index_kind else ""
         cur.execute(
             f"CREATE SPATIAL INDEX idx_{layer.name}_geom "
-            f"ON {layer.name} ({layer.geometry_column}){using}"
+            f"ON {layer.name} ({layer.geometry_column})"
         )
         index_seconds = time.perf_counter() - start
         result.layers.append(

@@ -20,15 +20,7 @@ def topology_queries() -> List[BenchmarkQuery]:
     q: List[BenchmarkQuery] = []
 
     def add(query_id: str, title: str, sql: str, description: str = "") -> None:
-        q.append(
-            BenchmarkQuery(
-                query_id=f"topo.{query_id}",
-                title=title,
-                category="topology",
-                sql=sql,
-                description=description,
-            )
-        )
+        q.append(BenchmarkQuery(f"topo.{query_id}", title, sql, description))
 
     # --- polygon vs polygon -------------------------------------------------
     add(

@@ -182,3 +182,41 @@ def run_timed(
         timing.outcome = "error"
         timing.error = str(exc)
     return timing
+
+
+def measure(
+    db,
+    query_id: str,
+    call: Callable[[], object],
+    repeats: int = 3,
+    warmups: int = 1,
+    retries: int = 0,
+) -> QueryTiming:
+    """The one statement protocol of every paper table: ``call`` (one
+    statement on ``db``) measured by :func:`run_timed`.
+
+    The outcome turns ``degraded`` when exact refinement fell back to MBR
+    verdicts (``db.stats.degraded_results`` moved) during a successful
+    measurement. The first warmup run is traced into ``timing.trace``, so
+    the exemplar costs no extra execution and no tracing lands in a timed
+    run; without warmups there is no exemplar.
+    """
+    timing = QueryTiming(query_id)
+    degraded = db.stats.degraded_results
+
+    def traced() -> object:
+        if timing.trace is not None:
+            return call()
+        db.obs.enable_tracing()
+        try:
+            value = call()
+        finally:
+            db.obs.disable_tracing()
+        timing.trace = db.last_trace()
+        return value
+
+    run_timed(timing, traced if warmups else call, repeats=repeats,
+              warmups=warmups, retries=retries)
+    if timing.outcome == "ok" and db.stats.degraded_results > degraded:
+        timing.outcome = "degraded"
+    return timing

@@ -38,13 +38,14 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Set, Tuple
 
-from repro.dbapi import connect
 from repro.engines import Database
 from repro.errors import ReproError, SimulatedCrashError
 from repro.faults import FAULTS
+from repro.storage.durability import Checkpointer
 from repro.storage.records import encode_value
+from repro.workload import run_client_threads
 
 __all__ = [
     "CRASH_SITES",
@@ -118,7 +119,9 @@ def run_crash_workload(
     client observes the simulated crash, every client stops. If the
     site has not fired by ``deadline`` (it can be unreachable — e.g.
     ``page.write`` with no checkpointer), the crash is forced directly
-    so the harness still hands back a killed directory.
+    so the harness still hands back a killed directory. The clients run
+    on :func:`~repro.workload.run_client_threads`: one that dies of an
+    error that is not the engine's fails the run once the others stop.
     """
     if site not in CRASH_SITES:
         raise ValueError(
@@ -138,75 +141,48 @@ def run_crash_workload(
 
     crashed = threading.Event()
     lock = threading.Lock()
-    checkpoints = [0]
 
-    def checkpointer() -> None:
-        while not crashed.wait(checkpoint_interval):
-            try:
-                db.checkpoint()
-                checkpoints[0] += 1
-            except ReproError:
-                return
-
-    def client(slot: int) -> None:
-        connection = connect(database=db)
+    def client(connection, report) -> None:
         cursor = connection.cursor()
-        gid = (slot + 1) * 1_000_000
+        gid = (report.client_id + 1) * 1_000_000
         stop_at = time.perf_counter() + deadline
-        try:
-            while not crashed.is_set() and time.perf_counter() < stop_at:
-                gid += 1
-                point = f"POINT({gid % 97} {gid % 89})"
+        while not crashed.is_set() and time.perf_counter() < stop_at:
+            gid += 1
+            point = f"POINT({gid % 97} {gid % 89})"
+            try:
+                cursor.execute("BEGIN")
+                cursor.execute("INSERT INTO ops VALUES (?, ?)", (gid, point))
+                with lock:
+                    outcome.attempted.add(gid)
+                cursor.execute("COMMIT")
+                with lock:
+                    outcome.committed.add(gid)
+            except ReproError:
+                # a COMMIT that raised never reached the disk
+                # (group commit: return ⇔ fsync) — roll back the
+                # in-memory residue and stop if the disk is dead
                 try:
-                    cursor.execute("BEGIN")
-                    cursor.execute(
-                        "INSERT INTO ops VALUES (?, ?)", (gid, point)
-                    )
-                    with lock:
-                        outcome.attempted.add(gid)
-                    cursor.execute("COMMIT")
-                    with lock:
-                        outcome.committed.add(gid)
+                    connection.rollback()
                 except ReproError:
-                    # a COMMIT that raised never reached the disk
-                    # (group commit: return ⇔ fsync) — roll back the
-                    # in-memory residue and stop if the disk is dead
-                    try:
-                        connection.rollback()
-                    except ReproError:
-                        pass
-                    if db.durability is not None and db.durability.crashed:
-                        crashed.set()
-                if pace:
-                    time.sleep(pace)
-        finally:
-            connection.close()
+                    pass
+                if db.durability is not None and db.durability.crashed:
+                    crashed.set()
+            if pace:
+                time.sleep(pace)
 
-    threads = [
-        threading.Thread(target=client, args=(slot,), daemon=True)
-        for slot in range(clients)
-    ]
-    ckpt_thread: Optional[threading.Thread] = None
-    if checkpoint_interval:
-        ckpt_thread = threading.Thread(target=checkpointer, daemon=True)
-    start = time.perf_counter()
+    checkpointer = Checkpointer(db, checkpoint_interval)
     with kill_at(site, on_call=on_call):
-        if ckpt_thread is not None:
-            ckpt_thread.start()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        checkpointer.start()
+        try:
+            outcome.wall_seconds, _ = run_client_threads(db, clients, client)
+        finally:
+            checkpointer.stop()
         if not db.durability.crashed:
             # deadline elapsed without reaching the site: force the kill
             db.durability.crash()
             outcome.forced = True
-        crashed.set()
-        if ckpt_thread is not None:
-            ckpt_thread.join()
         outcome.fired = FAULTS.fire_counts().get(site, 0) > 0
-    outcome.wall_seconds = time.perf_counter() - start
-    outcome.checkpoints = checkpoints[0]
+    outcome.checkpoints = checkpointer.taken
     return outcome
 
 

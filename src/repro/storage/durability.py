@@ -37,11 +37,12 @@ the "dead" disk. See ``docs/DURABILITY.md``.
 from __future__ import annotations
 
 import os
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
 
-from repro.errors import EngineError, SimulatedCrashError
+from repro.errors import EngineError, ReproError, SimulatedCrashError
 from repro.storage.pages import DiskManager, HeapStore
 from repro.storage.records import decode_value, encode_value
 from repro.storage.wal import WriteAheadLog
@@ -52,6 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "CheckpointReport",
+    "Checkpointer",
     "DurabilityManager",
     "RecoveryReport",
     "recover",
@@ -318,6 +320,48 @@ class DurabilityManager:
     def close(self) -> None:
         self.wal.close()
         self.disk.close()
+
+
+class Checkpointer:
+    """Background checkpoint loop for durable workload rounds.
+
+    Fires every ``interval`` seconds between :meth:`start` and
+    :meth:`stop`, and does nothing when the interval is 0 or the database
+    has no storage. A checkpoint that fails (an injected fault, or a
+    simulated crash mid-round) never kills the round — the
+    crash-recovery experiments rely on the workload continuing so the
+    WAL keeps growing past the failed checkpoint.
+    """
+
+    def __init__(self, database: "Database", interval: float) -> None:
+        self._db = database
+        self._interval = interval
+        self._stop = threading.Event()
+        self._thread: Optional[threading.Thread] = None
+        self.taken = 0
+
+    def start(self) -> None:
+        if not self._interval or self._db.durability is None:
+            return
+        self._thread = threading.Thread(
+            target=self._loop, name="jackpine-checkpointer", daemon=True
+        )
+        self._thread.start()
+
+    def _loop(self) -> None:
+        while not self._stop.wait(self._interval):
+            try:
+                self._db.checkpoint()
+                self.taken += 1
+            except ReproError:
+                pass
+
+    def stop(self) -> None:
+        if self._thread is None:
+            return
+        self._stop.set()
+        self._thread.join()
+        self._thread = None
 
 
 def index_record(entry) -> Dict[str, Any]:

@@ -51,6 +51,7 @@ from repro.obs.waits import (
     WaitAttribution,
 )
 from repro.service.protocol import error_code
+from repro.storage.durability import Checkpointer
 from repro.workload.mixes import MIXES, Operation, get_mix
 
 
@@ -458,48 +459,6 @@ def drive_connection(steps: Any, connection: Any) -> None:
             time.sleep(request[1])
 
 
-class _Checkpointer:
-    """Background checkpoint loop for durable workload rounds.
-
-    Fires every ``interval`` seconds while the clients run.  A
-    checkpoint that fails (an injected fault, or a simulated crash
-    mid-round) is counted as a failure but never kills the round — the
-    crash-recovery experiments rely on the workload continuing so the
-    WAL keeps growing past the failed checkpoint.
-    """
-
-    def __init__(self, database: Database, interval: float) -> None:
-        self._db = database
-        self._interval = interval
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-        self.taken = 0
-        self.failed = 0
-
-    def start(self) -> None:
-        if not self._interval or self._db.durability is None:
-            return
-        self._thread = threading.Thread(
-            target=self._loop, name="jackpine-checkpointer", daemon=True
-        )
-        self._thread.start()
-
-    def _loop(self) -> None:
-        while not self._stop.wait(self._interval):
-            try:
-                self._db.checkpoint()
-                self.taken += 1
-            except ReproError:
-                self.failed += 1
-
-    def stop(self) -> None:
-        if self._thread is None:
-            return
-        self._stop.set()
-        self._thread.join()
-        self._thread = None
-
-
 def run_workload(
     config: WorkloadConfig,
     database: Optional[Database] = None,
@@ -537,7 +496,7 @@ def run_workload(
     hottest: List[Dict[str, Any]] = []
     ash_export: Optional[Dict[str, Any]] = None
     statements_export: Optional[Dict[str, Any]] = None
-    checkpointer = _Checkpointer(database, config.checkpoint_interval)
+    checkpointer = Checkpointer(database, config.checkpoint_interval)
     sampler = AshSampler(monitor=WAITS) if config.waits else None
     if config.statements:
         database.obs.statements.reset()

@@ -191,7 +191,7 @@ class TestScenarioIsolation:
     def test_failing_step_does_not_stop_the_scenario(self):
         conn = _pts_connection()
         result = _ThreeStepScenario().run(conn, dataset=None)
-        assert [s.label for s in result.steps] == ["ok", "broken", "ok2"]
+        assert [s.query_id for s in result.steps] == ["ok", "broken", "ok2"]
         assert result.executed == 2
         assert result.failed == 1
         assert result.steps[1].outcome == "error"
@@ -204,8 +204,19 @@ class TestScenarioIsolation:
         assert "timeout" in outcomes
         assert result.executed < 3
 
+    def test_timed_out_step_adds_no_time(self):
+        conn = _pts_connection()
+        result = _ThreeStepScenario().run(conn, dataset=None, timeout=1e-9)
+        timed_out = [s for s in result.steps if s.outcome == "timeout"]
+        assert timed_out
+        assert all(s.times == [] for s in timed_out)
+        assert result.total_seconds == sum(
+            s.total for s in result.steps if s.ok
+        )
+
     def test_transient_step_retried(self):
         conn = _pts_connection()
+        before = GLOBAL.counter("harness_retries_total").value
         FAULTS.arm("storage.insert", on_call=1, max_fires=1)
         try:
             result = _InsertScenario().run(conn, dataset=None, retries=2)
@@ -214,6 +225,7 @@ class TestScenarioIsolation:
         (step,) = result.steps
         assert step.outcome == "ok"
         assert step.retries == 1
+        assert GLOBAL.counter("harness_retries_total").value == before + 1
 
     def test_transient_step_without_retries_errors(self):
         conn = _pts_connection()
@@ -247,14 +259,11 @@ class TestReportingSurfaces:
         assert "p50" in record
 
     def test_scenario_record_counts_failures(self):
-        from repro.core.macro.scenario import StepResult
         from repro.obs.telemetry import scenario_record
 
         scenario = ScenarioResult("s", "e")
-        scenario.steps.append(StepResult("a", 0.1, 1))
-        scenario.steps.append(
-            StepResult("b", 0.1, 0, error="boom", outcome="error")
-        )
+        scenario.steps.append(QueryTiming("a", [0.1], result_value=1))
+        scenario.steps.append(QueryTiming("b", error="boom", outcome="error"))
         record = scenario_record(scenario)
         assert record["failed"] == 1
         assert record["steps"][1]["outcome"] == "error"

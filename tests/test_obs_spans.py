@@ -1,14 +1,12 @@
 """Trace-span tests: span-tree shape, row counts and monotonic timings
-for every spatial join strategy under every engine profile, hook firing,
-the plan cache under observation and one macro scenario end-to-end."""
+for every spatial join strategy under every engine profile, hook firing
+and the plan cache under observation."""
 
 import random
 
 import pytest
 
-from repro.core.macro.geocoding import Geocoding
 from repro.datagen import generate, shapes
-from repro.dbapi import connect
 from repro.engines import Database
 from repro.geometry import Point
 
@@ -148,24 +146,6 @@ class TestHooksAndSlowQueries:
         assert trace.statement == "Insert"
         assert trace.root is None
         assert trace.rows == 1
-
-
-class TestMacroScenarioTracing:
-    def test_geocoding_end_to_end(self, tiny_dataset):
-        db = Database("greenwood")
-        tiny_dataset.load_into(db, create_indexes=True)
-        db.obs.enable_tracing()
-        conn = connect(database=db)
-        result = Geocoding().run(
-            conn, tiny_dataset, seed=3, engine_name="greenwood"
-        )
-        executed = [s for s in result.steps if not s.skipped]
-        assert executed
-        for step in executed:
-            assert step.trace is not None
-            assert step.trace.root is not None
-            assert step.trace.root.rows == step.rows
-            assert step.trace.seconds >= 0.0
 
 
 class TestObservedPlanCache:

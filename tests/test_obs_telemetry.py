@@ -56,6 +56,35 @@ class TestRecordStream:
             assert record["insert_seconds"] > 0
 
 
+class TestOneRecordSchema:
+    def test_macro_step_records_carry_the_cell_keys(self):
+        """A macro step is measured like a micro cell, so a step record
+        and a cell record with the same outcome carry the same keys, less
+        the cell's matrix column (``variant``) and its warmup exemplar
+        (``operators``, ``counters``): a step runs once, unwarmed."""
+        own = {"variant", "operators", "counters"}
+        shared = set()
+        for timeout in (None, 1e-9):
+            options = dict(seed=7, scale=0.05, timeout=timeout)
+            cells = exp.matrix_records(exp.EXPERIMENTS["jt1"].run(
+                variants=("greenwood",),
+                queries=("Polygon Intersects Polygon", "Line Crosses Line"),
+                **options,
+            ))
+            (macro,) = exp.EXPERIMENTS["jt4"].records(
+                exp.EXPERIMENTS["jt4"].run(
+                    engines=("greenwood",), scenarios=("geocoding",),
+                    **options,
+                )
+            )
+            for step in macro["steps"]:
+                for cell in cells:
+                    if cell["outcome"] == step["outcome"]:
+                        assert set(step) == set(cell) - own, step
+                        shared.add(step["outcome"])
+        assert shared == {"ok", "timeout"}
+
+
 class TestArtifacts:
     def test_document_round_trip(self, topology, tmp_path):
         path = telemetry.write_document(topology, str(tmp_path), "jt1.json")

@@ -487,6 +487,22 @@ class TestCrashMatrix:
         assert not verify_recovery(outcome, recovered)
         recovered.close()
 
+    def test_client_that_dies_of_a_foreign_error_fails_the_run(
+        self, tmp_path
+    ):
+        # commit #1 is the seed insert; the client's first COMMIT raises
+        # an error that is not the engine's
+        FAULTS.arm("txn.commit", on_call=2, error=RuntimeError)
+        with pytest.raises(RuntimeError):
+            run_crash_workload(
+                str(tmp_path / "storage"),
+                clients=1,
+                site="wal.fsync",
+                on_call=10**9,
+                deadline=0.5,
+                seed_rows=5,
+            )
+
 
 class TestRecoveryReport:
     def test_report_counts_and_describe(self, tmp_path):

@@ -10,7 +10,7 @@ from repro.core.experiments import (
     render_matrix,
 )
 from repro.core.micro.loading import LayerLoadTiming, LoadResult
-from repro.core.macro.scenario import ScenarioResult, StepResult
+from repro.core.macro.scenario import ScenarioResult
 from repro.core.stats import QueryTiming
 
 
@@ -50,14 +50,23 @@ class TestMicroRendering:
         assert "12.3ms | 7" in text
 
 
+def _step(label, seconds):
+    return QueryTiming(label, [seconds], result_value=1)
+
+
+def _gap(label):
+    return QueryTiming(label, supported=False, error="n/s",
+                       outcome="not supported")
+
+
 class TestMacroRendering:
     def test_throughput_and_skips(self):
         ok = ScenarioResult("geocoding", "greenwood")
-        ok.steps.append(StepResult("q0", 0.5, 1))
-        ok.steps.append(StepResult("q1", 0.5, 1))
+        ok.steps.append(_step("q0", 0.5))
+        ok.steps.append(_step("q1", 0.5))
         gappy = ScenarioResult("geocoding", "bluestem")
-        gappy.steps.append(StepResult("q0", 0.25, 1))
-        gappy.steps.append(StepResult("q1", 0.0, 0, skipped=True, error="n/s"))
+        gappy.steps.append(_step("q0", 0.25))
+        gappy.steps.append(_gap("q1"))
         text = render_macro([ok, gappy])
         assert "geocoding" in text
         assert "120" in text  # 2 queries in 1s = 120/min
@@ -65,8 +74,8 @@ class TestMacroRendering:
 
     def test_scenario_math(self):
         scenario = ScenarioResult("s", "e")
-        scenario.steps.append(StepResult("a", 1.0, 3))
-        scenario.steps.append(StepResult("b", 0.0, 0, skipped=True))
+        scenario.steps.append(_step("a", 1.0))
+        scenario.steps.append(_gap("b"))
         assert scenario.executed == 1
         assert scenario.skipped == 1
         assert scenario.queries_per_minute == pytest.approx(60.0)
