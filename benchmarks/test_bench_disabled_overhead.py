@@ -103,7 +103,7 @@ class TestEmbedded:
         assert WAITS.enabled is False
         assert db.guardrails.enabled is False
         assert db.guardrails.start() is None
-        assert db.durability is None
+        assert not db.durability.attached
         assert db.service is None
         assert db.txn.active_count == 0
         assert _unversioned(db)
@@ -171,13 +171,13 @@ class TestEmbedded:
     def test_detached_insert_within_budget(self):
         """The transactional bulk path with no storage attached —
         ``insert_rows``: latch, one transaction per batch (one undo run,
-        frozen by slice at commit), one ``db.durability`` attribute read
-        at its commit — against the direct heap + index loop."""
+        frozen by slice at commit), one no-op ``db.durability.log_commit``
+        call at its commit — against the direct heap + index loop."""
         rows = [(i, f"POINT({i % 100} {i % 90})") for i in range(400)]
         db = Database("greenwood")
         db.execute("CREATE TABLE bench (id INTEGER, g GEOMETRY)")
         db.execute("CREATE SPATIAL INDEX bench_g ON bench (g)")
-        assert db.durability is None
+        assert not db.durability.attached
         table = db.catalog.table("bench")
 
         def insert_guarded():

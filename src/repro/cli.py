@@ -266,9 +266,9 @@ def _stats_document(db: Database, args,
     if args.statements:
         stats["statements"] = db.obs.statements.export()
         db.obs.disable_statements()
-    if db.durability is not None:
+    if db.durability.attached:
         stats["storage"] = db.durability.stats()
-        db.close()
+    db.close()
     stats["metrics"] = db.obs.metrics.snapshot()
     return stats
 
@@ -599,6 +599,7 @@ def _top(args) -> int:
     """
     from repro.obs.ash import render_sessions
     from repro.workload import WorkloadConfig, run_workload
+    from repro.workload.driver import wait_lines
 
     config = _config(WorkloadConfig, args, waits=True)
     config.validate()
@@ -625,20 +626,7 @@ def _top(args) -> int:
         worker.join(timeout=args.refresh)
     if "error" in outcome:
         raise outcome["error"]
-    report = outcome["report"]
-    print()
-    print(report.attribution.render(
-        title="wall-time decomposition (all clients)"
-    ))
-    states = report.ash["wait_state_counts"]
-    if states:
-        top_states = ", ".join(
-            f"{state}={count}" for state, count in sorted(
-                states.items(), key=lambda item: -item[1]
-            )[:4]
-        )
-        print(f"ash: {len(report.ash['samples'])} samples   "
-              f"top states: {top_states}")
+    print("\n".join(wait_lines(outcome["report"])))
     return 0
 
 

@@ -489,6 +489,50 @@ class Sweep:
     #: one wall-time decomposition per point, when run with ``waits=True``
     attributions: List[Any] = field(default_factory=list)
 
+    def add_round(self, report: Any, **coordinates: Any) -> Dict[str, Any]:
+        """Append one workload round (a :class:`~repro.workload
+        .WorkloadReport`) as a point, and its wall-time decomposition if
+        it recorded one; returns the point. ``coordinates`` are the
+        sweep's own keys, such as J-X6's ``phase``. Every number comes
+        from the report; a served round adds the admission and cache
+        counters, an open-loop round its offered rate."""
+        if report.attribution is not None:
+            self.attributions.append(report.attribution)
+        config = report.config
+        wall = report.wall_seconds
+        latency = report.latency
+        point = dict(
+            coordinates,
+            clients=config.clients,
+            wall_seconds=wall,
+            **report.totals,
+            completed=report.completed,
+            completed_per_sec=report.completed / wall if wall else 0.0,
+            shed=report.total_shed,
+            timeouts=report.total_timeouts,
+            p50=latency.p50,
+            p99=latency.p99,
+        )
+        if config.mode == "open":
+            point.update(
+                rate_per_client=config.rate,
+                offered_rate=config.clients * config.rate,
+            )
+        if report.service is not None:
+            admission = report.admission
+            cache = report.cache or {}
+            point.update(
+                shed_queue_full=admission.get("shed_queue_full", 0),
+                shed_deadline=admission.get("shed_deadline", 0),
+                peak_queue=admission.get("peak_queue", 0),
+                queue_limit=admission.get("queue_limit", 0),
+                cache_hits=cache.get("hits", 0),
+                cache_hit_ratio=report.cache_hit_ratio,
+                cache_invalidations=cache.get("invalidations", 0),
+            )
+        self.points.append(point)
+        return point
+
 
 def sweep_records(result: Sweep) -> List[Dict[str, Any]]:
     return [
@@ -521,58 +565,45 @@ def run_concurrency(
     """J-X2: read-only throughput with N concurrent clients (extension).
 
     Each client replays one deterministic macro scenario on its own
-    DB-API connection, on :func:`repro.workload.run_client_threads`. A
-    replay is a fixed statement list measured by the one statement
-    protocol (:meth:`Scenario.run`), not a :mod:`repro.workload`
-    operation stream: it has no writes, no schedule, and one pass per
-    client. A client's queries are the scenario's executed steps, and
-    its latency histogram holds their step times. The embedded engines
-    are pure Python, so the GIL serialises CPU work — the experiment
-    therefore measures *contention behaviour* (fairness and aggregate
-    throughput stability), not parallel speedup, and the report says so.
+    DB-API connection, in one workload round per client count
+    (:func:`repro.workload.run_round`: the threads and the recording
+    window of ``jackpine workload``). A replay is a fixed statement list
+    measured by the one statement protocol (:meth:`Scenario.run`), not a
+    :mod:`repro.workload` operation stream: it has no writes, no
+    schedule, and one pass per client. A client's queries (its ``ops``)
+    are the scenario's executed steps, and its latency histogram holds
+    their step times. A point is :meth:`Sweep.add_round`'s, plus
+    ``queries``. The embedded engines are pure Python, so the GIL
+    serialises CPU work — the experiment therefore measures *contention
+    behaviour* (fairness and aggregate throughput stability), not
+    parallel speedup, and the report says so.
     """
     from repro.core.macro import SCENARIOS_BY_NAME
-    from repro.workload import run_client_threads
+    from repro.workload import WorkloadConfig, run_round
 
     dataset = generate(seed=seed, scale=scale)
     db = Database(engine)
     dataset.load_into(db)
     result = Sweep(engine, scenario_name)
+
+    def body(conn, report) -> None:
+        scenario = SCENARIOS_BY_NAME[scenario_name]()
+        outcome = scenario.run(
+            conn, dataset, seed=seed + report.client_id, engine_name=engine,
+        )
+        report.ops += outcome.executed
+        report.reads += outcome.executed
+        for step in outcome.steps:
+            for seconds in step.times:
+                report.latency.observe(seconds)
+
     for clients in clients_series:
-
-        def body(conn, report) -> None:
-            scenario = SCENARIOS_BY_NAME[scenario_name]()
-            outcome = scenario.run(
-                conn, dataset, seed=seed + report.client_id,
-                engine_name=engine,
-            )
-            report.ops += outcome.executed
-            report.reads += outcome.executed
-            for step in outcome.steps:
-                for seconds in step.times:
-                    report.latency.observe(seconds)
-
-        if waits:
-            from repro.obs.waits import WAITS, WaitAttribution
-
-            WAITS.enable()
-            WAITS.reset()
-            try:
-                wall, reports = run_client_threads(db, clients, body)
-                result.attributions.append(WaitAttribution.capture(
-                    WAITS, busy_seconds=wall * clients
-                ))
-            finally:
-                WAITS.disable()
-        else:
-            wall, reports = run_client_threads(db, clients, body)
-        queries = sum(report.ops for report in reports)
-        result.points.append({
-            "clients": clients,
-            "wall_seconds": wall,
-            "queries": queries,
-            "queries_per_minute": 60.0 * queries / wall if wall else 0.0,
-        })
+        report = run_round(db, WorkloadConfig(
+            clients=clients, engine=engine, seed=seed, scale=scale,
+            waits=waits,
+        ), body)
+        # a replay's queries are its operations
+        result.add_round(report, queries=report.total_ops)
     return result
 
 
@@ -621,19 +652,10 @@ def run_mixed_workload(
     dataset.load_into(db)
     result = Sweep(engine, mix)
     for clients in clients_series:
-        config = WorkloadConfig(
+        result.add_round(run_workload(WorkloadConfig(
             clients=clients, duration=duration, mix=mix, engine=engine,
             seed=seed, scale=scale, waits=waits,
-        )
-        report = run_workload(config, database=db)
-        if report.attribution is not None:
-            result.attributions.append(report.attribution)
-        # totals: ops, commits, aborts, retries, errors,
-        # queries_per_minute, abort_rate
-        result.points.append(dict(
-            report.telemetry_document()["totals"], clients=clients,
-            wall_seconds=report.wall_seconds,
-        ))
+        ), database=db))
     return result
 
 
@@ -767,79 +789,6 @@ def render_recovery(result: Sweep) -> str:
 # -- J-X6: query service saturation, overload shedding, and result cache ------
 
 
-def _merged_latency(reports):
-    """Aggregate the per-client fixed-bucket histograms (same buckets)."""
-    from repro.obs.metrics import Histogram
-
-    merged = Histogram("jx6_latency_seconds", "aggregate client latency")
-    for report in reports:
-        hist = report.latency
-        for index, count in enumerate(hist.counts):
-            merged.counts[index] += count
-        merged.count += hist.count
-        merged.sum += hist.sum
-        merged.min = min(merged.min, hist.min)
-        merged.max = max(merged.max, hist.max)
-    return merged
-
-
-def _service_round(
-    database, *, engine: str, seed: int, scale: float, clients: int,
-    rate: float, duration: float, pool_size: int, max_queue: int,
-    deadline: float, cache_capacity: int, phase: str, mix: str = "browse",
-) -> Dict[str, Any]:
-    """Start a fresh server over ``database`` (fresh counters), drive it
-    with the open-loop fleet for one round, and distill the numbers."""
-    from repro.service import JackpineServer, ServerConfig
-    from repro.workload.driver import WorkloadConfig, run_workload
-
-    server = JackpineServer(database, ServerConfig(
-        pool_size=pool_size, max_queue=max_queue, deadline=deadline,
-        cache_capacity=cache_capacity,
-    )).start()
-    try:
-        report = run_workload(WorkloadConfig(
-            clients=clients, duration=duration, mix=mix, engine=engine,
-            mode="open", rate=rate, seed=seed, scale=scale,
-            server=server.address,
-        ))
-    finally:
-        server.stop()
-    latency = _merged_latency(report.clients)
-    completed = (
-        report.total_ops - report.total_shed - report.total_timeouts
-        - report.total_errors
-    )
-    admission = (report.service or {}).get("admission", {})
-    cache = report.cache or {}
-    hits = cache.get("hits", 0)
-    looked = hits + cache.get("misses", 0)
-    return {
-        "phase": phase,
-        "clients": clients,
-        "rate_per_client": rate,
-        "offered_rate": clients * rate,
-        "wall_seconds": report.wall_seconds,
-        "ops": report.total_ops,
-        "completed": completed,
-        "completed_per_sec": (
-            completed / report.wall_seconds if report.wall_seconds else 0.0
-        ),
-        "shed": report.total_shed,
-        "shed_queue_full": admission.get("shed_queue_full", 0),
-        "shed_deadline": admission.get("shed_deadline", 0),
-        "timeouts": report.total_timeouts,
-        "errors": report.total_errors,
-        "peak_queue": admission.get("peak_queue", 0),
-        "queue_limit": admission.get("queue_limit", max_queue),
-        "p50": latency.p50,
-        "p99": latency.p99,
-        "cache_hits": hits,
-        "cache_hit_ratio": hits / looked if looked else 0.0,
-        "cache_invalidations": cache.get("invalidations", 0),
-    }
-
-
 def run_service(
     seed: int = 42,
     scale: float = 0.25,
@@ -874,31 +823,43 @@ def run_service(
        skewed read mix (and proving writes invalidate: the browse mix is
        read-only, so the ratio is the upper bound the mixed rounds erode).
 
-    Each point is one round; its ``phase`` is ``saturation``,
-    ``overload``, ``cache_on`` or ``cache_off``.
+    Each point is one round (:meth:`Sweep.add_round`); its ``phase`` is
+    ``saturation``, ``overload``, ``cache_on`` or ``cache_off``.
     """
+    from repro.service import JackpineServer, ServerConfig
+    from repro.workload import WorkloadConfig, run_workload
+
     dataset = generate(seed=seed, scale=scale)
     database = Database(engine)
     dataset.load_into(database)
-    shared = dict(
-        engine=engine, seed=seed, scale=scale, clients=clients,
-        duration=duration, pool_size=pool_size, max_queue=max_queue,
-        deadline=deadline,
-    )
     result = Sweep(
         engine, f"{clients} open-loop clients, pool {pool_size}, queue "
         f"{max_queue}, deadline {deadline:.2f}s",
     )
+
+    def served_round(phase: str, rate: float, fleet: int = clients,
+                     capacity: int = cache_capacity) -> Dict[str, Any]:
+        # a fresh server per round: fresh counters
+        server = JackpineServer(database, ServerConfig(
+            pool_size=pool_size, max_queue=max_queue, deadline=deadline,
+            cache_capacity=capacity,
+        )).start()
+        try:
+            report = run_workload(WorkloadConfig(
+                clients=fleet, duration=duration, mix="browse",
+                engine=engine, mode="open", rate=rate, seed=seed,
+                scale=scale, server=server.address,
+            ))
+        finally:
+            server.stop()
+        return result.add_round(report, phase=phase)
+
     # phase A: adaptive saturation sweep — double the offered rate until
     # achieved throughput falls visibly short of offered (or requests
     # start getting shed), which is the saturation knee
     rate = base_rate
     for _ in range(max_rounds):
-        point = _service_round(
-            database, rate=rate, cache_capacity=cache_capacity,
-            phase="saturation", **shared
-        )
-        result.points.append(point)
+        point = served_round("saturation", rate)
         saturated = (
             point["completed_per_sec"] < 0.85 * point["offered_rate"]
             or point["shed"] > 0
@@ -913,19 +874,13 @@ def run_service(
     # are more clients than queue slots, hence the bigger fleet here
     # ("hundreds of clients" is also just what overload looks like).
     overload_fleet = max(overload_clients, 2 * max_queue)
-    result.points.append(_service_round(
-        database, rate=overload_factor * saturation_ops / overload_fleet,
-        cache_capacity=cache_capacity, phase="overload",
-        **dict(shared, clients=overload_fleet)
-    ))
+    overload_rate = overload_factor * saturation_ops / overload_fleet
+    served_round("overload", overload_rate, fleet=overload_fleet)
     # phase C: cache on vs off at roughly half the saturation rate (the
     # comparison should measure cache effect, not queueing noise)
     probe_rate = max(saturation_ops / (2.0 * clients), base_rate)
-    for phase, capacity in (("cache_on", cache_capacity), ("cache_off", 0)):
-        result.points.append(_service_round(
-            database, rate=probe_rate, cache_capacity=capacity, phase=phase,
-            **shared
-        ))
+    served_round("cache_on", probe_rate)
+    served_round("cache_off", probe_rate, capacity=0)
     return result
 
 

@@ -56,7 +56,7 @@ from repro.sql.functions import FunctionRegistry
 from repro.sql.parser import parse
 from repro.sql.planner import Planner, is_txn_control
 from repro.storage.catalog import Catalog, IndexEntry
-from repro.storage.durability import index_record
+from repro.storage.durability import NoDurability, index_record
 from repro.storage.table import Column, ColumnType, Table
 from repro.txn import ACTIVE, Session, TxnManager, Transaction
 from repro.txn.locks import SharedExclusiveLock
@@ -115,9 +115,10 @@ class Database:
         #: the MVCC transaction manager (txn ids, snapshots, row locks)
         self.txn = TxnManager(self)
         #: durable page/WAL storage, attached via :meth:`attach_storage` /
-        #: :meth:`open`; ``None`` keeps the engine purely in-memory. Only
-        #: COMMIT (row records) and DDL reach it
-        self.durability = None
+        #: :meth:`open`; until then a :class:`NoDurability` keeps the
+        #: engine purely in-memory. Only COMMIT (row records) and DDL
+        #: reach it
+        self.durability = NoDurability()
         # per-statement physical latch: SELECT shared, mutation exclusive;
         # never held across statements (isolation is the txn layer's job)
         self._latch = SharedExclusiveLock()
@@ -192,7 +193,7 @@ class Database:
             DurabilityManager,
         )
 
-        if self.durability is not None:
+        if self.durability.attached:
             raise SqlProgrammingError("durable storage is already attached")
         if os.path.exists(os.path.join(directory, WAL_FILE)):
             raise SqlProgrammingError(
@@ -210,9 +211,8 @@ class Database:
 
     def checkpoint(self):
         """Replay the WAL onto the pages, flush them, and rewrite the WAL
-        to a checkpoint record."""
-        if self.durability is None:
-            raise SqlProgrammingError("no durable storage attached")
+        to a checkpoint record; raises :class:`SqlProgrammingError`
+        without storage."""
         with self._latch.exclusive():
             report = self.durability.checkpoint()
         self.obs.metrics.counter(
@@ -222,9 +222,7 @@ class Database:
 
     def close(self) -> None:
         """Clean shutdown: checkpoint (if durable) and release files."""
-        if self.durability is None:
-            return
-        if not self.durability.crashed:
+        if self.durability.attached and not self.durability.crashed:
             self.checkpoint()
         self.durability.close()
 
@@ -523,17 +521,11 @@ class Database:
             self.catalog.drop_table(statement.name, statement.if_exists)
             if existed:
                 self.bump_write_marks((statement.name,), self.txn.stamp())
-                if self.durability is not None:
-                    self.durability.log_ddl(
-                        "drop_table", name=statement.name
-                    )
+                self.durability.log_ddl("drop_table", name=statement.name)
             return ResultSet([], [], 0)
         if isinstance(statement, ast.DropIndex):
             self.catalog.drop_index(statement.name, statement.if_exists)
-            if self.durability is not None:
-                self.durability.log_ddl(
-                    "drop_index", name=statement.name.lower()
-                )
+            self.durability.log_ddl("drop_index", name=statement.name.lower())
             return ResultSet([], [], 0)
         if isinstance(statement, ast.Analyze):
             return self._run_analyze(statement)
@@ -899,12 +891,11 @@ class Database:
         ]
         table = self.catalog.create_table(stmt.name, columns)
         self.bump_write_marks((table.name,), self.txn.stamp())
-        if self.durability is not None:
-            self.durability.log_ddl(
-                "create_table",
-                name=table.name,
-                columns=[[c.name, c.type.value] for c in columns],
-            )
+        self.durability.log_ddl(
+            "create_table",
+            name=table.name,
+            columns=[[c.name, c.type.value] for c in columns],
+        )
         return ResultSet([], [], 0)
 
     def _run_create_index(self, stmt) -> ResultSet:
@@ -942,8 +933,7 @@ class Database:
             index = self._build_index(table, column.name, kind)
             entry = IndexEntry(stmt.name, table.name, column.name, index)
         self.catalog.register_index(entry)
-        if self.durability is not None:
-            self.durability.log_ddl("create_index", **index_record(entry))
+        self.durability.log_ddl("create_index", **index_record(entry))
         return ResultSet([], [], len(index))
 
     def _build_index(

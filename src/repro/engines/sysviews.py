@@ -27,7 +27,7 @@ Views installed on every :class:`~repro.engines.Database`:
                           when durable storage is attached
 ``jackpine_progress``     live per-session phase + rows processed (and
                           the durable checkpoint LSN, when attached)
-``jackpine_service``      query service tier: session pool, admission
+``jackpine_service``      query service tier: worker pool size, admission
                           queue, shed counts and result-cache counters
                           (empty unless a server is attached)
 ``jackpine_requests``     flight recorder: one row per traced service
@@ -40,7 +40,6 @@ Views installed on every :class:`~repro.engines.Database`:
 from __future__ import annotations
 
 import functools
-import time
 from typing import (
     Any, Callable, Dict, Iterable, Iterator, List, Sequence, Tuple,
 )
@@ -306,8 +305,8 @@ _PROGRESS: Tuple[ColumnSpec, ...] = (
     ("sql", "TEXT", "sql"),
     ("phase", "TEXT", "phase"),
     ("wait_event", "TEXT", "wait_event"),
-    ("seconds", "REAL", "seconds"),
-    ("rows_processed", "INTEGER", "rows_scanned"),
+    ("seconds", "REAL", "statement_seconds"),
+    ("rows_processed", "INTEGER", "rows_processed"),
     ("index_probes", "INTEGER", "index_probes"),
     ("pairs_considered", "INTEGER", "join_pairs_considered"),
     ("pairs_emitted", "INTEGER", "join_pairs_emitted"),
@@ -406,9 +405,8 @@ def _table_records(db: Any) -> List[Dict[str, Any]]:
         }
         for entry in db.catalog.indexes()
     )
-    durable = db.durability
-    if durable is not None:
-        stats = durable.stats()
+    stats = db.durability.stats()
+    if stats is not None:
         out.append({
             "name": "buffer_pool",
             "kind": "bufferpool",
@@ -420,14 +418,14 @@ def _table_records(db: Any) -> List[Dict[str, Any]]:
     return out
 
 
-def _phase(wait: Any, considered: int, probes: int, scanned: int) -> str:
-    if wait is not None:
+def _phase(session: Dict[str, Any]) -> str:
+    if session["wait_event"] is not None:
         return "waiting"
-    if considered:
+    if session["join_pairs_considered"]:
         return "joining"
-    if probes:
+    if session["index_probes"]:
         return "probing"
-    if scanned:
+    if session["rows_processed"]:
         return "scanning"
     return "planning"
 
@@ -435,40 +433,12 @@ def _phase(wait: Any, considered: int, probes: int, scanned: int) -> str:
 def _progress_records(db: Any) -> List[Dict[str, Any]]:
     from repro.obs.waits import WAITS
 
-    now = time.perf_counter()
-    durable = db.durability
-    checkpoint_lsn = (
-        durable.last_checkpoint_lsn if durable is not None else None
-    )
-    out: List[Dict[str, Any]] = []
-    for state in WAITS.thread_states():
-        if state.statement is None:
-            continue
-        shard = state.shard
-        counts = {
-            name: getattr(shard, name) if shard is not None else 0
-            for name in (
-                "rows_scanned", "index_probes",
-                "join_pairs_considered", "join_pairs_emitted",
-            )
-        }
-        wait = state.current_wait
-        out.append(dict(
-            counts,
-            session_id=state.session_id,
-            thread_id=state.thread_id,
-            engine=state.engine,
-            txid=state.txid,
-            sql=state.statement,
-            phase=_phase(
-                wait, counts["join_pairs_considered"],
-                counts["index_probes"], counts["rows_scanned"],
-            ),
-            wait_event=wait,
-            seconds=now - state.statement_since,
-            checkpoint_lsn=checkpoint_lsn,
-        ))
-    return out
+    checkpoint_lsn = db.durability.last_checkpoint_lsn
+    return [
+        dict(session, phase=_phase(session), checkpoint_lsn=checkpoint_lsn)
+        for session in WAITS.active_sessions()
+        if session["sql"] is not None
+    ]
 
 
 def _service_records(db: Any) -> List[Dict[str, Any]]:

@@ -282,8 +282,10 @@ class WaitMonitor:
         state.shard = None
 
     def active_sessions(self) -> List[Dict[str, Any]]:
-        """One snapshot row per thread with a statement in flight —
-        the ``pg_stat_activity`` view the ASH sampler polls."""
+        """One snapshot row per thread with a statement or a wait in
+        flight — the ``pg_stat_activity`` view the ASH sampler polls,
+        ``jackpine top`` draws and ``jackpine_progress`` reads — with
+        the statement's live progress counters."""
         now = time.perf_counter()
         out: List[Dict[str, Any]] = []
         for state in self.thread_states():
@@ -308,6 +310,11 @@ class WaitMonitor:
                     now - state.statement_since if sql is not None else 0.0
                 ),
                 "rows_processed": rows,
+                **{
+                    name: getattr(shard, name) if shard is not None else 0
+                    for name in ("index_probes", "join_pairs_considered",
+                                 "join_pairs_emitted")
+                },
             })
         return out
 

@@ -195,11 +195,6 @@ class ResultCache:
                 "bypass": self.bypass,
             }
 
-    @property
-    def hit_ratio(self) -> float:
-        looked = self.hits + self.misses
-        return self.hits / looked if looked else 0.0
-
 
 class CachedExecutor:
     """Read-through execution over one shared database.

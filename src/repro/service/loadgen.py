@@ -21,7 +21,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.obs.requests import TraceContext
 from repro.obs.waits import WaitAttribution, summary_delta
@@ -96,19 +96,17 @@ async def _run_fleet(host: str, port: int, streams: List[Any]) -> None:
     await asyncio.gather(*(_client(host, port, steps) for steps in streams))
 
 
-def run_server_workload(config, address: Optional[str] = None):
-    """Drive a running query service with ``config.clients`` asyncio
-    clients; returns the same :class:`WorkloadReport` the embedded driver
-    produces, with the ``service``/``cache`` sections filled from the
-    server's own counters."""
+def run_server_workload(config):
+    """Drive the query service at ``config.server`` with
+    ``config.clients`` asyncio clients; returns the same
+    :class:`WorkloadReport` the embedded driver produces, with the
+    ``service``/``cache`` sections filled from the server's own
+    counters."""
     from repro.workload.driver import ClientReport, WorkloadReport, \
         client_steps
 
     config.validate()
-    address = address or config.server
-    if not address:
-        raise ValueError("server workload needs an address (host:port)")
-    control = ServiceClient.from_address(address)
+    control = ServiceClient.from_address(config.server)
     try:
         control.ping()
         mix = get_mix(config.mix, control, seed=config.seed)
@@ -146,7 +144,7 @@ def run_server_workload(config, address: Optional[str] = None):
         clients=reports,
         attribution=attribution,
         service={
-            "address": stats.get("address", address),
+            "address": stats.get("address", config.server),
             "connections_total": stats.get("connections_total", 0),
             "pool": stats.get("pool", {}),
             "admission": stats.get("admission", {}),

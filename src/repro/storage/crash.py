@@ -43,9 +43,8 @@ from typing import Iterator, List, Set, Tuple
 from repro.engines import Database
 from repro.errors import ReproError, SimulatedCrashError
 from repro.faults import FAULTS
-from repro.storage.durability import Checkpointer
 from repro.storage.records import encode_value
-from repro.workload import run_client_threads
+from repro.workload import WorkloadConfig, run_round
 
 __all__ = [
     "CRASH_SITES",
@@ -119,9 +118,10 @@ def run_crash_workload(
     client observes the simulated crash, every client stops. If the
     site has not fired by ``deadline`` (it can be unreachable — e.g.
     ``page.write`` with no checkpointer), the crash is forced directly
-    so the harness still hands back a killed directory. The clients run
-    on :func:`~repro.workload.run_client_threads`: one that dies of an
-    error that is not the engine's fails the run once the others stop.
+    so the harness still hands back a killed directory. The clients and
+    the checkpointer run in one :func:`~repro.workload.run_round`: a
+    client that dies of an error that is not the engine's fails the run
+    once the others stop.
     """
     if site not in CRASH_SITES:
         raise ValueError(
@@ -165,24 +165,22 @@ def run_crash_workload(
                     connection.rollback()
                 except ReproError:
                     pass
-                if db.durability is not None and db.durability.crashed:
+                if db.durability.crashed:
                     crashed.set()
             if pace:
                 time.sleep(pace)
 
-    checkpointer = Checkpointer(db, checkpoint_interval)
     with kill_at(site, on_call=on_call):
-        checkpointer.start()
-        try:
-            outcome.wall_seconds, _ = run_client_threads(db, clients, client)
-        finally:
-            checkpointer.stop()
+        report = run_round(db, WorkloadConfig(
+            clients=clients, checkpoint_interval=checkpoint_interval,
+        ), client)
+        outcome.wall_seconds = report.wall_seconds
+        outcome.checkpoints = report.checkpoints
         if not db.durability.crashed:
             # deadline elapsed without reaching the site: force the kill
             db.durability.crash()
             outcome.forced = True
         outcome.fired = FAULTS.fire_counts().get(site, 0) > 0
-    outcome.checkpoints = checkpointer.taken
     return outcome
 
 

@@ -42,7 +42,8 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
 
-from repro.errors import EngineError, ReproError, SimulatedCrashError
+from repro.errors import (EngineError, ReproError, SimulatedCrashError,
+                          SqlProgrammingError)
 from repro.storage.pages import DiskManager, HeapStore
 from repro.storage.records import decode_value, encode_value
 from repro.storage.wal import WriteAheadLog
@@ -55,6 +56,7 @@ __all__ = [
     "CheckpointReport",
     "Checkpointer",
     "DurabilityManager",
+    "NoDurability",
     "RecoveryReport",
     "recover",
 ]
@@ -118,9 +120,37 @@ class RecoveryReport:
         )
 
 
+class NoDurability:
+    """The durability of an in-memory database: every hook the engine
+    calls does nothing, so no caller asks whether storage is attached.
+    :meth:`~repro.engines.Database.attach_storage` replaces it with a
+    :class:`DurabilityManager`."""
+
+    attached = False
+    crashed = False
+    last_checkpoint_lsn = None
+
+    def log_commit(self, txn: "Transaction") -> None:
+        """Nothing to log: the commit is as durable as the process."""
+
+    def log_ddl(self, ddl: str, **fields: Any) -> None:
+        """Nothing to log."""
+
+    def checkpoint(self) -> CheckpointReport:
+        raise SqlProgrammingError("no durable storage attached")
+
+    def stats(self) -> None:
+        """No storage counters: a round report's ``storage`` is None."""
+
+    def close(self) -> None:
+        """No files to release."""
+
+
 class DurabilityManager:
     """Owns one database directory's page file and WAL; ``buffer_pages``
     bounds how many pages the heap keeps in memory."""
+
+    attached = True
 
     def __init__(
         self,
@@ -326,11 +356,11 @@ class Checkpointer:
     """Background checkpoint loop for durable workload rounds.
 
     Fires every ``interval`` seconds between :meth:`start` and
-    :meth:`stop`, and does nothing when the interval is 0 or the database
-    has no storage. A checkpoint that fails (an injected fault, or a
-    simulated crash mid-round) never kills the round — the
-    crash-recovery experiments rely on the workload continuing so the
-    WAL keeps growing past the failed checkpoint.
+    :meth:`stop`, and does nothing when the interval is 0. A checkpoint
+    that fails (an injected fault, a simulated crash mid-round, or a
+    database without storage) is not counted and never kills the round
+    — the crash-recovery experiments rely on the workload continuing so
+    the WAL keeps growing past the failed checkpoint.
     """
 
     def __init__(self, database: "Database", interval: float) -> None:
@@ -341,7 +371,7 @@ class Checkpointer:
         self.taken = 0
 
     def start(self) -> None:
-        if not self._interval or self._db.durability is None:
+        if not self._interval:
             return
         self._thread = threading.Thread(
             target=self._loop, name="jackpine-checkpointer", daemon=True

@@ -135,7 +135,14 @@ class RowLockTable:
 
 
 class SharedExclusiveLock:
-    """A readers-writer latch with writer preference and owner reentrancy.
+    """A phase-fair readers-writer latch with owner reentrancy.
+
+    A reader waits while a writer holds the latch or waits for it, so
+    readers cannot starve a writer. A writer that releases the latch
+    admits every reader already waiting before any writer — itself
+    included — can take it again, so a writer cannot starve the readers
+    either: under the GIL a client committing statement after statement
+    would otherwise re-take the latch before a reader it woke could run.
 
     ``acquire_exclusive`` is reentrant for the owning thread (a COMMIT
     issued while applying a statement must not self-deadlock), and a
@@ -149,6 +156,9 @@ class SharedExclusiveLock:
         self._writer: Optional[int] = None
         self._writer_depth = 0
         self._waiting_writers = 0
+        self._waiting_readers = 0
+        #: how many writer releases have admitted waiting readers
+        self._admissions = 0
 
     def acquire_shared(self) -> None:
         me = threading.get_ident()
@@ -159,13 +169,26 @@ class SharedExclusiveLock:
                 return
             if self._writer is not None or self._waiting_writers:
                 WAITS.timed(LATCH_SHARED, self._wait_shared)()
-            self._readers += 1
+            else:
+                self._readers += 1
 
     def _wait_shared(self) -> None:
-        """Blocked-path wait loop (caller holds ``self._cond``); timed as
-        a ``Latch:StatementShared`` wait event when the monitor is on."""
-        while self._writer is not None or self._waiting_writers:
-            self._cond.wait()
+        """Blocked-path wait (caller holds ``self._cond``) until a
+        writer's release admits this reader, counting it in
+        ``_readers``; timed as a ``Latch:StatementShared`` wait event
+        when the monitor is on."""
+        admission = self._admissions
+        self._waiting_readers += 1
+        try:
+            while self._admissions == admission:
+                self._cond.wait()
+        except BaseException:  # interrupted: take back what was counted
+            if self._admissions == admission:
+                self._waiting_readers -= 1
+            else:
+                self._readers -= 1
+                self._cond.notify_all()
+            raise
 
     def release_shared(self) -> None:
         me = threading.get_ident()
@@ -203,6 +226,10 @@ class SharedExclusiveLock:
             self._writer_depth -= 1
             if self._writer_depth == 0:
                 self._writer = None
+                if self._waiting_readers:
+                    self._readers += self._waiting_readers
+                    self._waiting_readers = 0
+                    self._admissions += 1
                 self._cond.notify_all()
 
     def shared(self) -> "_Held":

@@ -177,14 +177,12 @@ class TxnManager:
             # before any state changes: a fired fault leaves the
             # transaction active, and the caller's rollback undoes it
             FAULTS.hit("txn.commit")
-        durable = self._db.durability
-        if durable is not None:
-            # the only durability call a transaction makes: its row
-            # records and COMMIT are logged and fsynced before any
-            # in-memory commit state changes, so a failure here leaves
-            # the transaction active for the caller's rollback, and a
-            # log without its commit record discards it
-            durable.log_commit(txn)
+        # the only durability call a transaction makes: its row records
+        # and COMMIT are logged and fsynced before any in-memory commit
+        # state changes, so a failure here leaves the transaction active
+        # for the caller's rollback, and a log without its commit record
+        # discards it (a no-op without storage)
+        self._db.durability.log_commit(txn)
         with self._lock:
             self._pending.extend(txn.undo)
             txn.status = COMMITTED

@@ -10,7 +10,7 @@ from repro.workload.driver import (
     WorkloadConfig,
     WorkloadReport,
     render_workload,
-    run_client_threads,
+    run_round,
     run_workload,
     write_workload_telemetry,
 )
@@ -24,7 +24,7 @@ __all__ = [
     "WorkloadReport",
     "get_mix",
     "render_workload",
-    "run_client_threads",
+    "run_round",
     "run_workload",
     "write_workload_telemetry",
 ]

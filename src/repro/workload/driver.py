@@ -154,14 +154,18 @@ class _Total:
 
 @dataclass
 class WorkloadReport:
+    """One round: the clients' own reports, what the round recorded, and
+    every number derived from them. Each consumer — the ``jackpine
+    workload`` summary, the telemetry document, ``jackpine top`` and the
+    J-X2/J-X4/J-X6 sweep points — reads the derived numbers here."""
+
     config: WorkloadConfig
     wall_seconds: float
     clients: List[ClientReport]
     #: populated only when ``config.waits`` is set — the contention
-    #: attribution over the whole round, the per-lock-key hot rows, and
-    #: the ASH export (all absent from old telemetry readers' view)
+    #: attribution over the whole round (its hottest rows included) and
+    #: the ASH export
     attribution: Optional[WaitAttribution] = None
-    hottest_rows: List[Dict[str, Any]] = field(default_factory=list)
     ash: Optional[Dict[str, Any]] = None
     #: populated only when ``config.statements`` is set — the statement
     #: store export (fingerprint aggregates + plans + flips)
@@ -203,6 +207,54 @@ class WorkloadReport:
         attempts = self.total_commits + self.total_aborts
         return self.total_aborts / attempts if attempts else 0.0
 
+    @property
+    def completed(self) -> int:
+        """Operations that were not shed, timed out or failed."""
+        return (
+            self.total_ops - self.total_shed - self.total_timeouts
+            - self.total_errors
+        )
+
+    @property
+    def latency(self) -> Histogram:
+        """The clients' latency histograms merged (they share buckets)."""
+        merged = Histogram("workload_op_seconds",
+                           "per-operation latency, all clients")
+        for client in self.clients:
+            hist = client.latency
+            merged.counts = [a + b for a, b in zip(merged.counts, hist.counts)]
+            merged.count += hist.count
+            merged.sum += hist.sum
+            merged.min = min(merged.min, hist.min)
+            merged.max = max(merged.max, hist.max)
+        return merged
+
+    @property
+    def admission(self) -> Dict[str, Any]:
+        """The server's admission counters (empty for an embedded round)."""
+        return (self.service or {}).get("admission", {})
+
+    @property
+    def cache_hit_ratio(self) -> float:
+        """Result-cache hits over lookups on the server (0.0 without one)."""
+        cache = self.cache or {}
+        hits = cache.get("hits", 0)
+        looked = hits + cache.get("misses", 0)
+        return hits / looked if looked else 0.0
+
+    @property
+    def totals(self) -> Dict[str, Any]:
+        """The round's totals, as the telemetry document carries them."""
+        return {
+            "ops": self.total_ops,
+            "commits": self.total_commits,
+            "aborts": self.total_aborts,
+            "retries": self.total_retries,
+            "errors": self.total_errors,
+            "queries_per_minute": self.queries_per_minute,
+            "abort_rate": self.abort_rate,
+        }
+
     def telemetry_document(self) -> Dict[str, Any]:
         """Same envelope schema as ``jackpine experiment --telemetry``."""
         config = self.config
@@ -235,15 +287,7 @@ class WorkloadReport:
                 if name not in ("engine", "waits", "statements")
             },
             "wall_seconds": self.wall_seconds,
-            "totals": {
-                "ops": self.total_ops,
-                "commits": self.total_commits,
-                "aborts": self.total_aborts,
-                "retries": self.total_retries,
-                "errors": self.total_errors,
-                "queries_per_minute": self.queries_per_minute,
-                "abort_rate": self.abort_rate,
-            },
+            "totals": self.totals,
             "records": records,
         }
         # additive sections: present only when the round ran with waits
@@ -251,7 +295,6 @@ class WorkloadReport:
         # unchanged
         if self.attribution is not None:
             document["waits"] = self.attribution.as_dict()
-            document["waits"]["hottest_rows"] = self.hottest_rows
         if self.ash is not None:
             document["ash"] = self.ash
         if self.statements is not None:
@@ -267,59 +310,14 @@ class WorkloadReport:
                 timeouts_total=self.total_timeouts,
             )
         if self.cache is not None:
-            hits = self.cache.get("hits", 0)
-            misses = self.cache.get("misses", 0)
-            looked = hits + misses
             document["cache"] = dict(
                 self.cache,
-                hit_ratio=(hits / looked if looked else 0.0),
+                hit_ratio=self.cache_hit_ratio,
                 client_observed_hits=self.total_cache_hits,
             )
         if self.requests is not None:
             document["requests"] = dict(self.requests)
         return document
-
-
-def run_client_threads(
-    database: Database,
-    clients: int,
-    body: Callable[[Any, ClientReport], None],
-) -> "tuple[float, List[ClientReport]]":
-    """Run ``body(connection, report)`` on ``clients`` threads, each with
-    its own DB-API connection to the shared ``database``.
-
-    A barrier lines every client up before the clock starts, so the wall
-    time excludes connection setup. The first exception raised by any
-    client is re-raised in the caller after all threads finish.
-    """
-    reports = [ClientReport(client_id=slot) for slot in range(clients)]
-    barrier = threading.Barrier(clients + 1)
-    failures: List[BaseException] = []
-
-    def runner(slot: int) -> None:
-        connection = connect(database=database)
-        try:
-            barrier.wait()
-            body(connection, reports[slot])
-        except BaseException as exc:  # noqa: BLE001 - reported to caller
-            failures.append(exc)
-        finally:
-            connection.close()
-
-    threads = [
-        threading.Thread(target=runner, args=(slot,), daemon=True)
-        for slot in range(clients)
-    ]
-    for thread in threads:
-        thread.start()
-    barrier.wait()
-    start = time.perf_counter()
-    for thread in threads:
-        thread.join()
-    wall = time.perf_counter() - start
-    if failures:
-        raise failures[0]
-    return wall, reports
 
 
 # -- the client loop ----------------------------------------------------------
@@ -484,7 +482,7 @@ def run_workload(
             dataset = generate(seed=config.seed, scale=config.scale)
         database = Database(config.engine)
         dataset.load_into(database)
-    if config.storage_dir and database.durability is None:
+    if config.storage_dir and not database.durability.attached:
         database.attach_storage(config.storage_dir)
     database.txn.lock_timeout = config.lock_timeout
     mix = get_mix(config.mix, database, seed=config.seed)
@@ -492,10 +490,46 @@ def run_workload(
     def body(connection: Any, report: ClientReport) -> None:
         drive_connection(client_steps(mix, config, report), connection)
 
-    attribution: Optional[WaitAttribution] = None
-    hottest: List[Dict[str, Any]] = []
-    ash_export: Optional[Dict[str, Any]] = None
-    statements_export: Optional[Dict[str, Any]] = None
+    return run_round(database, config, body)
+
+
+def run_round(
+    database: Database,
+    config: WorkloadConfig,
+    body: Callable[[Any, ClientReport], None],
+) -> WorkloadReport:
+    """Run ``body(connection, report)`` on ``config.clients`` threads,
+    each with its own DB-API connection to the shared ``database``,
+    inside the round's one recording window: the background
+    checkpointer, and — as ``config.waits`` and ``config.statements``
+    ask — the wait monitor with its ASH sampler and the statement store.
+    :func:`run_workload`, J-X2's scenario replay and the crash harness
+    all run their rounds here.
+
+    A barrier lines every client up before the clock starts, so the wall
+    time excludes connection setup. The first exception raised by any
+    client is re-raised in the caller after all threads finish.
+    """
+    report = WorkloadReport(config=config, wall_seconds=0.0, clients=[
+        ClientReport(client_id=slot) for slot in range(config.clients)
+    ])
+    barrier = threading.Barrier(config.clients + 1)
+    failures: List[BaseException] = []
+
+    def runner(client: ClientReport) -> None:
+        connection = connect(database=database)
+        try:
+            barrier.wait()
+            body(connection, client)
+        except BaseException as exc:  # noqa: BLE001 - reported to caller
+            failures.append(exc)
+        finally:
+            connection.close()
+
+    threads = [
+        threading.Thread(target=runner, args=(client,), daemon=True)
+        for client in report.clients
+    ]
     checkpointer = Checkpointer(database, config.checkpoint_interval)
     sampler = AshSampler(monitor=WAITS) if config.waits else None
     if config.statements:
@@ -507,15 +541,22 @@ def run_workload(
         WAITS.reset()
         sampler.start()
     try:
-        wall, reports = run_client_threads(database, config.clients, body)
+        for thread in threads:
+            thread.start()
+        barrier.wait()
+        start = time.perf_counter()
+        for thread in threads:
+            thread.join()
+        report.wall_seconds = time.perf_counter() - start
+        if failures:
+            raise failures[0]
         if sampler is not None:
             # busy time is wall * clients: each client thread was either
             # on-CPU or in one of the wait classes for the whole round
-            attribution = WaitAttribution.capture(
-                WAITS, busy_seconds=wall * config.clients
+            report.attribution = WaitAttribution.capture(
+                WAITS, busy_seconds=report.wall_seconds * config.clients
             )
-            hottest = WAITS.hottest_rows()
-            ash_export = sampler.export()
+            report.ash = sampler.export()
     finally:
         if sampler is not None:
             sampler.stop()
@@ -524,21 +565,40 @@ def run_workload(
         if config.statements:
             database.obs.disable_statements()
     if config.statements:
-        statements_export = database.obs.statements.export()
-    storage_export: Optional[Dict[str, Any]] = None
-    if database.durability is not None:
-        storage_export = database.durability.stats()
-    return WorkloadReport(
-        config=config,
-        wall_seconds=wall,
-        clients=reports,
-        attribution=attribution,
-        hottest_rows=hottest,
-        ash=ash_export,
-        statements=statements_export,
-        storage=storage_export,
-        checkpoints=checkpointer.taken,
-    )
+        report.statements = database.obs.statements.export()
+    report.storage = database.durability.stats()
+    report.checkpoints = checkpointer.taken
+    return report
+
+
+def wait_lines(report: WorkloadReport) -> List[str]:
+    """The wall-time decomposition and the ASH line of a round run with
+    waits on (nothing otherwise); ``jackpine workload`` and ``jackpine
+    top`` both end with them."""
+    lines: List[str] = []
+    if report.attribution is not None:
+        lines.append("")
+        lines.append(report.attribution.render(
+            title=(
+                "server wall-time decomposition (worker pool)"
+                if report.config.server is not None
+                else "wall-time decomposition (all clients)"
+            )
+        ))
+    if report.ash is not None and report.ash.get("samples"):
+        states = report.ash.get("wait_state_counts", {})
+        top = ", ".join(
+            f"{state}={count}"
+            for state, count in sorted(
+                states.items(), key=lambda item: -item[1]
+            )[:4]
+        )
+        lines.append(
+            f"ash: {len(report.ash['samples'])} samples over "
+            f"{report.ash['sample_instants']} instants @ "
+            f"{report.ash['interval'] * 1e3:.0f}ms   top states: {top}"
+        )
+    return lines
 
 
 def render_workload(report: WorkloadReport) -> str:
@@ -571,28 +631,7 @@ def render_workload(report: WorkloadReport) -> str:
             f"{client.client_id:>7d} {client.ops:>6d} {client.reads:>6d} "
             f"{client.writes:>7d} {cells}"
         )
-    if report.attribution is not None:
-        lines.append("")
-        lines.append(report.attribution.render(
-            title=(
-                "server wall-time decomposition (worker pool)"
-                if config.server is not None
-                else "wall-time decomposition (all clients)"
-            )
-        ))
-    if report.ash is not None and report.ash.get("samples"):
-        states = report.ash.get("wait_state_counts", {})
-        top = ", ".join(
-            f"{state}={count}"
-            for state, count in sorted(
-                states.items(), key=lambda item: -item[1]
-            )[:4]
-        )
-        lines.append(
-            f"ash: {len(report.ash['samples'])} samples over "
-            f"{report.ash['sample_instants']} instants @ "
-            f"{report.ash['interval'] * 1e3:.0f}ms   top states: {top}"
-        )
+    lines += wait_lines(report)
     if report.statements is not None:
         fingerprints = report.statements.get("by_total_time", [])
         flips = report.statements.get("plan_flips_total", 0)
@@ -611,7 +650,7 @@ def render_workload(report: WorkloadReport) -> str:
             f"checkpoints: {report.checkpoints}"
         )
     if report.service is not None:
-        admission = report.service.get("admission", {})
+        admission = report.admission
         pool = report.service.get("pool", {})
         lines.append(
             f"service: shed {report.total_shed} "
@@ -623,13 +662,10 @@ def render_workload(report: WorkloadReport) -> str:
             f"workers: {pool.get('size', 0)}"
         )
     if report.cache is not None:
-        hits = report.cache.get("hits", 0)
-        misses = report.cache.get("misses", 0)
-        looked = hits + misses
-        ratio = hits / looked if looked else 0.0
         lines.append(
-            f"cache: {hits} hits / {misses} misses "
-            f"(hit ratio {ratio:.1%})   "
+            f"cache: {report.cache.get('hits', 0)} hits / "
+            f"{report.cache.get('misses', 0)} misses "
+            f"(hit ratio {report.cache_hit_ratio:.1%})   "
             f"invalidations: {report.cache.get('invalidations', 0)}   "
             f"entries: {report.cache.get('entries', 0)}"
         )

@@ -152,8 +152,10 @@ class TestPinnedOutput:
         assert closing and closing[0].startswith(
             "-- wall-time decomposition (all clients) (busy "
         )
+        # the same ASH line as `jackpine workload --waits`
         assert lines[-1].startswith("ash: ")
-        assert " samples   top states: " in lines[-1]
+        assert " samples over " in lines[-1]
+        assert "ms   top states: " in lines[-1]
 
 
 def _subparsers():

@@ -296,3 +296,24 @@ def test_every_experiment_runs(key):
                for r in document["records"])
     if key == "jx5":
         assert all(point["verified"] for point in result.points)
+    for record in document["records"]:
+        assert SWEEP_KEYS.get(key, set()) <= set(record), key
+
+
+#: the record keys of the workload sweeps, which read every number from
+#: their rounds' ``WorkloadReport``: a record may gain keys, never lose
+#: one (J-X2 keeps ``queries``, its name for a round's ops)
+SWEEP_KEYS = {
+    "jx2": {"clients", "wall_seconds", "queries", "queries_per_minute"},
+    "jx4": {
+        "clients", "wall_seconds", "ops", "commits", "aborts", "retries",
+        "errors", "queries_per_minute", "abort_rate",
+    },
+    "jx6": {
+        "phase", "clients", "rate_per_client", "offered_rate",
+        "wall_seconds", "ops", "completed", "completed_per_sec", "shed",
+        "shed_queue_full", "shed_deadline", "timeouts", "errors",
+        "peak_queue", "queue_limit", "p50", "p99", "cache_hits",
+        "cache_hit_ratio", "cache_invalidations",
+    },
+}

@@ -69,7 +69,7 @@ def _exercise_every_site(db: Database) -> int:
     except ReproError:
         db.execute("ROLLBACK")
         caught += 1
-    if db.durability is not None:
+    if db.durability.attached:
         # dirty-page write-back: the page.write site fires here
         try:
             db.checkpoint()

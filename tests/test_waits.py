@@ -202,6 +202,74 @@ def test_latch_shared_and_exclusive_waits(waits):
     assert LATCH_EXCLUSIVE in waits.summary()
 
 
+def test_latch_admits_a_waiting_reader_before_the_writer_reenters(waits):
+    """A writer that releases the latch and takes it again at once — a
+    client committing statement after statement — must not starve a
+    reader that was already waiting when it released: the reader goes
+    first."""
+    latch = SharedExclusiveLock()
+    latch.acquire_exclusive()
+    order = []
+
+    def reader():
+        latch.acquire_shared()
+        order.append("reader")
+        latch.release_shared()
+
+    thread = threading.Thread(target=reader)
+    thread.start()
+    while thread.is_alive() and not any(
+        session["wait_event"] == LATCH_SHARED
+        for session in waits.active_sessions()
+    ):
+        thread.join(timeout=0.001)
+    latch.release_exclusive()
+    latch.acquire_exclusive()
+    order.append("writer")
+    latch.release_exclusive()
+    thread.join(timeout=5)
+    assert order == ["reader", "writer"]
+
+
+class _Interrupt(BaseException):
+    pass
+
+
+@pytest.mark.parametrize("admitted", [False, True])
+def test_latch_reader_interrupted_while_waiting_leaves_no_count(admitted):
+    """A waiting reader interrupted before or after a writer's release
+    admitted it takes its count back, so the next writer gets in."""
+    latch = SharedExclusiveLock()
+    latch.acquire_exclusive()
+
+    def interrupted_wait(timeout=None):
+        if admitted:  # the release lands, then the interrupt
+            latch._readers += latch._waiting_readers
+            latch._waiting_readers = 0
+            latch._admissions += 1
+        raise _Interrupt
+
+    latch._cond.wait = interrupted_wait
+    caught = []
+
+    def reader():
+        try:
+            latch.acquire_shared()
+        except _Interrupt:
+            caught.append(True)
+
+    thread = threading.Thread(target=reader)
+    thread.start()
+    thread.join(timeout=5)
+    assert caught == [True]
+    del latch._cond.wait
+    latch.release_exclusive()
+    writer = threading.Thread(target=latch.acquire_exclusive, daemon=True)
+    writer.start()
+    writer.join(timeout=5)
+    assert not writer.is_alive()
+
+
 def test_histogram_fed_from_wait_records(waits):
     """Single recording point: every blocking ``acquire`` feeds both the
     transaction manager's lock-wait histogram and the

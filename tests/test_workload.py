@@ -24,6 +24,7 @@ from repro.workload.driver import (
     EXECUTE,
     ROLLBACK,
     ClientReport,
+    WorkloadReport,
     operation_steps,
 )
 from repro.workload.mixes import (
@@ -181,6 +182,32 @@ class TestRunWorkload:
 
 _WRITE = Operation("write", "stub", (("UPDATE t SET a = 1", ()),))
 _READ = Operation("read", "stub", (("SELECT 1", ()),))
+
+
+def test_report_derives_completed_and_merged_latency():
+    clients = [
+        ClientReport(client_id=0, ops=10, shed=2, timeouts=1, errors=1),
+        ClientReport(client_id=1, ops=7, shed=1),
+    ]
+    for client, seconds in zip(clients, ([0.001] * 4, [0.02, 0.5, 3.0])):
+        for value in seconds:
+            client.latency.observe(value)
+    report = WorkloadReport(
+        config=WorkloadConfig(clients=2), wall_seconds=2.0, clients=clients,
+        cache={"hits": 3, "misses": 1},
+    )
+    assert report.completed == 17 - 3 - 1 - 1
+    latency = report.latency
+    assert latency.count == sum(c.latency.count for c in clients) == 7
+    assert latency.sum == pytest.approx(0.004 + 3.52)
+    assert (latency.min, latency.max) == (0.001, 3.0)
+    assert latency.counts == [
+        a + b for a, b in zip(clients[0].latency.counts,
+                              clients[1].latency.counts)
+    ]
+    assert report.cache_hit_ratio == 0.75
+    assert report.totals["ops"] == 17
+    assert report.admission == {}
 
 
 def _run_scripted(op, codes, max_retries=5):
