@@ -26,7 +26,7 @@ import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.algorithms.location import (
-    Location, Segment, box_pairs, locate, locate_in_ring, prepare,
+    MIN_X, Location, Segment, box_pairs, locate, locate_in_ring, prepare,
 )
 from repro.algorithms.measures import area as geom_area
 from repro.algorithms.predicates import segment_intersection
@@ -74,7 +74,9 @@ def _boundary_segments(geom: Geometry) -> Sequence[Segment]:
         raise TypeError(
             f"areal overlay requires polygons, got {type(geom).__name__}"
         )
-    return prepare(geom).segments
+    # ring order, whatever order refinement has put ``segments`` in: the
+    # stitched rings start where their first kept piece does
+    return [s for _env, rings in prepare(geom).areal for ring in rings for s in ring]
 
 
 def _split_segments(
@@ -85,7 +87,8 @@ def _split_segments(
     splits_a: Dict[Segment, List[Coord]] = {}
     splits_b: Dict[Segment, List[Coord]] = {}
     crossing_points: List[Coord] = []
-    for s, t in box_pairs(segs_a, segs_b, 0.0):
+    by_x = sorted(segs_a, key=MIN_X), sorted(segs_b, key=MIN_X)
+    for s, t in box_pairs(*by_x, 0.0):
         hit = segment_intersection(s[0], s[1], t[0], t[1])
         if hit is None:
             continue

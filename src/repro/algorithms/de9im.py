@@ -4,7 +4,9 @@ This module is the heart of the reproduction — the paper's topological
 micro benchmark is defined directly over DE-9IM relations, so every query
 in experiment J-T1/J-F1 bottoms out in the one kernel below, :func:`_relate`:
 :func:`relate` asks it for all nine cells, every named predicate for the
-cells its mask leaves open (:data:`PREDICATES`, :func:`evaluate`).
+cells its mask leaves open (:data:`PREDICATES`, :func:`evaluate`). The
+kernel is set up once per run of pairs that share one operand
+(:func:`evaluator`): a join hands it an outer row and its candidates.
 
 The matrix is computed by *split-and-sample* over the operands' prepared
 forms (:class:`repro.algorithms.location.Prepared`: vertices tagged with
@@ -23,15 +25,24 @@ interior lies. No step probes at a numeric distance.
 It is a filter-then-verify kernel. Filter: nothing outside the overlap of
 the two (tolerance-widened) envelopes is tested, and an orientation is
 computed only for a segment pair, or a point and a segment, whose boxes
-meet. Verify only what was asked: evidence is gathered in order of cost
-(vertices, segment crossings, split pieces, interior points) and only while
-it can still change whether the requested mask matches.
+meet. Verify only what was asked: evidence is gathered in order of cost and
+only while it can still change whether the requested mask matches:
+
+1. the exact reject, for a mask that forbids only cells where the operands
+   meet (intersects, disjoint, touches, crosses, overlaps): one vertex of
+   each line and polygon located against the other's areal members, then
+   one sweep of the segment boxes. No box pair and no vertex in or on the
+   other proves the pair disjoint; otherwise the pairs are kept for step 3;
+2. vertices;
+3. segment crossings;
+4. split pieces;
+5. interior points.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.algorithms.location import (
     Location, Prepared, Segment, box_pairs, prepare,
@@ -40,6 +51,7 @@ from repro.algorithms.measures import point_on_surface
 from repro.algorithms.predicates import on_segment, segment_intersection
 from repro.geometry.base import Coord, Geometry
 from repro.geometry.collection import GeometryCollection
+from repro.geometry.linestring import LineString
 from repro.geometry.polygon import MultiPolygon, Polygon
 
 _INT, _BND, _EXT = Location.INTERIOR, Location.BOUNDARY, Location.EXTERIOR
@@ -190,10 +202,48 @@ def _interior_reps(feats: Prepared, geom: Geometry) -> List[Coord]:
     return feats.interior_reps
 
 
+def _members(geom: Geometry, f: Prepared) -> Sequence[Tuple[Location, Coord]]:
+    """One vertex of each line and each polygon (a shell vertex) of
+    ``geom``, with its role there; ``f`` is ``geom`` prepared."""
+    if isinstance(geom, LineString):
+        p = geom.coords[0]
+        return ((_BND if p in f.boundary else _INT, p),)
+    if isinstance(geom, Polygon):
+        return ((_BND, geom.shell[0]),)
+    return [v for member in geom for v in _members(member, f)]
+
+
+def _sweep(fa: Prepared, fb: Prepared):
+    """The window the two envelopes share, each operand's segments that
+    meet it, and the sweep over every segment pair whose boxes meet.
+
+    Both sides are widened by the larger tolerance, the one the sweep
+    pairs boxes with, so a pair whose boxes meet never falls outside it.
+    """
+    ea, eb = fa.env, fb.env
+    pad = max(fa.pad, fb.pad)
+    window = (
+        max(ea.min_x, eb.min_x) - pad, max(ea.min_y, eb.min_y) - pad,
+        min(ea.max_x, eb.max_x) + pad, min(ea.max_y, eb.max_y) + pad,
+    )
+    inside_a, inside_b = fa.segments_in(*window), fb.segments_in(*window)
+    return window, inside_a, inside_b, box_pairs(inside_a, inside_b, pad)
+
+
+def _disjoint(cells: List[int], fa: Prepared, fb: Prepared) -> List[int]:
+    """Fill the exterior cells of a pair that does not meet."""
+    if fa.env is not None:
+        cells[2], cells[5] = fa.max_dim, fa.boundary_dim
+    if fb.env is not None:
+        cells[6], cells[7] = fb.max_dim, fb.boundary_dim
+    return cells
+
+
 def _piece_evidence(
+    fx: Prepared,
     fy: Prepared,
     inside: Sequence[Segment],
-    roles_outside: Iterable[Location],
+    window: Optional[Tuple[float, float, float, float]],
     splits: Dict[Segment, List[Coord]],
     shared: Dict[Segment, List[Segment]],
 ) -> Iterator[Tuple[Location, Location, int]]:
@@ -204,10 +254,15 @@ def _piece_evidence(
     proves 2-D entries by an open-set limit argument: X's interior and
     exterior converge to it from its left and right.
     """
-    for role in roles_outside:  # whole segments beyond Y's box
-        yield role, _EXT, 1
-        if role is _BND:
-            yield _INT, _EXT, 2
+    if window is not None and len(inside) < len(fx.segments):
+        x0, y0, x1, y1 = window
+        for role in {  # whole segments beyond the window, so beyond Y
+            s[2] for s in fx.segments
+            if s[4] > x1 or s[6] < x0 or s[5] > y1 or s[7] < y0
+        }:
+            yield role, _EXT, 1
+            if role is _BND:
+                yield _INT, _EXT, 2
     # is Y's interior an open 2-D set (areal members and nothing else)?
     y_open = fy.areal and not (fy.puntal or fy.lineal)
     locate_y = fy.locate
@@ -257,152 +312,196 @@ def _piece_evidence(
 
 
 def _relate(
-    a: Geometry, b: Geometry, mask: Optional[Sequence[_Alternative]] = None
-) -> List[int]:
-    """The nine intersection dimensions of ``a`` against ``b``.
+    fixed: Geometry,
+    fixed_is_b: bool = False,
+    mask: Optional[Sequence[_Alternative]] = None,
+) -> Callable[[Geometry], List[int]]:
+    """The kernel, set up for a run of pairs that share the operand ``fixed``.
+
+    Returns the function that gives the nine intersection dimensions of
+    ``fixed`` against its argument (of the argument against ``fixed`` when
+    ``fixed_is_b``). ``fixed`` is prepared, whether the mask takes the exact
+    reject is decided, and the closure that records evidence is built, once
+    for the run.
 
     With a ``mask`` the evidence is gathered only while it can still change
     whether the mask matches: steps that cannot touch an open cell are
     skipped and the evaluation stops once the verdict is decided, so the
     cells returned are exact only as far as ``_holds(mask, cells)`` needs.
     """
-    fa = prepare(a)
-    fb = prepare(b)
-    cells = [-1] * 9
-    cells[8] = 2
-    filled = 1 << 8  # the bit of every non-empty cell
-    ea, eb = fa.env, fb.env
-    if ea is None or eb is None or not ea.intersects(eb):
-        if ea is not None:
-            cells[2], cells[5] = fa.max_dim, fa.boundary_dim
-        if eb is not None:
-            cells[6], cells[7] = fb.max_dim, fb.boundary_dim
-        return cells
-    # A 2-D interior can never be covered by a lower-dimensional operand.
-    if fa.max_dim == 2 and fb.max_dim < 2:
-        cells[_IE] = 2
-        filled |= 1 << _IE
-    if fb.max_dim == 2 and fa.max_dim < 2:
-        cells[_EI] = 2
-        filled |= 1 << _EI
-    open_cells = 0o777 if mask is None else _open_cells(mask, cells, filled)
-    if not open_cells:
-        return cells
+    ff = prepare(fixed)
+    # The exact reject, for a mask whose alternatives forbid no cell but
+    # MEET ones (intersects, disjoint, touches, crosses, overlaps): a vertex
+    # outside the other operand decides nothing for it, and most of its
+    # candidates share no segment box at all. With no segments meeting, each
+    # line and polygon lies wholly inside or wholly outside each of the
+    # other's polygons, so one vertex of each, located against the other,
+    # tells whether the operands meet. An isolated point lies on nothing it
+    # would be swept against, so it skips the reject; so does the full
+    # matrix.
+    reject = mask is not None and not ff.puntal
+    for forbid, _need, _exact in mask if reject else ():
+        if forbid & ~_MEET:
+            reject = False
+    cells: List[int] = []
+    filled = open_cells = 0
 
     def decided(idx: int, dim: int) -> bool:
         """Record a cell that grew; is the verdict decided now?"""
         nonlocal filled, open_cells
         cells[idx] = dim
         filled |= 1 << idx
-        if mask is None:
-            return False
+        if mask is None or not open_cells >> idx & 1:
+            return False  # a cell no live alternative looks at
         open_cells = _open_cells(mask, cells, filled)
         return not open_cells
 
-    # Each kind of evidence is gathered for A against B, then for B against
-    # A: (X, Y, the cell stride of X's class and of Y's, the cells of X's
-    # interior and boundary, the geometry X was prepared from).
-    sides = ((fa, fb, 3, 1, _ROWS, a), (fb, fa, 1, 3, _COLS, b))
+    def kernel(g: Geometry) -> List[int]:
+        nonlocal cells, filled, open_cells
+        fg = prepare(g)
+        a, b, fa, fb = (g, fixed, fg, ff) if fixed_is_b else (fixed, g, ff, fg)
+        cells = [-1] * 9
+        cells[8] = 2
+        filled = 1 << 8  # the bit of every non-empty cell
+        ea, eb = fa.env, fb.env
+        if ea is None or eb is None or not ea.intersects(eb):
+            return _disjoint(cells, fa, fb)
+        # A 2-D interior can never be covered by a lower-dimensional operand.
+        if fa.max_dim == 2 and fb.max_dim < 2:
+            cells[_IE] = 2
+            filled |= 1 << _IE
+        if fb.max_dim == 2 and fa.max_dim < 2:
+            cells[_EI] = 2
+            filled |= 1 << _EI
+        open_cells = 0o777 if mask is None else _open_cells(mask, cells, filled)
+        if not open_cells:
+            return cells
 
-    # --- 0-dimensional evidence: vertices and isolated points -------------
-    # (boxes widened by their own tolerance: see ``Prepared.locate``)
-    pad = fa.pad
-    box_a = (ea.min_x - pad, ea.min_y - pad, ea.max_x + pad, ea.max_y + pad)
-    pad = fb.pad
-    box_b = (eb.min_x - pad, eb.min_y - pad, eb.max_x + pad, eb.max_y + pad)
-    every_vertex = True
-    for (fx, fy, own, other, lines, _geom), box_y in zip(sides, (box_b, box_a)):
-        x0, y0, x1, y1 = box_y
-        locate_y = fy.locate
-        for role, points in enumerate((fx.interior_points, fx.boundary_points)):
-            if not open_cells & lines[role]:
-                every_vertex = False
-                continue
-            for p in points:
-                x, y = p
-                if x < x0 or x > x1 or y < y0 or y > y1:
-                    idx = role * own + 2 * other
+        # Each kind of evidence is gathered for A against B, then for B
+        # against A: (X, Y, the cell stride of X's class and of Y's, the
+        # cells of X's interior and boundary, the geometry X was prepared
+        # from).
+        sides = ((fa, fb, 3, 1, _ROWS, a), (fb, fa, 1, 3, _COLS, b))
+
+        # --- the exact reject: a vertex per member, then one sweep ---------
+        pairs = None
+        if reject and not fg.puntal and fa.segments and fb.segments:
+            for fx, fy, own, other, _lines, geom in sides:
+                if fy.areal:
+                    for role, p in _members(geom, fx):
+                        idx = role * own + fy.locate(p) * other
+                        if cells[idx] < 0 and decided(idx, 0):
+                            return cells
+            window, inside_a, inside_b, pairs = _sweep(fa, fb)
+            pairs = list(pairs)
+            if not pairs and not filled & _MEET:
+                return _disjoint(cells, fa, fb)
+
+        # --- 0-dimensional evidence: vertices and isolated points ----------
+        # (boxes widened by their own tolerance: see ``Prepared.locate``)
+        pad = fa.pad
+        box_a = (ea.min_x - pad, ea.min_y - pad, ea.max_x + pad, ea.max_y + pad)
+        pad = fb.pad
+        box_b = (eb.min_x - pad, eb.min_y - pad, eb.max_x + pad, eb.max_y + pad)
+        every_vertex = True
+        for (fx, fy, own, other, lines, _geom), box_y in zip(sides, (box_b, box_a)):
+            x0, y0, x1, y1 = box_y
+            locate_y = fy.locate
+            for role, points in enumerate((fx.interior_points, fx.boundary_points)):
+                if not open_cells & lines[role]:
+                    every_vertex = False
+                    continue
+                for p in points:
+                    x, y = p
+                    if x < x0 or x > x1 or y < y0 or y > y1:
+                        idx = role * own + 2 * other
+                    else:
+                        idx = role * own + locate_y(p) * other
+                    if cells[idx] < 0 and decided(idx, 0):
+                        return cells
+
+        # --- segment intersections: split points + 0-dim evidence ----------
+        # Intersection points are classified *structurally*: a point produced
+        # from segments s of A and t of B lies on both by construction, so
+        # its location in each operand is the segment's own role (curve
+        # interior / areal boundary) unless it coincides with a boundary
+        # vertex. Calling ``locate`` here would be both slower and fragile —
+        # the computed point carries eps*|coord| error that can defeat
+        # on-segment tests.
+        # per operand: split points per segment, the other's ring segments
+        # running along a segment
+        splits_a, shared_a, splits_b, shared_b = {}, {}, {}, {}
+        if not (fa.segments and fb.segments):
+            window, inside_a, inside_b = None, fa.segments, fb.segments
+        else:
+            if pairs is None:
+                window, inside_a, inside_b, pairs = _sweep(fa, fb)
+            for s, t in pairs:
+                hit = segment_intersection(s[0], s[1], t[0], t[1])
+                if hit is None:
+                    continue
+                if isinstance(hit[0], tuple):
+                    points = hit
+                    if s[3] and t[3]:  # two ring segments overlap collinearly
+                        shared_a.setdefault(s, []).append(t)
+                        shared_b.setdefault(t, []).append(s)
                 else:
-                    idx = role * own + locate_y(p) * other
-                if cells[idx] < 0 and decided(idx, 0):
-                    return cells
+                    points = (hit,)
+                for p in points:
+                    splits_a.setdefault(s, []).append(p)
+                    splits_b.setdefault(t, []).append(p)
+                    idx = (1 if p in fa.boundary else s[2]) * 3 + (
+                        1 if p in fb.boundary else t[2]
+                    )
+                    if cells[idx] < 0 and decided(idx, 0):
+                        return cells
+        if every_vertex and not filled & _MEET:
+            # no vertex of either in or on the other, no segments meeting
+            return _disjoint(cells, fa, fb)
 
-    # --- segment intersections: split points + 0-dim evidence -------------
-    # Intersection points are classified *structurally*: a point produced
-    # from segments s of A and t of B lies on both by construction, so its
-    # location in each operand is the segment's own role (curve interior /
-    # areal boundary) unless it coincides with a boundary vertex. Calling
-    # ``locate`` here would be both slower and fragile — the computed
-    # point carries eps*|coord| error that can defeat on-segment tests.
-    # per operand: segments meeting the window, roles of the others, split
-    # points per segment, the other's ring segments running along a segment
-    parts_a = _, _, splits_a, shared_a = fa.segments, (), {}, {}
-    parts_b = _, _, splits_b, shared_b = fb.segments, (), {}, {}
-    if fa.segments and fb.segments:
-        (ax0, ay0, ax1, ay1), (bx0, by0, bx1, by1) = box_a, box_b
-        window = (max(ax0, bx0), max(ay0, by0), min(ax1, bx1), min(ay1, by1))
-        parts_a = fa.segments_in(*window) + (splits_a, shared_a)
-        parts_b = fb.segments_in(*window) + (splits_b, shared_b)
-        for s, t in box_pairs(parts_a[0], parts_b[0], max(fa.pad, fb.pad)):
-            hit = segment_intersection(s[0], s[1], t[0], t[1])
-            if hit is None:
-                continue
-            if isinstance(hit[0], tuple):
-                points = hit
-                if s[3] and t[3]:  # two ring segments overlap collinearly
-                    shared_a.setdefault(s, []).append(t)
-                    shared_b.setdefault(t, []).append(s)
-            else:
-                points = (hit,)
-            for p in points:
-                splits_a.setdefault(s, []).append(p)
-                splits_b.setdefault(t, []).append(p)
-                idx = (1 if p in fa.boundary else s[2]) * 3 + (
-                    1 if p in fb.boundary else t[2]
-                )
-                if cells[idx] < 0 and decided(idx, 0):
-                    return cells
-    if every_vertex and not filled & _MEET:
-        # no vertex of either in or on the other, no segments meeting
-        cells[2], cells[5] = fa.max_dim, fa.boundary_dim
-        cells[6], cells[7] = fb.max_dim, fb.boundary_dim
+        # --- 1- and 2-dimensional evidence: classified split pieces --------
+        parts = (
+            (inside_a, window, splits_a, shared_a),
+            (inside_b, window, splits_b, shared_b),
+        )
+        for (fx, fy, own, other, lines, _geom), part in zip(sides, parts):
+            # a ring piece proves X's interior outside Y or, when Y has area
+            # too, any of the 2-D cells
+            area_cells = 0
+            if fx.areal:
+                area_cells = _AREA_CELLS if fy.areal else 1 << 2 * other
+            if fx.segments and open_cells & (lines[0] | lines[1] | area_cells):
+                for lx, ly, dim in _piece_evidence(fx, fy, *part):
+                    idx = lx * own + ly * other
+                    if dim > cells[idx] and decided(idx, dim):
+                        return cells
+
+        # --- representative interior points of areal members ---------------
+        for fx, fy, own, other, lines, geom in sides:
+            if fx.areal and open_cells & lines[0]:
+                for p in _interior_reps(fx, geom):
+                    where = fy.locate(p)
+                    dim = 0
+                    if where is _EXT or (
+                        where is _INT and fy.locate_areal(p) is _INT
+                    ):
+                        dim = 2
+                    if dim > cells[where * other] and decided(where * other, dim):
+                        return cells
         return cells
 
-    # --- 1- and 2-dimensional evidence: classified split pieces ------------
-    for (fx, fy, own, other, lines, _geom), parts in zip(sides, (parts_a, parts_b)):
-        # a ring piece proves X's interior outside Y or, when Y has area
-        # too, any of the 2-D cells
-        area_cells = 0
-        if fx.areal:
-            area_cells = _AREA_CELLS if fy.areal else 1 << 2 * other
-        if fx.segments and open_cells & (lines[0] | lines[1] | area_cells):
-            for lx, ly, dim in _piece_evidence(fy, *parts):
-                idx = lx * own + ly * other
-                if dim > cells[idx] and decided(idx, dim):
-                    return cells
-
-    # --- representative interior points of areal members -------------------
-    for fx, fy, own, other, lines, geom in sides:
-        if fx.areal and open_cells & lines[0]:
-            for p in _interior_reps(fx, geom):
-                where = fy.locate(p)
-                dim = 0
-                if where is _EXT or (where is _INT and fy.locate_areal(p) is _INT):
-                    dim = 2
-                if dim > cells[where * other] and decided(where * other, dim):
-                    return cells
-    return cells
+    return kernel
 
 
 def relate(a: Geometry, b: Geometry) -> DE9IM:
     """Compute the full DE-9IM matrix of ``a`` against ``b``."""
-    return DE9IM(_relate(a, b))
+    return DE9IM(_relate(a)(b))
 
 
 def relate_pattern(a: Geometry, b: Geometry, pattern: str) -> bool:
     """``ST_Relate(a, b, pattern)``."""
     mask = _compile((pattern,))
-    return _holds(mask, _relate(a, b, mask))
+    return _holds(mask, _relate(a, False, mask)(b))
 
 
 # ---------------------------------------------------------------------------
@@ -458,19 +557,43 @@ PREDICATES: Dict[str, Tuple[object, bool, bool]] = {
 }
 
 
-def evaluate(name: str, a: Geometry, b: Geometry, every_cell: bool = False) -> bool:
-    """Does the named predicate of :data:`PREDICATES` hold for ``(a, b)``?
+def evaluator(
+    name: str, fixed: Geometry, fixed_is_b: bool = False, every_cell: bool = False
+) -> Callable[[Geometry], bool]:
+    """The named predicate of :data:`PREDICATES` over a run of pairs that
+    share one operand: the returned test answers ``name(fixed, g)`` for its
+    argument ``g`` (``name(g, fixed)`` when ``fixed_is_b``), with the
+    kernel set up once for the run.
 
     ``every_cell`` computes the whole matrix before matching it (the
     full-matrix refinement of the ``ironbark`` profile); by default only
     the cells the predicate's mask leaves open are evaluated.
     """
-    mask, swap, negate = PREDICATES[name]
-    if swap:
-        a, b = b, a
-    if callable(mask):
-        mask = mask(a.dimension, b.dimension)
-    return _holds(mask, _relate(a, b, None if every_cell else mask)) != negate
+    rule, swap, negate = PREDICATES[name]
+    fixed_is_b = fixed_is_b != swap
+    if not callable(rule):
+        kernel = _relate(fixed, fixed_is_b, None if every_cell else rule)
+        return lambda other: _holds(rule, kernel(other)) != negate
+    # the mask depends on the two dimensions: set up again when the other
+    # operand's changes
+    dim = mask = kernel = None
+
+    def test(other: Geometry) -> bool:
+        nonlocal dim, mask, kernel
+        if other.dimension != dim:
+            dim = other.dimension
+            dims = (dim, fixed.dimension) if fixed_is_b else (fixed.dimension, dim)
+            mask = rule(*dims)
+            kernel = _relate(fixed, fixed_is_b, None if every_cell else mask)
+        return _holds(mask, kernel(other)) != negate
+
+    return test
+
+
+def evaluate(name: str, a: Geometry, b: Geometry, every_cell: bool = False) -> bool:
+    """Does the named predicate of :data:`PREDICATES` hold for ``(a, b)``?
+    (:func:`evaluator` for a run of one pair.)"""
+    return evaluator(name, a, False, every_cell)(b)
 
 
 def equals(a: Geometry, b: Geometry) -> bool:

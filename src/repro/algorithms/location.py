@@ -48,16 +48,17 @@ def _segment(a: Coord, b: Coord, role: Location, left: bool) -> Segment:
     return (a, b, role, left, ax, ay, bx, by)
 
 
-_MIN_X = itemgetter(4)
+#: the key that sorts segments by their stored ``min_x``
+MIN_X = itemgetter(4)
 
 
 def box_pairs(
     segs_a: Sequence[Segment], segs_b: Sequence[Segment], pad: float
 ) -> Iterator[Tuple[Segment, Segment]]:
     """Every (a, b) whose boxes come within ``pad``: one forward sweep along
-    x over both sets, sorted by their stored ``min_x``."""
-    segs_a = sorted(segs_a, key=_MIN_X)
-    segs_b = sorted(segs_b, key=_MIN_X)
+    x that merges the two sets. Both arrive sorted by their stored ``min_x``
+    (:meth:`Prepared.segments_in` keeps that order), so nothing is sorted
+    here."""
     i = j = 0
     while i < len(segs_a) and j < len(segs_b):
         flipped = segs_b[j][4] < segs_a[i][4]
@@ -111,6 +112,7 @@ class Prepared:
     __slots__ = (
         "env", "pad", "interior_points", "boundary_points", "segments",
         "puntal", "lineal", "areal", "boundary", "max_dim", "interior_reps",
+        "by_x",
     )
 
     def __init__(self, geom: Geometry):
@@ -134,6 +136,8 @@ class Prepared:
         self.max_dim = geom.dimension
         #: filled by de9im on first use (one interior point per polygon)
         self.interior_reps: Optional[List[Coord]] = None
+        #: ``segments`` is in ``min_x`` order (sorted on first use)
+        self.by_x = False
         self._collect(geom)
 
     @property
@@ -194,15 +198,18 @@ class Prepared:
         self.areal += ((poly.envelope, tuple(rings)),)
 
     def segments_in(self, x0: float, y0: float, x1: float, y1: float):
-        """Split the segments by a window: (those whose box meets it, the
-        roles of those whose box does not)."""
-        inside, roles_outside = [], set()
+        """The segments whose box meets a window, in ``min_x`` order. The
+        first call sorts ``segments`` once; the members keep ring order."""
+        if not self.by_x:
+            self.segments = tuple(sorted(self.segments, key=MIN_X))
+            self.by_x = True
+        inside = []
         for s in self.segments:
-            if s[4] > x1 or s[6] < x0 or s[5] > y1 or s[7] < y0:
-                roles_outside.add(s[2])
-            else:
+            if s[4] > x1:
+                break  # and so does every segment after it
+            if s[6] >= x0 and s[5] <= y1 and s[7] >= y0:
                 inside.append(s)
-        return inside, roles_outside
+        return inside
 
     # The box rejections are tolerant: a point carrying overlay rounding
     # error can sit epsilon outside the exact envelope while the segment

@@ -30,6 +30,7 @@ work:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import is_
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence
 
 from repro.algorithms import de9im
@@ -133,14 +134,26 @@ class EngineProfile:
             )
 
     def evaluate_predicate(self, name: str, ga: Geometry, gb: Geometry) -> bool:
-        self.check_supported(name)
+        test = self.tester(name, ga)
         if FAULTS.active:
             FAULTS.hit("geometry.refine")
+        return test(gb)
+
+    def tester(
+        self, name: str, fixed: Geometry, fixed_first: bool = True
+    ) -> Callable[[Geometry], bool]:
+        """Predicate ``name`` over a run of pairs that share the operand
+        ``fixed``: the test answers ``name(fixed, g)`` for its argument
+        ``g``, or ``name(g, fixed)`` when ``fixed`` is not first. What
+        depends on ``fixed`` alone is set up once, here."""
+        self.check_supported(name)
         if self.predicate_mode == "mbr":
-            return _mbr_predicate(name, ga, gb)
+            test, env = self.envelope_test(name, not fixed_first), fixed.envelope
+            return lambda g: test(env, g.envelope)
         # ``st_touches`` -> ``touches``: the one table is de9im.PREDICATES
-        return de9im.evaluate(
-            name[3:], ga, gb, every_cell=self.predicate_mode == "matrix"
+        return de9im.evaluator(
+            name[3:], fixed, not fixed_first,
+            every_cell=self.predicate_mode == "matrix",
         )
 
     @staticmethod
@@ -179,7 +192,8 @@ class EngineProfile:
     ) -> List[Optional[bool]]:
         """``name(firsts[i], seconds[i])`` for each pair of the parallel
         lists, NULL where either side is NULL: :meth:`evaluate_predicate`
-        with graceful degradation.
+        with graceful degradation, its test set up once per run of pairs
+        that share an operand (:meth:`tester`).
 
         When exact refinement raises :class:`TopologyError` and the
         profile allows it, the pair is answered with the (superset) MBR
@@ -193,27 +207,43 @@ class EngineProfile:
         )
 
     def _refine_all(self, name, firsts, seconds, stats):
-        refine_one = self._refine_one
-        return [
-            None if a is None or b is None else refine_one(name, a, b, stats)
-            for a, b in zip(firsts, seconds)
-        ]
+        # Candidates arrive in runs that share one operand (a river and the
+        # edges near it, a county and the lines inside it): the side that
+        # repeats more often from one pair to the next is the shared one,
+        # and each run sets up its test once.
+        fixed_first = len(firsts) < 2 or (
+            sum(map(is_, firsts, firsts[1:])) >= sum(map(is_, seconds, seconds[1:]))
+        )
+        answers: List[Optional[bool]] = []
+        shared = test = None
+        for a, b in zip(firsts, seconds):
+            if a is None or b is None:
+                answers.append(None)
+                continue
+            fixed, other = (a, b) if fixed_first else (b, a)
+            try:
+                if fixed is not shared:
+                    test, shared = self.tester(name, fixed, fixed_first), fixed
+                if FAULTS.active:
+                    FAULTS.hit("geometry.refine")
+                answers.append(test(other))
+            except TopologyError:
+                if not self.mbr_fallback:
+                    raise
+                answers.append(self._degraded(name, a, b, stats))
+        return answers
 
-    def _refine_one(self, name, ga, gb, stats) -> bool:
-        try:
-            return self.evaluate_predicate(name, ga, gb)
-        except TopologyError:
-            if not self.mbr_fallback:
-                raise
-            if stats is not None:
-                stats.degraded_results += 1
-            from repro.obs.metrics import GLOBAL
+    @staticmethod
+    def _degraded(name, ga, gb, stats) -> bool:
+        if stats is not None:
+            stats.degraded_results += 1
+        from repro.obs.metrics import GLOBAL
 
-            GLOBAL.counter(
-                "degraded_results_total",
-                "exact refinements degraded to MBR verdicts",
-            ).inc()
-            return _mbr_predicate(name, ga, gb)
+        GLOBAL.counter(
+            "degraded_results_total",
+            "exact refinements degraded to MBR verdicts",
+        ).inc()
+        return _mbr_predicate(name, ga, gb)
 
 
 GREENWOOD = EngineProfile(

@@ -29,7 +29,7 @@ FAULT_POINTS: Dict[str, str] = {
     "storage.insert": "Table.insert_row, before the heap is touched",
     "index.insert": "Database._index_insert, before index maintenance",
     "index.probe": "index search in IndexScan / IndexNestedLoopJoin",
-    "geometry.refine": "EngineProfile.evaluate_predicate refinement",
+    "geometry.refine": "exact refinement of one pair (EngineProfile.refine)",
     "txn.commit": "TxnManager.commit, before any commit state changes",
     "wal.append": "WriteAheadLog.append, before the record is buffered",
     "wal.fsync": "WriteAheadLog.sync, after write() but before fsync()",

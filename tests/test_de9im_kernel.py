@@ -6,17 +6,21 @@ verification step is tested on (touching at a vertex, a shared collinear
 edge, a nested hole, a point on a boundary).
 """
 
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import predicates
 from repro.algorithms.de9im import PREDICATES, evaluate, relate
-from repro.algorithms.location import box_pairs, prepare
+from repro.algorithms.location import MIN_X, Prepared, box_pairs, prepare
 from repro.core.micro.topology import topology_queries
 from repro.datagen import generate
 from repro.engines import Database
+from repro.engines.profiles import BLUESTEM, GREENWOOD, IRONBARK
 from repro.geometry import (
+    GeometryCollection,
     LineString,
     MultiLineString,
     MultiPoint,
@@ -79,6 +83,18 @@ operands = st.one_of(points(), linestrings(), any_polygon, multis())
 @example(MultiPoint([(5, 5), (20, 20)]), SQUARE)
 @example(LONG_A, LONG_B)
 @example(LONG_A, LONG_A)
+# the exact reject: no segment box meets the other, a vertex per member decides
+@example(LineString([(4, 4), (6, 5)]), SQUARE)  # wholly inside, off the ring
+@example(LineString([(4, 4), (6, 6)]), DONUT)  # inside the hole
+@example(  # the second part contains the other operand
+    MultiPolygon([Polygon([(20, 0), (30, 0), (30, 10), (20, 10)]), SQUARE]),
+    Polygon([(4, 4), (6, 4), (6, 6), (4, 6)]),
+)
+@example(  # an L whose envelope covers the square, none of its segment boxes
+    LineString([(0, 20), (0, 0), (20, 0)]),
+    Polygon([(5, 5), (10, 5), (10, 10), (5, 10)]),
+)
+@example(GeometryCollection([Point(5, 5), LineString([(20, 20), (30, 30)])]), SQUARE)
 @settings(max_examples=150, deadline=None)
 def test_every_predicate_equals_its_mask_over_the_full_matrix(a, b):
     full = {name: evaluate(name, a, b, every_cell=True) for name in PREDICATES}
@@ -93,8 +109,38 @@ def test_every_predicate_equals_its_mask_over_the_full_matrix(a, b):
     assert full["coveredby"] == evaluate("covers", b, a)
 
 
+@given(
+    st.lists(operands, min_size=1, max_size=3),
+    st.lists(operands, min_size=1, max_size=3),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=10),
+    st.sampled_from([None, 0, 1]),
+    st.sampled_from(sorted(PREDICATES)),
+)
+@settings(max_examples=60, deadline=None)
+def test_refine_over_runs_equals_each_pair(lefts, rights, picks, run_side, name):
+    """A batch shares operands the way a join hands them over (an outer
+    row and its run of candidates); index 3 is a NULL."""
+    if run_side is not None:
+        picks = sorted(picks, key=lambda pick: pick[run_side])
+    firsts = [lefts[i] if i < len(lefts) else None for i, _j in picks]
+    seconds = [rights[j] if j < len(rights) else None for _i, j in picks]
+    predicate = f"st_{name}"
+    for profile in (GREENWOOD, BLUESTEM, IRONBARK):
+        if predicate in profile.unsupported:
+            continue
+        expected = [
+            None if a is None or b is None
+            else profile.evaluate_predicate(predicate, a, b)
+            for a, b in zip(firsts, seconds)
+        ]
+        assert profile.refine(predicate, firsts, seconds) == expected, profile.name
+
+
 def test_sweep_enumerates_every_pair_whose_boxes_meet():
-    segs_a, segs_b = prepare(LONG_A).segments, prepare(LONG_B).segments
+    everywhere = (-math.inf, -math.inf, math.inf, math.inf)
+    segs_a, segs_b = (prepare(g).segments_in(*everywhere) for g in (LONG_A, LONG_B))
+    # the order the sweep relies on, sorted once by the prepared geometry
+    assert segs_a == sorted(segs_a, key=MIN_X) and segs_b == sorted(segs_b, key=MIN_X)
     assert len(segs_a) * len(segs_b) > 4096
     brute = {
         (s, t)
@@ -136,10 +182,13 @@ def test_greenwood_and_ironbark_agree_on_all_of_jt1(scale_01):
     assert _run("greenwood", scale_01, queries) == _run("ironbark", scale_01, queries)
 
 
-#: orientation tests spent refining the four J-T1 line x line cells at scale
-#: 0.1, seed 42 (427 686 before the bounds filters). The count is exact, so
-#: host noise cannot move it, and a lost filter multiplies it.
-LINE_LINE_ORIENTATIONS = 7086
+#: orientation tests and point locations spent refining the four J-T1
+#: line x line cells at scale 0.1, seed 42 (427 686 orientations before the
+#: bounds filters, 2 435 locations before the exact reject). The counts are
+#: exact, so host noise cannot move them, and a lost filter or a lost reject
+#: multiplies them.
+LINE_LINE_ORIENTATIONS = 1913
+LINE_LINE_LOCATES = 1667
 
 
 def test_line_line_refinement_stays_bounds_filtered(scale_01, monkeypatch):
@@ -151,14 +200,22 @@ def test_line_line_refinement_stays_bounds_filtered(scale_01, monkeypatch):
         )
     ]
     assert len(queries) == 4
-    calls = 0
+    calls = locates = 0
     orientation = predicates.orientation
+    locate = Prepared.locate
 
     def counted(a, b, c):
         nonlocal calls
         calls += 1
         return orientation(a, b, c)
 
+    def counted_locate(prepared, p):
+        nonlocal locates
+        locates += 1
+        return locate(prepared, p)
+
     monkeypatch.setattr(predicates, "orientation", counted)
+    monkeypatch.setattr(Prepared, "locate", counted_locate)
     _run("greenwood", scale_01, queries)
     assert 0 < calls <= LINE_LINE_ORIENTATIONS
+    assert 0 < locates <= LINE_LINE_LOCATES

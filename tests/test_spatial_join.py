@@ -473,13 +473,18 @@ class TestResidualBeforeRefine:
     def test_rejected_pairs_are_never_refined(self, monkeypatch, outer):
         db = _keyed_db("greenwood", seed=11, analyzed=True)
         refined = []
-        exact = de9im.evaluate
+        exact = de9im.evaluator
 
-        def counting(name, a, b, **options):
-            refined.append(name)
-            return exact(name, a, b, **options)
+        def counting(name, *run, **options):
+            test = exact(name, *run, **options)
 
-        monkeypatch.setattr(de9im, "evaluate", counting)
+            def counted(other):
+                refined.append(name)
+                return test(other)
+
+            return counted
+
+        monkeypatch.setattr(de9im, "evaluator", counting)
         db.join_strategy = "tree"
         base = (
             "SELECT COUNT(*) FROM a JOIN b ON ST_Intersects(a.geom, b.geom)"
