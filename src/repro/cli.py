@@ -542,7 +542,7 @@ def _print_trace_briefs(briefs) -> None:
          help="write the workload telemetry JSON artifact into DIR "
               "(same schema family as 'jackpine experiment --telemetry')"),
     _arg("--waits", action="store_true",
-         help="record wait events + ASH samples; print the wall-time "
+         help="record wait events; print the wall-time "
               "decomposition and hottest rows, and export both in the "
               "telemetry artifact. With --server: diff the serve "
               "process's wait summary (Net:Recv/Net:Send/"
@@ -577,6 +577,44 @@ def _workload(args) -> int:
     return 0
 
 
+def render_sessions(sessions: List[Dict[str, Any]],
+                    now_label: str = "") -> str:
+    """One ``jackpine top`` frame: the live active-session table."""
+    header = "== jackpine top"
+    if now_label:
+        header += f" @ {now_label}"
+    header += f" — {len(sessions)} active session(s) =="
+    lines = [
+        header,
+        f"{'thread':>14s} {'sess':>5s} {'txid':>6s} {'state':<26s} "
+        f"{'in state':>9s} {'rows':>8s}  statement",
+    ]
+    if not sessions:
+        reason = "no activity" if WAITS.enabled else "wait monitor disabled"
+        lines.append(f"(no active sessions — {reason})")
+        return "\n".join(lines)
+    for session in sessions:
+        state = session["wait_event"] or "on CPU"
+        in_state = (
+            session["wait_seconds"] if session["wait_event"]
+            else session["statement_seconds"]
+        )
+        sql = session["sql"] or ""
+        if len(sql) > 48:
+            sql = sql[:45] + "..."
+        txid = session["txid"] if session["txid"] is not None else "-"
+        sess = (
+            session["session_id"] if session["session_id"] is not None
+            else "-"
+        )
+        lines.append(
+            f"{session['thread_id']:>14d} {str(sess):>5s} {str(txid):>6s} "
+            f"{state:<26s} {in_state * 1e3:>8.1f}m "
+            f"{session['rows_processed']:>8d}  {sql}"
+        )
+    return "\n".join(lines)
+
+
 @command(
     "top",
     "live active-session view (pg_stat_activity style) over a workload "
@@ -597,7 +635,6 @@ def _top(args) -> int:
     the active-session table from the wait monitor while it does; the
     engine is embedded, so the workload and the view share this process.
     """
-    from repro.obs.ash import render_sessions
     from repro.workload import WorkloadConfig, run_workload
     from repro.workload.driver import wait_lines
 

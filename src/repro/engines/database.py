@@ -42,7 +42,7 @@ from repro.index import make_index
 from repro.index.base import SpatialIndex
 from repro.index.key import KeyIndex
 from repro.obs import Observability, Trace
-from repro.obs.waits import WAITS, summary_delta
+from repro.obs.waits import WAITS
 from repro.sql import ast
 from repro.sql.compiler import Compiler, Scope
 from repro.sql.executor import (
@@ -318,7 +318,7 @@ class Database:
         observed = obs.active or analyze
         shard = Stats()
         waits_on = WAITS.enabled
-        waits_before = None
+        waits = None
         if waits_on:
             txn = session.txn
             WAITS.begin_statement(
@@ -326,10 +326,8 @@ class Database:
                 txn.txid if txn is not None else None,
                 session.session_id,
             )
-            # the live shard is the ASH rows-processed progress counter
+            # the live shard is the session's rows-processed progress
             WAITS.attach_shard(shard)
-            if observed:
-                waits_before = WAITS.thread_summary()
         if observed:
             for callback in obs.query_start:
                 callback(sql, params)
@@ -390,7 +388,7 @@ class Database:
             raise
         finally:
             if waits_on:
-                WAITS.end_statement()
+                waits = WAITS.end_statement()
             if observed:
                 trace = Trace(
                     sql=sql,
@@ -406,10 +404,7 @@ class Database:
                     },
                     root=plan.span if isinstance(plan, SpanNode) else None,
                     outcome=outcome,
-                    waits=(
-                        summary_delta(waits_before, WAITS.thread_summary())
-                        if waits_before is not None else None
-                    ),
+                    waits=waits,
                     plan=plan,
                 )
                 obs.record(trace)

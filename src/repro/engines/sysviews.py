@@ -1,12 +1,12 @@
 """Read-only ``jackpine_*`` system views over the engine's own telemetry.
 
 The ``pg_catalog`` idea turned inward: the observability subsystems —
-statement store, wait monitor, ASH sampler, per-table usage counters —
-are exposed as *virtual tables* the normal planner and executor can
-scan, so ``SELECT * FROM jackpine_statements ORDER BY total_time DESC
-LIMIT 5`` runs through the ordinary lexer → parser → planner → executor
-path (and therefore over DB-API) with no special casing beyond catalog
-name resolution.
+statement store, wait monitor, per-table usage counters — are exposed
+as *virtual tables* the normal planner and executor can scan, so
+``SELECT * FROM jackpine_statements ORDER BY total_time DESC LIMIT 5``
+runs through the ordinary lexer → parser → planner → executor path (and
+therefore over DB-API) with no special casing beyond catalog name
+resolution.
 
 A :class:`SystemView` duck-types the narrow :class:`~repro.storage.table
 .Table` surface a non-spatial ``SeqScan`` pipeline consumes: schema
@@ -21,7 +21,6 @@ Views installed on every :class:`~repro.engines.Database`:
 ``jackpine_statements``   per-fingerprint aggregates (statement store)
 ``jackpine_plans``        captured plan shapes + flip lineage
 ``jackpine_waits``        per-event wait totals (wait monitor)
-``jackpine_ash``          active-session-history samples (running samplers)
 ``jackpine_tables``       per-table/index usage: scans, probes, vacuum —
                           plus a ``bufferpool`` row (hit ratio, page I/O)
                           when durable storage is attached
@@ -183,7 +182,7 @@ class SystemView:
     rollback_insert = _read_only
 
 
-# -- the eight views ---------------------------------------------------------
+# -- the seven views ---------------------------------------------------------
 
 
 def _counter(name: str) -> Callable[[Any], Any]:
@@ -260,21 +259,6 @@ _WAITS: Tuple[ColumnSpec, ...] = (
     ("p50", "REAL", "p50"),
     ("p95", "REAL", "p95"),
     ("p99", "REAL", "p99"),
-)
-
-_ASH: Tuple[ColumnSpec, ...] = tuple(
-    (column, type_name, column) for column, type_name in (
-        ("sampled_at", "REAL"),
-        ("thread_id", "INTEGER"),
-        ("session_id", "INTEGER"),
-        ("engine", "TEXT"),
-        ("sql", "TEXT"),
-        ("txid", "INTEGER"),
-        ("wait_event", "TEXT"),
-        ("wait_seconds", "REAL"),
-        ("statement_seconds", "REAL"),
-        ("rows_processed", "INTEGER"),
-    )
 )
 
 #: records: one dict per table, per index and (attached storage) one
@@ -365,12 +349,6 @@ def _wait_records(_db: Any) -> List[Dict[str, Any]]:
         dict(entry, event=event, site=WAIT_EVENTS.get(event, ""))
         for event, entry in sorted(WAITS.summary().items())
     ]
-
-
-def _ash_records(_db: Any) -> List[Any]:
-    from repro.obs.ash import registered_samples
-
-    return registered_samples()
 
 
 def _table_records(db: Any) -> List[Dict[str, Any]]:
@@ -466,7 +444,6 @@ _VIEWS = (
     ("jackpine_statements", _STATEMENTS, _statement_records),
     ("jackpine_plans", _PLANS, _plan_records),
     ("jackpine_waits", _WAITS, _wait_records),
-    ("jackpine_ash", _ASH, _ash_records),
     ("jackpine_tables", _TABLES, _table_records),
     ("jackpine_progress", _PROGRESS, _progress_records),
     ("jackpine_service", _SERVICE, _service_records),

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, Optional
 
-from repro.obs.ash import AshSampler
 from repro.obs.metrics import GLOBAL, Histogram, MetricsRegistry, percentile_of
 from repro.obs.span import Span
 from repro.obs.trace import Trace
@@ -43,7 +42,6 @@ from repro.obs.requests import (  # noqa: E402
 __all__ = [
     "GLOBAL",
     "RECORDER",
-    "AshSampler",
     "FlightRecorder",
     "MetricsRegistry",
     "Observability",
@@ -74,7 +72,6 @@ class Observability:
         #: per-fingerprint statement/plan aggregates (pg_stat_statements
         #: style), fed by :meth:`record`
         self.statements = StatementStore()
-        self.statements.on_flip = self._count_plan_flip
         #: the one flag the engine hot path reads; kept in sync by every
         #: mutator below so the disabled path never recomputes it
         self.active = False
@@ -113,12 +110,6 @@ class Observability:
         self.statements.disable()
         self._refresh()
         return self
-
-    def _count_plan_flip(self) -> None:
-        self.metrics.counter(
-            "plan_flips_total",
-            "statements whose captured plan shape changed",
-        ).inc()
 
     # -- hook registration (decorator-friendly) ----------------------------
 
@@ -165,7 +156,11 @@ class Observability:
         store = self.statements
         if store.enabled:
             if trace.plan is not None:
-                store.record_plan(trace.sql, trace.plan)
+                if store.record_plan(trace.sql, trace.plan) is not None:
+                    metrics.counter(
+                        "plan_flips_total",
+                        "statements whose captured plan shape changed",
+                    ).inc()
             store.record(
                 trace.sql, trace.seconds, trace.rows,
                 counters=trace.counters, outcome=trace.outcome,

@@ -16,7 +16,7 @@ are judged against.
 The store is a consumer of the engine's per-statement event: enabling
 it flips ``obs.active``, and :meth:`Observability.record
 <repro.obs.Observability.record>` folds each event's timing, outcome,
-counters, wait deltas and plan in. With it off the engine never gets
+counters, waits and plan in. With it off the engine never gets
 here.
 
 Everything here is surfaced three ways: the ``jackpine_statements`` /
@@ -27,11 +27,12 @@ of the ``jackpine-telemetry/1`` document.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import threading
 import time
 from collections import OrderedDict, deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import Histogram
 from repro.sql.lexer import TokenType, tokenize
@@ -41,6 +42,7 @@ __all__ = [
     "StatementEntry",
     "PlanEntry",
     "fingerprint",
+    "fingerprinted",
     "normalize",
     "plan_shape",
     "plan_fingerprint",
@@ -92,9 +94,18 @@ def normalize(sql: str) -> str:
     return " ".join(out)
 
 
+@functools.lru_cache(maxsize=512)
+def fingerprinted(sql: str) -> Tuple[str, str]:
+    """``(fingerprint, normalized)`` of one SQL text, memoised: the
+    statement store and the flight recorder tokenize each text once."""
+    normalized = normalize(sql)
+    digest = hashlib.sha256(normalized.encode("utf-8")).hexdigest()
+    return digest[:12], normalized
+
+
 def fingerprint(sql: str) -> str:
     """Stable hex fingerprint of one statement's normalised text."""
-    return hashlib.sha256(normalize(sql).encode("utf-8")).hexdigest()[:12]
+    return fingerprinted(sql)[0]
 
 
 # -- plan fingerprinting -----------------------------------------------------
@@ -263,10 +274,6 @@ class StatementStore:
         self._plans: Dict[str, List[PlanEntry]] = {}
         self._flips: Deque[Dict[str, Any]] = deque(maxlen=self.FLIP_HISTORY)
         self.plan_flips_total = 0
-        #: called once per recorded flip (wired to the metrics counter)
-        self.on_flip: Optional[Callable[[], None]] = None
-        #: sql text -> (fingerprint, normalized) memo, LRU-bounded
-        self._fingerprints: "OrderedDict[str, Tuple[str, str]]" = OrderedDict()
 
     # -- switches ----------------------------------------------------------
 
@@ -283,24 +290,7 @@ class StatementStore:
             self._entries.clear()
             self._plans.clear()
             self._flips.clear()
-            self._fingerprints.clear()
             self.plan_flips_total = 0
-
-    # -- fingerprint memo --------------------------------------------------
-
-    def _fingerprint(self, sql: str) -> Tuple[str, str]:
-        with self._lock:
-            memo = self._fingerprints.get(sql)
-            if memo is not None:
-                self._fingerprints.move_to_end(sql)
-                return memo
-        normalized = normalize(sql)
-        fp = hashlib.sha256(normalized.encode("utf-8")).hexdigest()[:12]
-        with self._lock:
-            if len(self._fingerprints) >= self.capacity:
-                self._fingerprints.popitem(last=False)
-            self._fingerprints[sql] = (fp, normalized)
-        return fp, normalized
 
     def _entry(self, fp: str, normalized: str) -> StatementEntry:
         """Get-or-create under the store lock (caller holds it)."""
@@ -331,7 +321,7 @@ class StatementStore:
         ``cancelled`` / ``error``; anything but ``ok`` also counts as an
         error.
         """
-        fp, normalized = self._fingerprint(sql)
+        fp, normalized = fingerprinted(sql)
         with self._lock:
             entry = self._entry(fp, normalized)
             entry.calls += 1
@@ -362,7 +352,7 @@ class StatementStore:
 
     def record_retry(self, sql: str) -> None:
         """Count one client-side retry against a statement fingerprint."""
-        fp, normalized = self._fingerprint(sql)
+        fp, normalized = fingerprinted(sql)
         with self._lock:
             self._entry(fp, normalized).retries += 1
 
@@ -371,7 +361,7 @@ class StatementStore:
         when the shape changed from the statement's current plan."""
         shape = plan_shape(plan)
         plan_fp = plan_fingerprint(shape)
-        stmt_fp, normalized = self._fingerprint(sql)
+        stmt_fp, normalized = fingerprinted(sql)
         flip: Optional[Dict[str, Any]] = None
         with self._lock:
             plans = self._plans.get(stmt_fp)
@@ -406,8 +396,6 @@ class StatementStore:
             entry.current = True
             entry.executions += 1
             entry.last_seen = time.time()
-        if flip is not None and self.on_flip is not None:
-            self.on_flip()
         return flip
 
     # -- views -------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 A :class:`Trace` is the one per-statement event the engine emits: it
 ties one executed statement — SELECT, DML/DDL or transaction control,
-finished or failed — to its outcome, its statement-level counter and
-wait deltas, the plan it ran with and (for SELECTs run under tracing)
+finished or failed — to its outcome, its statement-level counter
+deltas and waits, the plan it ran with and (for SELECTs run under tracing)
 its operator span tree. Request-level export lives in
 :mod:`repro.obs.requests` (``jackpine trace``).
 """
@@ -62,7 +62,7 @@ class Trace:
         #: ``ok``, or how the statement failed: ``abort`` (serialization
         #: conflict), ``timeout``, ``cancelled`` or ``error``
         self.outcome = outcome
-        #: this thread's wait-event deltas over the statement,
+        #: the waits this thread recorded while the statement ran,
         #: ``{event: {count, seconds}}``; ``None`` while ``WAITS`` is off
         self.waits = waits
         #: the plan tree a SELECT executed with (in-process only; ``None``

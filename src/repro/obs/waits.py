@@ -18,8 +18,10 @@ switchboard, pinned by ``benchmarks/test_bench_disabled_overhead.py``.
 
 Three consumers sit on top:
 
-- the ASH sampler (:mod:`repro.obs.ash`) snapshots each thread's
-  *current* statement and wait state at a fixed interval;
+- :meth:`WaitMonitor.active_sessions` shows each thread's *current*
+  statement and wait state (``jackpine top``, ``jackpine_progress``),
+  and each statement's own waits accumulate in place between
+  ``begin_statement`` and ``end_statement`` (``Trace.waits``);
 - :class:`WaitAttribution` decomposes wall time into wait classes and
   on-CPU buckets with p50/p95/p99 per event (``EXPLAIN ANALYZE``,
   ``jackpine stats``, the J-X2/J-X4 reports);
@@ -119,7 +121,7 @@ class _ThreadState:
         "thread_id", "totals",
         "current_wait", "current_wait_detail", "current_wait_since",
         "statement", "engine", "txid", "session_id", "statement_since",
-        "shard",
+        "shard", "statement_waits",
     )
 
     def __init__(self, thread_id: int):
@@ -136,6 +138,9 @@ class _ThreadState:
         self.statement_since = 0.0
         #: live per-statement Stats shard (rows-processed progress)
         self.shard: Any = None
+        #: the open statement's ``{event: {count, seconds}}``, or None
+        #: between statements
+        self.statement_waits: Optional[Dict[str, Dict[str, float]]] = None
 
 
 class WaitMonitor:
@@ -200,7 +205,8 @@ class WaitMonitor:
         site hoisted out of a loop pays nothing per call; otherwise a
         wrapper that records the call's duration, also when it raises.
         An off-CPU event is also the thread's current wait while the
-        call runs (what ASH samples); an on-CPU bucket is not.
+        call runs (what ``active_sessions`` shows); an on-CPU bucket is
+        not.
         """
         if not self.enabled:
             return fn
@@ -237,6 +243,14 @@ class WaitMonitor:
             totals = state.totals[event] = [0, 0.0]
         totals[0] += 1
         totals[1] += seconds
+        waits = state.statement_waits
+        if waits is not None:
+            entry = waits.get(event)
+            if entry is None:
+                waits[event] = {"count": 1, "seconds": seconds}
+            else:
+                entry["count"] += 1
+                entry["seconds"] += seconds
         self._histogram(event).observe(seconds)
         if detail is not None and event == LOCK_ROW:
             with self._mutex:
@@ -257,7 +271,7 @@ class WaitMonitor:
                     )
         return hist
 
-    # -- statement tracking (feeds the ASH sampler) ------------------------
+    # -- statement tracking ------------------------------------------------
 
     def begin_statement(self, sql: str, engine: Optional[str] = None,
                         txid: Optional[int] = None,
@@ -269,23 +283,30 @@ class WaitMonitor:
         state.session_id = session_id
         state.statement_since = time.perf_counter()
         state.shard = None
+        state.statement_waits = {}
 
     def attach_shard(self, shard: Any) -> None:
         """Expose the live per-statement Stats shard as the progress
-        counter (read racily by the sampler; ints never tear)."""
+        counter (read racily by ``active_sessions``; ints never tear)."""
         self.state().shard = shard
 
-    def end_statement(self) -> None:
+    def end_statement(self) -> Optional[Dict[str, Dict[str, float]]]:
+        """Close the thread's statement and return the waits it recorded,
+        ``{event: {count, seconds}}`` (``None`` if a :meth:`reset` since
+        ``begin_statement`` dropped its state)."""
         state = self.state()
         state.statement = None
         state.txid = None
         state.shard = None
+        waits = state.statement_waits
+        state.statement_waits = None
+        return waits
 
     def active_sessions(self) -> List[Dict[str, Any]]:
         """One snapshot row per thread with a statement or a wait in
-        flight — the ``pg_stat_activity`` view the ASH sampler polls,
-        ``jackpine top`` draws and ``jackpine_progress`` reads — with
-        the statement's live progress counters."""
+        flight — the ``pg_stat_activity`` view ``jackpine top`` draws
+        and ``jackpine_progress`` reads — with the statement's live
+        progress counters."""
         now = time.perf_counter()
         out: List[Dict[str, Any]] = []
         for state in self.thread_states():
@@ -319,16 +340,6 @@ class WaitMonitor:
         return out
 
     # -- aggregate views ---------------------------------------------------
-
-    def thread_summary(self) -> Dict[str, Dict[str, float]]:
-        """The calling thread's per-event totals, ``{event: {count,
-        seconds}}``. A statement runs on one thread, so the
-        :func:`summary_delta` of two of these taken around it is that
-        statement's own wait attribution."""
-        return {
-            event: {"count": int(count), "seconds": seconds}
-            for event, (count, seconds) in self.state().totals.items()
-        }
 
     def summary(self) -> Dict[str, Dict[str, float]]:
         """Per-event totals merged across threads:

@@ -116,7 +116,8 @@ class Session:
 
     __slots__ = ("txn", "session_id")
 
-    #: process-wide id source so ASH samples can name sessions
+    #: process-wide id source so active-session rows (``jackpine top``,
+    #: ``jackpine_progress``) can name sessions
     _next_id = itertools.count(1)
 
     def __init__(self) -> None:

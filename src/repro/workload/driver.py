@@ -41,7 +41,6 @@ from repro.datagen import generate
 from repro.dbapi import connect
 from repro.engines import Database
 from repro.errors import ReproError
-from repro.obs.ash import AshSampler
 from repro.obs.metrics import Histogram
 from repro.obs.telemetry import SCHEMA, write_document
 from repro.obs.waits import (
@@ -67,7 +66,7 @@ class WorkloadConfig:
     scale: float = 0.25
     max_retries: int = 5           # per operation, on SerializationError
     lock_timeout: float = 0.25     # row-lock wait budget (deadlock bound)
-    waits: bool = False            # record wait events + ASH samples
+    waits: bool = False            # record wait events (attribution)
     statements: bool = False       # record per-fingerprint statement stats
     storage_dir: Optional[str] = None  # attach durable storage (WAL+pages)
     checkpoint_interval: float = 0.0   # seconds between background
@@ -163,10 +162,8 @@ class WorkloadReport:
     wall_seconds: float
     clients: List[ClientReport]
     #: populated only when ``config.waits`` is set — the contention
-    #: attribution over the whole round (its hottest rows included) and
-    #: the ASH export
+    #: attribution over the whole round (its hottest rows included)
     attribution: Optional[WaitAttribution] = None
-    ash: Optional[Dict[str, Any]] = None
     #: populated only when ``config.statements`` is set — the statement
     #: store export (fingerprint aggregates + plans + flips)
     statements: Optional[Dict[str, Any]] = None
@@ -295,8 +292,6 @@ class WorkloadReport:
         # unchanged
         if self.attribution is not None:
             document["waits"] = self.attribution.as_dict()
-        if self.ash is not None:
-            document["ash"] = self.ash
         if self.statements is not None:
             document["statements"] = self.statements
         if self.storage is not None:
@@ -502,7 +497,7 @@ def run_round(
     each with its own DB-API connection to the shared ``database``,
     inside the round's one recording window: the background
     checkpointer, and — as ``config.waits`` and ``config.statements``
-    ask — the wait monitor with its ASH sampler and the statement store.
+    ask — the wait monitor and the statement store.
     :func:`run_workload`, J-X2's scenario replay and the crash harness
     all run their rounds here.
 
@@ -531,15 +526,13 @@ def run_round(
         for client in report.clients
     ]
     checkpointer = Checkpointer(database, config.checkpoint_interval)
-    sampler = AshSampler(monitor=WAITS) if config.waits else None
     if config.statements:
         database.obs.statements.reset()
         database.obs.enable_statements()
     checkpointer.start()
-    if sampler is not None:
+    if config.waits:
         WAITS.enable()
         WAITS.reset()
-        sampler.start()
     try:
         for thread in threads:
             thread.start()
@@ -550,16 +543,14 @@ def run_round(
         report.wall_seconds = time.perf_counter() - start
         if failures:
             raise failures[0]
-        if sampler is not None:
+        if config.waits:
             # busy time is wall * clients: each client thread was either
             # on-CPU or in one of the wait classes for the whole round
             report.attribution = WaitAttribution.capture(
                 WAITS, busy_seconds=report.wall_seconds * config.clients
             )
-            report.ash = sampler.export()
     finally:
-        if sampler is not None:
-            sampler.stop()
+        if config.waits:
             WAITS.disable()
         checkpointer.stop()
         if config.statements:
@@ -572,33 +563,18 @@ def run_round(
 
 
 def wait_lines(report: WorkloadReport) -> List[str]:
-    """The wall-time decomposition and the ASH line of a round run with
-    waits on (nothing otherwise); ``jackpine workload`` and ``jackpine
-    top`` both end with them."""
-    lines: List[str] = []
-    if report.attribution is not None:
-        lines.append("")
-        lines.append(report.attribution.render(
-            title=(
-                "server wall-time decomposition (worker pool)"
-                if report.config.server is not None
-                else "wall-time decomposition (all clients)"
-            )
-        ))
-    if report.ash is not None and report.ash.get("samples"):
-        states = report.ash.get("wait_state_counts", {})
-        top = ", ".join(
-            f"{state}={count}"
-            for state, count in sorted(
-                states.items(), key=lambda item: -item[1]
-            )[:4]
+    """The wall-time decomposition of a round run with waits on (nothing
+    otherwise); ``jackpine workload`` and ``jackpine top`` both end with
+    it."""
+    if report.attribution is None:
+        return []
+    return ["", report.attribution.render(
+        title=(
+            "server wall-time decomposition (worker pool)"
+            if report.config.server is not None
+            else "wall-time decomposition (all clients)"
         )
-        lines.append(
-            f"ash: {len(report.ash['samples'])} samples over "
-            f"{report.ash['sample_instants']} instants @ "
-            f"{report.ash['interval'] * 1e3:.0f}ms   top states: {top}"
-        )
-    return lines
+    )]
 
 
 def render_workload(report: WorkloadReport) -> str:

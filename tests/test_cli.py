@@ -147,15 +147,24 @@ class TestPinnedOutput:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "loading greenwood at scale 0.05 ..."
         assert any(line.startswith("== jackpine top @ ") for line in lines)
-        closing = [line for line in lines
-                   if line.startswith("-- wall-time decomposition")]
-        assert closing and closing[0].startswith(
+        # the output closes with the same decomposition block as
+        # `jackpine workload --waits`: title, event rows, the on-CPU
+        # remainder, then only the overlap line and the hottest rows
+        start = len(lines) - lines[::-1].index("")
+        assert lines[start].startswith(
             "-- wall-time decomposition (all clients) (busy "
         )
-        # the same ASH line as `jackpine workload --waits`
-        assert lines[-1].startswith("ash: ")
-        assert " samples over " in lines[-1]
-        assert "ms   top states: " in lines[-1]
+        closing = lines[start:]
+        assert not any(line.startswith("== jackpine top")
+                       for line in closing)
+        other = next(i for i, line in enumerate(closing)
+                     if line.startswith("on-CPU (other)"))
+        after = closing[other + 1:]
+        if after and after[0].startswith("(overlap overcount)"):
+            after = after[1:]
+        assert after == [] or (
+            after[0] == "-- hottest rows (by lock-wait seconds) --"
+        )
 
 
 def _subparsers():

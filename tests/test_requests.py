@@ -123,6 +123,31 @@ def test_fast_ok_requests_are_compact_not_retained(fresh_recorder):
     assert fresh_recorder.stats()["total"] == 1
 
 
+def test_finish_tokenizes_a_repeated_sql_text_once(fresh_recorder,
+                                                   monkeypatch):
+    """The recorder fingerprints through the statement store's memo, so
+    a repeated SQL text is tokenized once, not once per request."""
+    import repro.obs.statements as statements
+
+    tokenized = []
+    tokenize = statements.tokenize
+
+    def counting(sql):
+        tokenized.append(sql)
+        return tokenize(sql)
+
+    monkeypatch.setattr(statements, "tokenize", counting)
+    # a text no other test used, so the memo starts without it
+    sql = f"SELECT gid FROM counties WHERE name = '{new_trace_id()}'"
+    records = []
+    for _ in range(2):
+        pending = fresh_recorder.begin(TraceContext.fresh(), sql)
+        pending.complete("ok")
+        records.append(fresh_recorder.finish(pending))
+    assert tokenized == [sql]
+    assert records[0].fingerprint == records[1].fingerprint
+
+
 @pytest.mark.parametrize("outcome", ["sql", "timeout", "overloaded",
                                      "shed_queue_full", "internal"])
 def test_non_ok_outcomes_are_tail_sampled(fresh_recorder, outcome):

@@ -6,7 +6,6 @@ from repro.dbapi import connect
 from repro.engines import Database
 from repro.engines.sysviews import SYSTEM_VIEW_NAMES
 from repro.errors import SqlPlanError, SqlProgrammingError
-from repro.obs.ash import AshSampler
 from repro.obs.requests import RECORDER
 from repro.obs.waits import GUARD_TICK, WAITS
 from repro.service import JackpineServer, ServerConfig, ServiceClient
@@ -41,13 +40,6 @@ VIEW_SCHEMAS = {
         ("wait_event", "TEXT"), ("wait_class", "TEXT"), ("site", "TEXT"),
         ("count", "INTEGER"), ("total_seconds", "REAL"), ("p50", "REAL"),
         ("p95", "REAL"), ("p99", "REAL"),
-    ],
-    "jackpine_ash": [
-        ("sampled_at", "REAL"), ("thread_id", "INTEGER"),
-        ("session_id", "INTEGER"), ("engine", "TEXT"), ("sql", "TEXT"),
-        ("txid", "INTEGER"), ("wait_event", "TEXT"),
-        ("wait_seconds", "REAL"), ("statement_seconds", "REAL"),
-        ("rows_processed", "INTEGER"),
     ],
     "jackpine_tables": [
         ("name", "TEXT"), ("kind", "TEXT"), ("table_name", "TEXT"),
@@ -98,10 +90,7 @@ def _seed(cur) -> None:
 def monitored():
     WAITS.enable()
     WAITS.reset()
-    sampler = AshSampler(monitor=WAITS, interval=0.005)
-    sampler.start()
-    yield sampler
-    sampler.stop()
+    yield WAITS
     WAITS.disable()
 
 
@@ -116,11 +105,8 @@ def test_all_views_return_live_data_over_dbapi(profile, monitored):
     _seed(cur)
     cur.execute("SELECT COUNT(*) FROM pts")
     cur.fetchall()
-    # one deterministic wait record + one deterministic ASH sample
+    # one deterministic wait record
     WAITS.record(GUARD_TICK, 0.001)
-    WAITS.begin_statement("SELECT 1", profile, None, 99)
-    monitored.sample_once()
-    WAITS.end_statement()
 
     cur.execute(
         "SELECT fingerprint, statement, calls, total_time "
@@ -142,10 +128,6 @@ def test_all_views_return_live_data_over_dbapi(profile, monitored):
     cur.execute("SELECT wait_event, count, total_seconds FROM jackpine_waits")
     waits = cur.fetchall()
     assert any(row[0] == GUARD_TICK and row[1] >= 1 for row in waits)
-
-    cur.execute("SELECT sql, wait_event FROM jackpine_ash")
-    ash = cur.fetchall()
-    assert any(row[0] == "SELECT 1" for row in ash)
 
     cur.execute(
         "SELECT name, kind, live_rows, seq_scans FROM jackpine_tables"
@@ -174,18 +156,14 @@ def test_view_schemas_are_pinned():
 def test_every_view_yields_full_width_rows_with_every_source_live(
     tmp_path, monitored
 ):
-    """Statements, waits, a running sampler, a traced server request and
-    attached storage all live: every view has rows, each as wide as its
-    pinned schema."""
+    """Statements, waits, a traced server request and attached storage
+    all live: every view has rows, each as wide as its pinned schema."""
     db = Database("greenwood")
     db.obs.enable_statements()
     _seed(db)
     db.attach_storage(str(tmp_path / "storage"))
     db.execute("SELECT COUNT(*) FROM pts")
     WAITS.record(GUARD_TICK, 0.001)
-    WAITS.begin_statement("SELECT 1", "greenwood", None, 99)
-    monitored.sample_once()
-    WAITS.end_statement()
     RECORDER.reset()
     config = ServerConfig(pool_size=2, trace=True)
     try:
@@ -225,7 +203,6 @@ def test_views_exist_without_observability():
     db.execute("INSERT INTO t VALUES (7)")
     assert db.execute("SELECT * FROM jackpine_statements").rows == []
     assert db.execute("SELECT * FROM jackpine_waits").rows == []
-    assert db.execute("SELECT * FROM jackpine_ash").rows == []
     rows = db.execute(
         "SELECT name, live_rows FROM jackpine_tables"
     ).rows

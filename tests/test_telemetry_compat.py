@@ -1,6 +1,6 @@
 """Backward compatibility of the ``jackpine-telemetry/1`` document.
 
-The waits / ash / statements / storage / service / cache sections are
+The waits / statements / storage / service / cache sections are
 *additive*: a document from a round that recorded none of them is
 byte-compatible with the original schema, and a reader written against
 that original schema can consume a document that carries any of them
@@ -66,9 +66,7 @@ def test_plain_document_has_no_additive_sections(plain_document):
 
 def test_full_document_only_adds_sections(full_document):
     assert V1_BASE_KEYS <= set(full_document)
-    assert set(full_document) - V1_BASE_KEYS == {
-        "waits", "ash", "statements"
-    }
+    assert set(full_document) - V1_BASE_KEYS == {"waits", "statements"}
 
 
 def test_v1_reader_parses_both_vintages(plain_document, full_document):

@@ -1,7 +1,10 @@
 """Wait-event taxonomy: every member is emitted by its site, the disabled
 path records nothing, and the row-lock histogram is fed from the same
 measurement as the ``LockManager:RowLock`` totals (single recording
-point)."""
+point). A statement's waits are exactly those recorded while it was
+open. The attribution decomposition must account for busy time: wait
+classes plus on-CPU buckets sum to ``busy_seconds`` (any overlap is
+surfaced as ``overcount_seconds``, never silently lost)."""
 
 from __future__ import annotations
 
@@ -10,6 +13,7 @@ import threading
 
 import pytest
 
+from repro.cli import render_sessions
 from repro.datagen import generate
 from repro.engines import Database
 from repro.errors import SerializationError
@@ -31,6 +35,8 @@ from repro.obs.waits import (
     WAIT_CLASSES,
     WAIT_EVENTS,
     WAITS,
+    WaitAttribution,
+    WaitMonitor,
 )
 from repro.txn.locks import RowLockTable, SharedExclusiveLock
 from repro.workload.driver import (
@@ -38,6 +44,7 @@ from repro.workload.driver import (
     WorkloadConfig,
     drive_connection,
     operation_steps,
+    run_workload,
 )
 from repro.workload.mixes import Operation
 
@@ -111,7 +118,7 @@ def test_timed_records_also_when_the_call_raises(waits):
     with pytest.raises(OSError):
         waits.timed(IO_WAL_FSYNC, fsync)(3)
     assert waits.timed(CPU_SORT, sorted)([2, 1]) == [1, 2]
-    assert seen == [IO_WAL_FSYNC]  # an off-CPU wait is visible to ASH
+    assert seen == [IO_WAL_FSYNC]  # an off-CPU wait is the current one
     assert waits.state().current_wait is None
     summary = waits.summary()
     assert summary[IO_WAL_FSYNC]["count"] == 1
@@ -388,3 +395,150 @@ def test_client_sites_silent_when_disabled():
     )
     assert WAITS.summary() == {}
     assert report.commits == 1
+
+
+# -- per-statement waits ----------------------------------------------------
+
+
+def test_wait_between_statements_is_in_neither_trace(waits):
+    """A statement's ``trace.waits`` holds what its thread recorded while
+    it was open, and nothing the thread recorded before or after it."""
+    db = Database("greenwood")
+    db.execute("CREATE TABLE t (a INTEGER)")
+    db.execute("INSERT INTO t VALUES (2), (1)")
+    traces = []
+    db.obs.on_query_end(traces.append)
+    db.execute("SELECT a FROM t ORDER BY a")
+    waits.record(CLIENT_BACKOFF, 0.01)
+    db.execute("SELECT a FROM t ORDER BY a")
+    assert len(traces) == 2
+    for trace in traces:
+        assert trace.waits[CPU_SORT]["count"] == 1
+        assert CLIENT_BACKOFF not in trace.waits
+    assert waits.summary()[CLIENT_BACKOFF]["count"] == 1
+
+
+# -- the jackpine top frame -------------------------------------------------
+
+
+def test_render_sessions_frame():
+    monitor = WaitMonitor().enable()
+    monitor.begin_statement(
+        "SELECT COUNT(*) FROM edges WHERE ST_Intersects(geom, x) AND "
+        "more_predicates_to_force_truncation(geom)",
+        engine="greenwood", txid=5, session_id=2,
+    )
+    frame = render_sessions(monitor.active_sessions(), now_label="1.0s")
+    monitor.end_statement()
+    assert "jackpine top" in frame
+    assert "1 active session(s)" in frame
+    assert "on CPU" in frame
+    assert "..." in frame  # long SQL truncated
+
+
+def test_render_sessions_empty_explains_why():
+    """Zero sessions renders an explicit line, never a bare header —
+    and the line says whether the monitor was even on."""
+    was_enabled = WAITS.enabled
+    try:
+        WAITS.disable()
+        frame = render_sessions([], now_label="0.0s")
+        assert "0 active session(s)" in frame
+        assert "no active sessions — wait monitor disabled" in frame
+        WAITS.enable()
+        frame = render_sessions([], now_label="0.0s")
+        assert "no active sessions — no activity" in frame
+    finally:
+        WAITS.disable()
+        if was_enabled:
+            WAITS.enable()
+
+
+# -- attribution arithmetic -------------------------------------------------
+
+
+def test_attribution_sums_to_busy():
+    summary = {
+        LOCK_ROW: {"count": 2, "seconds": 0.3},
+        "CPU:Refine": {"count": 10, "seconds": 0.2},
+        GUARD_TICK: {"count": 5, "seconds": 0.1},
+    }
+    attribution = WaitAttribution(summary, busy_seconds=1.0)
+    assert attribution.off_cpu_seconds == pytest.approx(0.4)
+    assert attribution.attributed_cpu_seconds == pytest.approx(0.2)
+    assert attribution.other_cpu_seconds == pytest.approx(0.4)
+    assert attribution.overcount_seconds == 0.0
+    total = (
+        attribution.off_cpu_seconds
+        + attribution.attributed_cpu_seconds
+        + attribution.other_cpu_seconds
+    )
+    assert total == pytest.approx(attribution.busy_seconds)
+
+
+def test_attribution_surfaces_overcount():
+    summary = {
+        LOCK_ROW: {"count": 1, "seconds": 0.9},
+        "CPU:Refine": {"count": 1, "seconds": 0.4},
+    }
+    attribution = WaitAttribution(summary, busy_seconds=1.0)
+    assert attribution.other_cpu_seconds == 0.0
+    assert attribution.overcount_seconds == pytest.approx(0.3)
+
+
+def test_attribution_render_mentions_every_event():
+    summary = {
+        LOCK_ROW: {"count": 1, "seconds": 0.1, "p50": 0.1, "p95": 0.1,
+                   "p99": 0.1},
+    }
+    attribution = WaitAttribution(
+        summary, busy_seconds=1.0,
+        hottest=[{"table": "t", "row_id": 9, "waits": 1, "seconds": 0.1}],
+    )
+    text = attribution.render()
+    assert LOCK_ROW in text
+    assert "on-CPU (other)" in text
+    assert "hottest rows" in text
+    assert " 9" in text
+
+
+# -- end to end through the workload driver ---------------------------------
+
+
+def test_workload_attribution_accounts_for_wall_time():
+    """The J-X4 acceptance check: with waits on, the recorded wait
+    classes fit inside the busy time (wall x clients) and the
+    decomposition reproduces it, with negligible overlap overcount."""
+    config = WorkloadConfig(
+        clients=4, duration=1.0, scale=0.1, waits=True, lock_timeout=0.1,
+        seed=11,
+    )
+    report = run_workload(config)
+    attribution = report.attribution
+    assert attribution is not None
+    busy = attribution.busy_seconds
+    assert busy == pytest.approx(report.wall_seconds * 4)
+    total = (
+        attribution.off_cpu_seconds
+        + attribution.attributed_cpu_seconds
+        + attribution.other_cpu_seconds
+    )
+    # identity up to overcount; the overlap itself must stay under 10%
+    assert total == pytest.approx(busy + attribution.overcount_seconds,
+                                  rel=1e-6)
+    assert attribution.overcount_seconds <= 0.1 * busy
+    # the monitor is switched back off afterwards
+    assert WAITS.enabled is False
+    # telemetry stays additive: the section is present and JSON-able
+    import json
+
+    document = report.telemetry_document()
+    json.dumps(document)
+    assert "waits" in document
+
+
+def test_workload_without_waits_has_no_sections():
+    config = WorkloadConfig(clients=2, duration=0.3, scale=0.1, seed=11)
+    report = run_workload(config)
+    assert report.attribution is None
+    assert "waits" not in report.telemetry_document()
