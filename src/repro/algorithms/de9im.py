@@ -28,6 +28,8 @@ computed only for a segment pair, or a point and a segment, whose boxes
 meet. Verify only what was asked: evidence is gathered in order of cost and
 only while it can still change whether the requested mask matches:
 
+0. the rectangle case, for a run that shares an axis-aligned rectangle: its
+   bounds decide each pair, unprepared, beyond the tolerance band of its edges;
 1. the exact reject, for a mask that forbids only cells where the operands
    meet (intersects, disjoint, touches, crosses, overlaps): one vertex of
    each line and polygon located against the other's areal members, then
@@ -45,7 +47,7 @@ from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.algorithms.location import (
-    Location, Prepared, Segment, box_pairs, prepare,
+    Location, Prepared, Segment, box_pairs, locate_in_ring, prepare,
 )
 from repro.algorithms.measures import point_on_surface
 from repro.algorithms.predicates import on_segment, segment_intersection
@@ -239,6 +241,82 @@ def _disjoint(cells: List[int], fa: Prepared, fb: Prepared) -> List[int]:
     return cells
 
 
+def _clips(ax: float, ay: float, bx: float, by: float, *box: float) -> bool:
+    """Does the closed segment ab (a point when ``a == b``) meet the closed
+    box? Liang–Barsky: clip the segment's parameter range to each slab."""
+    t0, t1 = 0.0, 1.0
+    for p, d, lo, hi in ((ax, bx - ax, box[0], box[2]), (ay, by - ay, box[1], box[3])):
+        if d:
+            u0, u1 = (lo - p) / d, (hi - p) / d
+            t0, t1 = max(t0, min(u0, u1)), min(t1, max(u0, u1))
+        elif p < lo or p > hi:
+            return False
+    return t0 <= t1
+
+
+def _is_rectangle(g: Optional[Geometry]) -> bool:
+    """Is ``g`` a rectangle as ``ST_MakeEnvelope`` builds it: a polygon
+    without holes, its closed 5-point shell on its envelope's corners?"""
+    if type(g) is not Polygon or g.holes or len(g.shell) != 5:
+        return False
+    x0, y0, x1, y1 = g.envelope.as_tuple()
+    return set(g.shell) == {(x0, y0), (x1, y0), (x1, y1), (x0, y1)}
+
+
+def _rectangle(fixed: Optional[Geometry], fixed_is_b: bool, mask) -> Optional[Callable]:
+    """The rectangle case of :func:`_relate` (``fixed`` :func:`_is_rectangle`;
+    intersects/disjoint, or within with ``fixed`` as B): ``decide(g)`` answers
+    from the bounds and ``g``'s coordinates, unprepared, as (the rule, cells),
+    or leaves to the kernel (None) what comes within twice the larger
+    tolerance of the boundary, the widest the kernel's tests reach."""
+    meet = (0, -1, -1, -1, -1, -1, -1, -1, 2)  # the interiors meet
+    apart = (-1, -1, 0, -1, -1, -1, -1, -1, 2)  # A's interior in B's exterior, alone
+    within = mask == _WITHIN and fixed_is_b
+    if not (within or mask == _DISJOINT) or not _is_rectangle(fixed):
+        return None
+    x0, y0, x1, y1 = fixed.envelope.as_tuple()
+    pad = 2.0 * fixed.envelope.tolerance()
+
+    def decide(g: Geometry):
+        if type(g) is GeometryCollection:
+            return None
+        e = g.envelope
+        if not within:
+            if x0 <= e.min_x and e.max_x <= x1 and y0 <= e.min_y and e.max_y <= y1:
+                return "envelope", meet
+            for x, y in g.coords_iter():
+                if x0 <= x <= x1 and y0 <= y <= y1:
+                    return "vertex", meet
+        band = max(pad, 2.0 * e.tolerance())
+        ox0, oy0, ox1, oy1 = outer = (x0 - band, y0 - band, x1 + band, y1 + band)
+        ix0, iy0, ix1, iy1 = inner = (x0 + band, y0 + band, x1 - band, y1 - band)
+        if within:  # of g in the rectangle
+            if ix0 < e.min_x and e.max_x < ix1 and iy0 < e.min_y and e.max_y < iy1:
+                return "envelope", meet
+            for x, y in g.coords_iter():
+                if x < ox0 or x > ox1 or y < oy0 or y > oy1:
+                    return "vertex", apart
+            return None
+        inner = ix0 <= ix1 and iy0 <= iy1 and inner  # unless the band swallows it
+        near = False
+        segments = (zip(g.coords, g.coords[1:]) if type(g) is LineString  # no generator
+                    else g.segments() if g.dimension else ((p, p) for p in g.coords_iter()))
+        for (ax, ay), (bx, by) in segments:
+            if ax < ox0 > bx or ax > ox1 < bx or ay < oy0 > by or ay > oy1 < by:
+                continue  # its box misses the widened rectangle
+            if inner and _clips(ax, ay, bx, by, *inner):
+                return "clip", meet
+            near = near or _clips(ax, ay, bx, by, *outer)
+        # no edge enters the rectangle: g meets it only if it holds a corner
+        for poly in getattr(g, "polygons", (g,)) if g.dimension == 2 else ():
+            where = [locate_in_ring((x0, y0), ring) for ring in poly.rings()]
+            if where[0] is _BND or where[0] is _INT and _INT not in where[1:]:
+                return "corner", meet
+        return None if near else ("clip", apart)
+
+    return decide
+
+
 def _piece_evidence(
     fx: Prepared,
     fy: Prepared,
@@ -315,21 +393,22 @@ def _relate(
     fixed: Geometry,
     fixed_is_b: bool = False,
     mask: Optional[Sequence[_Alternative]] = None,
-) -> Callable[[Geometry], List[int]]:
+) -> Callable[[Geometry], Sequence[int]]:
     """The kernel, set up for a run of pairs that share the operand ``fixed``.
 
     Returns the function that gives the nine intersection dimensions of
     ``fixed`` against its argument (of the argument against ``fixed`` when
-    ``fixed_is_b``). ``fixed`` is prepared, whether the mask takes the exact
-    reject is decided, and the closure that records evidence is built, once
-    for the run.
+    ``fixed_is_b``). ``fixed`` is prepared (in the rectangle case once a pair
+    falls through), whether the mask takes the rectangle case or the exact
+    reject is decided, and the closure that records evidence is built, once.
 
     With a ``mask`` the evidence is gathered only while it can still change
     whether the mask matches: steps that cannot touch an open cell are
     skipped and the evaluation stops once the verdict is decided, so the
     cells returned are exact only as far as ``_holds(mask, cells)`` needs.
     """
-    ff = prepare(fixed)
+    rectangle = _rectangle(fixed, fixed_is_b, mask)
+    ff = None if rectangle else prepare(fixed)
     # The exact reject, for a mask whose alternatives forbid no cell but
     # MEET ones (intersects, disjoint, touches, crosses, overlaps): a vertex
     # outside the other operand decides nothing for it, and most of its
@@ -339,7 +418,7 @@ def _relate(
     # tells whether the operands meet. An isolated point lies on nothing it
     # would be swept against, so it skips the reject; so does the full
     # matrix.
-    reject = mask is not None and not ff.puntal
+    reject = mask is not None and not (ff and ff.puntal)
     for forbid, _need, _exact in mask if reject else ():
         if forbid & ~_MEET:
             reject = False
@@ -356,8 +435,11 @@ def _relate(
         open_cells = _open_cells(mask, cells, filled)
         return not open_cells
 
-    def kernel(g: Geometry) -> List[int]:
-        nonlocal cells, filled, open_cells
+    def kernel(g: Geometry) -> Sequence[int]:
+        nonlocal ff, cells, filled, open_cells
+        if rectangle and (decided_by := rectangle(g)):
+            return decided_by[1]
+        ff = ff or prepare(fixed)
         fg = prepare(g)
         a, b, fa, fb = (g, fixed, fg, ff) if fixed_is_b else (fixed, g, ff, fg)
         cells = [-1] * 9
@@ -590,10 +672,18 @@ def evaluator(
     return test
 
 
+def shares_first(a: Optional[Geometry], b: Optional[Geometry]) -> bool:
+    """The operand a run of one pair ``(a, b)`` is set up on: ``a``, unless only
+    ``b`` is a rectangle, which the rectangle case may answer unprepared."""
+    return not _is_rectangle(b) or _is_rectangle(a)
+
+
 def evaluate(name: str, a: Geometry, b: Geometry, every_cell: bool = False) -> bool:
     """Does the named predicate of :data:`PREDICATES` hold for ``(a, b)``?
-    (:func:`evaluator` for a run of one pair.)"""
-    return evaluator(name, a, False, every_cell)(b)
+    (:func:`evaluator` for a run of one pair, set up on the operand
+    :func:`shares_first` picks, or on ``a`` for the full matrix.)"""
+    first = every_cell or shares_first(a, b)
+    return evaluator(name, a if first else b, not first, every_cell)(b if first else a)
 
 
 def equals(a: Geometry, b: Geometry) -> bool:

@@ -134,10 +134,17 @@ class EngineProfile:
             )
 
     def evaluate_predicate(self, name: str, ga: Geometry, gb: Geometry) -> bool:
-        test = self.tester(name, ga)
+        first = self._shares_first(ga, gb)
+        test = self.tester(name, ga if first else gb, first)
         if FAULTS.active:
             FAULTS.hit("geometry.refine")
-        return test(gb)
+        return test(gb if first else ga)
+
+    def _shares_first(self, ga: Optional[Geometry], gb: Optional[Geometry]) -> bool:
+        """The side a run of one pair is set up on: ``ga``, unless the
+        profile can take the rectangle case (mask-directed refinement) and
+        ``de9im.shares_first`` picks ``gb``."""
+        return self.predicate_mode != "fast" or de9im.shares_first(ga, gb)
 
     def tester(
         self, name: str, fixed: Geometry, fixed_first: bool = True
@@ -210,10 +217,14 @@ class EngineProfile:
         # Candidates arrive in runs that share one operand (a river and the
         # edges near it, a county and the lines inside it): the side that
         # repeats more often from one pair to the next is the shared one,
-        # and each run sets up its test once.
-        fixed_first = len(firsts) < 2 or (
-            sum(map(is_, firsts, firsts[1:])) >= sum(map(is_, seconds, seconds[1:]))
-        )
+        # and each run sets up its test once. A batch of one pair is a run
+        # of one, set up on the side ``de9im.shares_first`` picks.
+        if len(firsts) > 1:
+            fixed_first = (
+                sum(map(is_, firsts, firsts[1:])) >= sum(map(is_, seconds, seconds[1:]))
+            )
+        else:
+            fixed_first = not firsts or self._shares_first(firsts[0], seconds[0])
         answers: List[Optional[bool]] = []
         shared = test = None
         for a, b in zip(firsts, seconds):

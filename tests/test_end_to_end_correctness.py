@@ -10,6 +10,7 @@ import pytest
 
 from repro.algorithms import contains, crosses, intersects, touches, within
 from repro.dbapi import connect
+from repro.engines import Database
 
 
 def _rows(dataset, layer):
@@ -110,6 +111,38 @@ class TestWindowAnswers:
         landmarks = [g for _r, g in _rows(small_dataset, "arealm")]
         expected = sum(1 for a in landmarks if within(a, window))
         assert got == expected
+
+    @pytest.mark.parametrize("engine", ["greenwood", "bluestem", "ironbark"])
+    def test_landmark_windows_equal_a_box_count(self, engine, small_dataset):
+        """A known truth, computed without any kernel: the landmarks a
+        window holds, counted over the generator's coordinates. Each window
+        has two landmarks for corners, so its edges pass exactly through
+        landmark coordinates; a point on an edge intersects the window and
+        is not within it."""
+        db = Database(engine)
+        small_dataset.load_into(db, create_indexes=True)
+        points = [g.coord for _r, g in _rows(small_dataset, "pointlm")]
+        on_edges = windows = 0
+        for i in range(0, len(points) - 40, 23):
+            windows += 1
+            (ax, ay), (bx, by) = points[i], points[i + 40]
+            x0, x1, y0, y1 = min(ax, bx), max(ax, bx), min(ay, by), max(ay, by)
+            closed = sum(x0 <= x <= x1 and y0 <= y <= y1 for x, y in points)
+            inside = sum(x0 < x < x1 and y0 < y < y1 for x, y in points)
+            on_edges += closed - inside
+            for predicate, expected in (
+                ("ST_Intersects", closed),
+                # bluestem answers on bounding boxes: a point on an edge is
+                # within the window's box
+                ("ST_Within", closed if engine == "bluestem" else inside),
+            ):
+                got = db.execute(
+                    f"SELECT COUNT(*) FROM pointlm WHERE "
+                    f"{predicate}(geom, ST_MakeEnvelope(?, ?, ?, ?))",
+                    (x0, y0, x1, y1),
+                ).rows[0][0]
+                assert got == expected, (predicate, x0, y0, x1, y1)
+        assert windows >= 5 and on_edges >= 2 * windows  # two corners each
 
 
 class TestAggregateAnswers:

@@ -125,10 +125,11 @@ class TestEnvelopeCaching:
 
     def test_features_cache_reused(self, unit_square, center_point):
         # the prepared-geometry cache fills on the first call that needs a
-        # feature decomposition (point containment uses a cheaper path)
+        # feature decomposition; intersects against a rectangle needs none
+        assert unit_square.intersects(center_point)
         assert unit_square._features is None
-        unit_square.intersects(center_point)
+        unit_square.touches(center_point)
         cached = unit_square._features
         assert cached is not None
-        unit_square.intersects(Point(1, 1))
+        unit_square.touches(Point(1, 1))
         assert unit_square._features is cached
