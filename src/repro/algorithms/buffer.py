@@ -3,8 +3,9 @@
 Strategy: a positive buffer is the union of round-capped *capsules* built
 around every segment (plus the original area for polygons); discs stand in
 for point buffers. Negative polygon buffers erode by subtracting boundary
-capsules. Capsule unions run through the cascaded overlay union, so buffer
-quality is bounded by ``quad_segs`` exactly like in PostGIS.
+capsules. All capsules of one buffer are unioned in one overlay pass
+(``union_all``), so buffer quality is bounded by ``quad_segs`` exactly
+like in PostGIS.
 """
 
 from __future__ import annotations

@@ -3,17 +3,21 @@
 The classic clipper pipeline, implemented over this library's own
 primitives:
 
-1. split both operands' boundary segments at every mutual intersection,
-   so each resulting *piece* lies entirely within one
-   interior/boundary/exterior class of the other polygon;
-2. classify each piece's two open sides against both operands (the piece's
-   own polygon interior is always to its left — rings are stored shell-CCW,
-   hole-CW — and the other polygon's class comes from the piece midpoint,
-   with coincident-edge orientation resolving the shared-boundary case);
+1. split every operand's boundary segments at each intersection with
+   another operand's (one sweep along x over all of them), so each
+   resulting *piece* lies entirely within one interior/boundary/exterior
+   class of every other operand;
+2. label each piece's two open sides once against every operand: the
+   owners of its coincident pieces (*twins*) by direction (an owner's
+   interior is always to its piece's left — rings are stored shell-CCW,
+   hole-CW), the other operands from the piece midpoint;
 3. keep exactly the pieces where the boolean result differs across the
    piece, oriented result-interior-on-the-left;
 4. stitch kept pieces into rings by rotational edge pairing, then assign
    CW rings as holes of the smallest containing CCW shell.
+
+Two operands are the common case; ``ST_Union(geom)`` and ``ST_Buffer``
+pass every operand to one call, which nodes and stitches each once.
 
 This trades the raw speed of a sweep-line clipper for transparency: every
 step reuses predicates that are independently unit-tested, which is the
@@ -23,10 +27,11 @@ right trade for a benchmark whose *answers* must be trustworthy.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.algorithms.location import (
-    MIN_X, Location, Segment, box_pairs, locate, locate_in_ring, prepare,
+    Location, Prepared, Segment, locate_in_ring, prepare,
 )
 from repro.algorithms.measures import area as geom_area
 from repro.algorithms.predicates import segment_intersection
@@ -38,13 +43,16 @@ _INT, _BND, _EXT = Location.INTERIOR, Location.BOUNDARY, Location.EXTERIOR
 
 _KEY_DECIMALS = 9
 
-BoolOp = Callable[[bool, bool], bool]
+#: an op reads the operands whose interior holds one side of a piece, as a
+#: bit mask (bit k = operand k), against the mask of every operand; with
+#: two operands each is the textbook boolean
+BoolOp = Callable[[int, int], bool]
 
 OPS: Dict[str, BoolOp] = {
-    "intersection": lambda a, b: a and b,
-    "union": lambda a, b: a or b,
-    "difference": lambda a, b: a and not b,
-    "sym_difference": lambda a, b: a != b,
+    "intersection": lambda inside, every: inside == every,
+    "union": lambda inside, every: inside != 0,
+    "difference": lambda inside, every: inside == 1,
+    "sym_difference": lambda inside, every: bin(inside).count("1") % 2 == 1,
 }
 
 
@@ -65,7 +73,7 @@ class _Piece:
     def __init__(self, start: Coord, end: Coord, owner: int):
         self.start = start
         self.end = end
-        self.owner = owner  # 0 = A, 1 = B
+        self.owner = owner  # the operand's position
         self.mid = ((start[0] + end[0]) / 2.0, (start[1] + end[1]) / 2.0)
 
 
@@ -79,37 +87,55 @@ def _boundary_segments(geom: Geometry) -> Sequence[Segment]:
     return [s for _env, rings in prepare(geom).areal for ring in rings for s in ring]
 
 
+def _meeting(boxes: List[tuple]) -> Iterator[Tuple[object, object]]:
+    """Every pair of boxes from different owners that meet, by one sweep
+    along x. A box is ``(min_x, min_y, max_x, max_y, owner, item)``."""
+    boxes.sort(key=itemgetter(0))
+    for i, (_x0, y0, x1, y1, owner, item) in enumerate(boxes):
+        for j in range(i + 1, len(boxes)):
+            ox0, oy0, _ox1, oy1, other_owner, other = boxes[j]
+            if ox0 > x1:
+                break  # and so does every box after it
+            if other_owner != owner and oy0 <= y1 and oy1 >= y0:
+                yield item, other
+
+
 def _split_segments(
-    segs_a: Sequence[Segment], segs_b: Sequence[Segment]
-) -> Tuple[List[_Piece], List[_Piece], List[Coord]]:
-    """Split both segment sets at mutual intersections; also return the
-    intersection points themselves (used for 0-dim intersection output)."""
-    splits_a: Dict[Segment, List[Coord]] = {}
-    splits_b: Dict[Segment, List[Coord]] = {}
+    boundaries: Sequence[Sequence[Segment]],
+) -> Tuple[List[_Piece], List[Coord]]:
+    """Split every operand's segments at their intersections with the other
+    operands' segments; also return the intersection points themselves
+    (used for 0-dim intersection output)."""
+    splits: Dict[Tuple[int, Segment], List[Coord]] = {}
     crossing_points: List[Coord] = []
-    by_x = sorted(segs_a, key=MIN_X), sorted(segs_b, key=MIN_X)
-    for s, t in box_pairs(*by_x, 0.0):
-        hit = segment_intersection(s[0], s[1], t[0], t[1])
+    boxes = [
+        (s[4], s[5], s[6], s[7], k, (k, s))
+        for k, segments in enumerate(boundaries) for s in segments
+    ]
+    for s, t in _meeting(boxes):
+        hit = segment_intersection(s[1][0], s[1][1], t[1][0], t[1][1])
         if hit is None:
             continue
         for p in hit if isinstance(hit[0], tuple) else (hit,):
-            splits_a.setdefault(s, []).append(p)
-            splits_b.setdefault(t, []).append(p)
+            splits.setdefault(s, []).append(p)
+            splits.setdefault(t, []).append(p)
             crossing_points.append(p)
-    pieces_a = _make_pieces(segs_a, splits_a, owner=0)
-    pieces_b = _make_pieces(segs_b, splits_b, owner=1)
-    return pieces_a, pieces_b, crossing_points
+    pieces = [
+        piece for k, segments in enumerate(boundaries)
+        for piece in _make_pieces(segments, splits, k)
+    ]
+    return pieces, crossing_points
 
 
 def _make_pieces(
     segments: Sequence[Segment],
-    splits: Dict[Segment, List[Coord]],
+    splits: Dict[Tuple[int, Segment], List[Coord]],
     owner: int,
 ) -> List[_Piece]:
     pieces: List[_Piece] = []
     for segment in segments:
         a, b = segment[:2]
-        cuts = splits.get(segment)
+        cuts = splits.get((owner, segment))
         if not cuts:
             pieces.append(_Piece(a, b, owner))
             continue
@@ -123,10 +149,12 @@ def _make_pieces(
             {(_clamp01(param(p)), _key(p)): p for p in cuts}.items()
         )
         waypoints: List[Coord] = [a]
-        for (t, _k), p in ordered:
-            if 0.0 < t < 1.0 and _key(p) != _key(waypoints[-1]):
+        last = _key(a)
+        for (t, k), p in ordered:
+            if 0.0 < t < 1.0 and k != last:
                 waypoints.append(p)
-        if _key(b) != _key(waypoints[-1]):
+                last = k
+        if _key(b) != last:
             waypoints.append(b)
         for s, e in zip(waypoints, waypoints[1:]):
             pieces.append(_Piece(s, e, owner))
@@ -138,84 +166,82 @@ def _clamp01(t: float) -> float:
 
 
 def overlay(
-    a: Geometry, b: Geometry, op: str
+    operands: Sequence[Geometry], op: str
 ) -> Tuple[List[Tuple[Tuple[Coord, ...], List[Tuple[Coord, ...]]]],
            List[Tuple[Coord, Coord]], List[Coord]]:
-    """Low-level areal overlay.
+    """Low-level areal overlay of any number of operands, in one pass.
 
-    Returns ``(polygons, line_pieces, touch_points)`` where polygons is a
-    list of (shell, holes) coordinate rings. Line pieces and touch points
-    are only populated for ``op='intersection'`` (they describe the
-    lower-dimensional portion of the intersection, which ``ST_Intersection``
-    must report when polygons share edges or corners without overlapping).
+    Every operand's boundary is split once; the pieces that coincide
+    (*twins*, one per operand that has the edge) are labelled together,
+    each operand that owns none locating the piece midpoint only when its
+    envelope comes near the piece's owner; the kept pieces are stitched
+    once. Returns ``(polygons, line_pieces, touch_points)`` where polygons
+    is a list of (shell, holes) coordinate rings. Line pieces and touch
+    points are only populated for ``op='intersection'`` (they describe the
+    lower-dimensional portion of the intersection, which
+    ``ST_Intersection`` must report when polygons share edges or corners
+    without overlapping).
     """
     if op not in OPS:
         raise ValueError(f"unknown overlay op {op!r}")
     boolean = OPS[op]
-    segs_a = _boundary_segments(a)
-    segs_b = _boundary_segments(b)
-    pieces_a, pieces_b, crossings = _split_segments(segs_a, segs_b)
+    boundaries = [_boundary_segments(g) for g in operands]
+    prepared = [prepare(g) for g in operands]
+    every = (1 << len(operands)) - 1
+    pieces, crossings = _split_segments(boundaries)
 
-    coincident: Dict[tuple, _Piece] = {}
-    for piece in pieces_a:
-        coincident[_edge_key(piece.start, piece.end)] = piece
+    near: List[List[int]] = [[] for _g in operands]
+    for k, m in _meeting([
+        (p.env.min_x - p.pad, p.env.min_y - p.pad,
+         p.env.max_x + p.pad, p.env.max_y + p.pad, k, k)
+        for k, p in enumerate(prepared)
+    ]):
+        near[k].append(m)
+        near[m].append(k)
+    twins: Dict[tuple, List[_Piece]] = {}
+    for piece in pieces:
+        twins.setdefault(_edge_key(piece.start, piece.end), []).append(piece)
 
     kept: List[Tuple[Coord, Coord]] = []
     shared_line_pieces: List[Tuple[Coord, Coord]] = []
-
-    for piece in pieces_a:
-        where = locate(piece.mid, b)
-        if where is _INT:
-            left_b = right_b = True
-        elif where is _EXT:
-            left_b = right_b = False
-        else:
-            twin = _find_twin(piece, pieces_b)
-            if twin is None:
-                left_b, right_b = _probe_sides(piece, b)
+    for group in twins.values():
+        piece = group[0]
+        # masks of the operands with interior on the piece's left, on its
+        # right, and with the piece on their boundary
+        left, right = 1 << piece.owner, 0
+        on = left
+        for twin in group[1:]:
+            bit = 1 << twin.owner
+            on |= bit
+            if _same_direction(piece, twin):
+                left |= bit
             else:
-                same_dir = _same_direction(piece, twin)
-                # twin's interior (B's) is on the twin's left
-                left_b = same_dir  # B-interior on A-piece's left?
-                right_b = not same_dir
-        left_in = boolean(True, left_b)
-        right_in = boolean(False, right_b)
-        if left_in != right_in:
+                right |= bit
+        for k in near[piece.owner]:
+            bit = 1 << k
+            if on & bit:
+                continue
+            where = prepared[k].locate(piece.mid)
+            if where is _INT:
+                left |= bit
+                right |= bit
+            elif where is _BND:
+                on |= bit
+                in_left, in_right = _probe_sides(piece, prepared[k])
+                left |= bit if in_left else 0
+                right |= bit if in_right else 0
+        left_in = boolean(left, every)
+        if left_in != boolean(right, every):
             kept.append(
                 (piece.start, piece.end) if left_in else (piece.end, piece.start)
             )
-        elif (
-            op == "intersection"
-            and not left_in
-            and where is _BND
-        ):
+        elif op == "intersection" and not left_in and on == every:
             shared_line_pieces.append((piece.start, piece.end))
-
-    twin_keys = {
-        _edge_key(p.start, p.end) for p in pieces_a
-    }
-    for piece in pieces_b:
-        if _edge_key(piece.start, piece.end) in twin_keys:
-            continue  # handled (or deliberately dropped) via the A twin
-        where = locate(piece.mid, a)
-        if where is _INT:
-            left_a = right_a = True
-        elif where is _EXT:
-            left_a = right_a = False
-        else:
-            left_a, right_a = _probe_sides(piece, a)
-        left_in = boolean(left_a, True)
-        right_in = boolean(right_a, False)
-        if left_in != right_in:
-            kept.append(
-                (piece.start, piece.end) if left_in else (piece.end, piece.start)
-            )
 
     polygons = _stitch(kept)
 
     touch_points: List[Coord] = []
     if op == "intersection":
-        line_keys = {_edge_key(s, e) for s, e in shared_line_pieces}
         kept_nodes = set()
         for shell, holes in polygons:
             for ring in [shell] + holes:
@@ -230,21 +256,9 @@ def overlay(
             if k in seen or k in kept_nodes or k in line_nodes:
                 continue
             seen.add(k)
-            if (
-                locate(p, a) is not _EXT
-                and locate(p, b) is not _EXT
-            ):
+            if all(g.locate(p) is not _EXT for g in prepared):
                 touch_points.append(p)
-        del line_keys
     return polygons, shared_line_pieces, touch_points
-
-
-def _find_twin(piece: _Piece, pieces_other: List[_Piece]) -> Optional[_Piece]:
-    key = _edge_key(piece.start, piece.end)
-    for other in pieces_other:
-        if _edge_key(other.start, other.end) == key:
-            return other
-    return None
 
 
 def _same_direction(p: _Piece, q: _Piece) -> bool:
@@ -253,7 +267,7 @@ def _same_direction(p: _Piece, q: _Piece) -> bool:
     return dx1 * dx2 + dy1 * dy2 > 0.0
 
 
-def _probe_sides(piece: _Piece, other: Geometry) -> Tuple[bool, bool]:
+def _probe_sides(piece: _Piece, other: Prepared) -> Tuple[bool, bool]:
     """Numeric fallback: probe both sides of the piece against ``other``."""
     dx, dy = piece.end[0] - piece.start[0], piece.end[1] - piece.start[1]
     norm = math.hypot(dx, dy)
@@ -262,8 +276,8 @@ def _probe_sides(piece: _Piece, other: Geometry) -> Tuple[bool, bool]:
     left = (piece.mid[0] + eps * ux, piece.mid[1] + eps * uy)
     right = (piece.mid[0] - eps * ux, piece.mid[1] - eps * uy)
     return (
-        locate(left, other) is _INT,
-        locate(right, other) is _INT,
+        other.locate(left) is _INT,
+        other.locate(right) is _INT,
     )
 
 
@@ -283,6 +297,7 @@ def _stitch(
         if used[start_idx]:
             continue
         ring: List[Coord] = [edges[start_idx][0]]
+        ring_key = _key(ring[0])
         cur = start_idx
         used[cur] = True
         guard = 0
@@ -292,11 +307,12 @@ def _stitch(
                 raise TopologyError("overlay stitching failed to close a ring")
             s, e = edges[cur]
             ring.append(e)
-            if _key(e) == _key(ring[0]):
+            end_key = _key(e)
+            if end_key == ring_key:
                 rings.append(ring)
                 break
             candidates = [
-                i for i in out_edges.get(_key(e), ()) if not used[i]
+                i for i in out_edges.get(end_key, ()) if not used[i]
             ]
             if not candidates:
                 # dangling chain: numerical casualty — drop it
@@ -389,9 +405,9 @@ def polygons_from_overlay(
     return MultiPolygon(built)
 
 
-def overlay_areal(a: Geometry, b: Geometry, op: str) -> Optional[Geometry]:
+def overlay_areal(operands: Sequence[Geometry], op: str) -> Optional[Geometry]:
     """Areal part of the boolean result (None when it has no area)."""
-    parts, _lines, _pts = overlay(a, b, op)
+    parts, _lines, _pts = overlay(operands, op)
     geom = polygons_from_overlay(parts)
     if geom is not None and geom_area(geom) < 1e-15:
         return None

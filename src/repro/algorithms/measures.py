@@ -9,7 +9,7 @@ import math
 from typing import Tuple
 
 from repro.algorithms.location import Location, locate_in_polygon
-from repro.errors import GeometryError
+from repro.errors import GeometryError, TopologyError
 from repro.geometry.base import Geometry
 from repro.geometry.collection import GeometryCollection
 from repro.geometry.linestring import LineString, MultiLineString
@@ -186,7 +186,7 @@ def _polygon_interior_point(poly: Polygon) -> Point:
         )
         if locate_in_polygon(probe, poly) is Location.INTERIOR:
             return Point(*probe)
-    raise GeometryError("could not find an interior point")
+    raise TopologyError("could not find an interior point")
 
 
 def num_points(geom: Geometry) -> int:

@@ -10,6 +10,7 @@ classifying pieces — the same split-and-sample idea the DE-9IM engine uses.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import List, Optional, Sequence, Tuple
 
 from repro.algorithms import clipping
@@ -192,7 +193,7 @@ def intersection(a: Geometry, b: Geometry) -> Geometry:
     if _is_lineal(a) and _is_lineal(b):
         return _line_line_intersection(a, b)
     if _is_areal(a) and _is_areal(b):
-        parts, line_pieces, touch_pts = clipping.overlay(a, b, "intersection")
+        parts, line_pieces, touch_pts = clipping.overlay((a, b), "intersection")
         members: List[Geometry] = []
         areal = clipping.polygons_from_overlay(parts)
         if areal is not None:
@@ -265,7 +266,7 @@ def union(a: Geometry, b: Geometry) -> Geometry:
     if _is_areal(a) and _is_areal(b):
         if not a.envelope.intersects(b.envelope):
             return _collect([a, b])
-        merged = clipping.overlay_areal(a, b, "union")
+        merged = clipping.overlay_areal((a, b), "union")
         if merged is None:  # degenerate: fall back to collecting
             return _collect([a, b])
         return merged
@@ -288,18 +289,16 @@ def union(a: Geometry, b: Geometry) -> Geometry:
 
 
 def union_all(geoms: Sequence[Geometry]) -> Geometry:
-    """Cascaded union (balanced tree, the way ``ST_Union(agg)`` works)."""
+    """Union of every geometry (``ST_Union(agg)``): the areal members in one
+    overlay pass, then each other member unioned into that."""
     items = [g for g in geoms if g is not None and not g.is_empty]
-    if not items:
-        return EMPTY
-    while len(items) > 1:
-        merged: List[Geometry] = []
-        for i in range(0, len(items) - 1, 2):
-            merged.append(union(items[i], items[i + 1]))
-        if len(items) % 2:
-            merged.append(items[-1])
-        items = merged
-    return items[0]
+    areal = [g for g in items if _is_areal(g)]
+    merged = areal[0] if len(areal) == 1 else EMPTY
+    if len(areal) > 1:
+        merged = clipping.overlay_areal(areal, "union")
+        if merged is None:  # degenerate: fall back to collecting
+            merged = _collect(areal)
+    return reduce(union, [g for g in items if not _is_areal(g)], merged)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +327,7 @@ def difference(a: Geometry, b: Geometry) -> Geometry:
     if _is_areal(a):
         if b.dimension < 2:
             return a  # removing measure-zero sets leaves the area intact
-        result = clipping.overlay_areal(a, b, "difference")
+        result = clipping.overlay_areal((a, b), "difference")
         return result if result is not None else EMPTY
     if isinstance(a, GeometryCollection):
         return _collect([difference(m, b) for m in a.geoms])
@@ -344,7 +343,7 @@ def sym_difference(a: Geometry, b: Geometry) -> Geometry:
     if _is_areal(a) and _is_areal(b):
         if not a.envelope.intersects(b.envelope):
             return _collect([a, b])
-        result = clipping.overlay_areal(a, b, "sym_difference")
+        result = clipping.overlay_areal((a, b), "sym_difference")
         return result if result is not None else EMPTY
     if a.dimension == b.dimension:
         return _collect([difference(a, b), difference(b, a)])

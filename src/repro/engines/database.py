@@ -36,7 +36,6 @@ from repro.errors import (
     SqlProgrammingError,
 )
 from repro.faults import FAULTS
-from repro.geometry.base import Geometry
 from repro.guard import CancelToken, ExecutionGuard, Guardrails
 from repro.index import make_index
 from repro.index.base import SpatialIndex
@@ -57,7 +56,7 @@ from repro.sql.parser import parse
 from repro.sql.planner import Planner, is_txn_control
 from repro.storage.catalog import Catalog, IndexEntry
 from repro.storage.durability import NoDurability, index_record
-from repro.storage.table import Column, ColumnType, Table
+from repro.storage.table import Column, ColumnType, Table, stored_envelope
 from repro.txn import ACTIVE, Session, TxnManager, Transaction
 from repro.txn.locks import SharedExclusiveLock
 
@@ -801,9 +800,9 @@ class Database:
             if entry.is_key:
                 entry.index.insert(row_id, row)
                 continue
-            geom = row[table.column_index(entry.column_name)]
-            if isinstance(geom, Geometry):
-                entry.index.insert(row_id, geom.envelope)
+            env = stored_envelope(row[table.column_index(entry.column_name)])
+            if env is not None:
+                entry.index.insert(row_id, env)
 
     def _index_remove(self, table: Table, row_id: int) -> None:
         """Drop one heap row's entries from every index on its table."""
@@ -814,9 +813,9 @@ class Database:
             if entry.is_key:
                 entry.index.remove(row_id, row)
                 continue
-            geom = row[table.column_index(entry.column_name)]
-            if isinstance(geom, Geometry):
-                entry.index.remove(row_id, geom.envelope)
+            env = stored_envelope(row[table.column_index(entry.column_name)])
+            if env is not None:
+                entry.index.remove(row_id, env)
 
     def _chosen_rows(self, stmt, ctx: ExecContext):
         """``(row ids, batch)`` of the rows a DELETE or UPDATE targets:
@@ -934,11 +933,12 @@ class Database:
     def _build_index(
         self, table: Table, column_name: str, kind: str
     ) -> SpatialIndex:
-        idx = table.column_index(column_name)
+        # the table's envelope array: None for a deleted slot, NULL and an
+        # empty geometry alike
         items = [
-            (row_id, row[idx].envelope)
-            for row_id, row in table.scan()
-            if isinstance(row[idx], Geometry)
+            (row_id, env)
+            for row_id, env in enumerate(table.envelopes(column_name))
+            if env is not None
         ]
         from repro.index import INDEX_KINDS
 

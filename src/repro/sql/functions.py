@@ -656,7 +656,7 @@ class MaxAgg(Aggregate):
 
 
 class UnionAgg(Aggregate):
-    """``ST_Union(geom)`` as an aggregate: cascaded union of the group."""
+    """``ST_Union(geom)`` as an aggregate: one-pass union of the group."""
 
     def __init__(self) -> None:
         self.geoms: List[Geometry] = []

@@ -61,6 +61,14 @@ class Column:
         return f"Column({self.name!r}, {self.type.value})"
 
 
+def stored_envelope(value: Any) -> Optional[Envelope]:
+    """The envelope a stored value is indexed and sampled by: None for
+    NULL and for an empty geometry, which has no extent to index."""
+    if isinstance(value, Geometry) and not value.is_empty:
+        return value.envelope
+    return None
+
+
 def _coerce(value: Any, col: Column) -> Any:
     """Validate/coerce a Python value for storage in ``col``."""
     if value is None:
@@ -179,8 +187,7 @@ class Table:
         if xmin:
             self.mvcc_versions += 1
         for position in self._geom_positions:
-            geom = row[position]
-            env = geom.envelope if isinstance(geom, Geometry) else None
+            env = stored_envelope(row[position])
             self._envelopes[position].append(env)
             self.stats.geometry[self.columns[position].name].add(env)
         self.rows.append(row)
@@ -289,8 +296,7 @@ class Table:
                 for value, col in zip(values, self.columns)
             )
             for position in self._geom_positions:
-                geom = row[position]
-                env = geom.envelope if isinstance(geom, Geometry) else None
+                env = stored_envelope(row[position])
                 self._envelopes[position].append(env)
                 self.stats.geometry[self.columns[position].name].add(env)
             self.rows.append(row)

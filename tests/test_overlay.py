@@ -1,16 +1,23 @@
 """Unit tests for set-theoretic operations (intersection/union/difference/
 symmetric difference) across geometry type combinations."""
 
+import functools
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.algorithms import (
     area,
+    buffer,
+    clipping,
     difference,
     intersection,
     sym_difference,
     union,
     union_all,
 )
+from repro.algorithms.buffer import segment_capsule
 from repro.geometry import (
     EMPTY,
     GeometryCollection,
@@ -113,6 +120,16 @@ class TestArealUnion:
 
     def test_union_all_empty_list(self):
         assert union_all([]).is_empty
+
+    def test_union_all_adds_lower_dimensions_to_the_areal_union(
+        self, unit_square, shifted_square
+    ):
+        got = union_all(
+            [Point(5, 5), unit_square, Point(50, 50), shifted_square, EMPTY]
+        )
+        assert isinstance(got, GeometryCollection)
+        assert got.area() == pytest.approx(175.0)
+        assert [g for g in got.geoms if g.dimension == 0] == [Point(50, 50)]
 
 
 class TestArealDifference:
@@ -237,3 +254,73 @@ class TestMixedAndEmpty:
         assert union(EMPTY, unit_square) == unit_square
         assert difference(unit_square, EMPTY) == unit_square
         assert sym_difference(EMPTY, unit_square) == unit_square
+
+
+# ---------------------------------------------------------------------------
+# union_all in one pass == the pairwise fold
+# ---------------------------------------------------------------------------
+
+
+def _square(x, y, size=1.0):
+    return Polygon([(x, y), (x + size, y), (x + size, y + size), (x, y + size)])
+
+
+@st.composite
+def _capsule_chain(draw):
+    """Capsules around a walk on the grid; a repeated step is a collinear run."""
+    steps = draw(st.lists(
+        st.sampled_from([(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (2, -1)]),
+        min_size=1, max_size=7,
+    ))
+    walk = [(0.0, 0.0)]
+    for dx, dy in steps:
+        walk.append((walk[-1][0] + dx, walk[-1][1] + dy))
+    radius = draw(st.sampled_from([0.3, 0.5, 0.75]))
+    return [segment_capsule(a, b, radius, 2) for a, b in zip(walk, walk[1:])]
+
+
+_lattice = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    min_size=2, max_size=8, unique=True,
+).map(lambda cells: [_square(x, y) for x, y in cells])
+
+_contained = st.tuples(
+    st.integers(1, 3), st.integers(1, 3), st.integers(1, 2),
+).map(lambda t: [_square(0, 0, 6), _square(t[0], t[1], t[2]), _square(4, 4, 4)])
+
+_holed = st.tuples(st.integers(-1, 3), st.integers(-1, 3)).map(lambda t: [
+    Polygon([(0, 0), (6, 0), (6, 6), (0, 6)], holes=[[(2, 2), (4, 2), (4, 4), (2, 4)]]),
+    _square(t[0] + 0.5, t[1] + 0.5, 2),
+    _square(t[1], 5, 2),
+])
+
+_disjoint = st.lists(
+    st.integers(0, 9), min_size=2, max_size=5, unique=True,
+).map(lambda xs: [_square(10.0 * x, 3.0 * x, 2) for x in xs])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_capsule_chain(), _lattice, _contained, _holed, _disjoint))
+def test_union_all_equals_the_pairwise_fold(items):
+    one_pass = union_all(items)
+    folded = functools.reduce(union, items)
+    assert math.isclose(one_pass.area(), folded.area(), rel_tol=1e-12)
+    assert sym_difference(one_pass, folded).area() <= 1e-9 * folded.area()
+
+
+def test_buffer_of_a_line_nodes_its_capsules_in_one_overlay(monkeypatch):
+    """A 24-segment line's 24 capsules go through one ``clipping.overlay``
+    call; the cascaded pairwise union this replaced made 23."""
+    calls = []
+    real = clipping.overlay
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(clipping, "overlay", counted)
+    line = LineString([(10.0 * i, 3.0 * (i % 2)) for i in range(25)])
+    got = buffer(line, 2.0, 4)
+    assert len(calls) == 1
+    assert len(calls[0][0]) == 24
+    assert got.area() > line.length() * 4.0
