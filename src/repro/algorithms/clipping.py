@@ -1,7 +1,12 @@
-"""Areal boolean operations by segment arrangement and face stitching.
+"""Boolean operations by segment arrangement and face stitching.
 
-The classic clipper pipeline, implemented over this library's own
-primitives:
+The one noder: :func:`_split_segments` splits the segments of any
+operands that have them (polygon rings, lines, collections of either) at
+their mutual intersections, and both the areal overlay below and the line
+overlays of :mod:`repro.algorithms.overlay` take their pieces from it.
+
+The areal overlay is the classic clipper pipeline, implemented over this
+library's own primitives:
 
 1. split every operand's boundary segments at each intersection with
    another operand's (one sweep along x over all of them), so each
@@ -77,14 +82,17 @@ class _Piece:
         self.mid = ((start[0] + end[0]) / 2.0, (start[1] + end[1]) / 2.0)
 
 
-def _boundary_segments(geom: Geometry) -> Sequence[Segment]:
-    if not isinstance(geom, (Polygon, MultiPolygon)):
-        raise TypeError(
-            f"areal overlay requires polygons, got {type(geom).__name__}"
-        )
-    # ring order, whatever order refinement has put ``segments`` in: the
-    # stitched rings start where their first kept piece does
-    return [s for _env, rings in prepare(geom).areal for ring in rings for s in ring]
+def _boundary_segments(geom: Geometry) -> List[Segment]:
+    """The segments an operand is split along: a line's in line order, a
+    polygon's in ring order (whatever order refinement has put
+    ``segments`` in: the stitched rings start where their first kept piece
+    does), a collection's member by member."""
+    prepared = prepare(geom)
+    if not (prepared.lineal or prepared.areal):
+        raise TypeError(f"overlay has no segments to split in {type(geom).__name__}")
+    return [s for _ends, line in prepared.lineal for s in line] + [
+        s for _env, rings in prepared.areal for ring in rings for s in ring
+    ]
 
 
 def _meeting(boxes: List[tuple]) -> Iterator[Tuple[object, object]]:

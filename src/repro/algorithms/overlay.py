@@ -2,20 +2,20 @@
 symmetric difference — the ``ST_Intersection`` / ``ST_Union`` /
 ``ST_Difference`` / ``ST_SymDifference`` family.
 
-Areal × areal cases delegate to the clipper in
-:mod:`repro.algorithms.clipping`; mixed-dimension cases are computed by
-splitting the lower-dimensional operand at the other's boundary and
-classifying pieces — the same split-and-sample idea the DE-9IM engine uses.
+Every case with segments is noded by :mod:`repro.algorithms.clipping`:
+areal × areal cases are its overlay; a line against a line, a polygon or a
+collection is split there in the same sweep, and its pieces are kept by
+their twins in the other operand or, without one, by where their midpoint
+lies (:func:`_line_overlay`). Points are located directly.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.algorithms import clipping
-from repro.algorithms.location import Location, locate
-from repro.algorithms.predicates import segment_intersection
+from repro.algorithms.location import Location, locate, prepare
 from repro.errors import GeometryError
 from repro.geometry.base import Coord, Geometry
 from repro.geometry.collection import EMPTY, GeometryCollection
@@ -23,7 +23,7 @@ from repro.geometry.linestring import LineString, MultiLineString
 from repro.geometry.point import MultiPoint, Point
 from repro.geometry.polygon import MultiPolygon, Polygon
 
-_INT, _BND, _EXT = Location.INTERIOR, Location.BOUNDARY, Location.EXTERIOR
+_EXT = Location.EXTERIOR
 
 
 def _is_areal(geom: Geometry) -> bool:
@@ -76,98 +76,37 @@ def _collect(members: Sequence[Geometry]) -> Geometry:
     return GeometryCollection(flat)
 
 
-def _line_segments(geom: Geometry) -> List[Tuple[Coord, Coord]]:
-    return list(geom.segments())  # type: ignore[union-attr]
-
-
-def _split_line_at(geom: Geometry, other: Geometry) -> List[Tuple[Coord, Coord]]:
-    """All segments of lineal ``geom`` split at intersections with the
-    boundary segments (or segments) of ``other``."""
-    if _is_areal(other):
-        other_segs = [s[:2] for s in clipping._boundary_segments(other)]
-    elif _is_lineal(other):
-        other_segs = _line_segments(other)
-    else:
-        other_segs = []
-    pieces: List[Tuple[Coord, Coord]] = []
-    for a, b in _line_segments(geom):
-        cuts: List[Coord] = []
-        for c, d in other_segs:
-            hit = segment_intersection(a, b, c, d)
-            if hit is None:
-                continue
-            if isinstance(hit, tuple) and hit and isinstance(hit[0], tuple):
-                cuts.extend(hit)
-            else:
-                cuts.append(hit)  # type: ignore[arg-type]
-        if _is_puntal(other):
-            for p in _points_of(other):
-                from repro.algorithms.predicates import on_segment
-
-                if on_segment(p, a, b):
-                    cuts.append(p)
-        pieces.extend(_cut_segment(a, b, cuts))
-    return pieces
-
-
-def _cut_segment(
-    a: Coord, b: Coord, cuts: List[Coord]
-) -> List[Tuple[Coord, Coord]]:
-    if not cuts:
-        return [(a, b)]
-    dx, dy = b[0] - a[0], b[1] - a[1]
-    use_x = abs(dx) >= abs(dy)
-
-    def param(p: Coord) -> float:
-        return (p[0] - a[0]) / dx if use_x else (p[1] - a[1]) / dy
-
-    waypoints = [a]
-    for t, p in sorted((param(p), p) for p in cuts):
-        if 1e-12 < t < 1.0 - 1e-12 and p != waypoints[-1]:
-            waypoints.append(p)
-    waypoints.append(b)
-    return [(s, e) for s, e in zip(waypoints, waypoints[1:]) if s != e]
-
-
 def _merge_pieces(pieces: List[Tuple[Coord, Coord]]) -> List[LineString]:
-    """Chain contiguous pieces into maximal linestrings."""
-    if not pieces:
-        return []
-    remaining = list(pieces)
+    """Chain contiguous pieces into maximal linestrings, in the order the
+    pieces come: each chain starts at the first piece not yet used and
+    follows the pieces that share its ends, forward and then back."""
+    at: Dict[Coord, List[int]] = {}
+    for i, piece in enumerate(pieces):
+        for p in piece:
+            at.setdefault(p, []).append(i)
+    used = [False] * len(pieces)
+
+    def follow(end: Coord) -> List[Coord]:
+        """The far ends of the unused pieces chained on from ``end``."""
+        chain = []
+        while True:
+            for i in at[end]:
+                if not used[i]:
+                    break
+            else:
+                return chain
+            used[i] = True
+            s, e = pieces[i]
+            end = e if s == end else s
+            chain.append(end)
+
     lines: List[LineString] = []
-    while remaining:
-        start, end = remaining.pop()
-        chain = [start, end]
-        extended = True
-        while extended:
-            extended = False
-            for i, (s, e) in enumerate(remaining):
-                if s == chain[-1]:
-                    chain.append(e)
-                    remaining.pop(i)
-                    extended = True
-                    break
-                if e == chain[-1]:
-                    chain.append(s)
-                    remaining.pop(i)
-                    extended = True
-                    break
-                if e == chain[0]:
-                    chain.insert(0, s)
-                    remaining.pop(i)
-                    extended = True
-                    break
-                if s == chain[0]:
-                    chain.insert(0, e)
-                    remaining.pop(i)
-                    extended = True
-                    break
-        lines.append(LineString(chain))
+    for i, (s, e) in enumerate(pieces):
+        if not used[i]:
+            used[i] = True
+            ahead = follow(e)
+            lines.append(LineString(follow(s)[::-1] + [s, e] + ahead))
     return lines
-
-
-def _midpoint(a: Coord, b: Coord) -> Coord:
-    return ((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -186,12 +125,10 @@ def intersection(a: Geometry, b: Geometry) -> Geometry:
         return _collect([Point(*p) for p in hits])
     if _is_puntal(b):
         return intersection(b, a)
-    if _is_lineal(a) and _is_areal(b):
-        return _line_areal_intersection(a, b)
+    if _is_lineal(a) and (_is_areal(b) or _is_lineal(b)):
+        return _line_overlay(a, b, "intersection")
     if _is_areal(a) and _is_lineal(b):
-        return _line_areal_intersection(b, a)
-    if _is_lineal(a) and _is_lineal(b):
-        return _line_line_intersection(a, b)
+        return _line_overlay(b, a, "intersection")
     if _is_areal(a) and _is_areal(b):
         parts, line_pieces, touch_pts = clipping.overlay((a, b), "intersection")
         members: List[Geometry] = []
@@ -210,45 +147,44 @@ def intersection(a: Geometry, b: Geometry) -> Geometry:
     )
 
 
-def _line_areal_intersection(line: Geometry, areal: Geometry) -> Geometry:
-    kept: List[Tuple[Coord, Coord]] = []
-    touch: List[Coord] = []
-    for s, e in _split_line_at(line, areal):
-        where = locate(_midpoint(s, e), areal)
-        if where is not _EXT:
-            kept.append((s, e))
-        else:
-            for p in (s, e):
-                if locate(p, areal) is not _EXT:
-                    touch.append(p)
-    members: List[Geometry] = list(_merge_pieces(kept))
-    covered = set()
-    for ln in members:
-        covered.update(ln.coords)  # type: ignore[union-attr]
-    for p in dict.fromkeys(touch):
-        if p not in covered:
-            members.append(Point(*p))
-    return _collect(members)
+def _line_overlay(line: Geometry, other: Geometry, op: str) -> Geometry:
+    """``line ∩ other``, ``line − other`` or ``line ∪ other`` (``other``
+    lineal too), from one split of both operands' segments.
 
+    A piece that has a twin in the other operand (the same rounded end
+    points) lies on it because the split says so; only a twinless piece
+    locates its midpoint. The points of an intersection are the crossings
+    that no kept piece covers.
+    """
+    pieces, crossings = clipping._split_segments(
+        [clipping._boundary_segments(line), clipping._boundary_segments(other)]
+    )
+    keys = [clipping._edge_key(p.start, p.end) for p in pieces]
+    edges: Tuple[set, set] = (set(), set())
+    for piece, key in zip(pieces, keys):
+        edges[piece.owner].add(key)
+    prepared = (prepare(line), prepare(other))
 
-def _line_line_intersection(a: Geometry, b: Geometry) -> Geometry:
-    kept: List[Tuple[Coord, Coord]] = []
-    points: List[Coord] = []
-    for s, e in _split_line_at(a, b):
-        mid = _midpoint(s, e)
-        if locate(mid, b) is not _EXT:
-            kept.append((s, e))
-        else:
-            for p in (s, e):
-                if locate(p, b) is not _EXT and locate(p, a) is not _EXT:
-                    points.append(p)
-    members: List[Geometry] = list(_merge_pieces(kept))
-    covered = set()
-    for ln in members:
-        covered.update(ln.coords)  # type: ignore[union-attr]
-    for p in dict.fromkeys(points):
-        if p not in covered:
-            members.append(Point(*p))
+    def in_the_other(piece, key) -> bool:
+        k = 1 - piece.owner
+        return key in edges[k] or prepared[k].locate(piece.mid) is not _EXT
+
+    if op == "union":
+        kept = [
+            p for p, key in zip(pieces, keys)
+            if p.owner == 0 or not in_the_other(p, key)
+        ]
+    else:
+        inside = op == "intersection"
+        kept = [
+            p for p, key in zip(pieces, keys)
+            if p.owner == 0 and in_the_other(p, key) is inside
+        ]
+    members: List[Geometry] = list(_merge_pieces([(p.start, p.end) for p in kept]))
+    if op == "intersection" and crossings:
+        covered = {clipping._key(q) for p in kept for q in (p.start, p.end)}
+        points = {clipping._key(q): q for q in crossings}
+        members.extend(Point(*q) for k, q in points.items() if k not in covered)
     return _collect(members)
 
 
@@ -274,13 +210,7 @@ def union(a: Geometry, b: Geometry) -> Geometry:
         coords = list(dict.fromkeys(_points_of(a) + _points_of(b)))
         return _collect([Point(*p) for p in coords])
     if _is_lineal(a) and _is_lineal(b):
-        pieces = _split_line_at(a, b)
-        pieces += [
-            (s, e)
-            for s, e in _split_line_at(b, a)
-            if locate(_midpoint(s, e), a) is _EXT
-        ]
-        return _collect(_merge_pieces(pieces))
+        return _line_overlay(a, b, "union")
     # mixed dimensions: keep the lower-dimensional part not absorbed by the
     # higher-dimensional operand
     hi, lo = (a, b) if a.dimension >= b.dimension else (b, a)
@@ -318,12 +248,7 @@ def difference(a: Geometry, b: Geometry) -> Geometry:
     if _is_lineal(a):
         if b.dimension == 0:
             return a  # removing isolated points leaves the line intact
-        kept_segments = [
-            (s, e)
-            for s, e in _split_line_at(a, b)
-            if locate(_midpoint(s, e), b) is _EXT
-        ]
-        return _collect(_merge_pieces(kept_segments))
+        return _line_overlay(a, b, "difference")
     if _is_areal(a):
         if b.dimension < 2:
             return a  # removing measure-zero sets leaves the area intact
@@ -345,6 +270,4 @@ def sym_difference(a: Geometry, b: Geometry) -> Geometry:
             return _collect([a, b])
         result = clipping.overlay_areal((a, b), "sym_difference")
         return result if result is not None else EMPTY
-    if a.dimension == b.dimension:
-        return _collect([difference(a, b), difference(b, a)])
     return _collect([difference(a, b), difference(b, a)])

@@ -127,9 +127,9 @@ class Envelope:
         )
 
     def contains(self, other: "Envelope") -> bool:
+        # ``other.min_x <= other.max_x``: nothing contains the empty envelope
         return (
-            self.min_x <= other.min_x
-            and self.max_x >= other.max_x
+            self.min_x <= other.min_x <= other.max_x <= self.max_x
             and self.min_y <= other.min_y
             and self.max_y >= other.max_y
         )
@@ -221,6 +221,13 @@ class Envelope:
         return (self.min_x, self.min_y, self.max_x, self.max_y)
 
 
+#: the envelope of an empty geometry: inverted to infinity, so it meets no
+#: envelope, lies in none and contains none
+EMPTY_ENVELOPE = object.__new__(Envelope)
+EMPTY_ENVELOPE.min_x = EMPTY_ENVELOPE.min_y = math.inf
+EMPTY_ENVELOPE.max_x = EMPTY_ENVELOPE.max_y = -math.inf
+
+
 class Geometry:
     """Abstract base for all geometry classes.
 
@@ -266,15 +273,21 @@ class Geometry:
 
     @property
     def envelope(self) -> Envelope:
-        """The geometry's minimum bounding rectangle (cached)."""
+        """The geometry's minimum bounding rectangle (cached);
+        :data:`EMPTY_ENVELOPE` when the geometry is empty."""
         if self._envelope is None:
-            self._envelope = Envelope.from_coords(self.coords_iter())
+            self._envelope = (
+                EMPTY_ENVELOPE if self.is_empty
+                else Envelope.from_coords(self.coords_iter())
+            )
         return self._envelope
 
     def envelope_geometry(self) -> "Geometry":
         """The envelope as a Polygon geometry (``ST_Envelope`` semantics)."""
         from repro.geometry.polygon import Polygon
 
+        if self.is_empty:
+            return self
         env = self.envelope
         if env.width == 0.0 and env.height == 0.0:
             from repro.geometry.point import Point

@@ -700,9 +700,9 @@ class ExtentAgg(Aggregate):
         self.env: Optional[Envelope] = None
 
     def add(self, value: Any) -> None:
-        if value is None:
+        if value is None or _need_geometry(value, "ST_Extent").is_empty:
             return
-        env = _need_geometry(value, "ST_Extent").envelope
+        env = value.envelope
         self.env = env if self.env is None else self.env.union(env)
 
     def result(self) -> Optional[Geometry]:

@@ -26,7 +26,7 @@ from repro.sql.executor import (
     SeqScan,
 )
 from repro.storage.catalog import IndexEntry
-from repro.storage.table import Table
+from repro.storage.table import Table, stored_envelope
 
 
 def _beside(left: Batch, right: Batch) -> Batch:
@@ -438,12 +438,14 @@ def _open(
                 raise SqlPlanError(
                     f"spatial join expects geometry operands, got {value!r}"
                 )
-        batch = batch.select([value is not None for value in values])
+        # an empty geometry, like NULL, meets nothing and is not packed
+        boxes = list(map(stored_envelope, values))
+        batch = batch.select([box is not None for box in boxes])
         if not batch.size:
             continue
         if guard is not None:
             guard.reserve(batch.size, batch.row(0))
         parts.append(batch)
-        envelopes.extend(value.envelope for value in values if value is not None)
+        envelopes.extend(box for box in boxes if box is not None)
     packed = Batch.concat(parts)
     return RTree.bulk_load(enumerate(envelopes)), packed.take, None

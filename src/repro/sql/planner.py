@@ -57,7 +57,7 @@ from repro.sql.joins import (
 from repro.sql.functions import SPATIAL_PREDICATES, FunctionRegistry
 from repro.storage.catalog import Catalog
 from repro.storage.statistics import ColumnStats, estimate_join_pairs
-from repro.storage.table import Column, ColumnType, Table
+from repro.storage.table import Column, ColumnType, Table, stored_envelope
 
 #: predicates whose candidates can be produced by an envelope-intersects
 #: index probe (the probe envelope may be expanded, e.g. for ST_DWithin)
@@ -1120,13 +1120,11 @@ def _show(expr: ast.Expr) -> str:
 
 
 def _probe_envelope(value, radius) -> Optional[Envelope]:
-    if value is None:
-        return None
-    if not isinstance(value, Geometry):
+    if value is not None and not isinstance(value, Geometry):
         raise SqlPlanError(
             f"spatial index probe expects a geometry, got {value!r}"
         )
-    envelope = value.envelope
-    if radius is not None:
+    envelope = stored_envelope(value)  # None: an empty geometry meets nothing
+    if envelope is not None and radius is not None:
         envelope = envelope.expanded(float(radius))
     return envelope

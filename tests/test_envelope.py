@@ -4,8 +4,10 @@ import math
 
 import pytest
 
+from repro.engines.profiles import MBR_TESTS
 from repro.errors import GeometryError
-from repro.geometry import Envelope
+from repro.geometry import Envelope, GeometryCollection
+from repro.geometry.base import EMPTY_ENVELOPE
 
 
 class TestConstruction:
@@ -76,6 +78,14 @@ class TestRelations:
         assert outer.contains(Envelope(1, 1, 9, 9))
         assert outer.contains(outer)
         assert not Envelope(1, 1, 9, 9).contains(outer)
+
+    @pytest.mark.parametrize("name", sorted(MBR_TESTS))
+    def test_the_empty_envelope_is_disjoint_from_every_box(self, name):
+        empty = GeometryCollection([]).envelope
+        assert empty is EMPTY_ENVELOPE
+        for box in (Envelope(0, 0, 1, 1), Envelope(-1e300, -1e300, 1e300, 1e300)):
+            for pair in ((empty, box), (box, empty)):
+                assert MBR_TESTS[name](*pair) is (name == "st_disjoint")
 
     def test_contains_point(self):
         env = Envelope(0, 0, 2, 2)

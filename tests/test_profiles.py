@@ -171,6 +171,43 @@ class TestDegenerateOperands:
         assert db.execute("SELECT COUNT(*) FROM t").scalar() == 1
 
 
+    @pytest.mark.parametrize("engine", ["greenwood", "bluestem", "ironbark"])
+    def test_an_empty_geometry_meets_no_envelope(self, engine):
+        # as in PostGIS: the empty row is disjoint from the window, and
+        # every other test, the MBR ones included, is false for it
+        db = self._table(engine, "GEOMETRYCOLLECTION EMPTY", "POINT(0.5 0.5)")
+        window = "ST_MakeEnvelope(0, 0, 1, 1)"
+        tests = {
+            f"geom && {window}": 1,
+            f"ST_Intersects(geom, {window})": 1,
+            f"ST_Within(geom, {window})": 1,
+            f"ST_Contains({window}, geom)": 1,
+            f"ST_Disjoint(geom, {window})": 1,
+            f"ST_Disjoint({window}, geom)": 1,
+        }
+        joins = {"a.geom && b.geom": 1, "ST_Intersects(a.geom, b.geom)": 1}
+
+        def answers():
+            return (
+                {t: db.execute(f"SELECT COUNT(*) FROM t WHERE {t}").scalar() for t in tests},
+                {j: db.execute(f"SELECT COUNT(*) FROM t a, t b WHERE {j}").scalar()
+                 for j in joins},
+            )
+
+        assert answers() == (tests, joins)  # unindexed: the join packs both sides
+        db.execute("CREATE SPATIAL INDEX t_geom ON t (geom)")
+        for strategy in ("auto", "inlj", "tree", "nlj"):
+            db.join_strategy = strategy
+            assert answers() == (tests, joins), strategy
+        # and the envelope functions skip it (ST_Extent) or return it (ST_Envelope)
+        db.execute("INSERT INTO t VALUES (2, ST_GeomFromText('POINT(2 3)'))")
+        assert db.execute("SELECT ST_AsText(ST_Extent(geom)) FROM t").scalar() == (
+            "POLYGON ((0.5 0.5, 2 0.5, 2 3, 0.5 3, 0.5 0.5))"
+        )
+        envelope = "SELECT ST_AsText(ST_Envelope(geom)) FROM t WHERE id = 0"
+        assert db.execute(envelope).scalar() == "GEOMETRYCOLLECTION EMPTY"
+
+
 class TestProfileIndexDefault:
     def test_create_index_uses_profile_kind(self):
         db = Database("ironbark")
