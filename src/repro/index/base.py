@@ -77,17 +77,21 @@ class SpatialIndex:
         root = self.root
         if root is None or root.box is None or not root.box.intersects(envelope):
             return hits
-        intersects = envelope.intersects
+        x0, y0, x1, y1 = envelope.as_tuple()  # ``intersects``, written out below
         stack = [root]
         while stack:
             node = stack.pop()
             if node.entries:
                 hits.extend([
-                    item_id for item_id, env in node.entries if intersects(env)
+                    item_id for item_id, env in node.entries
+                    if not (env.min_x > x1 or env.max_x < x0
+                            or env.min_y > y1 or env.max_y < y0)
                 ])
             if node.children:
                 stack.extend([
-                    child for child in node.children if intersects(child.box)
+                    child for child in node.children
+                    if not ((box := child.box).min_x > x1 or box.max_x < x0
+                            or box.min_y > y1 or box.max_y < y0)
                 ])
         return hits
 

@@ -8,6 +8,8 @@ micro benchmark (J-T3) separates "load rows" from "build index" timings.
 
 Only building and maintenance live here: a leaf :class:`Node` holds
 entries, an inner node children, and :class:`SpatialIndex` walks them.
+Maintenance computes on the envelopes' floats and builds an Envelope only
+for a box that changes, making the choices the Envelope arithmetic would.
 """
 
 from __future__ import annotations
@@ -20,11 +22,9 @@ from repro.geometry.base import Envelope
 from repro.index.base import Node, SpatialIndex
 
 
-def _enlargement(env: Optional[Envelope], extra: Envelope) -> float:
-    if env is None:
-        return extra.area
-    merged = env.union(extra)
-    return merged.area - env.area
+def _cover(a: Tuple, b: Tuple) -> Tuple[float, float, float, float]:
+    """``Envelope.union`` on ``(min_x, min_y, max_x, max_y)`` tuples."""
+    return (min(a[0], b[0]), min(a[1], b[1]), max(a[2], b[2]), max(a[3], b[3]))
 
 
 def _recompute(node: Node) -> None:
@@ -33,22 +33,6 @@ def _recompute(node: Node) -> None:
         else [child.box for child in node.children]
     )
     node.box = Envelope.union_all(boxes) if boxes else None
-
-
-def _members(node: Node) -> List[Tuple[object, Envelope]]:
-    """``(member, envelope)`` pairs: the entries of a leaf, the
-    ``(child, box)`` pairs of an inner node."""
-    if node.children is None:
-        return node.entries  # type: ignore[return-value]
-    return [(child, child.box) for child in node.children]
-
-
-def _set_members(node: Node, members: List[Tuple[object, Envelope]]) -> None:
-    if node.children is None:
-        node.entries = members  # type: ignore[assignment]
-    else:
-        node.children = [child for child, _box in members]  # type: ignore[misc]
-    _recompute(node)
 
 
 class RTree(SpatialIndex):
@@ -67,89 +51,93 @@ class RTree(SpatialIndex):
     # -- insertion -----------------------------------------------------------
 
     def insert(self, item_id: int, envelope: Envelope) -> None:
-        leaf, path = self._choose_leaf(envelope)
-        leaf.entries.append((item_id, envelope))
+        x0, y0, x1, y1 = envelope.as_tuple()
+        path = [self.root]
+        while path[-1].children is not None:
+            # choose-leaf: the first child of least (enlargement, area)
+            best = None
+            for child in path[-1].children:
+                box = child.box
+                bx0, by0, bx1, by1 = box.min_x, box.min_y, box.max_x, box.max_y
+                area = (bx1 - bx0) * (by1 - by0)
+                grow = ((x1 if x1 > bx1 else bx1) - (x0 if x0 < bx0 else bx0)) * (
+                    (y1 if y1 > by1 else by1) - (y0 if y0 < by0 else by0)
+                ) - area
+                if best is None or grow < least or (grow == least and area < best_area):
+                    best, least, best_area = child, grow, area
+            path.append(best)
+        path[-1].entries.append((item_id, envelope))
         self._size += 1
-        self._adjust(leaf, path)
-
-    def _choose_leaf(self, env: Envelope) -> Tuple[Node, List[Node]]:
-        node = self.root
-        path: List[Node] = []
-        while node.children is not None:
-            path.append(node)
-            node = min(
-                node.children,
-                key=lambda child: (_enlargement(child.box, env), child.box.area),
-            )
-        return node, path
-
-    def _adjust(self, leaf: Node, path: List[Node]) -> None:
-        _recompute(leaf)
-        split = self._split(leaf) if len(leaf.entries) > self.max_entries else None
-        for parent in reversed(path):
+        # bottom up: an overfull node splits and its sibling joins the parent;
+        # a box grows to cover the envelope, and above one that covers it
+        # nothing changes (an empty root leaf takes the envelope as its box)
+        split: Optional[Node] = None
+        for node in reversed(path):
             if split is not None:
-                parent.children.append(split)  # type: ignore[union-attr]
-            _recompute(parent)
-            split = (
-                self._split(parent)
-                if len(parent.children) > self.max_entries  # type: ignore[arg-type]
-                else None
-            )
+                node.children.append(split)  # type: ignore[union-attr]
+            members = node.entries if node.children is None else node.children
+            if len(members) > self.max_entries:
+                split = self._split(node, members)
+                continue
+            split, box = None, node.box
+            if box is not None and box.contains(envelope):
+                return
+            node.box = envelope if box is None else box.union(envelope)
         if split is not None:  # the root itself split: grow the tree
             self.root = Node(None, children=[self.root, split])
             _recompute(self.root)
 
-    def _split(self, node: Node) -> Node:
-        """Quadratic split: seeds are the most wasteful pair."""
-        entries = _members(node)
-        worst = -math.inf
-        seed_a, seed_b = 0, 1
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                merged = entries[i][1].union(entries[j][1])
-                waste = merged.area - entries[i][1].area - entries[j][1].area
+    def _split(self, node: Node, members: list) -> Node:
+        """Quadratic split: seeds are the most wasteful pair, then the first member
+        of strongest preference joins the group it enlarges least, until one group
+        must take the rest; ``node`` keeps one group, the returned sibling the other."""
+        leaf = node.children is None
+        rects = [(b.min_x, b.min_y, b.max_x, b.max_y)
+                 for b in (m[1] if leaf else m.box for m in members)]
+        areas = [(x1 - x0) * (y1 - y0) for x0, y0, x1, y1 in rects]
+        worst, seeds = -math.inf, (0, 1)
+        for i, (ix0, iy0, ix1, iy1) in enumerate(rects):
+            for j in range(i + 1, len(rects)):
+                jx0, jy0, jx1, jy1 = rects[j]
+                waste = ((jx1 if jx1 > ix1 else ix1) - (jx0 if jx0 < ix0 else ix0)) * (
+                    (jy1 if jy1 > iy1 else iy1) - (jy0 if jy0 < iy0 else iy0)
+                ) - areas[i] - areas[j]
                 if waste > worst:
-                    worst = waste
-                    seed_a, seed_b = i, j
-        group_a = [entries[seed_a]]
-        group_b = [entries[seed_b]]
-        env_a = entries[seed_a][1]
-        env_b = entries[seed_b][1]
-        rest = [e for k, e in enumerate(entries) if k not in (seed_a, seed_b)]
+                    worst, seeds = waste, (i, j)
+        groups, boxes = ([seeds[0]], [seeds[1]]), [rects[seeds[0]], rects[seeds[1]]]
+        rest = [k for k in range(len(rects)) if k not in seeds]
         while rest:
-            # force-assign when one group must absorb all the rest
-            if len(group_a) + len(rest) <= self.min_entries:
-                group_a.extend(rest)
-                env_a = Envelope.union_all([env_a] + [e[1] for e in rest])
-                break
-            if len(group_b) + len(rest) <= self.min_entries:
-                group_b.extend(rest)
-                env_b = Envelope.union_all([env_b] + [e[1] for e in rest])
-                break
-            # pick the entry with the strongest preference
-            best_idx = max(
-                range(len(rest)),
-                key=lambda k: abs(
-                    _enlargement(env_a, rest[k][1])
-                    - _enlargement(env_b, rest[k][1])
-                ),
-            )
-            entry = rest.pop(best_idx)
-            grow_a = _enlargement(env_a, entry[1])
-            grow_b = _enlargement(env_b, entry[1])
-            if (grow_a, env_a.area, len(group_a)) <= (
-                grow_b,
-                env_b.area,
-                len(group_b),
-            ):
-                group_a.append(entry)
-                env_a = env_a.union(entry[1])
+            # a group that needs every member left takes them in order (the
+            # other never comes to need them too: 2 * min_entries <= max_entries)
+            if len(groups[0]) + len(rest) <= self.min_entries:
+                pick, chosen = 0, 0
+            elif len(groups[1]) + len(rest) <= self.min_entries:
+                pick, chosen = 0, 1
             else:
-                group_b.append(entry)
-                env_b = env_b.union(entry[1])
-        sibling = Node(None, children=None if node.children is None else [])
-        _set_members(node, group_a)
-        _set_members(sibling, group_b)
+                (ax0, ay0, ax1, ay1), (bx0, by0, bx1, by1) = boxes
+                area_a, area_b = (ax1 - ax0) * (ay1 - ay0), (bx1 - bx0) * (by1 - by0)
+                pick = None
+                for position, k in enumerate(rest):
+                    x0, y0, x1, y1 = rects[k]
+                    grow_a = ((x1 if x1 > ax1 else ax1) - (x0 if x0 < ax0 else ax0)) * (
+                        (y1 if y1 > ay1 else ay1) - (y0 if y0 < ay0 else ay0)
+                    ) - area_a
+                    grow_b = ((x1 if x1 > bx1 else bx1) - (x0 if x0 < bx0 else bx0)) * (
+                        (y1 if y1 > by1 else by1) - (y0 if y0 < by0 else by0)
+                    ) - area_b
+                    if pick is None or abs(grow_a - grow_b) > strongest:
+                        pick, strongest = position, abs(grow_a - grow_b)
+                        chosen = not (grow_a, area_a, len(groups[0])) <= (
+                            grow_b, area_b, len(groups[1]))
+            k = rest.pop(pick)
+            groups[chosen].append(k)
+            boxes[chosen] = _cover(boxes[chosen], rects[k])
+        node.box, sibling = Envelope(*boxes[0]), Node(Envelope(*boxes[1]))
+        kept, moved = ([members[k] for k in group] for group in groups)
+        if leaf:
+            node.entries, sibling.entries = kept, moved
+        else:
+            node.children, sibling.children = kept, moved
         return sibling
 
     # -- removal --------------------------------------------------------------
@@ -164,20 +152,28 @@ class RTree(SpatialIndex):
         return found
 
     def _remove_rec(self, node: Node, item_id: int, env: Envelope) -> bool:
+        """Remove the first entry equal to ``(item_id, env)``, depth first; a
+        box is recomputed only where ``env`` touched one of its edges."""
+        x0, y0, x1, y1 = env.as_tuple()
         if node.children is None:
-            for i, (stored_id, stored_env) in enumerate(node.entries):
-                if stored_id == item_id and stored_env == env:
-                    node.entries.pop(i)
-                    _recompute(node)
-                    return True
-            return False
-        for i, child in enumerate(node.children):
-            if child.box.intersects(env) and self._remove_rec(child, item_id, env):
-                if child.box is None:  # emptied
-                    node.children.pop(i)
-                _recompute(node)
-                return True
-        return False
+            try:
+                node.entries.remove((item_id, env))  # the first equal entry
+            except ValueError:
+                return False
+        else:
+            for i, child in enumerate(node.children):
+                box = child.box
+                if not (x0 > box.max_x or x1 < box.min_x or y0 > box.max_y
+                        or y1 < box.min_y) and self._remove_rec(child, item_id, env):
+                    if child.box is None:  # emptied
+                        del node.children[i]
+                    break
+            else:
+                return False
+        box = node.box
+        if x0 == box.min_x or y0 == box.min_y or x1 == box.max_x or y1 == box.max_y:
+            _recompute(node)
+        return True
 
     def __len__(self) -> int:
         return self._size

@@ -188,12 +188,7 @@ class FunctionRegistry:
         reg("st_area", lambda g: area(_need_geometry(g, "ST_Area")))
         reg("st_length", lambda g: length(_need_geometry(g, "ST_Length")))
         reg("st_perimeter", lambda g: perimeter(_need_geometry(g, "ST_Perimeter")))
-        reg(
-            "st_distance",
-            lambda a, b: distance(
-                _need_geometry(a, "ST_Distance"), _need_geometry(b, "ST_Distance")
-            ),
-        )
+        reg("st_distance", _distance)
         reg("st_centroid", lambda g: centroid(_need_geometry(g, "ST_Centroid")))
         reg(
             "st_pointonsurface",
@@ -302,14 +297,7 @@ class FunctionRegistry:
                 ).matches(str(pattern))
             ),
         )
-        reg(
-            "st_expand",
-            lambda g, margin: _envelope_polygon(
-                *(_need_geometry(g, "ST_Expand").envelope.expanded(
-                    _need_number(margin, "ST_Expand")
-                ).as_tuple())
-            ),
-        )
+        reg("st_expand", _expand)
 
         from repro.algorithms.distance import closest_point, shortest_line
 
@@ -368,6 +356,23 @@ def _point_coord(value: Any, axis: int) -> float:
     if not isinstance(geom, Point):
         raise SqlPlanError("ST_X/ST_Y require a POINT")
     return geom.x if axis == 0 else geom.y
+
+
+def _distance(a: Any, b: Any) -> Optional[float]:
+    """As in PostGIS: NULL when either operand is empty."""
+    a = _need_geometry(a, "ST_Distance")
+    b = _need_geometry(b, "ST_Distance")
+    return None if a.is_empty or b.is_empty else distance(a, b)
+
+
+def _expand(value: Any, margin: Any) -> Geometry:
+    """The envelope grown by ``margin``; as in PostGIS, an empty geometry
+    expands to itself."""
+    geom = _need_geometry(value, "ST_Expand")
+    margin = _need_number(margin, "ST_Expand")
+    if geom.is_empty:
+        return geom
+    return _envelope_polygon(*geom.envelope.expanded(margin).as_tuple())
 
 
 def _boundary(value: Any) -> Geometry:

@@ -129,7 +129,11 @@ class ColumnStats:
         self.count += 1
         self.sum_width += env.width
         self.sum_height += env.height
-        self.bounds = env if self.bounds is None else self.bounds.union(env)
+        bounds = self.bounds
+        if bounds is None:
+            self.bounds = env
+        elif not bounds.contains(env):
+            self.bounds = bounds.union(env)
 
     def remove(self, env: Optional[Envelope]) -> None:
         if env is None:

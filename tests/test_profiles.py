@@ -172,6 +172,19 @@ class TestDegenerateOperands:
 
 
     @pytest.mark.parametrize("engine", ["greenwood", "bluestem", "ironbark"])
+    def test_an_empty_geometry_expands_to_itself_and_has_no_distance(self, engine):
+        # as in PostGIS: ST_Expand returns the empty geometry, and its
+        # distance to anything is NULL (not an error, not infinity)
+        empty = "ST_GeomFromText('GEOMETRYCOLLECTION EMPTY')"
+        got = Database(engine).execute(
+            f"SELECT ST_AsText(ST_Expand({empty}, 1)), "
+            f"ST_Distance({empty}, ST_Point(0, 0)), "
+            f"ST_Distance(ST_Point(0, 0), {empty}), "
+            f"ST_Distance(ST_Point(0, 0), ST_Point(3, 4))"
+        ).rows
+        assert got == [("GEOMETRYCOLLECTION EMPTY", None, None, 5.0)]
+
+    @pytest.mark.parametrize("engine", ["greenwood", "bluestem", "ironbark"])
     def test_an_empty_geometry_meets_no_envelope(self, engine):
         # as in PostGIS: the empty row is disjoint from the window, and
         # every other test, the MBR ones included, is false for it
