@@ -172,7 +172,7 @@ class TestEmbedded:
         """The transactional bulk path with no storage attached —
         ``insert_rows``: latch, one transaction per batch (one undo run,
         frozen by slice at commit), one no-op ``db.durability.log_commit``
-        call at its commit — against the direct heap + index loop."""
+        call at its commit — against the direct heap run + index loop."""
         rows = [(i, f"POINT({i % 100} {i % 90})") for i in range(400)]
         db = Database("greenwood")
         db.execute("CREATE TABLE bench (id INTEGER, g GEOMETRY)")
@@ -183,9 +183,13 @@ class TestEmbedded:
         def insert_guarded():
             db.insert_rows("bench", rows)
 
+        (index,) = [entry.index for entry in db.catalog.indexes_on("bench")]
+
         def insert_directly():
-            for values in rows:
-                db._index_insert(table, table.insert_row(values, xmin=0))
+            first = table.insert_rows(rows)
+            envelopes = table.envelopes("g")
+            for row_id in range(first, len(table.rows)):
+                index.insert(row_id, envelopes[row_id])
 
         def count(where=""):
             return db.execute(f"SELECT COUNT(*) FROM bench{where}").scalar()

@@ -56,7 +56,7 @@ from repro.sql.parser import parse
 from repro.sql.planner import Planner, is_txn_control
 from repro.storage.catalog import Catalog, IndexEntry
 from repro.storage.durability import NoDurability, index_record
-from repro.storage.table import Column, ColumnType, Table, stored_envelope
+from repro.storage.table import Column, ColumnType, Table
 from repro.txn import ACTIVE, Session, TxnManager, Transaction
 from repro.txn.locks import SharedExclusiveLock
 
@@ -660,12 +660,12 @@ class Database:
     def _run_analyze(self, stmt: ast.Analyze) -> ResultSet:
         """Recompute geometry-column statistics (bounds, sizes, histograms)
         for one table or, with no table name, every table in the catalog."""
-        if stmt.table is not None:
-            tables = [self.catalog.table(stmt.table)]
-        else:
-            tables = list(self.catalog.tables())
+        tables = (self.catalog.tables() if stmt.table is None
+                  else [self.catalog.table(stmt.table)])
         for table in tables:
             table.analyze()
+            if isinstance(table, Table):  # recovery re-runs a heap's ANALYZE
+                self.durability.log_ddl("analyze", name=table.name)
         return ResultSet([], [], len(tables))
 
     def explain(self, sql: str) -> str:
@@ -761,61 +761,44 @@ class Database:
         return count
 
     def _insert_run(
-        self, table: Table, rows: Sequence[Sequence[Any]], txn: Transaction
+        self, table: Table, rows: Sequence[Sequence[Any]], txn: Transaction,
+        replaces: Optional[Sequence[int]] = None,
     ) -> int:
-        """Append ``rows`` as ``txn``'s versions. The exclusive latch makes
-        this writer the only one appending, so the rows land on consecutive
-        ids and the transaction's undo log gets one run for all of them —
-        also when row *k* fails, so rollback removes rows 1..k-1."""
-        first = len(table.rows)
-        xmin = txn.txid
-        try:
-            for values in rows:
-                self._insert_one(table, values, xmin)
-        finally:
-            count = len(table.rows) - first
-            txn.record("insert", table, first, count)
-        return count
-
-    def _insert_one(
-        self, table: Table, values: Sequence[Any], xmin: int
-    ) -> int:
-        """Heap insert + index maintenance; the heap row is rolled back
-        if the index insert fails, keeping heap and indexes consistent."""
-        row_id = table.insert_row(values, xmin=xmin)
-        try:
-            self._index_insert(table, row_id)
-        except Exception:
-            table.rollback_insert(row_id)
-            raise
-        return row_id
-
-    def _index_insert(self, table: Table, row_id: int) -> None:
+        """Append ``rows`` as ``txn``'s versions in one heap run (the
+        exclusive latch makes the ids consecutive), then index it one index
+        at a time; with ``replaces`` (UPDATE), row *i* replaces the row id
+        ``replaces[i]``. An armed ``index.insert`` fault is hit per row
+        before the heap is touched; a later failure is undone by rollback."""
         if FAULTS.active:
-            # fires before any index is touched, so the caller's heap
-            # rollback restores a fully consistent catalog
-            FAULTS.hit("index.insert")
-        row = table.rows[row_id]
+            for _row in rows:
+                FAULTS.hit("index.insert")
+        first = table.insert_rows(rows, txn.txid)
+        if replaces is None:
+            txn.record("insert", table, first, len(rows))
+        else:
+            for new_id, row_id in enumerate(replaces, first):
+                table.mark_deleted(row_id, txn.txid)
+                txn.record("delete", table, row_id)
+                txn.record("insert", table, new_id)
         for entry in self.catalog.indexes_on(table.name):
-            if entry.is_key:
-                entry.index.insert(row_id, row)
-                continue
-            env = stored_envelope(row[table.column_index(entry.column_name)])
-            if env is not None:
-                entry.index.insert(row_id, env)
+            # a key index takes the row, a spatial index its envelope
+            keys = (table.rows if entry.is_key
+                    else table.envelopes(entry.column_name))
+            insert = entry.index.insert
+            for row_id in range(first, first + len(rows)):
+                if keys[row_id] is not None:
+                    insert(row_id, keys[row_id])
+        return len(rows)
 
     def _index_remove(self, table: Table, row_id: int) -> None:
         """Drop one heap row's entries from every index on its table."""
-        row = table.rows[row_id]
-        if row is None:
+        if table.rows[row_id] is None:
             return
         for entry in self.catalog.indexes_on(table.name):
-            if entry.is_key:
-                entry.index.remove(row_id, row)
-                continue
-            env = stored_envelope(row[table.column_index(entry.column_name)])
-            if env is not None:
-                entry.index.remove(row_id, env)
+            keys = (table.rows if entry.is_key
+                    else table.envelopes(entry.column_name))
+            if keys[row_id] is not None:
+                entry.index.remove(row_id, keys[row_id])
 
     def _chosen_rows(self, stmt, ctx: ExecContext):
         """``(row ids, batch)`` of the rows a DELETE or UPDATE targets:
@@ -860,22 +843,21 @@ class Database:
             for column, expr in stmt.assignments
         ]
         # two-phase for statement atomicity: evaluate first, apply after
-        pending: List[Tuple[int, list]] = []
+        replaces: List[int] = []
+        rows: List[list] = []
         for row_ids, batch in self._chosen_rows(stmt, ctx):
             updated = [list(row) for row in batch.columns[table.name]]
             for position, value_fn in assignments:
                 for values, value in zip(updated, value_fn(batch, ctx)):
                     values[position] = value
-            pending.extend(zip(row_ids, updated))
+            replaces.extend(row_ids)
+            rows.extend(updated)
         # MVCC update = insert the new version + delete-stamp the old
         # one; probes filter the superseded version by visibility
-        for row_id, values in pending:
+        for row_id in replaces:
             self._lock_row_for_write(table, row_id, txn)
-            new_id = self._insert_one(table, values, txn.txid)
-            table.mark_deleted(row_id, txn.txid)
-            txn.record("delete", table, row_id)
-            txn.record("insert", table, new_id)
-        return ResultSet([], [], len(pending))
+        self._insert_run(table, rows, txn, replaces)
+        return ResultSet([], [], len(rows))
 
     def _run_create_table(self, stmt: ast.CreateTable) -> ResultSet:
         if stmt.if_not_exists and self.catalog.has_table(stmt.name):

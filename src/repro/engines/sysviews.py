@@ -174,7 +174,7 @@ class SystemView:
             f"{self.name!r} is a read-only system view"
         )
 
-    insert_row = _read_only
+    insert_rows = _read_only
     delete_row = _read_only
     mark_deleted = _read_only
     clear_deleted = _read_only

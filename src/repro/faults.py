@@ -26,8 +26,8 @@ from repro.errors import InjectedFaultError
 
 #: every failure point compiled into the engine, site -> description
 FAULT_POINTS: Dict[str, str] = {
-    "storage.insert": "Table.insert_row, before the heap is touched",
-    "index.insert": "Database._index_insert, before index maintenance",
+    "storage.insert": "Table.insert_rows, per row, before the heap changes",
+    "index.insert": "Database._insert_run, per row, before heap or index",
     "index.probe": "index search in IndexScan / IndexNestedLoopJoin",
     "geometry.refine": "exact refinement of one pair (EngineProfile.refine)",
     "txn.commit": "TxnManager.commit, before any commit state changes",

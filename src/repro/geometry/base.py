@@ -80,19 +80,14 @@ class Envelope:
 
     @classmethod
     def union_all(cls, envelopes: Iterable["Envelope"]) -> "Envelope":
-        it = iter(envelopes)
-        try:
-            first = next(it)
-        except StopIteration:
+        """``min``/``max`` over the envelopes' float columns."""
+        boxes = list(envelopes)
+        if not boxes:
             raise GeometryError("cannot union zero envelopes")
-        min_x, min_y = first.min_x, first.min_y
-        max_x, max_y = first.max_x, first.max_y
-        for env in it:
-            min_x = min(min_x, env.min_x)
-            min_y = min(min_y, env.min_y)
-            max_x = max(max_x, env.max_x)
-            max_y = max(max_y, env.max_y)
-        return cls(min_x, min_y, max_x, max_y)
+        return cls(
+            min([b.min_x for b in boxes]), min([b.min_y for b in boxes]),
+            max([b.max_x for b in boxes]), max([b.max_y for b in boxes]),
+        )
 
     # -- derived properties ----------------------------------------------
 

@@ -208,17 +208,19 @@ class RTree(SpatialIndex):
 
 def _str_pack(members: list, box_of, max_entries: int, leaf: bool) -> List[Node]:
     """One STR level: tile ``members`` (entries, or the nodes of the level
-    below) by the centers of their boxes into nodes of ``max_entries``."""
+    below) by the centers of their boxes (sorted as ``min + max``: halving
+    is exact, so in the same order) into nodes of ``max_entries``."""
     n = len(members)
     per_node = max_entries
     node_count = math.ceil(n / per_node)
     slice_count = max(1, math.ceil(math.sqrt(node_count)))
     per_slice = slice_count * per_node
-    members = sorted(members, key=lambda m: box_of(m).center[0])
+    members = sorted(members, key=lambda m: (b := box_of(m)).min_x + b.max_x)
     nodes: List[Node] = []
     for s in range(0, n, per_slice):
         vertical = sorted(
-            members[s : s + per_slice], key=lambda m: box_of(m).center[1]
+            members[s : s + per_slice],
+            key=lambda m: (b := box_of(m)).min_y + b.max_y,
         )
         for t in range(0, len(vertical), per_node):
             group = vertical[t : t + per_node]

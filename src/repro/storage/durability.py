@@ -13,7 +13,8 @@ undone, and a rollback writes nothing. The engine calls three hooks:
   insert of the new version and the delete of the old one), then the
   COMMIT record, then group-fsync: the transaction is durable exactly
   when this returns;
-* ``log_ddl`` — schema changes, logged and fsynced immediately;
+* ``log_ddl`` — schema changes and ``ANALYZE``, logged and fsynced
+  immediately;
 * ``checkpoint`` — replay the log's committed records onto the heap
   pages, flush and fsync them, then atomically rewrite the WAL to one
   ``checkpoint`` record carrying the table and index definitions.
@@ -285,7 +286,8 @@ class DurabilityManager:
             "next_txid": db.txn.next_txid,
             "tables": [
                 {"name": t.name,
-                 "columns": [[c.name, c.type.value] for c in t.columns]}
+                 "columns": [[c.name, c.type.value] for c in t.columns],
+                 "analyzed": t.stats.analyzed}
                 for t in db.catalog.tables()
             ],
             "indexes": [index_record(e) for e in db.catalog.indexes()],
@@ -482,6 +484,8 @@ def recover(
     indexes: Dict[str, dict] = {
         e["name"]: e for e in baseline.get("indexes", ())
     }
+    analyzed = {t["name"] for t in baseline.get("tables", ())
+                if t.get("analyzed")}
 
     # -- analysis: who committed? -------------------------------------------
     started = time.perf_counter()
@@ -508,6 +512,7 @@ def recover(
             tables.setdefault(name, record["columns"])
         elif ddl == "drop_table":
             tables.pop(name, None)
+            analyzed.discard(name)
             for index in [n for n, e in indexes.items() if e["table"] == name]:
                 del indexes[index]
         elif ddl == "create_index":
@@ -517,6 +522,8 @@ def recover(
             }
         elif ddl == "drop_index":
             indexes.pop(name, None)
+        elif ddl == "analyze":
+            analyzed.add(name)
     report.redo_seconds = time.perf_counter() - started
 
     # -- rebuild the in-memory engine ---------------------------------------
@@ -549,6 +556,8 @@ def recover(
                 f"({entry['column']}) USING {entry['kind']}"
             )
         report.indexes.append(entry["name"])
+    for name in analyzed & tables.keys():
+        db.catalog.table(name).analyze()
     mgr.bind(db)
     db.durability = mgr
     mgr._write_checkpoint(report.redone, mgr.disk.pages_written)

@@ -3,7 +3,7 @@
 Every heap table keeps a :class:`TableStats` with one
 :class:`ColumnStats` per geometry column. The cheap summary part (row
 count, running envelope-extent sums, a union bounding box) is maintained
-incrementally by ``Table.insert_row``/``delete_row``; the
+incrementally by ``Table.insert_rows``/``delete_row``; the
 ``ANALYZE`` statement additionally rebuilds an envelope *histogram* per
 column, which the planner uses to correct the uniform-distribution join
 selectivity estimate for spatially correlated (or anti-correlated)
@@ -23,12 +23,16 @@ regions).
 
 from __future__ import annotations
 
+from collections import Counter
+from operator import attrgetter, sub
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.geometry.base import Envelope
+from repro.geometry.base import EMPTY_ENVELOPE, Envelope
 
 #: default histogram resolution (cells per axis) built by ANALYZE
 HISTOGRAM_BINS = 8
+
+_CORNERS = tuple(map(attrgetter, ("min_x", "min_y", "max_x", "max_y")))
 
 
 class EnvelopeHistogram:
@@ -45,24 +49,26 @@ class EnvelopeHistogram:
         self.total = total
 
     @classmethod
-    def build(
-        cls,
-        envelopes: Iterable[Envelope],
-        bounds: Envelope,
-        nx: int = HISTOGRAM_BINS,
-        ny: int = HISTOGRAM_BINS,
-    ) -> "EnvelopeHistogram":
-        counts = [0.0] * (nx * ny)
+    def build(cls, corners: Sequence[Sequence[float]], bounds: Envelope,
+              nx: int = HISTOGRAM_BINS,
+              ny: int = HISTOGRAM_BINS) -> "EnvelopeHistogram":
+        """Count the centers of the envelopes whose ``(min_x, min_y, max_x,
+        max_y)`` float columns are ``corners`` (``bounds`` covers them all):
+        cells unclamped first, then a far-edge center joins the last cell."""
         width = bounds.width or 1.0
         height = bounds.height or 1.0
-        total = 0.0
-        for env in envelopes:
-            cx, cy = env.center
-            gx = min(int((cx - bounds.min_x) / width * nx), nx - 1)
-            gy = min(int((cy - bounds.min_y) / height * ny), ny - 1)
-            counts[gy * nx + gx] += 1.0
-            total += 1.0
-        return cls(bounds, nx, ny, counts, total)
+        left, bottom = bounds.min_x, bounds.min_y
+        span = nx + 1
+        cells = Counter(
+            int(((y0 + y1) / 2.0 - bottom) / height * ny) * span
+            + int(((x0 + x1) / 2.0 - left) / width * nx)
+            for x0, y0, x1, y1 in zip(*corners)
+        )
+        counts = [0.0] * (nx * ny)
+        for cell, count in cells.items():
+            gy, gx = divmod(cell, span)
+            counts[min(gy, ny - 1) * nx + min(gx, nx - 1)] += float(count)
+        return cls(bounds, nx, ny, counts, float(len(corners[0])))
 
     def rebinned(self, bounds: Envelope, nx: int, ny: int) -> List[float]:
         """Fractions of the population per cell of a *different* grid.
@@ -123,17 +129,24 @@ class ColumnStats:
         self.bounds: Optional[Envelope] = None
         self.histogram: Optional[EnvelopeHistogram] = None
 
-    def add(self, env: Optional[Envelope]) -> None:
-        if env is None:
-            return
-        self.count += 1
-        self.sum_width += env.width
-        self.sum_height += env.height
-        bounds = self.bounds
-        if bounds is None:
-            self.bounds = env
-        elif not bounds.contains(env):
-            self.bounds = bounds.union(env)
+    def add_all(self, envelopes: Iterable[Optional[Envelope]]) -> None:
+        """Add a run of envelopes (``None`` is skipped): the sums fold left
+        to right, one ``+=`` per envelope, and the bounds grow as a union
+        per envelope would; an Envelope is built only when they grew."""
+        count, width, height = self.count, self.sum_width, self.sum_height
+        box = (self.bounds or EMPTY_ENVELOPE).as_tuple()
+        x0, y0, x1, y1 = box
+        for env in filter(None, envelopes):
+            count += 1
+            width += env.max_x - env.min_x
+            height += env.max_y - env.min_y
+            if not (x0 <= env.min_x and y0 <= env.min_y
+                    and env.max_x <= x1 and env.max_y <= y1):
+                x0, y0 = min(x0, env.min_x), min(y0, env.min_y)
+                x1, y1 = max(x1, env.max_x), max(y1, env.max_y)
+        self.count, self.sum_width, self.sum_height = count, width, height
+        if (x0, y0, x1, y1) != box:
+            self.bounds = Envelope(x0, y0, x1, y1)
 
     def remove(self, env: Optional[Envelope]) -> None:
         if env is None:
@@ -175,16 +188,18 @@ class TableStats:
         """Exact recomputation + histogram build (the ANALYZE path);
         ``distinct`` replaces the per-column distinct counts."""
         for name, stats in self.geometry.items():
-            live = [e for e in envelopes_by_column.get(name, ()) if e is not None]
+            live = list(filter(None, envelopes_by_column.get(name, ())))
+            corners = min_x, min_y, max_x, max_y = [
+                list(map(corner, live)) for corner in _CORNERS
+            ]
             stats.count = len(live)
-            stats.sum_width = sum(e.width for e in live)
-            stats.sum_height = sum(e.height for e in live)
-            stats.bounds = Envelope.union_all(live) if live else None
-            stats.histogram = (
-                EnvelopeHistogram.build(live, stats.bounds)
-                if stats.bounds is not None
-                else None
-            )
+            stats.sum_width = sum(map(sub, max_x, min_x))
+            stats.sum_height = sum(map(sub, max_y, min_y))
+            stats.bounds = stats.histogram = None
+            if live:
+                box = stats.bounds = Envelope(min(min_x), min(min_y),
+                                              max(max_x), max(max_y))
+                stats.histogram = EnvelopeHistogram.build(corners, box)
         self.distinct = distinct
         self.analyzed = True
 

@@ -69,39 +69,46 @@ def stored_envelope(value: Any) -> Optional[Envelope]:
     return None
 
 
+#: the value types a column stores as they are, with no coercion
+_STORED_AS_IS = {
+    ColumnType.INTEGER: frozenset({int, type(None)}),
+    ColumnType.REAL: frozenset({float, type(None)}),
+    ColumnType.TEXT: frozenset({str, type(None)}),
+    ColumnType.GEOMETRY: frozenset({*Geometry.__subclasses__(), type(None)}),
+}
+
+
 def _coerce(value: Any, col: Column) -> Any:
     """Validate/coerce a Python value for storage in ``col``."""
     if value is None:
         return None
-    if col.type is ColumnType.INTEGER:
-        if isinstance(value, bool):
+    kind = col.type
+    if kind is ColumnType.INTEGER:
+        if isinstance(value, bool) or (
+            isinstance(value, float) and value.is_integer()
+        ):
             return int(value)
         if isinstance(value, int):
             return value
-        if isinstance(value, float) and value.is_integer():
-            return int(value)
-        raise EngineError(f"column {col.name}: expected INTEGER, got {value!r}")
-    if col.type is ColumnType.REAL:
+    elif kind is ColumnType.REAL:
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             return float(value)
-        raise EngineError(f"column {col.name}: expected REAL, got {value!r}")
-    if col.type is ColumnType.TEXT:
+    elif kind is ColumnType.TEXT:
         if isinstance(value, str):
             return value
-        raise EngineError(f"column {col.name}: expected TEXT, got {value!r}")
-    if col.type is ColumnType.GEOMETRY:
-        if isinstance(value, Geometry):
-            return value
-        if isinstance(value, str):
-            from repro.geometry.wkt import loads
+    elif isinstance(value, Geometry):
+        return value
+    elif isinstance(value, str):
+        from repro.geometry.wkt import loads
 
-            return loads(value)
-        if isinstance(value, (bytes, bytearray)):
-            from repro.geometry.wkb import loads as wkb_loads
+        return loads(value)
+    elif isinstance(value, (bytes, bytearray)):
+        from repro.geometry.wkb import loads as wkb_loads
 
-            return wkb_loads(bytes(value))
-        raise EngineError(f"column {col.name}: expected GEOMETRY, got {value!r}")
-    raise EngineError(f"column {col.name}: unhandled type {col.type}")
+        return wkb_loads(bytes(value))
+    raise EngineError(
+        f"column {col.name}: expected {kind.value}, got {value!r}"
+    )
 
 
 class Table:
@@ -120,6 +127,15 @@ class Table:
         self._by_name: Dict[str, int] = {
             c.name: i for i, c in enumerate(self.columns)
         }
+        # a run append checks the width, then each column's types, geometry
+        # first: WKT or WKB input, the usual reason to coerce, fails early
+        self._width = {len(self.columns)}
+        self._getters = tuple(map(itemgetter, range(len(self.columns))))
+        self._checks = [
+            (self._getters[i], _STORED_AS_IS[c.type])
+            for i, c in sorted(enumerate(self.columns), key=lambda ic: (
+                ic[1].type is not ColumnType.GEOMETRY))
+        ]
         self.rows: List[Optional[tuple]] = []
         self.live_count = 0
         # MVCC version stamps, parallel to ``rows``: 0 (FROZEN_XID) means
@@ -167,32 +183,49 @@ class Table:
 
     # -- data --------------------------------------------------------------
 
-    def insert_row(self, values: Sequence[Any], xmin: int = 0) -> int:
+    def insert_rows(self, rows: Sequence[Sequence[Any]], xmin: int = 0) -> int:
+        """Append a run of rows stamped ``xmin``; returns the first row id.
+
+        Nothing is appended before the run has passed: an armed
+        ``storage.insert`` fault is hit once per row, then widths and types
+        are checked in one pass per column. If every column holds only its
+        storage type and NULL the caller's tuples are kept (a list becomes
+        a tuple); otherwise rows are coerced in order, so the first bad
+        value raises what it raises alone."""
         if FAULTS.active:
-            # before any mutation: a fired fault leaves the heap untouched
-            FAULTS.hit("storage.insert")
-        if len(values) != len(self.columns):
-            raise EngineError(
-                f"table {self.name}: expected {len(self.columns)} values, "
-                f"got {len(values)}"
-            )
-        row = tuple(
-            _coerce(value, col) for value, col in zip(values, self.columns)
-        )
-        # parallel arrays are appended *before* the heap slot so a
+            for _row in rows:
+                FAULTS.hit("storage.insert")
+        if set(map(len, rows)) == self._width and all(
+            types.issuperset(map(type, map(column, rows)))
+            for column, types in self._checks
+        ):
+            stored = list(map(tuple, rows))
+        else:
+            stored = []
+            for values in rows:
+                if len(values) != len(self.columns):
+                    raise EngineError(
+                        f"table {self.name}: expected {len(self.columns)} "
+                        f"values, got {len(values)}"
+                    )
+                stored.append(tuple(map(_coerce, values, self.columns)))
+        # parallel arrays are extended *before* the heap slots so a
         # concurrent snapshot scan never sees a row without its stamps
         # (writers are serialised by the database latch; readers are not)
-        self._xmin.append(xmin)
-        self._xmax.append(0)
+        count = len(stored)
+        self._xmin.extend([xmin] * count)
+        self._xmax.extend([0] * count)
         if xmin:
-            self.mvcc_versions += 1
+            self.mvcc_versions += count
         for position in self._geom_positions:
-            env = stored_envelope(row[position])
-            self._envelopes[position].append(env)
-            self.stats.geometry[self.columns[position].name].add(env)
-        self.rows.append(row)
-        self.live_count += 1
-        return len(self.rows) - 1
+            column = map(self._getters[position], stored)
+            envs = list(map(stored_envelope, column))
+            self._envelopes[position].extend(envs)
+            self.stats.geometry[self.columns[position].name].add_all(envs)
+        first = len(self.rows)
+        self.rows.extend(stored)
+        self.live_count += count
+        return first
 
     def delete_row(self, row_id: int) -> None:
         if self.rows[row_id] is None:
@@ -244,63 +277,31 @@ class Table:
         self._xmin[first:stop] = [0] * count
 
     def rollback_insert(self, row_id: int) -> None:
-        """Physically remove a rolled-back insert.
-
-        Trailing slots are popped from every parallel array so a rolled
-        back transaction leaves the heap bit-identical to its pre-txn
-        state; non-trailing slots (later inserts survived) are nulled
-        like a normal delete.
-        """
-        if self.rows[row_id] is None:
-            raise EngineError(f"row {row_id} already deleted")
-        self.live_count -= 1
-        for position in self._geom_positions:
-            stats = self.stats.geometry[self.columns[position].name]
-            stats.remove(self._envelopes[position][row_id])
-        if self._xmin[row_id] or self._xmax[row_id]:
-            self.mvcc_versions -= 1
+        """Physically remove a rolled-back insert: a delete, then a trailing
+        slot is popped from every parallel array, so a rolled back
+        transaction leaves the heap as it found it."""
+        self.delete_row(row_id)
         if row_id == len(self.rows) - 1:
-            self.rows.pop()
-            for position in self._geom_positions:
-                self._envelopes[position].pop()
-            self._xmin.pop()
-            self._xmax.pop()
-        else:
-            self.rows[row_id] = None
-            for position in self._geom_positions:
-                self._envelopes[position][row_id] = None
-            self._xmin[row_id] = 0
-            self._xmax[row_id] = 0
+            for column in (self.rows, self._xmin, self._xmax,
+                           *self._envelopes.values()):
+                column.pop()
 
     def restore_slots(self, slots: Dict[int, tuple]) -> None:
         """Rebuild an empty heap from ``{row_id: values}``, preserving row
-        ids (gaps become deleted slots). The crash-recovery path: every
-        restored row is frozen — no live snapshot survives a restart, so
-        version stamps would carry no information."""
+        ids (gaps become deleted slots): the crash-recovery path. The rows
+        are appended as one frozen run in id order (no snapshot survives a
+        restart), then spread out to their ids."""
         if self.rows:
             raise EngineError(
                 f"table {self.name}: restore_slots needs an empty heap"
             )
-        size = max(slots) + 1 if slots else 0
-        self._xmin = [0] * size
-        self._xmax = [0] * size
-        for row_id in range(size):
-            values = slots.get(row_id)
-            if values is None:
-                self.rows.append(None)
-                for position in self._geom_positions:
-                    self._envelopes[position].append(None)
-                continue
-            row = tuple(
-                _coerce(value, col)
-                for value, col in zip(values, self.columns)
-            )
-            for position in self._geom_positions:
-                env = stored_envelope(row[position])
-                self._envelopes[position].append(env)
-                self.stats.geometry[self.columns[position].name].add(env)
-            self.rows.append(row)
-            self.live_count += 1
+        ids = sorted(slots)
+        self.insert_rows(list(map(slots.__getitem__, ids)))
+        size = ids[-1] + 1 if ids else 0
+        if size > len(ids):  # deleted slots: spread the run out to its ids
+            for column in (self.rows, *self._envelopes.values()):
+                column[:] = map(dict(zip(ids, column)).get, range(size))
+            self._xmin[:] = self._xmax[:] = [0] * size
 
     def get_row(self, row_id: int) -> tuple:
         row = self.rows[row_id]
@@ -343,19 +344,15 @@ class Table:
         """Rebuild exact statistics, envelope histograms and the distinct
         count of every non-geometry column (the ANALYZE path)."""
         live = [row for row in self.rows if row is not None]
-        distinct: Dict[str, int] = {}
-        for position, column in enumerate(self.columns):
-            if column.type is not ColumnType.GEOMETRY:
-                # a set per column from a C-level map measured faster
-                # than transposing the rows once (zip(*live)) at scale 8
-                values = set(map(itemgetter(position), live))
-                values.discard(None)
-                distinct[column.name] = len(values)
+        # a set per column from a C-level map measured faster than
+        # transposing the rows once (zip(*live)) at scale 8
+        distinct = {
+            column.name: len(set(map(getter, live)) - {None})
+            for column, getter in zip(self.columns, self._getters)
+            if column.type is not ColumnType.GEOMETRY
+        }
         self.stats.rebuild(
-            {
-                self.columns[position].name: self._envelopes[position]
-                for position in self._geom_positions
-            },
+            {self.columns[i].name: e for i, e in self._envelopes.items()},
             distinct,
         )
 

@@ -35,46 +35,46 @@ class TestColumnType:
 class TestTable:
     def test_insert_and_scan(self):
         table = _make_table()
-        table.insert_row((1, "a", 2.5, Point(0, 0)))
-        table.insert_row((2, "b", None, None))
+        table.insert_rows([(1, "a", 2.5, Point(0, 0))])
+        table.insert_rows([(2, "b", None, None)])
         assert len(table) == 2
         assert [row_id for row_id, _r in table.scan()] == [0, 1]
 
     def test_coercion_int_from_float(self):
         table = _make_table()
-        rid = table.insert_row((3.0, "x", 1, None))
+        rid = table.insert_rows([(3.0, "x", 1, None)])
         assert table.get_row(rid)[0] == 3
         assert table.get_row(rid)[2] == 1.0
 
     def test_coercion_geometry_from_wkt(self):
         table = _make_table()
-        rid = table.insert_row((1, "x", None, "POINT (5 6)"))
+        rid = table.insert_rows([(1, "x", None, "POINT (5 6)")])
         assert table.get_row(rid)[3] == Point(5, 6)
 
     def test_coercion_geometry_from_wkb(self):
         table = _make_table()
-        rid = table.insert_row((1, "x", None, Point(7, 8).wkb()))
+        rid = table.insert_rows([(1, "x", None, Point(7, 8).wkb())])
         assert table.get_row(rid)[3] == Point(7, 8)
 
     def test_bad_types_rejected(self):
         table = _make_table()
         with pytest.raises(EngineError):
-            table.insert_row(("nope", "a", 1.0, None))
+            table.insert_rows([("nope", "a", 1.0, None)])
         with pytest.raises(EngineError):
-            table.insert_row((1, 42, 1.0, None))
+            table.insert_rows([(1, 42, 1.0, None)])
         with pytest.raises(EngineError):
-            table.insert_row((1, "a", "fast", None))
+            table.insert_rows([(1, "a", "fast", None)])
         with pytest.raises(EngineError):
-            table.insert_row((1, "a", 1.0, 12345))
+            table.insert_rows([(1, "a", 1.0, 12345)])
 
     def test_wrong_arity(self):
         with pytest.raises(EngineError):
-            _make_table().insert_row((1, "a"))
+            _make_table().insert_rows([(1, "a")])
 
     def test_delete_and_tombstones(self):
         table = _make_table()
-        rid = table.insert_row((1, "a", None, None))
-        table.insert_row((2, "b", None, None))
+        rid = table.insert_rows([(1, "a", None, None)])
+        table.insert_rows([(2, "b", None, None)])
         table.delete_row(rid)
         assert len(table) == 1
         assert [r[0] for _id, r in table.scan()] == [2]
@@ -100,7 +100,7 @@ class TestTable:
     def test_pages(self):
         table = _make_table()
         for i in range(Table.ROWS_PER_PAGE + 1):
-            table.insert_row((i, "x", None, None))
+            table.insert_rows([(i, "x", None, None)])
         assert table.page_count == 2
         assert table.page_of(0) == 0
         assert table.page_of(Table.ROWS_PER_PAGE) == 1
