@@ -386,10 +386,8 @@ def _checkpoint(args) -> int:
               "above this keep their full trace (default 100)"),
     _arg("--slow-log", default=None, metavar="PATH",
          help="with --trace: append one JSON line per tail-sampled "
-              "request to PATH (size-rotated, survives process exit)"),
-    _arg("--slow-log-max-bytes", type=int, default=4 * 1024 * 1024,
-         metavar="N",
-         help="rotate the slow log past this size (one .1 backup kept)"),
+              "request to PATH (rotated at 4 MiB with one .1 backup; "
+              "survives process exit)"),
 )
 def _serve(args) -> int:
     """Block until interrupted (the sidecar for ``workload --server``)."""

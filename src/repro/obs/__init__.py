@@ -32,20 +32,11 @@ from repro.obs.waits import WAIT_EVENTS, WAITS, WaitAttribution, WaitMonitor
 # imported after waits: statements pulls in the SQL lexer, whose package
 # init transitively re-enters repro.obs for the wait monitor
 from repro.obs.statements import StatementStore  # noqa: E402
-from repro.obs.requests import (  # noqa: E402
-    RECORDER,
-    FlightRecorder,
-    RequestRecord,
-    chrome_trace,
-)
 
 __all__ = [
     "GLOBAL",
-    "RECORDER",
-    "FlightRecorder",
     "MetricsRegistry",
     "Observability",
-    "RequestRecord",
     "Span",
     "StatementStore",
     "Trace",
@@ -53,7 +44,6 @@ __all__ = [
     "WAITS",
     "WaitAttribution",
     "WaitMonitor",
-    "chrome_trace",
     "percentile_of",
 ]
 

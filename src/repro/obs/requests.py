@@ -34,10 +34,11 @@ clamped back and the correction reported as ``clock_skew_seconds``.
 Within one host (the common deployment here) both sides read the same
 clock and the skew is zero.
 
-Disabled-path discipline: when no server enables tracing, the recorder
-costs the service exactly one attribute check per request, the same
-contract as :data:`~repro.obs.waits.WAITS` and the observability
-switchboard — pinned by ``benchmarks/test_bench_disabled_overhead.py``.
+One request path: a traced and an untraced server run the same code.
+The untraced one measures into :data:`NULL_REQUEST`, whose methods keep
+nothing, so its only per-request tracing check is which request it
+begins, and the recorder is never called — pinned by
+``benchmarks/test_bench_disabled_overhead.py``.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from repro.obs.statements import fingerprint
 __all__ = [
     "RECORDER",
     "FlightRecorder",
-    "PendingRequest",
+    "NULL_REQUEST",
     "RequestRecord",
     "SlowLog",
     "TraceContext",
@@ -130,23 +131,46 @@ class TraceContext:
         )
 
 
-class PendingRequest:
-    """One in-flight request's accumulating measurements.
+#: what a completed record keeps in its dict form (the slow log, the
+#: ``trace`` op), with the value a dict without the key reads as
+_KEPT = (
+    ("trace_id", None), ("client_span_id", None), ("started_at", 0.0),
+    ("sent_at", None), ("sql", ""), ("fingerprint", ""),
+    ("outcome", "unknown"), ("cached", False), ("cache_status", None),
+    ("stage_seconds", {}), ("total_seconds", 0.0),
+    ("clock_skew_seconds", 0.0), ("retained", False),
+)
 
-    Stage timings arrive as ``(name, perf_start, seconds, detail)``
-    tuples; the executor's statement traces are appended by the
-    recorder's ``query_end`` hook while the worker thread is bound to
-    this request. Also duck-types the ``stages`` sink the
-    :class:`~repro.service.cache.CachedExecutor` reports into.
+
+class RequestRecord:
+    """One request, from :meth:`FlightRecorder.begin` to its reply.
+
+    In flight it gathers stage timings as ``(name, perf_start, seconds,
+    detail)`` tuples, and the recorder's ``query_end`` hook appends the
+    executor's statement traces while a worker thread is bound to it;
+    :meth:`FlightRecorder.finish` completes it in place. The ring, the
+    slow log and the ``jackpine_requests`` view keep the completed
+    record, and ``root`` carries the full linked span tree only when
+    the tail sampler retained it.
     """
 
     __slots__ = (
-        "ctx", "sql", "started_at", "start", "stages", "traces",
-        "outcome", "cached", "cache_status",
+        "recorder", "trace_id", "client_span_id", "sent_at", "sql",
+        "started_at", "start", "stages", "traces", "outcome", "cached",
+        "cache_status", "fingerprint", "stage_seconds", "total_seconds",
+        "clock_skew_seconds", "retained", "root",
     )
 
-    def __init__(self, ctx: TraceContext, sql: str):
-        self.ctx = ctx
+    def __init__(self, recorder: Optional["FlightRecorder"], trace_id: str,
+                 sql: str, client_span_id: Optional[str] = None,
+                 sent_at: Optional[float] = None):
+        #: the recorder that began the request (None when read back)
+        self.recorder = recorder
+        self.trace_id = trace_id
+        #: the client's root span id (None for a server-minted trace)
+        self.client_span_id = client_span_id
+        #: client wall-clock epoch seconds at send time
+        self.sent_at = sent_at
         self.sql = sql
         self.started_at = time.time()
         self.start = time.perf_counter()
@@ -156,53 +180,34 @@ class PendingRequest:
         self.cached = False
         #: "hit" / "miss" / "stale" / "bypass" / None (never looked)
         self.cache_status: Optional[str] = None
-
-    @property
-    def trace_id(self) -> str:
-        return self.ctx.trace_id
+        # the rest is filled in by FlightRecorder.finish
+        self.fingerprint = ""
+        #: per-stage seconds, e.g. ``{"queue.wait": 0.004, ...}``
+        self.stage_seconds: Dict[str, float] = {}
+        self.total_seconds = 0.0
+        self.clock_skew_seconds = 0.0
+        self.retained = False
+        self.root: Optional[Span] = None
 
     def stage(self, name: str, perf_start: float, seconds: float,
               detail: str = "") -> None:
         self.stages.append((name, perf_start, seconds, detail))
 
+    def note_cache(self, status: str) -> None:
+        self.cache_status = status
+
     def complete(self, outcome: str, cached: bool = False) -> None:
         self.outcome = outcome
         self.cached = cached
 
+    def bind(self) -> None:
+        self.recorder.bind(self)
 
-class RequestRecord:
-    """One completed request, compact by default; ``root`` carries the
-    full linked span tree only when the tail sampler retained it."""
+    def unbind(self) -> None:
+        self.recorder.unbind()
 
-    __slots__ = (
-        "trace_id", "client_span_id", "started_at", "sent_at", "sql",
-        "fingerprint", "outcome", "cached", "cache_status",
-        "stage_seconds", "total_seconds", "clock_skew_seconds",
-        "retained", "root",
-    )
-
-    def __init__(self, trace_id: str, client_span_id: Optional[str],
-                 started_at: float, sent_at: Optional[float], sql: str,
-                 sql_fingerprint: str, outcome: str, cached: bool,
-                 cache_status: Optional[str],
-                 stage_seconds: Dict[str, float], total_seconds: float,
-                 clock_skew_seconds: float, retained: bool,
-                 root: Optional[Span]):
-        self.trace_id = trace_id
-        self.client_span_id = client_span_id
-        self.started_at = started_at
-        self.sent_at = sent_at
-        self.sql = sql
-        self.fingerprint = sql_fingerprint
-        self.outcome = outcome
-        self.cached = cached
-        self.cache_status = cache_status
-        #: per-stage seconds, e.g. ``{"queue.wait": 0.004, ...}``
-        self.stage_seconds = stage_seconds
-        self.total_seconds = total_seconds
-        self.clock_skew_seconds = clock_skew_seconds
-        self.retained = retained
-        self.root = root
+    def finish(self, send_seconds: float = 0.0) -> None:
+        self.recorder.finish(self, send_seconds)
 
     @property
     def shed(self) -> bool:
@@ -212,43 +217,22 @@ class RequestRecord:
         return self.root.total_spans() if self.root is not None else 0
 
     def as_dict(self) -> Dict[str, Any]:
-        return {
-            "trace_id": self.trace_id,
-            "client_span_id": self.client_span_id,
-            "started_at": self.started_at,
-            "sent_at": self.sent_at,
-            "sql": self.sql,
-            "fingerprint": self.fingerprint,
-            "outcome": self.outcome,
-            "shed": self.shed,
-            "cached": self.cached,
-            "cache_status": self.cache_status,
-            "stage_seconds": dict(self.stage_seconds),
-            "total_seconds": self.total_seconds,
-            "clock_skew_seconds": self.clock_skew_seconds,
-            "retained": self.retained,
-            "root": self.root.to_dict() if self.root is not None else None,
-        }
+        data = {name: getattr(self, name) for name, _default in _KEPT}
+        data.update(
+            shed=self.shed, stage_seconds=dict(self.stage_seconds),
+            root=self.root.to_dict() if self.root is not None else None,
+        )
+        return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "RequestRecord":
+        record = cls(None, data["trace_id"], "")
+        for name, default in _KEPT:
+            setattr(record, name, data.get(name, default))
+        record.stage_seconds = dict(record.stage_seconds)
         root = data.get("root")
-        return cls(
-            trace_id=data["trace_id"],
-            client_span_id=data.get("client_span_id"),
-            started_at=data.get("started_at", 0.0),
-            sent_at=data.get("sent_at"),
-            sql=data.get("sql", ""),
-            sql_fingerprint=data.get("fingerprint", ""),
-            outcome=data.get("outcome", "unknown"),
-            cached=bool(data.get("cached")),
-            cache_status=data.get("cache_status"),
-            stage_seconds=dict(data.get("stage_seconds", ())),
-            total_seconds=data.get("total_seconds", 0.0),
-            clock_skew_seconds=data.get("clock_skew_seconds", 0.0),
-            retained=bool(data.get("retained")),
-            root=Span.from_dict(root) if root is not None else None,
-        )
+        record.root = Span.from_dict(root) if root is not None else None
+        return record
 
     def brief(self) -> Dict[str, Any]:
         """The compact listing row (``jackpine trace`` with no id)."""
@@ -263,16 +247,32 @@ class RequestRecord:
         }
 
 
+class _NullRequest:
+    """What an untraced server measures into: it keeps nothing and calls
+    no recorder, so both kinds of server run the same request code."""
+
+    __slots__ = ()
+    trace_id = None
+
+    def stage(self, *_args: Any, **_kwargs: Any) -> None:
+        """Drop the measurement."""
+
+    note_cache = complete = bind = unbind = finish = stage
+
+
+#: the request of every untraced server (and of a direct cache call)
+NULL_REQUEST = _NullRequest()
+
+
 class SlowLog:
     """Append-only JSON-lines log of tail-sampled requests with
-    size-based rotation: when the file would exceed ``max_bytes`` the
-    current file is renamed to ``<path>.1`` (replacing any previous
-    rollover) and a fresh file is started — post-mortems survive the
-    process, disk usage stays bounded at ~2x ``max_bytes``."""
+    size-based rotation: when the file would exceed ``max_bytes`` (4 MiB
+    for a server's log) the current file is renamed to ``<path>.1``
+    (replacing any previous rollover) and a fresh file is started —
+    post-mortems survive the process, disk usage stays bounded at ~2x
+    ``max_bytes``."""
 
     def __init__(self, path: str, max_bytes: int = 4 * 1024 * 1024):
-        if max_bytes < 1024:
-            raise ValueError("slow-log max_bytes must be >= 1024")
         self.path = path
         self.max_bytes = max_bytes
         self._lock = threading.Lock()
@@ -327,7 +327,7 @@ class FlightRecorder:
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY,
                  slow_threshold: float = 0.1):
-        #: the one flag the service checks per request
+        #: a traced server is recording into this recorder
         self.enabled = False
         self.capacity = capacity
         #: seconds at or above which a request's full trace is retained
@@ -339,32 +339,38 @@ class FlightRecorder:
         self.requests_total = 0
         self.retained_total = 0
         self._outcomes: Dict[str, int] = {}
-        self._hooked_obs: List[Any] = []
 
-    # -- switches ----------------------------------------------------------
+    # -- a traced server's start and stop ----------------------------------
 
-    def configure(self, slow_threshold: Optional[float] = None,
-                  capacity: Optional[int] = None,
-                  slow_log: Optional[SlowLog] = None) -> "FlightRecorder":
+    def start(self, database: Any, slow_threshold: float,
+              slow_log: Optional[str] = None) -> None:
+        """Record the requests a traced server over ``database`` serves:
+        retain those at or above ``slow_threshold`` seconds, append the
+        retained ones to the slow log at path ``slow_log`` when given,
+        and switch on span-capturing tracing on the engine with the
+        ``query_end`` hook that routes each executor trace to the
+        request whose worker thread ran it."""
         with self._lock:
-            if slow_threshold is not None:
-                self.slow_threshold = float(slow_threshold)
-            if capacity is not None and capacity != self.capacity:
-                self.capacity = int(capacity)
-                self._records = deque(self._records, maxlen=self.capacity)
-            if slow_log is not None:
-                if self.slow_log is not None:
-                    self.slow_log.close()
-                self.slow_log = slow_log
-        return self
-
-    def enable(self) -> "FlightRecorder":
+            self.slow_threshold = float(slow_threshold)
+            if self.slow_log is not None:
+                self.slow_log.close()
+            self.slow_log = SlowLog(slow_log) if slow_log else None
+        obs = database.obs
+        if self._on_query_end not in obs.query_end:
+            obs.on_query_end(self._on_query_end)
+        obs.enable_tracing()
         self.enabled = True
-        return self
 
-    def disable(self) -> "FlightRecorder":
+    def stop(self, database: Any) -> None:
+        """Stop recording and close the slow log; the buffered records
+        stay readable — post-mortems outlive the server that made them."""
         self.enabled = False
-        return self
+        database.obs.remove_query_end(self._on_query_end)
+        database.obs.disable_tracing()
+        with self._lock:
+            if self.slow_log is not None:
+                self.slow_log.close()
+                self.slow_log = None
 
     def reset(self) -> None:
         with self._lock:
@@ -373,122 +379,95 @@ class FlightRecorder:
             self.retained_total = 0
             self._outcomes = {}
 
-    def close_log(self) -> None:
-        with self._lock:
-            if self.slow_log is not None:
-                self.slow_log.close()
-                self.slow_log = None
-
     # -- engine linkage ----------------------------------------------------
-
-    def install(self, database: Any) -> None:
-        """Attach to one database: enable span-capturing tracing and
-        register the ``query_end`` hook that routes each executor trace
-        to the request whose worker thread ran it."""
-        obs = database.obs
-        if obs in self._hooked_obs:
-            return
-        obs.on_query_end(self._on_query_end)
-        obs.enable_tracing()
-        self._hooked_obs.append(obs)
-
-    def uninstall(self, database: Any) -> None:
-        obs = database.obs
-        if obs not in self._hooked_obs:
-            return
-        self._hooked_obs.remove(obs)
-        obs.remove_query_end(self._on_query_end)
-        obs.disable_tracing()
 
     def _on_query_end(self, trace: Any) -> None:
         # thread-keyed correlation: the worker thread that executes a
-        # request's statement is bound to its PendingRequest for exactly
-        # the duration of CachedExecutor.execute, so a shared database
+        # request's statement is bound to its record for exactly the
+        # duration of CachedExecutor.resolve, so a shared database
         # serving concurrent workers never cross-files a trace
-        pending = getattr(self._local, "pending", None)
-        if pending is not None:
-            pending.traces.append(trace)
+        record = getattr(self._local, "record", None)
+        if record is not None:
+            record.traces.append(trace)
 
-    def bind(self, pending: PendingRequest) -> None:
-        self._local.pending = pending
+    def bind(self, record: RequestRecord) -> None:
+        self._local.record = record
 
     def unbind(self) -> None:
-        self._local.pending = None
+        self._local.record = None
 
     # -- request lifecycle -------------------------------------------------
 
-    def begin(self, ctx: Optional[TraceContext], sql: str) -> PendingRequest:
-        """Open a request; a server-originated context is minted when
-        the client sent none (old clients still get traced)."""
+    def begin(self, ctx: Optional[TraceContext], sql: str,
+              recv_seconds: float = 0.0) -> RequestRecord:
+        """Open a request whose body took ``recv_seconds`` to read; a
+        server-originated context is minted when the client sent none
+        (old clients still get traced)."""
         if ctx is None:
             ctx = TraceContext(new_trace_id())
-        return PendingRequest(ctx, sql)
+        record = RequestRecord(self, ctx.trace_id, sql, ctx.span_id,
+                               ctx.sent_at)
+        if recv_seconds > 0.0:
+            record.stage("net.recv", record.start - recv_seconds,
+                         recv_seconds)
+        return record
 
-    def finish(self, pending: PendingRequest,
+    def finish(self, record: RequestRecord,
                send_seconds: float = 0.0) -> RequestRecord:
-        """File one completed request: tail-sample, ring-append, and
-        slow-log the retained ones."""
+        """Complete one request in place: total, tail sample, span tree,
+        clock skew and fingerprint; then ring-append it and slow-log it
+        when retained."""
         now = time.perf_counter()
         if send_seconds > 0.0:
-            pending.stage("net.send", now - send_seconds, send_seconds)
+            record.stage("net.send", now - send_seconds, send_seconds)
         first = min(
-            [pending.start] + [start for _n, start, _s, _d in pending.stages]
+            [record.start] + [start for _n, start, _s, _d in record.stages]
         )
-        total = now - first
-        outcome = pending.outcome
-        retained = (
-            outcome != "ok"
-            or total >= self.slow_threshold
-            or pending.cache_status == "stale"
+        # the record's clocks now start at its first stage
+        record.started_at += first - record.start
+        record.start = first
+        record.total_seconds = now - first
+        record.retained = (
+            record.outcome != "ok"
+            or record.total_seconds >= self.slow_threshold
+            or record.cache_status == "stale"
         )
-        started_epoch = pending.started_at + (first - pending.start)
-        sent_at = pending.ctx.sent_at
-        skew = (
-            max(0.0, sent_at - started_epoch) if sent_at is not None else 0.0
-        )
-        root = self._build_tree(pending, total, skew) if retained else None
-        record = RequestRecord(
-            trace_id=pending.ctx.trace_id,
-            client_span_id=pending.ctx.span_id,
-            started_at=started_epoch,
-            sent_at=sent_at,
-            sql=pending.sql,
-            sql_fingerprint=fingerprint(pending.sql),
-            outcome=outcome,
-            cached=pending.cached,
-            cache_status=pending.cache_status,
-            stage_seconds={
-                name: seconds for name, _start, seconds, _d in pending.stages
-            },
-            total_seconds=total,
-            clock_skew_seconds=skew,
-            retained=retained,
-            root=root,
-        )
+        if record.sent_at is not None:
+            record.clock_skew_seconds = max(
+                0.0, record.sent_at - record.started_at
+            )
+        record.fingerprint = fingerprint(record.sql)
+        record.stage_seconds = {
+            name: seconds for name, _start, seconds, _d in record.stages
+        }
+        if record.retained:
+            record.root = self._build_tree(record)
+        record.traces = []  # the kept tree holds what a post-mortem needs
         with self._lock:
             self._records.append(record)
             self.requests_total += 1
-            if retained:
+            if record.retained:
                 self.retained_total += 1
-            self._outcomes[outcome] = self._outcomes.get(outcome, 0) + 1
+            self._outcomes[record.outcome] = (
+                self._outcomes.get(record.outcome, 0) + 1
+            )
             slow_log = self.slow_log
-        if retained and slow_log is not None:
+        if record.retained and slow_log is not None:
             slow_log.write(record.as_dict())
         return record
 
-    def _build_tree(self, pending: PendingRequest, total: float,
-                    skew: float) -> Span:
+    def _build_tree(self, record: RequestRecord) -> Span:
         """The linked span tree, all ``started`` values in epoch seconds:
         client span -> service.request -> lifecycle stages, with the
         executor's statement trace parented under ``execute``."""
 
         def to_epoch(perf_value: float) -> float:
-            return pending.started_at + (perf_value - pending.start)
+            return record.started_at + (perf_value - record.start)
 
-        request = Span("service.request", detail=pending.sql[:120])
-        traces = list(pending.traces)
+        request = Span("service.request", detail=record.sql[:120])
+        traces = record.traces
         for name, start, seconds, detail in sorted(
-            pending.stages, key=lambda item: item[1]
+            record.stages, key=lambda item: item[1]
         ):
             stage = Span(name, detail=detail or name)
             stage.started = to_epoch(start)
@@ -504,20 +483,20 @@ class FlightRecorder:
             request.children.append(self._statement_span(trace, to_epoch))
         request.started = min(
             [child.started for child in request.children
-             if child.started is not None] or [to_epoch(pending.start)]
+             if child.started is not None] or [record.started_at]
         )
-        request.seconds = total
-        sent_at = pending.ctx.sent_at
-        if sent_at is None:
+        request.seconds = record.total_seconds
+        if record.sent_at is None:
             return request
         # causality clamp: the server cannot have started before the
         # client sent; a later sent_at is clock skew, normalized out
         client = Span(
             "client.request",
-            detail=f"span {pending.ctx.span_id or '?'}",
+            detail=f"span {record.client_span_id or '?'}",
             children=[request],
         )
-        client.started = min(sent_at - skew, request.started)
+        client.started = min(record.sent_at - record.clock_skew_seconds,
+                             request.started)
         client.seconds = (request.started + request.seconds) - client.started
         return client
 
@@ -566,14 +545,12 @@ class FlightRecorder:
             }
 
 
-def chrome_trace(record: Any) -> Dict[str, Any]:
+def chrome_trace(record: RequestRecord) -> Dict[str, Any]:
     """The merged Chrome-trace (``chrome://tracing`` / Perfetto) JSON for
     one retained request: the client span on its own track (pid 1), the
     server lifecycle + executor spans on another (pid 2), timestamps
     normalized to the trace origin with the clock-skew clamp already
     applied to the stored tree."""
-    if isinstance(record, dict):
-        record = RequestRecord.from_dict(record)
     if record.root is None:
         raise ValueError(
             f"trace {record.trace_id} was not retained by the tail "

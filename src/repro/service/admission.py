@@ -7,11 +7,12 @@ Every query request passes through three gates:
    ``max_queue``, the request is shed immediately with a typed
    ``overloaded`` response. This is the bound that keeps queue growth
    (and therefore queueing latency) finite under overload.
-2. :meth:`AdmissionControl.begin` on the worker thread — records the
-   time spent queued as a ``Service:QueueWait`` wait event and enforces
-   the per-request deadline: a request whose deadline budget was eaten
-   by queueing is shed *before* it touches the engine (executing a
-   query whose client has given up is pure goodput loss).
+2. :meth:`AdmissionControl.begin` on the worker thread — measures the
+   time spent queued once, as the ``Service:QueueWait`` wait event and
+   the request's ``queue.wait`` stage, then enforces the per-request
+   deadline: a request whose deadline budget was eaten by queueing is
+   shed *before* it touches the engine (executing a query whose client
+   has given up is pure goodput loss).
 3. The *remaining* deadline is what :meth:`begin` returns; the server
    arms it as the statement's :mod:`repro.guard` timeout, so a query
    admitted with 80ms of budget left is cancelled by the ordinary
@@ -22,9 +23,10 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
 from repro.errors import ServiceOverloadedError
+from repro.obs.requests import NULL_REQUEST
 from repro.obs.waits import SERVICE_QUEUE, WAITS
 
 __all__ = ["AdmissionControl", "AdmissionTicket"]
@@ -73,12 +75,15 @@ class AdmissionControl:
         with self._lock:
             self._queued -= 1
 
-    def begin(self, ticket: AdmissionTicket) -> float:
-        """Worker picked the request up: account the queue wait, enforce
-        the deadline, move queued -> executing. Returns the remaining
-        deadline budget in seconds."""
+    def begin(self, ticket: AdmissionTicket,
+              request: Any = NULL_REQUEST) -> float:
+        """Worker picked the request up: account the queue wait (also as
+        ``request``'s stage), enforce the deadline, move queued ->
+        executing. Returns the remaining deadline budget in seconds."""
         now = time.perf_counter()
-        WAITS.record(SERVICE_QUEUE, now - ticket.arrival)
+        waited = now - ticket.arrival
+        WAITS.record(SERVICE_QUEUE, waited)
+        request.stage("queue.wait", ticket.arrival, waited)
         remaining = ticket.deadline - now
         with self._lock:
             self._queued -= 1
@@ -88,7 +93,7 @@ class AdmissionControl:
                 self._executing += 1
         if remaining <= 0.0:
             raise ServiceOverloadedError(
-                f"deadline expired after {now - ticket.arrival:.3f}s in "
+                f"deadline expired after {waited:.3f}s in "
                 f"queue (budget {self.deadline:.3f}s)",
                 retry_after=self.deadline,
             )
@@ -98,11 +103,6 @@ class AdmissionControl:
         with self._lock:
             self._executing -= 1
             self.completed += 1
-
-    @property
-    def queue_depth(self) -> int:
-        with self._lock:
-            return self._queued
 
     def stats(self) -> Dict[str, int]:
         with self._lock:

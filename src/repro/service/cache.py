@@ -49,6 +49,7 @@ from collections import OrderedDict
 from typing import Any, Dict, Optional, Tuple
 
 from repro.engines.sysviews import SYSTEM_VIEW_NAMES
+from repro.obs.requests import NULL_REQUEST
 from repro.service.protocol import result_fragment
 from repro.sql import ast
 
@@ -131,33 +132,27 @@ class ResultCache:
         self.fills = 0
         self.bypass = 0
 
-    def lookup(self, key: tuple, marks: tuple,
-               info: Optional[dict] = None) -> Optional[_Entry]:
-        """The entry for ``key`` iff its watermarks still match ``marks``
-        (the *current* per-table write marks); a mismatch evicts.
-        ``info``, when given, receives ``{"status": "hit"/"miss"/
-        "stale"}`` — the request tracer distinguishes a cold miss from a
-        watermark invalidation (cache-stale-adjacent requests are
+    def lookup(self, key: tuple,
+               marks: tuple) -> Tuple[Optional[_Entry], str]:
+        """``(entry, "hit")`` iff the entry for ``key`` has watermarks
+        that still match ``marks`` (the *current* per-table write
+        marks), else ``(None, "miss")``, or ``(None, "stale")`` when a
+        mismatch evicted it — the request tracer tells a cold miss from
+        a watermark invalidation (cache-stale-adjacent requests are
         tail-sampled)."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
                 self.misses += 1
-                if info is not None:
-                    info["status"] = "miss"
-                return None
+                return None, "miss"
             if entry.marks != marks:
                 del self._entries[key]
                 self.invalidations += 1
                 self.misses += 1
-                if info is not None:
-                    info["status"] = "stale"
-                return None
+                return None, "stale"
             self._entries.move_to_end(key)
             self.hits += 1
-            if info is not None:
-                info["status"] = "hit"
-            return entry
+            return entry, "hit"
 
     def store(self, key: tuple, columns, rows, rowcount, marks) -> _Entry:
         entry = _Entry(columns, rows, rowcount, marks)
@@ -174,10 +169,6 @@ class ResultCache:
         other counter — bypasses are noted from concurrent workers)."""
         with self._lock:
             self.bypass += 1
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
 
     def __len__(self) -> int:
         with self._lock:
@@ -242,23 +233,18 @@ class CachedExecutor:
         marks = self._db.write_marks
         return tuple(marks.get(name) for name in tables)
 
-    def _execute_engine(self, connection, sql, params, timeout, stages):
-        """One engine execution, staged as ``execute`` on the request
-        trace when one is being recorded."""
-        if stages is None:
-            return self._db.execute(
-                sql, params, timeout=timeout, session=connection.session
-            )
+    def _execute_engine(self, connection, sql, params, timeout, request):
+        """One engine execution, staged as ``execute`` on the request."""
         start = time.perf_counter()
         try:
             return self._db.execute(
                 sql, params, timeout=timeout, session=connection.session
             )
         finally:
-            stages.stage("execute", start, time.perf_counter() - start)
+            request.stage("execute", start, time.perf_counter() - start)
 
     def _lookup(self, sql: str, params: tuple, tables: Tuple[str, ...],
-                stages: Any) -> Optional[_Probe]:
+                request: Any) -> Optional[_Probe]:
         """The one counted cache lookup, or ``None`` (nothing counted)
         when ``params`` are unhashable and the statement must bypass."""
         # keyed on the raw text: statements differing only in literals
@@ -269,21 +255,16 @@ class CachedExecutor:
         except TypeError:
             return None
         marks = self._current_marks(tables)
-        if stages is None:
-            return _Probe(key, marks, self.cache.lookup(key, marks))
-        info: dict = {}
-        lookup_start = time.perf_counter()
-        entry = self.cache.lookup(key, marks, info)
-        status = info.get("status", "miss")
-        stages.stage(
-            "cache.lookup", lookup_start,
-            time.perf_counter() - lookup_start, status,
+        start = time.perf_counter()
+        entry, status = self.cache.lookup(key, marks)
+        request.stage(
+            "cache.lookup", start, time.perf_counter() - start, status
         )
-        stages.cache_status = status
+        request.note_cache(status)
         return _Probe(key, marks, entry)
 
     def probe(self, sql: str, params: Any,
-              stages: Any = None) -> Optional[_Probe]:
+              request: Any = NULL_REQUEST) -> Optional[_Probe]:
         """The lookup for a request that holds no transaction, made
         before it is queued: ``None`` unless ``sql`` is already known to
         be a cacheable SELECT, in which case the request's one counted
@@ -295,7 +276,7 @@ class CachedExecutor:
         tables = self._known_tables(sql)
         if tables is None or tables is _UNSEEN:
             return None
-        return self._lookup(sql, tuple(params), tables, stages)
+        return self._lookup(sql, tuple(params), tables, request)
 
     def resolve(
         self,
@@ -303,41 +284,39 @@ class CachedExecutor:
         sql: str,
         params: Any = (),
         timeout: Optional[float] = None,
-        stages: Any = None,
+        request: Any = NULL_REQUEST,
         probe: Optional[_Probe] = None,
     ) -> Tuple[_Entry, bool]:
         """``(entry, cached)`` for one statement: a hit, a fresh fill or
-        an uncacheable (bypassed) execution. ``stages`` is an optional
-        request-trace sink (duck-typed :class:`repro.obs.requests.
-        PendingRequest`): the cache lookup and the engine execution are
-        staged onto it, and ``cache_status`` records hit / miss / stale /
-        bypass for the tail sampler. ``probe`` is this request's lookup
-        already made by :meth:`probe`."""
+        an uncacheable (bypassed) execution. The cache lookup and the
+        engine execution are staged onto ``request`` (a
+        :class:`repro.obs.requests.RequestRecord`, or the
+        :data:`~repro.obs.requests.NULL_REQUEST` that keeps nothing),
+        with the hit / miss / stale / bypass status the tail sampler
+        reads. ``probe`` is this request's lookup already made by
+        :meth:`probe`."""
         cache = self.cache
         params = tuple(params)
-        if probe is None:
-            tables = None
-            if cache is not None and not connection.in_transaction:
-                tables = self._cacheable_tables(sql)
+        if probe is None and cache is not None \
+                and not connection.in_transaction:
+            tables = self._cacheable_tables(sql)
             if tables is not None:
-                probe = self._lookup(sql, params, tables, stages)
-            if probe is None:
-                if cache is not None:
-                    cache.note_bypass()
-                    if stages is not None:
-                        stages.cache_status = "bypass"
-                result = self._execute_engine(
-                    connection, sql, params, timeout, stages
-                )
-                return _Entry(
-                    result.columns, result.rows, result.rowcount, None
-                ), False
-        if probe.entry is not None:
+                probe = self._lookup(sql, params, tables, request)
+        if probe is not None and probe.entry is not None:
             return probe.entry, True
+        if probe is None and cache is not None:
+            cache.note_bypass()
+            request.note_cache("bypass")
+        result = self._execute_engine(
+            connection, sql, params, timeout, request
+        )
+        if probe is None:
+            return _Entry(
+                result.columns, result.rows, result.rowcount, None
+            ), False
         # marks were captured before execution: a commit racing this
         # fill leaves the entry stale-marked and therefore dead on its
         # next lookup (see module docstring)
-        result = self._execute_engine(connection, sql, params, timeout, stages)
         return cache.store(
             probe.key, result.columns, result.rows, result.rowcount,
             probe.marks,
@@ -349,8 +328,7 @@ class CachedExecutor:
         sql: str,
         params: Any = (),
         timeout: Optional[float] = None,
-        stages: Any = None,
     ) -> Tuple[list, list, int, bool]:
         """:meth:`resolve` as ``(columns, rows, rowcount, cached)``."""
-        entry, cached = self.resolve(connection, sql, params, timeout, stages)
+        entry, cached = self.resolve(connection, sql, params, timeout)
         return entry.columns, entry.rows, entry.rowcount, cached

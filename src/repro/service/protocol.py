@@ -20,8 +20,9 @@ propagates the client's trace context for end-to-end request tracing
 (``repro.obs.requests``). The field is strictly additive: servers that
 predate it ignore it, clients that omit it still work, and a malformed
 ``trace`` value is dropped rather than failing the request
-(:func:`trace_context` is deliberately tolerant). A tracing server
-echoes ``trace_id`` on the matching response.
+(:meth:`~repro.obs.requests.TraceContext.from_wire` is deliberately
+tolerant). A tracing server echoes ``trace_id`` on the matching
+response.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ __all__ = [
     "decode_rows",
     "error_code",
     "error_payload",
-    "trace_context",
 ]
 
 #: refuse frames larger than this (a corrupt length prefix must not
@@ -185,19 +185,6 @@ def _decode_value(value: Any) -> Any:
 def decode_rows(rows: Sequence[Sequence[Any]]) -> List[tuple]:
     """Wire rows back to tuples (geometry arrives as its WKT string)."""
     return [tuple(_decode_value(v) for v in row) for row in rows]
-
-
-def trace_context(message: Dict[str, Any]):
-    """The request's :class:`~repro.obs.requests.TraceContext`, or
-    ``None`` when the ``trace`` field is absent or malformed — an old or
-    foreign client must never have its query rejected over trace
-    metadata."""
-    payload = message.get("trace")
-    if payload is None:
-        return None
-    from repro.obs.requests import TraceContext
-
-    return TraceContext.from_wire(payload)
 
 
 def error_code(exc: BaseException) -> str:

@@ -42,7 +42,7 @@ from typing import Any, Dict, Optional
 
 from repro.dbapi import connect
 from repro.errors import ReproError, ServiceError, ServiceProtocolError
-from repro.obs.requests import RECORDER, SlowLog
+from repro.obs.requests import NULL_REQUEST, RECORDER, TraceContext
 from repro.obs.waits import NET_RECV, NET_SEND, WAITS
 from repro.service.admission import AdmissionControl
 from repro.service.cache import CachedExecutor, ResultCache
@@ -54,7 +54,6 @@ from repro.service.protocol import (
     error_code,
     error_payload,
     result_frame,
-    trace_context,
 )
 
 __all__ = ["ServerConfig", "JackpineServer"]
@@ -79,16 +78,14 @@ class ServerConfig:
     #: result-cache entries; 0 disables the cache entirely
     cache_capacity: int = 256
     #: request tracing + flight recorder (repro.obs.requests); off by
-    #: default — the disabled path is one bool check per request
+    #: default — an untraced request's measurements are not kept
     trace: bool = False
     #: tail-sampling threshold: requests at or above this retain their
     #: full linked span tree
     trace_slow_ms: float = 100.0
-    #: flight-recorder ring size (compact records)
-    trace_capacity: int = 2048
-    #: JSON-lines file appended with every tail-sampled request
+    #: JSON-lines file appended with every tail-sampled request (rotated
+    #: at 4 MiB, one ``.1`` backup kept)
     slow_log: Optional[str] = None
-    slow_log_max_bytes: int = 4 * 1024 * 1024
 
 
 class _ClientState:
@@ -130,7 +127,7 @@ class JackpineServer:
             max_workers=self.config.pool_size,
             thread_name_prefix="jackpine-svc",
         )
-        #: the one per-request tracing check (disabled-path discipline)
+        #: the one per-request tracing check: which request to begin
         self._tracing = bool(self.config.trace)
         self.connections_open = 0
         self.connections_total = 0
@@ -147,19 +144,10 @@ class JackpineServer:
         if self._thread is not None:
             raise ServiceError("server already started")
         if self._tracing:
-            RECORDER.configure(
-                slow_threshold=self.config.trace_slow_ms / 1e3,
-                capacity=self.config.trace_capacity,
-                slow_log=(
-                    SlowLog(self.config.slow_log,
-                            self.config.slow_log_max_bytes)
-                    if self.config.slow_log else None
-                ),
+            RECORDER.start(
+                self._db, self.config.trace_slow_ms / 1e3,
+                self.config.slow_log,
             )
-            RECORDER.enable()
-            # span-capturing tracing on the engine gives every traced
-            # request its executor SpanNode tree to parent
-            RECORDER.install(self._db)
         self._thread = threading.Thread(
             target=self._run_loop, name="jackpine-service", daemon=True
         )
@@ -183,11 +171,7 @@ class JackpineServer:
             self._db.service = None
         self._workers.shutdown(wait=True)
         if self._tracing:
-            # stop recording but keep the buffered records readable —
-            # post-mortems outlive the server that produced them
-            RECORDER.uninstall(self._db)
-            RECORDER.disable()
-            RECORDER.close_log()
+            RECORDER.stop(self._db)
 
     def __enter__(self) -> "JackpineServer":
         return self.start()
@@ -272,13 +256,13 @@ class JackpineServer:
                 if message is None:
                     break
                 response = await self._dispatch(state, message, recv_seconds)
+                request = response.pop("_request", NULL_REQUEST)
+                close = response.pop("_close", False)
                 # the request's record is filed only after its last byte
                 # is on the wire, so net.send is part of the trace
-                pending = response.pop("_pending", None)
-                close = response.pop("_close", False)
-                send_seconds = await self._send(writer, response)
-                if pending is not None:
-                    RECORDER.finish(pending, send_seconds)
+                request.finish(
+                    await self._send(writer, response, request.trace_id)
+                )
                 if close:
                     break
         except (ConnectionError, asyncio.IncompleteReadError):
@@ -329,14 +313,20 @@ class JackpineServer:
         WAITS.record(NET_RECV, seconds)
         return decode_body(body), seconds
 
-    async def _send(self, writer, response: Dict[str, Any]) -> float:
+    async def _send(self, writer, response: Dict[str, Any],
+                    trace_id: Optional[str] = None) -> float:
+        """Write one reply, echoing ``trace_id`` when the request has
+        one; returns the seconds the drain took (``Net:Send``)."""
         body = response.pop("_body", None)
-        writer.write(
-            encode_frame(response) if body is None else result_frame(
-                response["id"], body, response["cached"],
-                response.get("trace_id"),
+        if body is not None:
+            frame = result_frame(
+                response["id"], body, response["cached"], trace_id
             )
-        )
+        else:
+            if trace_id is not None:
+                response["trace_id"] = trace_id
+            frame = encode_frame(response)
+        writer.write(frame)
         start = time.perf_counter()
         await writer.drain()
         seconds = time.perf_counter() - start
@@ -366,15 +356,14 @@ class JackpineServer:
                 "ok": False, "id": rid, "_close": True,
                 "error": error_payload("protocol", "query without sql text"),
             }
-        pending = None
-        if self._tracing:
-            # a context-less (old) client still gets a server-minted
-            # trace; net.recv started recv_seconds before begin()
-            pending = RECORDER.begin(trace_context(message), sql)
-            if recv_seconds > 0.0:
-                pending.stage(
-                    "net.recv", pending.start - recv_seconds, recv_seconds
-                )
+        # a context-less (old) client still gets a server-minted trace
+        request = (
+            RECORDER.begin(
+                TraceContext.from_wire(message.get("trace")), sql,
+                recv_seconds,
+            )
+            if self._tracing else NULL_REQUEST
+        )
         params = [
             value["$wkt"]
             if isinstance(value, dict) and "$wkt" in value else value
@@ -385,45 +374,44 @@ class JackpineServer:
             # a known SELECT is looked up here, once; a hit is answered
             # from the loop with the bytes its fill encoded — no
             # admission slot, no worker, no engine call
-            probe = self._cached.probe(sql, params, pending)
+            probe = self._cached.probe(sql, params, request)
             if probe is not None and probe.entry is not None:
-                if pending is not None:
-                    pending.complete("ok", cached=True)
-                return self._traced({
+                request.complete("ok", cached=True)
+                return {
                     "ok": True, "id": rid, "_body": probe.entry.body(),
-                    "cached": True,
-                }, pending)
+                    "cached": True, "_request": request,
+                }
         ticket = self.admission.try_admit()
         if ticket is None:
-            if pending is not None:
-                pending.complete("shed_queue_full")
-            return self._traced({
+            request.complete("shed_queue_full")
+            return {
                 "ok": False, "id": rid,
                 "error": error_payload(
                     "overloaded",
                     f"queue full ({self.admission.max_queue} waiting)",
                     retry_after=self.admission.deadline,
                 ),
-            }, pending)
+                "_request": request,
+            }
         with state.lock:
             state.running = True
         try:
             future = self._workers.submit(
-                self._run_query, state, sql, params, ticket, pending, probe
+                self._run_query, state, sql, params, ticket, request, probe
             )
         except RuntimeError:  # executor already shut down during stop
             with state.lock:
                 state.running = False
             self.admission.cancel(ticket)
-            if pending is not None:
-                pending.complete("overloaded")
-            return self._traced({
+            request.complete("overloaded")
+            return {
                 "ok": False, "id": rid, "_close": True,
                 "error": error_payload(
                     "overloaded", "server shutting down",
                     retry_after=self.admission.deadline,
                 ),
-            }, pending)
+                "_request": request,
+            }
         try:
             response = await asyncio.wrap_future(future)
         except asyncio.CancelledError:
@@ -437,15 +425,7 @@ class JackpineServer:
                 self.admission.cancel(ticket)
             raise
         response["id"] = rid
-        return self._traced(response, pending)
-
-    @staticmethod
-    def _traced(response: Dict[str, Any], pending) -> Dict[str, Any]:
-        """Echo the trace id and hand the request's record to the
-        handler, which files it once the reply is on the wire."""
-        if pending is not None:
-            response["trace_id"] = pending.trace_id
-            response["_pending"] = pending
+        response["_request"] = request
         return response
 
     def _trace_op(self, message: Dict[str, Any], rid) -> Dict[str, Any]:
@@ -466,7 +446,7 @@ class JackpineServer:
     # -- worker-thread side --------------------------------------------------
 
     def _run_query(
-        self, state: _ClientState, sql: str, params, ticket, pending=None,
+        self, state: _ClientState, sql: str, params, ticket, request,
         probe=None,
     ) -> Dict[str, Any]:
         """Runs on a worker thread; returns the response dict and never
@@ -474,34 +454,23 @@ class JackpineServer:
         is the loop's cache miss for this request, if it looked."""
         began = False
         try:
-            budget = self.admission.begin(ticket)
+            budget = self.admission.begin(ticket, request)
             began = True
-            if pending is None:
+            # bound to this thread so the query_end hook files the
+            # executor trace with *this* request, not a neighbour's
+            request.bind()
+            try:
                 entry, cached = self._cached.resolve(
                     state.connection, sql, params, timeout=budget,
-                    probe=probe,
+                    request=request, probe=probe,
                 )
-            else:
-                pending.stage(
-                    "queue.wait", ticket.arrival,
-                    time.perf_counter() - ticket.arrival,
-                )
-                # bound to this thread so the query_end hook files the
-                # executor trace with *this* request, not a neighbour's
-                RECORDER.bind(pending)
-                try:
-                    entry, cached = self._cached.resolve(
-                        state.connection, sql, params, timeout=budget,
-                        stages=pending, probe=probe,
-                    )
-                finally:
-                    RECORDER.unbind()
-                pending.complete("ok", cached=cached)
+            finally:
+                request.unbind()
+            request.complete("ok", cached=cached)
             return {"ok": True, "_body": entry.body(), "cached": cached}
         except Exception as exc:
             code = error_code(exc)
-            if pending is not None:
-                pending.complete(code)
+            request.complete(code)
             # a non-ReproError is a broken engine invariant: name it
             message = (
                 str(exc) if isinstance(exc, ReproError)

@@ -756,9 +756,10 @@ class Sort(PlanNode):
 
 
 def _sort_key(value: Any) -> tuple:
-    # None sorts first ascending (→ last descending); mixed types by name
+    # None sorts last ascending (→ first descending), as in PostgreSQL;
+    # mixed types by name
     if value is None:
-        return (0, "", 0)
+        return (3, "", 0)
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return (1, "", value)
     return (2, str(value), 0)

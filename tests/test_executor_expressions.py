@@ -277,8 +277,8 @@ class TestPlanShapes:
 
     def test_order_by_mixed_types_stable(self, db):
         got = db.execute("SELECT s FROM v ORDER BY s")
-        # NULL first, then strings lexicographically
-        assert got.rows == [(None,), ("a%c",), ("abc",)]
+        # strings lexicographically, then NULL last (as in PostgreSQL)
+        assert got.rows == [("a%c",), ("abc",), (None,)]
 
     def test_params_out_of_range(self, db):
         with pytest.raises(IndexError):

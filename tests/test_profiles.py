@@ -220,6 +220,22 @@ class TestDegenerateOperands:
         envelope = "SELECT ST_AsText(ST_Envelope(geom)) FROM t WHERE id = 0"
         assert db.execute(envelope).scalar() == "GEOMETRYCOLLECTION EMPTY"
 
+    @pytest.mark.parametrize("indexed", [False, True])
+    @pytest.mark.parametrize("engine", ["greenwood", "bluestem", "ironbark"])
+    def test_a_null_distance_sorts_last_ascending(self, engine, indexed):
+        # as in PostgreSQL: NULL sorts last ascending and first
+        # descending, so the empty row is never the nearest one
+        db = self._table(engine, "POINT(3 4)", "GEOMETRYCOLLECTION EMPTY",
+                         "POINT(1 1)")
+        if indexed:
+            db.execute("CREATE SPATIAL INDEX t_geom ON t (geom)")
+        distance = "ST_Distance(geom, ST_Point(0, 0))"
+        nearest = f"SELECT id FROM t ORDER BY {distance} LIMIT 1"
+        assert db.execute(nearest).scalar() == 2
+        ranked = f"SELECT id, {distance} FROM t ORDER BY {distance}"
+        assert [row[0] for row in db.execute(ranked).rows] == [2, 0, 1]
+        assert [row[0] for row in db.execute(ranked + " DESC").rows] == [1, 0, 2]
+
 
 class TestProfileIndexDefault:
     def test_create_index_uses_profile_kind(self):

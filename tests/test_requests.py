@@ -14,6 +14,7 @@ import pytest
 
 from repro.datagen.tiger import generate
 from repro.engines import Database
+from repro.errors import ServiceError
 from repro.obs.requests import (
     RECORDER,
     FlightRecorder,
@@ -41,10 +42,9 @@ def fresh_recorder():
     into RECORDER, so tests share it the way jackpine_waits tests share
     WAITS."""
     RECORDER.reset()
-    RECORDER.configure(slow_threshold=0.1)
+    RECORDER.slow_threshold = 0.1
     yield RECORDER
     RECORDER.reset()
-    RECORDER.disable()
 
 
 def _recorded(trace_id, timeout=2.0):
@@ -107,12 +107,12 @@ def _finish(recorder, outcome="ok", cache_status=None, sleep=0.0,
     ctx = TraceContext.fresh()
     if sent_at is not None:
         ctx.sent_at = sent_at
-    pending = recorder.begin(ctx, "SELECT 1")
+    request = recorder.begin(ctx, "SELECT 1")
     if sleep:
         time.sleep(sleep)
-    pending.cache_status = cache_status
-    pending.complete(outcome)
-    return recorder.finish(pending)
+    request.cache_status = cache_status
+    request.complete(outcome)
+    return recorder.finish(request)
 
 
 def test_fast_ok_requests_are_compact_not_retained(fresh_recorder):
@@ -141,9 +141,9 @@ def test_finish_tokenizes_a_repeated_sql_text_once(fresh_recorder,
     sql = f"SELECT gid FROM counties WHERE name = '{new_trace_id()}'"
     records = []
     for _ in range(2):
-        pending = fresh_recorder.begin(TraceContext.fresh(), sql)
-        pending.complete("ok")
-        records.append(fresh_recorder.finish(pending))
+        request = fresh_recorder.begin(TraceContext.fresh(), sql)
+        request.complete("ok")
+        records.append(fresh_recorder.finish(request))
     assert tokenized == [sql]
     assert records[0].fingerprint == records[1].fingerprint
 
@@ -157,7 +157,7 @@ def test_non_ok_outcomes_are_tail_sampled(fresh_recorder, outcome):
 
 
 def test_slow_requests_are_tail_sampled(fresh_recorder):
-    fresh_recorder.configure(slow_threshold=0.005)
+    fresh_recorder.slow_threshold = 0.005
     record = _finish(fresh_recorder, sleep=0.02)
     assert record.retained
 
@@ -173,15 +173,14 @@ def test_shed_flag_tracks_outcome(fresh_recorder):
     assert not _finish(fresh_recorder, outcome="sql").shed
 
 
-def test_ring_is_bounded(fresh_recorder):
-    fresh_recorder.configure(capacity=8)
+def test_ring_is_bounded():
+    recorder = FlightRecorder(capacity=8)
     for _ in range(20):
-        _finish(fresh_recorder)
-    stats = fresh_recorder.stats()
+        _finish(recorder)
+    stats = recorder.stats()
     assert stats["buffered"] == 8
     assert stats["total"] == 20
     assert stats["dropped"] == 12
-    fresh_recorder.configure(capacity=FlightRecorder.DEFAULT_CAPACITY)
 
 
 def test_clock_skew_is_clamped_by_causality(fresh_recorder):
@@ -217,13 +216,13 @@ def test_slow_log_rotates_by_size(tmp_path):
     path = str(tmp_path / "slow.jsonl")
     log = SlowLog(path, max_bytes=2048)
     recorder = FlightRecorder(slow_threshold=0.0)
-    recorder.configure(slow_log=log)
+    recorder.slow_log = log
     for _ in range(40):
         ctx = TraceContext.fresh()
-        pending = recorder.begin(ctx, "SELECT * FROM counties")
-        pending.complete("ok")
-        recorder.finish(pending)
-    recorder.close_log()
+        request = recorder.begin(ctx, "SELECT * FROM counties")
+        request.complete("ok")
+        recorder.finish(request)
+    log.close()
     assert os.path.exists(path)
     assert os.path.exists(path + ".1")
     assert os.path.getsize(path) <= 2048
@@ -238,12 +237,14 @@ def test_slow_log_rotates_by_size(tmp_path):
     )
 
 
-def test_slow_log_only_gets_retained_records(tmp_path, fresh_recorder):
+def test_slow_log_only_gets_retained_records(tmp_path):
     path = str(tmp_path / "slow.jsonl")
-    fresh_recorder.configure(slow_log=SlowLog(path))
-    _finish(fresh_recorder)                      # fast ok: not logged
-    _finish(fresh_recorder, outcome="sql")       # errored: logged
-    fresh_recorder.close_log()
+    log = SlowLog(path)
+    recorder = FlightRecorder()
+    recorder.slow_log = log
+    _finish(recorder)                      # fast ok: not logged
+    _finish(recorder, outcome="sql")       # errored: logged
+    log.close()
     records = read_slow_log(path)
     assert len(records) == 1
     assert records[0].outcome == "sql"
@@ -450,9 +451,127 @@ def test_cache_hit_and_stale_statuses_reach_records(database,
     assert stale.retained, "stale-adjacent requests are tail-sampled"
 
 
+def _records_for(sqls, count, timeout=5.0):
+    """The records of ``sqls`` in filing order, once ``count`` landed."""
+    deadline = time.monotonic() + timeout
+    while True:
+        records = [r for r in RECORDER.records() if r.sql in sqls]
+        if len(records) >= count or time.monotonic() >= deadline:
+            return records
+        time.sleep(0.005)
+
+
+def test_each_stage_is_measured_once(database, fresh_recorder):
+    """A request's ``net.recv``, ``queue.wait`` and ``net.send`` are the
+    very floats the wait monitor summed: over a sequential round on one
+    worker, the stage seconds add up to the ``Net:Recv``,
+    ``Service:QueueWait`` and ``Net:Send`` totals exactly."""
+    sql = "SELECT COUNT(*) FROM counties WHERE gid < ?"
+    statements = [(sql, (5,)), (sql, (6,)), (sql, (6,)),
+                  ("SELECT COUNT(*) FROM pointlm", ()),
+                  ("SELECT no_such_column FROM counties", ())]
+    WAITS.enable()
+    WAITS.reset()
+    try:
+        with _traced_server(database, pool_size=1) as server:
+            with ServiceClient.from_address(server.address) as client:
+                for text, params in statements:
+                    try:
+                        client.execute(text, params)
+                    except ServiceError:
+                        pass
+            records = _records_for({text for text, _p in statements},
+                                   len(statements))
+        summary = WAITS.summary()
+    finally:
+        WAITS.disable()
+        WAITS.reset()
+    assert len(records) == len(statements)
+    assert any(r.cached for r in records)  # a hit queues nowhere
+    for stage, event in (("net.recv", NET_RECV), ("queue.wait", SERVICE_QUEUE),
+                         ("net.send", NET_SEND)):
+        total = 0.0
+        for record in records:
+            total += record.stage_seconds.get(stage, 0.0)
+        assert total == summary[event]["seconds"], stage
+
+
+def test_a_deadline_shed_keeps_its_queue_wait(database, fresh_recorder):
+    """A request shed at pickup spent its whole life in the queue: its
+    record carries the ``queue.wait`` stage, so the view's
+    ``queue_seconds`` is not NULL on it."""
+    from repro.errors import ServiceOverloadedError
+
+    sql = f"SELECT COUNT(*) FROM edges WHERE gid > {len(new_trace_id())}"
+    with _traced_server(database, deadline=1e-9) as server:
+        with ServiceClient.from_address(server.address) as client:
+            with pytest.raises(ServiceOverloadedError):
+                client.execute(sql)
+        (record,) = _records_for({sql}, 1)
+    assert record.outcome == "overloaded" and record.shed
+    assert record.stage_seconds["queue.wait"] > 0.0
+    (row,) = database.execute(
+        "SELECT outcome, queue_seconds FROM jackpine_requests "
+        "WHERE trace_id = ?", (record.trace_id,)
+    ).rows
+    assert row == ("overloaded", record.stage_seconds["queue.wait"])
+
+
 # ---------------------------------------------------------------------------
 # compatibility: old clients, untraced servers
 # ---------------------------------------------------------------------------
+
+
+def _small_database():
+    db = Database("greenwood")
+    db.execute("CREATE TABLE spots (gid INTEGER, geom GEOMETRY)")
+    for gid in range(4):
+        db.execute("INSERT INTO spots VALUES (?, ST_Point(?, ?))",
+                   (gid, gid, gid))
+    return db
+
+
+def test_traced_and_untraced_servers_answer_alike():
+    """One request sequence — miss, hit, stale after a write, bypass
+    inside ``BEGIN``, an SQL error — gets the same replies and leaves
+    the same cache counters whether the server traces or not."""
+    count = "SELECT COUNT(*) FROM spots WHERE gid >= ?"
+    sequence = [
+        (count, (0,)),                                     # miss
+        (count, (0,)),                                     # hit
+        ("INSERT INTO spots VALUES (9, ST_Point(9, 9))", ()),
+        (count, (0,)),                                     # stale
+        ("BEGIN", ()),
+        (count, (1,)),                                     # bypass
+        ("COMMIT", ()),
+        ("SELECT nothing FROM spots", ()),                 # sql error
+        (count, (1,)),                                     # miss
+    ]
+    replies, stats = {}, {}
+    for trace in (False, True):
+        RECORDER.reset()
+        with JackpineServer(_small_database(), ServerConfig(
+            pool_size=2, trace=trace,
+        )) as server:
+            with ServiceClient.from_address(server.address) as client:
+                replies[trace] = []
+                for sql, params in sequence:
+                    try:
+                        result = client.execute(sql, params)
+                    except ServiceError as exc:
+                        replies[trace].append((exc.code, str(exc)))
+                    else:
+                        replies[trace].append((result.rows, result.cached))
+            stats[trace] = server.cache.stats()
+    RECORDER.reset()
+    assert replies[True] == replies[False] == [
+        ([(4,)], False), ([(4,)], True), ([], False), ([(5,)], False),
+        ([], False), ([(4,)], False), ([], False),
+        ("sql", "unknown column 'nothing'"), ([(4,)], False),
+    ]
+    assert stats[True] == stats[False]
+    assert (stats[False]["hits"], stats[False]["invalidations"],
+            stats[False]["bypass"]) == (1, 1, 4)
 
 
 def test_contextless_old_client_still_works_and_is_traced(database,
@@ -532,7 +651,7 @@ def test_trace_trees_complete_under_16_concurrent_clients(database,
             failures.append(exc)
 
     with _traced_server(database, pool_size=4, max_queue=128,
-                        deadline=30.0, trace_capacity=256) as server:
+                        deadline=30.0) as server:
         with ServiceClient.from_address(server.address) as warm:
             for slot in range(16):
                 for i in range(4):
@@ -639,8 +758,8 @@ def test_untraced_server_never_touches_the_recorder(database,
     def explode(*_a, **_k):  # pragma: no cover - must not be called
         raise AssertionError("recorder touched on the untraced path")
 
-    monkeypatch.setattr(RECORDER, "begin", explode)
-    monkeypatch.setattr(RECORDER, "finish", explode)
+    for entry_point in ("begin", "finish", "bind"):
+        monkeypatch.setattr(RECORDER, entry_point, explode)
     with JackpineServer(database, ServerConfig(pool_size=2)) as server:
         client = ServiceClient.from_address(server.address)
         try:

@@ -148,19 +148,19 @@ def test_cache_lru_eviction_and_stats():
     cache = ResultCache(capacity=2)
     cache.store(("a", ()), ["c"], [(1,)], 1, ())
     cache.store(("b", ()), ["c"], [(2,)], 1, ())
-    assert cache.lookup(("a", ()), ()) is not None  # refreshes LRU rank
+    assert cache.lookup(("a", ()), ())[1] == "hit"  # refreshes LRU rank
     cache.store(("c", ()), ["c"], [(3,)], 1, ())    # evicts "b"
-    assert cache.lookup(("b", ()), ()) is None
-    assert cache.lookup(("a", ()), ()) is not None
+    assert cache.lookup(("b", ()), ()) == (None, "miss")
+    assert cache.lookup(("a", ()), ())[0].rows == [(1,)]
     assert len(cache) == 2
 
 
 def test_cache_mark_mismatch_invalidates():
     cache = ResultCache()
     cache.store(("q", ()), ["c"], [(1,)], 1, (("pointlm", 5),))
-    assert cache.lookup(("q", ()), (("pointlm", 5),)) is not None
+    assert cache.lookup(("q", ()), (("pointlm", 5),))[1] == "hit"
     # a later committed write bumped the watermark
-    assert cache.lookup(("q", ()), (("pointlm", 9),)) is None
+    assert cache.lookup(("q", ()), (("pointlm", 9),)) == (None, "stale")
     assert cache.stats()["invalidations"] == 1
 
 

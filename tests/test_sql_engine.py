@@ -110,8 +110,11 @@ class TestSelectBasics:
 
     def test_order_by_desc_nulls(self, db):
         got = db.execute("SELECT id FROM cities ORDER BY pop DESC")
-        # NULL sorts last in descending order
-        assert got.rows[-1] == (4,)
+        # NULL sorts first in descending order (last ascending), as in
+        # PostgreSQL
+        assert got.rows == [(4,), (2,), (1,), (3,)]
+        got = db.execute("SELECT id FROM cities ORDER BY pop")
+        assert got.rows == [(3,), (1,), (2,), (4,)]
 
     def test_order_by_position(self, db):
         got = db.execute("SELECT id, pop FROM cities WHERE pop IS NOT NULL ORDER BY 2")
@@ -178,9 +181,10 @@ class TestAggregates:
 
     def test_order_by_aggregate(self, db):
         got = db.execute(
-            "SELECT name, SUM(pop) s FROM cities GROUP BY name ORDER BY s DESC LIMIT 1"
+            "SELECT name, SUM(pop) s FROM cities GROUP BY name ORDER BY s DESC LIMIT 2"
         )
-        assert got.rows[0][0] == "Beta"
+        # Delta's NULL sum sorts first in descending order
+        assert got.rows == [("Delta", None), ("Beta", 250)]
 
     def test_st_extent_aggregate(self, db):
         got = db.execute("SELECT ST_Area(ST_Extent(geom)) FROM cities")
