@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from itertools import compress
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -63,6 +63,10 @@ from repro.txn.locks import SharedExclusiveLock
 
 #: statements that change rows, never the schema or the statistics
 _DML = (ast.Insert, ast.Delete, ast.Update)
+
+#: committed writes the write log keeps per table: a cached window read
+#: is revalidated across at most this many commits to its table
+WRITE_LOG_SIZE = 64
 
 
 class ResultSet:
@@ -131,10 +135,16 @@ class Database:
         self._stats_lock = threading.Lock()
         #: per-table committed-write watermarks (table name -> xid of the
         #: last committed write), the service result cache's invalidation
-        #: source. Plain dict assignment under the GIL — the embedded
-        #: write path pays one dict store per committed write statement
-        #: (pinned by benchmarks/test_bench_disabled_overhead.py)
+        #: source. Read without a lock; the embedded write path pays one
+        #: log append and one dict store per table a commit wrote (pinned
+        #: by benchmarks/test_bench_disabled_overhead.py)
         self.write_marks: Dict[str, int] = {}
+        #: per-table log of the last WRITE_LOG_SIZE marks, ``(xid, box)``
+        #: in the order the marks moved: the box around every row version
+        #: the commit wrote, or None for an unbounded write (see
+        #: :meth:`bump_write_marks`, :meth:`writes_outside`)
+        self.write_log: Dict[str, deque] = {}
+        self._write_log_lock = threading.Lock()
         #: the running query service, set by repro.service.JackpineServer
         #: while serving and read by the jackpine_service system view
         self.service = None
@@ -601,14 +611,46 @@ class Database:
     def bump_write_marks(self, tables, xid: int) -> None:
         """Stamp the committed-write watermark for ``tables``.
 
-        Called by :meth:`TxnManager.commit` after the rows are visible,
-        and by ``CREATE TABLE`` / ``DROP TABLE``, which auto-commit.
-        Watermark comparison is by equality, so the only contract is
-        that the stamp changes whenever committed contents may have.
+        ``tables`` names the tables, or maps each to the box of the row
+        versions the write touched (:func:`repro.txn.manager.
+        written_boxes`); a name alone is an unbounded write. Called by
+        :meth:`TxnManager.commit` after the rows are visible, and by
+        ``CREATE TABLE`` / ``DROP TABLE``, which auto-commit. Watermark
+        comparison is by equality, so the only contract is that the
+        stamp changes whenever committed contents may have; the write
+        log entry is appended before the mark moves, so every mark a
+        reader sees is already logged.
         """
-        marks = self.write_marks
-        for name in tables:
-            marks[name.lower()] = xid
+        boxes = tables if isinstance(tables, dict) else dict.fromkeys(tables)
+        marks, logs = self.write_marks, self.write_log
+        with self._write_log_lock:
+            for name, box in boxes.items():
+                name = name.lower()
+                log = logs.get(name)
+                if log is None:
+                    log = logs[name] = deque(maxlen=WRITE_LOG_SIZE)
+                log.append((xid, box))
+                marks[name] = xid
+
+    def writes_outside(self, table: str, since: Optional[int], until: int,
+                       window: Tuple[float, float, float, float]) -> bool:
+        """Did every commit to ``table`` after the one that set the mark
+        ``since``, through the one that set ``until``, write only row
+        versions whose boxes miss the closed box ``window``? False when
+        the log no longer reaches back to ``since``, or a write between
+        them was unbounded."""
+        x0, y0, x1, y1 = window
+        checking = False
+        with self._write_log_lock:
+            for xid, box in reversed(self.write_log.get(table, ())):
+                if xid == since:
+                    return checking
+                checking = checking or xid == until
+                if checking and (box is None or (
+                        box[0] <= x1 and x0 <= box[2]
+                        and box[1] <= y1 and y0 <= box[3])):
+                    return False
+        return False
 
     def _lock_row_for_write(
         self, table: Table, row_id: int, txn: Transaction

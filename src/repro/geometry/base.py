@@ -233,7 +233,7 @@ class Geometry:
     (``a.intersects(b)``, ``a.buffer(10)``).
     """
 
-    __slots__ = ("_envelope", "_features")
+    __slots__ = ("_envelope", "_features", "_wkt")
 
     geom_type: GeometryType
 
@@ -244,6 +244,9 @@ class Geometry:
         # here is the "prepared geometry" optimisation real engines apply
         # to repeated predicate probes
         self._features = None
+        # the default-precision WKT, formatted once: every reply that
+        # carries this geometry reuses it
+        self._wkt: Optional[str] = None
 
     # -- structure (abstract) ----------------------------------------------
 
@@ -305,9 +308,14 @@ class Geometry:
     # -- serialisation --------------------------------------------------------
 
     def wkt(self, precision: int = 12) -> str:
+        if precision == 12 and self._wkt is not None:
+            return self._wkt
         from repro.geometry.wkt import dumps
 
-        return dumps(self, precision=precision)
+        text = dumps(self, precision=precision)
+        if precision == 12:
+            self._wkt = text
+        return text
 
     def wkb(self) -> bytes:
         from repro.geometry.wkb import dumps

@@ -26,13 +26,30 @@ still identical. The ordering closes both races:
   observe. Read-your-writes holds because a writer's own commit bumps
   the mark before the write's response is sent.
 
+Window reads are precise to their window. A SELECT over one table with
+no JOIN and a top-level AND conjunct ``ST_Intersects(column, expr)``
+(either order, ``expr`` free of columns: ``ST_MakeEnvelope(?, ?, ?,
+?)``) is filled with ``window = (table, expr's envelope)``. Each commit
+logs, per table and before it moves the mark, the box of every row
+version it inserted or deleted (``Database.write_log``; unbounded for
+DDL, a table without geometry, or a bulk write). On a mark mismatch a
+windowed entry is re-stamped and served as a hit when the log still
+reaches back to its mark and no box logged since meets its window as
+closed boxes (``Database.writes_outside``); otherwise it is stale as
+above. Exact and MBR-only intersects both need the envelopes to meet,
+so a write outside the window changes no row the entry holds. The race
+argument carries over: a commit the fill's snapshot missed moved the
+mark after the fill captured it, so it is in the log after the entry's
+mark and is checked.
+
 Sessions with an open transaction bypass the cache entirely, both ways:
 their snapshot may be older than the newest committed state the cache
 reflects, and their own uncommitted writes are visible to no cached
 entry. Statements that read a ``jackpine_*`` system view are never
 cached (the views are live windows, not MVCC tables).
 
-Each request is counted once, as a hit, a miss or a bypass. For an SQL
+Each request is counted once, as a hit (a revalidated window entry
+included), a miss or a bypass. For an SQL
 text already classified as a cacheable SELECT the service's event loop
 makes the lookup (:meth:`CachedExecutor.probe`) and hands a miss, with
 the marks it captured, to the worker that fills it; any other request is
@@ -49,9 +66,14 @@ from collections import OrderedDict
 from typing import Any, Dict, Optional, Tuple
 
 from repro.engines.sysviews import SYSTEM_VIEW_NAMES
+from repro.errors import ReproError
 from repro.obs.requests import NULL_REQUEST
 from repro.service.protocol import result_fragment
 from repro.sql import ast
+from repro.sql.compiler import Compiler, Scope
+from repro.sql.executor import ExecContext, Stats, scalar
+from repro.sql.planner import split_conjuncts
+from repro.storage.table import ColumnType, stored_envelope
 
 __all__ = ["ResultCache", "CachedExecutor", "select_tables"]
 
@@ -59,10 +81,14 @@ __all__ = ["ResultCache", "CachedExecutor", "select_tables"]
 _UNSEEN = object()
 
 
-def select_tables(statement: Any) -> Optional[Tuple[str, ...]]:
-    """The tables a statement reads, or ``None`` when it is not a plain
-    cacheable SELECT. A SELECT with no FROM reads no tables and caches
-    on an empty watermark set (every shipped function is deterministic).
+def select_tables(statement: Any) -> Optional[Tuple[Tuple[str, ...], Any]]:
+    """``(tables, window)`` for a plain cacheable SELECT, else ``None``:
+    the tables it reads, and ``(table, column, expr)`` when it reads one
+    table with no JOIN and a top-level AND conjunct is
+    ``ST_Intersects(column, expr)`` (either order) with ``expr`` free of
+    columns, else ``None``. A SELECT with no FROM reads no tables and
+    caches on an empty watermark set (every shipped function is
+    deterministic).
     """
     if not isinstance(statement, ast.Select):
         return None
@@ -73,20 +99,52 @@ def select_tables(statement: Any) -> Optional[Tuple[str, ...]]:
         names.add(join.table.name.lower())
     if names & set(SYSTEM_VIEW_NAMES):
         return None
-    return tuple(sorted(names))
+    window = None
+    if statement.source is not None and not statement.joins:
+        window = next(_windows(statement), None)
+    return tuple(sorted(names)), window
+
+
+def _windows(statement: ast.Select):
+    """``(table, column, expr)`` for each top-level AND conjunct
+    ``ST_Intersects(column, expr)`` (either order) of a one-table
+    SELECT whose ``expr`` is free of columns."""
+    table = statement.source.name.lower()
+    for conjunct in split_conjuncts(statement.where):
+        if isinstance(conjunct, ast.FuncCall) \
+                and conjunct.name == "st_intersects" \
+                and len(conjunct.args) == 2:
+            for column, other in (conjunct.args, conjunct.args[::-1]):
+                if isinstance(column, ast.ColumnRef) and _constant(other):
+                    yield table, column.name, other
+
+
+def _constant(expr: Any) -> bool:
+    """Is ``expr`` built of literals, parameters and calls alone?"""
+    if isinstance(expr, (ast.Literal, ast.Param)):
+        return True
+    if isinstance(expr, ast.FuncCall):
+        return all(map(_constant, expr.args))
+    if isinstance(expr, ast.BinaryOp):
+        return _constant(expr.left) and _constant(expr.right)
+    if isinstance(expr, ast.UnaryOp):
+        return _constant(expr.operand)
+    return False
 
 
 class _Entry:
     """One materialised result. A bypassed execution is an entry that is
-    never stored (``marks`` is ``None``)."""
+    never stored (``marks`` is ``None``); a windowed one carries
+    ``window = (table, (min_x, min_y, max_x, max_y))``."""
 
-    __slots__ = ("columns", "rows", "rowcount", "marks", "_body")
+    __slots__ = ("columns", "rows", "rowcount", "marks", "window", "_body")
 
-    def __init__(self, columns, rows, rowcount, marks):
+    def __init__(self, columns, rows, rowcount, marks, window=None):
         self.columns = columns
         self.rows = rows
         self.rowcount = rowcount
         self.marks = marks
+        self.window = window
         self._body: Optional[bytes] = None
 
     def body(self) -> bytes:
@@ -105,15 +163,17 @@ class _Entry:
 
 class _Probe:
     """One counted lookup: its key, the write marks captured before it,
-    and the entry it found (``None`` on a miss). A miss carries its marks
-    on to the fill, so the request is counted once, not once per site."""
+    the entry it found (``None`` on a miss) and the statement's window
+    (:func:`select_tables`, compiled). A miss carries its marks on to
+    the fill, so the request is counted once, not once per site."""
 
-    __slots__ = ("key", "marks", "entry")
+    __slots__ = ("key", "marks", "entry", "window")
 
-    def __init__(self, key, marks, entry):
+    def __init__(self, key, marks, entry, window):
         self.key = key
         self.marks = marks
         self.entry = entry
+        self.window = window
 
 
 class ResultCache:
@@ -132,30 +192,40 @@ class ResultCache:
         self.fills = 0
         self.bypass = 0
 
-    def lookup(self, key: tuple,
-               marks: tuple) -> Tuple[Optional[_Entry], str]:
+    def lookup(self, key: tuple, marks: tuple,
+               writes_outside=None) -> Tuple[Optional[_Entry], str]:
         """``(entry, "hit")`` iff the entry for ``key`` has watermarks
         that still match ``marks`` (the *current* per-table write
         marks), else ``(None, "miss")``, or ``(None, "stale")`` when a
         mismatch evicted it — the request tracer tells a cold miss from
         a watermark invalidation (cache-stale-adjacent requests are
-        tail-sampled)."""
+        tail-sampled). A windowed entry whose marks differ is re-stamped
+        with ``marks`` and is a hit when ``writes_outside(table, its
+        mark, the current mark, window)`` (:meth:`repro.engines.Database.
+        writes_outside`) says no commit since its mark wrote in its
+        window."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
                 self.misses += 1
                 return None, "miss"
             if entry.marks != marks:
-                del self._entries[key]
-                self.invalidations += 1
-                self.misses += 1
-                return None, "stale"
+                window = entry.window
+                if window is None or writes_outside is None \
+                        or not writes_outside(window[0], entry.marks[0],
+                                              marks[0], window[1]):
+                    del self._entries[key]
+                    self.invalidations += 1
+                    self.misses += 1
+                    return None, "stale"
+                entry.marks = marks
             self._entries.move_to_end(key)
             self.hits += 1
             return entry, "hit"
 
-    def store(self, key: tuple, columns, rows, rowcount, marks) -> _Entry:
-        entry = _Entry(columns, rows, rowcount, marks)
+    def store(self, key: tuple, columns, rows, rowcount, marks,
+              window=None) -> _Entry:
+        entry = _Entry(columns, rows, rowcount, marks, window)
         with self._lock:
             if key not in self._entries and \
                     len(self._entries) >= self.capacity:
@@ -197,7 +267,7 @@ class CachedExecutor:
     ``--no-cache`` servers run.
     """
 
-    #: per-SQL-text cacheability memo bound (table set, or None)
+    #: per-SQL-text cacheability memo bound ((tables, window), or None)
     META_CAPACITY = 512
 
     def __init__(self, database: Any, cache: Optional[ResultCache] = None):
@@ -206,28 +276,57 @@ class CachedExecutor:
         self._meta_lock = threading.Lock()
         self._meta: "OrderedDict[str, Optional[tuple]]" = OrderedDict()
 
-    def _known_tables(self, sql: str):
-        """The memoised table set for ``sql`` (``None`` when it is not
-        cacheable), or ``_UNSEEN``; never parses."""
+    def _known_shape(self, sql: str):
+        """The memoised ``(tables, window)`` for ``sql`` (``None`` when
+        it is not cacheable), or ``_UNSEEN``; never parses."""
         with self._meta_lock:
-            tables = self._meta.get(sql, _UNSEEN)
-            if tables is not _UNSEEN:
+            shape = self._meta.get(sql, _UNSEEN)
+            if shape is not _UNSEEN:
                 self._meta.move_to_end(sql)
-        return tables
+        return shape
 
-    def _cacheable_tables(self, sql: str) -> Optional[Tuple[str, ...]]:
-        """The table set for a cacheable SELECT else ``None``; memoised
-        per SQL text like the engine's parse cache."""
-        tables = self._known_tables(sql)
-        if tables is not _UNSEEN:
-            return tables
-        statement = self._db._parse_statement(sql)
-        tables = select_tables(statement)
+    def _cacheable_shape(self, sql: str) -> Optional[tuple]:
+        """``(tables, window)`` for a cacheable SELECT else ``None``:
+        :func:`select_tables` with the window expression compiled, so a
+        fill only evaluates it; memoised per SQL text like the engine's
+        parse cache."""
+        shape = self._known_shape(sql)
+        if shape is not _UNSEEN:
+            return shape
+        shape = select_tables(self._db._parse_statement(sql))
+        if shape is not None and shape[1] is not None:
+            table, column, expr = shape[1]
+            db = self._db
+            try:
+                evaluate = Compiler(Scope(), db.registry, db.profile) \
+                    .compile(expr)
+            except ReproError:  # the statement fails alike: no window
+                shape = shape[0], None
+            else:
+                shape = shape[0], (table, column, evaluate)
         with self._meta_lock:
             if len(self._meta) >= self.META_CAPACITY:
                 self._meta.popitem(last=False)
-            self._meta[sql] = tables
-        return tables
+            self._meta[sql] = shape
+        return shape
+
+    def _window(self, probe: _Probe, params: tuple):
+        """The filled entry's ``(table, box)``: the envelope of its
+        window expression under ``params``, while the column is still a
+        geometry column of the table; else ``None`` (table-granular)."""
+        table, column, evaluate = probe.window
+        db = self._db
+        try:
+            found = db.catalog.table(table)
+            if found.column(column).type is not ColumnType.GEOMETRY:
+                return None
+            value = scalar(evaluate, ExecContext(
+                params, db.profile, db.registry, db.catalog, Stats()
+            ))
+        except (ReproError, TypeError, ValueError):
+            return None
+        envelope = stored_envelope(value)
+        return None if envelope is None else (table, envelope.as_tuple())
 
     def _current_marks(self, tables: Tuple[str, ...]) -> tuple:
         marks = self._db.write_marks
@@ -243,7 +342,7 @@ class CachedExecutor:
         finally:
             request.stage("execute", start, time.perf_counter() - start)
 
-    def _lookup(self, sql: str, params: tuple, tables: Tuple[str, ...],
+    def _lookup(self, sql: str, params: tuple, shape: tuple,
                 request: Any) -> Optional[_Probe]:
         """The one counted cache lookup, or ``None`` (nothing counted)
         when ``params`` are unhashable and the statement must bypass."""
@@ -254,14 +353,17 @@ class CachedExecutor:
             hash(key)
         except TypeError:
             return None
+        tables, window = shape
         marks = self._current_marks(tables)
         start = time.perf_counter()
-        entry, status = self.cache.lookup(key, marks)
+        entry, status = self.cache.lookup(
+            key, marks, self._db.writes_outside
+        )
         request.stage(
             "cache.lookup", start, time.perf_counter() - start, status
         )
         request.note_cache(status)
-        return _Probe(key, marks, entry)
+        return _Probe(key, marks, entry, window)
 
     def probe(self, sql: str, params: Any,
               request: Any = NULL_REQUEST) -> Optional[_Probe]:
@@ -273,10 +375,10 @@ class CachedExecutor:
         :meth:`resolve` as ``probe`` and filled without a second look."""
         if self.cache is None:
             return None
-        tables = self._known_tables(sql)
-        if tables is None or tables is _UNSEEN:
+        shape = self._known_shape(sql)
+        if shape is None or shape is _UNSEEN:
             return None
-        return self._lookup(sql, tuple(params), tables, request)
+        return self._lookup(sql, tuple(params), shape, request)
 
     def resolve(
         self,
@@ -299,9 +401,9 @@ class CachedExecutor:
         params = tuple(params)
         if probe is None and cache is not None \
                 and not connection.in_transaction:
-            tables = self._cacheable_tables(sql)
-            if tables is not None:
-                probe = self._lookup(sql, params, tables, request)
+            shape = self._cacheable_shape(sql)
+            if shape is not None:
+                probe = self._lookup(sql, params, shape, request)
         if probe is not None and probe.entry is not None:
             return probe.entry, True
         if probe is None and cache is not None:
@@ -315,11 +417,12 @@ class CachedExecutor:
                 result.columns, result.rows, result.rowcount, None
             ), False
         # marks were captured before execution: a commit racing this
-        # fill leaves the entry stale-marked and therefore dead on its
-        # next lookup (see module docstring)
+        # fill leaves the entry stale-marked, so its next lookup checks
+        # that commit (see module docstring)
         return cache.store(
             probe.key, result.columns, result.rows, result.rowcount,
             probe.marks,
+            None if probe.window is None else self._window(probe, params),
         ), False
 
     def execute(

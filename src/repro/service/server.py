@@ -470,7 +470,9 @@ class JackpineServer:
             return {"ok": True, "_body": entry.body(), "cached": cached}
         except Exception as exc:
             code = error_code(exc)
-            request.complete(code)
+            # a shed at pickup (the deadline expired in the queue) keeps
+            # the wire code ``overloaded`` and is filed as what it is
+            request.complete(code if began else "shed_deadline")
             # a non-ReproError is a broken engine invariant: name it
             message = (
                 str(exc) if isinstance(exc, ReproError)

@@ -10,6 +10,7 @@ helps in experiment J-F5 even though everything here is in memory.
 from __future__ import annotations
 
 import enum
+import math
 from operator import itemgetter
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -328,6 +329,22 @@ class Table:
         if not self.mvcc_versions:
             return True
         return snapshot.row_visible(self._xmin[row_id], self._xmax[row_id])
+
+    def versions_box(
+        self, row_ids: Sequence[int]
+    ) -> Optional[Tuple[float, float, float, float]]:
+        """The box around the geometries of the slots ``row_ids`` in every
+        geometry column, or None when the table has none: all a write of
+        those slots can change in a spatial window. Slots holding only
+        NULL or empty geometries give an inverted box, which meets none."""
+        if not self._envelopes:
+            return None
+        envs = [env for column in self._envelopes.values()
+                for env in map(column.__getitem__, row_ids) if env is not None]
+        if not envs:
+            return (math.inf, math.inf, -math.inf, -math.inf)
+        return (min(e.min_x for e in envs), min(e.min_y for e in envs),
+                max(e.max_x for e in envs), max(e.max_y for e in envs))
 
     def envelopes(self, column_name: str) -> List[Optional[Envelope]]:
         """Envelope array for one geometry column, parallel to ``rows``."""

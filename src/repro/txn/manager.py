@@ -54,6 +54,24 @@ FROZEN_XID = 0
 #: transaction states
 ACTIVE, COMMITTED, ABORTED = "active", "committed", "aborted"
 
+#: a commit that writes more row versions than this logs them unbounded
+#: (see :func:`written_boxes`), so a bulk load is never folded into a box
+WRITE_BOX_ROWS = 64
+
+
+def written_boxes(undo) -> Dict[str, Optional[tuple]]:
+    """Table name -> the box around every row version an undo log wrote,
+    old versions included (:meth:`Table.versions_box`), for the write
+    log of :meth:`Database.bump_write_marks`; every box is None
+    (unbounded) past :data:`WRITE_BOX_ROWS` versions."""
+    if sum(count for _op, _table, _first, count in undo) > WRITE_BOX_ROWS:
+        return dict.fromkeys(table.name for _op, table, _f, _c in undo)
+    slots: Dict["Table", List[int]] = {}
+    for _op, table, first, count in undo:
+        slots.setdefault(table, []).extend(range(first, first + count))
+    return {table.name: table.versions_box(ids)
+            for table, ids in slots.items()}
+
 
 class Snapshot:
     """An immutable visibility horizon: what one statement (or one whole
@@ -184,6 +202,10 @@ class TxnManager:
         # for the caller's rollback, and a log without its commit record
         # discards it (a no-op without storage)
         self._db.durability.log_commit(txn)
+        # read before the garbage flush below vacuums the versions it
+        # deleted: their boxes count, or a row moved out of a window
+        # would leave a cached read of that window standing
+        boxes = written_boxes(txn.undo) if txn.undo else None
         with self._lock:
             self._pending.extend(txn.undo)
             txn.status = COMMITTED
@@ -194,14 +216,11 @@ class TxnManager:
             ).inc()
             if not self._active:
                 self._flush_garbage()
-        if txn.undo:
+        if boxes is not None:
             # after visibility: the watermark must never get ahead of the
             # rows it vouches for, or a cache fill racing this commit
             # could tag a pre-commit result with the post-commit xid
-            self._db.bump_write_marks(
-                {table.name for _op, table, _first, _count in txn.undo},
-                txn.txid,
-            )
+            self._db.bump_write_marks(boxes, txn.txid)
 
     def rollback(self, txn: Transaction) -> None:
         if txn.status is not ACTIVE:

@@ -499,7 +499,8 @@ def test_each_stage_is_measured_once(database, fresh_recorder):
 def test_a_deadline_shed_keeps_its_queue_wait(database, fresh_recorder):
     """A request shed at pickup spent its whole life in the queue: its
     record carries the ``queue.wait`` stage, so the view's
-    ``queue_seconds`` is not NULL on it."""
+    ``queue_seconds`` is not NULL on it, and it is filed as a deadline
+    shed while the client still gets ``overloaded``."""
     from repro.errors import ServiceOverloadedError
 
     sql = f"SELECT COUNT(*) FROM edges WHERE gid > {len(new_trace_id())}"
@@ -508,13 +509,13 @@ def test_a_deadline_shed_keeps_its_queue_wait(database, fresh_recorder):
             with pytest.raises(ServiceOverloadedError):
                 client.execute(sql)
         (record,) = _records_for({sql}, 1)
-    assert record.outcome == "overloaded" and record.shed
+    assert record.outcome == "shed_deadline" and record.shed
     assert record.stage_seconds["queue.wait"] > 0.0
     (row,) = database.execute(
         "SELECT outcome, queue_seconds FROM jackpine_requests "
         "WHERE trace_id = ?", (record.trace_id,)
     ).rows
-    assert row == ("overloaded", record.stage_seconds["queue.wait"])
+    assert row == ("shed_deadline", record.stage_seconds["queue.wait"])
 
 
 # ---------------------------------------------------------------------------

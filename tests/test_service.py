@@ -266,6 +266,205 @@ def test_cached_executor_fill_racing_commit_is_born_stale(database):
     conn.close()
 
 
+# -- the window rule: a commit outside a cached window keeps it -------------
+
+WINDOW_SQL = ("SELECT k, name FROM spots "
+              "WHERE ST_Intersects(geom, ST_MakeEnvelope(?, ?, ?, ?))")
+WINDOW = (10.0, 10.0, 20.0, 20.0)
+
+
+def _spots():
+    """A point table with a spatial index; ``k`` 1-3 inside
+    :data:`WINDOW`, 4 outside."""
+    db = Database("greenwood")
+    db.execute("CREATE TABLE spots (k INTEGER, name TEXT, geom GEOMETRY)")
+    db.execute("CREATE SPATIAL INDEX spots_geom ON spots (geom)")
+    for k, x, y in ((1, 12, 12), (2, 15, 18), (3, 19, 11), (4, 40, 40)):
+        db.execute("INSERT INTO spots VALUES (?, ?, ST_Point(?, ?))",
+                   (k, f"p{k}", x, y))
+    return db
+
+
+def _racing(db, write, params=()):
+    """``db.execute`` that runs ``write`` on another connection after
+    the statement it executes has read its rows: a commit that lands
+    while a cache fill is in flight."""
+    from repro.dbapi import connect
+
+    original = db.execute
+    writer = connect(database=db)
+    pending = [write]
+
+    def racing_execute(sql_text, sql_params=(), **kwargs):
+        result = original(sql_text, sql_params, **kwargs)
+        while pending:
+            writer.cursor().execute(pending.pop(), params)
+        return result
+
+    return racing_execute
+
+
+def _read(executor, conn, sql=WINDOW_SQL, params=WINDOW):
+    _, rows, _, cached = executor.execute(conn, sql, params)
+    return sorted(rows), cached
+
+
+def test_a_commit_inside_the_window_racing_a_fill_leaves_it_stale():
+    from repro.dbapi import connect
+
+    db = _spots()
+    cache = ResultCache()
+    executor = CachedExecutor(db, cache)
+    conn = connect(database=db)
+    db.execute = _racing(db, "INSERT INTO spots VALUES (5, 'in', "
+                             "ST_Point(11, 11))")
+    try:
+        filled, _ = _read(executor, conn)
+    finally:
+        del db.execute
+    assert [k for k, _ in filled] == [1, 2, 3], "the fill read before it"
+    rows, cached = _read(executor, conn)
+    assert not cached and [k for k, _ in rows] == [1, 2, 3, 5]
+    assert cache.stats()["invalidations"] == 1
+
+
+def test_a_commit_outside_the_window_racing_a_fill_keeps_it():
+    from repro.dbapi import connect
+
+    db = _spots()
+    cache = ResultCache()
+    executor = CachedExecutor(db, cache)
+    conn = connect(database=db)
+    db.execute = _racing(db, "INSERT INTO spots VALUES (5, 'out', "
+                             "ST_Point(20.5, 15))")
+    try:
+        filled, _ = _read(executor, conn)
+    finally:
+        del db.execute
+    rows, cached = _read(executor, conn)
+    assert cached and rows == filled == sorted(db.execute(
+        WINDOW_SQL, WINDOW).rows)
+    assert cache.stats()["invalidations"] == 0
+
+
+def test_more_commits_than_the_log_keeps_leave_the_entry_stale():
+    from repro.dbapi import connect
+    from repro.engines.database import WRITE_LOG_SIZE
+
+    db = _spots()
+    cache = ResultCache()
+    executor = CachedExecutor(db, cache)
+    conn = connect(database=db)
+    _read(executor, conn)
+    outside = "UPDATE spots SET name = ? WHERE k = 4"
+    for version in range(WRITE_LOG_SIZE - 1):
+        db.execute(outside, (f"v{version}",))
+    assert _read(executor, conn)[1], "the log still reaches its mark"
+    for version in range(WRITE_LOG_SIZE + 1):
+        db.execute(outside, (f"w{version}",))
+    rows, cached = _read(executor, conn)
+    assert not cached, "a mark the log no longer holds is not revalidated"
+    assert rows == sorted(db.execute(WINDOW_SQL, WINDOW).rows)
+    assert cache.stats()["invalidations"] == 1
+
+
+def test_drop_and_create_of_the_same_table_leave_the_entry_stale():
+    from repro.dbapi import connect
+
+    db = _spots()
+    cache = ResultCache()
+    executor = CachedExecutor(db, cache)
+    conn = connect(database=db)
+    _read(executor, conn)
+    db.execute("DROP TABLE spots")
+    db.execute("CREATE TABLE spots (k INTEGER, name TEXT, geom GEOMETRY)")
+    rows, cached = _read(executor, conn)
+    assert not cached and rows == []
+    db.execute("INSERT INTO spots VALUES (7, 'back', ST_Point(15, 15))")
+    db.execute("INSERT INTO spots VALUES (8, 'far', ST_Point(90, 90))")
+    rows, cached = _read(executor, conn)
+    assert not cached and rows == [(7, "back")]
+    assert _read(executor, conn) == ([(7, "back")], True)
+
+
+@pytest.mark.parametrize("sql", [
+    "SELECT k FROM spots WHERE ST_Intersects(geom, "
+    "ST_MakeEnvelope(?, ?, ?, ?)) OR k = 4",
+    "SELECT a.k FROM spots a JOIN spots b ON a.k = b.k "
+    "WHERE ST_Intersects(a.geom, ST_MakeEnvelope(?, ?, ?, ?))",
+    "SELECT k FROM spots WHERE ST_Intersects(ST_Buffer(geom, 1), "
+    "ST_MakeEnvelope(?, ?, ?, ?))",
+], ids=["or", "join", "not-a-column"])
+def test_other_window_shapes_keep_table_granular_marks(sql):
+    from repro.dbapi import connect
+    from repro.service.cache import select_tables
+    from repro.sql import parse
+
+    assert select_tables(parse(sql))[1] is None
+    db = _spots()
+    executor = CachedExecutor(db, ResultCache())
+    conn = connect(database=db)
+    _read(executor, conn, sql)
+    assert _read(executor, conn, sql)[1]
+    db.execute("UPDATE spots SET name = 'far' WHERE k = 4")
+    rows, cached = _read(executor, conn, sql)
+    assert not cached and rows == sorted(db.execute(sql, WINDOW).rows)
+
+
+def test_window_shapes_that_qualify():
+    from repro.service.cache import select_tables
+    from repro.sql import parse
+
+    for sql in (
+        WINDOW_SQL,
+        "SELECT COUNT(*) FROM spots s WHERE s.k > 1 AND ST_Intersects("
+        "ST_GeomFromText('POLYGON((0 0, 1 0, 1 1, 0 0))'), s.geom)",
+    ):
+        tables, (table, column, _expr) = select_tables(parse(sql))
+        assert tables == ("spots",) and table == "spots" and column == "geom"
+
+
+def test_a_reader_in_a_transaction_bypasses_the_window_cache():
+    from repro.dbapi import connect
+
+    db = _spots()
+    cache = ResultCache()
+    executor = CachedExecutor(db, cache)
+    conn = connect(database=db)
+    _read(executor, conn)
+    conn.cursor().execute("BEGIN")
+    db.execute("UPDATE spots SET name = 'far' WHERE k = 4")
+    assert _read(executor, conn) == (_read(executor, conn)[0], False)
+    conn.rollback()
+    stats = cache.stats()
+    assert (stats["hits"], stats["misses"], stats["bypass"]) == (0, 1, 2)
+    assert _read(executor, conn)[1], "revalidated once the txn is over"
+
+
+def test_a_second_fill_of_a_window_formats_no_wkt(monkeypatch):
+    """A fill encodes its reply; the geometries a window seen before
+    returned keep their WKT, so a moved window over the same rows
+    formats none."""
+    from repro.dbapi import connect
+    from repro.geometry import wkt
+
+    db = _spots()
+    executor = CachedExecutor(db, ResultCache())
+    conn = connect(database=db)
+    sql = ("SELECT k, geom FROM spots "
+           "WHERE ST_Intersects(geom, ST_MakeEnvelope(?, ?, ?, ?))")
+    first, _ = executor.resolve(conn, sql, WINDOW)
+    first.body()
+    calls = []
+    original = wkt.dumps
+    monkeypatch.setattr(wkt, "dumps", lambda *a, **k: (
+        calls.append(a[0]), original(*a, **k))[1])
+    moved = tuple(v + 0.5 for v in WINDOW)
+    second, cached = executor.resolve(conn, sql, moved)
+    assert not cached and len(second.rows) == 3
+    assert second.body() and calls == []
+
+
 # ---------------------------------------------------------------------------
 # server over a real socket
 # ---------------------------------------------------------------------------
