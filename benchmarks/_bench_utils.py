@@ -30,12 +30,10 @@ def _run_plan_directly(db, sql):
     """The seed-era fast path the guards compare against: the cached
     plan drained straight into the shared Stats — no latch, no shard, no
     guard, no snapshot, no observability or wait-monitor branch."""
-    statement = db._parse_statement(sql)
-    cached = db._plan_cache.get(sql)
-    if cached is None:
-        cached = db._planner.plan_select(statement)
-        db._plan_cache[sql] = cached
-    plan, _names = cached
+    prepared = db._prepare(sql)
+    if prepared.plan is None:
+        prepared.plan = db._planner.plan_select(prepared.statement)
+    plan, _names = prepared.plan
     ctx = ExecContext((), db.profile, db.registry, db.catalog, db.stats)
     rows = []
     for batch in plan.batches(ctx):

@@ -25,7 +25,7 @@ from itertools import compress
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.engines.profiles import EngineProfile, get_profile
-from repro.engines.sysviews import install_system_views
+from repro.engines.sysviews import SYSTEM_VIEW_NAMES, install_system_views
 from repro.errors import (
     GuardrailError,
     QueryCancelledError,
@@ -93,11 +93,25 @@ class ResultSet:
         return self.rows[0][0]
 
 
+class PreparedStatement:
+    """One SQL text's memo entry: its parsed ``statement``, the cached
+    SELECT ``plan`` (``(plan, names)``) and ``reads``, what
+    :meth:`Database.read_shape` found (``()``: not cacheable); each is
+    ``None`` until first used."""
+
+    __slots__ = ("statement", "plan", "reads")
+
+    def __init__(self, statement: ast.Statement):
+        self.statement = statement
+        self.plan: Optional[tuple] = None
+        self.reads: Optional[tuple] = None
+
+
 class Database:
     """An embedded spatial database with one of the benchmark profiles."""
 
-    #: SELECT plans cached per SQL text (the PreparedStatement analogue);
-    #: bounded, and flushed whenever the schema changes
+    #: SQL texts memoised as PreparedStatements (parse, SELECT plan,
+    #: result-cache reads), LRU; dropped whenever a plan may go stale
     PLAN_CACHE_SIZE = 256
 
     def __init__(self, profile: "EngineProfile | str" = "greenwood"):
@@ -113,8 +127,7 @@ class Database:
         #: per-call overrides win (see :meth:`execute`)
         self.guardrails = Guardrails()
         self._planner = Planner(self.catalog, self.registry, self.profile)
-        self._plan_cache: "OrderedDict[str, tuple]" = OrderedDict()
-        self._parse_cache: "OrderedDict[str, ast.Statement]" = OrderedDict()
+        self._memo: "OrderedDict[str, PreparedStatement]" = OrderedDict()
         #: the MVCC transaction manager (txn ids, snapshots, row locks)
         self.txn = TxnManager(self)
         #: durable page/WAL storage, attached via :meth:`attach_storage` /
@@ -128,7 +141,7 @@ class Database:
         # default session for direct Database callers; each DB-API
         # connection carries its own (transactions are per-session)
         self._session = Session()
-        # LRU caches and the shared Stats object are mutated from every
+        # the memo and the shared Stats object are mutated from every
         # client thread; statements run on private Stats shards that are
         # folded in under _stats_lock when the statement finishes
         self._cache_lock = threading.Lock()
@@ -251,8 +264,7 @@ class Database:
                 f"expected one of {', '.join(JOIN_STRATEGIES)}"
             )
         self._planner.join_strategy = strategy
-        with self._cache_lock:
-            self._plan_cache.clear()
+        self._drop_memo()
 
     def last_trace(self) -> Optional[Trace]:
         """The most recent statement trace (requires ``obs.enable_tracing()``)."""
@@ -269,8 +281,8 @@ class Database:
         cancel: Optional[CancelToken] = None,
         session: Optional[Session] = None,
     ) -> ResultSet:
-        """Parse and run one statement (parse results and SELECT plans are
-        cached per SQL text with LRU eviction, the way a driver reuses
+        """Parse and run one statement (the parse and a SELECT's plan are
+        memoised per SQL text with LRU eviction, the way a driver reuses
         prepared statements).
 
         ``timeout`` / ``max_rows`` / ``max_bytes`` / ``cancel`` arm
@@ -316,7 +328,8 @@ class Database:
         """
         if session is None:
             session = self._session
-        statement = self._parse_statement(sql)
+        prepared = self._prepare(sql)
+        statement = prepared.statement
         is_select = isinstance(statement, ast.Select)
         if analyze and not is_select:
             raise SqlPlanError(
@@ -363,7 +376,7 @@ class Database:
                                 plan = SpanNode(plan)
                             else:
                                 plan, names = self._cached_plan(
-                                    sql, statement, shard
+                                    prepared, shard
                                 )
                             ctx = ExecContext(
                                 params, self.profile, self.registry,
@@ -378,8 +391,7 @@ class Database:
                                 # DDL and ANALYZE change what a plan may
                                 # assume; a plan never caches data, so
                                 # it survives INSERT/UPDATE/DELETE
-                                with self._cache_lock:
-                                    self._plan_cache.clear()
+                                self._drop_memo()
                             result = self._dispatch_statement(
                                 statement, params, guard, session, shard
                             )
@@ -419,41 +431,75 @@ class Database:
                 obs.record(trace)
         return result, trace
 
-    def _parse_statement(self, sql: str) -> ast.Statement:
-        """LRU-cached parse of one SQL text."""
+    def _prepare(self, sql: str,
+                 fill: bool = True) -> Optional[PreparedStatement]:
+        """The memo entry of ``sql``, made most recent: parsed and added
+        when missing, or ``None`` then with ``fill=False``."""
+        memo = self._memo
         with self._cache_lock:
-            statement = self._parse_cache.get(sql)
-            if statement is not None:
-                self._parse_cache.move_to_end(sql)
-                return statement
-        statement = parse(sql)
+            prepared = memo.get(sql)
+            if prepared is not None:
+                memo.move_to_end(sql)
+                return prepared
+        if not fill:
+            return None
+        prepared = PreparedStatement(parse(sql))
         with self._cache_lock:
-            if len(self._parse_cache) >= self.PLAN_CACHE_SIZE:
-                self._parse_cache.popitem(last=False)
-            self._parse_cache[sql] = statement
-        return statement
+            if len(memo) >= self.PLAN_CACHE_SIZE:
+                memo.popitem(last=False)
+            return memo.setdefault(sql, prepared)
 
-    def _cached_plan(
-        self, sql: str, statement: ast.Select, stats: Stats
-    ) -> tuple:
-        """LRU-cached SELECT plan; hit/miss counters land on the caller's
-        per-statement shard (never the shared Stats, which would race)."""
+    def _drop_memo(self) -> None:
+        """Forget every memo entry: DDL, ``ANALYZE`` and the join
+        strategy change what a plan or a window may assume. A statement
+        that found its entry before it took the latch plans afresh."""
         with self._cache_lock:
-            cached = self._plan_cache.get(sql)
-            if cached is not None:
-                stats.plan_cache_hits += 1
-                self._plan_cache.move_to_end(sql)
-                return cached
+            for prepared in self._memo.values():
+                prepared.plan = None
+            self._memo.clear()
+
+    def _cached_plan(self, prepared: PreparedStatement, stats: Stats) -> tuple:
+        """The memoised SELECT plan; hit/miss counters land on the
+        caller's per-statement shard (never the shared Stats, which
+        would race)."""
+        cached = prepared.plan
+        if cached is not None:
+            stats.plan_cache_hits += 1
+            return cached
         stats.plan_cache_misses += 1
-        cached = self._planner.plan_select(statement)
-        with self._cache_lock:
-            existing = self._plan_cache.get(sql)
-            if existing is not None:
-                return existing
-            if len(self._plan_cache) >= self.PLAN_CACHE_SIZE:
-                self._plan_cache.popitem(last=False)
-            self._plan_cache[sql] = cached
+        # two statements that miss together both plan and either plan
+        # is kept: a plan holds no data, so they are interchangeable
+        cached = prepared.plan = self._planner.plan_select(prepared.statement)
         return cached
+
+    def read_shape(self, sql: str, fill: bool = True) -> Optional[tuple]:
+        """``(tables, window)`` for a SELECT a result cache may keep, else
+        ``None``, memoised with ``sql``'s parse. ``tables`` are the
+        (sorted) tables it reads; ``window`` is :meth:`Planner.window`,
+        ``(table, column, probe)``, or ``None``. A statement that reads a
+        ``jackpine_*`` view is not cacheable. With ``fill=False`` it is
+        also ``None`` for a text not parsed and classified yet, and then
+        it never parses or plans."""
+        prepared = self._prepare(sql, fill)
+        if prepared is None:
+            return None
+        statement = prepared.statement
+        if prepared.reads is None and fill:
+            reads = ()
+            if isinstance(statement, ast.Select):
+                names = {join.table.name.lower() for join in statement.joins}
+                if statement.source is not None:
+                    names.add(statement.source.name.lower())
+                if not names & set(SYSTEM_VIEW_NAMES):
+                    try:
+                        window = self._planner.window(statement)
+                    except ReproError:  # the statement fails alike
+                        window = None
+                    reads = tuple(sorted(names)), window
+            # a DDL racing this has dropped the entry: the next lookup
+            # of the text parses and classifies it again
+            prepared.reads = reads
+        return prepared.reads or None
 
     def _merge_stats(self, shard: Stats) -> None:
         with self._stats_lock:
@@ -712,7 +758,7 @@ class Database:
 
     def explain(self, sql: str) -> str:
         """The plan tree for a SELECT, as indented text."""
-        statement = parse(sql)
+        statement = self._prepare(sql).statement
         if not isinstance(statement, ast.Select):
             raise SqlPlanError("EXPLAIN supports SELECT statements only")
         plan, _names = self._planner.plan_select(statement)

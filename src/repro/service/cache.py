@@ -27,17 +27,20 @@ still identical. The ordering closes both races:
   the mark before the write's response is sent.
 
 Window reads are precise to their window. A SELECT over one table with
-no JOIN and a top-level AND conjunct ``ST_Intersects(column, expr)``
-(either order, ``expr`` free of columns: ``ST_MakeEnvelope(?, ?, ?,
-?)``) is filled with ``window = (table, expr's envelope)``. Each commit
+no JOIN and a top-level AND conjunct the planner could answer through a
+spatial index with a row-independent probe (``ST_Intersects(geom,
+ST_MakeEnvelope(?, ?, ?, ?))``, ``ST_DWithin``, ``&&``, …:
+:meth:`repro.sql.planner.Planner.window`) is filled with ``window =
+(table, the probe's envelope)``, a radius included. Each commit
 logs, per table and before it moves the mark, the box of every row
 version it inserted or deleted (``Database.write_log``; unbounded for
 DDL, a table without geometry, or a bulk write). On a mark mismatch a
 windowed entry is re-stamped and served as a hit when the log still
 reaches back to its mark and no box logged since meets its window as
 closed boxes (``Database.writes_outside``); otherwise it is stale as
-above. Exact and MBR-only intersects both need the envelopes to meet,
-so a write outside the window changes no row the entry holds. The race
+above. No row whose envelope misses the probe envelope satisfies such a
+conjunct (the index scan relies on it too), so a write outside the
+window changes no row the entry holds. The race
 argument carries over: a commit the fill's snapshot missed moved the
 mark after the fill captured it, so it is in the log after the entry's
 mark and is checked.
@@ -49,11 +52,12 @@ entry. Statements that read a ``jackpine_*`` system view are never
 cached (the views are live windows, not MVCC tables).
 
 Each request is counted once, as a hit (a revalidated window entry
-included), a miss or a bypass. For an SQL
-text already classified as a cacheable SELECT the service's event loop
-makes the lookup (:meth:`CachedExecutor.probe`) and hands a miss, with
-the marks it captured, to the worker that fills it; any other request is
-looked up or bypassed on the worker (:meth:`CachedExecutor.resolve`).
+included), a miss or a bypass. For an SQL text the engine's memo
+already classifies as a cacheable SELECT (``Database.read_shape``) the
+service's event loop makes the lookup (:meth:`CachedExecutor.probe`)
+and hands a miss, with the marks it captured, to the worker that fills
+it; any other request is looked up or bypassed on the worker
+(:meth:`CachedExecutor.resolve`).
 An entry keeps its encoded reply fragment beside the rows, so a hit
 re-encodes nothing.
 """
@@ -65,71 +69,13 @@ import time
 from collections import OrderedDict
 from typing import Any, Dict, Optional, Tuple
 
-from repro.engines.sysviews import SYSTEM_VIEW_NAMES
 from repro.errors import ReproError
 from repro.obs.requests import NULL_REQUEST
 from repro.service.protocol import result_fragment
-from repro.sql import ast
-from repro.sql.compiler import Compiler, Scope
-from repro.sql.executor import ExecContext, Stats, scalar
-from repro.sql.planner import split_conjuncts
-from repro.storage.table import ColumnType, stored_envelope
+from repro.sql.executor import ExecContext, Stats
+from repro.storage.table import ColumnType
 
-__all__ = ["ResultCache", "CachedExecutor", "select_tables"]
-
-#: memo sentinel: an SQL text this executor has never classified
-_UNSEEN = object()
-
-
-def select_tables(statement: Any) -> Optional[Tuple[Tuple[str, ...], Any]]:
-    """``(tables, window)`` for a plain cacheable SELECT, else ``None``:
-    the tables it reads, and ``(table, column, expr)`` when it reads one
-    table with no JOIN and a top-level AND conjunct is
-    ``ST_Intersects(column, expr)`` (either order) with ``expr`` free of
-    columns, else ``None``. A SELECT with no FROM reads no tables and
-    caches on an empty watermark set (every shipped function is
-    deterministic).
-    """
-    if not isinstance(statement, ast.Select):
-        return None
-    names = set()
-    if statement.source is not None:
-        names.add(statement.source.name.lower())
-    for join in statement.joins:
-        names.add(join.table.name.lower())
-    if names & set(SYSTEM_VIEW_NAMES):
-        return None
-    window = None
-    if statement.source is not None and not statement.joins:
-        window = next(_windows(statement), None)
-    return tuple(sorted(names)), window
-
-
-def _windows(statement: ast.Select):
-    """``(table, column, expr)`` for each top-level AND conjunct
-    ``ST_Intersects(column, expr)`` (either order) of a one-table
-    SELECT whose ``expr`` is free of columns."""
-    table = statement.source.name.lower()
-    for conjunct in split_conjuncts(statement.where):
-        if isinstance(conjunct, ast.FuncCall) \
-                and conjunct.name == "st_intersects" \
-                and len(conjunct.args) == 2:
-            for column, other in (conjunct.args, conjunct.args[::-1]):
-                if isinstance(column, ast.ColumnRef) and _constant(other):
-                    yield table, column.name, other
-
-
-def _constant(expr: Any) -> bool:
-    """Is ``expr`` built of literals, parameters and calls alone?"""
-    if isinstance(expr, (ast.Literal, ast.Param)):
-        return True
-    if isinstance(expr, ast.FuncCall):
-        return all(map(_constant, expr.args))
-    if isinstance(expr, ast.BinaryOp):
-        return _constant(expr.left) and _constant(expr.right)
-    if isinstance(expr, ast.UnaryOp):
-        return _constant(expr.operand)
-    return False
+__all__ = ["ResultCache", "CachedExecutor"]
 
 
 class _Entry:
@@ -164,8 +110,9 @@ class _Entry:
 class _Probe:
     """One counted lookup: its key, the write marks captured before it,
     the entry it found (``None`` on a miss) and the statement's window
-    (:func:`select_tables`, compiled). A miss carries its marks on to
-    the fill, so the request is counted once, not once per site."""
+    (``(table, column, probe)`` of :meth:`Database.read_shape`). A miss
+    carries its marks on to the fill, so the request is counted once,
+    not once per site."""
 
     __slots__ = ("key", "marks", "entry", "window")
 
@@ -267,65 +214,25 @@ class CachedExecutor:
     ``--no-cache`` servers run.
     """
 
-    #: per-SQL-text cacheability memo bound ((tables, window), or None)
-    META_CAPACITY = 512
-
     def __init__(self, database: Any, cache: Optional[ResultCache] = None):
         self._db = database
         self.cache = cache
-        self._meta_lock = threading.Lock()
-        self._meta: "OrderedDict[str, Optional[tuple]]" = OrderedDict()
-
-    def _known_shape(self, sql: str):
-        """The memoised ``(tables, window)`` for ``sql`` (``None`` when
-        it is not cacheable), or ``_UNSEEN``; never parses."""
-        with self._meta_lock:
-            shape = self._meta.get(sql, _UNSEEN)
-            if shape is not _UNSEEN:
-                self._meta.move_to_end(sql)
-        return shape
-
-    def _cacheable_shape(self, sql: str) -> Optional[tuple]:
-        """``(tables, window)`` for a cacheable SELECT else ``None``:
-        :func:`select_tables` with the window expression compiled, so a
-        fill only evaluates it; memoised per SQL text like the engine's
-        parse cache."""
-        shape = self._known_shape(sql)
-        if shape is not _UNSEEN:
-            return shape
-        shape = select_tables(self._db._parse_statement(sql))
-        if shape is not None and shape[1] is not None:
-            table, column, expr = shape[1]
-            db = self._db
-            try:
-                evaluate = Compiler(Scope(), db.registry, db.profile) \
-                    .compile(expr)
-            except ReproError:  # the statement fails alike: no window
-                shape = shape[0], None
-            else:
-                shape = shape[0], (table, column, evaluate)
-        with self._meta_lock:
-            if len(self._meta) >= self.META_CAPACITY:
-                self._meta.popitem(last=False)
-            self._meta[sql] = shape
-        return shape
 
     def _window(self, probe: _Probe, params: tuple):
-        """The filled entry's ``(table, box)``: the envelope of its
-        window expression under ``params``, while the column is still a
-        geometry column of the table; else ``None`` (table-granular)."""
-        table, column, evaluate = probe.window
+        """The filled entry's ``(table, box)``: its probe's envelope under
+        ``params``, while the column is still a geometry column of the
+        table; else ``None`` (table-granular)."""
+        table, column, envelope_of = probe.window
         db = self._db
         try:
             found = db.catalog.table(table)
             if found.column(column).type is not ColumnType.GEOMETRY:
                 return None
-            value = scalar(evaluate, ExecContext(
+            envelope = envelope_of(ExecContext(
                 params, db.profile, db.registry, db.catalog, Stats()
             ))
         except (ReproError, TypeError, ValueError):
             return None
-        envelope = stored_envelope(value)
         return None if envelope is None else (table, envelope.as_tuple())
 
     def _current_marks(self, tables: Tuple[str, ...]) -> tuple:
@@ -370,13 +277,13 @@ class CachedExecutor:
         """The lookup for a request that holds no transaction, made
         before it is queued: ``None`` unless ``sql`` is already known to
         be a cacheable SELECT, in which case the request's one counted
-        lookup happens here. Never parses and never executes, so the
+        lookup happens here. Never parses, plans or executes, so the
         service's event loop calls it; a miss is handed to
         :meth:`resolve` as ``probe`` and filled without a second look."""
         if self.cache is None:
             return None
-        shape = self._known_shape(sql)
-        if shape is None or shape is _UNSEEN:
+        shape = self._db.read_shape(sql, fill=False)
+        if shape is None:
             return None
         return self._lookup(sql, tuple(params), shape, request)
 
@@ -401,7 +308,7 @@ class CachedExecutor:
         params = tuple(params)
         if probe is None and cache is not None \
                 and not connection.in_transaction:
-            shape = self._cacheable_shape(sql)
+            shape = self._db.read_shape(sql)
             if shape is not None:
                 probe = self._lookup(sql, params, shape, request)
         if probe is not None and probe.entry is not None:

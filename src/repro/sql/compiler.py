@@ -211,9 +211,14 @@ class Compiler:
         if isinstance(expr, ast.UnaryOp):
             operand = self.compile(expr.operand)
             if expr.op == "-":
-                return lambda batch, ctx: [
-                    None if v is None else -v for v in operand(batch, ctx)
-                ]
+                def negate(batch: Batch, ctx: ExecContext) -> List[Any]:
+                    values = operand(batch, ctx)
+                    try:
+                        return [None if v is None else -v for v in values]
+                    except TypeError as exc:
+                        raise SqlPlanError(f"unary '-': {exc}") from None
+
+                return negate
             if expr.op == "not":
                 return lambda batch, ctx: [
                     None if v is None else not v for v in operand(batch, ctx)
@@ -383,10 +388,19 @@ class Compiler:
         if op not in simple:
             raise SqlPlanError(f"unknown operator {op!r}")
         fn = simple[op]
-        return lambda batch, ctx: [
-            None if a is None or b is None else fn(a, b)
-            for a, b in pairs(batch, ctx)
-        ]
+
+        def apply(batch: Batch, ctx: ExecContext) -> List[Any]:
+            operands = pairs(batch, ctx)
+            try:
+                return [
+                    None if a is None or b is None else fn(a, b)
+                    for a, b in operands
+                ]
+            except (ZeroDivisionError, TypeError) as exc:
+                # a typed statement error, so an open transaction aborts
+                raise SqlPlanError(f"'{op}': {exc}") from None
+
+        return apply
 
 
 def _short_circuit(left: Evaluator, right: Evaluator, decided: bool,

@@ -418,35 +418,32 @@ class Planner:
     ) -> Optional[IndexScan]:
         """An ``IndexScan`` on the first conjunct that can probe a
         spatial index of ``table`` with a row-independent envelope."""
-        for conjunct in remaining:
-            indexable = self._match_indexable(conjunct, scope, alias)
-            if indexable is None:
-                continue
-            # the probe expression must be evaluable before any table binds
-            if referenced_aliases(indexable.other, scope):
-                continue
-            if indexable.radius_expr is not None and referenced_aliases(
-                indexable.radius_expr, scope
-            ):
-                continue
+        for indexable in self._indexables(remaining, scope, alias, set()):
             entry = self.catalog.index_for(table.name, indexable.column)
-            if entry is None:
-                continue
-            other_fn = compiler.compile(indexable.other)
-            radius_fn = (
-                compiler.compile(indexable.radius_expr)
-                if indexable.radius_expr is not None
-                else None
-            )
+            if entry is not None:
+                return IndexScan(table, alias, entry,
+                                 _probe(indexable, compiler), label="filter")
+        return None
 
-            def probe(ctx: ExecContext,
-                      other_fn=other_fn, radius_fn=radius_fn) -> Optional[Envelope]:
-                return _probe_envelope(
-                    scalar(other_fn, ctx),
-                    scalar(radius_fn, ctx) if radius_fn else None,
-                )
-
-            return IndexScan(table, alias, entry, probe, label="filter")
+    def window(self, stmt: ast.Select) -> Optional[Tuple[str, str, Any]]:
+        """``(table, column, probe)`` for a SELECT of one table with no
+        JOIN when a top-level AND conjunct could probe a spatial index
+        on its geometry ``column`` with a row-independent envelope (the
+        first, as :meth:`_spatial_scan` picks it, index or not), else
+        ``None``. ``probe(ctx)`` is that envelope, a radius included: no
+        row whose envelope misses it is in the result."""
+        if stmt.source is None or stmt.joins:
+            return None
+        table = self.catalog.table(stmt.source.name)
+        alias = stmt.source.alias.lower()
+        scope = Scope()
+        scope.add(alias, table)
+        for indexable in self._indexables(
+            split_conjuncts(stmt.where), scope, alias, set()
+        ):
+            compiler = Compiler(scope, self.registry, self.profile)
+            return (stmt.source.name.lower(), indexable.column,
+                    _probe(indexable, compiler))
         return None
 
     def _key_options(
@@ -531,16 +528,7 @@ class Planner:
 
         # cost-based spatial join on an indexable spatial conjunct, with
         # the equality keys (if any) costed as a hash join beside it
-        for conjunct in conjuncts:
-            indexable = self._match_indexable(conjunct, scope, alias)
-            if indexable is None:
-                continue
-            if not referenced_aliases(indexable.other, scope) <= bound:
-                continue
-            if indexable.radius_expr is not None and not referenced_aliases(
-                indexable.radius_expr, scope
-            ) <= bound:
-                continue
+        for indexable in self._indexables(conjuncts, scope, alias, bound):
             plan = self._plan_spatial_join(
                 outer, table, alias, scope, compiler, conjuncts, indexable,
                 equi,
@@ -850,6 +838,24 @@ class Planner:
 
     # -- conjunct pattern matching ---------------------------------------------
 
+    def _indexables(
+        self,
+        conjuncts: List[ast.Expr],
+        scope: Scope,
+        alias: str,
+        bound: Set[str],
+    ):
+        """Each conjunct that can probe a spatial index on ``alias`` with
+        an envelope (and radius) computed from the ``bound`` aliases'
+        rows alone; with none bound, before any table binds."""
+        for conjunct in conjuncts:
+            indexable = self._match_indexable(conjunct, scope, alias)
+            if indexable is not None \
+                    and referenced_aliases(indexable.other, scope) <= bound \
+                    and (indexable.radius_expr is None or referenced_aliases(
+                        indexable.radius_expr, scope) <= bound):
+                yield indexable
+
     def _match_indexable(
         self, conjunct: ast.Expr, scope: Scope, alias: str
     ) -> Optional[_IndexableConjunct]:
@@ -1117,6 +1123,24 @@ def _show(expr: ast.Expr) -> str:
     if isinstance(expr, ast.Literal):
         return repr(expr.value)
     return "expr"
+
+
+def _probe(indexable: _IndexableConjunct, compiler: Compiler):
+    """``ctx -> envelope`` of a row-independent probe (radius included)."""
+    other_fn = compiler.compile(indexable.other)
+    radius_fn = (
+        compiler.compile(indexable.radius_expr)
+        if indexable.radius_expr is not None
+        else None
+    )
+
+    def probe(ctx: ExecContext) -> Optional[Envelope]:
+        return _probe_envelope(
+            scalar(other_fn, ctx),
+            scalar(radius_fn, ctx) if radius_fn else None,
+        )
+
+    return probe
 
 
 def _probe_envelope(value, radius) -> Optional[Envelope]:

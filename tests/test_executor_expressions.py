@@ -172,6 +172,42 @@ class TestShortCircuit:
         ]
 
 
+class TestTypedArithmeticErrors:
+    """A failing operator is a statement error like any other: a typed
+    :class:`SqlPlanError` (wire code ``sql``) that aborts the session's
+    open transaction."""
+
+    @pytest.mark.parametrize("expr", [
+        "10 / i", "10 % i", "s + 1", "s < 1", "-s", "1 - s",
+    ])
+    def test_operator_raises_the_typed_error(self, db, expr):
+        db.execute("INSERT INTO v VALUES (0, 0.0, 'zero', NULL)")
+        with pytest.raises(SqlPlanError):
+            db.execute(f"SELECT {expr} FROM v WHERE i = 0")
+
+    def test_a_failed_statement_rolls_its_transaction_back(self, db):
+        from repro.txn import Session
+
+        session = Session()
+        db.execute("INSERT INTO v VALUES (0, 0.0, 'zero', NULL)")
+        db.execute("BEGIN", session=session)
+        db.execute("INSERT INTO v VALUES (7, 7.0, 'seven', NULL)",
+                   session=session)
+        with pytest.raises(SqlPlanError):
+            db.execute("UPDATE v SET i = 10 / i", session=session)
+        assert session.txn is None
+        db.execute("COMMIT", session=session)
+        assert db.execute("SELECT COUNT(*) FROM v WHERE i = 7").scalar() == 0
+        assert db.execute("SELECT COUNT(*) FROM v WHERE i = 0").scalar() == 1
+
+    def test_the_wire_code_is_sql(self, db):
+        from repro.service.protocol import error_code
+
+        with pytest.raises(SqlPlanError) as caught:
+            db.execute("SELECT 1 % 0")
+        assert error_code(caught.value) == "sql"
+
+
 class TestLike:
     def test_percent(self, db):
         assert scalar(db, "'hello' LIKE 'he%'") is True

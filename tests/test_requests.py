@@ -299,8 +299,10 @@ def test_one_request_yields_one_linked_tree(database, fresh_recorder):
 def test_traced_hit_is_answered_before_admission(database, fresh_recorder):
     """A hit never reaches a worker: its record has the loop's stages
     only, and is filed after the reply went out (``net.send``). A text
-    the server has never seen is looked up on the worker, as before."""
-    sql = "SELECT COUNT(*) FROM counties WHERE gid < ?"
+    the database's statement memo has not classified yet (no other test
+    of this module's shared database sends it) is looked up on the
+    worker, as before."""
+    sql = "SELECT COUNT(*) FROM counties WHERE gid <= ?"
     with _traced_server(database) as server:
         client = ServiceClient.from_address(server.address)
         try:

@@ -397,11 +397,9 @@ def test_drop_and_create_of_the_same_table_leave_the_entry_stale():
 ], ids=["or", "join", "not-a-column"])
 def test_other_window_shapes_keep_table_granular_marks(sql):
     from repro.dbapi import connect
-    from repro.service.cache import select_tables
-    from repro.sql import parse
 
-    assert select_tables(parse(sql))[1] is None
     db = _spots()
+    assert db.read_shape(sql)[1] is None
     executor = CachedExecutor(db, ResultCache())
     conn = connect(database=db)
     _read(executor, conn, sql)
@@ -412,16 +410,37 @@ def test_other_window_shapes_keep_table_granular_marks(sql):
 
 
 def test_window_shapes_that_qualify():
-    from repro.service.cache import select_tables
-    from repro.sql import parse
+    """Any conjunct the planner could answer through a spatial index
+    with a row-independent probe windows its entry, on the probe's
+    envelope: ``ST_DWithin``'s radius widens it."""
+    from repro.dbapi import connect
 
-    for sql in (
-        WINDOW_SQL,
-        "SELECT COUNT(*) FROM spots s WHERE s.k > 1 AND ST_Intersects("
-        "ST_GeomFromText('POLYGON((0 0, 1 0, 1 1, 0 0))'), s.geom)",
+    db = _spots()
+    conn = connect(database=db)
+    for sql, params, box in (
+        (WINDOW_SQL, WINDOW, WINDOW),
+        ("SELECT COUNT(*) FROM spots s WHERE s.k > 1 AND ST_Intersects("
+         "ST_GeomFromText('POLYGON((0 0, 1 0, 1 1, 0 0))'), s.geom)",
+         (), (0.0, 0.0, 1.0, 1.0)),
+        ("SELECT k FROM spots WHERE ST_Contains(ST_MakeEnvelope(?, ?, ?, ?), "
+         "geom)", WINDOW, WINDOW),
+        ("SELECT k FROM spots WHERE ST_Within(geom, ST_MakeEnvelope(?, ?, ?, "
+         "?)) AND k < 9", WINDOW, WINDOW),
+        ("SELECT k FROM spots WHERE ST_DWithin(geom, ST_Point(?, ?), ?)",
+         (15.0, 15.0, 5.0), WINDOW),
+        ("SELECT k FROM spots WHERE ST_DWithin(ST_Point(?, ?), geom, ?)",
+         (15.0, 15.0, 5.0), WINDOW),
+        ("SELECT k FROM spots WHERE geom && ST_MakeEnvelope(?, ?, ?, ?)",
+         WINDOW, WINDOW),
+        ("SELECT k FROM spots WHERE ST_MakeEnvelope(?, ?, ?, ?) && geom",
+         WINDOW, WINDOW),
     ):
-        tables, (table, column, _expr) = select_tables(parse(sql))
+        tables, (table, column, _probe) = db.read_shape(sql)
         assert tables == ("spots",) and table == "spots" and column == "geom"
+        entry, cached = CachedExecutor(db, ResultCache()).resolve(
+            conn, sql, params
+        )
+        assert not cached and entry.window == ("spots", box), sql
 
 
 def test_a_reader_in_a_transaction_bypasses_the_window_cache():

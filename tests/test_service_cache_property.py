@@ -8,7 +8,8 @@ shared database and, after *every* cached read, replays the same SELECT
 on a plain connection — the two must agree, always; a second property
 test does the same through a running server and checks that each query
 request is counted once in its cache statistics. The window properties
-do the same for spatial window reads, which stay cached across commits
+do the same for spatial window reads (``ST_Intersects``, ``ST_Contains``,
+``ST_DWithin`` and ``&&``), which stay cached across commits
 that write only outside their window: points inserted, moved, renamed,
 nulled and deleted inside, outside and exactly on a window's edges and
 corners. The threaded test checks the same contract against a genuinely
@@ -122,13 +123,21 @@ def test_cached_reads_always_match_uncached(database, ops):
 _COORDS = [0.0, 5.0, 9.5, 10.0, 12.5, 15.0, 17.5, 20.0, 20.5, 25.0, 30.0]
 _WINDOWS = [(10.0, 10.0, 20.0, 20.0), (15.0, 5.0, 30.0, 15.0),
             (20.0, 20.0, 25.0, 25.0)]
+#: each read with its params for a window: the box itself, none, or a
+#: circle about its lower-left corner with the box's width as radius
 _WINDOW_READS = [
     ("SELECT k, name FROM spots "
-     "WHERE ST_Intersects(geom, ST_MakeEnvelope(?, ?, ?, ?))"),
+     "WHERE ST_Intersects(geom, ST_MakeEnvelope(?, ?, ?, ?))", tuple),
     ("SELECT COUNT(*), MAX(name) FROM spots WHERE k > 0 "
-     "AND ST_Intersects(ST_MakeEnvelope(?, ?, ?, ?), geom)"),
+     "AND ST_Intersects(ST_MakeEnvelope(?, ?, ?, ?), geom)", tuple),
     ("SELECT k FROM spots WHERE ST_Intersects(geom, ST_GeomFromText("
-     "'POLYGON((10 10, 20 10, 20 20, 10 20, 10 10))'))"),
+     "'POLYGON((10 10, 20 10, 20 20, 10 20, 10 10))'))", lambda w: ()),
+    ("SELECT k, name FROM spots "
+     "WHERE ST_Contains(ST_MakeEnvelope(?, ?, ?, ?), geom)", tuple),
+    ("SELECT k FROM spots WHERE ST_DWithin(geom, ST_Point(?, ?), ?)",
+     lambda w: (w[0], w[1], w[2] - w[0])),
+    ("SELECT k, name FROM spots WHERE geom && ST_MakeEnvelope(?, ?, ?, ?)",
+     tuple),
 ]
 _SPOT_KEYS = list(range(1, 6))
 _point = st.tuples(st.sampled_from(_COORDS), st.sampled_from(_COORDS))
@@ -142,7 +151,7 @@ _write = st.one_of(
 )
 _window_ops = st.lists(
     st.one_of(
-        st.tuples(st.just("read"), st.integers(0, 2),
+        st.tuples(st.just("read"), st.integers(0, len(_WINDOW_READS) - 1),
                   st.integers(0, len(_WINDOWS) - 1)),
         _write,
         st.tuples(st.sampled_from(["commit", "rollback"]),
@@ -169,8 +178,8 @@ def _spot_statement(op):
 
 
 def _window_read(index, window):
-    sql = _WINDOW_READS[index]
-    return sql, (_WINDOWS[window] if "?" in sql else ())
+    sql, params = _WINDOW_READS[index]
+    return sql, params(_WINDOWS[window])
 
 
 def _reset_spots(execute):
@@ -205,8 +214,10 @@ def _run_window_ops(ops, read, write, plain):
             write(*_spot_statement(op))
 
 
-#: a row moved out of, deleted from, nulled and renamed in a window, and
-#: points inserted on an edge and a corner of one, each between two reads
+#: a row moved out of, deleted from, nulled and renamed in a window,
+#: points inserted on an edge and a corner of one, and rows written on a
+#: contains window's edge, inside a DWithin circle and on its rim, and on
+#: an && window's corner, each between two reads
 _WINDOW_EXAMPLES = [
     [("read", 0, 0), ("move", 1, (0.0, 0.0)), ("read", 0, 0)],
     [("read", 1, 0), ("delete", 3, None), ("read", 1, 0)],
@@ -218,6 +229,10 @@ _WINDOW_EXAMPLES = [
                                  ("move", 2, (30.0, 30.0))], None),
      ("read", 0, 1), ("rollback", [("insert", 5, (15.0, 15.0))], None),
      ("read", 0, 1)],
+    [("read", 3, 0), ("move", 3, (20.0, 12.5)), ("read", 3, 0)],
+    [("read", 4, 0), ("insert", 5, (15.0, 15.0)), ("read", 4, 0)],
+    [("read", 4, 2), ("move", 4, (20.0, 25.0)), ("read", 4, 2)],
+    [("read", 5, 1), ("insert", 5, (30.0, 5.0)), ("read", 5, 1)],
 ]
 
 

@@ -101,15 +101,18 @@ def test_hit_answers_while_every_worker_is_blocked(database):
         assert not fresh[0].cached
 
 
-def test_the_event_loop_never_parses(database):
+def test_the_event_loop_never_parses(database, monkeypatch):
+    from repro.engines import database as engine
+
     parsed_on = set()
-    real_parse = database._parse_statement
+    real_parse = engine.parse
 
     def recording_parse(sql):
         parsed_on.add(threading.current_thread())
         return real_parse(sql)
 
-    database._parse_statement = recording_parse
+    # the statement memo's one parse call
+    monkeypatch.setattr(engine, "parse", recording_parse)
     with _server(database) as server:
         with ServiceClient(server.host, server.port) as client:
             for gid in (1, 2, 1, 3, 1):

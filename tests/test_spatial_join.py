@@ -333,8 +333,8 @@ class TestAnalyzeAndCounters:
             db.execute(sql)
         db.execute(queries[0])  # refresh: now queries[1] is the LRU entry
         db.execute("SELECT 99 FROM t")
-        assert queries[0] in db._plan_cache
-        assert queries[1] not in db._plan_cache
+        assert db._memo[queries[0]].plan is not None
+        assert queries[1] not in db._memo
 
     def test_explain_analyze_shows_new_operators(self):
         db = _build_db("greenwood", seed=8)

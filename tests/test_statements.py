@@ -209,7 +209,7 @@ class TestPlanFlips:
     def test_plan_shape_ignores_span_wrapping(self):
         db = _tiny_db()
         plan, _names = db._planner.plan_select(
-            db._parse_statement("SELECT id FROM a")
+            db._prepare("SELECT id FROM a").statement
         )
         from repro.sql.executor import SpanNode
 
